@@ -54,7 +54,7 @@ pub struct LiveStats {
     pub extra: Vec<(String, f64)>,
     /// Publisher-defined histograms, rendered as the Prometheus
     /// `_bucket`/`_sum`/`_count` triple under `amjs_<name>`. The serve
-    /// daemon uses these for per-verb request latency, WAL fsync,
+    /// daemon uses these for per-verb request latency, WAL append,
     /// snapshot, and replication-lag distributions; batch runs leave
     /// them empty.
     pub hists: Vec<HistEntry>,

@@ -16,6 +16,8 @@
 //!                                      ├─► follower sinks (feeder
 //!                                      │   threads, link chaos)
 //!                                      ├─► supervised what-if workers
+//!                                      ├─► snapshot writer (one encoded
+//!                                      │   buffer in flight at a time)
 //!                                      └── tail thread (follower mode:
 //!                                          REPL TAIL from the primary)
 //! ```
@@ -42,7 +44,14 @@
 //! Accepted mutations are applied, then appended to the command WAL
 //! ([`crate::wal`]) and flushed, and only then acknowledged. Snapshots
 //! of the full live state rotate every `snapshot_every` accepted
-//! commands. Recovery = newest valid snapshot + WAL tail replayed
+//! commands: the engine encodes at the cadence point and hands the
+//! buffer to the `amjs-snap-writer` thread, which checksums, writes,
+//! syncs, renames and prunes while the engine goes on serving. The ACK
+//! never waits for that write — the WAL is what it promises, and the
+//! WAL is never truncated at a snapshot, so a snapshot that lands late
+//! only lengthens the replayed tail. Snapshots a caller builds on
+//! (genesis, follower bootstrap, promotion, final) are waited for.
+//! Recovery = newest valid snapshot + WAL tail replayed
 //! through the identical apply path ⇒ byte-identical state as of the
 //! last acknowledged mutation (each replayed record's `state_hash` is
 //! cross-checked, so silent divergence is impossible). An
@@ -64,12 +73,12 @@
 //! fingerprint + epoch before a single record moves. See
 //! [`crate::repl`].
 
-use std::io::BufReader;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -462,12 +471,130 @@ enum Role {
     },
 }
 
-/// The engine: sole owner of scheduler, WAL, snapshots, epoch, and
-/// follower sinks. Every method runs on the engine-loop thread.
+/// Handle on the `amjs-snap-writer` thread, which owns the state dir's
+/// [`SnapshotStore`]: every snapshot file of a running daemon is
+/// checksummed, written, synced, renamed and pruned there. At most one
+/// write is in flight; handing over the next buffer first waits for the
+/// previous one, so a disk slower than the snapshot cadence slows the
+/// engine down instead of queueing buffers.
+struct SnapshotPipe {
+    /// `None` once closed.
+    jobs: Option<mpsc::Sender<(u64, Vec<u8>)>>,
+    done: mpsc::Receiver<io::Result<()>>,
+    in_flight: bool,
+    writer: Option<thread::JoinHandle<()>>,
+}
+
+fn writer_gone() -> io::Error {
+    io::Error::other("the snapshot writer thread is gone")
+}
+
+impl SnapshotPipe {
+    /// Start the writer. It times each write into
+    /// `telem.snapshot_write` and records the flight-recorder
+    /// `Snapshot` event when the file is in place.
+    fn spawn(
+        store: SnapshotStore,
+        telem: SharedTelemetry,
+        flight: FlightRecorder,
+    ) -> io::Result<SnapshotPipe> {
+        let (jobs, inbox) = mpsc::channel::<(u64, Vec<u8>)>();
+        let (outbox, done) = mpsc::channel();
+        let writer = thread::Builder::new()
+            .name("amjs-snap-writer".into())
+            .spawn(move || {
+                for (seq, payload) in inbox {
+                    let started = Instant::now();
+                    let res = store.write(seq, &payload).map(drop);
+                    // Free the buffer before reporting: once a write
+                    // has settled, its megabyte is gone.
+                    drop(payload);
+                    let elapsed = started.elapsed();
+                    telem
+                        .lock()
+                        .expect("telemetry lock poisoned by a panicked thread")
+                        .snapshot_write
+                        .observe_duration(elapsed);
+                    if res.is_ok() {
+                        flight.record(FlightKind::Snapshot {
+                            seq,
+                            dur_us: elapsed.as_micros() as u64,
+                        });
+                    }
+                    if outbox.send(res).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(SnapshotPipe {
+            jobs: Some(jobs),
+            done,
+            in_flight: false,
+            writer: Some(writer),
+        })
+    }
+
+    /// Wait for the write in flight, if any, and return its result.
+    fn settle(&mut self) -> io::Result<()> {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(());
+        }
+        self.done.recv().unwrap_or_else(|_| Err(writer_gone()))
+    }
+
+    /// [`settle`](Self::settle) without waiting: `Ok` while the write
+    /// is still running.
+    fn poll(&mut self) -> io::Result<()> {
+        if !self.in_flight {
+            return Ok(());
+        }
+        let res = match self.done.try_recv() {
+            Err(TryRecvError::Empty) => return Ok(()),
+            Err(TryRecvError::Disconnected) => Err(writer_gone()),
+            Ok(res) => res,
+        };
+        self.in_flight = false;
+        res
+    }
+
+    /// Settle the previous write, then hand `payload` over as the
+    /// snapshot at command sequence `seq`. An `Err` is the previous
+    /// write's; `payload` is then dropped unwritten.
+    fn submit(&mut self, seq: u64, payload: Vec<u8>) -> io::Result<()> {
+        self.settle()?;
+        let jobs = self.jobs.as_ref().ok_or_else(writer_gone)?;
+        jobs.send((seq, payload)).map_err(|_| writer_gone())?;
+        self.in_flight = true;
+        Ok(())
+    }
+
+    /// [`submit`](Self::submit) and wait: the file is on disk on `Ok`.
+    fn write_now(&mut self, seq: u64, payload: Vec<u8>) -> io::Result<()> {
+        self.submit(seq, payload)?;
+        self.settle()
+    }
+
+    /// Close the queue and join the writer (it finishes a write in
+    /// flight first). `Err` if the thread panicked.
+    fn join(&mut self) -> thread::Result<()> {
+        self.jobs = None;
+        self.writer.take().map_or(Ok(()), |w| w.join())
+    }
+}
+
+impl Drop for SnapshotPipe {
+    fn drop(&mut self) {
+        let _ = self.join();
+    }
+}
+
+/// The engine: sole owner of scheduler, WAL, epoch, and follower
+/// sinks; snapshots leave it as encoded buffers through
+/// [`SnapshotPipe`]. Every method runs on the engine-loop thread.
 struct Engine<P: Platform + Snapshot + 'static> {
     sched: LiveScheduler<P>,
     wal: WalWriter,
-    store: SnapshotStore,
+    snap: SnapshotPipe,
     cfg: ServeConfig,
     counters: Arc<Counters>,
     telem: SharedTelemetry,
@@ -725,13 +852,11 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         self.epoch_shared.store(new_epoch, Ordering::SeqCst);
         self.role = Role::Primary;
         self.report.promotions += 1;
-        // Promotion snapshot: a durability floor inside the new epoch.
-        match self.timed_snapshot(self.wal.next_seq()) {
-            Ok(_) => self.report.snapshots_written += 1,
-            Err(e) => {
-                eprintln!("amjs serve: error: promotion snapshot failed: {e}");
-                self.fatal = Some(ServeError::Io(e));
-            }
+        // Promotion snapshot: a durability floor inside the new epoch,
+        // on disk before the first write of that epoch is served.
+        if let Err(e) = self.snapshot(self.wal.next_seq(), true) {
+            eprintln!("amjs serve: error: promotion snapshot failed: {e}");
+            self.fatal = Some(ServeError::Io(e));
         }
         // Time-to-takeover: lease expiry to serving writes in the new
         // epoch (epoch persisted + promotion snapshot on disk).
@@ -776,26 +901,40 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             .retain(|sink| sink.send(frame.clone()).is_ok());
     }
 
-    /// One snapshot encode+write, timed into telemetry and the flight
-    /// recorder. All three snapshot sites (rotation, promotion, final)
-    /// go through here.
-    fn timed_snapshot(&mut self, seq: u64) -> std::io::Result<PathBuf> {
+    /// One snapshot at command sequence `seq`: encode here, write on
+    /// the writer thread. All three engine sites (rotation, promotion,
+    /// final) go through here; `wait` makes the call return only once
+    /// the file is on disk. Without it an `Err` is the *previous*
+    /// write's, and this one's surfaces at the next call or idle tick.
+    /// What the engine thread paid — encode plus any waiting — goes to
+    /// `snapshot_stall`.
+    fn snapshot(&mut self, seq: u64, wait: bool) -> io::Result<()> {
         let started = Instant::now();
         let payload = self.sched.encode();
-        let res = self.store.write(seq, &payload);
-        let elapsed = started.elapsed();
+        let res = if wait {
+            self.snap.write_now(seq, payload)
+        } else {
+            self.snap.submit(seq, payload)
+        };
         self.telem
             .lock()
             .unwrap()
-            .snapshot
-            .observe_duration(elapsed);
+            .snapshot_stall
+            .observe_duration(started.elapsed());
         if res.is_ok() {
-            self.flight.record(FlightKind::Snapshot {
-                seq,
-                dur_us: elapsed.as_micros() as u64,
-            });
+            // A write that fails after this is fatal, and a daemon that
+            // ends fatally returns no report.
+            self.report.snapshots_written += 1;
         }
         res
+    }
+
+    fn rotation_failed(&mut self, e: io::Error) {
+        eprintln!(
+            "amjs serve: error: snapshot rotation failed: {e} — shutting down \
+             (the command wal remains authoritative)"
+        );
+        self.fatal = Some(ServeError::Io(e));
     }
 
     /// Post-append bookkeeping shared by client mutations and
@@ -805,18 +944,9 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         self.since_snapshot += 1;
         self.since_oracle += 1;
         if self.since_snapshot >= self.cfg.snapshot_every {
-            match self.timed_snapshot(seq + 1) {
-                Ok(_) => {
-                    self.report.snapshots_written += 1;
-                    self.since_snapshot = 0;
-                }
-                Err(e) => {
-                    eprintln!(
-                        "amjs serve: error: snapshot rotation failed: {e} — shutting down \
-                         (the command wal remains authoritative)"
-                    );
-                    self.fatal = Some(ServeError::Io(e));
-                }
+            match self.snapshot(seq + 1, false) {
+                Ok(()) => self.since_snapshot = 0,
+                Err(e) => self.rotation_failed(e),
             }
         }
         if self.cfg.oracle_every > 0 && self.since_oracle >= self.cfg.oracle_every {
@@ -1174,6 +1304,13 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
         }
         Ok(())
     };
+    let telem = shared_telemetry();
+    let flight = FlightRecorder::new(cfg.flightrec, cfg.dir.join("flightrec.jsonl"));
+    let mut snap = SnapshotPipe::spawn(
+        SnapshotStore::new(&cfg.dir, cfg.keep_snapshots),
+        telem.clone(),
+        flight.clone(),
+    )?;
     let (sched, wal, epoch) = match (&cfg.follow, resume) {
         (_, true) => {
             let (sched, wal, _, epoch) = recover::<P>(&cfg.dir, |m| eprintln!("amjs serve: {m}"))?;
@@ -1184,8 +1321,7 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
             let sched = init();
             let wal = WalWriter::create(&wal_path(&cfg.dir), sched.fingerprint(), 0)?;
             // Genesis snapshot: recovery always has a floor to replay from.
-            let store = SnapshotStore::new(&cfg.dir, cfg.keep_snapshots);
-            store.write(0, &sched.encode())?;
+            snap.write_now(0, sched.encode())?;
             (sched, wal, 0)
         }
         (Some(spec), false) => {
@@ -1205,8 +1341,7 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
                     sched.fingerprint()
                 )));
             }
-            let store = SnapshotStore::new(&cfg.dir, cfg.keep_snapshots);
-            store.write(boot.seq, &boot.payload)?;
+            snap.write_now(boot.seq, boot.payload)?;
             let wal =
                 WalWriter::create_at(&wal_path(&cfg.dir), boot.fingerprint, boot.epoch, boot.seq)?;
             eprintln!(
@@ -1218,8 +1353,6 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
     };
 
     let counters = Arc::new(Counters::default());
-    let telem = shared_telemetry();
-    let flight = FlightRecorder::new(cfg.flightrec, cfg.dir.join("flightrec.jsonl"));
     flight.register_panic_hook();
     let stop_listener = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::sync_channel::<Request>(cfg.admission_cap);
@@ -1288,7 +1421,7 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
 
     // ----- engine loop (this thread owns all scheduler state) -----
     let mut engine = Engine {
-        store: SnapshotStore::new(&cfg.dir, cfg.keep_snapshots),
+        snap,
         report: ServeReport {
             final_seq: wal.next_seq(),
             final_epoch: epoch,
@@ -1339,6 +1472,9 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
                 // Idle: keep the wall clock moving so the world evolves
                 // (jobs finish, ticks fire) even with no client traffic.
                 engine.catch_up_clock();
+                if let Err(e) = engine.snap.poll() {
+                    engine.rotation_failed(e);
+                }
             }
             Err(RecvTimeoutError::Disconnected) => break,
         }
@@ -1357,14 +1493,24 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
         }
     }
     engine.followers.clear(); // feeder threads exit on sink disconnect
-    let final_snapshot = engine.timed_snapshot(engine.wal.next_seq());
+    if engine.fatal.is_none() {
+        // A rotation still in flight that fails is that failure, not
+        // the final snapshot's.
+        if let Err(e) = engine.snap.settle() {
+            engine.rotation_failed(e);
+        }
+    }
+    let final_snapshot = engine.snapshot(engine.wal.next_seq(), true);
+    if engine.snap.join().is_err() {
+        eprintln!("amjs serve: error: the snapshot writer thread panicked");
+    }
     // Flush the flight recorder before any early return: the
     // postmortem must survive fatal exits, and the termination path
     // (SIGTERM → stop flag → this section) lands here too.
     flight.flush();
     flight.deregister();
     match final_snapshot {
-        Ok(_) => engine.report.snapshots_written += 1,
+        Ok(()) => {}
         Err(e) if engine.fatal.is_some() => {
             // Already failing: the snapshot was a best-effort salvage.
             eprintln!("amjs serve: final best-effort snapshot also failed: {e}");
@@ -2091,6 +2237,20 @@ mod tests {
         wait_until("follower registration", Duration::from_secs(10), || {
             c.ask("ROLE") == "OK ROLE=primary EPOCH=0 FOLLOWERS=1"
         });
+        // One more record, certainly past the bootstrap snapshot: the
+        // follower's log now ends at seq 10 and it holds no snapshot
+        // there.
+        assert_eq!(c.ask("ADVANCE 60"), "OK T=1260");
+        let reference_hash = c.ask("HASH");
+        let reference_stats = c.ask("STATS");
+        wait_until("follower catch-up", Duration::from_secs(10), || {
+            f.ask("HASH") == reference_hash
+        });
+        let snapshot_seqs = |dir: &Path| -> Vec<u64> {
+            let listed = SnapshotStore::new(dir, 1).list().unwrap();
+            listed.into_iter().map(|(seq, _)| seq).collect()
+        };
+        assert!(!snapshot_seqs(&dir_f).contains(&10));
 
         // Primary dies; the lease expires; the follower steps up into a
         // new epoch with state byte-identical to the reference.
@@ -2100,6 +2260,9 @@ mod tests {
             f.ask("ROLE").starts_with("OK ROLE=primary")
         });
         assert_eq!(f.ask("ROLE"), "OK ROLE=primary EPOCH=1 FOLLOWERS=0");
+        // The promotion snapshot is on disk before the first write of
+        // the new epoch is even sent.
+        assert!(snapshot_seqs(&dir_f).contains(&10));
         assert_eq!(f.ask("HASH"), reference_hash);
         assert_eq!(f.ask("STATS"), reference_stats);
         assert_eq!(f.ask("SUBMIT NODES=1 WALL=60 USER=9"), "OK ID=6");
@@ -2127,9 +2290,13 @@ mod tests {
         assert_eq!(report.promotions, 1);
         assert_eq!(report.final_epoch, 1);
         // Bootstrap moves *state*, not records, so only mutations issued
-        // after the snapshot arrive over the stream (the CANCEL/ADVANCE
-        // pair, fewer if the bootstrap raced past them).
-        assert!(report.replicated <= 2, "replicated {}", report.replicated);
+        // after the snapshot arrive over the stream (CANCEL and the two
+        // ADVANCEs, fewer if the bootstrap raced past the first two).
+        assert!(
+            (1..=3).contains(&report.replicated),
+            "replicated {}",
+            report.replicated
+        );
         assert_eq!(report.commands_applied, 1); // post-promotion SUBMIT
     }
 
@@ -2342,29 +2509,43 @@ mod tests {
         restore_writable(&dir);
     }
 
+    /// Path of the `.tmp` the writer uses for the snapshot at `seq`.
+    fn snapshot_tmp_path(dir: &Path, seq: u64) -> PathBuf {
+        let mut name = SnapshotStore::new(dir, 1).path_for(seq).into_os_string();
+        name.push(".tmp");
+        PathBuf::from(name)
+    }
+
+    fn leftover_snapshot_tmps(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".snap.tmp"))
+            .collect()
+    }
+
     #[test]
     fn snapshot_rotation_failure_keeps_the_ack_and_shuts_down_cleanly() {
-        let dir = tmp_dir("ro-rotate");
+        let dir = tmp_dir("rotate-fail");
         let (addr, handle) = spawn_daemon(&dir, false, |cfg| cfg.snapshot_every = 2);
         let mut c = Client::connect(addr);
         assert_eq!(c.ask("SUBMIT NODES=8 WALL=600 USER=1"), "OK ID=0");
-        if !make_read_only(&dir) {
-            eprintln!("skipping: process writes through read-only permissions (root)");
-            assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-            handle.join().unwrap().unwrap();
-            return;
-        }
-        // The second accepted mutation triggers rotation, which fails.
-        // The command itself IS durable (wal append preceded it, on the
-        // still-open descriptor), so the ACK must stand — but the daemon
-        // must shut down with a clean error, not a panic, and the final
-        // best-effort snapshot failing too must not turn it into one.
+        // A directory squatting on the writer's temp path fails the
+        // `File::create` of the seq-2 snapshot for any user, root too.
+        let blocker = snapshot_tmp_path(&dir, 2);
+        std::fs::create_dir(&blocker).unwrap();
+        // The second accepted mutation hands off a rotation, which then
+        // fails on the writer thread. The command itself IS durable (the
+        // wal append preceded the handoff), so the ACK must stand — but
+        // the daemon must notice on its next idle tick and shut down
+        // with a clean error, not a panic, and the final best-effort
+        // snapshot failing too must not turn it into one.
         assert_eq!(c.ask("ADVANCE 60"), "OK T=60");
         match handle.join().unwrap() {
             Err(ServeError::Io(_)) => {}
             other => panic!("expected io error, got {other:?}"),
         }
-        restore_writable(&dir);
+        std::fs::remove_dir(&blocker).unwrap();
 
         // Both acknowledged commands survived in the WAL.
         let (addr, handle) = spawn_daemon(&dir, true, |_| {});
@@ -2373,5 +2554,73 @@ mod tests {
         assert!(c.ask("STATUS 0").starts_with("OK "));
         assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
         handle.join().unwrap().unwrap();
+    }
+
+    // ----- pipelined rotation -----
+
+    /// Six mutations at `snapshot_every = 2` — so the last one is a
+    /// cadence point — with `HASH` and `SHUTDOWN` straight behind it.
+    /// Returns the `HASH` reply and the daemon's report.
+    fn six_mutations_then_shutdown(dir: &Path) -> (String, ServeReport) {
+        let (addr, handle) = spawn_daemon(dir, false, |cfg| cfg.snapshot_every = 2);
+        let mut c = Client::connect(addr);
+        for u in 0..5 {
+            let reply = c.ask(&format!("SUBMIT NODES=16 WALL=3600 RUN=1200 USER={u}"));
+            assert!(reply.starts_with("OK ID="), "unexpected: {reply}");
+        }
+        assert_eq!(c.ask("ADVANCE 1800"), "OK T=1800");
+        let hash = c.ask("HASH");
+        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+        (hash, handle.join().unwrap().unwrap())
+    }
+
+    #[test]
+    fn shutdown_behind_a_cadence_point_leaves_a_snapshot_at_next_seq() {
+        let dir = tmp_dir("rotate-a");
+        let (_, first) = six_mutations_then_shutdown(&dir);
+        let (_, second) = six_mutations_then_shutdown(&tmp_dir("rotate-b"));
+        // Three rotations and the final snapshot, run after run.
+        assert_eq!(first.snapshots_written, 4);
+        assert_eq!(second.snapshots_written, 4);
+
+        // The rotation handed off by the last ACK and the final snapshot
+        // both target `next_seq`; what is on disk under that name when
+        // the daemon returns is whole (`amjs doctor` reads a newest
+        // snapshot at `next_seq` as a clean shutdown).
+        let store = SnapshotStore::new(&dir, 1);
+        let (seq, payload, _) = store.load_latest(u64::MAX, |m| panic!("{m}")).unwrap();
+        assert_eq!(seq, first.final_seq);
+        assert_eq!(first.final_seq, 6);
+        LiveScheduler::<FlatCluster>::decode(&payload).unwrap();
+        assert_eq!(leftover_snapshot_tmps(&dir), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_kill_mid_snapshot_write_recovers_from_the_snapshot_before() {
+        // What a SIGKILL between the writer's `File::create` and its
+        // `rename` leaves: the newest snapshot never got its name, and
+        // half of it — or, killed after the sync, all of it — sits in
+        // the `.tmp`.
+        for (tag, written) in [("kill-half", 0.5), ("kill-whole", 1.0)] {
+            let dir = tmp_dir(tag);
+            let (reference_hash, _) = six_mutations_then_shutdown(&dir);
+            let store = SnapshotStore::new(&dir, 1);
+            let (newest, path) = store.list().unwrap().pop().unwrap();
+            assert_eq!(newest, 6);
+            let raw = std::fs::read(&path).unwrap();
+            let cut = (raw.len() as f64 * written) as usize;
+            std::fs::write(snapshot_tmp_path(&dir, newest), &raw[..cut]).unwrap();
+            std::fs::remove_file(&path).unwrap();
+
+            // Snapshot 4 + the two-record WAL tail.
+            let (addr, handle) = spawn_daemon(&dir, true, |_| {});
+            let mut c = Client::connect(addr);
+            assert_eq!(c.ask("HASH"), reference_hash, "{tag}");
+            assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+            let report = handle.join().unwrap().unwrap();
+            assert_eq!(report.final_seq, 6);
+            // The resumed daemon's final snapshot swept the stale `.tmp`.
+            assert_eq!(leftover_snapshot_tmps(&dir), Vec::<String>::new());
+        }
     }
 }

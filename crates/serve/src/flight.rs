@@ -63,11 +63,12 @@ pub enum FlightKind {
         /// Epoch it carried.
         epoch: u64,
     },
-    /// A snapshot was written.
+    /// A snapshot file is in place (recorded by the writer thread when
+    /// the write completes).
     Snapshot {
         /// Command sequence the snapshot covers.
         seq: u64,
-        /// Encode+write latency in microseconds.
+        /// Checksum+write+sync+rename+prune latency in microseconds.
         dur_us: u64,
     },
     /// A follower promoted itself to primary.

@@ -9,17 +9,21 @@
 //!   `WHATIF`, `ADVANCE`, `STATS`) — queue-inclusive: the clock starts
 //!   when the connection thread enqueues the request, so admission
 //!   backlog is visible in the tail, not hidden in front of it.
-//! * **WAL append+fsync latency** — the durability cost paid before
-//!   every ACK; a degrading disk shows up here first.
-//! * **Snapshot encode+write latency** — the periodic stall rotation
-//!   injects into the engine loop.
+//! * **WAL append latency** — the write-to-the-OS cost paid before
+//!   every ACK (`WalWriter::append` never syncs).
+//! * **Snapshot write latency** — checksum, write, `sync_all`, rename
+//!   and prune of one snapshot file, measured on the
+//!   `amjs-snap-writer` thread; a degrading disk shows up here first.
+//! * **Snapshot stall** — what a snapshot cost the engine thread:
+//!   the encode, plus any wait for the previous write to finish (and
+//!   for its own, where the caller needs the file on disk).
 //! * **Replication lag** (records behind the primary, sampled each
 //!   engine pass) and **promotion time-to-takeover**.
 //!
 //! The engine and the supervised what-if workers share one
 //! [`SharedTelemetry`] handle; recording is a mutex lock plus a
-//! histogram bucket increment, far off the scale of the WAL fsync
-//! every mutation already pays.
+//! histogram bucket increment, a fraction of the WAL append every
+//! mutation already pays.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -39,8 +43,12 @@ pub struct Telemetry {
     pub verbs: [Histogram; TRACKED_VERBS.len()],
     /// WAL append+flush latency (seconds).
     pub wal_append: Histogram,
-    /// Snapshot encode+write latency (seconds).
-    pub snapshot: Histogram,
+    /// Snapshot file write latency on the writer thread: checksum,
+    /// write, sync, rename, prune (seconds).
+    pub snapshot_write: Histogram,
+    /// Engine-thread time per snapshot: encode + waiting on the writer
+    /// (seconds).
+    pub snapshot_stall: Histogram,
     /// Replication lag in records behind the primary (follower side).
     pub repl_lag: Histogram,
     /// Promotion time-to-takeover, seconds (set once, on promotion).
@@ -59,7 +67,8 @@ impl Telemetry {
         Telemetry {
             verbs: std::array::from_fn(|_| Histogram::latency()),
             wal_append: Histogram::latency(),
-            snapshot: Histogram::latency(),
+            snapshot_write: Histogram::latency(),
+            snapshot_stall: Histogram::latency(),
             repl_lag: Histogram::lag_records(),
             promotion_secs: None,
         }
@@ -119,11 +128,18 @@ impl Telemetry {
                 self.wal_append.clone(),
             ));
         }
-        if !self.snapshot.is_empty() {
+        if !self.snapshot_write.is_empty() {
             out.push(HistEntry::plain(
                 "serve_snapshot_write_seconds",
-                "Snapshot encode+write latency.",
-                self.snapshot.clone(),
+                "Snapshot checksum+write+sync+rename+prune latency (writer thread).",
+                self.snapshot_write.clone(),
+            ));
+        }
+        if !self.snapshot_stall.is_empty() {
+            out.push(HistEntry::plain(
+                "serve_snapshot_stall_seconds",
+                "Engine-thread time per snapshot: encode + waiting on the writer.",
+                self.snapshot_stall.clone(),
             ));
         }
         if !self.repl_lag.is_empty() {

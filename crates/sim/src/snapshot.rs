@@ -3,7 +3,7 @@
 //! A month-long simulation (or, later, a live scheduling service) must
 //! survive its process being killed. This module provides the substrate:
 //! a [`Snapshot`] trait with a tiny length-prefixed binary codec
-//! ([`SnapWriter`] / [`SnapReader`]), an FNV-1a content checksum over
+//! ([`SnapWriter`] / [`SnapReader`]), a 64-bit content checksum over
 //! every snapshot file, and a [`SnapshotStore`] that writes snapshots
 //! atomically (temp file + rename) and rotates old ones.
 //!
@@ -19,11 +19,12 @@
 //!   [`SnapReader::section`] delimit tagged, length-prefixed regions:
 //!   a future format revision may append fields at the end of a section
 //!   and older readers will skip them.
-//! * **Checksummed.** The last 8 bytes of a snapshot file are the
-//!   FNV-1a 64-bit hash of everything before them. Truncation or bit
-//!   rot is detected *before* any state is reconstructed, so a corrupt
-//!   snapshot can never be silently replayed — callers fall back to an
-//!   earlier snapshot instead.
+//! * **Checksummed.** The last 8 bytes of a snapshot file are a 64-bit
+//!   checksum of everything before them (word-at-a-time since file
+//!   version 2, byte-serial FNV-1a in version 1 files, which still
+//!   load). Truncation or bit rot is detected *before* any state is
+//!   reconstructed, so a corrupt snapshot can never be silently
+//!   replayed — callers fall back to an earlier snapshot instead.
 //!
 //! The trait is defined here (the dependency root of the workspace) so
 //! that every crate — platform masks, metric series, the core runner —
@@ -113,7 +114,7 @@ pub enum SnapError {
         /// Highest version this build can read.
         supported: u32,
     },
-    /// The trailing FNV-1a checksum does not match the content.
+    /// The trailing checksum does not match the content.
     ChecksumMismatch {
         /// Checksum stored in the file.
         stored: u64,
@@ -537,35 +538,90 @@ impl Snapshot for SimDuration {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot files: magic + version + payload + trailing FNV-1a checksum
+// Snapshot files: magic + version + payload + trailing checksum
 // ---------------------------------------------------------------------------
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMJSNAP\0";
 /// Snapshot *file* format version this build writes and the highest it
 /// reads. Bump only on layout changes a section length-prefix cannot
-/// absorb.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// absorb. Version 2 changed the trailing checksum from FNV-1a to
+/// [`file_checksum`]; the layout is otherwise version 1's.
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// magic(8) + version(4) + payload length(8).
+const HEADER_LEN: usize = 20;
+/// Appended to a snapshot file's name while it is being written.
+const TMP_SUFFIX: &str = ".tmp";
+/// Independent lanes of [`file_checksum`]: enough to hide the multiply
+/// latency that bounds a single serial chain.
+const LANES: usize = 4;
+/// Odd 64-bit multiplier (2^64 / golden ratio) of the checksum lanes.
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Rotation after each lane multiply.
+const LANE_ROT: u32 = 29;
+
+/// One lane step: a bijection of `h` for any `word`, so a change that
+/// reaches one lane always changes that lane's result. The rotate is
+/// what a plain word-wise FNV lacks: there a flipped top bit survives
+/// the multiply as exactly the top bit, and the same flip in the lane's
+/// next word cancels it.
+#[inline]
+fn lane_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(LANE_MUL).rotate_left(LANE_ROT)
+}
+
+/// The version-2 snapshot file checksum over `header ++ payload`.
+///
+/// The 20-byte header seeds [`LANES`] independent multiply-rotate lanes
+/// (through FNV-1a, which maps distinct headers to distinct seeds); the
+/// payload feeds them round-robin as little-endian `u64` words; the
+/// lanes, the payload's trailing bytes (fewer than `8 * LANES`) and its
+/// length are then folded into one value. On a daemon's 1.6 MB state:
+/// 0.09 ms, against 2.26 ms for byte-serial FNV-1a.
+fn file_checksum(header: &[u8], payload: &[u8]) -> u64 {
+    let seed = fnv1a(header);
+    let mut lanes = [0u64; LANES];
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        *lane = lane_step(seed, i as u64);
+    }
+    let mut blocks = payload.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            *lane = lane_step(*lane, word);
+        }
+    }
+    let mut h = seed;
+    for lane in lanes {
+        h = lane_step(h, lane);
+    }
+    for &b in blocks.remainder() {
+        h = lane_step(h, b as u64);
+    }
+    lane_step(h, payload.len() as u64)
+}
 
 /// Write `payload` as a checksummed snapshot file, atomically.
 ///
 /// The bytes go to `<path>.tmp` first and are renamed into place only
-/// after a successful flush, so a crash mid-write can never leave a
-/// half-written file under the final name — at worst a stale `.tmp`
-/// that the checksum would reject anyway.
+/// after a successful `sync_all`, so a crash mid-write can never leave
+/// a half-written file under the final name — at worst a stale `.tmp`,
+/// which no reader looks at and [`SnapshotStore`] removes on its next
+/// write.
 pub fn write_snapshot_file(path: &Path, payload: &[u8]) -> io::Result<()> {
-    let mut content = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 12 + payload.len() + 8);
-    content.extend_from_slice(&SNAPSHOT_MAGIC);
-    content.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    content.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    content.extend_from_slice(payload);
-    let checksum = fnv1a(&content);
-    content.extend_from_slice(&checksum.to_le_bytes());
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    header[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header[12..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    let checksum = file_checksum(&header, payload);
 
     let tmp = tmp_path(path);
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(&content)?;
+        f.write_all(&header)?;
+        f.write_all(payload)?;
+        f.write_all(&checksum.to_le_bytes())?;
         f.sync_all()?;
     }
     fs::rename(&tmp, path)
@@ -573,22 +629,25 @@ pub fn write_snapshot_file(path: &Path, payload: &[u8]) -> io::Result<()> {
 
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
+    name.push(TMP_SUFFIX);
     path.with_file_name(name)
 }
 
 /// Read and verify a snapshot file, returning the payload bytes.
 ///
 /// Verifies, in order: the magic, the format version, the trailing
-/// FNV-1a checksum over everything before it, and the payload length
-/// field. Corruption anywhere — truncation, bit flips, a foreign file —
-/// is reported without reconstructing any state.
+/// checksum over everything before it, and the payload length field.
+/// Corruption anywhere — truncation, bit flips, a foreign file — is
+/// reported without reconstructing any state.
 pub fn read_snapshot_file(path: &Path) -> Result<Vec<u8>, SnapError> {
-    let content = fs::read(path)?;
-    // magic(8) + version(4) + len(8) + checksum(8)
-    if content.len() < 28 {
+    Ok(verify_snapshot_bytes(&fs::read(path)?)?.to_vec())
+}
+
+/// The checks of [`read_snapshot_file`] over a file's bytes.
+fn verify_snapshot_bytes(content: &[u8]) -> Result<&[u8], SnapError> {
+    if content.len() < HEADER_LEN + 8 {
         return Err(SnapError::Truncated {
-            wanted: 28,
+            wanted: HEADER_LEN + 8,
             available: content.len(),
         });
     }
@@ -598,27 +657,31 @@ pub fn read_snapshot_file(path: &Path) -> Result<Vec<u8>, SnapError> {
         });
     }
     let (body, tail) = content.split_at(content.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(SnapError::ChecksumMismatch { stored, computed });
-    }
-    let version = u32::from_le_bytes(body[8..12].try_into().unwrap());
+    let (header, payload) = body.split_at(HEADER_LEN);
+    let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
     if version > SNAPSHOT_VERSION {
         return Err(SnapError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
         });
     }
-    let len = u64::from_le_bytes(body[12..20].try_into().unwrap()) as usize;
-    let payload = &body[20..];
-    if payload.len() != len {
+    let stored = u64::from_le_bytes(tail.try_into().unwrap());
+    let computed = if version == 1 {
+        fnv1a(body)
+    } else {
+        file_checksum(header, payload)
+    };
+    if stored != computed {
+        return Err(SnapError::ChecksumMismatch { stored, computed });
+    }
+    let len = u64::from_le_bytes(header[12..].try_into().unwrap());
+    if payload.len() as u64 != len {
         return Err(SnapError::Malformed(format!(
             "payload length field says {len} bytes but file carries {}",
             payload.len()
         )));
     }
-    Ok(payload.to_vec())
+    Ok(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -634,7 +697,9 @@ const SNAP_SUFFIX: &str = ".snap";
 ///
 /// Rotation keeps the genesis snapshot (the lowest index, which anchors
 /// full-journal replay) plus the most recent `keep` snapshots; everything
-/// in between is pruned after each successful write.
+/// in between is pruned after each successful write, along with any
+/// `.tmp` a writer killed mid-write left behind. One writer per
+/// directory: a second one's in-progress `.tmp` would be pruned too.
 #[derive(Clone, Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
@@ -694,6 +759,7 @@ impl SnapshotStore {
     }
 
     fn prune(&self) -> io::Result<()> {
+        self.remove_stale_tmps()?;
         let all = self.list()?;
         if all.len() <= self.keep + 1 {
             return Ok(());
@@ -702,6 +768,24 @@ impl SnapshotStore {
         let drop_until = all.len() - self.keep;
         for (_, path) in &all[1..drop_until] {
             fs::remove_file(path)?;
+        }
+        Ok(())
+    }
+
+    /// Delete every `snapshot-*.snap.tmp`: this store's own write has
+    /// just been renamed away, so whatever is left was abandoned.
+    fn remove_stale_tmps(&self) -> io::Result<()> {
+        for entry in fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let stale = name
+                .to_str()
+                .and_then(|n| n.strip_suffix(TMP_SUFFIX))
+                .and_then(Self::parse_index)
+                .is_some();
+            if stale {
+                fs::remove_file(entry.path())?;
+            }
         }
         Ok(())
     }
@@ -856,37 +940,111 @@ mod tests {
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
-    #[test]
-    fn snapshot_file_round_trips_and_rejects_corruption() {
-        let dir = std::env::temp_dir().join(format!("amjs-snap-test-{}", std::process::id()));
+    fn test_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("amjs-{tag}-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("x.snap");
-        let payload = b"the quick brown fox".to_vec();
-        write_snapshot_file(&path, &payload).unwrap();
-        assert_eq!(read_snapshot_file(&path).unwrap(), payload);
+        dir
+    }
 
-        // Bit flip in the payload region → checksum mismatch.
-        let mut raw = fs::read(&path).unwrap();
-        raw[22] ^= 0x40;
-        fs::write(&path, &raw).unwrap();
+    /// A version-2 file's bytes around `payload`, as the writer lays them out.
+    fn v2_file(tag: &str, payload: &[u8]) -> Vec<u8> {
+        let dir = test_dir(tag);
+        let path = dir.join("x.snap");
+        write_snapshot_file(&path, payload).unwrap();
+        assert_eq!(read_snapshot_file(&path).unwrap(), payload);
+        assert!(!tmp_path(&path).exists(), "the .tmp was renamed away");
+        let raw = fs::read(&path).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        raw
+    }
+
+    /// 100 bytes: three full lane blocks and a 4-byte tail.
+    fn small_payload() -> Vec<u8> {
+        (0..100u32).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_v2_file_is_rejected() {
+        let raw = v2_file("flip", &small_payload());
+        assert_eq!(raw[8..12], 2u32.to_le_bytes());
+        for bit in 0..raw.len() * 8 {
+            let mut bad = raw.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                verify_snapshot_bytes(&bad).is_err(),
+                "flipping bit {bit} went unnoticed"
+            );
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_v2_file_is_rejected() {
+        let raw = v2_file("trunc", &small_payload());
+        for len in 0..raw.len() {
+            assert!(
+                verify_snapshot_bytes(&raw[..len]).is_err(),
+                "truncation to {len} bytes went unnoticed"
+            );
+        }
+        assert!(verify_snapshot_bytes(&raw).is_ok());
+    }
+
+    #[test]
+    fn equal_flips_in_neighbouring_words_do_not_cancel() {
+        // Word-wise FNV without the rotate accepts the bit-63 case of
+        // the second pairing: words 0 and LANES feed the same lane back
+        // to back.
+        let raw = v2_file("pair", &small_payload());
+        for (a, b) in [(0, 1), (0, LANES)] {
+            for bit in 0..64 {
+                let mut bad = raw.clone();
+                for word in [a, b] {
+                    bad[HEADER_LEN + word * 8 + bit / 8] ^= 1 << (bit % 8);
+                }
+                assert!(
+                    matches!(
+                        verify_snapshot_bytes(&bad),
+                        Err(SnapError::ChecksumMismatch { .. })
+                    ),
+                    "bit {bit} flipped in words {a} and {b} went unnoticed"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn version_1_files_still_load() {
+        let payload = small_payload();
+        let mut raw = Vec::new();
+        raw.extend_from_slice(&SNAPSHOT_MAGIC);
+        raw.extend_from_slice(&1u32.to_le_bytes());
+        raw.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        raw.extend_from_slice(&payload);
+        let checksum = fnv1a(&raw);
+        raw.extend_from_slice(&checksum.to_le_bytes());
+        assert_eq!(verify_snapshot_bytes(&raw).unwrap(), payload);
+
+        raw[HEADER_LEN + 2] ^= 0x40;
         assert!(matches!(
-            read_snapshot_file(&path),
+            verify_snapshot_bytes(&raw),
             Err(SnapError::ChecksumMismatch { .. })
         ));
+    }
 
-        // Truncation → checksum mismatch or truncation, never Ok.
-        write_snapshot_file(&path, &payload).unwrap();
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() - 3]).unwrap();
-        assert!(read_snapshot_file(&path).is_err());
-
-        fs::remove_dir_all(&dir).unwrap();
+    #[test]
+    fn a_newer_version_is_refused_by_name() {
+        let mut raw = v2_file("newer", &small_payload());
+        raw[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
+        assert!(matches!(
+            verify_snapshot_bytes(&raw),
+            Err(SnapError::UnsupportedVersion { found: 3, .. })
+        ));
     }
 
     #[test]
     fn store_rotates_but_keeps_genesis() {
-        let dir = std::env::temp_dir().join(format!("amjs-store-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("store");
         let store = SnapshotStore::new(&dir, 2);
         for idx in [0u64, 10, 20, 30, 40] {
             store.write(idx, &idx.to_le_bytes()).unwrap();
@@ -908,6 +1066,32 @@ mod tests {
         assert_eq!(payload, 30u64.to_le_bytes());
         assert!(diags.iter().any(|d| d.contains("rejecting snapshot")));
         assert!(diags.iter().any(|d| d.contains("falling back")));
+
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stale_tmp_files_are_ignored_by_readers_and_removed_by_the_next_write() {
+        let dir = test_dir("stale-tmp");
+        let store = SnapshotStore::new(&dir, 2);
+        store.write(0, b"genesis").unwrap();
+        // A writer killed between `File::create` and `rename`.
+        let stale = tmp_path(&store.path_for(64));
+        fs::write(&stale, b"half a snapshot").unwrap();
+        let unrelated = dir.join("commands.wal.tmp");
+        fs::write(&unrelated, b"not ours").unwrap();
+
+        let listed: Vec<u64> = store.list().unwrap().into_iter().map(|(i, _)| i).collect();
+        assert_eq!(listed, vec![0]);
+        let (idx, payload, _) = store.load_latest(u64::MAX, |_| {}).unwrap();
+        assert_eq!((idx, payload.as_slice()), (0, &b"genesis"[..]));
+        assert!(stale.exists(), "reading never deletes");
+
+        store.write(128, b"next").unwrap();
+        assert!(!stale.exists(), "the next write prunes the stale .tmp");
+        assert!(unrelated.exists(), "only snapshot-*.snap.tmp is ours");
+        let listed: Vec<u64> = store.list().unwrap().into_iter().map(|(i, _)| i).collect();
+        assert_eq!(listed, vec![0, 128]);
 
         fs::remove_dir_all(&dir).unwrap();
     }
