@@ -15,10 +15,14 @@
 //! * an allocator microbench: word-parallel [`UnitMask`] range ops and
 //!   buddy scans vs their naive bit-loop counterparts.
 //!
-//! The run is gated: optimized passes/s must stay above
-//! `FLOOR_PASSES_PER_S × 0.9` (override the floor with
-//! `AMJS_HOTPATH_FLOOR=<passes/s>`; `--fast` skips the gate). CI runs
-//! this gate in the perf-trajectory job.
+//! The run is gated: optimized passes/s must stay above the
+//! `floor_passes_per_s` stored in the checked-in artefact — 0.85 × the
+//! optimized passes/s of the run that last regenerated it, so losing
+//! any one hot-path layer trips it (override with
+//! `AMJS_HOTPATH_FLOOR=<passes/s>` on a slower host; `--fast` skips the
+//! gate and leaves the floor as it found it). The reference path must
+//! also report zero resumed drains and zero memoized passes. CI runs
+//! both checks in the perf-trajectory job.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin ablation_hotpath [--seed N] [--fast]`
 
@@ -32,13 +36,21 @@ use amjs_core::runner::SimulationBuilder;
 use amjs_obs::{Observer, Profiler};
 use amjs_platform::mask::UnitMask;
 
-/// Checked-in floor for the CI perf gate, in scheduler passes per
-/// second of `run()` wall. Set well below the dev-box measurement
-/// (~37 k/s at the time of writing) to absorb runner variance, but far
-/// above the pre-incremental baseline (~15 k/s on the same box, so
-/// single-digit k/s on a slow runner): a regression that undoes the
-/// incremental structures trips it with margin.
-const FLOOR_PASSES_PER_S: f64 = 15_000.0;
+/// The artefact this binary regenerates — and reads its own gate from.
+const ARTEFACT: &str = "BENCH_hotpath.json";
+
+/// Each regeneration sets the next floor to this share of its own
+/// optimized passes/s.
+const FLOOR_SHARE: f64 = 0.85;
+
+/// The floor recorded by the run that last regenerated the artefact.
+fn recorded_floor() -> Option<f64> {
+    let text = std::fs::read_to_string(results::results_dir().join(ARTEFACT)).ok()?;
+    amjs_obs::json::parse(&text)
+        .ok()?
+        .get("floor_passes_per_s")?
+        .as_f64()
+}
 
 fn builder(
     jobs: Vec<amjs_workload::Job>,
@@ -98,8 +110,14 @@ fn main() {
     // raw engine event counter).
     let events = 3 * probe.per_job.len() as u64 + passes;
 
+    let floor = std::env::var("AMJS_HOTPATH_FLOOR")
+        .ok()
+        .and_then(|v| v.parse::<f64>().ok())
+        .or_else(recorded_floor);
+
     let mut opt_walls = Vec::new();
     let mut ref_walls = Vec::new();
+    let reuse = probe.hotpath;
     for rep in 0..reps_opt {
         let t0 = Instant::now();
         let out = builder(jobs.clone(), &config).run();
@@ -113,6 +131,11 @@ fn main() {
                 out.summary.csv_row(),
                 baseline_row,
                 "reference path must be byte-identical to the optimized path"
+            );
+            assert_eq!(
+                (out.hotpath.drains_resumed, out.hotpath.passes_memoized),
+                (0, 0),
+                "reference path must drain and pass from scratch"
             );
         }
     }
@@ -184,11 +207,18 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"workload\": \"{}\",\n  \"jobs\": {},\n  \"scheduler_passes\": {},\n  \"events\": {},\n  \"optimized\": {{\n    \"reps\": {},\n    \"passes_per_s\": {:.1},\n    \"events_per_s\": {:.1},\n    \"run_wall_ms\": {}\n  }},\n  \"reference\": {{\n    \"reps\": {},\n    \"passes_per_s\": {:.1},\n    \"events_per_s\": {:.1},\n    \"run_wall_ms\": {}\n  }},\n  \"speedup\": {:.2},\n  \"floor_passes_per_s\": {:.0},\n  \"spans\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"workload\": \"{}\",\n  \"jobs\": {},\n  \"scheduler_passes\": {},\n  \"events\": {},\n  \"reuse\": {{ \"cache_hits\": {}, \"cache_repairs\": {}, \"cache_misses\": {}, \"drains_fresh\": {}, \"drains_resumed\": {}, \"drain_placements_reused\": {}, \"passes_memoized\": {} }},\n  \"optimized\": {{\n    \"reps\": {},\n    \"passes_per_s\": {:.1},\n    \"events_per_s\": {:.1},\n    \"run_wall_ms\": {}\n  }},\n  \"reference\": {{\n    \"reps\": {},\n    \"passes_per_s\": {:.1},\n    \"events_per_s\": {:.1},\n    \"run_wall_ms\": {}\n  }},\n  \"speedup\": {:.2},\n  \"floor_passes_per_s\": {:.0},\n  \"spans\": [\n{}\n  ]\n}}\n",
         if fast { "intrepid-week" } else { "intrepid-month" },
         jobs.len(),
         passes,
         events,
+        reuse.hits,
+        reuse.repairs,
+        reuse.misses,
+        reuse.drains_fresh,
+        reuse.drains_resumed,
+        reuse.drain_placements_reused,
+        reuse.passes_memoized,
         reps_opt,
         opt_pps,
         events as f64 / opt_best,
@@ -198,23 +228,24 @@ fn main() {
         events as f64 / ref_best,
         json_quartiles(&ref_walls),
         ref_best / opt_best,
-        FLOOR_PASSES_PER_S,
+        // A week-sized run is no basis for the month's floor.
+        if fast {
+            floor.unwrap_or(0.0)
+        } else {
+            FLOOR_SHARE * opt_pps
+        },
         span_json.join(",\n")
     );
-    let path = results::write_result("BENCH_hotpath.json", &json);
+    let path = results::write_result(ARTEFACT, &json);
     eprintln!("wrote {}", path.display());
 
     // The perf gate: the month-trace trajectory must not slide back
-    // toward the pre-incremental scheduler.
-    if !fast {
-        let floor = std::env::var("AMJS_HOTPATH_FLOOR")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(FLOOR_PASSES_PER_S);
+    // past what the last regeneration recorded.
+    if let (false, Some(floor)) = (fast, floor) {
         assert!(
-            opt_pps >= floor * 0.9,
-            "hot path ran at {opt_pps:.0} passes/s, below floor {floor:.0} x 0.9"
+            opt_pps >= floor,
+            "hot path ran at {opt_pps:.0} passes/s, below the recorded floor {floor:.0}"
         );
-        eprintln!("perf gate: {opt_pps:.0} passes/s >= {:.0} OK", floor * 0.9);
+        eprintln!("perf gate: {opt_pps:.0} passes/s >= {floor:.0} OK");
     }
 }

@@ -21,12 +21,13 @@
 //! *ordering* (the balance factor) varies with policy, which is exactly
 //! the sensitivity the paper's Fig. 3(b) measures.
 
-use amjs_platform::plan::Plan;
+use amjs_platform::plan::{Plan, PlanToken};
 use amjs_sim::SimTime;
 use amjs_workload::JobId;
 
 use crate::policy::QueuePolicy;
 use crate::scheduler::QueuedJob;
+use crate::window::PlacePruner;
 
 /// Compute the fair start time of `target` given the frozen `queue`
 /// (which must contain it) and the machine snapshot `base_plan`.
@@ -72,90 +73,139 @@ pub fn fair_start_time<P: Plan>(
 ) -> SimTime {
     let mut sorted = queue.to_vec();
     ordering.sort(&mut sorted, now);
+    let base = || base_plan.clone();
+    drain_sorted(&mut None, base, &sorted, target, now, gap_depth).0
+}
 
-    // A reference plan keeps the whole drain naive: no all-at-now fast
-    // path (`fit_now_count` returns 0 below) and no proven-interval
-    // pruning, so differential runs compare the memoized+pruned drain
-    // against the original one-placement-at-a-time scan.
-    let reference = base_plan.is_reference();
+/// One drained job: what was placed, where, and how to undo it.
+#[derive(Debug)]
+struct Placed {
+    job: QueuedJob,
+    start: SimTime,
+    token: PlanToken,
+    /// [`PlacePruner::mark`] taken just before this placement.
+    pruner_mark: usize,
+}
 
-    // All-at-`now` fast path: while every drained job starts
-    // immediately, every overlay commitment begins at `now`, so busy
-    // capacity over any window starting at `now` equals busy capacity
-    // at `now` and a greedy single-instant walk reproduces the drain
-    // exactly. Under light load (the common case) the whole drain —
-    // plan clone included — collapses to this walk; otherwise the
-    // all-at-`now` prefix is re-committed and the full drain resumes at
-    // the first job that has to wait.
-    let sizes: Vec<u32> = sorted.iter().map(|j| j.nodes).collect();
-    let fit = base_plan.fit_now_count(&sizes);
+/// A finished drain kept for the next submission: the plan with every
+/// placement up to the previous target still committed, in priority
+/// order. Valid only while the machine is unchanged (the caller keys it
+/// by its epoch) — see DESIGN.md §15 for the time-shift lemma that lets
+/// a later instant resume it.
+#[derive(Debug)]
+pub(crate) struct Drain<P: Plan> {
+    plan: P,
+    placed: Vec<Placed>,
+    pruner: PlacePruner,
+}
+
+/// The drain of [`fair_start_time`] over an already-`sorted` queue,
+/// resuming `kept` when it can. Returns `target`'s start and how many of
+/// `kept`'s placements were reused (0 = drained fresh from `base_plan`,
+/// which is only built then).
+///
+/// Resuming takes the longest common prefix of the kept placements and
+/// `sorted` whose starts are `>= now`, rolls the rest back in LIFO order
+/// and places only the remainder. The caller guarantees the lemma's other
+/// two preconditions: the machine has not changed since `kept` was
+/// drained, and every running job's expected end is after `now`.
+pub(crate) fn drain_sorted<P: Plan>(
+    kept: &mut Option<Drain<P>>,
+    base_plan: impl FnOnce() -> P,
+    sorted: &[QueuedJob],
+    target: JobId,
+    now: SimTime,
+    gap_depth: usize,
+) -> (SimTime, usize) {
     let target_pos = sorted
         .iter()
         .position(|j| j.id == target)
         .unwrap_or_else(|| panic!("{target} is not in the queue"));
-    if target_pos < fit {
-        return now;
+    let reused = kept.as_ref().map_or(0, |d| {
+        let common = d.placed.iter().zip(sorted);
+        common
+            .take_while(|(p, j)| p.job == **j && p.start >= now)
+            .count()
+    });
+    if reused == 0 {
+        *kept = None;
     }
-
-    let mut plan = base_plan.clone();
-    for job in &sorted[..fit] {
-        // Intentionally kept: the drain only ever accretes commitments.
-        let _token = plan
-            .commit_at(job.nodes, now, job.walltime)
-            .expect("all-at-now prefix re-commits at now");
-    }
-    let mut floor = now;
-    // Infeasibility intervals proven by earlier placements in this
-    // drain: `(nodes, walltime, lo, hi)` records that the scan for a
-    // `(nodes, walltime)` job probed every candidate in `[lo, hi)` and
-    // found none feasible. The drain only ever adds commitments (no
-    // rollback), and feasibility is monotone componentwise — a bigger
-    // job can never fit where a smaller one could not (a free aligned
-    // 2k-block contains free k-blocks), and a longer window only
-    // accretes busy capacity — so a later job dominating an entry in
-    // both coordinates may skip the candidates it already disproved.
-    // Entries chain only while contiguous (`lo <= probe_from`): the
-    // range an entry *itself* skipped was justified by entries that may
-    // not dominate-apply to the current job. Every drain `not_before`
-    // is `now` or a release instant (induction over placements), so a
-    // covering entry's scan probed that exact instant too and the first
-    // feasible candidate is unchanged.
-    let mut proven: Vec<(u32, amjs_sim::SimDuration, SimTime, SimTime)> = Vec::new();
-    for (i, job) in sorted.iter().enumerate().skip(fit) {
-        let not_before = if i < gap_depth { now } else { floor };
-        let mut probe_from = not_before;
-        if !reference {
-            loop {
-                let mut advanced = false;
-                for &(nodes, walltime, lo, hi) in &proven {
-                    if nodes <= job.nodes
-                        && walltime <= job.walltime
-                        && lo <= probe_from
-                        && hi > probe_from
-                    {
-                        probe_from = hi;
-                        advanced = true;
-                    }
-                }
-                if !advanced {
-                    break;
-                }
+    let d = match kept {
+        Some(d) => {
+            for undone in d.placed.drain(reused..).rev() {
+                d.plan.rollback(undone.token);
+                d.pruner.truncate(undone.pruner_mark);
             }
+            d
         }
-        let (start, _token) = plan
+        None => {
+            let mut plan = base_plan();
+            // All-at-`now` fast path: while every drained job starts
+            // immediately, every overlay commitment begins at `now`, so
+            // busy capacity over any window starting at `now` equals busy
+            // capacity at `now` and a greedy single-instant walk
+            // reproduces the drain exactly. Under light load (the common
+            // case) the whole drain collapses to this walk; otherwise the
+            // all-at-`now` prefix is re-committed and the full drain
+            // resumes at the first job that has to wait. A reference plan
+            // reports 0 and drains one placement at a time.
+            let sizes: Vec<u32> = sorted.iter().map(|j| j.nodes).collect();
+            let fit = plan.fit_now_count(&sizes);
+            if target_pos < fit {
+                return (now, 0);
+            }
+            let placed = sorted[..fit].iter().map(|job| Placed {
+                job: job.clone(),
+                start: now,
+                token: plan
+                    .commit_at(job.nodes, now, job.walltime)
+                    .expect("all-at-now prefix re-commits at now"),
+                pruner_mark: 0,
+            });
+            let placed = placed.collect();
+            kept.insert(Drain {
+                plan,
+                placed,
+                pruner: PlacePruner::default(),
+            })
+        }
+    };
+    // A reference plan keeps the whole drain naive — no proven-interval
+    // pruning either — so differential runs compare against the original
+    // one-placement-at-a-time scan. Every drain `not_before` is `now` or
+    // a release instant (induction over placements), which is what the
+    // pruner's skipped ranges rely on.
+    let reference = d.plan.is_reference();
+    let resume_at = d.placed.len();
+    for (i, job) in sorted[..=target_pos].iter().enumerate().skip(resume_at) {
+        // The first `gap_depth` jobs may slot into gaps; deeper ones
+        // start no earlier than their predecessor.
+        let not_before = if i > gap_depth {
+            d.placed[i - 1].start
+        } else {
+            now
+        };
+        let pruner_mark = d.pruner.mark();
+        let probe_from = if reference {
+            not_before
+        } else {
+            d.pruner.advance(job.nodes, job.walltime, not_before)
+        };
+        let (start, token) = d
+            .plan
             .place_earliest(job.nodes, job.walltime, probe_from)
             .unwrap_or_else(|| panic!("{} exceeds the machine", job.id));
-        if !reference && start > probe_from {
-            proven.push((job.nodes, job.walltime, probe_from, start));
+        if !reference {
+            d.pruner.note(job.nodes, job.walltime, probe_from, start);
         }
-        if i >= gap_depth {
-            floor = start;
-        }
-        if job.id == target {
-            return start;
-        }
+        d.placed.push(Placed {
+            job: job.clone(),
+            start,
+            token,
+            pruner_mark,
+        });
     }
-    panic!("{target} is not in the queue");
+    (d.placed[target_pos].start, reused)
 }
 
 #[cfg(test)]

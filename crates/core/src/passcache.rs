@@ -12,10 +12,14 @@
 //! [`PassCache::resolve`] picks the cheapest tier that is *provably*
 //! byte-identical to the from-scratch sort:
 //!
-//! * **Hit** — the policy's order does not depend on `now`
-//!   ([`static_order`]): pending arrivals binary-insert into the cached
-//!   order and nothing else moves. `Balanced `BF = 1`` qualifies
-//!   because eq. 1's waiting score is monotone in submission time, so
+//! * **Hit** — nothing to recompute. Either the cache was already
+//!   resolved at this very instant and nothing was pushed or removed
+//!   since (the fair-start drain's [`PassCache::presort`] ahead of the
+//!   pass that follows a submission), or the policy's order does not
+//!   depend on `now` ([`static_order`]): pending arrivals binary-insert
+//!   into the cached order and nothing else moves. `Balanced `BF = 1``
+//!   qualifies because eq. 1's waiting score is monotone in submission
+//!   time, so
 //!   its sorted order *is* `(submit, id)` — even under floating-point
 //!   key collisions, whose ties break to submission order anyway.
 //!   `LargestFirst` likewise (walltime seconds are exact in `f64`).
@@ -53,15 +57,26 @@ use crate::policy::QueuePolicy;
 use crate::scheduler::QueuedJob;
 use crate::score::{balanced_priority, QueueExtremes};
 
-/// Counters exposing how often each resolution tier fired.
+/// Counters exposing how often each resolution tier and each reuse of
+/// an earlier plan fired. `hits + repairs + misses` is the number of
+/// scheduling passes that saw a non-empty queue.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PassCacheStats {
-    /// Static-order insertions (cheapest tier).
+    /// Static-order insertions, and passes that reused a resolve made
+    /// at the same instant (cheapest tier).
     pub hits: u64,
     /// Key-recompute repairs of a still-valid cache.
     pub repairs: u64,
     /// Full rebuilds.
     pub misses: u64,
+    /// Fair-start drains built from a fresh base plan.
+    pub drains_fresh: u64,
+    /// Fair-start drains that resumed the previous submission's plan.
+    pub drains_resumed: u64,
+    /// Placements those resumed drains did not have to redo.
+    pub drain_placements_reused: u64,
+    /// Passes answered from the previous pass's decision.
+    pub passes_memoized: u64,
 }
 
 /// How a [`PassCache::resolve`] call satisfied the pass.
@@ -82,6 +97,12 @@ pub struct PassCache {
     policy: Option<QueuePolicy>,
     sorted: Vec<QueuedJob>,
     pending: Vec<QueuedJob>,
+    /// When `sorted` was last resolved, while it is still exactly what a
+    /// resolve at that instant would produce: any push, removal or
+    /// invalidation since clears it. (Removal too — taking out the job
+    /// with the longest wait or an extreme walltime moves
+    /// [`QueueExtremes`], which can reorder the jobs that stay.)
+    resolved_at: Option<SimTime>,
     /// Tier counters.
     pub stats: PassCacheStats,
 }
@@ -93,6 +114,7 @@ impl PassCache {
     /// adaptive walltime estimates, a restored snapshot.
     pub fn invalidate(&mut self) {
         self.valid = false;
+        self.resolved_at = None;
         self.sorted.clear();
         self.pending.clear();
     }
@@ -100,6 +122,7 @@ impl PassCache {
     /// A job entered the waiting queue (with its *planning* walltime,
     /// exactly as the rebuild would see it).
     pub fn note_push(&mut self, job: QueuedJob) {
+        self.resolved_at = None;
         if self.valid {
             self.pending.push(job);
         }
@@ -111,6 +134,7 @@ impl PassCache {
     /// answer (this legitimately happens for jobs the placeable filter
     /// held out, e.g. a cancel of a job larger than the live machine).
     pub fn note_remove(&mut self, id: JobId) {
+        self.resolved_at = None;
         if !self.valid {
             return;
         }
@@ -137,9 +161,34 @@ impl PassCache {
         policy: QueuePolicy,
         rebuild: impl Fn() -> Vec<QueuedJob>,
     ) -> CacheOutcome {
-        let outcome = self.resolve_inner(now, policy, &rebuild);
-        // Continuous differential oracle: every debug-build pass proves
-        // the incremental order byte-identical to the from-scratch one.
+        let outcome = self.presort(now, policy, rebuild);
+        match outcome {
+            CacheOutcome::Hit => self.stats.hits += 1,
+            CacheOutcome::Repair => self.stats.repairs += 1,
+            CacheOutcome::Miss => self.stats.misses += 1,
+        }
+        outcome
+    }
+
+    /// [`PassCache::resolve`] for a caller that is not a scheduling pass
+    /// (the fair-start drain ahead of one): the same work, not counted.
+    /// The pass that follows at the same instant, with nothing pushed or
+    /// removed in between, then costs a [`CacheOutcome::Hit`].
+    pub fn presort(
+        &mut self,
+        now: SimTime,
+        policy: QueuePolicy,
+        rebuild: impl Fn() -> Vec<QueuedJob>,
+    ) -> CacheOutcome {
+        let outcome = if self.resolved_at == Some(now) && self.policy == Some(policy) {
+            CacheOutcome::Hit
+        } else {
+            self.resolve_inner(now, policy, &rebuild)
+        };
+        self.resolved_at = Some(now);
+        // Continuous differential oracle: every debug-build resolve —
+        // the same-instant shortcut included — proves the incremental
+        // order byte-identical to the from-scratch one.
         #[cfg(debug_assertions)]
         {
             let mut expect = rebuild();
@@ -168,13 +217,11 @@ impl PassCache {
                     .partition_point(|a| static_cmp(&policy, a, &job) == Ordering::Less);
                 self.sorted.insert(pos, job);
             }
-            self.stats.hits += 1;
             return CacheOutcome::Hit;
         }
         // Time-varying keys: everything is dirty; recompute and repair.
         self.sorted.append(&mut self.pending);
         let Some(extremes) = QueueExtremes::of(&self.sorted, now) else {
-            self.stats.repairs += 1;
             return CacheOutcome::Repair; // empty queue
         };
         let key = |job: &QueuedJob| -> f64 {
@@ -210,7 +257,6 @@ impl PassCache {
                 .then_with(|| a.id.cmp(&b.id))
         });
         self.sorted = keyed.into_iter().map(|(_, j)| j).collect();
-        self.stats.repairs += 1;
         CacheOutcome::Repair
     }
 
@@ -225,7 +271,6 @@ impl PassCache {
         self.pending.clear();
         self.policy = Some(policy);
         self.valid = true;
-        self.stats.misses += 1;
         CacheOutcome::Miss
     }
 }
@@ -380,6 +425,78 @@ mod tests {
             cache.resolve(t(40), sjf_ish, || queue.clone()),
             CacheOutcome::Repair
         );
+    }
+
+    /// Regression: a resolve reused at the same instant must not survive
+    /// a removal. Taking out the longest-waiting job halves `wait_max`,
+    /// which doubles every waiting score and reorders the jobs that stay
+    /// (a prototype of the shortcut missed this and only one pinned
+    /// benchmark digest noticed).
+    #[test]
+    fn same_instant_resolve_does_not_survive_removing_the_extreme_job() {
+        let policy = QueuePolicy::Balanced {
+            balance_factor: 0.5,
+        };
+        // At t=1000: X has waited longest; A long wait + longest
+        // walltime; B fresh and shortish; D holds the walltime minimum.
+        let (x, a, b, d) = (
+            qj(0, 0, 1, 600),
+            qj(1, 400, 1, 1000),
+            qj(2, 990, 1, 400),
+            qj(3, 995, 1, 200),
+        );
+        let mut queue = vec![x, a.clone(), b.clone(), d];
+        let mut cache = PassCache::default();
+        cache.resolve(t(1000), policy, || queue.clone());
+        let rank = |c: &PassCache, j: &QueuedJob| c.sorted().iter().position(|s| s == j).unwrap();
+        assert!(rank(&cache, &b) < rank(&cache, &a), "B outranks A beside X");
+        // Nothing changed: the second resolve at this instant is free.
+        assert_eq!(
+            cache.resolve(t(1000), policy, || queue.clone()),
+            CacheOutcome::Hit
+        );
+
+        queue.remove(0);
+        cache.note_remove(JobId(0));
+        assert_eq!(
+            cache.resolve(t(1000), policy, || queue.clone()),
+            CacheOutcome::Repair
+        );
+        let mut expect = queue.clone();
+        policy.sort(&mut expect, t(1000));
+        assert_eq!(expect, cache.sorted());
+        assert!(
+            rank(&cache, &a) < rank(&cache, &b),
+            "without X, A outranks B"
+        );
+    }
+
+    #[test]
+    fn presort_is_not_counted_and_makes_the_pass_a_hit() {
+        let policy = QueuePolicy::Balanced {
+            balance_factor: 0.5,
+        };
+        let queue = vec![qj(0, 0, 1, 100), qj(1, 5, 1, 50)];
+        let mut cache = PassCache::default();
+        cache.presort(t(10), policy, || queue.clone());
+        assert_eq!(cache.stats, PassCacheStats::default());
+        assert_eq!(
+            cache.resolve(t(10), policy, || queue.clone()),
+            CacheOutcome::Hit
+        );
+        // A push in between, or a later instant, pays for the repair.
+        cache.presort(t(20), policy, || queue.clone());
+        cache.note_push(qj(2, 20, 1, 70));
+        let grown = [queue.clone(), vec![qj(2, 20, 1, 70)]].concat();
+        assert_eq!(
+            cache.resolve(t(20), policy, || grown.clone()),
+            CacheOutcome::Repair
+        );
+        assert_eq!(
+            cache.resolve(t(30), policy, || grown.clone()),
+            CacheOutcome::Repair
+        );
+        assert_eq!((cache.stats.hits, cache.stats.repairs), (1, 2));
     }
 
     #[test]

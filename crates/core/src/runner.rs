@@ -43,8 +43,8 @@ use amjs_metrics::energy::{energy_report, EnergyModel, EnergyReport};
 use crate::adaptive::{AdaptiveScheme, MonitoredMetric, TunerStep};
 use crate::estimates::{EstimateAdjuster, EstimatePolicy};
 use crate::failures::{CorrelationSpec, FailureProcess, FailureSpec, RetryPolicy};
-use crate::fairshare::fair_start_time;
-use crate::passcache::{CacheOutcome, PassCache};
+use crate::fairshare::{drain_sorted, fair_start_time, Drain};
+use crate::passcache::{CacheOutcome, PassCache, PassCacheStats};
 use crate::scheduler::{BackfillMode, PassTrace, ProtectionStyle, QueuedJob, Scheduler};
 use crate::PolicyParams;
 
@@ -149,6 +149,10 @@ pub struct SimulationOutcome {
     pub lost_node_hours: f64,
     /// Energy accounting, when an [`EnergyModel`] was configured.
     pub energy: Option<EnergyReport>,
+    /// How often each hot-path shortcut fired (cost accounting; all
+    /// reuse counters are zero under
+    /// [`SimulationBuilder::reference_hotpath`]).
+    pub hotpath: PassCacheStats,
 }
 
 impl SimulationOutcome {
@@ -512,6 +516,9 @@ impl<P: Platform> SimulationBuilder<P> {
             last_end: SimTime::ZERO,
             obs: Observer::disabled(),
             pass_cache: PassCache::default(),
+            machine_epoch: 0,
+            drain: None,
+            pass_memo: None,
             reference_hotpath: self.reference_hotpath,
             platform: self.platform,
             jobs,
@@ -668,6 +675,7 @@ pub(crate) fn finish_run<P: Platform>(
         interrupted_jobs: world.interrupted_jobs,
         lost_node_hours: world.lost_node_secs / 3600.0,
         energy,
+        hotpath: world.pass_cache.stats,
     }
 }
 
@@ -759,11 +767,30 @@ pub(crate) struct Runner<P: Platform> {
     /// with a cold cache, whose first pass is a full rebuild producing
     /// the exact same sorted queue.
     pass_cache: PassCache,
+    /// Bumped whenever a plan of the machine could come out different:
+    /// an allocation, a release, a node going down or up, a planning
+    /// walltime moving. Equal epochs mean "the same machine", the first
+    /// precondition for reusing `drain` and `pass_memo` at a later
+    /// instant (DESIGN.md §15). Transient like `pass_cache`, as are both.
+    machine_epoch: u64,
+    /// The previous submission's fair-start drain and the epoch it saw.
+    drain: Option<(u64, Drain<P::Plan>)>,
+    /// The last pass, if it started nothing: a pass with an equal key
+    /// would decide the same again.
+    pass_memo: Option<PassMemo>,
     /// Bypass the incremental caches: rebuild and re-sort the queue from
-    /// scratch every pass and force the plans' reference query paths.
-    /// The differential oracle for the hot path — outputs must be
-    /// byte-identical either way.
+    /// scratch every pass, drain and plan from scratch, and force the
+    /// plans' reference query paths. The differential oracle for the hot
+    /// path — outputs must be byte-identical either way.
     reference_hotpath: bool,
+}
+
+/// Everything a scheduling pass that started nothing depended on.
+struct PassMemo {
+    epoch: u64,
+    scheduler: Scheduler,
+    /// The sorted queue as far as the pass looks at it.
+    head: Vec<QueuedJob>,
 }
 
 impl<P: Platform> Runner<P> {
@@ -813,14 +840,66 @@ impl<P: Platform> Runner<P> {
     /// their walltime estimate are treated as releasing "imminently"
     /// (now + 1 s), the standard simulator convention.
     fn base_plan(&self, now: SimTime) -> P::Plan {
+        let soonest = now + SimDuration::from_secs(1);
+        let mut releases: Vec<(AllocationId, SimTime)> = self
+            .running
+            .values()
+            .map(|r| (r.alloc, r.expected_end.max(soonest)))
+            .collect();
+        releases.sort_unstable_by_key(|&(alloc, _)| alloc);
         let release = |alloc: AllocationId| -> SimTime {
-            self.running
-                .values()
-                .find(|r| r.alloc == alloc)
-                .map(|r| r.expected_end.max(now + SimDuration::from_secs(1)))
-                .expect("plan asked about an allocation the runner does not know")
+            let i = releases
+                .binary_search_by_key(&alloc, |&(a, _)| a)
+                .expect("plan asked about an allocation the runner does not know");
+            releases[i].1
         };
         self.platform.plan(now, &release)
+    }
+
+    /// No running job is past its expected end at `now`, so every
+    /// release a plan would see is the job's own `expected_end` rather
+    /// than the moving `now + 1 s` clamp — the second precondition for
+    /// reusing a plan made at an earlier instant.
+    fn releases_are_fixed(&self, now: SimTime) -> bool {
+        self.running.values().all(|r| r.expected_end > now)
+    }
+
+    /// `target`'s fair start on the hot path: drain over the pass cache's
+    /// sorted queue (the pass that follows reuses this very resolve) and
+    /// resume the previous submission's drain when the machine is the
+    /// same and no release has come due (DESIGN.md §15).
+    fn fair_start_resuming(&mut self, target: JobId, now: SimTime, gap_depth: usize) -> SimTime {
+        let mut cache = std::mem::take(&mut self.pass_cache);
+        cache.presort(now, self.scheduler.ordering(), || self.queued_jobs());
+        let epoch = self.machine_epoch;
+        let mut kept = match self.drain.take() {
+            Some((e, d)) if e == epoch && self.releases_are_fixed(now) => Some(d),
+            _ => None,
+        };
+        let base = || self.base_plan(now);
+        let (fair, reused) = drain_sorted(&mut kept, base, cache.sorted(), target, now, gap_depth);
+        if reused > 0 {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                fair,
+                fair_start_time(
+                    &self.base_plan(now),
+                    cache.sorted(),
+                    target,
+                    self.scheduler.ordering(),
+                    now,
+                    gap_depth
+                ),
+                "resumed drain diverged from a fresh one"
+            );
+            cache.stats.drains_resumed += 1;
+            cache.stats.drain_placements_reused += reused as u64;
+        } else {
+            cache.stats.drains_fresh += 1;
+        }
+        self.drain = kept.map(|d| (epoch, d));
+        self.pass_cache = cache;
+        fair
     }
 
     /// The attempt number the next start of `job` should carry.
@@ -849,6 +928,7 @@ impl<P: Platform> Runner<P> {
             .remove(&id)
             .expect("kill_job victim must be running");
         let freed = self.platform.release(running.alloc);
+        self.machine_epoch += 1;
         self.note_capacity(now);
         let elapsed = (now - running.start).max_zero();
         // With checkpointing, whole intervals of progress survive the
@@ -928,8 +1008,9 @@ impl<P: Platform> Runner<P> {
     fn run_scheduler(&mut self, now: SimTime, events: &mut EventQueue<Ev>) {
         self.scheduler_passes += 1;
         self.last_pass_time = Some(now);
-        self.promised.clear();
         if self.queue.is_empty() {
+            self.promised.clear();
+            self.pass_memo = None;
             return;
         }
         let span = self.obs.prof_enter("schedule_pass");
@@ -969,6 +1050,24 @@ impl<P: Platform> Runner<P> {
                 let marker = self.obs.prof_enter(name);
                 self.obs.prof_exit(marker);
             }
+            let head = &cache.sorted()[..self.scheduler.lookahead(cache.sorted().len())];
+            // Pass memo: the previous pass started nothing, and nothing
+            // it looked at has changed, so this one would decide the
+            // same (DESIGN.md §15) — `promised` stands as it is. Tracing
+            // needs the real pass: it emits every decision's reasons.
+            let memoized = trace.is_none()
+                && self.pass_memo.as_ref().is_some_and(|m| {
+                    m.epoch == self.machine_epoch && m.scheduler == self.scheduler && m.head == head
+                })
+                && self.releases_are_fixed(now);
+            if memoized {
+                #[cfg(debug_assertions)]
+                self.check_memoized_pass(now, cache.sorted());
+                cache.stats.passes_memoized += 1;
+                self.pass_cache = cache;
+                self.obs.prof_exit(span);
+                return;
+            }
             let plan_span = self.obs.prof_enter("plan_build");
             let base_plan = self.base_plan(now);
             self.obs.prof_exit(plan_span);
@@ -979,6 +1078,16 @@ impl<P: Platform> Runner<P> {
                 trace.as_mut(),
                 self.obs.profiler(),
             );
+            // (`TimeFlexible` re-places its reservations greedily per
+            // backfill candidate, and block choice is not monotone in
+            // what is busy, so the lemma does not cover it.)
+            let repeatable = decision.starts.is_empty()
+                && self.scheduler.protection == ProtectionStyle::PinnedBlocks;
+            self.pass_memo = repeatable.then(|| PassMemo {
+                epoch: self.machine_epoch,
+                scheduler: self.scheduler.clone(),
+                head: head.to_vec(),
+            });
             self.pass_cache = cache;
             decision
         };
@@ -986,6 +1095,7 @@ impl<P: Platform> Runner<P> {
         if let Some(tr) = trace {
             self.emit_pass_trace(now, &tr);
         }
+        self.promised.clear();
 
         for start in &decision.starts {
             let idx_in_queue = self
@@ -1001,6 +1111,7 @@ impl<P: Platform> Runner<P> {
                 .platform
                 .allocate_hinted(job.nodes, start.hint)
                 .expect("plan-approved start must allocate on the machine");
+            self.machine_epoch += 1;
             let gen = self.generation_of(job.id);
             let planning_walltime = self.estimates.planning_walltime(job.user, job.walltime);
             self.running.insert(
@@ -1082,6 +1193,26 @@ impl<P: Platform> Runner<P> {
             }
         }
         self.note_capacity(now);
+    }
+
+    /// Debug builds run the real pass behind every memoized one: it must
+    /// start nothing and protect exactly what `promised` already holds.
+    #[cfg(debug_assertions)]
+    fn check_memoized_pass(&self, now: SimTime, sorted: &[QueuedJob]) {
+        let base_plan = self.base_plan(now);
+        let real = self
+            .scheduler
+            .schedule_pass_sorted(now, sorted, &base_plan, None, None);
+        assert!(real.starts.is_empty(), "memoized pass would start a job");
+        let protected: Vec<(JobId, SimTime)> = real
+            .reservations
+            .iter()
+            .filter(|(id, _)| real.protected.contains(id))
+            .copied()
+            .collect();
+        let promised: Vec<(JobId, SimTime)> =
+            self.promised.iter().map(|p| (p.id, p.start)).collect();
+        assert_eq!(protected, promised, "memoized pass changed a promise");
     }
 
     /// Turn a captured [`PassTrace`] into trace events, in decision
@@ -1558,24 +1689,24 @@ impl<P: Platform> World for Runner<P> {
                     // no-later-arrivals drain cannot place it at all;
                     // use the submission instant as its fair start (any
                     // wait on repairs then counts as unfair treatment).
-                    let fair = if self.platform.could_ever_allocate(job.nodes) {
-                        let queued = self.queued_jobs();
+                    let gap_depth = self.scheduler.backfill_depth.unwrap_or(usize::MAX);
+                    let fair = if !self.platform.could_ever_allocate(job.nodes) {
+                        now
+                    } else if self.reference_hotpath {
+                        // Differential runs sort and drain from scratch
+                        // on the naive path (see `reference_hotpath`).
                         let mut base_plan = self.base_plan(now);
-                        if self.reference_hotpath {
-                            // Differential runs drain on the naive
-                            // path too (see `reference_hotpath`).
-                            base_plan.set_reference(true);
-                        }
+                        base_plan.set_reference(true);
                         fair_start_time(
                             &base_plan,
-                            &queued,
+                            &self.queued_jobs(),
                             job_id,
                             self.scheduler.ordering(),
                             now,
-                            self.scheduler.backfill_depth.unwrap_or(usize::MAX),
+                            gap_depth,
                         )
                     } else {
-                        now
+                        self.fair_start_resuming(job_id, now, gap_depth)
                     };
                     self.fairness.record_fair_start(job_id, fair);
                     self.obs.prof_exit(fair_span);
@@ -1595,6 +1726,9 @@ impl<P: Platform> World for Runner<P> {
                     .remove(&id)
                     .expect("finish event for a job that is not running");
                 self.platform.release(running.alloc);
+                // Also covers the estimate update below: planning
+                // walltimes may move with it.
+                self.machine_epoch += 1;
                 self.note_capacity(now);
                 let job = &self.jobs[running.trace_idx];
                 self.estimates.observe(job.user, job.walltime, job.runtime);
@@ -1668,6 +1802,7 @@ impl<P: Platform> World for Runner<P> {
                         // this part of the fault is absorbed.
                         continue;
                     }
+                    self.machine_epoch += 1;
                     if self.obs.tracing() {
                         self.obs
                             .emit(now, TraceEvent::NodeFailed { node: node.into() });
@@ -1714,6 +1849,7 @@ impl<P: Platform> World for Runner<P> {
             }
             Ev::Repair(node) => {
                 self.platform.mark_up(node);
+                self.machine_epoch += 1;
                 if self.obs.tracing() {
                     self.obs
                         .emit(now, TraceEvent::NodeRepaired { node: node.into() });
@@ -2041,6 +2177,9 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
             // Transient hot-path state: a resumed run starts with a cold
             // cache whose first pass rebuilds the exact sorted queue.
             pass_cache: PassCache::default(),
+            machine_epoch: 0,
+            drain: None,
+            pass_memo: None,
             reference_hotpath: false,
         })
     }

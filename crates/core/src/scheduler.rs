@@ -161,7 +161,7 @@ fn span_exit(prof: Option<&SharedProfiler>, token: Option<SpanToken>) {
 }
 
 /// The metric-aware scheduler: policy parameters plus pass bounds.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scheduler {
     /// The paper's tunables `(BF, W)`.
     pub policy: PolicyParams,
@@ -238,6 +238,14 @@ impl Scheduler {
         self.ordering_override.unwrap_or(QueuePolicy::Balanced {
             balance_factor: self.policy.balance_factor,
         })
+    }
+
+    /// How many leading jobs of a sorted queue of `len` a pass can look
+    /// at: the window-placed depth or the backfill candidates, whichever
+    /// reaches further. Jobs beyond it cannot influence the decision.
+    pub(crate) fn lookahead(&self, len: usize) -> usize {
+        let planned = self.plan_depth.max(1);
+        planned.max(self.backfill_depth.unwrap_or(len)).min(len)
     }
 
     /// Run one scheduling pass at `now` over the waiting `queue`, with

@@ -42,8 +42,10 @@ use crate::scheduler::QueuedJob;
 /// candidates it already disproved. Entries chain only while contiguous
 /// (`lo <= probe_from`): the range an entry *itself* skipped was
 /// justified by entries that may not dominate-apply to the current job.
-/// Sound only while the plan accumulates commitments (no rollback or
-/// deactivation between recording and use).
+/// Sound only while the plan accumulates commitments: a caller that rolls
+/// placements back must [`PlacePruner::truncate`] to the
+/// [`PlacePruner::mark`] it took before the first placement it undoes
+/// (and never deactivate between recording and use).
 #[derive(Debug, Default)]
 pub struct PlacePruner {
     proven: Vec<(u32, SimDuration, SimTime, SimTime)>,
@@ -52,7 +54,12 @@ pub struct PlacePruner {
 impl PlacePruner {
     /// Earliest candidate a `(nodes, walltime)` scan starting at
     /// `not_before` still has to probe, per the recorded intervals.
-    fn advance(&self, nodes: u32, walltime: SimDuration, not_before: SimTime) -> SimTime {
+    pub(crate) fn advance(
+        &self,
+        nodes: u32,
+        walltime: SimDuration,
+        not_before: SimTime,
+    ) -> SimTime {
         let mut probe_from = not_before;
         loop {
             let mut advanced = false;
@@ -69,10 +76,22 @@ impl PlacePruner {
     }
 
     /// Record that the scan probed `[lo, hi)` without success.
-    fn note(&mut self, nodes: u32, walltime: SimDuration, lo: SimTime, hi: SimTime) {
+    pub(crate) fn note(&mut self, nodes: u32, walltime: SimDuration, lo: SimTime, hi: SimTime) {
         if hi > lo {
             self.proven.push((nodes, walltime, lo, hi));
         }
+    }
+
+    /// Watermark to take before a placement that may later be rolled
+    /// back.
+    pub(crate) fn mark(&self) -> usize {
+        self.proven.len()
+    }
+
+    /// Forget every interval recorded since `mark`: those scans saw
+    /// commitments the plan no longer holds.
+    pub(crate) fn truncate(&mut self, mark: usize) {
+        self.proven.truncate(mark);
     }
 }
 

@@ -172,3 +172,209 @@ fn failure_injection_identity_bgp() {
             }))
     });
 }
+
+// ---------------------------------------------------------------------
+// Plan reuse across events (ISSUE 15): the resumed fair-start drain, the
+// pass memo and the same-instant resolve are all keyed on "the machine
+// has not changed". A scripted live session walks the edges of that key
+// on the optimized and the reference path side by side; the complete
+// encoded state (fair starts included) must match after every step. In
+// debug builds each resumed drain and memoized pass is additionally
+// checked against a from-scratch one inside the runner.
+// ---------------------------------------------------------------------
+
+use amjs_core::estimates::EstimatePolicy;
+use amjs_core::{LiveScheduler, PassCacheStats};
+use amjs_sim::SimTime;
+use amjs_workload::JobId;
+
+type Live<P> = LiveScheduler<P>;
+
+/// Advance to `t`, admit `jobs` (`(nodes, walltime s, runtime s, user)`)
+/// all at that instant, and handle their `Submit` events.
+fn submit_at<P: Platform + amjs_sim::Snapshot>(
+    live: &mut Live<P>,
+    t: i64,
+    jobs: &[(u32, i64, i64, u32)],
+) -> Vec<JobId> {
+    live.advance_to(SimTime::from_secs(t));
+    let secs = SimDuration::from_secs;
+    let ids = jobs
+        .iter()
+        .map(|&(n, wall, run, user)| live.submit(n, secs(wall), Some(secs(run)), user).unwrap())
+        .collect();
+    live.advance_to(SimTime::from_secs(t));
+    ids
+}
+
+/// First half: fill the machine, then grow a queue behind it while
+/// nothing starts or ends (one epoch), with cancels in between.
+fn reuse_script_open<P: Platform + amjs_sim::Snapshot>(live: &mut Live<P>, unit: u32) -> JobId {
+    // User 7 overestimates five-fold: under adaptive estimates its
+    // planning walltimes shrink as these finish.
+    submit_at(live, 0, &[(unit / 2, 100, 20, 7), (unit / 2, 100, 20, 7)]);
+    let fill = submit_at(
+        live,
+        50,
+        &[
+            (unit, 4000, 3000, 1),
+            (unit, 4000, 3500, 2),
+            (unit, 4000, 4000, 3),
+            (unit, 2000, 1900, 7),
+        ],
+    );
+    // Two submits at one instant, then a full-machine job.
+    let pair = submit_at(
+        live,
+        100,
+        &[(2 * unit, 1800, 900, 4), (unit / 2, 600, 300, 5)],
+    );
+    submit_at(live, 200, &[(4 * unit, 1200, 600, 6)]);
+    submit_at(live, 300, &[(unit, 300, 100, 7)]);
+    // Cancel a queued job (it leaves the sorted queue) and try a running
+    // one (refused, nothing changes) between same-epoch submits.
+    assert!(live.cancel(pair[1]) || live.cancel(pair[0]));
+    assert!(!live.cancel(fill[0]));
+    submit_at(live, 400, &[(unit, 900, 800, 4), (3 * unit, 700, 650, 5)]);
+    for step in 0..8 {
+        let nodes = [unit / 2, unit, 2 * unit, unit][step % 4];
+        let wall = [500, 2500, 800, 1500, 300][step % 5];
+        submit_at(
+            live,
+            450 + 50 * step as i64,
+            &[(nodes, wall, wall - 40, step as u32)],
+        );
+    }
+    fill[3]
+}
+
+/// Second half: a submit at the exact `expected_end` of a running job
+/// (overdue under adaptive estimates: its release is the moving
+/// `now + 1 s`), then more arrivals while the first jobs finish.
+fn reuse_script_close<P: Platform + amjs_sim::Snapshot>(
+    live: &mut Live<P>,
+    unit: u32,
+    watched: JobId,
+) {
+    if let amjs_core::JobStatus::Running { expected_end, .. } = live.status(watched) {
+        let t = expected_end.as_secs().max(live.now().as_secs());
+        submit_at(live, t, &[(unit, 400, 350, 2)]);
+        submit_at(live, t + 1, &[(unit / 2, 400, 350, 3)]);
+    }
+    for step in 0..10i64 {
+        let t = live.now().as_secs().max(1900) + 150 * (step + 1);
+        let last = submit_at(live, t, &[(unit, 600, 500, 7), (2 * unit, 900, 700, 1)]);
+        if step % 3 == 0 {
+            live.cancel(last[1]);
+        }
+    }
+}
+
+/// Run the script on both paths in lockstep; returns the optimized
+/// run's reuse counters.
+fn assert_reuse_identity<P, F>(label: &str, unit: u32, configure: F) -> PassCacheStats
+where
+    P: Platform + amjs_sim::Snapshot,
+    F: Fn() -> SimulationBuilder<P>,
+{
+    let mut opt = Live::from_builder(configure().oracle(true));
+    let mut naive = Live::from_builder(configure().oracle(true).reference_hotpath(true));
+    let (w1, w2) = (
+        reuse_script_open(&mut opt, unit),
+        reuse_script_open(&mut naive, unit),
+    );
+    assert_eq!(w1, w2);
+    assert_eq!(opt.encode(), naive.encode(), "{label}: diverged mid-script");
+
+    // A decoded fork (WHATIF, --resume) starts with cold drain/memo
+    // state and must evolve exactly like the warm original.
+    let mut fork = Live::<P>::decode(&opt.encode()).unwrap();
+    for live in [&mut opt, &mut naive, &mut fork] {
+        reuse_script_close(live, unit, w1);
+    }
+    assert_eq!(opt.encode(), naive.encode(), "{label}: diverged at the end");
+    assert_eq!(opt.encode(), fork.encode(), "{label}: cold fork diverged");
+
+    let (opt, naive) = (opt.drain_into_outcome(), naive.drain_into_outcome());
+    assert_outcomes_match(label, &opt, &naive);
+    assert_eq!(
+        (naive.hotpath.drains_resumed, naive.hotpath.passes_memoized),
+        (0, 0),
+        "{label}: the reference path must not reuse plans"
+    );
+    opt.hotpath
+}
+
+#[test]
+fn plan_reuse_identity_flat_easy() {
+    // A pass that looks at four jobs: later arrivals that sort behind
+    // them leave its memo key alone.
+    let stats = assert_reuse_identity("reuse/flat", 16, || {
+        SimulationBuilder::new(FlatCluster::new(64), Vec::new())
+            .policy(PolicyParams::new(0.5, 2))
+            .pass_bounds(4, 2, 720)
+            .backfill_depth(Some(4))
+    });
+    assert!(
+        stats.drains_resumed > 0 && stats.drain_placements_reused > 0,
+        "script never resumed a drain: {stats:?}"
+    );
+    assert!(stats.passes_memoized > 0, "script never memoized a pass");
+    assert!(
+        stats.hits > 0,
+        "no pass reused the submit handler's resolve"
+    );
+}
+
+#[test]
+fn plan_reuse_identity_bgp_bounded_backfill() {
+    let stats = assert_reuse_identity("reuse/bgp", 128, || {
+        SimulationBuilder::new(BgpCluster::new(8, 64), Vec::new())
+            .policy(PolicyParams::new(0.5, 2))
+            .pass_bounds(4, 2, 720)
+            .easy_protected(Some(1))
+            .backfill_depth(Some(4))
+    });
+    assert!(
+        stats.drains_resumed > 0 && stats.passes_memoized > 0,
+        "{stats:?}"
+    );
+}
+
+/// Conservative backfill with unbounded depth: every reservation is
+/// protected and the memo head is the whole queue.
+#[test]
+fn plan_reuse_identity_conservative() {
+    let stats = assert_reuse_identity("reuse/conservative", 16, || {
+        SimulationBuilder::new(FlatCluster::new(64), Vec::new())
+            .policy(PolicyParams::new(0.5, 2))
+            .backfill(BackfillMode::Conservative)
+            .backfill_depth(None)
+    });
+    assert!(stats.drains_resumed > 0, "{stats:?}");
+}
+
+/// Adaptive estimates: planning walltimes move on every completion (an
+/// epoch bump) and running jobs outlive their planned end.
+#[test]
+fn plan_reuse_identity_adaptive_estimates() {
+    let stats = assert_reuse_identity("reuse/estimates", 16, || {
+        SimulationBuilder::new(FlatCluster::new(64), Vec::new())
+            .policy(PolicyParams::new(0.5, 2))
+            .estimate_policy(EstimatePolicy::user_adaptive())
+    });
+    assert!(stats.drains_resumed > 0, "{stats:?}");
+}
+
+/// Strict in-order starts: the drain still backfills small jobs into
+/// gaps *now* that the scheduler then leaves waiting, so a kept drain
+/// holds placements that start before the next submission's instant.
+#[test]
+fn plan_reuse_identity_no_backfill() {
+    let stats = assert_reuse_identity("reuse/strict", 16, || {
+        SimulationBuilder::new(FlatCluster::new(72), Vec::new())
+            .policy(PolicyParams::new(0.5, 2))
+            .backfill(BackfillMode::None)
+    });
+    assert!(stats.drains_fresh > 0, "{stats:?}");
+}

@@ -111,14 +111,7 @@ pub trait Plan: Clone {
         duration: SimDuration,
         not_before: SimTime,
     ) -> Option<(SimTime, PlanToken)> {
-        let start = self.earliest_start(nodes, duration, not_before);
-        if start == SimTime::MAX {
-            return None;
-        }
-        let token = self
-            .commit_at(nodes, start, duration)
-            .expect("earliest_start returned an infeasible time");
-        Some((start, token))
+        place_earliest_two_call(self, nodes, duration, not_before)
     }
 
     /// Undo the most recent outstanding commitment. Must be called in
@@ -170,6 +163,26 @@ pub trait Plan: Clone {
     fn fit_now_count(&self, _sizes: &[Nodes]) -> usize {
         0
     }
+}
+
+/// [`Plan::place_earliest`] as the [`Plan::earliest_start`] +
+/// [`Plan::commit_at`] pair: the trait default, and the form the
+/// reference path keeps. It evaluates the winning instant twice (once to
+/// find it, once to commit), which the optimized plans fuse away.
+fn place_earliest_two_call<P: Plan>(
+    plan: &mut P,
+    nodes: Nodes,
+    duration: SimDuration,
+    not_before: SimTime,
+) -> Option<(SimTime, PlanToken)> {
+    let start = plan.earliest_start(nodes, duration, not_before);
+    if start == SimTime::MAX {
+        return None;
+    }
+    let token = plan
+        .commit_at(nodes, start, duration)
+        .expect("earliest_start returned an infeasible time");
+    Some((start, token))
 }
 
 /// Merged, deduplicated ascending walk over the memoized base release
@@ -457,6 +470,33 @@ impl FlatPlan {
         true
     }
 
+    /// Record a placement the caller has proven feasible.
+    fn push_commitment(
+        &mut self,
+        nodes: Nodes,
+        start: SimTime,
+        duration: SimDuration,
+    ) -> PlanToken {
+        let nodes = self.rounded_size(nodes);
+        let end = start + duration.max(SimDuration::from_secs(1));
+        debug_assert!(start >= self.now, "placements never start in the past");
+        self.commitments.push(Commitment {
+            unit_start: 0,
+            unit_len: nodes,
+            start,
+            end,
+        });
+        overlay_ends_insert(&mut self.overlay_ends, end);
+        timeline_apply(
+            &mut self.overlay_times,
+            &mut self.overlay_level,
+            start,
+            end,
+            |v| *v += nodes,
+        );
+        PlanToken(self.commitments.len() - 1)
+    }
+
     fn can_place_at_fast(&self, nodes: Nodes, start: SimTime, duration: SimDuration) -> bool {
         let end = start + duration.max(SimDuration::from_secs(1));
         let cap = self.in_service();
@@ -553,24 +593,26 @@ impl Plan for FlatPlan {
         if !self.can_place_at(nodes, start, duration) {
             return None;
         }
-        let nodes = self.rounded_size(nodes);
-        let end = start + duration.max(SimDuration::from_secs(1));
-        debug_assert!(start >= self.now, "placements never start in the past");
-        self.commitments.push(Commitment {
-            unit_start: 0,
-            unit_len: nodes,
-            start,
-            end,
-        });
-        overlay_ends_insert(&mut self.overlay_ends, end);
-        timeline_apply(
-            &mut self.overlay_times,
-            &mut self.overlay_level,
-            start,
-            end,
-            |v| *v += nodes,
-        );
-        Some(PlanToken(self.commitments.len() - 1))
+        Some(self.push_commitment(nodes, start, duration))
+    }
+
+    fn place_earliest(
+        &mut self,
+        nodes: Nodes,
+        duration: SimDuration,
+        not_before: SimTime,
+    ) -> Option<(SimTime, PlanToken)> {
+        if self.reference {
+            return place_earliest_two_call(self, nodes, duration, not_before);
+        }
+        // The scan already proved `start` feasible: commit without
+        // walking the window's load levels a second time.
+        let start = self.earliest_start(nodes, duration, not_before);
+        if start == SimTime::MAX {
+            return None;
+        }
+        debug_assert!(self.can_place_at(nodes, start, duration));
+        Some((start, self.push_commitment(nodes, start, duration)))
     }
 
     fn rollback(&mut self, token: PlanToken) {
@@ -864,6 +906,38 @@ impl PartitionPlan {
         }
     }
 
+    /// The earliest start `>= not_before` for a `k`-unit block that is
+    /// in service somewhere, with the block free there (memoized path).
+    fn earliest_block(&self, k: u16, duration: SimDuration, not_before: SimTime) -> (SimTime, u16) {
+        let duration = duration.max(SimDuration::from_secs(1));
+        let mut block = None;
+        let mut probe = |t: SimTime| {
+            block = self.find_free_block(k, &self.busy_mask_fast(t, t + duration));
+            block.is_some()
+        };
+        let start = if probe(not_before) {
+            not_before
+        } else {
+            merged_end_candidates(&self.base_ends, &self.overlay_ends, not_before, &mut probe)
+                .expect("a job no larger than the machine fits after all releases")
+        };
+        (start, block.expect("the accepted probe found a block"))
+    }
+
+    /// Record a placement on a block the caller has found free.
+    fn push_commitment(&mut self, block: u16, k: u16, start: SimTime, end: SimTime) -> PlanToken {
+        debug_assert!(start >= self.now, "placements never start in the past");
+        self.commitments.push(Commitment {
+            unit_start: block,
+            unit_len: k as u32,
+            start,
+            end,
+        });
+        overlay_ends_insert(&mut self.overlay_ends, end);
+        self.tl_apply(start, end, |m| m.set_range(block, k));
+        PlanToken(self.commitments.len() - 1)
+    }
+
     /// Lowest-index aligned free block of `k` units under `busy`, if any.
     fn find_free_block(&self, k: u16, busy: &UnitMask) -> Option<u16> {
         if k == self.units {
@@ -920,31 +994,24 @@ impl Plan for PartitionPlan {
             return SimTime::MAX;
         }
         let not_before = not_before.max(self.now);
+        if !self.reference {
+            return self.earliest_block(k, duration, not_before).0;
+        }
         if self.can_place_at(nodes, not_before, duration) {
             return not_before;
         }
-        if self.reference {
-            let mut candidates: Vec<SimTime> = self
-                .commitments
-                .iter()
-                .map(|c| c.end)
-                .filter(|&e| e > not_before)
-                .collect();
-            candidates.sort_unstable();
-            candidates.dedup();
-            for t in candidates {
-                if self.can_place_at(nodes, t, duration) {
-                    return t;
-                }
+        let mut candidates: Vec<SimTime> = self
+            .commitments
+            .iter()
+            .map(|c| c.end)
+            .filter(|&e| e > not_before)
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        for t in candidates {
+            if self.can_place_at(nodes, t, duration) {
+                return t;
             }
-        } else if let Some(t) =
-            merged_end_candidates(&self.base_ends, &self.overlay_ends, not_before, |t| {
-                let end = t + duration.max(SimDuration::from_secs(1));
-                let busy = self.busy_mask_fast(t, end);
-                self.find_free_block(k, &busy).is_some()
-            })
-        {
-            return t;
         }
         unreachable!("a job no larger than the machine fits after all releases")
     }
@@ -959,16 +1026,25 @@ impl Plan for PartitionPlan {
         let end = start + duration.max(SimDuration::from_secs(1));
         let busy = self.busy_mask(start, end);
         let block = self.find_free_block(k, &busy)?;
-        debug_assert!(start >= self.now, "placements never start in the past");
-        self.commitments.push(Commitment {
-            unit_start: block,
-            unit_len: k as u32,
-            start,
-            end,
-        });
-        overlay_ends_insert(&mut self.overlay_ends, end);
-        self.tl_apply(start, end, |m| m.set_range(block, k));
-        Some(PlanToken(self.commitments.len() - 1))
+        Some(self.push_commitment(block, k, start, end))
+    }
+
+    fn place_earliest(
+        &mut self,
+        nodes: Nodes,
+        duration: SimDuration,
+        not_before: SimTime,
+    ) -> Option<(SimTime, PlanToken)> {
+        if self.reference {
+            return place_earliest_two_call(self, nodes, duration, not_before);
+        }
+        let k = self.rounded_units(nodes)?;
+        self.find_free_block(k, &self.down)?;
+        // One search: commit the very block the scan found free instead
+        // of rebuilding the winning instant's busy mask in `commit_at`.
+        let (start, block) = self.earliest_block(k, duration, not_before.max(self.now));
+        let end = start + duration.max(SimDuration::from_secs(1));
+        Some((start, self.push_commitment(block, k, start, end)))
     }
 
     fn rollback(&mut self, token: PlanToken) {
