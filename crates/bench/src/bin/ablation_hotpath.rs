@@ -21,8 +21,12 @@
 //! any one hot-path layer trips it (override with
 //! `AMJS_HOTPATH_FLOOR=<passes/s>` on a slower host; `--fast` skips the
 //! gate and leaves the floor as it found it). The reference path must
-//! also report zero resumed drains and zero memoized passes. CI runs
-//! both checks in the perf-trajectory job.
+//! also report zero resumed drains and zero memoized passes, and the
+//! window-search work counters (`window_searches`, `window_placements`,
+//! `window_bound_exits` — exact counts, on this trace and on a W=4 flat
+//! month where the search dominates) must equal the artefact's: losing
+//! the walk's prefix sharing or either bound moves them, and a count
+//! cannot be noisy. CI runs all three checks in the perf-trajectory job.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin ablation_hotpath [--seed N] [--fast]`
 
@@ -33,8 +37,12 @@ use std::time::Instant;
 use amjs_bench::harness::{self, RunConfig};
 use amjs_bench::{results, table};
 use amjs_core::runner::SimulationBuilder;
+use amjs_core::{PassCacheStats, PolicyParams};
+use amjs_obs::json::Json;
 use amjs_obs::{Observer, Profiler};
 use amjs_platform::mask::UnitMask;
+use amjs_platform::FlatCluster;
+use amjs_workload::WorkloadSpec;
 
 /// The artefact this binary regenerates — and reads its own gate from.
 const ARTEFACT: &str = "BENCH_hotpath.json";
@@ -43,13 +51,27 @@ const ARTEFACT: &str = "BENCH_hotpath.json";
 /// optimized passes/s.
 const FLOOR_SHARE: f64 = 0.85;
 
-/// The floor recorded by the run that last regenerated the artefact.
-fn recorded_floor() -> Option<f64> {
+/// The artefact as the run that last regenerated it left it.
+fn recorded() -> Option<Json> {
     let text = std::fs::read_to_string(results::results_dir().join(ARTEFACT)).ok()?;
-    amjs_obs::json::parse(&text)
-        .ok()?
-        .get("floor_passes_per_s")?
-        .as_f64()
+    amjs_obs::json::parse(&text).ok()
+}
+
+/// The window-search counters under the names the artefact gives them.
+fn window_counters(stats: &PassCacheStats) -> [(&'static str, u64); 3] {
+    [
+        ("window_searches", stats.window_searches),
+        ("window_placements", stats.window_placements),
+        ("window_bound_exits", stats.window_bound_exits),
+    ]
+}
+
+fn json_fields(fields: &[(&str, u64)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    fields.join(", ")
 }
 
 fn builder(
@@ -110,10 +132,11 @@ fn main() {
     // raw engine event counter).
     let events = 3 * probe.per_job.len() as u64 + passes;
 
+    let recorded = recorded();
     let floor = std::env::var("AMJS_HOTPATH_FLOOR")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
-        .or_else(recorded_floor);
+        .or_else(|| recorded.as_ref()?.get("floor_passes_per_s")?.as_f64());
 
     let mut opt_walls = Vec::new();
     let mut ref_walls = Vec::new();
@@ -145,6 +168,26 @@ fn main() {
     let ref_best = ref_walls[0];
     let opt_pps = passes as f64 / opt_best;
     let ref_pps = passes as f64 / ref_best;
+
+    // Where the window search dominates: a flat machine of Intrepid's
+    // size at 1.5x load with W=4 (24 permutations a window).
+    let w4_spec = if fast {
+        WorkloadSpec::intrepid_week()
+    } else {
+        WorkloadSpec::intrepid_month()
+    };
+    let w4_jobs = w4_spec.with_load_factor(1.5).generate(seed);
+    let w4_runs: Vec<_> = (0..reps_ref)
+        .map(|_| {
+            let t0 = Instant::now();
+            let out = SimulationBuilder::new(FlatCluster::new(40_960), w4_jobs.clone())
+                .policy(PolicyParams::new(0.5, 4))
+                .run();
+            (t0.elapsed().as_secs_f64(), out)
+        })
+        .collect();
+    let w4_best = w4_runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+    let w4 = &w4_runs[0].1;
 
     // Per-span breakdown of one profiled optimized run.
     let prof = Rc::new(RefCell::new(Profiler::new()));
@@ -207,7 +250,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"workload\": \"{}\",\n  \"jobs\": {},\n  \"scheduler_passes\": {},\n  \"events\": {},\n  \"reuse\": {{ \"cache_hits\": {}, \"cache_repairs\": {}, \"cache_misses\": {}, \"drains_fresh\": {}, \"drains_resumed\": {}, \"drain_placements_reused\": {}, \"passes_memoized\": {} }},\n  \"optimized\": {{\n    \"reps\": {},\n    \"passes_per_s\": {:.1},\n    \"events_per_s\": {:.1},\n    \"run_wall_ms\": {}\n  }},\n  \"reference\": {{\n    \"reps\": {},\n    \"passes_per_s\": {:.1},\n    \"events_per_s\": {:.1},\n    \"run_wall_ms\": {}\n  }},\n  \"speedup\": {:.2},\n  \"floor_passes_per_s\": {:.0},\n  \"spans\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"workload\": \"{}\",\n  \"seed\": {seed},\n  \"jobs\": {},\n  \"scheduler_passes\": {},\n  \"events\": {},\n  \"reuse\": {{ \"cache_hits\": {}, \"cache_repairs\": {}, \"cache_misses\": {}, \"drains_fresh\": {}, \"drains_resumed\": {}, \"drain_placements_reused\": {}, \"passes_memoized\": {}, {} }},\n  \"window4_flat\": {{ \"jobs\": {}, \"scheduler_passes\": {}, \"passes_per_s\": {:.1}, {} }},\n  \"optimized\": {{\n    \"reps\": {},\n    \"passes_per_s\": {:.1},\n    \"events_per_s\": {:.1},\n    \"run_wall_ms\": {}\n  }},\n  \"reference\": {{\n    \"reps\": {},\n    \"passes_per_s\": {:.1},\n    \"events_per_s\": {:.1},\n    \"run_wall_ms\": {}\n  }},\n  \"speedup\": {:.2},\n  \"floor_passes_per_s\": {:.0},\n  \"spans\": [\n{}\n  ]\n}}\n",
         if fast { "intrepid-week" } else { "intrepid-month" },
         jobs.len(),
         passes,
@@ -219,6 +262,11 @@ fn main() {
         reuse.drains_resumed,
         reuse.drain_placements_reused,
         reuse.passes_memoized,
+        json_fields(&window_counters(&reuse)),
+        w4_jobs.len(),
+        w4.scheduler_passes,
+        w4.scheduler_passes as f64 / w4_best,
+        json_fields(&window_counters(&w4.hotpath)),
         reps_opt,
         opt_pps,
         events as f64 / opt_best,
@@ -247,5 +295,26 @@ fn main() {
             "hot path ran at {opt_pps:.0} passes/s, below the recorded floor {floor:.0}"
         );
         eprintln!("perf gate: {opt_pps:.0} passes/s >= {floor:.0} OK");
+    }
+
+    // The count gate: same trace, same seed => the same search work.
+    let field = |path: &[&str]| {
+        let mut at = recorded.as_ref()?;
+        for key in path {
+            at = at.get(key)?;
+        }
+        at.as_f64()
+    };
+    if field(&["seed"]) == Some(seed as f64) && field(&["jobs"]) == Some(jobs.len() as f64) {
+        for (block, stats) in [("reuse", &reuse), ("window4_flat", &w4.hotpath)] {
+            for (name, now) in window_counters(stats) {
+                assert_eq!(
+                    Some(now as f64),
+                    field(&[block, name]),
+                    "{block}.{name} moved from the recorded value"
+                );
+            }
+        }
+        eprintln!("count gate: window-search counters match the artefact OK");
     }
 }

@@ -4,8 +4,13 @@
 //! 0.021 s at W=1 growing superlinearly to 0.584 s at W=5, and argues
 //! this is affordable against Cobalt's 10-second scheduling cadence.
 //! Our Rust implementation is orders of magnitude faster in absolute
-//! terms; the reproducible claim is the *growth shape* (the permutation
-//! search dominates, so cost grows roughly with W!).
+//! terms, and since ISSUE 16 the W! growth is its *worst case*, not the
+//! typical pass: the search is one depth-first walk that shares prefix
+//! placements and prunes on per-job floor bounds (`amjs_core::window`),
+//! so on this snapshot W<=4 costs what W=1 does and only W=5 shows the
+//! search at all. The reproducible claims are that cost rises with W
+//! once the bounds stop ending the search at the root, and that every W
+//! stays orders of magnitude under Cobalt's 10-second cadence.
 //!
 //! Method: build a congested scheduler state (a deep queue snapshot on a
 //! busy Intrepid machine, captured mid-burst), then time
@@ -206,8 +211,10 @@ fn main() {
     out.push_str(&table::render(&header, &rows));
     out.push_str(
         "\npaper column: Python on a 2.4 GHz desktop; ours: Rust, release build.\n\
-         The comparable claim is the superlinear growth with W (permutation\n\
-         search), and that even W=5 stays far below Cobalt's 10 s cadence.\n",
+         The paper's W! growth is our worst case, not the typical pass: the\n\
+         search shares prefix placements and prunes on per-job floor bounds,\n\
+         so cost rises only where the bounds stop ending it at the root. Every\n\
+         W stays far below Cobalt's 10 s cadence.\n",
     );
     print!("{out}");
     results::write_result("table3.txt", &out);

@@ -77,6 +77,15 @@ pub struct PassCacheStats {
     pub drain_placements_reused: u64,
     /// Passes answered from the previous pass's decision.
     pub passes_memoized: u64,
+    /// Window permutation searches run ([`crate::window::WindowStats`],
+    /// summed over the passes that were not memoized).
+    pub window_searches: u64,
+    /// Earliest-start evaluations inside them: speculative commits,
+    /// leaf queries and floor queries.
+    pub window_placements: u64,
+    /// Searches that ended at the root: the identity met both bounds
+    /// (the all-start-now fast path included).
+    pub window_bound_exits: u64,
 }
 
 /// How a [`PassCache::resolve`] call satisfied the pass.

@@ -1092,6 +1092,10 @@ impl<P: Platform> Runner<P> {
             decision
         };
         self.obs.prof_exit(span);
+        let stats = &mut self.pass_cache.stats;
+        stats.window_searches += decision.window.searches;
+        stats.window_placements += decision.window.placements;
+        stats.window_bound_exits += decision.window.bound_exits;
         if let Some(tr) = trace {
             self.emit_pass_trace(now, &tr);
         }

@@ -45,7 +45,8 @@ use amjs_workload::JobId;
 use crate::policy::{PolicyParams, QueuePolicy};
 use crate::score::{waiting_score, walltime_score, QueueExtremes};
 use crate::window::{
-    place_best_permutation_traced, place_in_order_pruned, PlacePruner, SearchTrace, WindowPlacement,
+    place_best_permutation_traced, place_in_order_pruned, PlacePruner, SearchTrace,
+    WindowPlacement, WindowStats,
 };
 
 /// The scheduler's view of one waiting job.
@@ -99,6 +100,9 @@ pub struct ScheduleDecision {
     /// delay (all of them under conservative; the head / first window
     /// under EASY).
     pub protected: Vec<JobId>,
+    /// Work the pass's permutation searches did (exact counts, for
+    /// [`crate::PassCacheStats`]).
+    pub window: WindowStats,
 }
 
 impl ScheduleDecision {
@@ -360,6 +364,7 @@ impl Scheduler {
         // net-grown state), so proven-infeasible candidate ranges stay
         // valid for dominating requests.
         let mut pruner = PlacePruner::default();
+        let mut window_stats = WindowStats::default();
         for (w_idx, chunk_start) in (0..depth).step_by(window_size).enumerate() {
             let chunk_end = (chunk_start + window_size).min(depth);
             let chunk = &sorted[chunk_start..chunk_end];
@@ -376,31 +381,25 @@ impl Scheduler {
                     true,
                     &mut pruner,
                 ),
-                _ if w_idx < self.perm_windows => match trace.as_deref_mut() {
-                    Some(tr) => {
-                        let mut search = SearchTrace::default();
-                        let placements = place_best_permutation_traced(
-                            &mut plan,
-                            chunk,
-                            now,
-                            self.max_permutations,
-                            Some(&mut search),
-                        );
+                _ if w_idx < self.perm_windows => {
+                    let mut search = trace.is_some().then(SearchTrace::default);
+                    let placements = place_best_permutation_traced(
+                        &mut plan,
+                        chunk,
+                        now,
+                        self.max_permutations,
+                        search.as_mut(),
+                        &mut window_stats,
+                    );
+                    if let (Some(tr), Some(search)) = (trace.as_deref_mut(), search) {
                         tr.windows.push(WindowTrace {
                             index: w_idx,
                             jobs: chunk.iter().map(|j| j.id).collect(),
                             search,
                         });
-                        placements
                     }
-                    None => place_best_permutation_traced(
-                        &mut plan,
-                        chunk,
-                        now,
-                        self.max_permutations,
-                        None,
-                    ),
-                },
+                    placements
+                }
                 _ => place_in_order_pruned(&mut plan, chunk, now, false, &mut pruner),
             };
             planned.extend(
@@ -423,7 +422,10 @@ impl Scheduler {
         // head of the queue — not whichever reservation the permutation
         // search happened to commit first). Starts never consume
         // protection slots.
-        let mut decision = ScheduleDecision::empty();
+        let mut decision = ScheduleDecision {
+            window: window_stats,
+            ..ScheduleDecision::empty()
+        };
         let mut started: HashSet<JobId> = HashSet::new();
         // (priority index into `sorted`, window index, token).
         let mut reservations: Vec<(usize, usize, PlanToken)> = Vec::new();

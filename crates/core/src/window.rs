@@ -11,19 +11,37 @@
 //!
 //! Implementation notes:
 //!
-//! * Permutations are enumerated in lexicographic order starting from the
-//!   identity (the priority order), and ties on makespan keep the first
-//!   candidate — so when the window order doesn't matter, the priority
+//! * The search is one depth-first walk over the permutation tree, in
+//!   lexicographic order from the identity (the priority order), on the
+//!   plan's LIFO commit/rollback: siblings share their prefix's
+//!   commitments, and the last job of a permutation is only *queried*
+//!   (`earliest_start`) — nothing is placed after it. Ties keep the
+//!   first candidate, so when the order doesn't matter the priority
 //!   order wins deterministically.
-//! * The search prunes a permutation as soon as its partial makespan
-//!   reaches the best one found (makespan is a max, so it can only grow).
-//! * Speculative placements use the plan's LIFO commit/rollback instead
-//!   of cloning the availability profile per permutation.
+//! * Before the walk, one `earliest_start` per job on the window-entry
+//!   plan gives `floor[i]`. The plan only *gains* commitments during the
+//!   search and a commitment never makes an instant feasible, so
+//!   `floor[i]` bounds job `i`'s start from below in every permutation.
+//!   It is passed as `not_before` (exact: nothing earlier fits) and gives
+//!   the two bounds a prefix is pruned on — it cannot beat the best when
+//!   * `starts_now + #{unplaced i : floor[i] == now}` (a job with a later
+//!     floor cannot start now) is below the best's immediate starts, or
+//!   * that count ties and `max(partial makespan, max over unplaced of
+//!     floor[i] + walltime[i])` (makespan is a max over starts that only
+//!     move later) already reaches the best's makespan.
+//!
+//!   Both are checked before each child of a prefix, the root included:
+//!   an identity that meets them ends the search.
+//! * A pruned prefix still *counts* every permutation under it:
+//!   `searched` and the trace's losers are "permutations in lexicographic
+//!   order up to `max_permutations`", whatever depth rejected them.
 //! * If the identity permutation starts *every* window job immediately,
 //!   the search is skipped: all orders then share the same makespan
 //!   `max(now + walltime_i)`.
 //! * `max_permutations` bounds the enumeration (5! = 120 covers the
 //!   paper's largest window exactly; the default cap of 720 covers W=6).
+//!   W! is the worst case, not the typical pass: most searches end at
+//!   the root bound or prune at depth one.
 
 use amjs_sim::{SimDuration, SimTime};
 
@@ -157,20 +175,21 @@ pub fn place_in_order_pruned<P: Plan>(
 }
 
 /// A permutation the search considered and did not choose.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoserTrace {
     /// Window-slot order of the losing permutation.
     pub order: Vec<usize>,
     /// Immediate starts it achieved (0 when pruned before completion).
     pub starts_now: usize,
-    /// Its window makespan; `None` when the search pruned it early
-    /// (its partial makespan already could not beat the best).
+    /// Its window makespan; `None` when the search pruned it (a prefix
+    /// of it already could not beat the best). A permutation rejected
+    /// with its whole subtree is still recorded here individually.
     pub makespan: Option<SimTime>,
 }
 
 /// What one permutation search saw — captured only when the
 /// observability layer asks for it.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchTrace {
     /// Window-slot order of the winning permutation.
     pub chosen: Vec<usize>,
@@ -178,13 +197,29 @@ pub struct SearchTrace {
     pub starts_now: usize,
     /// Window makespan of the winner.
     pub makespan: SimTime,
-    /// Permutations evaluated (identity included, pruned included).
+    /// Permutations considered, in lexicographic order up to the cap:
+    /// the identity, and every one pruned — alone or with its subtree.
     pub searched: usize,
     /// True when the identity started every job now and the search was
     /// skipped (or the window had ≤ 1 job).
     pub fast_path: bool,
     /// Every losing permutation, in enumeration order.
     pub losers: Vec<LoserTrace>,
+}
+
+/// How much work the permutation searches of a pass did. Plain counts
+/// of what the algorithm decided to evaluate, so they repeat exactly
+/// from run to run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WindowStats {
+    /// Permutation searches run (windows of two or more jobs).
+    pub searches: u64,
+    /// Earliest-start evaluations they made: speculative commits, leaf
+    /// queries and the per-job floor queries.
+    pub placements: u64,
+    /// Searches that ended at the root: the identity met both bounds
+    /// (the all-start-now fast path included).
+    pub bound_exits: u64,
 }
 
 /// Place a window choosing the best permutation (paper step 5, guided by
@@ -207,24 +242,28 @@ pub fn place_best_permutation<P: Plan>(
     now: SimTime,
     max_permutations: usize,
 ) -> Vec<WindowPlacement> {
-    place_best_permutation_traced(plan, window, now, max_permutations, None)
+    let mut stats = WindowStats::default();
+    place_best_permutation_traced(plan, window, now, max_permutations, None, &mut stats)
 }
 
-/// [`place_best_permutation`] with an optional search capture. With
-/// `capture: None` this is the exact same computation (the capture arms
-/// are never entered), preserving the zero-cost guarantee.
+/// [`place_best_permutation`] with an optional search capture, adding
+/// the search's work to `stats`. With `capture: None` this is the exact
+/// same computation (the capture arms are never entered), preserving the
+/// zero-cost guarantee.
 pub fn place_best_permutation_traced<P: Plan>(
     plan: &mut P,
     window: &[QueuedJob],
     now: SimTime,
     max_permutations: usize,
-    mut capture: Option<&mut SearchTrace>,
+    capture: Option<&mut SearchTrace>,
+    stats: &mut WindowStats,
 ) -> Vec<WindowPlacement> {
     debug_assert!(max_permutations >= 1);
-    if window.len() <= 1 {
+    let n = window.len();
+    if n <= 1 {
         let placements = place_in_order(plan, window, now, false);
         if let Some(cap) = capture {
-            cap.chosen = index_vec(window.len());
+            cap.chosen = index_vec(n);
             cap.starts_now = placements.iter().filter(|p| p.start == now).count();
             cap.makespan = placements
                 .iter()
@@ -236,158 +275,210 @@ pub fn place_best_permutation_traced<P: Plan>(
         return placements;
     }
 
-    // Identity first: it doubles as the fast path (everything starts now
-    // → order is irrelevant) and as the deterministic tie-winner.
-    let identity = try_permutation(plan, window, &index_vec(window.len()), now, None)
-        .expect("identity permutation is always feasible");
-    if identity.starts_now == window.len() {
-        if let Some(cap) = capture {
-            cap.chosen = index_vec(window.len());
-            cap.starts_now = identity.starts_now;
-            cap.makespan = identity.makespan;
-            cap.searched = 1;
-            cap.fast_path = true;
-        }
-        return commit_placements(plan, window, &identity.placements);
-    }
-
-    let mut best = identity;
-    let mut best_perm = index_vec(window.len());
-    let mut perm = index_vec(window.len());
-    let mut tried = 1usize;
-    while tried < max_permutations && next_permutation(&mut perm) {
-        tried += 1;
-        match try_permutation(plan, window, &perm, now, Some(&best)) {
-            Some(cand) => {
-                if cand.beats(&best) {
-                    if let Some(cap) = capture.as_deref_mut() {
-                        cap.losers.push(LoserTrace {
-                            order: best_perm.clone(),
-                            starts_now: best.starts_now,
-                            makespan: Some(best.makespan),
-                        });
-                        best_perm = perm.clone();
-                    }
-                    best = cand;
-                } else if let Some(cap) = capture.as_deref_mut() {
-                    cap.losers.push(LoserTrace {
-                        order: perm.clone(),
-                        starts_now: cand.starts_now,
-                        makespan: Some(cand.makespan),
-                    });
-                }
-            }
-            None => {
-                if let Some(cap) = capture.as_deref_mut() {
-                    cap.losers.push(LoserTrace {
-                        order: perm.clone(),
-                        starts_now: 0,
-                        makespan: None,
-                    });
-                }
-            }
-        }
-    }
+    stats.searches += 1;
+    stats.placements += n as u64;
+    let floor = window
+        .iter()
+        .map(|job| {
+            let floor = plan.earliest_start(job.nodes, job.walltime, now);
+            assert!(floor != SimTime::MAX, "{} exceeds the machine", job.id);
+            floor
+        })
+        .collect();
+    let mut search = Search {
+        plan,
+        window,
+        now,
+        floor,
+        cap: max_permutations.max(1),
+        tried: 0,
+        perm: index_vec(n),
+        starts: vec![now; n],
+        // Any complete permutation beats this: the identity always lands.
+        best: Best {
+            perm: Vec::new(),
+            starts: Vec::new(),
+            starts_now: 0,
+            makespan: SimTime::MAX,
+        },
+        capture,
+        stats,
+    };
+    search.walk(0, 0, now);
+    let Search {
+        plan,
+        tried,
+        best,
+        capture,
+        ..
+    } = search;
 
     if let Some(cap) = capture {
-        cap.chosen = best_perm;
+        cap.chosen = best.perm.clone();
         cap.starts_now = best.starts_now;
         cap.makespan = best.makespan;
         cap.searched = tried;
-        cap.fast_path = false;
+        // Only the identity takes the fast path (it then stops the walk).
+        cap.fast_path = tried == 1 && best.starts_now == n;
     }
-    commit_placements(plan, window, &best.placements)
-}
-
-/// A fully evaluated permutation: `(slot, start)` in commit order.
-struct Candidate {
-    placements: Vec<(usize, SimTime)>,
-    starts_now: usize,
-    makespan: SimTime,
-}
-
-impl Candidate {
-    /// Lexicographic objective: more immediate starts, then smaller
-    /// makespan. Strict, so earlier-enumerated permutations win ties.
-    fn beats(&self, other: &Candidate) -> bool {
-        self.starts_now > other.starts_now
-            || (self.starts_now == other.starts_now && self.makespan < other.makespan)
-    }
-}
-
-/// Speculatively place `window` in `perm` order; roll everything back
-/// and report the candidate. Returns `None` when the partial schedule
-/// provably cannot beat `prune_against`: even if every remaining job
-/// started now, the start count would not exceed it while the partial
-/// makespan (which only grows) already matches or exceeds it.
-fn try_permutation<P: Plan>(
-    plan: &mut P,
-    window: &[QueuedJob],
-    perm: &[usize],
-    now: SimTime,
-    prune_against: Option<&Candidate>,
-) -> Option<Candidate> {
-    let mut tokens = Vec::with_capacity(perm.len());
-    let mut placements = Vec::with_capacity(perm.len());
-    let mut starts_now = 0usize;
-    let mut makespan = now;
-    let mut pruned = false;
-
-    for (placed, &slot) in perm.iter().enumerate() {
-        let job = &window[slot];
-        let (start, token) = plan
-            .place_earliest(job.nodes, job.walltime, now)
-            .unwrap_or_else(|| panic!("{} exceeds the machine", job.id));
-        tokens.push(token);
-        placements.push((slot, start));
-        if start == now {
-            starts_now += 1;
-        }
-        makespan = makespan.max(start + job.walltime);
-        if let Some(best) = prune_against {
-            let remaining = perm.len() - placed - 1;
-            let max_possible_starts = starts_now + remaining;
-            let cannot_beat_on_starts = max_possible_starts < best.starts_now
-                || (max_possible_starts == best.starts_now && makespan >= best.makespan);
-            if cannot_beat_on_starts {
-                pruned = true;
-                break;
-            }
-        }
-    }
-
-    for token in tokens.into_iter().rev() {
-        plan.rollback(token);
-    }
-    if pruned {
-        None
-    } else {
-        Some(Candidate {
-            placements,
-            starts_now,
-            makespan,
-        })
-    }
-}
-
-/// Re-commit an already-evaluated permutation for real.
-fn commit_placements<P: Plan>(
-    plan: &mut P,
-    window: &[QueuedJob],
-    placements: &[(usize, SimTime)],
-) -> Vec<WindowPlacement> {
-    placements
-        .iter()
-        .map(|&(slot, start)| {
+    // Re-commit the winner for real: the plan is back in exactly the
+    // state its speculative run saw, so each recorded start must hold.
+    (best.perm.iter().zip(&best.starts))
+        .map(|(&slot, &start)| {
             let job = &window[slot];
-            // Re-placing at the recorded earliest start must succeed:
-            // the plan is in exactly the state the speculative run saw.
             let token = plan
                 .commit_at(job.nodes, start, job.walltime)
                 .unwrap_or_else(|| panic!("replay of {} at {} failed", job.id, start));
             WindowPlacement { slot, start, token }
         })
         .collect()
+}
+
+/// The best complete permutation so far: `perm[d]` starts at `starts[d]`.
+struct Best {
+    perm: Vec<usize>,
+    starts: Vec<SimTime>,
+    starts_now: usize,
+    makespan: SimTime,
+}
+
+/// One depth-first walk over a window's permutation tree (module docs).
+struct Search<'a, P: Plan> {
+    plan: &'a mut P,
+    window: &'a [QueuedJob],
+    now: SimTime,
+    /// `floor[slot]`: the job's earliest start on the window-entry plan.
+    floor: Vec<SimTime>,
+    /// Permutations the search may consider, and how many it has —
+    /// evaluated or pruned, in lexicographic order.
+    cap: usize,
+    tried: usize,
+    /// `perm[..depth]` is the committed prefix in commit order;
+    /// `perm[depth..]` holds the unplaced slots, ascending.
+    perm: Vec<usize>,
+    /// `starts[d]`: where `perm[d]` was placed, for `d < depth`.
+    starts: Vec<SimTime>,
+    best: Best,
+    capture: Option<&'a mut SearchTrace>,
+    stats: &'a mut WindowStats,
+}
+
+impl<P: Plan> Search<'_, P> {
+    /// Visit, in lexicographic order, every permutation extending the
+    /// prefix `perm[..depth]`, whose jobs are committed in the plan with
+    /// `starts_now` immediate starts and a makespan of `makespan`.
+    fn walk(&mut self, depth: usize, starts_now: usize, makespan: SimTime) {
+        let n = self.window.len();
+        if depth == n {
+            if self.cannot_beat(n, starts_now, makespan) {
+                // A subtree of one: `perm` itself.
+                self.skip(n - 1, n - 1);
+                return;
+            }
+            self.tried += 1;
+            if let Some(cap) = self.capture.as_deref_mut() {
+                if self.tried > 1 {
+                    cap.losers.push(LoserTrace {
+                        order: self.best.perm.clone(),
+                        starts_now: self.best.starts_now,
+                        makespan: Some(self.best.makespan),
+                    });
+                }
+            }
+            self.best.perm.clone_from(&self.perm);
+            self.best.starts.clone_from(&self.starts);
+            self.best.starts_now = starts_now;
+            self.best.makespan = makespan;
+            if starts_now == n && self.tried == 1 {
+                // Fast path: the identity starts everything now, and
+                // every order shares its makespan. Stop here.
+                self.cap = 1;
+            }
+            return;
+        }
+        for i in depth..n {
+            // Re-checked per child: the best may have improved under an
+            // earlier sibling.
+            if self.cannot_beat(depth, starts_now, makespan) {
+                self.stats.bound_exits += u64::from(depth == 0);
+                self.skip(depth, i);
+                return;
+            }
+            if self.tried >= self.cap {
+                return;
+            }
+            // Bring the i-th unplaced slot to the front; the rest stay
+            // ascending, so children come in lexicographic order.
+            self.perm[depth..=i].rotate_right(1);
+            let slot = self.perm[depth];
+            let job = &self.window[slot];
+            self.stats.placements += 1;
+            let (nodes, not_before) = (job.nodes, self.floor[slot]);
+            let (start, token) = if depth + 1 == n {
+                // Nothing is placed after the last job: query, don't commit.
+                (
+                    self.plan.earliest_start(nodes, job.walltime, not_before),
+                    None,
+                )
+            } else {
+                let (start, token) = self
+                    .plan
+                    .place_earliest(nodes, job.walltime, not_before)
+                    .expect("a job with a floor fits the machine");
+                (start, Some(token))
+            };
+            self.starts[depth] = start;
+            self.walk(
+                depth + 1,
+                starts_now + usize::from(start == self.now),
+                makespan.max(start + job.walltime),
+            );
+            if let Some(token) = token {
+                self.plan.rollback(token);
+            }
+            self.perm[depth..=i].rotate_left(1);
+        }
+    }
+
+    /// Whether no completion of the prefix `perm[..depth]` can beat the
+    /// best. An unplaced job starts no earlier than its floor: only
+    /// those whose floor is `now` can add an immediate start, and the
+    /// makespan reaches at least every `floor + walltime`. Strict like
+    /// the objective (more immediate starts, then smaller makespan), so
+    /// earlier-enumerated permutations win ties.
+    fn cannot_beat(&self, depth: usize, starts_now: usize, makespan: SimTime) -> bool {
+        let (mut most_starts, mut least_makespan) = (starts_now, makespan);
+        for &slot in &self.perm[depth..] {
+            most_starts += usize::from(self.floor[slot] == self.now);
+            least_makespan = least_makespan.max(self.floor[slot] + self.window[slot].walltime);
+        }
+        most_starts < self.best.starts_now
+            || (most_starts == self.best.starts_now && least_makespan >= self.best.makespan)
+    }
+
+    /// Count as pruned — and list, when capturing — the permutations
+    /// under the prefix `perm[..depth]` from the first one whose next
+    /// slot is `perm[first]` on: `(n - first) * (n - depth - 1)!` of
+    /// them, stopping at the cap exactly where a flat enumeration would.
+    fn skip(&mut self, depth: usize, first: usize) {
+        let n = self.perm.len();
+        let leaves = (1..n - depth)
+            .fold(n - first, |acc, k| acc.saturating_mul(k))
+            .min(self.cap - self.tried);
+        self.tried += leaves;
+        if let Some(cap) = self.capture.as_deref_mut() {
+            let mut order = self.perm.clone();
+            order[depth..=first].rotate_right(1);
+            for _ in 0..leaves {
+                cap.losers.push(LoserTrace {
+                    order: order.clone(),
+                    starts_now: 0,
+                    makespan: None,
+                });
+                next_permutation(&mut order[depth..]);
+            }
+        }
+    }
 }
 
 fn index_vec(n: usize) -> Vec<usize> {
@@ -421,7 +512,9 @@ fn next_permutation(perm: &mut [usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amjs_platform::plan::{FlatPlan, PartitionPlan};
+    use amjs_platform::mask::UnitMask;
+    use amjs_platform::plan::{FlatPlan, PartitionPlan, PlacementHint};
+    use amjs_sim::rng::Xoshiro256;
     use amjs_sim::SimDuration;
     use amjs_workload::JobId;
 
@@ -596,7 +689,14 @@ mod tests {
         let mut plan = FlatPlan::new(t(0), 10, &[(5, t(20))]);
         let window = [qj(0, 10, 30), qj(1, 5, 25)];
         let mut trace = SearchTrace::default();
-        let placed = place_best_permutation_traced(&mut plan, &window, t(0), 120, Some(&mut trace));
+        let placed = place_best_permutation_traced(
+            &mut plan,
+            &window,
+            t(0),
+            120,
+            Some(&mut trace),
+            &mut WindowStats::default(),
+        );
         assert_eq!(trace.chosen, vec![1, 0]);
         assert_eq!(trace.starts_now, 1);
         assert_eq!(trace.makespan, t(55));
@@ -618,7 +718,14 @@ mod tests {
         let mut plan = FlatPlan::new(t(0), 100, &[]);
         let window = [qj(0, 30, 100), qj(1, 30, 50)];
         let mut trace = SearchTrace::default();
-        place_best_permutation_traced(&mut plan, &window, t(0), 120, Some(&mut trace));
+        place_best_permutation_traced(
+            &mut plan,
+            &window,
+            t(0),
+            120,
+            Some(&mut trace),
+            &mut WindowStats::default(),
+        );
         assert!(trace.fast_path);
         assert_eq!(trace.chosen, vec![0, 1]);
         assert_eq!(trace.starts_now, 2);
@@ -627,11 +734,343 @@ mod tests {
         let mut plan = FlatPlan::new(t(0), 100, &[(80, t(40))]);
         let single = [qj(2, 50, 60)];
         let mut trace = SearchTrace::default();
-        place_best_permutation_traced(&mut plan, &single, t(0), 120, Some(&mut trace));
+        place_best_permutation_traced(
+            &mut plan,
+            &single,
+            t(0),
+            120,
+            Some(&mut trace),
+            &mut WindowStats::default(),
+        );
         assert!(trace.fast_path);
         assert_eq!(trace.chosen, vec![0]);
         assert_eq!(trace.starts_now, 0); // waits for the release
         assert_eq!(trace.makespan, t(100));
+    }
+
+    // ---- The paper's step 5, read literally: the reference oracle ----
+
+    /// A fully evaluated permutation: `(slot, start)` in commit order.
+    struct Candidate {
+        placements: Vec<(usize, SimTime)>,
+        starts_now: usize,
+        makespan: SimTime,
+    }
+
+    impl Candidate {
+        fn beats(&self, other: &Candidate) -> bool {
+            self.starts_now > other.starts_now
+                || (self.starts_now == other.starts_now && self.makespan < other.makespan)
+        }
+    }
+
+    /// Place `window` in `perm` order from `now`, commit and roll back
+    /// every job; `None` once the partial schedule cannot beat
+    /// `prune_against` even if every remaining job started now.
+    fn try_permutation<P: Plan>(
+        plan: &mut P,
+        window: &[QueuedJob],
+        perm: &[usize],
+        now: SimTime,
+        prune_against: Option<&Candidate>,
+    ) -> Option<Candidate> {
+        let mut tokens = Vec::new();
+        let mut placements = Vec::new();
+        let (mut starts_now, mut makespan, mut pruned) = (0usize, now, false);
+        for (placed, &slot) in perm.iter().enumerate() {
+            let job = &window[slot];
+            let (start, token) = plan.place_earliest(job.nodes, job.walltime, now).unwrap();
+            tokens.push(token);
+            placements.push((slot, start));
+            starts_now += usize::from(start == now);
+            makespan = makespan.max(start + job.walltime);
+            if let Some(best) = prune_against {
+                let max_possible_starts = starts_now + perm.len() - placed - 1;
+                if max_possible_starts < best.starts_now
+                    || (max_possible_starts == best.starts_now && makespan >= best.makespan)
+                {
+                    pruned = true;
+                    break;
+                }
+            }
+        }
+        for token in tokens.into_iter().rev() {
+            plan.rollback(token);
+        }
+        (!pruned).then_some(Candidate {
+            placements,
+            starts_now,
+            makespan,
+        })
+    }
+
+    /// The flat enumeration the walk replaced: every permutation from
+    /// scratch, in `next_permutation` order, up to `max_permutations`.
+    fn oracle_place_best_permutation<P: Plan>(
+        plan: &mut P,
+        window: &[QueuedJob],
+        now: SimTime,
+        max_permutations: usize,
+        cap: &mut SearchTrace,
+    ) -> Vec<WindowPlacement> {
+        let n = window.len();
+        let pruned = |order: &[usize]| LoserTrace {
+            order: order.to_vec(),
+            starts_now: 0,
+            makespan: None,
+        };
+        let mut best = try_permutation(plan, window, &index_vec(n), now, None).unwrap();
+        let mut best_perm = index_vec(n);
+        let mut tried = 1usize;
+        cap.fast_path = best.starts_now == n;
+        if !cap.fast_path {
+            let mut perm = index_vec(n);
+            while tried < max_permutations && next_permutation(&mut perm) {
+                tried += 1;
+                match try_permutation(plan, window, &perm, now, Some(&best)) {
+                    Some(cand) => {
+                        assert!(cand.beats(&best), "a completed permutation beats the best");
+                        cap.losers.push(LoserTrace {
+                            order: std::mem::replace(&mut best_perm, perm.clone()),
+                            starts_now: best.starts_now,
+                            makespan: Some(best.makespan),
+                        });
+                        best = cand;
+                    }
+                    None => cap.losers.push(pruned(&perm)),
+                }
+            }
+        }
+        cap.chosen = best_perm;
+        cap.starts_now = best.starts_now;
+        cap.makespan = best.makespan;
+        cap.searched = tried;
+        (best.placements.iter())
+            .map(|&(slot, start)| {
+                let job = &window[slot];
+                let token = plan.commit_at(job.nodes, start, job.walltime).unwrap();
+                WindowPlacement { slot, start, token }
+            })
+            .collect()
+    }
+
+    /// `(slot, start, hint)` of each placement plus the plan's
+    /// commitment count: everything a caller can observe of a search.
+    fn observed<P: Plan>(
+        plan: &P,
+        placed: &[WindowPlacement],
+    ) -> (Vec<(usize, SimTime, PlacementHint)>, usize) {
+        let placed = (placed.iter())
+            .map(|p| (p.slot, p.start, plan.hint_of(&p.token)))
+            .collect();
+        (placed, plan.commitment_count())
+    }
+
+    /// Run the walk (capture on and off) and the oracle on clones of
+    /// `plan`; assert they agree on placements, hints and the whole
+    /// trace. Returns the walk's trace and stats.
+    fn assert_matches_oracle<P: Plan>(
+        plan: &P,
+        window: &[QueuedJob],
+        now: SimTime,
+        cap: usize,
+        label: &str,
+    ) -> (SearchTrace, WindowStats) {
+        let (mut expected_plan, mut expected_trace) = (plan.clone(), SearchTrace::default());
+        let expected = oracle_place_best_permutation(
+            &mut expected_plan,
+            window,
+            now,
+            cap,
+            &mut expected_trace,
+        );
+        let expected = observed(&expected_plan, &expected);
+
+        let (mut traced_plan, mut trace) = (plan.clone(), SearchTrace::default());
+        let mut stats = WindowStats::default();
+        let traced = place_best_permutation_traced(
+            &mut traced_plan,
+            window,
+            now,
+            cap,
+            Some(&mut trace),
+            &mut stats,
+        );
+        assert_eq!(observed(&traced_plan, &traced), expected, "{label}: traced");
+        assert_eq!(trace, expected_trace, "{label}: trace");
+
+        let mut plain_plan = plan.clone();
+        let mut plain_stats = WindowStats::default();
+        let plain = place_best_permutation_traced(
+            &mut plain_plan,
+            window,
+            now,
+            cap,
+            None,
+            &mut plain_stats,
+        );
+        assert_eq!(observed(&plain_plan, &plain), expected, "{label}: untraced");
+        assert_eq!(plain_stats, stats, "{label}: capture changed the work done");
+        (trace, stats)
+    }
+
+    /// A random window of `w` jobs that fit `plan`'s in-service machine.
+    fn random_window<P: Plan>(
+        rng: &mut Xoshiro256,
+        plan: &P,
+        w: usize,
+        max_nodes: u64,
+    ) -> Vec<QueuedJob> {
+        let mut window = Vec::with_capacity(w);
+        while window.len() < w {
+            // Few distinct sizes and walltimes: ties are where the
+            // enumeration order shows.
+            let nodes = (1 + rng.next_below(max_nodes)) as u32;
+            let walltime = [1, 10, 10, 30, 60, 100][rng.next_below(6) as usize];
+            let job = qj(window.len() as u64, nodes, walltime);
+            if plan.earliest_start(job.nodes, job.walltime, plan.now()) != SimTime::MAX {
+                window.push(job);
+            }
+        }
+        window
+    }
+
+    /// Commit a few earlier-window placements into `plan` (the search
+    /// usually runs on a plan that already holds some).
+    fn preload<P: Plan>(rng: &mut Xoshiro256, plan: &mut P, max_nodes: u64) {
+        let earlier = rng.next_below(4) as usize;
+        for job in random_window(rng, plan, earlier, max_nodes) {
+            let _ = plan.place_earliest(job.nodes, job.walltime, plan.now());
+        }
+    }
+
+    fn differential_cases() -> u64 {
+        if cfg!(debug_assertions) {
+            1_000
+        } else {
+            10_000
+        }
+    }
+
+    fn random_cap(rng: &mut Xoshiro256) -> usize {
+        match rng.next_below(3) {
+            0 => 720,
+            1 => 1 + rng.next_below(30) as usize,
+            _ => 1 + rng.next_below(720) as usize,
+        }
+    }
+
+    #[test]
+    fn walk_matches_flat_enumeration_on_flat_plans() {
+        let mut rng = Xoshiro256::seed_from_u64(0x57A7_F1A7);
+        for case in 0..differential_cases() {
+            let now = t(rng.next_range_inclusive(0, 50));
+            let total = 8 + rng.next_below(57) as u32;
+            let mut running = Vec::new();
+            let mut held = 0;
+            for _ in 0..rng.next_below(6) {
+                let nodes = 1 + rng.next_below(total as u64 / 3) as u32;
+                if held + nodes <= total {
+                    held += nodes;
+                    // Some releases are overdue (clamped to now + 1 s).
+                    running.push((
+                        nodes,
+                        now + SimDuration::from_secs(rng.next_range_inclusive(-5, 120)),
+                    ));
+                }
+            }
+            let down = rng.next_below((total - held) as u64 / 2 + 1) as u32;
+            let mut plan = FlatPlan::new(now, total, &running).with_down(down);
+            plan.set_reference(rng.next_bool(0.1));
+            preload(&mut rng, &mut plan, (total - down) as u64);
+            let w = 2 + rng.next_below(5) as usize;
+            let window = random_window(&mut rng, &plan, w, (total - down) as u64);
+            let cap = random_cap(&mut rng);
+            assert_matches_oracle(&plan, &window, now, cap, &format!("flat case {case}"));
+        }
+    }
+
+    #[test]
+    fn walk_matches_flat_enumeration_on_partition_plans() {
+        let mut rng = Xoshiro256::seed_from_u64(0xB6_9A27);
+        for case in 0..differential_cases() {
+            let now = t(rng.next_range_inclusive(0, 50));
+            let units = [8u16, 16, 20, 80][rng.next_below(4) as usize];
+            // Running blocks: aligned, disjoint power-of-two runs.
+            let mut running = Vec::new();
+            let mut at = 0u16;
+            while at < units {
+                let k = 1u16 << rng.next_below(3);
+                if at.is_multiple_of(k) && at + k <= units && rng.next_bool(0.5) {
+                    running.push((
+                        at,
+                        k,
+                        now + SimDuration::from_secs(rng.next_range_inclusive(-5, 120)),
+                    ));
+                }
+                at += k;
+            }
+            let mut down = UnitMask::empty();
+            if rng.next_bool(0.3) {
+                let start = rng.next_below(units as u64) as u16;
+                if !running.iter().any(|&(s, k, _)| s <= start && start < s + k) {
+                    down.set_range(start, 1);
+                }
+            }
+            let mut plan = PartitionPlan::new(now, units, 512, &running).with_down(down);
+            plan.set_reference(rng.next_bool(0.1));
+            let max_nodes = units as u64 * 512;
+            preload(&mut rng, &mut plan, max_nodes);
+            let w = 2 + rng.next_below(5) as usize;
+            let window = random_window(&mut rng, &plan, w, max_nodes);
+            let cap = random_cap(&mut rng);
+            assert_matches_oracle(&plan, &window, now, cap, &format!("partition case {case}"));
+        }
+    }
+
+    #[test]
+    fn pruned_subtrees_count_every_leaf_up_to_the_cap() {
+        // W=7 (5040 > 720) and W=24 (24! overflows usize). Nothing fits
+        // before t=20 and everything fits together then: the identity
+        // meets both bounds, so the root rejects every other order —
+        // still counted one by one, up to the cap.
+        for w in [7usize, 24] {
+            let plan = FlatPlan::new(t(0), 100, &[(99, t(20))]);
+            let window: Vec<QueuedJob> = (0..w as u64).map(|i| qj(i, 2, 10 + i as i64)).collect();
+            let (trace, stats) = assert_matches_oracle(&plan, &window, t(0), 720, "root bound");
+            assert_eq!((trace.searched, trace.losers.len()), (720, 719));
+            assert_eq!(trace.chosen, index_vec(w));
+            // Floor queries and the identity's path, nothing else.
+            assert_eq!((stats.placements, stats.bound_exits), (2 * w as u64, 1));
+        }
+        // Caps inside, at the end of, and past the W=4 tree, on a window
+        // whose orders differ (10 nodes, 5 busy until t=20).
+        let plan = FlatPlan::new(t(0), 10, &[(5, t(20))]);
+        let window = [qj(0, 10, 30), qj(1, 5, 25), qj(2, 4, 40), qj(3, 6, 5)];
+        for cap in [1, 2, 23, 24, 25] {
+            let (trace, _) = assert_matches_oracle(&plan, &window, t(0), cap, "capped W=4");
+            assert_eq!(trace.searched, cap.min(24));
+            assert_eq!(trace.losers.len(), trace.searched - 1);
+        }
+    }
+
+    #[test]
+    fn worst_case_window_evaluates_every_permutation() {
+        // Every job fits now alone (all floors are `now`) but each needs
+        // the whole machine: one starts now whatever the order and the
+        // makespan is always the sum, so no prefix can be ruled out and
+        // every order falls to the identity only once complete.
+        for (w, factorial, tree_nodes) in [
+            (4u64, 24, 4 + 12 + 24 + 24),
+            (5, 120, 5 + 20 + 60 + 120 + 120),
+        ] {
+            let plan = FlatPlan::new(t(0), 10, &[]);
+            let window: Vec<QueuedJob> = (0..w).map(|i| qj(i, 10, 10 + i as i64)).collect();
+            let (trace, stats) = assert_matches_oracle(&plan, &window, t(0), 720, "worst case");
+            assert_eq!(trace.searched, factorial);
+            assert_eq!(stats.placements, w + tree_nodes);
+            assert_eq!(stats.bound_exits, 0);
+        }
     }
 
     #[test]

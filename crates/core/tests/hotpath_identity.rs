@@ -378,3 +378,109 @@ fn plan_reuse_identity_no_backfill() {
     });
     assert!(stats.drains_fresh > 0, "{stats:?}");
 }
+
+// ---------------------------------------------------------------------
+// Window search (ISSUE 16): the depth-first walk with floor bounds runs
+// on both paths, so these runs pit it on the memoized plans against the
+// same walk on the naive plan queries — at the window sizes where it
+// prunes and shares prefixes (the W=2 runs above never do either).
+// ---------------------------------------------------------------------
+
+/// A day of the Intrepid preset, loaded enough that windows fill up.
+fn intrepid_day(seed: u64) -> Vec<Job> {
+    let spec = WorkloadSpec {
+        span: SimDuration::from_hours(24),
+        ..WorkloadSpec::intrepid_month().with_load_factor(1.5)
+    };
+    spec.generate(seed)
+}
+
+#[test]
+fn window4_identity_flat() {
+    for seed in [4u64, 42] {
+        assert_hotpath_identity(&format!("flat/w4/seed{seed}"), || {
+            SimulationBuilder::new(FlatCluster::new(1024), jobs(seed))
+                .policy(PolicyParams::new(0.5, 4))
+        });
+    }
+}
+
+#[test]
+fn window5_identity_intrepid() {
+    let build = || {
+        SimulationBuilder::new(BgpCluster::intrepid(), intrepid_day(5))
+            .policy(PolicyParams::new(0.5, 5))
+    };
+    assert_hotpath_identity("intrepid/w5", build);
+    let stats = build().run().hotpath;
+    assert!(
+        stats.window_searches > 0 && stats.window_bound_exits < stats.window_searches,
+        "no search went past its root: {stats:?}"
+    );
+}
+
+/// Algorithm 1's W-tuner moves the run into the W=4 regime and back.
+#[test]
+fn adaptive_window_identity_crosses_w4() {
+    let build = || {
+        let spec = WorkloadSpec {
+            span: SimDuration::from_hours(72),
+            ..WorkloadSpec::small_test()
+        };
+        SimulationBuilder::new(FlatCluster::new(1024), spec.generate(8))
+            .policy(PolicyParams::new(0.5, 1))
+            .adaptive(AdaptiveScheme::window_adaptive())
+    };
+    assert_hotpath_identity("flat/adaptive-w", build);
+    let mut windows: Vec<f64> = (build().run().window_series.points().iter())
+        .map(|&(_, w)| w)
+        .collect();
+    windows.dedup();
+    assert!(
+        windows.starts_with(&[1.0, 4.0, 1.0]),
+        "W never crossed 1 -> 4 -> 1: {windows:?}"
+    );
+}
+
+/// FNV-1a over the JSONL a run would write, line by line: a month of
+/// trace is too much to keep.
+struct HashSink {
+    records: u64,
+    hash: u64,
+}
+
+impl amjs_obs::TraceSink for HashSink {
+    fn record(&mut self, rec: &amjs_obs::TraceRecord) {
+        self.records += 1;
+        for b in rec.to_json_line().bytes().chain([b'\n']) {
+            self.hash = (self.hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The whole decision trace of a W=4 month — every `WindowChoice` with
+/// its `searched` count and each loser — hashes to what the flat
+/// enumeration of the commit before ISSUE 16 wrote.
+#[test]
+fn traced_month_matches_the_flat_enumeration() {
+    use std::{cell::RefCell, rc::Rc};
+
+    let jobs = WorkloadSpec::intrepid_month()
+        .with_load_factor(1.5)
+        .generate(42);
+    let sink = Rc::new(RefCell::new(HashSink {
+        records: 0,
+        hash: 0xcbf2_9ce4_8422_2325,
+    }));
+    let obs = amjs_obs::Observer::disabled().with_sink(sink.clone());
+    let (out, _obs) = SimulationBuilder::new(FlatCluster::new(40_960), jobs)
+        .policy(PolicyParams::new(0.5, 4))
+        .run_observed(obs);
+    assert!(out.hotpath.window_searches > 1_000, "{:?}", out.hotpath);
+    let sink = sink.borrow();
+    assert_eq!(
+        (sink.records, sink.hash),
+        (914_981, 0x0fb4_69e8_757b_9425),
+        "trace diverged from the parent commit's"
+    );
+}
