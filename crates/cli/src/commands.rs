@@ -1,16 +1,13 @@
 //! The CLI subcommands.
 
-use amjs_core::adaptive::AdaptiveScheme;
-use amjs_core::PolicyParams;
+use amjs_core::{MachineSpec, PolicyParams, PresetName, RunSpec};
 use amjs_metrics::report;
+use amjs_obs::Observer;
 use amjs_workload::stats::WorkloadStats;
-use amjs_workload::{swf, WorkloadSpec};
+use amjs_workload::swf;
 
 use crate::args::{parse, render_flags, ArgError, FlagSpec, ParsedArgs};
-use crate::config::{
-    load_workload, run_simulation, run_simulation_observed, run_simulation_persistent,
-    run_simulation_persistent_observed, MachineConfig, PolicyFlags, SnapshotFlags,
-};
+use crate::config::{load_workload, machine_spec, PolicyFlags, SnapshotFlags};
 use crate::obs::{obs_flag_specs, ObsFlags};
 
 /// Top-level usage text.
@@ -140,7 +137,7 @@ pub(crate) fn common_flags() -> Vec<FlagSpec> {
 // simulate / replay
 // ---------------------------------------------------------------------------
 
-fn simulate_flags() -> Vec<FlagSpec> {
+pub(crate) fn simulate_flags() -> Vec<FlagSpec> {
     let mut flags = common_flags();
     flags.extend([
         FlagSpec {
@@ -313,8 +310,8 @@ fn run_simulate(parsed: &ParsedArgs) -> Result<(), ArgError> {
         .map_err(|e| ArgError(format!("--resume-from: {e}")))?;
         return print_outcome(parsed, &outcome);
     }
-    let machine = MachineConfig::from_args(parsed)?;
-    let (jobs, workload_label) = load_workload(parsed)?;
+    let machine = machine_spec(parsed)?;
+    let (workload, jobs, workload_label) = load_workload(parsed)?;
     let policy_flags = PolicyFlags::from_args(parsed)?;
     let bf: f64 = parsed.get_parsed("bf", 1.0)?;
     let window: usize = parsed.get_parsed("window", 1)?;
@@ -324,79 +321,42 @@ fn run_simulate(parsed: &ParsedArgs) -> Result<(), ArgError> {
     if window == 0 {
         return Err(ArgError("--window must be at least 1".to_string()));
     }
-    let policy = PolicyParams::new(bf, window);
-
-    // Adaptive threshold default: a base pre-run's average queue depth.
-    let scheme = if policy_flags.adaptive.is_some() && policy_flags.threshold.is_none() {
-        let needs_base = matches!(policy_flags.adaptive, Some("bf") | Some("2d"));
-        if needs_base {
-            eprintln!("amjs: pre-running the base policy to calibrate the tuning threshold...");
-            let base = run_simulation(
-                machine,
-                jobs.clone(),
-                PolicyParams::fcfs(),
-                &policy_flags,
-                AdaptiveScheme::none(),
-                "base".to_string(),
-            );
-            let th = base.queue_depth.mean_value().unwrap_or(1000.0);
-            eprintln!("amjs: threshold = {th:.0} queued minutes");
-            policy_flags.scheme(|| th)
-        } else {
-            policy_flags.scheme(|| 1000.0)
-        }
-    } else {
-        policy_flags.scheme(|| policy_flags.threshold.unwrap_or(1000.0))
-    };
-
-    eprintln!(
-        "amjs: {} jobs from {workload_label} on {:?}/{} nodes",
-        jobs.len(),
-        machine.kind,
-        machine.nodes
+    let mut spec = policy_flags.run_spec(
+        "simulate".to_string(),
+        machine,
+        workload,
+        PolicyParams::new(bf, window),
     );
-    let outcome = if obs_flags.is_enabled() {
-        let (observer, session) = obs_flags.build()?;
-        let (outcome, _observer) = match &snapshot_flags.spec {
-            None => run_simulation_observed(
-                machine,
-                jobs,
-                policy,
-                &policy_flags,
-                scheme,
-                policy.label(),
-                observer,
-            ),
-            Some(spec) => {
-                let (result, observer) = run_simulation_persistent_observed(
-                    machine,
-                    jobs,
-                    policy,
-                    &policy_flags,
-                    scheme,
-                    policy.label(),
-                    spec,
-                    observer,
-                );
-                (result?, observer)
-            }
-        };
-        session.finalize()?;
-        outcome
-    } else {
-        match &snapshot_flags.spec {
-            None => run_simulation(machine, jobs, policy, &policy_flags, scheme, policy.label()),
-            Some(spec) => run_simulation_persistent(
-                machine,
-                jobs,
-                policy,
-                &policy_flags,
-                scheme,
-                policy.label(),
-                spec,
-            )?,
+    // Adaptive threshold default: a base pre-run's average queue depth.
+    spec.adaptive = policy_flags.adaptive_kind(|| {
+        eprintln!("amjs: pre-running the base policy to calibrate the tuning threshold...");
+        let base = RunSpec {
+            policy: PolicyParams::fcfs(),
+            ..spec.clone()
         }
+        .labeled("base");
+        let (outcome, _) = base.run(jobs.clone(), Observer::disabled(), None);
+        let th = outcome
+            .expect("only a persistent run can fail")
+            .queue_depth
+            .mean_value()
+            .unwrap_or(1000.0);
+        eprintln!("amjs: threshold = {th:.0} queued minutes");
+        th
+    });
+
+    let (kind, nodes) = match machine {
+        MachineSpec::Bgp { nodes } => ("Bgp", nodes),
+        MachineSpec::Flat { nodes } => ("Flat", nodes),
     };
+    eprintln!(
+        "amjs: {} jobs from {workload_label} on {kind}/{nodes} nodes",
+        jobs.len()
+    );
+    let (observer, session) = obs_flags.build()?;
+    let (result, _observer) = spec.run(jobs, observer, snapshot_flags.spec.as_ref());
+    let outcome = result.map_err(|e| ArgError(format!("snapshotting failed: {e}")))?;
+    session.finalize()?;
     print_outcome(parsed, &outcome)
 }
 
@@ -560,13 +520,11 @@ pub fn workload(argv: &[String]) -> Result<(), ArgError> {
     if load <= 0.0 {
         return Err(ArgError("--load-factor must be positive".to_string()));
     }
-    let spec = match parsed.get("preset").unwrap_or("month") {
-        "month" => WorkloadSpec::intrepid_month(),
-        "week" => WorkloadSpec::intrepid_week(),
-        "small" => WorkloadSpec::small_test(),
-        other => return Err(ArgError(format!("--preset: unknown preset {other:?}"))),
-    }
-    .with_load_factor(load);
+    let preset = parsed.get("preset").unwrap_or("month");
+    let spec = PresetName::parse(preset)
+        .ok_or_else(|| ArgError(format!("--preset: unknown preset {preset:?}")))?
+        .spec()
+        .with_load_factor(load);
 
     let jobs = spec.generate(seed);
     println!(

@@ -1,85 +1,65 @@
-//! Shared CLI configuration: turning flags into machines, workloads, and
-//! simulation builders.
+//! Shared CLI configuration: turning flags into the pieces of a
+//! [`RunSpec`] — machine, workload, policy and persistence.
 
 use std::path::PathBuf;
 
-use amjs_core::adaptive::AdaptiveScheme;
 use amjs_core::failures::{
     BurstModel, CorrelationSpec, DomainSpec, FailureSpec, RepairSpec, RetryPolicy,
 };
 use amjs_core::persist::PersistSpec;
-use amjs_core::runner::{SimulationBuilder, SimulationOutcome};
 use amjs_core::scheduler::BackfillMode;
-use amjs_core::PolicyParams;
-use amjs_obs::Observer;
-use amjs_platform::{BgpCluster, FlatCluster, Platform};
+use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
 use amjs_sim::SimDuration;
-use amjs_workload::{swf, Job, WorkloadSpec};
+use amjs_workload::Job;
 
 use crate::args::{ArgError, ParsedArgs};
 
-/// Which machine model to simulate on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MachineKind {
-    /// Blue Gene/P-style partitioned machine.
-    Bgp,
-    /// Idealized flat cluster.
-    Flat,
+/// Parse `--machine bgp|flat` and `--nodes N` (defaults: Intrepid).
+pub fn machine_spec(args: &ParsedArgs) -> Result<MachineSpec, ArgError> {
+    let bgp = match args.get("machine").unwrap_or("bgp") {
+        "bgp" => true,
+        "flat" => false,
+        other => return Err(ArgError(format!("--machine: unknown machine {other:?}"))),
+    };
+    let nodes = args.get_parsed("nodes", 40_960u32)?;
+    if !bgp {
+        return Ok(MachineSpec::Flat { nodes });
+    }
+    if nodes % 512 != 0 || nodes == 0 || nodes / 512 > 128 {
+        return Err(ArgError(format!(
+            "--nodes: a bgp machine needs a multiple of 512 up to 65536, got {nodes}"
+        )));
+    }
+    Ok(MachineSpec::Bgp { nodes })
 }
 
-/// A machine choice plus its size.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MachineConfig {
-    pub kind: MachineKind,
-    pub nodes: u32,
-}
-
-impl MachineConfig {
-    /// Parse `--machine bgp|flat` and `--nodes N` (defaults: Intrepid).
-    pub fn from_args(args: &ParsedArgs) -> Result<Self, ArgError> {
-        let kind = match args.get("machine").unwrap_or("bgp") {
-            "bgp" => MachineKind::Bgp,
-            "flat" => MachineKind::Flat,
-            other => return Err(ArgError(format!("--machine: unknown machine {other:?}"))),
-        };
-        let nodes = args.get_parsed("nodes", 40_960u32)?;
-        if kind == MachineKind::Bgp && (nodes % 512 != 0 || nodes == 0 || nodes / 512 > 128) {
-            return Err(ArgError(format!(
-                "--nodes: a bgp machine needs a multiple of 512 up to 65536, got {nodes}"
-            )));
-        }
-        Ok(MachineConfig { kind, nodes })
+/// `--workload` as a spec source: a preset regenerated from `seed`, or
+/// an SWF file path.
+pub fn workload_source(args: &ParsedArgs, seed: u64) -> WorkloadSource {
+    let raw = args.get("workload").unwrap_or("month");
+    match PresetName::parse(raw) {
+        Some(name) => WorkloadSource::Preset {
+            name,
+            seed,
+            load_factor: 1.0,
+        },
+        None => WorkloadSource::Swf {
+            path: raw.to_string(),
+        },
     }
 }
 
-/// Resolve the workload: a preset name or an SWF file path.
-pub fn load_workload(args: &ParsedArgs) -> Result<(Vec<Job>, String), ArgError> {
+/// Resolve and load `--workload`/`--seed`: the source, its jobs, and a
+/// label for the log line.
+pub fn load_workload(args: &ParsedArgs) -> Result<(WorkloadSource, Vec<Job>, String), ArgError> {
     let seed = args.get_parsed("seed", 42u64)?;
-    let spec = args.get("workload").unwrap_or("month");
-    match spec {
-        "month" => Ok((
-            WorkloadSpec::intrepid_month().generate(seed),
-            format!("intrepid-month(seed {seed})"),
-        )),
-        "week" => Ok((
-            WorkloadSpec::intrepid_week().generate(seed),
-            format!("intrepid-week(seed {seed})"),
-        )),
-        "small" => Ok((
-            WorkloadSpec::small_test().generate(seed),
-            format!("small-test(seed {seed})"),
-        )),
-        path => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| ArgError(format!("cannot read workload {path:?}: {e}")))?;
-            let parsed = swf::parse(&text)
-                .map_err(|e| ArgError(format!("SWF parse error in {path}: {e}")))?;
-            if parsed.jobs.is_empty() {
-                return Err(ArgError(format!("{path}: no usable jobs")));
-            }
-            Ok((parsed.jobs, path.to_string()))
-        }
-    }
+    let source = workload_source(args, seed);
+    let label = match &source {
+        WorkloadSource::Preset { name, .. } => format!("{}(seed {seed})", name.spec().name),
+        WorkloadSource::Swf { path } => path.clone(),
+    };
+    let jobs = source.load().map_err(ArgError)?;
+    Ok((source, jobs, label))
 }
 
 /// Policy-related flags shared by `simulate` and `sweep` rows.
@@ -258,34 +238,24 @@ fn retry_flags(args: &ParsedArgs) -> Result<RetryPolicy, ArgError> {
     })
 }
 
+/// `bf`/`window` plus the flags [`PolicyFlags`] reads that are not in
+/// `common_flags()`: `simulate` and `sweep` each declare them with
+/// their own help text (one value vs a comma-separated list).
+const POLICY_FLAG_NAMES: [&str; 5] = ["bf", "window", "adaptive", "threshold", "estimates"];
+
 /// Flags that configure a *fresh* run. They are rejected alongside
 /// `--resume-from`: a snapshot is self-contained (it carries the
 /// platform, jobs, policy, RNG cursors, and pending events), so any of
 /// these would either be ignored or silently contradict the state being
 /// resumed.
-pub const RUN_CONFIG_FLAGS: &[&str] = &[
-    "workload",
-    "seed",
-    "machine",
-    "nodes",
-    "bf",
-    "window",
-    "backfill",
-    "backfill-depth",
-    "adaptive",
-    "threshold",
-    "estimates",
-    "node-mtbf",
-    "repair-time",
-    "repair-sigma",
-    "failure-seed",
-    "max-attempts",
-    "retry-backoff",
-    "cascade-prob",
-    "failure-domains",
-    "burst-model",
-    "oracle",
-];
+pub fn run_config_flags() -> Vec<&'static str> {
+    crate::commands::common_flags()
+        .iter()
+        .map(|f| f.name)
+        .filter(|&name| name != "help")
+        .chain(POLICY_FLAG_NAMES)
+        .collect()
+}
 
 /// Parsed `--snapshot-every` cadence: a bare integer means events, a
 /// `h`/`d` suffix means simulated time (e.g. `50000`, `12h`, `2d`).
@@ -331,7 +301,7 @@ impl SnapshotFlags {
     pub fn from_args(args: &ParsedArgs) -> Result<Self, ArgError> {
         let resume_from = args.get("resume-from").map(PathBuf::from);
         if let Some(path) = &resume_from {
-            let offending: Vec<String> = RUN_CONFIG_FLAGS
+            let offending: Vec<String> = run_config_flags()
                 .iter()
                 .filter(|f| args.is_given(f))
                 .map(|f| format!("--{f}"))
@@ -447,242 +417,139 @@ impl PolicyFlags {
         })
     }
 
-    /// Build the adaptive scheme, computing the threshold from a base
-    /// run when the user did not supply one.
-    pub fn scheme(&self, default_threshold: impl FnOnce() -> f64) -> AdaptiveScheme {
+    /// The adaptive scheme; `default_threshold` (a base run, for
+    /// `simulate`) is asked only when bf/2d tuning was requested
+    /// without `--threshold`.
+    pub fn adaptive_kind(&self, default_threshold: impl FnOnce() -> f64) -> AdaptiveKind {
         match self.adaptive {
-            None => AdaptiveScheme::none(),
-            Some("w") => AdaptiveScheme::window_adaptive(),
+            None => AdaptiveKind::None,
+            Some("w") => AdaptiveKind::Window,
             Some(kind) => {
-                let th = self.threshold.unwrap_or_else(default_threshold);
+                let threshold = self.threshold.unwrap_or_else(default_threshold);
                 if kind == "bf" {
-                    AdaptiveScheme::bf_adaptive(th)
+                    AdaptiveKind::Bf { threshold }
                 } else {
-                    AdaptiveScheme::two_d(th)
+                    AdaptiveKind::TwoD { threshold }
                 }
             }
         }
     }
-}
 
-/// Run one simulation on the configured machine (dispatching the
-/// platform type statically).
-pub fn run_simulation(
-    machine: MachineConfig,
-    jobs: Vec<Job>,
-    policy: PolicyParams,
-    flags: &PolicyFlags,
-    scheme: AdaptiveScheme,
-    label: String,
-) -> SimulationOutcome {
-    run_simulation_observed(
-        machine,
-        jobs,
-        policy,
-        flags,
-        scheme,
-        label,
-        Observer::disabled(),
-    )
-    .0
-}
-
-/// Like [`run_simulation`], but with an [`Observer`] attached for the
-/// duration of the run; the (flushed) observer is handed back for
-/// inspection. With a disabled observer this is exactly
-/// [`run_simulation`].
-pub fn run_simulation_observed(
-    machine: MachineConfig,
-    jobs: Vec<Job>,
-    policy: PolicyParams,
-    flags: &PolicyFlags,
-    scheme: AdaptiveScheme,
-    label: String,
-    obs: Observer,
-) -> (SimulationOutcome, Observer) {
-    match machine.kind {
-        MachineKind::Bgp => configure(
-            SimulationBuilder::new(BgpCluster::new((machine.nodes / 512) as u16, 512), jobs),
-            policy,
-            flags,
-            scheme,
-            label,
-        )
-        .run_observed(obs),
-        MachineKind::Flat => configure(
-            SimulationBuilder::new(FlatCluster::new(machine.nodes), jobs),
-            policy,
-            flags,
-            scheme,
-            label,
-        )
-        .run_observed(obs),
+    /// A run of `policy` carrying every shared flag; `adaptive` and the
+    /// label are the caller's.
+    pub fn run_spec(
+        &self,
+        key: String,
+        machine: MachineSpec,
+        workload: WorkloadSource,
+        policy: PolicyParams,
+    ) -> RunSpec {
+        let mut spec = RunSpec::new(key, machine, workload, policy);
+        spec.backfill = self.backfill;
+        spec.backfill_depth = self.backfill_depth;
+        spec.estimates = self.estimates;
+        spec.failures = self.failures;
+        spec.retry = self.retry;
+        spec.correlation = self.correlation;
+        spec.oracle = self.oracle;
+        spec
     }
-}
-
-/// Like [`run_simulation`], but checkpointing through `spec` (genesis
-/// snapshot, per-event journal, cadence snapshots).
-pub fn run_simulation_persistent(
-    machine: MachineConfig,
-    jobs: Vec<Job>,
-    policy: PolicyParams,
-    flags: &PolicyFlags,
-    scheme: AdaptiveScheme,
-    label: String,
-    spec: &PersistSpec,
-) -> Result<SimulationOutcome, ArgError> {
-    run_simulation_persistent_observed(
-        machine,
-        jobs,
-        policy,
-        flags,
-        scheme,
-        label,
-        spec,
-        Observer::disabled(),
-    )
-    .0
-}
-
-/// Like [`run_simulation_persistent`], but observed; the observer is
-/// returned even when the run fails so the caller can still flush its
-/// artifacts.
-#[allow(clippy::too_many_arguments)]
-pub fn run_simulation_persistent_observed(
-    machine: MachineConfig,
-    jobs: Vec<Job>,
-    policy: PolicyParams,
-    flags: &PolicyFlags,
-    scheme: AdaptiveScheme,
-    label: String,
-    spec: &PersistSpec,
-    obs: Observer,
-) -> (Result<SimulationOutcome, ArgError>, Observer) {
-    let (result, obs) = match machine.kind {
-        MachineKind::Bgp => configure(
-            SimulationBuilder::new(BgpCluster::new((machine.nodes / 512) as u16, 512), jobs),
-            policy,
-            flags,
-            scheme,
-            label,
-        )
-        .run_persistent_observed(spec, obs),
-        MachineKind::Flat => configure(
-            SimulationBuilder::new(FlatCluster::new(machine.nodes), jobs),
-            policy,
-            flags,
-            scheme,
-            label,
-        )
-        .run_persistent_observed(spec, obs),
-    };
-    (
-        result.map_err(|e| ArgError(format!("snapshotting failed: {e}"))),
-        obs,
-    )
-}
-
-fn configure<P: Platform>(
-    builder: SimulationBuilder<P>,
-    policy: PolicyParams,
-    flags: &PolicyFlags,
-    scheme: AdaptiveScheme,
-    label: String,
-) -> SimulationBuilder<P> {
-    let mut builder = builder
-        .policy(policy)
-        .backfill(flags.backfill)
-        .backfill_depth(flags.backfill_depth)
-        .easy_protected(Some(1))
-        .estimate_policy(flags.estimates)
-        .failures(flags.failures)
-        .retry_policy(flags.retry)
-        .correlated_failures(flags.correlation)
-        .adaptive(scheme)
-        .label(label);
-    if flags.oracle {
-        // Only force the oracle *on*; leave the debug-build default alone
-        // otherwise.
-        builder = builder.oracle(true);
-    }
-    builder
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::{parse, FlagSpec};
-
-    const FLAG_NAMES: [&str; 25] = [
-        "machine",
-        "nodes",
-        "seed",
-        "workload",
-        "bf",
-        "window",
-        "backfill",
-        "backfill-depth",
-        "adaptive",
-        "threshold",
-        "estimates",
-        "node-mtbf",
-        "repair-time",
-        "repair-sigma",
-        "failure-seed",
-        "max-attempts",
-        "retry-backoff",
-        "cascade-prob",
-        "failure-domains",
-        "burst-model",
-        "oracle",
-        "snapshot-every",
-        "snapshot-dir",
-        "snapshot-keep",
-        "resume-from",
-    ];
-
-    fn flagset() -> Vec<FlagSpec> {
-        FLAG_NAMES
-            .iter()
-            .map(|&name| FlagSpec {
-                name,
-                is_bool: name == "oracle",
-                help: "",
-                default: None,
-            })
-            .collect()
-    }
+    use crate::args::parse;
+    use crate::commands::simulate_flags;
+    use amjs_obs::Observer;
 
     fn parsed(parts: &[&str]) -> ParsedArgs {
         let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        parse(&argv, &flagset()).unwrap()
+        parse(&argv, &simulate_flags()).unwrap()
+    }
+
+    /// `simulate`'s own path from flags to an outcome, minus the
+    /// threshold pre-run: policy flags onto a spec, `RunSpec::run`.
+    fn run_small(flags: &[&str], nodes: u32, label: &str) -> amjs_core::SimulationOutcome {
+        let (workload, jobs, _) = load_workload(&parsed(&["--workload", "small"])).unwrap();
+        let spec = PolicyFlags::from_args(&parsed(flags))
+            .unwrap()
+            .run_spec(
+                "test".to_string(),
+                MachineSpec::Flat { nodes },
+                workload,
+                PolicyParams::fcfs(),
+            )
+            .labeled(label);
+        spec.run(jobs, Observer::disabled(), None).0.unwrap()
     }
 
     #[test]
     fn machine_defaults_to_intrepid() {
-        let m = MachineConfig::from_args(&parsed(&[])).unwrap();
-        assert_eq!(
-            m,
-            MachineConfig {
-                kind: MachineKind::Bgp,
-                nodes: 40_960
-            }
-        );
+        assert_eq!(machine_spec(&parsed(&[])).unwrap(), MachineSpec::intrepid());
     }
 
     #[test]
     fn machine_validation() {
-        assert!(
-            MachineConfig::from_args(&parsed(&["--machine", "flat", "--nodes", "1000"])).is_ok()
+        assert_eq!(
+            machine_spec(&parsed(&["--machine", "flat", "--nodes", "1000"])).unwrap(),
+            MachineSpec::Flat { nodes: 1000 }
         );
-        assert!(MachineConfig::from_args(&parsed(&["--nodes", "1000"])).is_err()); // bgp needs x512
-        assert!(MachineConfig::from_args(&parsed(&["--machine", "torus"])).is_err());
+        assert!(machine_spec(&parsed(&["--nodes", "1000"])).is_err()); // bgp needs x512
+        assert!(machine_spec(&parsed(&["--machine", "torus"])).is_err());
+    }
+
+    /// The conflict lists are computed from the flag tables; pin what
+    /// they must come out as, so a flag added to `common_flags()` that
+    /// is *not* run configuration shows up here.
+    #[test]
+    fn derived_conflict_lists_name_every_run_config_flag() {
+        let mut run_config = run_config_flags();
+        run_config.sort_unstable();
+        let mut expected = vec![
+            "workload",
+            "seed",
+            "machine",
+            "nodes",
+            "bf",
+            "window",
+            "backfill",
+            "backfill-depth",
+            "adaptive",
+            "threshold",
+            "estimates",
+            "node-mtbf",
+            "repair-time",
+            "repair-sigma",
+            "failure-seed",
+            "max-attempts",
+            "retry-backoff",
+            "cascade-prob",
+            "failure-domains",
+            "burst-model",
+            "oracle",
+        ];
+        expected.sort_unstable();
+        assert_eq!(run_config, expected);
+        // Every one of them is a flag `simulate` actually declares.
+        let declared = simulate_flags();
+        for name in &run_config {
+            assert!(declared.iter().any(|f| f.name == *name), "{name}");
+        }
     }
 
     #[test]
     fn workload_presets_load() {
-        let (jobs, label) =
+        let (source, jobs, label) =
             load_workload(&parsed(&["--workload", "small", "--seed", "3"])).unwrap();
+        assert_eq!(
+            source,
+            WorkloadSource::Preset {
+                name: PresetName::Small,
+                seed: 3,
+                load_factor: 1.0
+            }
+        );
         assert!(!jobs.is_empty());
         assert!(label.contains("small-test"));
         assert!(load_workload(&parsed(&["--workload", "/no/such/file.swf"])).is_err());
@@ -702,8 +569,10 @@ mod tests {
         assert_eq!(f.backfill, BackfillMode::Conservative);
         assert_eq!(f.adaptive, Some("2d"));
         assert_eq!(f.threshold, Some(500.0));
-        let scheme = f.scheme(|| unreachable!("threshold given"));
-        assert_eq!(scheme.tuners.len(), 2);
+        assert_eq!(
+            f.adaptive_kind(|| unreachable!("threshold given")),
+            AdaptiveKind::TwoD { threshold: 500.0 }
+        );
         assert!(PolicyFlags::from_args(&parsed(&["--adaptive", "zzz"])).is_err());
     }
 
@@ -825,33 +694,24 @@ mod tests {
 
     #[test]
     fn cascaded_simulation_reports_domain_downtime() {
-        let (jobs, _) = load_workload(&parsed(&["--workload", "small"])).unwrap();
-        let flags = PolicyFlags::from_args(&parsed(&[
-            "--node-mtbf",
-            "300",
-            "--repair-time",
-            "1",
-            "--max-attempts",
-            "4",
-            "--cascade-prob",
-            "0.5",
-            "--failure-domains",
-            "64,2,2",
-            "--burst-model",
-            "weibull:0.7",
-            "--oracle",
-        ]))
-        .unwrap();
-        let out = run_simulation(
-            MachineConfig {
-                kind: MachineKind::Flat,
-                nodes: 640,
-            },
-            jobs,
-            PolicyParams::fcfs(),
-            &flags,
-            AdaptiveScheme::none(),
-            "cascaded".into(),
+        let out = run_small(
+            &[
+                "--node-mtbf",
+                "300",
+                "--repair-time",
+                "1",
+                "--max-attempts",
+                "4",
+                "--cascade-prob",
+                "0.5",
+                "--failure-domains",
+                "64,2,2",
+                "--burst-model",
+                "weibull:0.7",
+                "--oracle",
+            ],
+            640,
+            "cascaded",
         );
         assert!(out.summary.node_downtime_hours > 0.0);
         assert!(!out.domain_downtime.is_empty());
@@ -860,26 +720,17 @@ mod tests {
 
     #[test]
     fn degraded_simulation_reports_downtime() {
-        let (jobs, _) = load_workload(&parsed(&["--workload", "small"])).unwrap();
-        let flags = PolicyFlags::from_args(&parsed(&[
-            "--node-mtbf",
-            "200",
-            "--repair-time",
-            "1",
-            "--max-attempts",
-            "4",
-        ]))
-        .unwrap();
-        let out = run_simulation(
-            MachineConfig {
-                kind: MachineKind::Flat,
-                nodes: 640,
-            },
-            jobs,
-            PolicyParams::fcfs(),
-            &flags,
-            AdaptiveScheme::none(),
-            "degraded".into(),
+        let out = run_small(
+            &[
+                "--node-mtbf",
+                "200",
+                "--repair-time",
+                "1",
+                "--max-attempts",
+                "4",
+            ],
+            640,
+            "degraded",
         );
         assert!(out.summary.node_downtime_hours > 0.0);
         assert!(out.availability.points().iter().any(|&(_, v)| v < 1.0));
@@ -972,19 +823,8 @@ mod tests {
 
     #[test]
     fn end_to_end_small_simulation() {
-        let (jobs, _) = load_workload(&parsed(&["--workload", "small"])).unwrap();
-        let flags = PolicyFlags::from_args(&parsed(&[])).unwrap();
-        let out = run_simulation(
-            MachineConfig {
-                kind: MachineKind::Flat,
-                nodes: 1024,
-            },
-            jobs.clone(),
-            PolicyParams::fcfs(),
-            &flags,
-            AdaptiveScheme::none(),
-            "cli-test".into(),
-        );
+        let (_, jobs, _) = load_workload(&parsed(&["--workload", "small"])).unwrap();
+        let out = run_small(&[], 1024, "cli-test");
         assert_eq!(out.summary.jobs_completed, jobs.len());
         assert_eq!(out.summary.label, "cli-test");
     }

@@ -139,16 +139,6 @@ impl ObsFlags {
         })
     }
 
-    /// True when any capability is requested (the run must go through
-    /// the observed path).
-    pub fn is_enabled(&self) -> bool {
-        self.trace.is_some()
-            || self.trace_tail.is_some()
-            || self.profile
-            || self.metrics_addr.is_some()
-            || self.heartbeat_secs.is_some_and(|s| s > 0.0)
-    }
-
     /// Reject the combination with `--resume-from` (a resumed trace
     /// would silently miss everything before the snapshot).
     pub fn reject_with_resume(&self, args: &ParsedArgs) -> Result<(), ArgError> {

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use amjs_core::live::peek_platform;
-use amjs_core::{LiveScheduler, PolicyParams, SimulationBuilder};
+use amjs_core::{LiveScheduler, MachineSpec, PolicyParams, SimulationBuilder};
 use amjs_obs::{shared_stats, MetricsServer};
 use amjs_platform::{BgpCluster, FlatCluster, Platform};
 use amjs_serve::{
@@ -21,7 +21,7 @@ use amjs_serve::{
 use amjs_sim::Snapshot;
 
 use crate::args::{self, ArgError, FlagSpec};
-use crate::config::{MachineConfig, MachineKind};
+use crate::config::machine_spec;
 
 fn flag_specs() -> Vec<FlagSpec> {
     vec![
@@ -418,33 +418,33 @@ pub fn serve(argv: &[String]) -> Result<(), ArgError> {
             ))),
         }
     } else {
-        let machine = MachineConfig::from_args(&parsed)?;
+        let machine = machine_spec(&parsed)?;
         let bf: f64 = parsed.get_parsed("bf", 0.5)?;
         let window: usize = parsed.get_parsed("window", 4)?;
+        if !(0.0..=1.0).contains(&bf) {
+            return Err(ArgError(format!("--bf must be in [0,1], got {bf}")));
+        }
         if window == 0 {
             return Err(ArgError("--window: must be at least 1".into()));
         }
         let policy = PolicyParams::new(bf, window);
-        match machine.kind {
-            MachineKind::Flat => run_typed(
+        match machine {
+            MachineSpec::Flat { nodes } => run_typed(
                 listener,
                 Some(
-                    SimulationBuilder::new(FlatCluster::new(machine.nodes), Vec::new())
+                    SimulationBuilder::new(FlatCluster::new(nodes), Vec::new())
                         .policy(policy)
                         .label("serve".to_string()),
                 ),
                 false,
                 cfg,
             ),
-            MachineKind::Bgp => run_typed(
+            MachineSpec::Bgp { nodes } => run_typed(
                 listener,
                 Some(
-                    SimulationBuilder::new(
-                        BgpCluster::new((machine.nodes / 512) as u16, 512),
-                        Vec::new(),
-                    )
-                    .policy(policy)
-                    .label("serve".to_string()),
+                    SimulationBuilder::new(BgpCluster::new((nodes / 512) as u16, 512), Vec::new())
+                        .policy(policy)
+                        .label("serve".to_string()),
                 ),
                 false,
                 cfg,

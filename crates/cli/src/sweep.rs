@@ -15,16 +15,14 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use amjs_core::{
-    grid_fingerprint, AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource,
-};
+use amjs_core::{grid_fingerprint, AdaptiveKind, PolicyParams, RunSpec, WorkloadSource};
 use amjs_fleet::{
     aggregate_csv, bench_json, render_table, run_fleet, validate_grid, Exec, FleetConfig,
     RunDigest, SweepStore,
 };
 
 use crate::args::{parse, render_flags, ArgError, FlagSpec, ParsedArgs};
-use crate::config::{MachineConfig, MachineKind, PolicyFlags};
+use crate::config::{machine_spec, run_config_flags, workload_source, PolicyFlags};
 
 fn sweep_flags() -> Vec<FlagSpec> {
     let mut flags = crate::commands::common_flags();
@@ -165,34 +163,15 @@ fn sweep_flags() -> Vec<FlagSpec> {
     flags
 }
 
-/// Flags that define the grid. Alongside `--resume` they are only
-/// accepted when they reproduce the manifest's grid exactly (checked by
-/// fingerprint) — anything else would silently sweep a different
-/// experiment than the journal records.
-const GRID_FLAGS: &[&str] = &[
-    "machine",
-    "nodes",
-    "workload",
-    "seed",
-    "seeds",
-    "bf",
-    "window",
-    "adaptive",
-    "threshold",
-    "estimates",
-    "backfill",
-    "backfill-depth",
-    "node-mtbf",
-    "repair-time",
-    "repair-sigma",
-    "failure-seed",
-    "max-attempts",
-    "retry-backoff",
-    "cascade-prob",
-    "failure-domains",
-    "burst-model",
-    "oracle",
-];
+/// Flags that define the grid: every run-config flag plus `seeds`.
+/// Alongside `--resume` they are only accepted when they reproduce the
+/// manifest's grid exactly (checked by fingerprint) — anything else
+/// would silently sweep a different experiment than the journal records.
+fn grid_flags() -> Vec<&'static str> {
+    let mut flags = run_config_flags();
+    flags.push("seeds");
+    flags
+}
 
 /// `amjs sweep`.
 pub fn sweep(argv: &[String]) -> Result<(), ArgError> {
@@ -226,7 +205,7 @@ pub fn sweep(argv: &[String]) -> Result<(), ArgError> {
                 SweepStore::resume(dir).map_err(|e| ArgError(format!("--resume: {e}")))?;
             // Grid flags may accompany --resume only if they rebuild the
             // exact same grid (guard against resuming the wrong sweep).
-            let given: Vec<String> = GRID_FLAGS
+            let given: Vec<String> = grid_flags()
                 .iter()
                 .filter(|f| parsed.is_given(f))
                 .map(|f| format!("--{f}"))
@@ -381,15 +360,7 @@ fn fleet_config(parsed: &ParsedArgs) -> Result<FleetConfig, ArgError> {
 
 /// Expand the grid flags into a validated, deduplicated spec list.
 fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgError> {
-    let machine_cfg = MachineConfig::from_args(parsed)?;
-    let machine = match machine_cfg.kind {
-        MachineKind::Bgp => MachineSpec::Bgp {
-            nodes: machine_cfg.nodes,
-        },
-        MachineKind::Flat => MachineSpec::Flat {
-            nodes: machine_cfg.nodes,
-        },
-    };
+    let machine = machine_spec(parsed)?;
     // `sweep` reads `--adaptive` as a scheme *list* and applies it per
     // grid point; hide it from the single-value policy parser.
     let policy_flags = PolicyFlags::from_args(&parsed.without("adaptive"))?;
@@ -416,14 +387,11 @@ fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgErr
         }
     }
 
-    let workload_raw = parsed.get("workload").unwrap_or("month");
-    let preset = match workload_raw {
-        "month" => Some(PresetName::Month),
-        "week" => Some(PresetName::Week),
-        "small" => Some(PresetName::Small),
-        _ => None,
-    };
-    if preset.is_none() && seeds.len() > 1 {
+    let fixed_trace = matches!(
+        workload_source(parsed, default_seed),
+        WorkloadSource::Swf { .. }
+    );
+    if fixed_trace && seeds.len() > 1 {
         return Err(ArgError(
             "--seeds: multiple seeds only apply to synthetic presets; an SWF \
              trace is fixed data"
@@ -436,36 +404,21 @@ fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgErr
         for &bf in &bfs {
             for &w in &windows {
                 for &seed in &seeds {
-                    let workload = match preset {
-                        Some(name) => WorkloadSource::Preset {
-                            name,
-                            seed,
-                            load_factor: 1.0,
-                        },
-                        None => WorkloadSource::Swf {
-                            path: workload_raw.to_string(),
-                        },
-                    };
                     let policy = PolicyParams::new(bf, w);
                     let key = format!("{scheme}-bf{bf}-w{w}-s{seed}");
                     let label = match scheme.as_str() {
                         "none" => policy.label(),
                         other => format!("{}+{other}adapt", policy.label()),
                     };
-                    let mut spec = RunSpec::new(key, machine, workload, policy).labeled(label);
-                    spec.backfill = policy_flags.backfill;
-                    spec.backfill_depth = policy_flags.backfill_depth;
+                    let mut spec = policy_flags
+                        .run_spec(key, machine, workload_source(parsed, seed), policy)
+                        .labeled(label);
                     spec.adaptive = match scheme.as_str() {
                         "none" => AdaptiveKind::None,
                         "bf" => AdaptiveKind::Bf { threshold },
                         "w" => AdaptiveKind::Window,
                         _ => AdaptiveKind::TwoD { threshold },
                     };
-                    spec.estimates = policy_flags.estimates;
-                    spec.failures = policy_flags.failures;
-                    spec.retry = policy_flags.retry;
-                    spec.correlation = policy_flags.correlation;
-                    spec.oracle = policy_flags.oracle;
                     specs.push(spec);
                 }
             }
@@ -562,6 +515,17 @@ mod tests {
     #[test]
     fn help_does_not_error() {
         assert!(sweep(&argv(&["--help"])).is_ok());
+    }
+
+    #[test]
+    fn grid_flags_are_the_run_config_flags_plus_seeds() {
+        let grid = grid_flags();
+        assert_eq!(grid.len(), 22);
+        assert!(grid.contains(&"seeds") && grid.contains(&"threshold"));
+        let declared = sweep_flags();
+        for name in &grid {
+            assert!(declared.iter().any(|f| f.name == *name), "{name}");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! `--metrics-addr` or `--serve-addr` at a port that is already in use
 //! (or at a nonsense address) must exit nonzero with a clean
 //! `error: --<flag>: cannot bind ...` diagnostic on stderr — never a
-//! panic, never a half-started process.
+//! panic, never a half-started process. The same contract covers a
+//! fresh daemon's policy flags, which are validated on that path.
 
 use std::net::TcpListener;
 use std::process::Command;
@@ -140,4 +141,29 @@ fn serve_daemon_binds_before_touching_durable_state() {
         "failed bind must not create durable state: {leftovers:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_rejects_an_out_of_range_bf_without_panicking() {
+    // `PolicyParams::new` asserts its range; the flag must be refused
+    // before it gets there, and before any durable state exists.
+    for bf in ["1.5", "nan"] {
+        let dir = std::env::temp_dir().join(format!("amjs-serve-bf-{bf}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (ok, stderr) = run(&[
+            "serve",
+            "--serve-addr",
+            "127.0.0.1:0",
+            "--serve-dir",
+            dir.to_str().unwrap(),
+            "--bf",
+            bf,
+        ]);
+        assert!(!ok, "--bf {bf} must exit nonzero");
+        assert!(
+            stderr.starts_with("error: --bf must be in [0,1], got ") && stderr.lines().count() == 1,
+            "--bf {bf}: expected a one-line diagnostic, got:\n{stderr}"
+        );
+        assert!(!dir.exists(), "--bf {bf} left a state directory behind");
+    }
 }

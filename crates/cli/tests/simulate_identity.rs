@@ -1,0 +1,107 @@
+//! `simulate`, `replay <swf>` and `sweep` output, pinned byte for byte.
+//!
+//! Every digest below was recorded from the binary of the commit before
+//! `RunSpec::run` became the only path from flags to a run (this same
+//! file, run at that commit), so the flag → spec → simulator plumbing
+//! cannot drift without this test saying which command moved. A change
+//! that alters scheduling on purpose re-pins them, like
+//! `benchmark/expected.txt`.
+
+use std::path::Path;
+use std::process::Command;
+
+use amjs_sim::snapshot::fnv1a;
+
+/// Run `amjs <args>` (whitespace-separated) in `dir` and return its
+/// stdout; it must succeed.
+fn amjs(dir: &Path, args: &str) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
+        .current_dir(dir)
+        .args(args.split_whitespace())
+        .output()
+        .expect("spawn amjs");
+    assert!(out.status.success(), "amjs {args} failed: {out:?}");
+    out.stdout
+}
+
+/// FNV-1a over `--quiet` stdout, the `--series` file and the
+/// `--jobs-csv` file of one `simulate`/`replay` invocation.
+fn run_digest(dir: &Path, args: &str) -> u64 {
+    let files = "--quiet --series series.csv --jobs-csv jobs.csv";
+    let mut bytes = amjs(dir, &format!("{args} {files}"));
+    bytes.extend(std::fs::read(dir.join("series.csv")).unwrap());
+    bytes.extend(std::fs::read(dir.join("jobs.csv")).unwrap());
+    fnv1a(&bytes)
+}
+
+const SMALL_FLAT: &str = "--workload small --machine flat --nodes 640";
+
+#[test]
+fn simulate_replay_and_sweep_outputs_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("amjs-identity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("snaps")).unwrap();
+    let static_run = format!("simulate {SMALL_FLAT} --bf 0.5 --window 2");
+    amjs(&dir, "workload --preset small --seed 5 --out trace.swf");
+
+    let found = [
+        ("static", run_digest(&dir, &static_run)),
+        // No --threshold: exercises the base pre-run.
+        (
+            "adaptive-2d",
+            run_digest(&dir, &format!("simulate {SMALL_FLAT} --adaptive 2d")),
+        ),
+        // Capped retries and short repairs: at this fault rate an
+        // unbounded retry loop runs for simulated years.
+        (
+            "cascades-bgp",
+            run_digest(
+                &dir,
+                "simulate --workload small --machine bgp --nodes 4096 --node-mtbf 240 \
+                 --repair-time 0.5 --max-attempts 5 --cascade-prob 0.4 \
+                 --burst-model weibull:0.7 --oracle",
+            ),
+        ),
+        // Checkpointing only observes the run, and a resumed run
+        // finishes it: both must reproduce the static digest.
+        (
+            "checkpointed",
+            run_digest(
+                &dir,
+                &format!("{static_run} --snapshot-every 500 --snapshot-dir snaps"),
+            ),
+        ),
+        ("resumed", run_digest(&dir, "simulate --resume-from snaps")),
+        (
+            "replay-swf",
+            run_digest(
+                &dir,
+                "replay trace.swf --machine flat --nodes 1024 --bf 0.5 --window 2",
+            ),
+        ),
+        (
+            "sweep-2x2x2",
+            fnv1a(&amjs(
+                &dir,
+                &format!("sweep {SMALL_FLAT} --bf 1,0.5 --window 1,2 --seeds 1,2 --jobs 2 --quiet"),
+            )),
+        ),
+    ];
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let found: Vec<String> = found
+        .iter()
+        .map(|(name, digest)| format!("{name} {digest:016x}"))
+        .collect();
+    assert_eq!(found, PINNED, "found:\n{}", found.join("\n"));
+}
+
+const PINNED: &[&str] = &[
+    "static 4189decfecfee5f9",
+    "adaptive-2d 97ae465925c0c6b9",
+    "cascades-bgp f0519ed1a2abd1c7",
+    "checkpointed 4189decfecfee5f9",
+    "resumed 4189decfecfee5f9",
+    "replay-swf 14f3d95bc308ecd1",
+    "sweep-2x2x2 4de7d7197156efce",
+];

@@ -138,37 +138,11 @@ pub(crate) fn drain_sorted<P: Plan>(
             }
             d
         }
-        None => {
-            let mut plan = base_plan();
-            // All-at-`now` fast path: while every drained job starts
-            // immediately, every overlay commitment begins at `now`, so
-            // busy capacity over any window starting at `now` equals busy
-            // capacity at `now` and a greedy single-instant walk
-            // reproduces the drain exactly. Under light load (the common
-            // case) the whole drain collapses to this walk; otherwise the
-            // all-at-`now` prefix is re-committed and the full drain
-            // resumes at the first job that has to wait. A reference plan
-            // reports 0 and drains one placement at a time.
-            let sizes: Vec<u32> = sorted.iter().map(|j| j.nodes).collect();
-            let fit = plan.fit_now_count(&sizes);
-            if target_pos < fit {
-                return (now, 0);
-            }
-            let placed = sorted[..fit].iter().map(|job| Placed {
-                job: job.clone(),
-                start: now,
-                token: plan
-                    .commit_at(job.nodes, now, job.walltime)
-                    .expect("all-at-now prefix re-commits at now"),
-                pruner_mark: 0,
-            });
-            let placed = placed.collect();
-            kept.insert(Drain {
-                plan,
-                placed,
-                pruner: PlacePruner::default(),
-            })
-        }
+        None => kept.insert(Drain {
+            plan: base_plan(),
+            placed: Vec::new(),
+            pruner: PlacePruner::default(),
+        }),
     };
     // A reference plan keeps the whole drain naive — no proven-interval
     // pruning either — so differential runs compare against the original

@@ -15,16 +15,15 @@
 //! manifest written by an older build is rejected loudly rather than
 //! misread.
 
-use amjs_platform::{BgpCluster, FlatCluster};
-use amjs_sim::snapshot::{Fnv1a, SnapError, SnapReader, SnapWriter};
-use amjs_sim::SimDuration;
+use amjs_obs::Observer;
+use amjs_platform::{BgpCluster, FlatCluster, Platform};
+use amjs_sim::snapshot::{Fnv1a, SnapError, SnapReader, SnapWriter, Snapshot};
 use amjs_workload::{swf, Job, WorkloadSpec};
 
 use crate::adaptive::AdaptiveScheme;
 use crate::estimates::EstimatePolicy;
-use crate::failures::{
-    BurstModel, CorrelationSpec, DomainSpec, FailureSpec, RepairSpec, RetryPolicy,
-};
+use crate::failures::{CorrelationSpec, FailureSpec, RetryPolicy};
+use crate::persist::{PersistError, PersistSpec};
 use crate::runner::{SimulationBuilder, SimulationOutcome};
 use crate::scheduler::BackfillMode;
 use crate::PolicyParams;
@@ -83,7 +82,15 @@ impl PresetName {
         }
     }
 
-    fn spec(&self) -> WorkloadSpec {
+    /// Inverse of [`PresetName::as_str`].
+    pub fn parse(s: &str) -> Option<Self> {
+        [PresetName::Month, PresetName::Week, PresetName::Small]
+            .into_iter()
+            .find(|name| name.as_str() == s)
+    }
+
+    /// The generator parameters behind the name.
+    pub fn spec(&self) -> WorkloadSpec {
         match self {
             PresetName::Month => WorkloadSpec::intrepid_month(),
             PresetName::Week => WorkloadSpec::intrepid_week(),
@@ -109,6 +116,30 @@ pub enum WorkloadSource {
         /// Path to the trace.
         path: String,
     },
+}
+
+impl WorkloadSource {
+    /// Generate or read the jobs; the error is a one-line diagnostic
+    /// (unreadable, unparsable or empty SWF trace).
+    pub fn load(&self) -> Result<Vec<Job>, String> {
+        match self {
+            WorkloadSource::Preset {
+                name,
+                seed,
+                load_factor,
+            } => Ok(name.spec().with_load_factor(*load_factor).generate(*seed)),
+            WorkloadSource::Swf { path } => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read workload {path:?}: {e}"))?;
+                let parsed =
+                    swf::parse(&text).map_err(|e| format!("SWF parse error in {path}: {e}"))?;
+                if parsed.jobs.is_empty() {
+                    return Err(format!("{path}: no usable jobs"));
+                }
+                Ok(parsed.jobs)
+            }
+        }
+    }
 }
 
 /// The adaptive tuning scheme of one run, as plain data (the live
@@ -215,55 +246,54 @@ impl RunSpec {
     /// Panics when an SWF workload cannot be read or parsed; sweep
     /// supervisors convert the panic into a structured run failure.
     pub fn jobs(&self) -> Vec<Job> {
-        match &self.workload {
-            WorkloadSource::Preset {
-                name,
-                seed,
-                load_factor,
-            } => name.spec().with_load_factor(*load_factor).generate(*seed),
-            WorkloadSource::Swf { path } => {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read workload {path:?}: {e}"));
-                let parsed =
-                    swf::parse(&text).unwrap_or_else(|e| panic!("SWF parse error in {path}: {e}"));
-                assert!(!parsed.jobs.is_empty(), "{path}: no usable jobs");
-                parsed.jobs
-            }
-        }
+        self.workload.load().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Run this grid point to completion (deterministic: the same spec
     /// always produces the same outcome).
     pub fn execute(&self) -> SimulationOutcome {
-        self.execute_observed(amjs_obs::Observer::disabled()).0
+        self.execute_observed(Observer::disabled()).0
     }
 
     /// Like [`RunSpec::execute`], with an observer attached (e.g. a
     /// per-run span profiler). The observer must be built on the
     /// calling thread — it is not `Send`.
-    pub fn execute_observed(
+    pub fn execute_observed(&self, obs: Observer) -> (SimulationOutcome, Observer) {
+        let (result, obs) = self.run(self.jobs(), obs, None);
+        (result.expect("only a persistent run can fail"), obs)
+    }
+
+    /// Run this spec over `jobs` — the one path from a spec to the
+    /// simulator. The caller supplies the jobs so it can load them with
+    /// its own error handling ([`RunSpec::jobs`] panics) or share one
+    /// loaded trace between runs. With `persist` the run checkpoints
+    /// (genesis snapshot, per-event journal, cadence snapshots) and can
+    /// fail; the flushed observer comes back either way.
+    pub fn run(
         &self,
-        obs: amjs_obs::Observer,
-    ) -> (SimulationOutcome, amjs_obs::Observer) {
-        let jobs = self.jobs();
+        jobs: Vec<Job>,
+        obs: Observer,
+        persist: Option<&PersistSpec>,
+    ) -> (Result<SimulationOutcome, PersistError>, Observer) {
         match self.machine {
-            MachineSpec::Bgp { nodes } => self
-                .configure(SimulationBuilder::new(
-                    BgpCluster::new((nodes / 512) as u16, 512),
-                    jobs,
-                ))
-                .run_observed(obs),
-            MachineSpec::Flat { nodes } => self
-                .configure(SimulationBuilder::new(FlatCluster::new(nodes), jobs))
-                .run_observed(obs),
+            MachineSpec::Bgp { nodes } => self.run_on(
+                BgpCluster::new((nodes / 512) as u16, 512),
+                jobs,
+                obs,
+                persist,
+            ),
+            MachineSpec::Flat { nodes } => self.run_on(FlatCluster::new(nodes), jobs, obs, persist),
         }
     }
 
-    fn configure<P: amjs_platform::Platform>(
+    fn run_on<P: Platform + Snapshot>(
         &self,
-        builder: SimulationBuilder<P>,
-    ) -> SimulationBuilder<P> {
-        let mut builder = builder
+        platform: P,
+        jobs: Vec<Job>,
+        obs: Observer,
+        persist: Option<&PersistSpec>,
+    ) -> (Result<SimulationOutcome, PersistError>, Observer) {
+        let mut builder = SimulationBuilder::new(platform, jobs)
             .policy(self.policy)
             .backfill(self.backfill)
             .backfill_depth(self.backfill_depth)
@@ -275,25 +305,29 @@ impl RunSpec {
             .adaptive(self.adaptive.scheme())
             .label(self.label.clone());
         if self.oracle {
+            // Only force the oracle *on*; leave the debug-build default
+            // alone otherwise.
             builder = builder.oracle(true);
         }
-        builder
+        match persist {
+            None => {
+                let (outcome, obs) = builder.run_observed(obs);
+                (Ok(outcome), obs)
+            }
+            Some(spec) => builder.run_persistent_observed(spec, obs),
+        }
     }
 
-    /// Append this spec's canonical encoding to a snapshot writer.
+    /// Append this spec's canonical encoding to a snapshot writer. The
+    /// config types write themselves through their own [`Snapshot`]
+    /// impls, so each has one encoding workspace-wide.
     pub fn encode(&self, w: &mut SnapWriter) {
         w.put_u8(RUN_SPEC_VERSION);
         w.put_str(&self.key);
         w.put_str(&self.label);
         match self.machine {
-            MachineSpec::Bgp { nodes } => {
-                w.put_u8(0);
-                w.put_u32(nodes);
-            }
-            MachineSpec::Flat { nodes } => {
-                w.put_u8(1);
-                w.put_u32(nodes);
-            }
+            MachineSpec::Bgp { nodes } => (0u8, nodes).encode(w),
+            MachineSpec::Flat { nodes } => (1u8, nodes).encode(w),
         }
         match &self.workload {
             WorkloadSource::Preset {
@@ -311,89 +345,23 @@ impl RunSpec {
                 w.put_str(path);
             }
         }
-        w.put_f64(self.policy.balance_factor);
-        w.put_usize(self.policy.window);
-        w.put_u8(match self.backfill {
-            BackfillMode::None => 0,
-            BackfillMode::Easy => 1,
-            BackfillMode::Conservative => 2,
-        });
-        put_opt_usize(w, self.backfill_depth);
-        put_opt_usize(w, self.easy_protected);
+        self.policy.encode(w);
+        self.backfill.encode(w);
+        self.backfill_depth.encode(w);
+        self.easy_protected.encode(w);
         match self.adaptive {
             AdaptiveKind::None => w.put_u8(0),
-            AdaptiveKind::Bf { threshold } => {
-                w.put_u8(1);
-                w.put_f64(threshold);
-            }
+            AdaptiveKind::Bf { threshold } => (1u8, threshold).encode(w),
             AdaptiveKind::Window => w.put_u8(2),
-            AdaptiveKind::TwoD { threshold } => {
-                w.put_u8(3);
-                w.put_f64(threshold);
-            }
+            AdaptiveKind::TwoD { threshold } => (3u8, threshold).encode(w),
         }
-        match self.estimates {
-            EstimatePolicy::Requested => w.put_u8(0),
-            EstimatePolicy::UserAdaptive { alpha, min_factor } => {
-                w.put_u8(1);
-                w.put_f64(alpha);
-                w.put_f64(min_factor);
-            }
-        }
-        match &self.failures {
-            None => w.put_u8(0),
-            Some(spec) => {
-                w.put_u8(1);
-                w.put_i64(spec.node_mtbf.as_secs());
-                match spec.repair {
-                    RepairSpec::Deterministic(d) => {
-                        w.put_u8(0);
-                        w.put_i64(d.as_secs());
-                    }
-                    RepairSpec::LogNormal { mean, sigma } => {
-                        w.put_u8(1);
-                        w.put_i64(mean.as_secs());
-                        w.put_f64(sigma);
-                    }
-                }
-                w.put_u64(spec.seed);
-            }
-        }
-        match self.retry.max_attempts {
-            None => w.put_u8(0),
-            Some(n) => {
-                w.put_u8(1);
-                w.put_u32(n);
-            }
-        }
-        w.put_i64(self.retry.backoff_base.as_secs());
-        match &self.correlation {
-            None => w.put_u8(0),
-            Some(corr) => {
-                w.put_u8(1);
-                w.put_f64(corr.cascade_prob);
-                w.put_u32(corr.domains.midplane_nodes);
-                w.put_u32(corr.domains.midplanes_per_rack);
-                w.put_u32(corr.domains.racks_per_power_domain);
-                match corr.burst {
-                    BurstModel::None => w.put_u8(0),
-                    BurstModel::Weibull { shape } => {
-                        w.put_u8(1);
-                        w.put_f64(shape);
-                    }
-                    BurstModel::Markov {
-                        rate_boost,
-                        mean_calm,
-                        mean_burst,
-                    } => {
-                        w.put_u8(2);
-                        w.put_f64(rate_boost);
-                        w.put_i64(mean_calm.as_secs());
-                        w.put_i64(mean_burst.as_secs());
-                    }
-                }
-            }
-        }
+        self.estimates.encode(w);
+        self.failures.encode(w);
+        // Field by field: `RetryPolicy`'s own codec widens
+        // `max_attempts` to u64, this format keeps it u32.
+        self.retry.max_attempts.encode(w);
+        self.retry.backoff_base.encode(w);
+        self.correlation.encode(w);
         w.put_bool(self.oracle);
     }
 
@@ -407,6 +375,10 @@ impl RunSpec {
                 supported: RUN_SPEC_VERSION as u32,
             });
         }
+        let bad_tag = |context, tag: u8| SnapError::BadTag {
+            context,
+            tag: tag.into(),
+        };
         let key = r.get_str()?;
         let label = r.get_str()?;
         let machine = match r.get_u8()? {
@@ -416,34 +388,25 @@ impl RunSpec {
             1 => MachineSpec::Flat {
                 nodes: r.get_u32()?,
             },
-            tag => return Err(bad_tag("machine", tag)),
+            tag => return Err(bad_tag("MachineSpec", tag)),
         };
         let workload = match r.get_u8()? {
-            0 => {
-                let name = match r.get_str()?.as_str() {
-                    "month" => PresetName::Month,
-                    "week" => PresetName::Week,
-                    "small" => PresetName::Small,
-                    _ => return Err(bad_tag("preset", 255)),
-                };
-                WorkloadSource::Preset {
-                    name,
-                    seed: r.get_u64()?,
-                    load_factor: r.get_f64()?,
-                }
-            }
+            0 => WorkloadSource::Preset {
+                name: {
+                    let name = r.get_str()?;
+                    PresetName::parse(&name)
+                        .ok_or_else(|| SnapError::Malformed(format!("unknown preset {name:?}")))?
+                },
+                seed: r.get_u64()?,
+                load_factor: r.get_f64()?,
+            },
             1 => WorkloadSource::Swf { path: r.get_str()? },
-            tag => return Err(bad_tag("workload", tag)),
+            tag => return Err(bad_tag("WorkloadSource", tag)),
         };
-        let policy = PolicyParams::new(r.get_f64()?, r.get_usize()?);
-        let backfill = match r.get_u8()? {
-            0 => BackfillMode::None,
-            1 => BackfillMode::Easy,
-            2 => BackfillMode::Conservative,
-            tag => return Err(bad_tag("backfill", tag)),
-        };
-        let backfill_depth = get_opt_usize(r)?;
-        let easy_protected = get_opt_usize(r)?;
+        let policy = Snapshot::decode(r)?;
+        let backfill = Snapshot::decode(r)?;
+        let backfill_depth = Snapshot::decode(r)?;
+        let easy_protected = Snapshot::decode(r)?;
         let adaptive = match r.get_u8()? {
             0 => AdaptiveKind::None,
             1 => AdaptiveKind::Bf {
@@ -453,75 +416,8 @@ impl RunSpec {
             3 => AdaptiveKind::TwoD {
                 threshold: r.get_f64()?,
             },
-            tag => return Err(bad_tag("adaptive", tag)),
+            tag => return Err(bad_tag("AdaptiveKind", tag)),
         };
-        let estimates = match r.get_u8()? {
-            0 => EstimatePolicy::Requested,
-            1 => EstimatePolicy::UserAdaptive {
-                alpha: r.get_f64()?,
-                min_factor: r.get_f64()?,
-            },
-            tag => return Err(bad_tag("estimates", tag)),
-        };
-        let failures = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let node_mtbf = SimDuration::from_secs(r.get_i64()?);
-                let repair = match r.get_u8()? {
-                    0 => RepairSpec::Deterministic(SimDuration::from_secs(r.get_i64()?)),
-                    1 => RepairSpec::LogNormal {
-                        mean: SimDuration::from_secs(r.get_i64()?),
-                        sigma: r.get_f64()?,
-                    },
-                    tag => return Err(bad_tag("repair", tag)),
-                };
-                Some(FailureSpec {
-                    node_mtbf,
-                    repair,
-                    seed: r.get_u64()?,
-                })
-            }
-            tag => return Err(bad_tag("failures", tag)),
-        };
-        let max_attempts = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_u32()?),
-            tag => return Err(bad_tag("max-attempts", tag)),
-        };
-        let retry = RetryPolicy {
-            max_attempts,
-            backoff_base: SimDuration::from_secs(r.get_i64()?),
-        };
-        let correlation = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let cascade_prob = r.get_f64()?;
-                let domains = DomainSpec {
-                    midplane_nodes: r.get_u32()?,
-                    midplanes_per_rack: r.get_u32()?,
-                    racks_per_power_domain: r.get_u32()?,
-                };
-                let burst = match r.get_u8()? {
-                    0 => BurstModel::None,
-                    1 => BurstModel::Weibull {
-                        shape: r.get_f64()?,
-                    },
-                    2 => BurstModel::Markov {
-                        rate_boost: r.get_f64()?,
-                        mean_calm: SimDuration::from_secs(r.get_i64()?),
-                        mean_burst: SimDuration::from_secs(r.get_i64()?),
-                    },
-                    tag => return Err(bad_tag("burst", tag)),
-                };
-                Some(CorrelationSpec {
-                    cascade_prob,
-                    domains,
-                    burst,
-                })
-            }
-            tag => return Err(bad_tag("correlation", tag)),
-        };
-        let oracle = r.get_bool()?;
         Ok(RunSpec {
             key,
             label,
@@ -532,11 +428,14 @@ impl RunSpec {
             backfill_depth,
             easy_protected,
             adaptive,
-            estimates,
-            failures,
-            retry,
-            correlation,
-            oracle,
+            estimates: Snapshot::decode(r)?,
+            failures: Snapshot::decode(r)?,
+            retry: RetryPolicy {
+                max_attempts: Snapshot::decode(r)?,
+                backoff_base: Snapshot::decode(r)?,
+            },
+            correlation: Snapshot::decode(r)?,
+            oracle: r.get_bool()?,
         })
     }
 
@@ -545,31 +444,6 @@ impl RunSpec {
         let mut w = SnapWriter::new();
         self.encode(&mut w);
         h.write(w.as_bytes());
-    }
-}
-
-fn put_opt_usize(w: &mut SnapWriter, v: Option<usize>) {
-    match v {
-        None => w.put_u8(0),
-        Some(n) => {
-            w.put_u8(1);
-            w.put_usize(n);
-        }
-    }
-}
-
-fn get_opt_usize(r: &mut SnapReader) -> Result<Option<usize>, SnapError> {
-    match r.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.get_usize()?)),
-        tag => Err(bad_tag("option", tag)),
-    }
-}
-
-fn bad_tag(_what: &'static str, tag: u8) -> SnapError {
-    SnapError::UnsupportedVersion {
-        found: tag as u32,
-        supported: RUN_SPEC_VERSION as u32,
     }
 }
 
@@ -588,6 +462,8 @@ pub fn grid_fingerprint(specs: &[RunSpec]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failures::{BurstModel, DomainSpec, RepairSpec};
+    use amjs_sim::SimDuration;
 
     fn sample_specs() -> Vec<RunSpec> {
         let plain = RunSpec::new(
@@ -631,6 +507,98 @@ mod tests {
         });
         fancy.oracle = true;
         vec![plain, fancy]
+    }
+
+    /// Four specs that between them take every arm of every enum the
+    /// codec writes (Preset/Swf, Bgp/Flat, all four `AdaptiveKind`s,
+    /// both estimate policies, both repair specs, `max_attempts` and
+    /// `backfill_depth` as `Some`/`None`, all three burst models).
+    fn every_arm_grid() -> Vec<RunSpec> {
+        let mut specs = sample_specs();
+        specs.reverse(); // the fully populated spec first
+        let mut markov = RunSpec::new(
+            "s3-bf",
+            MachineSpec::Bgp { nodes: 4096 },
+            WorkloadSource::Preset {
+                name: PresetName::Month,
+                seed: 42,
+                load_factor: 1.5,
+            },
+            PolicyParams::new(0.25, 4),
+        );
+        markov.adaptive = AdaptiveKind::Bf { threshold: 1000.0 };
+        markov.backfill = BackfillMode::None;
+        markov.backfill_depth = None;
+        markov.easy_protected = None;
+        markov.failures = Some(FailureSpec {
+            node_mtbf: SimDuration::from_hours(240),
+            repair: RepairSpec::Deterministic(SimDuration::from_hours(4)),
+            seed: 0xFA11,
+        });
+        markov.correlation = Some(CorrelationSpec {
+            cascade_prob: 0.4,
+            domains: DomainSpec {
+                midplane_nodes: 256,
+                midplanes_per_rack: 4,
+                racks_per_power_domain: 2,
+            },
+            burst: BurstModel::Markov {
+                rate_boost: 10.0,
+                mean_calm: SimDuration::from_hours(48),
+                mean_burst: SimDuration::from_hours(4),
+            },
+        });
+        let mut window = RunSpec::new(
+            "s4-w",
+            MachineSpec::Flat { nodes: 640 },
+            WorkloadSource::Preset {
+                name: PresetName::Week,
+                seed: 7,
+                load_factor: 1.0,
+            },
+            PolicyParams::sjf(),
+        )
+        .labeled("BF=0/W=1+wadapt");
+        window.adaptive = AdaptiveKind::Window;
+        window.correlation = Some(CorrelationSpec {
+            cascade_prob: 0.0,
+            domains: DomainSpec::intrepid(),
+            burst: BurstModel::None,
+        });
+        specs.extend([markov, window]);
+        specs
+    }
+
+    /// Pinned at the hand-written codec this one replaced: sweep
+    /// manifests and journals written by earlier builds must still
+    /// resume, so neither the bytes nor the fingerprint may move.
+    #[test]
+    fn encoding_and_grid_fingerprint_are_pinned() {
+        const GOLDEN_FP: u64 = 0x4593_ce1c_a5a2_f809;
+        const GOLDEN_HEX: &str = concat!(
+            "01050000000000000073322d3264090000000000000032442041646170742e00",
+            "00a0000001090000000000000074726163652e737766000000000000f03f0100",
+            "0000000000000201100000000000000001010000000000000003000000000070",
+            "974001333333333333d33f9a9999999999b93f010003cc120000000001201c00",
+            "0000000000333333333333e33f070000000000000001050000002c0100000000",
+            "000001333333333333d33f00020000020000000800000001666666666666e63f",
+            "01",
+        );
+        let specs = every_arm_grid();
+        assert_eq!(grid_fingerprint(&specs), GOLDEN_FP);
+        let mut w = SnapWriter::new();
+        specs[0].encode(&mut w);
+        let hex: String = w.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_HEX);
+        for spec in &specs {
+            let mut w = SnapWriter::new();
+            spec.encode(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                &RunSpec::decode(&mut SnapReader::new(&bytes)).unwrap(),
+                spec
+            );
+        }
     }
 
     #[test]

@@ -149,20 +149,6 @@ pub trait Plan: Clone {
     fn is_reference(&self) -> bool {
         false
     }
-
-    /// How many of `sizes` (node requests, in request order) fit
-    /// simultaneously at `now` under greedy placement, checking
-    /// occupancy at the instant `now` only. Exact *only* while every
-    /// overlay commitment starts at `now`: then busy capacity over any
-    /// window starting at `now` equals busy capacity at `now`, so a
-    /// single-instant walk reproduces what sequential
-    /// [`Plan::place_earliest`] calls would decide. The fair-start
-    /// drain uses this as its all-at-`now` fast path; plans without an
-    /// efficient walk may return 0 (callers fall back to the full
-    /// drain). Stops early at a request larger than the machine.
-    fn fit_now_count(&self, _sizes: &[Nodes]) -> usize {
-        0
-    }
 }
 
 /// [`Plan::place_earliest`] as the [`Plan::earliest_start`] +
@@ -671,22 +657,6 @@ impl Plan for FlatPlan {
     fn is_reference(&self) -> bool {
         self.reference
     }
-
-    fn fit_now_count(&self, sizes: &[Nodes]) -> usize {
-        if self.reference {
-            return 0; // keep the reference path on the full drain
-        }
-        let cap = self.in_service();
-        let mut used = self.used_at_fast(self.now);
-        for (i, &n) in sizes.iter().enumerate() {
-            let n = self.rounded_size(n);
-            if used + n > cap {
-                return i;
-            }
-            used += n;
-        }
-        sizes.len()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1096,26 +1066,6 @@ impl Plan for PartitionPlan {
 
     fn is_reference(&self) -> bool {
         self.reference
-    }
-
-    fn fit_now_count(&self, sizes: &[Nodes]) -> usize {
-        if self.reference {
-            return 0; // keep the reference path on the full drain
-        }
-        // Busy units at the instant `now` (base, overlay, and down);
-        // the greedy walk packs blocks into it exactly as sequential
-        // commits at `now` would.
-        let mut busy = self.busy_mask_fast(self.now, self.now + SimDuration::from_secs(1));
-        for (i, &n) in sizes.iter().enumerate() {
-            let Some(k) = self.rounded_units(n) else {
-                return i;
-            };
-            let Some(block) = self.find_free_block(k, &busy) else {
-                return i;
-            };
-            busy.set_range(block, k);
-        }
-        sizes.len()
     }
 }
 

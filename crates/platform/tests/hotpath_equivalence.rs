@@ -8,11 +8,11 @@
 //! * [`UnitMask`] word-parallel range ops vs the bit-at-a-time naive
 //!   variants (the bitset buddy allocator's primitive layer);
 //! * [`FlatPlan`]/[`PartitionPlan`] fast queries (overlay timelines,
-//!   merged end-candidate walks, `fit_now_count` re-commits) vs the
-//!   reference full-scan path selected by [`Plan::set_reference`] — the
-//!   same differential the runner-level `hotpath_identity` suite checks
-//!   end-to-end, here hammered with adversarial op mixes including
-//!   mid-script `mark_down`-style outages.
+//!   merged end-candidate walks) vs the reference full-scan path
+//!   selected by [`Plan::set_reference`] — the same differential the
+//!   runner-level `hotpath_identity` suite checks end-to-end, here
+//!   hammered with adversarial op mixes including mid-script
+//!   `mark_down`-style outages.
 
 use amjs_platform::mask::UnitMask;
 use amjs_platform::plan::{FlatPlan, PartitionPlan, Plan, PlanToken};
@@ -82,36 +82,6 @@ fn drive_plans<P: Plan + Clone>(mut fast: P, mut reference: P, seed: u64, ops: u
     // Token pairs (fast, reference) of live commitments, newest last.
     // Rollback is LIFO-only, deactivation is position-free.
     let mut live: Vec<(PlanToken, PlanToken)> = Vec::new();
-
-    // fit_now_count is specified only for plans whose overlay is empty
-    // (the fair-share drain calls it on the base snapshot): base busy
-    // never rises after `now`, so its single-instant walk must describe
-    // real sequential placements. Check that here, on the pristine
-    // plan, before the script grows a future-dated overlay.
-    let sizes: Vec<Nodes> = (0..6)
-        .map(|_| 1 + rng.next_below((total / 2).max(1) as u64) as Nodes)
-        .collect();
-    let fit = fast.fit_now_count(&sizes);
-    assert!(fit <= sizes.len());
-    {
-        let mut probe = fast.clone();
-        for &n in &sizes[..fit] {
-            assert!(
-                probe
-                    .commit_at(n, now, SimDuration::from_mins(90))
-                    .is_some(),
-                "fit_now_count promised a placement that does not exist (seed {seed})"
-            );
-        }
-        if fit < sizes.len() {
-            assert!(
-                probe
-                    .commit_at(sizes[fit], now, SimDuration::from_mins(90))
-                    .is_none(),
-                "fit_now_count stopped although the next size still fits (seed {seed})"
-            );
-        }
-    }
 
     for _op in 0..ops {
         let nodes = 1 + rng.next_below(total as u64) as Nodes;

@@ -98,7 +98,7 @@ use crate::repl::{
 };
 use crate::signal;
 use crate::telemetry::{shared_telemetry, verb_name, SharedTelemetry};
-use crate::wal::{read_wal, WalError, WalWriter};
+use crate::wal::{read_wal, WalError, WalRecord, WalWriter};
 
 /// How the daemon's simulated clock advances.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -322,25 +322,7 @@ pub fn recover<P: Platform + Snapshot>(
                 rec.seq
             )));
         }
-        let cmd = Command::parse(&rec.cmd)
-            .map_err(|e| ServeError::Corrupt(format!("unparseable wal record {}: {e}", rec.seq)))?;
-        // Only advance when the clock actually moved: an equal-time
-        // advance still processes due events, which live service had
-        // not yet processed when it hashed — a false divergence.
-        let at = SimTime::from_secs(rec.time_secs);
-        if at > sched.now() {
-            sched.advance_to(at);
-        }
-        apply_mutation(&mut sched, &cmd).map_err(|e| {
-            ServeError::Corrupt(format!("wal record {} re-apply failed: {e}", rec.seq))
-        })?;
-        let replayed_hash = sched.state_hash();
-        if replayed_hash != rec.state_hash {
-            return Err(ServeError::Corrupt(format!(
-                "state divergence at wal seq {}: logged state_hash {:016x}, replayed {:016x}",
-                rec.seq, rec.state_hash, replayed_hash
-            )));
-        }
+        replay_record(&mut sched, rec).map_err(ServeError::Corrupt)?;
         next_seq = rec.seq + 1;
         replayed += 1;
     }
@@ -348,6 +330,34 @@ pub fn recover<P: Platform + Snapshot>(
     let epoch = wal.current_epoch();
     let writer = WalWriter::reopen(&wal_path(dir), next_seq, wal.valid_len)?;
     Ok((sched, writer, replayed, epoch))
+}
+
+/// Re-apply one logged record — the step recovery replay and follower
+/// replication share: the live apply path at the recorded time, then the
+/// logged `state_hash` cross-check. The error names the record's `seq`.
+fn replay_record<P: Platform + Snapshot>(
+    sched: &mut LiveScheduler<P>,
+    rec: &WalRecord,
+) -> Result<(), String> {
+    let cmd =
+        Command::parse(&rec.cmd).map_err(|e| format!("unparseable wal record {}: {e}", rec.seq))?;
+    // Only advance when the clock actually moved: an equal-time
+    // advance still processes due events, which live service had
+    // not yet processed when it hashed — a false divergence.
+    let at = SimTime::from_secs(rec.time_secs);
+    if at > sched.now() {
+        sched.advance_to(at);
+    }
+    apply_mutation(sched, &cmd)
+        .map_err(|e| format!("wal record {} re-apply failed: {e}", rec.seq))?;
+    let replayed = sched.state_hash();
+    if replayed != rec.state_hash {
+        return Err(format!(
+            "state divergence at wal seq {}: logged state_hash {:016x}, replayed {:016x}",
+            rec.seq, rec.state_hash, replayed
+        ));
+    }
+    Ok(())
 }
 
 /// Apply one accepted mutation; the single code path shared by live
@@ -772,35 +782,8 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             )));
             return;
         }
-        let cmd = match Command::parse(&rec.cmd) {
-            Ok(c) => c,
-            Err(e) => {
-                self.fatal = Some(ServeError::Repl(format!(
-                    "unparseable replicated record {}: {e}",
-                    rec.seq
-                )));
-                return;
-            }
-        };
-        // Same guard as recovery replay: an equal-time advance would
-        // process due events the primary had not processed at hash time.
-        let at = SimTime::from_secs(rec.time_secs);
-        if at > self.sched.now() {
-            self.sched.advance_to(at);
-        }
-        if let Err(e) = apply_mutation(&mut self.sched, &cmd) {
-            self.fatal = Some(ServeError::Repl(format!(
-                "replicated record {} failed to apply: {e}",
-                rec.seq
-            )));
-            return;
-        }
-        let local = self.sched.state_hash();
-        if local != rec.state_hash {
-            self.fatal = Some(ServeError::Repl(format!(
-                "divergence at wal seq {}: primary state_hash {:016x}, local {:016x}",
-                rec.seq, rec.state_hash, local
-            )));
+        if let Err(e) = replay_record(&mut self.sched, &rec) {
+            self.fatal = Some(ServeError::Repl(e));
             return;
         }
         let append_started = Instant::now();
@@ -1212,22 +1195,6 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             // pass (the instantaneous value stays a gauge below).
             if matches!(self.role, Role::Follower { .. }) {
                 t.repl_lag.observe(lag_records as f64);
-            }
-            let whatif = t.whatif();
-            if !whatif.is_empty() {
-                // Dashboard-compatibility quartiles, now interpolated
-                // from the histogram, plus the count/sum that make
-                // them interpretable.
-                for (name, q) in [("p25", 0.25), ("p50", 0.5), ("p75", 0.75)] {
-                    if let Some(v) = whatif.quantile(q) {
-                        extra.push((format!("serve_whatif_latency_{name}_seconds"), v));
-                    }
-                }
-                extra.push((
-                    "serve_whatif_latency_count".to_string(),
-                    whatif.count() as f64,
-                ));
-                extra.push(("serve_whatif_latency_sum".to_string(), whatif.sum()));
             }
             if let Some(takeover) = t.promotion_secs {
                 extra.push(("serve_promotion_seconds".to_string(), takeover));

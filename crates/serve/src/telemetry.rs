@@ -83,8 +83,7 @@ impl Telemetry {
         }
     }
 
-    /// The what-if latency histogram (it doubles as the source of the
-    /// dashboard-compatibility quartile gauges).
+    /// The what-if latency histogram.
     pub fn whatif(&self) -> &Histogram {
         let i = TRACKED_VERBS
             .iter()
@@ -95,9 +94,9 @@ impl Telemetry {
 
     /// Render every distribution into exposition entries. Per-verb
     /// series share the `serve_request_latency_seconds` family under a
-    /// `verb` label — except `WHATIF`, which gets its own
-    /// `serve_whatif_latency_seconds` family so its `_count`/`_sum`
-    /// make the compatibility quartile gauges interpretable.
+    /// `verb` label — except `WHATIF`, which keeps its own
+    /// `serve_whatif_latency_seconds` family (it is answered by a
+    /// supervised worker, not the engine loop).
     pub fn hist_entries(&self) -> Vec<HistEntry> {
         let mut out = Vec::new();
         for (verb, hist) in TRACKED_VERBS.iter().zip(&self.verbs) {

@@ -14,15 +14,14 @@
 //!   raw IEEE-754 bits so restore is *bit-exact*, length-prefixed
 //!   sections so readers can skip data they do not understand.
 //! * **Versioned.** Every snapshot file carries a format version; a
-//!   reader confronted with a newer version refuses loudly rather than
-//!   guessing. Within a payload, [`SnapWriter::section`] /
+//!   reader confronted with any version but its own refuses loudly
+//!   rather than guessing. Within a payload, [`SnapWriter::section`] /
 //!   [`SnapReader::section`] delimit tagged, length-prefixed regions:
 //!   a future format revision may append fields at the end of a section
 //!   and older readers will skip them.
 //! * **Checksummed.** The last 8 bytes of a snapshot file are a 64-bit
-//!   checksum of everything before them (word-at-a-time since file
-//!   version 2, byte-serial FNV-1a in version 1 files, which still
-//!   load). Truncation or bit rot is detected *before* any state is
+//!   checksum of everything before them (`file_checksum`).
+//!   Truncation or bit rot is detected *before* any state is
 //!   reconstructed, so a corrupt snapshot can never be silently
 //!   replayed — callers fall back to an earlier snapshot instead.
 //!
@@ -107,11 +106,11 @@ pub enum SnapError {
         /// What kind of file was expected (e.g. "snapshot", "journal").
         expected: &'static str,
     },
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not one this build reads.
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,
-        /// Highest version this build can read.
+        /// The version this build reads.
         supported: u32,
     },
     /// The trailing checksum does not match the content.
@@ -145,7 +144,7 @@ impl fmt::Display for SnapError {
             }
             SnapError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is newer than this build supports (max {supported})"
+                "snapshot format version {found} is not supported by this build (it reads version {supported})"
             ),
             SnapError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -543,10 +542,11 @@ impl Snapshot for SimDuration {
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMJSNAP\0";
-/// Snapshot *file* format version this build writes and the highest it
+/// Snapshot *file* format version this build writes and the only one it
 /// reads. Bump only on layout changes a section length-prefix cannot
 /// absorb. Version 2 changed the trailing checksum from FNV-1a to
-/// [`file_checksum`]; the layout is otherwise version 1's.
+/// [`file_checksum`]; no build since writes version 1, which is refused
+/// by name like any other foreign version.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// magic(8) + version(4) + payload length(8).
@@ -659,18 +659,14 @@ fn verify_snapshot_bytes(content: &[u8]) -> Result<&[u8], SnapError> {
     let (body, tail) = content.split_at(content.len() - 8);
     let (header, payload) = body.split_at(HEADER_LEN);
     let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if version > SNAPSHOT_VERSION {
+    if version != SNAPSHOT_VERSION {
         return Err(SnapError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
         });
     }
     let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let computed = if version == 1 {
-        fnv1a(body)
-    } else {
-        file_checksum(header, payload)
-    };
+    let computed = file_checksum(header, payload);
     if stored != computed {
         return Err(SnapError::ChecksumMismatch { stored, computed });
     }
@@ -1014,7 +1010,7 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_still_load() {
+    fn version_1_files_are_refused_by_name() {
         let payload = small_payload();
         let mut raw = Vec::new();
         raw.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -1023,12 +1019,12 @@ mod tests {
         raw.extend_from_slice(&payload);
         let checksum = fnv1a(&raw);
         raw.extend_from_slice(&checksum.to_le_bytes());
-        assert_eq!(verify_snapshot_bytes(&raw).unwrap(), payload);
-
-        raw[HEADER_LEN + 2] ^= 0x40;
         assert!(matches!(
             verify_snapshot_bytes(&raw),
-            Err(SnapError::ChecksumMismatch { .. })
+            Err(SnapError::UnsupportedVersion {
+                found: 1,
+                supported: SNAPSHOT_VERSION
+            })
         ));
     }
 
