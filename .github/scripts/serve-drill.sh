@@ -1,0 +1,43 @@
+# Bash client for a live `amjs serve` daemon, sourced by the CI drills
+# (serve-recovery, serve-failover, serve-soak): framed requests over
+# /dev/tcp, the scripted load, and a fingerprint of the visible state.
+
+ask() {  # ask <port> <command>: one framed request/reply
+  exec 3<>"/dev/tcp/127.0.0.1/$1"
+  printf '%d:%s\n' "${#2}" "$2" >&3
+  IFS= read -r reply <&3
+  exec 3<&- 3>&-
+  printf '%s\n' "$reply"
+}
+wait_port() {  # wait_port <stderr-log>: echo the announced port
+  for _ in $(seq 1 100); do
+    addr=$(grep -oE 'listening on [0-9.:]+' "$1" | head -1 | awk '{print $3}') || true
+    [ -n "${addr:-}" ] && break
+    sleep 0.1
+  done
+  test -n "${addr:-}"
+  echo "${addr##*:}"
+}
+SCRIPT='SUBMIT NODES=32 WALL=7200 RUN=3600 USER=1
+SUBMIT NODES=32 WALL=7200 RUN=3600 USER=2
+SUBMIT NODES=32 WALL=7200 USER=3
+ADVANCE 1800
+SUBMIT NODES=16 WALL=3600 RUN=1800 USER=4
+CANCEL 2
+ADVANCE 1800'
+drive() {  # drive <port>: run the script, insisting every command is acked
+  echo "$SCRIPT" | while IFS= read -r cmd; do
+    cmd=$(echo "$cmd" | sed 's/^ *//')
+    reply=$(ask "$1" "$cmd")
+    case "$reply" in
+      *"OK "*) ;;
+      *) echo "command not acknowledged: $cmd -> $reply"; exit 1 ;;
+    esac
+  done
+}
+observe() {  # observe <port> <outfile>: fingerprint visible state
+  { ask "$1" HASH
+    for id in 0 1 2 3 4; do ask "$1" "STATUS $id"; done
+    ask "$1" STATS
+  } > "$2"
+}

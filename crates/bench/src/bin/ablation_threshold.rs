@@ -37,7 +37,10 @@ fn main() {
             })
         })
         .collect();
-    let outcomes = harness::run_sweep(harness::intrepid, &jobs, &configs);
+    let outcomes: Vec<_> = configs
+        .iter()
+        .map(|c| harness::run_one(harness::intrepid(), jobs.clone(), c))
+        .collect();
 
     let header = [
         "threshold",

@@ -28,14 +28,18 @@ fn main() {
     let mut dynp_tolerant = RunConfig::bf_adaptive(threshold).named("dynP (30/150)");
     dynp_tolerant.adaptive = AdaptiveScheme::dynp(30, 150);
 
-    let configs = vec![
+    let configs = [
         dynp_sensitive,
         dynp_tolerant,
         RunConfig::bf_adaptive(threshold),
         RunConfig::two_d_adaptive(threshold),
     ];
     let mut outcomes = vec![base];
-    outcomes.extend(harness::run_sweep(harness::intrepid, &jobs, &configs));
+    outcomes.extend(
+        configs
+            .iter()
+            .map(|c| harness::run_one(harness::intrepid(), jobs.clone(), c)),
+    );
 
     let header = ["scheme", "wait(min)", "unfair#", "LoC(%)", "peak QD(min)"];
     let rows: Vec<Vec<String>> = outcomes

@@ -14,9 +14,7 @@
 //!
 //! Method: build a congested scheduler state (a deep queue snapshot on a
 //! busy Intrepid machine, captured mid-burst), then time
-//! `Scheduler::schedule_pass` at W = 1..=5 over many iterations. The
-//! same measurement is also available as a Criterion bench
-//! (`cargo bench -p amjs-bench --bench table3`).
+//! `Scheduler::schedule_pass` at W = 1..=5 over many iterations.
 //!
 //! The five window sizes run as cells on the fault-tolerant fleet
 //! engine (`amjs-fleet`) with a custom executor that times each one;

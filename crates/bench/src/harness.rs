@@ -1,4 +1,4 @@
-//! Shared experiment setup and the parallel sweep runner.
+//! Shared experiment setup and the fleet-backed sweep runners.
 //!
 //! All experiment binaries use the same machine (Intrepid's geometry),
 //! the same seeded month-long synthetic trace, and the same run
@@ -117,37 +117,6 @@ pub fn run_one<P: Platform>(platform: P, jobs: Vec<Job>, config: &RunConfig) -> 
         .run()
 }
 
-/// Run a set of configurations over the same trace in parallel, one
-/// thread per configuration (each simulation is single-threaded and
-/// deterministic; results come back in input order regardless of
-/// completion order).
-pub fn run_sweep<P, F>(
-    platform_factory: F,
-    jobs: &[Job],
-    configs: &[RunConfig],
-) -> Vec<SimulationOutcome>
-where
-    P: Platform,
-    F: Fn() -> P + Sync,
-{
-    let mut slots: Vec<Option<SimulationOutcome>> = Vec::new();
-    slots.resize_with(configs.len(), || None);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(configs.len());
-        for config in configs {
-            let factory = &platform_factory;
-            let jobs = jobs.to_vec();
-            handles.push(scope.spawn(move || run_one(factory(), jobs, config)));
-        }
-        for (slot, handle) in slots.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("simulation thread panicked"));
-        }
-    });
-
-    slots.into_iter().map(Option::unwrap).collect()
-}
-
 /// Run fully-specified grid points on the fault-tolerant fleet engine
 /// (`amjs-fleet`): supervised workers, panics retried with backoff,
 /// results journaling-ready. `workers == 1` reproduces the old
@@ -251,30 +220,12 @@ pub fn write_sweep_bench(report: &amjs_fleet::FleetReport) {
     eprintln!("wrote {}", path.display());
 }
 
-/// Parse `--seed N` and `--fast` from command-line arguments.
-/// `--fast` swaps the month trace for the one-week preset so every
-/// binary can be smoke-tested quickly; returns `(seed, fast)`.
+/// Parse `--seed N` and `--fast` from command-line arguments (`--jobs`
+/// is accepted and ignored: these binaries run one simulation at a
+/// time). `--fast` swaps the month trace for the one-week preset so
+/// every binary can be smoke-tested quickly; returns `(seed, fast)`.
 pub fn parse_args() -> (u64, bool) {
-    let mut seed = DEFAULT_SEED;
-    let mut fast = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| panic!("--seed needs an integer"));
-                i += 2;
-            }
-            "--fast" => {
-                fast = true;
-                i += 1;
-            }
-            other => panic!("unknown argument {other:?} (supported: --seed N, --fast)"),
-        }
-    }
+    let (seed, fast, _) = parse_args_with_jobs(1);
     (seed, fast)
 }
 
@@ -335,25 +286,6 @@ pub fn experiment_jobs(seed: u64, fast: bool) -> Vec<Job> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amjs_platform::FlatCluster;
-
-    #[test]
-    fn sweep_preserves_config_order_and_determinism() {
-        let jobs = WorkloadSpec::small_test().generate(3);
-        let configs = vec![
-            RunConfig::fixed(1.0, 1),
-            RunConfig::fixed(0.5, 2),
-            RunConfig::fixed(0.0, 1),
-        ];
-        let sweep = run_sweep(|| FlatCluster::new(512), &jobs, &configs);
-        assert_eq!(sweep.len(), 3);
-        for (cfg, out) in configs.iter().zip(&sweep) {
-            assert_eq!(out.summary.label, cfg.label);
-        }
-        // Sweep result equals a directly-run simulation.
-        let direct = run_one(FlatCluster::new(512), jobs, &configs[1]);
-        assert_eq!(direct.summary, sweep[1].summary);
-    }
 
     #[test]
     fn fleet_outcomes_match_direct_runs_across_worker_counts() {

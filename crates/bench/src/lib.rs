@@ -4,15 +4,13 @@
 //! shared pieces they need:
 //!
 //! * [`harness`] — standard experiment setup (the Intrepid machine, the
-//!   month-long synthetic trace, run configurations) and a parallel
-//!   sweep runner (each simulation is single-threaded and deterministic,
+//!   month-long synthetic trace, run configurations) and the fleet-backed
+//!   sweep runners (each simulation is single-threaded and deterministic,
 //!   so fanning the BF×W grid across cores is free of ordering effects);
 //! * [`chart`] — ASCII line charts so figure binaries can render the
 //!   paper's plots directly into the terminal and experiment logs;
 //! * [`table`] — aligned text tables for Table-II/III-style output;
-//! * [`results`] — CSV/text output under `results/`;
-//! * [`timing`] — the self-contained measurement loop the `benches/`
-//!   binaries use (Table III and microbenchmarks).
+//! * [`results`] — CSV/text output under `results/`.
 
 #![warn(missing_docs)]
 
@@ -20,4 +18,3 @@ pub mod chart;
 pub mod harness;
 pub mod results;
 pub mod table;
-pub mod timing;

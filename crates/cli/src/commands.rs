@@ -1,5 +1,6 @@
 //! The CLI subcommands.
 
+use amjs_core::persist::PersistSpec;
 use amjs_core::{MachineSpec, PolicyParams, PresetName, RunSpec};
 use amjs_metrics::report;
 use amjs_obs::Observer;
@@ -7,7 +8,7 @@ use amjs_workload::stats::WorkloadStats;
 use amjs_workload::swf;
 
 use crate::args::{parse, render_flags, ArgError, FlagSpec, ParsedArgs};
-use crate::config::{load_workload, machine_spec, PolicyFlags, SnapshotFlags};
+use crate::config::{adaptive_kind, load_workload, machine_spec, template_spec, SnapshotFlags};
 use crate::obs::{obs_flag_specs, ObsFlags};
 
 /// Top-level usage text.
@@ -28,108 +29,61 @@ pub fn top_level_help() -> String {
 
 pub(crate) fn common_flags() -> Vec<FlagSpec> {
     vec![
-        FlagSpec {
-            name: "help",
-            is_bool: true,
-            help: "show this help",
-            default: None,
-        },
-        FlagSpec {
-            name: "machine",
-            is_bool: false,
-            help: "machine model: bgp|flat",
-            default: Some("bgp"),
-        },
-        FlagSpec {
-            name: "nodes",
-            is_bool: false,
-            help: "machine size in nodes (bgp: multiple of 512)",
-            default: Some("40960"),
-        },
-        FlagSpec {
-            name: "workload",
-            is_bool: false,
-            help: "month|week|small or an SWF file path",
-            default: Some("month"),
-        },
-        FlagSpec {
-            name: "seed",
-            is_bool: false,
-            help: "workload generation seed",
-            default: Some("42"),
-        },
-        FlagSpec {
-            name: "backfill",
-            is_bool: false,
-            help: "easy|conservative|none",
-            default: Some("easy"),
-        },
-        FlagSpec {
-            name: "backfill-depth",
-            is_bool: false,
-            help: "max queued jobs the backfill pass considers",
-            default: Some("unlimited"),
-        },
-        FlagSpec {
-            name: "node-mtbf",
-            is_bool: false,
-            help: "per-node MTBF in hours; enables failure injection",
-            default: None,
-        },
-        FlagSpec {
-            name: "repair-time",
-            is_bool: false,
-            help: "mean repair time in hours",
-            default: Some("4"),
-        },
-        FlagSpec {
-            name: "repair-sigma",
-            is_bool: false,
-            help: "log-normal repair shape (0 = deterministic)",
-            default: Some("0"),
-        },
-        FlagSpec {
-            name: "failure-seed",
-            is_bool: false,
-            help: "failure process seed",
-            default: Some("64017"),
-        },
-        FlagSpec {
-            name: "max-attempts",
-            is_bool: false,
-            help: "abandon a job after this many failed attempts",
-            default: Some("unlimited"),
-        },
-        FlagSpec {
-            name: "retry-backoff",
-            is_bool: false,
-            help: "re-submit backoff base in minutes (doubles per failure)",
-            default: Some("0"),
-        },
-        FlagSpec {
-            name: "cascade-prob",
-            is_bool: false,
-            help: "per-level fault escalation probability in [0,1]",
-            default: Some("0"),
-        },
-        FlagSpec {
-            name: "failure-domains",
-            is_bool: false,
-            help: "domain geometry: nodes-per-midplane,midplanes-per-rack,racks-per-power",
-            default: Some("512,2,8"),
-        },
-        FlagSpec {
-            name: "burst-model",
-            is_bool: false,
-            help: "failure clustering: none|weibull:<shape>|markov:<boost>,<calm-h>,<burst-h>",
-            default: Some("none"),
-        },
-        FlagSpec {
-            name: "oracle",
-            is_bool: true,
-            help: "check runtime invariants after every event (always on in debug builds)",
-            default: None,
-        },
+        FlagSpec::switch("help", "show this help"),
+        FlagSpec::with_default("machine", "bgp", "machine model: bgp|flat"),
+        FlagSpec::with_default(
+            "nodes",
+            MachineSpec::intrepid().nodes(),
+            "machine size in nodes (bgp: multiple of 512)",
+        ),
+        FlagSpec::with_default("workload", "month", "month|week|small or an SWF file path"),
+        FlagSpec::with_default("seed", 42, "workload generation seed"),
+        FlagSpec::with_default("backfill", "easy", "easy|conservative|none"),
+        FlagSpec::optional(
+            "backfill-depth",
+            "unlimited",
+            "max queued jobs the backfill pass considers",
+        ),
+        FlagSpec::value(
+            "node-mtbf",
+            "per-node MTBF in hours; enables failure injection",
+        ),
+        FlagSpec::with_default("repair-time", 4, "mean repair time in hours"),
+        FlagSpec::with_default(
+            "repair-sigma",
+            0,
+            "log-normal repair shape (0 = deterministic)",
+        ),
+        FlagSpec::with_default("failure-seed", 64017, "failure process seed"),
+        FlagSpec::optional(
+            "max-attempts",
+            "unlimited",
+            "abandon a job after this many failed attempts",
+        ),
+        FlagSpec::with_default(
+            "retry-backoff",
+            0,
+            "re-submit backoff base in minutes (doubles per failure)",
+        ),
+        FlagSpec::with_default(
+            "cascade-prob",
+            0,
+            "per-level fault escalation probability in [0,1]",
+        ),
+        FlagSpec::with_default(
+            "failure-domains",
+            "512,2,8",
+            "domain geometry: nodes-per-midplane,midplanes-per-rack,racks-per-power",
+        ),
+        FlagSpec::with_default(
+            "burst-model",
+            "none",
+            "failure clustering: none|weibull:<shape>|markov:<boost>,<calm-h>,<burst-h>",
+        ),
+        FlagSpec::switch(
+            "oracle",
+            "check runtime invariants after every event (always on in debug builds)",
+        ),
     ]
 }
 
@@ -140,78 +94,35 @@ pub(crate) fn common_flags() -> Vec<FlagSpec> {
 pub(crate) fn simulate_flags() -> Vec<FlagSpec> {
     let mut flags = common_flags();
     flags.extend([
-        FlagSpec {
-            name: "bf",
-            is_bool: false,
-            help: "balance factor in [0,1]",
-            default: Some("1"),
-        },
-        FlagSpec {
-            name: "window",
-            is_bool: false,
-            help: "allocation window size W",
-            default: Some("1"),
-        },
-        FlagSpec {
-            name: "adaptive",
-            is_bool: false,
-            help: "adaptive scheme: none|bf|w|2d",
-            default: Some("none"),
-        },
-        FlagSpec {
-            name: "threshold",
-            is_bool: false,
-            help: "queue-depth threshold (min) for bf/2d tuning",
-            default: Some("base-run average"),
-        },
-        FlagSpec {
-            name: "series",
-            is_bool: false,
-            help: "write sampled time series CSV to this path",
-            default: None,
-        },
-        FlagSpec {
-            name: "jobs-csv",
-            is_bool: false,
-            help: "write per-job records CSV to this path",
-            default: None,
-        },
-        FlagSpec {
-            name: "users",
-            is_bool: true,
-            help: "print per-user service table (top 10 by jobs)",
-            default: None,
-        },
-        FlagSpec {
-            name: "estimates",
-            is_bool: false,
-            help: "planning walltimes: raw|adaptive",
-            default: Some("raw"),
-        },
-        FlagSpec {
-            name: "snapshot-every",
-            is_bool: false,
-            help: "checkpoint cadence: events (50000) or simulated time (12h, 2d)",
-            default: None,
-        },
-        FlagSpec {
-            name: "snapshot-dir",
-            is_bool: false,
-            help: "existing directory for snapshots and the event journal",
-            default: None,
-        },
-        FlagSpec {
-            name: "snapshot-keep",
-            is_bool: false,
-            help: "recent snapshots to retain (genesis is always kept)",
-            default: Some("2"),
-        },
-        FlagSpec {
-            name: "resume-from",
-            is_bool: false,
-            help: "snapshot file or directory to resume; excludes workload/policy flags",
-            default: None,
-        },
+        FlagSpec::with_default("bf", 1, "balance factor in [0,1]"),
+        FlagSpec::with_default("window", 1, "allocation window size W"),
+        FlagSpec::with_default("adaptive", "none", "adaptive scheme: none|bf|w|2d"),
+        FlagSpec::optional(
+            "threshold",
+            "base-run average",
+            "queue-depth threshold (min) for bf/2d tuning",
+        ),
+        FlagSpec::value("series", "write sampled time series CSV to this path"),
+        FlagSpec::value("jobs-csv", "write per-job records CSV to this path"),
+        FlagSpec::switch("users", "print per-user service table (top 10 by jobs)"),
+        FlagSpec::with_default("estimates", "raw", "planning walltimes: raw|adaptive"),
+        FlagSpec::value(
+            "snapshot-every",
+            "checkpoint cadence: events (50000) or simulated time (12h, 2d)",
+        ),
+        FlagSpec::value(
+            "snapshot-dir",
+            "existing directory for snapshots and the event journal",
+        ),
+        FlagSpec::with_default(
+            "snapshot-keep",
+            PersistSpec::new("").keep,
+            "recent snapshots to retain (genesis is always kept)",
+        ),
+        FlagSpec::value(
+            "resume-from",
+            "snapshot file or directory to resume; excludes workload/policy flags",
+        ),
     ]);
     flags.extend(obs_flag_specs());
     flags
@@ -312,23 +223,24 @@ fn run_simulate(parsed: &ParsedArgs) -> Result<(), ArgError> {
     }
     let machine = machine_spec(parsed)?;
     let (workload, jobs, workload_label) = load_workload(parsed)?;
-    let policy_flags = PolicyFlags::from_args(parsed)?;
-    let bf: f64 = parsed.get_parsed("bf", 1.0)?;
-    let window: usize = parsed.get_parsed("window", 1)?;
+    let template = template_spec(parsed, machine, workload)?;
+    let bf: f64 = parsed.get_parsed("bf")?;
+    let window: usize = parsed.get_parsed("window")?;
     if !(0.0..=1.0).contains(&bf) {
         return Err(ArgError(format!("--bf must be in [0,1], got {bf}")));
     }
     if window == 0 {
         return Err(ArgError("--window must be at least 1".to_string()));
     }
-    let mut spec = policy_flags.run_spec(
-        "simulate".to_string(),
-        machine,
-        workload,
-        PolicyParams::new(bf, window),
-    );
+    let policy = PolicyParams::new(bf, window);
+    let mut spec = RunSpec {
+        key: "simulate".to_string(),
+        label: policy.label(),
+        policy,
+        ..template
+    };
     // Adaptive threshold default: a base pre-run's average queue depth.
-    spec.adaptive = policy_flags.adaptive_kind(|| {
+    spec.adaptive = adaptive_kind(parsed, || {
         eprintln!("amjs: pre-running the base policy to calibrate the tuning threshold...");
         let base = RunSpec {
             policy: PolicyParams::fcfs(),
@@ -343,7 +255,7 @@ fn run_simulate(parsed: &ParsedArgs) -> Result<(), ArgError> {
             .unwrap_or(1000.0);
         eprintln!("amjs: threshold = {th:.0} queued minutes");
         th
-    });
+    })?;
 
     let (kind, nodes) = match machine {
         MachineSpec::Bgp { nodes } => ("Bgp", nodes),
@@ -459,48 +371,13 @@ fn write_outcome_files(
 
 fn workload_flags() -> Vec<FlagSpec> {
     vec![
-        FlagSpec {
-            name: "help",
-            is_bool: true,
-            help: "show this help",
-            default: None,
-        },
-        FlagSpec {
-            name: "preset",
-            is_bool: false,
-            help: "month|week|small",
-            default: Some("month"),
-        },
-        FlagSpec {
-            name: "seed",
-            is_bool: false,
-            help: "generation seed",
-            default: Some("42"),
-        },
-        FlagSpec {
-            name: "load-factor",
-            is_bool: false,
-            help: "scale the arrival rate",
-            default: Some("1.0"),
-        },
-        FlagSpec {
-            name: "out",
-            is_bool: false,
-            help: "write the trace as SWF to this path",
-            default: None,
-        },
-        FlagSpec {
-            name: "stats",
-            is_bool: true,
-            help: "print workload statistics",
-            default: None,
-        },
-        FlagSpec {
-            name: "analyze",
-            is_bool: true,
-            help: "print the distribution characterization",
-            default: None,
-        },
+        FlagSpec::switch("help", "show this help"),
+        FlagSpec::with_default("preset", "month", "month|week|small"),
+        FlagSpec::with_default("seed", 42, "generation seed"),
+        FlagSpec::with_default("load-factor", "1.0", "scale the arrival rate"),
+        FlagSpec::value("out", "write the trace as SWF to this path"),
+        FlagSpec::switch("stats", "print workload statistics"),
+        FlagSpec::switch("analyze", "print the distribution characterization"),
     ]
 }
 
@@ -515,12 +392,12 @@ pub fn workload(argv: &[String]) -> Result<(), ArgError> {
         );
         return Ok(());
     }
-    let seed = parsed.get_parsed("seed", 42u64)?;
-    let load: f64 = parsed.get_parsed("load-factor", 1.0)?;
+    let seed: u64 = parsed.get_parsed("seed")?;
+    let load = parsed.get_f64("load-factor")?;
     if load <= 0.0 {
         return Err(ArgError("--load-factor must be positive".to_string()));
     }
-    let preset = parsed.get("preset").unwrap_or("month");
+    let preset = parsed.get_or_default("preset");
     let spec = PresetName::parse(preset)
         .ok_or_else(|| ArgError(format!("--preset: unknown preset {preset:?}")))?
         .spec()
@@ -565,12 +442,7 @@ fn trace_usage() -> String {
 /// full decision chain (queued → scored → windowed → placed/backfilled
 /// → killed/retried → finished) from a JSONL trace file.
 pub fn trace(argv: &[String]) -> Result<(), ArgError> {
-    let flags = vec![FlagSpec {
-        name: "help",
-        is_bool: true,
-        help: "show this help",
-        default: None,
-    }];
+    let flags = vec![FlagSpec::switch("help", "show this help")];
     let parsed = parse(argv, &flags)?;
     if parsed.get_bool("help") {
         println!("{}", trace_usage());
@@ -606,10 +478,7 @@ pub fn trace(argv: &[String]) -> Result<(), ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
+    use crate::args::tests::argv;
 
     #[test]
     fn helps_do_not_error() {

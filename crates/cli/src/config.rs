@@ -3,6 +3,7 @@
 
 use std::path::PathBuf;
 
+use amjs_core::estimates::EstimatePolicy;
 use amjs_core::failures::{
     BurstModel, CorrelationSpec, DomainSpec, FailureSpec, RepairSpec, RetryPolicy,
 };
@@ -12,20 +13,25 @@ use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, Wo
 use amjs_sim::SimDuration;
 use amjs_workload::Job;
 
-use crate::args::{ArgError, ParsedArgs};
+use crate::args::{finite_f64, ArgError, ParsedArgs};
 
 /// Parse `--machine bgp|flat` and `--nodes N` (defaults: Intrepid).
 pub fn machine_spec(args: &ParsedArgs) -> Result<MachineSpec, ArgError> {
-    let bgp = match args.get("machine").unwrap_or("bgp") {
+    let bgp = match args.get_or_default("machine") {
         "bgp" => true,
         "flat" => false,
         other => return Err(ArgError(format!("--machine: unknown machine {other:?}"))),
     };
-    let nodes = args.get_parsed("nodes", 40_960u32)?;
+    let nodes: u32 = args.get_parsed("nodes")?;
     if !bgp {
+        if nodes == 0 {
+            return Err(ArgError(
+                "--nodes: a flat machine needs at least 1 node".to_string(),
+            ));
+        }
         return Ok(MachineSpec::Flat { nodes });
     }
-    if nodes % 512 != 0 || nodes == 0 || nodes / 512 > 128 {
+    if !nodes.is_multiple_of(512) || nodes == 0 || nodes / 512 > 128 {
         return Err(ArgError(format!(
             "--nodes: a bgp machine needs a multiple of 512 up to 65536, got {nodes}"
         )));
@@ -36,7 +42,7 @@ pub fn machine_spec(args: &ParsedArgs) -> Result<MachineSpec, ArgError> {
 /// `--workload` as a spec source: a preset regenerated from `seed`, or
 /// an SWF file path.
 pub fn workload_source(args: &ParsedArgs, seed: u64) -> WorkloadSource {
-    let raw = args.get("workload").unwrap_or("month");
+    let raw = args.get_or_default("workload");
     match PresetName::parse(raw) {
         Some(name) => WorkloadSource::Preset {
             name,
@@ -52,7 +58,7 @@ pub fn workload_source(args: &ParsedArgs, seed: u64) -> WorkloadSource {
 /// Resolve and load `--workload`/`--seed`: the source, its jobs, and a
 /// label for the log line.
 pub fn load_workload(args: &ParsedArgs) -> Result<(WorkloadSource, Vec<Job>, String), ArgError> {
-    let seed = args.get_parsed("seed", 42u64)?;
+    let seed: u64 = args.get_parsed("seed")?;
     let source = workload_source(args, seed);
     let label = match &source {
         WorkloadSource::Preset { name, .. } => format!("{}(seed {seed})", name.spec().name),
@@ -62,28 +68,10 @@ pub fn load_workload(args: &ParsedArgs) -> Result<(WorkloadSource, Vec<Job>, Str
     Ok((source, jobs, label))
 }
 
-/// Policy-related flags shared by `simulate` and `sweep` rows.
-pub struct PolicyFlags {
-    pub backfill: BackfillMode,
-    pub backfill_depth: Option<usize>,
-    pub adaptive: Option<&'static str>,
-    pub threshold: Option<f64>,
-    pub estimates: amjs_core::estimates::EstimatePolicy,
-    /// Failure injection, enabled by `--node-mtbf`.
-    pub failures: Option<FailureSpec>,
-    /// Retry behavior for failure-killed jobs.
-    pub retry: RetryPolicy,
-    /// Correlated failure layer (`None` = plain uncorrelated process).
-    pub correlation: Option<CorrelationSpec>,
-    /// Force the runtime invariant oracle on (it is always on in debug
-    /// builds; this opts release builds in).
-    pub oracle: bool,
-}
-
 /// Parse `--node-mtbf`/`--repair-time`/`--repair-sigma`/`--failure-seed`
 /// into a failure spec (`None` when failure injection is off).
 fn failure_flags(args: &ParsedArgs) -> Result<Option<FailureSpec>, ArgError> {
-    let Some(mtbf_hours) = args.get_opt::<f64>("node-mtbf")? else {
+    let Some(mtbf_hours) = args.get_opt_f64("node-mtbf")? else {
         return Ok(None);
     };
     if mtbf_hours <= 0.0 {
@@ -91,13 +79,13 @@ fn failure_flags(args: &ParsedArgs) -> Result<Option<FailureSpec>, ArgError> {
             "--node-mtbf: must be positive hours, got {mtbf_hours}"
         )));
     }
-    let repair_hours: f64 = args.get_parsed("repair-time", 4.0)?;
+    let repair_hours = args.get_f64("repair-time")?;
     if repair_hours <= 0.0 {
         return Err(ArgError(format!(
             "--repair-time: must be positive hours, got {repair_hours}"
         )));
     }
-    let sigma: f64 = args.get_parsed("repair-sigma", 0.0)?;
+    let sigma = args.get_f64("repair-sigma")?;
     if sigma < 0.0 {
         return Err(ArgError(format!(
             "--repair-sigma: must be >= 0, got {sigma}"
@@ -112,61 +100,48 @@ fn failure_flags(args: &ParsedArgs) -> Result<Option<FailureSpec>, ArgError> {
     Ok(Some(FailureSpec {
         node_mtbf: SimDuration::from_secs((mtbf_hours * 3600.0) as i64),
         repair,
-        seed: args.get_parsed("failure-seed", 0xFA11u64)?,
+        seed: args.get_parsed("failure-seed")?,
     }))
 }
 
 /// Parse `--cascade-prob`/`--failure-domains`/`--burst-model` into a
 /// correlation spec (`None` when none of the flags are given).
 fn correlation_flags(args: &ParsedArgs) -> Result<Option<CorrelationSpec>, ArgError> {
-    let cascade = args.get_opt::<f64>("cascade-prob")?;
-    let domains_raw = args.get("failure-domains");
-    let burst_raw = args.get("burst-model");
-    if cascade.is_none() && domains_raw.is_none() && burst_raw.is_none() {
+    let flags = ["cascade-prob", "failure-domains", "burst-model"];
+    if !flags.iter().any(|flag| args.is_given(flag)) {
         return Ok(None);
     }
-    let cascade_prob = cascade.unwrap_or(0.0);
+    let cascade_prob = args.get_f64("cascade-prob")?;
     if !(0.0..=1.0).contains(&cascade_prob) {
         return Err(ArgError(format!(
             "--cascade-prob: must be in [0, 1], got {cascade_prob}"
         )));
     }
-    let domains = match domains_raw {
-        None => DomainSpec::intrepid(),
-        Some(raw) => {
-            let parts: Vec<u32> = raw
-                .split(',')
-                .map(|tok| {
-                    tok.trim()
-                        .parse()
-                        .map_err(|_| ArgError(format!("--failure-domains: cannot parse {tok:?}")))
-                })
-                .collect::<Result<_, _>>()?;
-            let [midplane_nodes, midplanes_per_rack, racks_per_power_domain] = parts[..] else {
-                return Err(ArgError(format!(
-                    "--failure-domains: expected \
-                     <nodes-per-midplane>,<midplanes-per-rack>,<racks-per-power>, got {raw:?}"
-                )));
-            };
-            if midplane_nodes == 0 || midplanes_per_rack == 0 || racks_per_power_domain == 0 {
-                return Err(ArgError(
-                    "--failure-domains: all three counts must be positive".to_string(),
-                ));
-            }
-            DomainSpec {
-                midplane_nodes,
-                midplanes_per_rack,
-                racks_per_power_domain,
-            }
-        }
+    let parts: Vec<u32> = args.get_list("failure-domains")?;
+    let [midplane_nodes, midplanes_per_rack, racks_per_power_domain] = parts[..] else {
+        return Err(ArgError(format!(
+            "--failure-domains: expected \
+             <nodes-per-midplane>,<midplanes-per-rack>,<racks-per-power>, got {:?}",
+            args.get_or_default("failure-domains")
+        )));
     };
-    let burst = match burst_raw {
-        None | Some("none") => BurstModel::None,
-        Some(raw) => match raw.split_once(':') {
+    if midplane_nodes == 0 || midplanes_per_rack == 0 || racks_per_power_domain == 0 {
+        return Err(ArgError(
+            "--failure-domains: all three counts must be positive".to_string(),
+        ));
+    }
+    let domains = DomainSpec {
+        midplane_nodes,
+        midplanes_per_rack,
+        racks_per_power_domain,
+    };
+    let burst = match args.get_or_default("burst-model") {
+        "none" => BurstModel::None,
+        raw => match raw.split_once(':') {
             Some(("weibull", shape)) => {
-                let shape: f64 = shape
-                    .parse()
-                    .map_err(|_| ArgError(format!("--burst-model: bad weibull shape {shape:?}")))?;
+                let shape = finite_f64(shape).ok_or_else(|| {
+                    ArgError(format!("--burst-model: bad weibull shape {shape:?}"))
+                })?;
                 if shape <= 0.0 {
                     return Err(ArgError(format!(
                         "--burst-model: weibull shape must be positive, got {shape}"
@@ -178,9 +153,8 @@ fn correlation_flags(args: &ParsedArgs) -> Result<Option<CorrelationSpec>, ArgEr
                 let parts: Vec<f64> = params
                     .split(',')
                     .map(|tok| {
-                        tok.trim()
-                            .parse()
-                            .map_err(|_| ArgError(format!("--burst-model: cannot parse {tok:?}")))
+                        finite_f64(tok.trim())
+                            .ok_or_else(|| ArgError(format!("--burst-model: cannot parse {tok:?}")))
                     })
                     .collect::<Result<_, _>>()?;
                 let [boost, calm_h, burst_h] = parts[..] else {
@@ -226,7 +200,7 @@ fn retry_flags(args: &ParsedArgs) -> Result<RetryPolicy, ArgError> {
     if max_attempts == Some(0) {
         return Err(ArgError("--max-attempts: must be at least 1".to_string()));
     }
-    let backoff_mins: f64 = args.get_parsed("retry-backoff", 0.0)?;
+    let backoff_mins = args.get_f64("retry-backoff")?;
     if backoff_mins < 0.0 {
         return Err(ArgError(format!(
             "--retry-backoff: must be >= 0 minutes, got {backoff_mins}"
@@ -238,9 +212,9 @@ fn retry_flags(args: &ParsedArgs) -> Result<RetryPolicy, ArgError> {
     })
 }
 
-/// `bf`/`window` plus the flags [`PolicyFlags`] reads that are not in
-/// `common_flags()`: `simulate` and `sweep` each declare them with
-/// their own help text (one value vs a comma-separated list).
+/// The run-config flags that are not in `common_flags()`: `simulate`
+/// and `sweep` each declare them with their own help text (one value vs
+/// a comma-separated list).
 const POLICY_FLAG_NAMES: [&str; 5] = ["bf", "window", "adaptive", "threshold", "estimates"];
 
 /// Flags that configure a *fresh* run. They are rejected alongside
@@ -301,11 +275,7 @@ impl SnapshotFlags {
     pub fn from_args(args: &ParsedArgs) -> Result<Self, ArgError> {
         let resume_from = args.get("resume-from").map(PathBuf::from);
         if let Some(path) = &resume_from {
-            let offending: Vec<String> = run_config_flags()
-                .iter()
-                .filter(|f| args.is_given(f))
-                .map(|f| format!("--{f}"))
-                .collect();
+            let offending = args.given_among(&run_config_flags());
             if !offending.is_empty() {
                 return Err(ArgError(format!(
                     "--resume-from cannot be combined with {}: the snapshot already \
@@ -354,7 +324,7 @@ impl SnapshotFlags {
                         dir.display()
                     )));
                 }
-                let keep: usize = args.get_parsed("snapshot-keep", 2)?;
+                let keep: usize = args.get_parsed("snapshot-keep")?;
                 if keep == 0 {
                     return Err(ArgError(
                         "--snapshot-keep: must retain at least 1 snapshot".to_string(),
@@ -375,118 +345,118 @@ impl SnapshotFlags {
     }
 }
 
-impl PolicyFlags {
-    pub fn from_args(args: &ParsedArgs) -> Result<Self, ArgError> {
-        let backfill = match args.get("backfill").unwrap_or("easy") {
-            "easy" => BackfillMode::Easy,
-            "conservative" => BackfillMode::Conservative,
-            "none" => BackfillMode::None,
-            other => return Err(ArgError(format!("--backfill: unknown mode {other:?}"))),
-        };
-        let backfill_depth = args.get_opt::<usize>("backfill-depth")?;
-        let adaptive = match args.get("adaptive") {
-            None | Some("none") => None,
-            Some("bf") => Some("bf"),
-            Some("w") => Some("w"),
-            Some("2d") => Some("2d"),
-            Some(other) => {
-                return Err(ArgError(format!(
-                    "--adaptive: expected bf|w|2d|none, got {other:?}"
-                )))
-            }
-        };
-        let estimates = match args.get("estimates").unwrap_or("raw") {
-            "raw" => amjs_core::estimates::EstimatePolicy::Requested,
-            "adaptive" => amjs_core::estimates::EstimatePolicy::user_adaptive(),
-            other => {
-                return Err(ArgError(format!(
-                    "--estimates: expected raw|adaptive, got {other:?}"
-                )))
-            }
-        };
-        Ok(PolicyFlags {
-            backfill,
-            backfill_depth,
-            adaptive,
-            threshold: args.get_opt::<f64>("threshold")?,
-            estimates,
-            failures: failure_flags(args)?,
-            retry: retry_flags(args)?,
-            correlation: correlation_flags(args)?,
-            oracle: args.get_bool("oracle"),
-        })
-    }
-
-    /// The adaptive scheme; `default_threshold` (a base run, for
-    /// `simulate`) is asked only when bf/2d tuning was requested
-    /// without `--threshold`.
-    pub fn adaptive_kind(&self, default_threshold: impl FnOnce() -> f64) -> AdaptiveKind {
-        match self.adaptive {
-            None => AdaptiveKind::None,
-            Some("w") => AdaptiveKind::Window,
-            Some(kind) => {
-                let threshold = self.threshold.unwrap_or_else(default_threshold);
-                if kind == "bf" {
-                    AdaptiveKind::Bf { threshold }
-                } else {
-                    AdaptiveKind::TwoD { threshold }
-                }
-            }
+/// The shared run-config flags parsed onto one spec: `simulate` runs
+/// it, `sweep` clones it per grid point. Key, label, policy and the
+/// adaptive scheme are the caller's.
+pub fn template_spec(
+    args: &ParsedArgs,
+    machine: MachineSpec,
+    workload: WorkloadSource,
+) -> Result<RunSpec, ArgError> {
+    let mut spec = RunSpec::new("", machine, workload, PolicyParams::fcfs());
+    spec.backfill = match args.get_or_default("backfill") {
+        "easy" => BackfillMode::Easy,
+        "conservative" => BackfillMode::Conservative,
+        "none" => BackfillMode::None,
+        other => return Err(ArgError(format!("--backfill: unknown mode {other:?}"))),
+    };
+    spec.backfill_depth = args.get_opt("backfill-depth")?;
+    spec.estimates = match args.get_or_default("estimates") {
+        "raw" => EstimatePolicy::Requested,
+        "adaptive" => EstimatePolicy::user_adaptive(),
+        other => {
+            return Err(ArgError(format!(
+                "--estimates: expected raw|adaptive, got {other:?}"
+            )))
         }
-    }
+    };
+    spec.failures = failure_flags(args)?;
+    spec.retry = retry_flags(args)?;
+    spec.correlation = correlation_flags(args)?;
+    spec.oracle = args.get_bool("oracle");
+    Ok(spec)
+}
 
-    /// A run of `policy` carrying every shared flag; `adaptive` and the
-    /// label are the caller's.
-    pub fn run_spec(
-        &self,
-        key: String,
-        machine: MachineSpec,
-        workload: WorkloadSource,
-        policy: PolicyParams,
-    ) -> RunSpec {
-        let mut spec = RunSpec::new(key, machine, workload, policy);
-        spec.backfill = self.backfill;
-        spec.backfill_depth = self.backfill_depth;
-        spec.estimates = self.estimates;
-        spec.failures = self.failures;
-        spec.retry = self.retry;
-        spec.correlation = self.correlation;
-        spec.oracle = self.oracle;
-        spec
-    }
+/// `simulate`'s `--adaptive`/`--threshold` as a scheme; `default_threshold`
+/// (a base run) is asked only when bf/2d tuning was requested without
+/// `--threshold`.
+pub fn adaptive_kind(
+    args: &ParsedArgs,
+    default_threshold: impl FnOnce() -> f64,
+) -> Result<AdaptiveKind, ArgError> {
+    let threshold = args.get_opt_f64("threshold")?;
+    Ok(match args.get_or_default("adaptive") {
+        "none" => AdaptiveKind::None,
+        "w" => AdaptiveKind::Window,
+        "bf" => AdaptiveKind::Bf {
+            threshold: threshold.unwrap_or_else(default_threshold),
+        },
+        "2d" => AdaptiveKind::TwoD {
+            threshold: threshold.unwrap_or_else(default_threshold),
+        },
+        other => {
+            return Err(ArgError(format!(
+                "--adaptive: expected bf|w|2d|none, got {other:?}"
+            )))
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::parse;
+    use crate::args::{parse, tests::argv};
     use crate::commands::simulate_flags;
     use amjs_obs::Observer;
 
     fn parsed(parts: &[&str]) -> ParsedArgs {
-        let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        parse(&argv, &simulate_flags()).unwrap()
+        parse(&argv(parts), &simulate_flags()).unwrap()
+    }
+
+    /// The shared flags (one line) parsed the way `simulate` and `sweep`
+    /// do, over the small preset on a flat machine.
+    fn template(line: &str) -> Result<RunSpec, ArgError> {
+        let flags: Vec<&str> = line.split_whitespace().collect();
+        let workload = workload_source(&parsed(&["--workload", "small"]), 42);
+        template_spec(&parsed(&flags), MachineSpec::Flat { nodes: 640 }, workload)
     }
 
     /// `simulate`'s own path from flags to an outcome, minus the
-    /// threshold pre-run: policy flags onto a spec, `RunSpec::run`.
+    /// threshold pre-run: shared flags onto a spec, `RunSpec::run`.
     fn run_small(flags: &[&str], nodes: u32, label: &str) -> amjs_core::SimulationOutcome {
-        let (workload, jobs, _) = load_workload(&parsed(&["--workload", "small"])).unwrap();
-        let spec = PolicyFlags::from_args(&parsed(flags))
-            .unwrap()
-            .run_spec(
-                "test".to_string(),
-                MachineSpec::Flat { nodes },
-                workload,
-                PolicyParams::fcfs(),
-            )
-            .labeled(label);
-        spec.run(jobs, Observer::disabled(), None).0.unwrap()
+        let mut spec = template(&flags.join(" ")).unwrap().labeled(label);
+        spec.machine = MachineSpec::Flat { nodes };
+        spec.run(spec.jobs(), Observer::disabled(), None).0.unwrap()
     }
 
     #[test]
     fn machine_defaults_to_intrepid() {
         assert_eq!(machine_spec(&parsed(&[])).unwrap(), MachineSpec::intrepid());
+    }
+
+    /// An absent flag parses the string `--help` prints, and reading a
+    /// flag that declares no default panics: run every path that reads
+    /// flags, with nothing given and with the two switches on that
+    /// guard the rest of the reads.
+    #[test]
+    fn every_default_is_readable() {
+        let on = format!(
+            "--node-mtbf 1000 --cascade-prob 0.1 --snapshot-every 9 --snapshot-dir {}",
+            std::env::temp_dir().display()
+        );
+        let on: Vec<&str> = on.split_whitespace().collect();
+        for flags in [&[][..], &on] {
+            let args = parsed(flags);
+            let machine = machine_spec(&args).unwrap();
+            let spec = template_spec(&args, machine, workload_source(&args, 42)).unwrap();
+            assert_eq!(spec.failures.is_some(), !flags.is_empty());
+            assert_eq!(spec.backfill_depth, None);
+            let tuning = adaptive_kind(&args, || unreachable!("no tuning asked for"));
+            assert_eq!(tuning, Ok(AdaptiveKind::None));
+            if let Some(persist) = SnapshotFlags::from_args(&args).unwrap().spec {
+                assert_eq!(persist.keep, PersistSpec::new("").keep);
+            }
+        }
     }
 
     #[test]
@@ -496,6 +466,7 @@ mod tests {
             MachineSpec::Flat { nodes: 1000 }
         );
         assert!(machine_spec(&parsed(&["--nodes", "1000"])).is_err()); // bgp needs x512
+        assert!(machine_spec(&parsed(&["--machine", "flat", "--nodes", "0"])).is_err());
         assert!(machine_spec(&parsed(&["--machine", "torus"])).is_err());
     }
 
@@ -557,45 +528,27 @@ mod tests {
 
     #[test]
     fn policy_flags_parse() {
-        let f = PolicyFlags::from_args(&parsed(&[
-            "--backfill",
-            "conservative",
-            "--adaptive",
-            "2d",
-            "--threshold",
-            "500",
-        ]))
-        .unwrap();
-        assert_eq!(f.backfill, BackfillMode::Conservative);
-        assert_eq!(f.adaptive, Some("2d"));
-        assert_eq!(f.threshold, Some(500.0));
+        let spec = template("--backfill conservative").unwrap();
+        assert_eq!(spec.backfill, BackfillMode::Conservative);
         assert_eq!(
-            f.adaptive_kind(|| unreachable!("threshold given")),
-            AdaptiveKind::TwoD { threshold: 500.0 }
+            adaptive_kind(&parsed(&["--adaptive", "2d", "--threshold", "500"]), || {
+                unreachable!("threshold given")
+            }),
+            Ok(AdaptiveKind::TwoD { threshold: 500.0 })
         );
-        assert!(PolicyFlags::from_args(&parsed(&["--adaptive", "zzz"])).is_err());
+        assert!(adaptive_kind(&parsed(&["--adaptive", "zzz"]), || 0.0).is_err());
     }
 
     #[test]
     fn failure_flags_parse_and_validate() {
-        let f = PolicyFlags::from_args(&parsed(&[])).unwrap();
+        let f = template("").unwrap();
         assert!(f.failures.is_none());
         assert_eq!(f.retry, amjs_core::failures::RetryPolicy::default());
 
-        let f = PolicyFlags::from_args(&parsed(&[
-            "--node-mtbf",
-            "87600",
-            "--repair-time",
-            "2",
-            "--repair-sigma",
-            "0.8",
-            "--failure-seed",
-            "7",
-            "--max-attempts",
-            "3",
-            "--retry-backoff",
-            "10",
-        ]))
+        let f = template(
+            "--node-mtbf 87600 --repair-time 2 --repair-sigma 0.8 --failure-seed 7 \
+             --max-attempts 3 --retry-backoff 10",
+        )
         .unwrap();
         let spec = f.failures.unwrap();
         assert_eq!(spec.node_mtbf, amjs_sim::SimDuration::from_hours(87_600));
@@ -611,36 +564,28 @@ mod tests {
         assert_eq!(f.retry.backoff_base, amjs_sim::SimDuration::from_mins(10));
 
         // Sigma 0 means deterministic repair.
-        let f = PolicyFlags::from_args(&parsed(&["--node-mtbf", "1000"])).unwrap();
+        let f = template("--node-mtbf 1000").unwrap();
         assert_eq!(
             f.failures.unwrap().repair,
             amjs_core::failures::RepairSpec::Deterministic(amjs_sim::SimDuration::from_hours(4))
         );
 
-        assert!(PolicyFlags::from_args(&parsed(&["--node-mtbf", "0"])).is_err());
-        assert!(
-            PolicyFlags::from_args(&parsed(&["--node-mtbf", "10", "--repair-time", "-1"])).is_err()
-        );
-        assert!(PolicyFlags::from_args(&parsed(&["--max-attempts", "0"])).is_err());
-        assert!(PolicyFlags::from_args(&parsed(&["--retry-backoff", "-5"])).is_err());
+        assert!(template("--node-mtbf 0").is_err());
+        assert!(template("--node-mtbf 10 --repair-time -1").is_err());
+        assert!(template("--max-attempts 0").is_err());
+        assert!(template("--retry-backoff -5").is_err());
     }
 
     #[test]
     fn correlation_flags_parse_and_validate() {
         // No flags → no correlation layer, oracle off.
-        let f = PolicyFlags::from_args(&parsed(&[])).unwrap();
+        let f = template("").unwrap();
         assert!(f.correlation.is_none());
         assert!(!f.oracle);
 
-        let f = PolicyFlags::from_args(&parsed(&[
-            "--cascade-prob",
-            "0.3",
-            "--failure-domains",
-            "256,4,2",
-            "--burst-model",
-            "markov:10,168,6",
-            "--oracle",
-        ]))
+        let f = template(
+            "--cascade-prob 0.3 --failure-domains 256,4,2 --burst-model markov:10,168,6 --oracle",
+        )
         .unwrap();
         let corr = f.correlation.unwrap();
         assert_eq!(corr.cascade_prob, 0.3);
@@ -663,32 +608,29 @@ mod tests {
         assert!(f.oracle);
 
         // A single correlation flag is enough; the rest default.
-        let f = PolicyFlags::from_args(&parsed(&["--burst-model", "weibull:0.7"])).unwrap();
+        let f = template("--burst-model weibull:0.7").unwrap();
         let corr = f.correlation.unwrap();
         assert_eq!(corr.cascade_prob, 0.0);
         assert_eq!(corr.domains, DomainSpec::intrepid());
         assert_eq!(corr.burst, BurstModel::Weibull { shape: 0.7 });
 
-        let f = PolicyFlags::from_args(&parsed(&["--burst-model", "none"])).unwrap();
+        let f = template("--burst-model none").unwrap();
         assert_eq!(f.correlation.unwrap().burst, BurstModel::None);
 
         for bad in [
-            &["--cascade-prob", "1.5"][..],
-            &["--cascade-prob", "-0.1"],
-            &["--failure-domains", "512,2"],
-            &["--failure-domains", "512,0,8"],
-            &["--failure-domains", "a,b,c"],
-            &["--burst-model", "weibull:0"],
-            &["--burst-model", "weibull:x"],
-            &["--burst-model", "markov:0.5,168,6"],
-            &["--burst-model", "markov:10,0,6"],
-            &["--burst-model", "markov:10,168"],
-            &["--burst-model", "gamma:2"],
+            "--cascade-prob 1.5",
+            "--cascade-prob -0.1",
+            "--failure-domains 512,2",
+            "--failure-domains 512,0,8",
+            "--failure-domains a,b,c",
+            "--burst-model weibull:0",
+            "--burst-model weibull:x",
+            "--burst-model markov:0.5,168,6",
+            "--burst-model markov:10,0,6",
+            "--burst-model markov:10,168",
+            "--burst-model gamma:2",
         ] {
-            assert!(
-                PolicyFlags::from_args(&parsed(bad)).is_err(),
-                "expected rejection of {bad:?}"
-            );
+            assert!(template(bad).is_err(), "expected rejection of {bad:?}");
         }
     }
 

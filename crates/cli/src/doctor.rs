@@ -24,30 +24,10 @@ use crate::args::{self, ArgError, FlagSpec};
 
 fn flag_specs() -> Vec<FlagSpec> {
     vec![
-        FlagSpec {
-            name: "help",
-            is_bool: true,
-            help: "show this help",
-            default: None,
-        },
-        FlagSpec {
-            name: "json",
-            is_bool: true,
-            help: "emit the report as one JSON object instead of text",
-            default: None,
-        },
-        FlagSpec {
-            name: "slowest",
-            is_bool: false,
-            help: "how many slowest recorded ops to list",
-            default: Some("5"),
-        },
-        FlagSpec {
-            name: "tail",
-            is_bool: false,
-            help: "how many final flight-recorder events to show",
-            default: Some("10"),
-        },
+        FlagSpec::switch("help", "show this help"),
+        FlagSpec::switch("json", "emit the report as one JSON object instead of text"),
+        FlagSpec::with_default("slowest", 5, "how many slowest recorded ops to list"),
+        FlagSpec::with_default("tail", 10, "how many final flight-recorder events to show"),
     ]
 }
 
@@ -107,8 +87,7 @@ struct Report {
     flightrec_error: Option<String>,
 }
 
-fn build_report(dir: &Path, parsed: &args::ParsedArgs) -> Result<Report, ArgError> {
-    let _ = parsed;
+fn build_report(dir: &Path) -> Result<Report, ArgError> {
     let wal_path = dir.join("commands.wal");
     let wal = read_wal(&wal_path, None).map_err(|e| {
         ArgError(format!(
@@ -515,9 +494,9 @@ pub fn doctor(argv: &[String]) -> Result<(), ArgError> {
             )))
         }
     };
-    let slowest: usize = parsed.get_parsed("slowest", 5usize)?;
-    let tail: usize = parsed.get_parsed("tail", 10usize)?;
-    let report = build_report(&dir, &parsed)?;
+    let slowest: usize = parsed.get_parsed("slowest")?;
+    let tail: usize = parsed.get_parsed("tail")?;
+    let report = build_report(&dir)?;
     if parsed.get_bool("json") {
         println!("{}", render_json(&report, slowest));
     } else {
@@ -533,6 +512,12 @@ mod tests {
 
     fn ev(unix_ms: u64, kind: FlightKind) -> FlightEvent {
         FlightEvent { unix_ms, kind }
+    }
+
+    #[test]
+    fn defaults_are_read_before_the_directory_is() {
+        let err = doctor(&["/no/such/state-dir".to_string()]).unwrap_err();
+        assert!(err.0.contains("is this a daemon state directory?"), "{err}");
     }
 
     #[test]

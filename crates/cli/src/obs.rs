@@ -20,71 +20,39 @@ use amjs_obs::{
 
 use crate::args::{ArgError, FlagSpec, ParsedArgs};
 
-/// Observability flag names, for the `--resume-from` conflict check:
-/// a resumed run re-enters mid-stream, so its trace would be missing
-/// every decision before the snapshot — better to refuse than to write
-/// a silently incomplete artifact.
-pub const OBS_FLAGS: &[&str] = &[
-    "trace",
-    "trace-tail",
-    "profile",
-    "profile-json",
-    "metrics-addr",
-    "metrics-linger",
-    "heartbeat",
-];
-
 /// The observability flags shared by `simulate` and `replay`.
 pub fn obs_flag_specs() -> Vec<FlagSpec> {
     vec![
-        FlagSpec {
-            name: "trace",
-            is_bool: false,
-            help: "write the full decision trace as JSONL to this path",
-            default: None,
-        },
-        FlagSpec {
-            name: "trace-tail",
-            is_bool: false,
-            help: "keep the last N trace records in a ring buffer; dump to stderr at exit",
-            default: None,
-        },
-        FlagSpec {
-            name: "profile",
-            is_bool: true,
-            help: "profile the scheduler hot paths; print the span table to stderr",
-            default: None,
-        },
-        FlagSpec {
-            name: "profile-json",
-            is_bool: false,
-            help: "write the profiling spans as JSON to this path (implies --profile)",
-            default: None,
-        },
-        FlagSpec {
-            name: "metrics-addr",
-            is_bool: false,
-            help: "serve live Prometheus metrics on this address (e.g. 127.0.0.1:9184)",
-            default: None,
-        },
-        FlagSpec {
-            name: "metrics-linger",
-            is_bool: false,
-            help: "keep serving /metrics this many seconds after the run finishes",
-            default: Some("0"),
-        },
-        FlagSpec {
-            name: "heartbeat",
-            is_bool: false,
-            help: "stderr progress line every N seconds (0 = off; default 10 with --metrics-addr)",
-            default: None,
-        },
-        FlagSpec {
-            name: "quiet",
-            is_bool: true,
-            help: "print only the summary CSV on stdout",
-            default: None,
-        },
+        FlagSpec::value(
+            "trace",
+            "write the full decision trace as JSONL to this path",
+        ),
+        FlagSpec::value(
+            "trace-tail",
+            "keep the last N trace records in a ring buffer; dump to stderr at exit",
+        ),
+        FlagSpec::switch(
+            "profile",
+            "profile the scheduler hot paths; print the span table to stderr",
+        ),
+        FlagSpec::value(
+            "profile-json",
+            "write the profiling spans as JSON to this path (implies --profile)",
+        ),
+        FlagSpec::value(
+            "metrics-addr",
+            "serve live Prometheus metrics on this address (e.g. 127.0.0.1:9184)",
+        ),
+        FlagSpec::with_default(
+            "metrics-linger",
+            0,
+            "keep serving /metrics this many seconds after the run finishes",
+        ),
+        FlagSpec::value(
+            "heartbeat",
+            "stderr progress line every N seconds (0 = off; default 10 with --metrics-addr)",
+        ),
+        FlagSpec::switch("quiet", "print only the summary CSV on stdout"),
     ]
 }
 
@@ -118,13 +86,13 @@ impl ObsFlags {
         }
         let profile_json = args.get("profile-json").map(PathBuf::from);
         let profile = args.get_bool("profile") || profile_json.is_some();
-        let metrics_linger: f64 = args.get_parsed("metrics-linger", 0.0)?;
+        let metrics_linger = args.get_f64("metrics-linger")?;
         if metrics_linger < 0.0 {
             return Err(ArgError(format!(
                 "--metrics-linger: must be >= 0 seconds, got {metrics_linger}"
             )));
         }
-        let heartbeat_secs = args.get_opt::<f64>("heartbeat")?;
+        let heartbeat_secs = args.get_opt_f64("heartbeat")?;
         if heartbeat_secs.is_some_and(|s| s < 0.0) {
             return Err(ArgError("--heartbeat: must be >= 0 seconds".to_string()));
         }
@@ -139,14 +107,17 @@ impl ObsFlags {
         })
     }
 
-    /// Reject the combination with `--resume-from` (a resumed trace
-    /// would silently miss everything before the snapshot).
+    /// Reject every observability flag (all of them but `--quiet`)
+    /// alongside `--resume-from`: a resumed run re-enters mid-stream, so
+    /// its trace would be missing every decision before the snapshot —
+    /// better to refuse than to write a silently incomplete artifact.
     pub fn reject_with_resume(&self, args: &ParsedArgs) -> Result<(), ArgError> {
-        let offending: Vec<String> = OBS_FLAGS
+        let names: Vec<&str> = obs_flag_specs()
             .iter()
-            .filter(|f| args.is_given(f))
-            .map(|f| format!("--{f}"))
+            .map(|f| f.name)
+            .filter(|&name| name != "quiet")
             .collect();
+        let offending = args.given_among(&names);
         if offending.is_empty() {
             return Ok(());
         }
@@ -271,5 +242,25 @@ impl ObsSession {
             server.shutdown();
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::args::{parse, tests::argv};
+
+    #[test]
+    fn resume_refuses_the_seven_observability_flags_and_not_quiet() {
+        // An empty argv reads every default.
+        let flags = ObsFlags::from_args(&parse(&[], &obs_flag_specs()).unwrap()).unwrap();
+        let all = "--trace t --trace-tail 1 --profile --profile-json p --metrics-addr a \
+                   --metrics-linger 1 --heartbeat 1 --quiet";
+        let all: Vec<&str> = all.split_whitespace().collect();
+        let all = parse(&argv(&all), &obs_flag_specs()).unwrap();
+        let err = flags.reject_with_resume(&all).unwrap_err();
+        let seven = "combined with --trace, --trace-tail, --profile, --profile-json, \
+                     --metrics-addr, --metrics-linger, --heartbeat: a resumed run";
+        assert!(err.0.contains(seven), "{err}");
     }
 }

@@ -22,143 +22,88 @@ use amjs_fleet::{
 };
 
 use crate::args::{parse, render_flags, ArgError, FlagSpec, ParsedArgs};
-use crate::config::{machine_spec, run_config_flags, workload_source, PolicyFlags};
+use crate::config::{machine_spec, run_config_flags, template_spec, workload_source};
 
 fn sweep_flags() -> Vec<FlagSpec> {
+    let d = FleetConfig::default();
     let mut flags = crate::commands::common_flags();
     flags.extend([
-        FlagSpec {
-            name: "bf",
-            is_bool: false,
-            help: "comma-separated balance factors",
-            default: Some("1,0.75,0.5,0.25,0"),
-        },
-        FlagSpec {
-            name: "window",
-            is_bool: false,
-            help: "comma-separated window sizes",
-            default: Some("1,2,4"),
-        },
-        FlagSpec {
-            name: "seeds",
-            is_bool: false,
-            help: "comma-separated workload seeds (repetitions per config)",
-            default: Some("the --seed value"),
-        },
-        FlagSpec {
-            name: "adaptive",
-            is_bool: false,
-            help: "comma-separated tuning schemes: none|bf|w|2d",
-            default: Some("none"),
-        },
-        FlagSpec {
-            name: "threshold",
-            is_bool: false,
-            help: "queue-depth threshold (min) for bf/2d tuning",
-            default: Some("1000"),
-        },
-        FlagSpec {
-            name: "estimates",
-            is_bool: false,
-            help: "planning walltimes: raw|adaptive",
-            default: Some("raw"),
-        },
-        FlagSpec {
-            name: "jobs",
-            is_bool: false,
-            help: "worker threads (1 = sequential)",
-            default: Some("all cores"),
-        },
-        FlagSpec {
-            name: "run-timeout",
-            is_bool: false,
-            help: "per-run wall-clock deadline in seconds; overrunning runs are abandoned",
-            default: Some("unbounded"),
-        },
-        FlagSpec {
-            name: "run-retries",
-            is_bool: false,
-            help: "attempt budget per run (1 = no retries)",
-            default: Some("3"),
-        },
-        FlagSpec {
-            name: "run-backoff",
-            is_bool: false,
-            help: "retry backoff base in seconds (doubles per failure)",
-            default: Some("0.5"),
-        },
-        FlagSpec {
-            name: "keep-going",
-            is_bool: true,
-            help: "exit 0 even when runs end degraded (status column still records them)",
-            default: None,
-        },
-        FlagSpec {
-            name: "sweep-dir",
-            is_bool: false,
-            help: "directory for the sweep manifest + result journal (enables --resume)",
-            default: None,
-        },
-        FlagSpec {
-            name: "resume",
-            is_bool: false,
-            help: "resume the sweep in this directory, skipping completed runs",
-            default: None,
-        },
-        FlagSpec {
-            name: "csv",
-            is_bool: false,
-            help: "write the aggregated sweep CSV to this path",
-            default: None,
-        },
-        FlagSpec {
-            name: "bench-json",
-            is_bool: false,
-            help: "write sweep throughput stats (runs/s, quartiles) as JSON to this path",
-            default: None,
-        },
-        FlagSpec {
-            name: "heartbeat",
-            is_bool: false,
-            help: "stderr progress line (done/inflight/failed) every N seconds",
-            default: None,
-        },
-        FlagSpec {
-            name: "profile-dir",
-            is_bool: false,
-            help: "write a per-run scheduler span profile JSON into this directory",
-            default: None,
-        },
-        FlagSpec {
-            name: "stop-after",
-            is_bool: false,
-            help: "stop dispatching after N runs this invocation (testing aid for --resume)",
-            default: None,
-        },
-        FlagSpec {
-            name: "inject-panic",
-            is_bool: false,
-            help: "testing aid: panic every attempt of runs whose key contains this substring",
-            default: None,
-        },
-        FlagSpec {
-            name: "inject-flaky",
-            is_bool: false,
-            help: "testing aid: panic the first attempt of runs whose key contains this substring",
-            default: None,
-        },
-        FlagSpec {
-            name: "inject-hang",
-            is_bool: false,
-            help: "testing aid: hang runs whose key contains this substring (pair with --run-timeout)",
-            default: None,
-        },
-        FlagSpec {
-            name: "quiet",
-            is_bool: true,
-            help: "print only the aggregated CSV on stdout",
-            default: None,
-        },
+        FlagSpec::with_default("bf", "1,0.75,0.5,0.25,0", "comma-separated balance factors"),
+        FlagSpec::with_default("window", "1,2,4", "comma-separated window sizes"),
+        FlagSpec::optional(
+            "seeds",
+            "the --seed value",
+            "comma-separated workload seeds (repetitions per config)",
+        ),
+        FlagSpec::with_default(
+            "adaptive",
+            "none",
+            "comma-separated tuning schemes: none|bf|w|2d",
+        ),
+        FlagSpec::with_default(
+            "threshold",
+            1000,
+            "queue-depth threshold (min) for bf/2d tuning",
+        ),
+        FlagSpec::with_default("estimates", "raw", "planning walltimes: raw|adaptive"),
+        FlagSpec::optional("jobs", "all cores", "worker threads (1 = sequential)"),
+        FlagSpec::optional(
+            "run-timeout",
+            "unbounded",
+            "per-run wall-clock deadline in seconds; overrunning runs are abandoned",
+        ),
+        FlagSpec::with_default(
+            "run-retries",
+            d.max_attempts,
+            "attempt budget per run (1 = no retries)",
+        ),
+        FlagSpec::with_default(
+            "run-backoff",
+            d.backoff_base.as_secs_f64(),
+            "retry backoff base in seconds (doubles per failure)",
+        ),
+        FlagSpec::switch(
+            "keep-going",
+            "exit 0 even when runs end degraded (status column still records them)",
+        ),
+        FlagSpec::value(
+            "sweep-dir",
+            "directory for the sweep manifest + result journal (enables --resume)",
+        ),
+        FlagSpec::value(
+            "resume",
+            "resume the sweep in this directory, skipping completed runs",
+        ),
+        FlagSpec::value("csv", "write the aggregated sweep CSV to this path"),
+        FlagSpec::value(
+            "bench-json",
+            "write sweep throughput stats (runs/s, quartiles) as JSON to this path",
+        ),
+        FlagSpec::value(
+            "heartbeat",
+            "stderr progress line (done/inflight/failed) every N seconds",
+        ),
+        FlagSpec::value(
+            "profile-dir",
+            "write a per-run scheduler span profile JSON into this directory",
+        ),
+        FlagSpec::value(
+            "stop-after",
+            "stop dispatching after N runs this invocation (testing aid for --resume)",
+        ),
+        FlagSpec::value(
+            "inject-panic",
+            "testing aid: panic every attempt of runs whose key contains this substring",
+        ),
+        FlagSpec::value(
+            "inject-flaky",
+            "testing aid: panic the first attempt of runs whose key contains this substring",
+        ),
+        FlagSpec::value(
+            "inject-hang",
+            "testing aid: hang runs whose key contains this substring (pair with --run-timeout)",
+        ),
+        FlagSpec::switch("quiet", "print only the aggregated CSV on stdout"),
     ]);
     flags
 }
@@ -205,11 +150,7 @@ pub fn sweep(argv: &[String]) -> Result<(), ArgError> {
                 SweepStore::resume(dir).map_err(|e| ArgError(format!("--resume: {e}")))?;
             // Grid flags may accompany --resume only if they rebuild the
             // exact same grid (guard against resuming the wrong sweep).
-            let given: Vec<String> = grid_flags()
-                .iter()
-                .filter(|f| parsed.is_given(f))
-                .map(|f| format!("--{f}"))
-                .collect();
+            let given = parsed.given_among(&grid_flags());
             if !given.is_empty() {
                 let (flag_specs, _) = build_grid(&parsed)?;
                 if grid_fingerprint(&flag_specs) != store.fingerprint() {
@@ -321,24 +262,17 @@ pub fn sweep(argv: &[String]) -> Result<(), ArgError> {
 
 /// Parse the fleet execution flags.
 fn fleet_config(parsed: &ParsedArgs) -> Result<FleetConfig, ArgError> {
-    let workers = match parsed.get("jobs") {
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
-        Some(_) => parsed.get_parsed("jobs", 1usize)?,
+    let workers = match parsed.get_opt("jobs")? {
+        Some(n) => n,
+        None => FleetConfig::default().workers,
     };
-    let run_timeout = parsed
-        .get_opt::<f64>("run-timeout")?
-        .map(|s| {
-            if s <= 0.0 {
-                return Err(ArgError(format!(
-                    "--run-timeout: must be positive seconds, got {s}"
-                )));
-            }
-            Ok(Duration::from_secs_f64(s))
-        })
-        .transpose()?;
-    let backoff: f64 = parsed.get_parsed("run-backoff", 0.5)?;
+    let run_timeout = parsed.get_opt_f64("run-timeout")?;
+    if let Some(s) = run_timeout.filter(|s| *s <= 0.0) {
+        return Err(ArgError(format!(
+            "--run-timeout: must be positive seconds, got {s}"
+        )));
+    }
+    let backoff = parsed.get_f64("run-backoff")?;
     if backoff < 0.0 {
         return Err(ArgError(format!(
             "--run-backoff: must be >= 0 seconds, got {backoff}"
@@ -346,12 +280,12 @@ fn fleet_config(parsed: &ParsedArgs) -> Result<FleetConfig, ArgError> {
     }
     Ok(FleetConfig {
         workers,
-        run_timeout,
-        max_attempts: parsed.get_parsed("run-retries", 3u32)?,
+        run_timeout: run_timeout.map(Duration::from_secs_f64),
+        max_attempts: parsed.get_parsed("run-retries")?,
         backoff_base: Duration::from_secs_f64(backoff),
         keep_going: parsed.get_bool("keep-going"),
         heartbeat: parsed
-            .get_opt::<f64>("heartbeat")?
+            .get_opt_f64("heartbeat")?
             .filter(|s| *s > 0.0)
             .map(Duration::from_secs_f64),
         stop_after: parsed.get_opt::<usize>("stop-after")?,
@@ -360,13 +294,15 @@ fn fleet_config(parsed: &ParsedArgs) -> Result<FleetConfig, ArgError> {
 
 /// Expand the grid flags into a validated, deduplicated spec list.
 fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgError> {
-    let machine = machine_spec(parsed)?;
-    // `sweep` reads `--adaptive` as a scheme *list* and applies it per
-    // grid point; hide it from the single-value policy parser.
-    let policy_flags = PolicyFlags::from_args(&parsed.without("adaptive"))?;
+    let default_seed: u64 = parsed.get_parsed("seed")?;
+    let template = template_spec(
+        parsed,
+        machine_spec(parsed)?,
+        workload_source(parsed, default_seed),
+    )?;
 
-    let bfs: Vec<f64> = parsed.get_list("bf", &[1.0, 0.75, 0.5, 0.25, 0.0])?;
-    let windows: Vec<usize> = parsed.get_list("window", &[1, 2, 4])?;
+    let bfs: Vec<f64> = parsed.get_list("bf")?;
+    let windows: Vec<usize> = parsed.get_list("window")?;
     for &bf in &bfs {
         if !(0.0..=1.0).contains(&bf) {
             return Err(ArgError(format!("--bf values must be in [0,1], got {bf}")));
@@ -375,22 +311,33 @@ fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgErr
     if windows.contains(&0) {
         return Err(ArgError("--window values must be at least 1".to_string()));
     }
-    let default_seed = parsed.get_parsed("seed", 42u64)?;
-    let seeds: Vec<u64> = parsed.get_list("seeds", &[default_seed])?;
-    let schemes: Vec<String> = parsed.get_list("adaptive", &["none".to_string()])?;
-    let threshold: f64 = parsed.get_parsed("threshold", 1000.0)?;
-    for scheme in &schemes {
-        if !matches!(scheme.as_str(), "none" | "bf" | "w" | "2d") {
-            return Err(ArgError(format!(
-                "--adaptive: expected none|bf|w|2d, got {scheme:?}"
-            )));
-        }
-    }
+    // `--seeds` defaults to another flag's value, not to a string.
+    let seeds: Vec<u64> = if parsed.is_given("seeds") {
+        parsed.get_list("seeds")?
+    } else {
+        vec![default_seed]
+    };
+    let threshold = parsed.get_f64("threshold")?;
+    let schemes = parsed
+        .get_list::<String>("adaptive")?
+        .into_iter()
+        .map(|scheme| {
+            let kind = match scheme.as_str() {
+                "none" => AdaptiveKind::None,
+                "bf" => AdaptiveKind::Bf { threshold },
+                "w" => AdaptiveKind::Window,
+                "2d" => AdaptiveKind::TwoD { threshold },
+                _ => {
+                    return Err(ArgError(format!(
+                        "--adaptive: expected none|bf|w|2d, got {scheme:?}"
+                    )))
+                }
+            };
+            Ok((scheme, kind))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let fixed_trace = matches!(
-        workload_source(parsed, default_seed),
-        WorkloadSource::Swf { .. }
-    );
+    let fixed_trace = matches!(template.workload, WorkloadSource::Swf { .. });
     if fixed_trace && seeds.len() > 1 {
         return Err(ArgError(
             "--seeds: multiple seeds only apply to synthetic presets; an SWF \
@@ -400,7 +347,7 @@ fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgErr
     }
 
     let mut specs = Vec::new();
-    for scheme in &schemes {
+    for (scheme, adaptive) in &schemes {
         for &bf in &bfs {
             for &w in &windows {
                 for &seed in &seeds {
@@ -410,16 +357,14 @@ fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgErr
                         "none" => policy.label(),
                         other => format!("{}+{other}adapt", policy.label()),
                     };
-                    let mut spec = policy_flags
-                        .run_spec(key, machine, workload_source(parsed, seed), policy)
-                        .labeled(label);
-                    spec.adaptive = match scheme.as_str() {
-                        "none" => AdaptiveKind::None,
-                        "bf" => AdaptiveKind::Bf { threshold },
-                        "w" => AdaptiveKind::Window,
-                        _ => AdaptiveKind::TwoD { threshold },
-                    };
-                    specs.push(spec);
+                    specs.push(RunSpec {
+                        key,
+                        label,
+                        workload: workload_source(parsed, seed),
+                        policy,
+                        adaptive: *adaptive,
+                        ..template.clone()
+                    });
                 }
             }
         }
@@ -492,10 +437,7 @@ fn run_profiled(spec: &RunSpec, dir: &Path) -> RunDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
+    use crate::args::tests::argv;
 
     const SMALL: &[&str] = &[
         "--workload",
@@ -515,6 +457,21 @@ mod tests {
     #[test]
     fn help_does_not_error() {
         assert!(sweep(&argv(&["--help"])).is_ok());
+    }
+
+    #[test]
+    fn an_empty_argv_is_the_fleet_default_and_the_full_grid() {
+        let parsed = parse(&[], &sweep_flags()).unwrap();
+        let (cfg, d) = (fleet_config(&parsed).unwrap(), FleetConfig::default());
+        assert_eq!((cfg.workers, cfg.max_attempts), (d.workers, d.max_attempts));
+        let timing = (cfg.run_timeout, cfg.backoff_base);
+        assert_eq!(timing, (d.run_timeout, d.backoff_base));
+        assert_eq!((cfg.heartbeat, cfg.stop_after), (d.heartbeat, d.stop_after));
+        // `--keep-going` is a switch: off unless asked for.
+        assert!(!cfg.keep_going);
+        let (specs, _) = build_grid(&parsed).unwrap();
+        assert_eq!(specs.len(), 5 * 3);
+        assert!(specs.iter().any(|s| s.key == "none-bf0.25-w4-s42"));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! (or at a nonsense address) must exit nonzero with a clean
 //! `error: --<flag>: cannot bind ...` diagnostic on stderr — never a
 //! panic, never a half-started process. The same contract covers a
-//! fresh daemon's policy flags, which are validated on that path.
+//! fresh daemon's policy flags, which are validated on that path, and
+//! every float flag and machine size on every command.
 
 use std::net::TcpListener;
 use std::process::Command;
@@ -166,4 +167,60 @@ fn serve_rejects_an_out_of_range_bf_without_panicking() {
         );
         assert!(!dir.exists(), "--bf {bf} left a state directory behind");
     }
+}
+
+#[test]
+fn non_finite_floats_and_an_empty_flat_machine_are_one_line_errors() {
+    // NaN passes every `x <= 0.0` range check and `nan as i64` is 0; a
+    // zero-node flat cluster is an assertion in the platform. Each must
+    // be refused at the flag, before anything runs: `sweep` before it
+    // dispatches (its stderr would gain an `amjs: sweeping` line),
+    // `serve` before it binds (the port is taken, and that is not the
+    // error) or creates its state directory.
+    let (_guard, addr) = occupied_port();
+    let dir = std::env::temp_dir().join(format!("amjs-serve-empty-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serve = format!("serve --serve-addr {addr} --serve-dir {}", dir.display());
+    const FLAT: &str = "--workload small --machine flat";
+    for (command, flag, bad) in [
+        (format!("simulate {FLAT} --nodes 64"), "--node-mtbf", "nan"),
+        (
+            format!("simulate {FLAT} --nodes 64 --node-mtbf 100"),
+            "--repair-time",
+            "nan",
+        ),
+        (
+            format!("simulate {FLAT} --nodes 64 --node-mtbf 100"),
+            "--repair-sigma",
+            "nan",
+        ),
+        (
+            format!("simulate {FLAT} --nodes 64"),
+            "--retry-backoff",
+            "nan",
+        ),
+        (format!("simulate {FLAT} --nodes 64"), "--threshold", "nan"),
+        (
+            format!("sweep {FLAT} --nodes 64 --bf 1 --window 1"),
+            "--threshold",
+            "nan",
+        ),
+        ("workload".to_string(), "--load-factor", "nan"),
+        (format!("simulate {FLAT}"), "--nodes", "0"),
+        (format!("sweep {FLAT} --bf 1 --window 1"), "--nodes", "0"),
+        (format!("{serve} --machine flat"), "--nodes", "0"),
+    ] {
+        let line = format!("{command} {flag} {bad}");
+        let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
+            .args(line.split_whitespace())
+            .output()
+            .expect("spawn amjs");
+        assert_eq!(out.status.code(), Some(1), "amjs {line}: {out:?}");
+        let want = match bad {
+            "nan" => format!("error: {flag}: expected a finite number, got \"nan\"\n"),
+            _ => "error: --nodes: a flat machine needs at least 1 node\n".to_string(),
+        };
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "amjs {line}");
+    }
+    assert!(!dir.exists(), "serve left a state directory behind");
 }

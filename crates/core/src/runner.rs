@@ -193,8 +193,6 @@ pub struct SimulationBuilder<P: Platform> {
     backfill: BackfillMode,
     adaptive: AdaptiveScheme,
     sample_interval: SimDuration,
-    fairness_tolerance: SimDuration,
-    compute_fairness: bool,
     plan_depth: usize,
     perm_windows: usize,
     max_permutations: usize,
@@ -223,8 +221,6 @@ impl<P: Platform> SimulationBuilder<P> {
             backfill: BackfillMode::Easy,
             adaptive: AdaptiveScheme::none(),
             sample_interval: SimDuration::from_mins(30),
-            fairness_tolerance: SimDuration::from_secs(60),
-            compute_fairness: true,
             plan_depth: 20,
             perm_windows: 2,
             max_permutations: 720,
@@ -267,19 +263,6 @@ impl<P: Platform> SimulationBuilder<P> {
     pub fn sample_interval(mut self, interval: SimDuration) -> Self {
         assert!(interval.as_secs() > 0);
         self.sample_interval = interval;
-        self
-    }
-
-    /// Unfairness tolerance (default 60 s).
-    pub fn fairness_tolerance(mut self, tol: SimDuration) -> Self {
-        self.fairness_tolerance = tol;
-        self
-    }
-
-    /// Disable the per-submission fair-start drain (saves time when
-    /// fairness is not being measured).
-    pub fn without_fairness(mut self) -> Self {
-        self.compute_fairness = false;
         self
     }
 
@@ -479,8 +462,7 @@ impl<P: Platform> SimulationBuilder<P> {
             queue: Vec::new(),
             running: HashMap::new(),
             wait: WaitStats::new(),
-            fairness: FairnessTracker::new(self.fairness_tolerance),
-            compute_fairness: self.compute_fairness,
+            fairness: FairnessTracker::new(SimDuration::from_secs(60)),
             loc: LossOfCapacity::new(total_nodes),
             util: UtilizationTracker::new(total_nodes, SimTime::ZERO),
             queue_depth: TimeSeries::new("queue_depth_mins"),
@@ -703,7 +685,6 @@ pub(crate) struct Runner<P: Platform> {
     running: HashMap<JobId, Running>,
     wait: WaitStats,
     fairness: FairnessTracker,
-    compute_fairness: bool,
     loc: LossOfCapacity,
     util: UtilizationTracker,
     queue_depth: TimeSeries,
@@ -1141,9 +1122,7 @@ impl<P: Platform> Runner<P> {
                 let wait = (now - job.submit).max_zero();
                 self.wait.record(job.id, wait);
                 self.wait.record_slowdown(wait, job.runtime);
-                if self.compute_fairness {
-                    self.fairness.record_actual_start(job.id, now);
-                }
+                self.fairness.record_actual_start(job.id, now);
             }
             if start.backfilled {
                 self.backfilled_starts += 1;
@@ -1685,36 +1664,34 @@ impl<P: Platform> World for Runner<P> {
                     };
                     self.obs.emit(now, ev);
                 }
-                if self.compute_fairness {
-                    let fair_span = self.obs.prof_enter("fair_start");
-                    let job = &self.jobs[trace_idx];
-                    let job_id = job.id;
-                    // On a machine degraded below the job's size the
-                    // no-later-arrivals drain cannot place it at all;
-                    // use the submission instant as its fair start (any
-                    // wait on repairs then counts as unfair treatment).
-                    let gap_depth = self.scheduler.backfill_depth.unwrap_or(usize::MAX);
-                    let fair = if !self.platform.could_ever_allocate(job.nodes) {
-                        now
-                    } else if self.reference_hotpath {
-                        // Differential runs sort and drain from scratch
-                        // on the naive path (see `reference_hotpath`).
-                        let mut base_plan = self.base_plan(now);
-                        base_plan.set_reference(true);
-                        fair_start_time(
-                            &base_plan,
-                            &self.queued_jobs(),
-                            job_id,
-                            self.scheduler.ordering(),
-                            now,
-                            gap_depth,
-                        )
-                    } else {
-                        self.fair_start_resuming(job_id, now, gap_depth)
-                    };
-                    self.fairness.record_fair_start(job_id, fair);
-                    self.obs.prof_exit(fair_span);
-                }
+                let fair_span = self.obs.prof_enter("fair_start");
+                let job = &self.jobs[trace_idx];
+                let job_id = job.id;
+                // On a machine degraded below the job's size the
+                // no-later-arrivals drain cannot place it at all;
+                // use the submission instant as its fair start (any
+                // wait on repairs then counts as unfair treatment).
+                let gap_depth = self.scheduler.backfill_depth.unwrap_or(usize::MAX);
+                let fair = if !self.platform.could_ever_allocate(job.nodes) {
+                    now
+                } else if self.reference_hotpath {
+                    // Differential runs sort and drain from scratch
+                    // on the naive path (see `reference_hotpath`).
+                    let mut base_plan = self.base_plan(now);
+                    base_plan.set_reference(true);
+                    fair_start_time(
+                        &base_plan,
+                        &self.queued_jobs(),
+                        job_id,
+                        self.scheduler.ordering(),
+                        now,
+                        gap_depth,
+                    )
+                } else {
+                    self.fair_start_resuming(job_id, now, gap_depth)
+                };
+                self.fairness.record_fair_start(job_id, fair);
+                self.obs.prof_exit(fair_span);
                 self.run_scheduler(now, events);
                 self.record_loc(now);
             }
@@ -2033,7 +2010,9 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
         sorted_entries(&self.running).encode(w);
         self.wait.encode(w);
         self.fairness.encode(w);
-        w.put_bool(self.compute_fairness);
+        // Format byte: `false` meant "no fair-start drain", which no
+        // build can honour any more (decode refuses it).
+        w.put_bool(true);
         self.loc.encode(w);
         self.util.encode(w);
         self.queue_depth.encode(w);
@@ -2083,7 +2062,10 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
         let running_entries: Vec<(JobId, Running)> = Snapshot::decode(r)?;
         let wait = Snapshot::decode(r)?;
         let fairness = Snapshot::decode(r)?;
-        let compute_fairness = r.get_bool()?;
+        if !r.get_bool()? {
+            let why = "taken with the fair-start drain switched off, an option since removed";
+            return Err(amjs_sim::SnapError::Malformed(why.to_string()));
+        }
         let loc = Snapshot::decode(r)?;
         let util = Snapshot::decode(r)?;
         let queue_depth = Snapshot::decode(r)?;
@@ -2143,7 +2125,6 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
             running: running_entries.into_iter().collect(),
             wait,
             fairness,
-            compute_fairness,
             loc,
             util,
             queue_depth,
@@ -2502,12 +2483,28 @@ mod tests {
     }
 
     #[test]
-    fn without_fairness_still_completes() {
-        let out = SimulationBuilder::new(FlatCluster::new(512), small_jobs(11))
-            .without_fairness()
-            .run();
-        assert_eq!(out.summary.unfair_jobs, 0);
-        assert!(out.summary.jobs_completed > 0);
+    fn a_snapshot_with_the_fair_start_byte_cleared_is_malformed() {
+        use amjs_sim::{SnapError, SnapReader, SnapWriter, Snapshot};
+        let world = SimulationBuilder::new(FlatCluster::new(512), small_jobs(11))
+            .prepare()
+            .world;
+        // The byte follows the fairness tracker: encode up to there.
+        let mut prefix = SnapWriter::new();
+        world.platform.encode(&mut prefix);
+        world.jobs.encode(&mut prefix);
+        world.scheduler.encode(&mut prefix);
+        world.adaptive.encode(&mut prefix);
+        world.queue.encode(&mut prefix);
+        sorted_entries(&world.running).encode(&mut prefix);
+        world.wait.encode(&mut prefix);
+        world.fairness.encode(&mut prefix);
+        let mut whole = SnapWriter::new();
+        world.encode(&mut whole);
+        let (at, mut bytes) = (prefix.len(), whole.into_bytes());
+        assert_eq!(bytes[at], 1);
+        bytes[at] = 0;
+        let err = Runner::<FlatCluster>::decode(&mut SnapReader::new(&bytes)).err();
+        assert!(matches!(&err, Some(SnapError::Malformed(m)) if m.contains("fair-start drain")));
     }
 
     #[test]

@@ -469,6 +469,15 @@ struct Counters {
     whatif_panics: AtomicU64,
 }
 
+/// Count one `BUSY` reply and leave the flight-recorder line `amjs
+/// doctor` builds its shed windows from.
+fn shed(counters: &Counters, flight: &FlightRecorder, what: &str) {
+    counters.sheds.fetch_add(1, Ordering::SeqCst);
+    flight.record(FlightKind::Shed {
+        what: what.to_string(),
+    });
+}
+
 /// The daemon's replication role.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Role {
@@ -1040,11 +1049,7 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                 horizon_secs,
             } => {
                 if self.counters.whatif_active.load(Ordering::SeqCst) >= self.cfg.whatif_cap {
-                    self.counters.sheds.fetch_add(1, Ordering::SeqCst);
-                    self.report.sheds += 1;
-                    self.flight.record(FlightKind::Shed {
-                        what: "whatif-cap".to_string(),
-                    });
+                    shed(&self.counters, &self.flight, "whatif-cap");
                     let text = "BUSY what-if capacity".to_string();
                     self.note_request(verb, &text, at, None);
                     let _ = reply.send(text);
@@ -1525,10 +1530,7 @@ fn listener_loop(
             Ok((stream, peer)) => {
                 let conn_id = counters.connections_total.fetch_add(1, Ordering::SeqCst);
                 if counters.connections_active.load(Ordering::SeqCst) >= max_conns {
-                    counters.sheds.fetch_add(1, Ordering::SeqCst);
-                    flight.record(FlightKind::Shed {
-                        what: "connection-limit".to_string(),
-                    });
+                    shed(&counters, &flight, "connection-limit");
                     let mut s = stream;
                     let _ = s.set_nodelay(true);
                     let _ = write_frame(&mut s, b"BUSY connection limit");
@@ -1612,7 +1614,7 @@ fn connection_loop(
                         match tx.try_send(Request::ReplSnapshot { reply: reply_tx }) {
                             Ok(()) => {}
                             Err(_) => {
-                                counters.sheds.fetch_add(1, Ordering::SeqCst);
+                                shed(counters, flight, "admission");
                                 if write_frame(&mut writer, b"BUSY admission queue full").is_err() {
                                     return;
                                 }
@@ -1650,7 +1652,7 @@ fn connection_loop(
                         }) {
                             Ok(()) => {}
                             Err(_) => {
-                                counters.sheds.fetch_add(1, Ordering::SeqCst);
+                                shed(counters, flight, "admission");
                                 if write_frame(&mut writer, b"BUSY admission queue full").is_err() {
                                     return;
                                 }
@@ -1684,10 +1686,7 @@ fn connection_loop(
                             }
                             Err(TrySendError::Full(_)) => {
                                 // Load shed: bounded admission queue is full.
-                                counters.sheds.fetch_add(1, Ordering::SeqCst);
-                                flight.record(FlightKind::Shed {
-                                    what: "admission".to_string(),
-                                });
+                                shed(counters, flight, "admission");
                                 if write_frame(&mut writer, b"BUSY admission queue full").is_err() {
                                     return;
                                 }
@@ -1990,6 +1989,37 @@ mod tests {
         assert_eq!(first.ask("PING"), "OK PONG"); // daemon unbothered
         assert_eq!(first.ask("SHUTDOWN"), "OK BYE");
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_full_admission_queue_under_repl_tail_leaves_a_shed_line() {
+        let dir = tmp_dir("repl-shed");
+        let flight = FlightRecorder::new(8, dir.join("flightrec.jsonl"));
+        let counters = Counters::default();
+        // An admission queue of one, already full, that no engine drains.
+        let (tx, _rx) = mpsc::sync_channel::<Request>(1);
+        let (reply, _) = mpsc::channel();
+        tx.try_send(Request::ReplSnapshot { reply }).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap());
+        let (stream, peer) = listener.accept().unwrap();
+        let timeout = Duration::from_secs(10);
+        thread::scope(|s| {
+            s.spawn(|| connection_loop(stream, peer, tx, &counters, timeout, 0, None, &flight));
+            for verb in ["REPL TAIL SEQ=0 EPOCH=0 FP=0", "REPL SNAPSHOT", "PING"] {
+                assert_eq!(client.ask(verb), "BUSY admission queue full", "{verb}");
+            }
+            drop(client); // EOF ends the connection loop
+        });
+        flight.flush();
+        let events = crate::flight::read_flightrec(&dir.join("flightrec.jsonl")).unwrap();
+        let admission = FlightKind::Shed {
+            what: "admission".to_string(),
+        };
+        let kinds: Vec<&FlightKind> = events.iter().map(|e| &e.kind).collect();
+        assert_eq!(kinds, [&admission; 3]);
+        assert_eq!(counters.sheds.load(Ordering::SeqCst), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
