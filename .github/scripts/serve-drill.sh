@@ -24,7 +24,9 @@ SUBMIT NODES=32 WALL=7200 USER=3
 ADVANCE 1800
 SUBMIT NODES=16 WALL=3600 RUN=1800 USER=4
 CANCEL 2
-ADVANCE 1800'
+ADVANCE 1800
+SUBMIT NODES=64 WALL=3600 USER=5
+ADVANCE 60'
 drive() {  # drive <port>: run the script, insisting every command is acked
   echo "$SCRIPT" | while IFS= read -r cmd; do
     cmd=$(echo "$cmd" | sed 's/^ *//')
@@ -36,8 +38,14 @@ drive() {  # drive <port>: run the script, insisting every command is acked
   done
 }
 observe() {  # observe <port> <outfile>: fingerprint visible state
+  # Jobs 0-1 are done, 2 canceled, 3 running, 4 queued behind it: its
+  # what-ifs are answered from a fork, the others from STATUS.
   { ask "$1" HASH
-    for id in 0 1 2 3 4; do ask "$1" "STATUS $id"; done
+    for id in 0 1 2 3 4; do
+      ask "$1" "STATUS $id"
+      ask "$1" "WHATIF $id"
+      ask "$1" "WHATIF $id BF=0.9 W=4 HORIZON=86400"
+    done
     ask "$1" STATS
   } > "$2"
 }

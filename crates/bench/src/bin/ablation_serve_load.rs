@@ -130,11 +130,18 @@ fn paced_load(fast: bool) -> PacedOutcome {
         cfg.snapshot_every = 256;
     });
 
-    // Seed job 0 so the what-if clients have a subject from the start.
+    // The what-if subject must stay queued, or the daemon answers from
+    // `STATUS` without a fork: job 0 holds 64 nodes for the whole run and
+    // job 1 wants the whole machine. Its reservation lies past job 0's
+    // end, so the paced jobs backfill in front of it undisturbed.
     let mut seed_client = Client::connect(addr);
     assert_eq!(
-        seed_client.ask("SUBMIT NODES=64 WALL=7200 RUN=3600 USER=0"),
+        seed_client.ask("SUBMIT NODES=64 WALL=10000000 USER=0"),
         "OK ID=0"
+    );
+    assert_eq!(
+        seed_client.ask("SUBMIT NODES=1024 WALL=3600 USER=0"),
+        "OK ID=1"
     );
 
     let done = Arc::new(AtomicBool::new(false));
@@ -150,7 +157,7 @@ fn paced_load(fast: bool) -> PacedOutcome {
             let mut hist = Histogram::latency();
             while !done.load(Ordering::SeqCst) {
                 let t0 = Instant::now();
-                let reply = c.ask("WHATIF 0 HORIZON=86400");
+                let reply = c.ask("WHATIF 1 HORIZON=86400");
                 hist.observe_duration(t0.elapsed());
                 if reply.starts_with("BUSY") {
                     shed.fetch_add(1, Ordering::SeqCst);

@@ -18,7 +18,9 @@
 //! LIVE section for the driver-side facts (job-id allocator, live
 //! clock). Decoding a payload restores a scheduler that evolves
 //! byte-identically to the original — the property the serve daemon's
-//! crash recovery and `WHATIF` speculation are both built on.
+//! crash recovery is built on. `WHATIF` speculation does not go through
+//! the codec: [`LiveScheduler::fork`] copies the live half of the state
+//! in memory and leaves the history behind.
 
 use amjs_platform::Platform;
 use amjs_sim::{
@@ -29,8 +31,8 @@ use amjs_workload::{Job, JobId};
 
 use crate::persist::{self, SnapshotHeader};
 use crate::runner::{
-    finish_run, Ev, InvariantOracle, JobOutcome, PreparedRun, RunMeta, Runner, SimulationBuilder,
-    SimulationOutcome,
+    finish_run, Ev, InvariantOracle, JobOutcome, LiveState, PreparedRun, RunConfig, RunMeta,
+    Runner, SimulationBuilder, SimulationOutcome,
 };
 
 /// Section tag for the live-mode trailer appended after the PR-3
@@ -146,8 +148,8 @@ pub struct LiveStateStats {
 /// - **mutations**: [`submit`](Self::submit), [`cancel`](Self::cancel),
 ///   [`advance_to`](Self::advance_to);
 /// - **queries**: [`status`](Self::status), [`stats`](Self::stats),
-///   [`whatif_start`](Self::whatif_start) (speculation forks a decoded
-///   copy; live state is never touched);
+///   [`whatif_start`](Self::whatif_start) (speculation runs on a
+///   [`fork`](Self::fork); live state is never touched);
 /// - **durability**: [`encode`](Self::encode) / [`decode`](Self::decode)
 ///   round-trip the complete state byte-identically.
 pub struct LiveScheduler<P: Platform + Snapshot> {
@@ -172,6 +174,7 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
         let PreparedRun { world, queue, meta } = builder.prepare();
         let fingerprint = persist::run_fingerprint(&world, &queue, &meta);
         let next_job_id = world
+            .live
             .trace_jobs()
             .iter()
             .map(|j| j.id.0 + 1)
@@ -214,7 +217,7 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
 
     /// Short platform name tag (`"flat"`, `"bgp"`).
     pub fn platform_name(&self) -> &'static str {
-        self.world.platform_name()
+        self.world.live.platform_name()
     }
 
     /// Handle all events up to and including simulated time `t`, leaving
@@ -261,10 +264,10 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
         runtime: Option<SimDuration>,
         user: u32,
     ) -> Result<JobId, SubmitError> {
-        if !self.world.fits_machine(nodes.max(1)) {
+        if !self.world.live.fits_machine(nodes.max(1)) {
             return Err(SubmitError::TooLarge {
                 nodes: nodes.max(1),
-                capacity: self.world.machine_capacity(),
+                capacity: self.world.live.machine_capacity(),
             });
         }
         let id = JobId(self.next_job_id);
@@ -295,10 +298,10 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
 
     /// Where `id` is in its lifecycle right now.
     pub fn status(&self, id: JobId) -> JobStatus {
-        if let Some(position) = self.world.queue_position(id) {
+        if let Some(position) = self.world.live.queue_position(id) {
             return JobStatus::Queued { position };
         }
-        if let Some((start, expected_end)) = self.world.running_span(id) {
+        if let Some((start, expected_end)) = self.world.live.running_span(id) {
             return JobStatus::Running {
                 start,
                 expected_end,
@@ -315,7 +318,7 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
         // backoff (`Resubmit` pending). Canceled and abandoned jobs
         // have no pending event and fall through to `Unknown`.
         let pending = self.queue.iter().any(|e| match e.payload {
-            Ev::Submit(i) | Ev::Resubmit(i) => self.world.trace_jobs()[i].id == id,
+            Ev::Submit(i) | Ev::Resubmit(i) => self.world.live.trace_jobs()[i].id == id,
             _ => false,
         });
         if pending {
@@ -332,9 +335,9 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
     /// Instantaneous counters and signals for dashboards.
     pub fn stats(&self) -> LiveStateStats {
         let (queued, running, finished, abandoned, in_backoff, unsubmitted) =
-            self.world.occupancy();
+            self.world.live.occupancy();
         let (queue_depth_mins, util_instant, util_1h, util_10h, util_24h, down_nodes) =
-            self.world.live_signals(self.now);
+            self.world.live.live_signals(self.now);
         LiveStateStats {
             queued,
             running,
@@ -348,7 +351,7 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
             util_10h,
             util_24h,
             down_nodes,
-            policy: self.world.current_policy(),
+            policy: self.world.live.current_policy(),
         }
     }
 
@@ -356,15 +359,16 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
     /// first violation as a message. The daemon calls this on a cadence
     /// even when the per-event oracle is off.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.world.check_invariants(self.now)
+        self.world.live.check_invariants(self.now)
     }
 
-    /// Answer "when would this job start?" by forking the current state
-    /// through the snapshot codec and fast-forwarding the copy up to
-    /// `horizon` ahead, optionally under a pinned `(BF, W)` policy
-    /// override (adaptive tuning is disabled in the fork so the answer
-    /// is about exactly that policy). Live state is never touched — the
-    /// fork is a decoded copy, byte-independent of `self`.
+    /// Answer "when would this job start?": from [`status`](Self::status)
+    /// if the job has started or is unknown, otherwise by fast-forwarding
+    /// a [`fork`](Self::fork) up to `horizon` ahead, optionally under a
+    /// pinned `(BF, W)` policy override (adaptive tuning is disabled in
+    /// the fork so the answer is about exactly that policy). Live state
+    /// is never touched. Always `Ok`: a fork cannot fail, but the pinned
+    /// benchmark matches on the `Result`.
     pub fn whatif_start(
         &self,
         id: JobId,
@@ -372,15 +376,42 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
         window: Option<usize>,
         horizon: SimDuration,
     ) -> Result<WhatIfAnswer, SnapError> {
-        let mut fork = Self::decode(&self.encode())?;
-        Ok(fork.speculate_start(id, bf, window, horizon))
+        Ok(self
+            .settled_whatif(id)
+            .unwrap_or_else(|| self.fork().speculate_start(id, bf, window, horizon)))
+    }
+
+    /// The what-if answers that need no speculation: the job has already
+    /// started, or is not known. `None` means "fork and look".
+    pub fn settled_whatif(&self, id: JobId) -> Option<WhatIfAnswer> {
+        match self.status(id) {
+            JobStatus::Running { start, .. } | JobStatus::Finished { start, .. } => {
+                Some(WhatIfAnswer::AlreadyStarted(start))
+            }
+            JobStatus::Unknown => Some(WhatIfAnswer::UnknownJob),
+            JobStatus::Queued { .. } | JobStatus::Pending => None,
+        }
+    }
+
+    /// Copy what the next decision reads — machine, queue, running set,
+    /// pending events, clock — and none of the history. The copy is
+    /// `Send`: make it where the scheduler lives, speculate elsewhere.
+    pub fn fork(&self) -> LiveFork<P> {
+        let (live, config) = self.world.fork_state();
+        LiveFork {
+            live,
+            config,
+            queue: self.queue.clone(),
+            meta: self.meta.clone(),
+            fingerprint: self.fingerprint,
+            event_index: self.event_index,
+            now: self.now,
+            next_job_id: self.next_job_id,
+        }
     }
 
     /// The mutating half of [`whatif_start`](Self::whatif_start): run
-    /// the speculation *on this instance*, consuming its future. Callers
-    /// that already hold a decoded fork (the serve daemon's supervised
-    /// what-if workers) use this directly to avoid a second
-    /// encode/decode; everyone else wants `whatif_start`.
+    /// the speculation *on this instance*, consuming its future.
     pub fn speculate_start(
         &mut self,
         id: JobId,
@@ -388,22 +419,18 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
         window: Option<usize>,
         horizon: SimDuration,
     ) -> WhatIfAnswer {
-        match self.status(id) {
-            JobStatus::Running { start, .. } | JobStatus::Finished { start, .. } => {
-                return WhatIfAnswer::AlreadyStarted(start);
-            }
-            JobStatus::Unknown => return WhatIfAnswer::UnknownJob,
-            JobStatus::Queued { .. } | JobStatus::Pending => {}
+        if let Some(answer) = self.settled_whatif(id) {
+            return answer;
         }
         // Pin the policy even without overrides: the question is "when,
         // under this policy", not "when, if the tuner drifts".
         self.world.pin_policy(bf, window);
-        let deadline = self.now + horizon;
+        let deadline = self.now.saturating_add(horizon);
         loop {
             match self.queue.peek_time() {
                 Some(t) if t <= deadline => {
                     self.advance_to(t);
-                    if let Some((start, _)) = self.world.running_span(id) {
+                    if let Some((start, _)) = self.world.live.running_span(id) {
                         return WhatIfAnswer::PredictedStart(start);
                     }
                     if let Some(o) = self.world.outcome_of(id) {
@@ -476,6 +503,45 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
         }
         let end = self.now;
         finish_run(self.world, end, self.meta)
+    }
+}
+
+/// A [`LiveScheduler::fork`]: the live half of a scheduler's state, with
+/// no observer in it, so it can cross to a worker thread. There it
+/// becomes a scheduler in the state a decode of the parent's snapshot
+/// would be in — observer off, caches cold — minus the history: a job
+/// that finished before the fork is unknown to it (ask the parent's
+/// [`LiveScheduler::settled_whatif`] first, as `whatif_start` does).
+pub struct LiveFork<P: Platform + Snapshot> {
+    live: LiveState<P>,
+    config: RunConfig,
+    queue: EventQueue<Ev>,
+    meta: RunMeta,
+    fingerprint: u64,
+    event_index: u64,
+    now: SimTime,
+    next_job_id: u64,
+}
+
+impl<P: Platform + Snapshot> LiveFork<P> {
+    /// [`LiveScheduler::speculate_start`] on the forked state.
+    pub fn speculate_start(
+        self,
+        id: JobId,
+        bf: Option<f64>,
+        window: Option<usize>,
+        horizon: SimDuration,
+    ) -> WhatIfAnswer {
+        let mut sched = LiveScheduler {
+            world: Runner::from_fork(self.live, self.config),
+            queue: self.queue,
+            meta: self.meta,
+            fingerprint: self.fingerprint,
+            event_index: self.event_index,
+            now: self.now,
+            next_job_id: self.next_job_id,
+        };
+        sched.speculate_start(id, bf, window, horizon)
     }
 }
 
@@ -645,10 +711,10 @@ mod tests {
         let before = live.encode();
         // b can only start when a's walltime expires (t = 1min + 60min
         // from a's start at 1min → starts at ~61min).
-        match live
+        let predicted = live
             .whatif_start(b, None, None, SimDuration::from_hours(12))
-            .unwrap()
-        {
+            .unwrap();
+        match predicted {
             WhatIfAnswer::PredictedStart(t) => {
                 assert!(
                     t >= SimTime::ZERO + mins(60),
@@ -657,6 +723,12 @@ mod tests {
             }
             ans => panic!("expected a predicted start, got {ans:?}"),
         }
+        // A horizon past the end of time saturates instead of wrapping
+        // the deadline negative (which answered NOSTART at once).
+        assert_eq!(
+            live.whatif_start(b, None, None, SimDuration::MAX).unwrap(),
+            predicted
+        );
         // a is running (its Submit fired at t=0): whatif reports the
         // actual start, no speculation.
         assert_eq!(

@@ -195,7 +195,7 @@ pub(crate) fn encode_state<P: Platform + Snapshot>(
         w.put_u64(fingerprint);
         w.put_u64(event_index);
         time.encode(w);
-        w.put_str(world.platform_name());
+        w.put_str(world.live.platform_name());
         meta.encode(w);
     });
     w.section(SEC_WORLD, |w| world.encode(w));

@@ -449,74 +449,59 @@ impl<P: Platform> SimulationBuilder<P> {
         scheduler.backfill_depth = self.backfill_depth;
         scheduler.protection = self.protection;
 
-        let total_nodes_for_fail = total_nodes;
         let failure_seed = self.failures.map(|spec| spec.seed);
         let failure_process = self.failures.map(|spec| match self.correlation {
-            Some(corr) => FailureProcess::with_correlation(spec, corr, total_nodes_for_fail),
-            None => FailureProcess::new(spec, total_nodes_for_fail),
+            Some(corr) => FailureProcess::with_correlation(spec, corr, total_nodes),
+            None => FailureProcess::new(spec, total_nodes),
         });
         let oracle_enabled = self.oracle.unwrap_or(cfg!(debug_assertions));
-        let mut world = Runner {
+        let live = LiveState {
             scheduler,
-            adaptive: self.adaptive,
             queue: Vec::new(),
             running: HashMap::new(),
-            wait: WaitStats::new(),
-            fairness: FairnessTracker::new(SimDuration::from_secs(60)),
-            loc: LossOfCapacity::new(total_nodes),
-            util: UtilizationTracker::new(total_nodes, SimTime::ZERO),
-            queue_depth: TimeSeries::new("queue_depth_mins"),
-            util_instant: TimeSeries::new("util_instant"),
-            util_1h: TimeSeries::new("util_1h"),
-            util_10h: TimeSeries::new("util_10h"),
-            util_24h: TimeSeries::new("util_24h"),
-            bf_series: TimeSeries::new("balance_factor"),
-            window_series: TimeSeries::new("window_size"),
-            availability: TimeSeries::new("availability"),
-            down_nodes: amjs_metrics::domains::down_nodes_series(),
-            domain_downtime: DomainDowntime::new(),
             promised: Vec::new(),
             last_pass_time: None,
+            estimates: EstimateAdjuster::new(self.estimate_policy),
+            failure_process,
+            util: UtilizationTracker::new(total_nodes, SimTime::ZERO),
             down_track: UtilizationTracker::new(total_nodes, SimTime::ZERO),
-            per_job: Vec::with_capacity(jobs.len()),
-            sample_interval: self.sample_interval,
+            fair_starts: HashMap::new(),
             remaining_submits: jobs.len(),
+            pending_resubmits: 0,
+            abandoned_jobs: 0,
+            finished: 0,
             scheduler_passes: 0,
             backfilled_starts: 0,
             interrupted_jobs: 0,
-            abandoned_jobs: 0,
-            pending_resubmits: 0,
             lost_node_secs: 0.0,
-            started_once: std::collections::HashSet::new(),
             generations: HashMap::new(),
             failure_counts: HashMap::new(),
-            retry: self.retry,
-            estimates: EstimateAdjuster::new(self.estimate_policy),
-            checkpoint_interval: self.checkpoint_interval,
             saved_progress: HashMap::new(),
-            failure_process,
             last_end: SimTime::ZERO,
-            obs: Observer::disabled(),
-            pass_cache: PassCache::default(),
-            machine_epoch: 0,
-            drain: None,
-            pass_memo: None,
-            reference_hotpath: self.reference_hotpath,
             platform: self.platform,
             jobs,
         };
+        let config = RunConfig {
+            adaptive: self.adaptive,
+            sample_interval: self.sample_interval,
+            retry: self.retry,
+            checkpoint_interval: self.checkpoint_interval,
+        };
+        let history = History::new(total_nodes, live.jobs.len());
+        let mut world = Runner::cold(live, history, config);
+        world.reference_hotpath = self.reference_hotpath;
 
-        let mut queue = EventQueue::with_capacity(world.jobs.len() * 2 + 64);
-        for (i, job) in world.jobs.iter().enumerate() {
+        let mut queue = EventQueue::with_capacity(world.live.jobs.len() * 2 + 64);
+        for (i, job) in world.live.jobs.iter().enumerate() {
             queue.schedule_with(job.submit, Priority::Arrival, Ev::Submit(i));
         }
-        if !world.jobs.is_empty() {
+        if !world.live.jobs.is_empty() {
             queue.schedule_with(
-                SimTime::ZERO + world.sample_interval,
+                SimTime::ZERO + world.config.sample_interval,
                 Priority::Tick,
                 Ev::Tick,
             );
-            if let Some(process) = &mut world.failure_process {
+            if let Some(process) = &mut world.live.failure_process {
                 let first = process.next_failure_after(SimTime::ZERO);
                 queue.schedule_with(first, Priority::Release, Ev::Fail);
             }
@@ -586,32 +571,38 @@ pub(crate) fn finish_run<P: Platform>(
     engine_end: SimTime,
     meta: RunMeta,
 ) -> SimulationOutcome {
+    let Runner {
+        live,
+        history,
+        pass_cache,
+        ..
+    } = world;
     // Abandoned jobs (retry budget exhausted) legitimately never
     // complete; everything else must have drained.
     assert!(
-        world.queue.is_empty() && world.running.is_empty() && world.pending_resubmits == 0,
+        live.queue.is_empty() && live.running.is_empty() && live.pending_resubmits == 0,
         "simulation ended with live jobs — event wiring bug \
          ({} abandoned jobs are accounted separately)",
-        world.abandoned_jobs,
+        live.abandoned_jobs,
     );
 
-    let total_nodes = world.platform.total_nodes();
-    let end = world.last_end.max(engine_end);
+    let total_nodes = live.platform.total_nodes();
+    let end = live.last_end.max(engine_end);
     // Utilization and LoC are normalized against *available*
     // node-seconds: installed capacity minus the integral of the
     // out-of-service level, so outages don't read as scheduler
     // inefficiency. With failures off the down integral is exactly
     // zero and both reduce to the classic definitions.
-    let busy_int = world.util.busy_node_secs(end);
-    let down_int = world.down_track.busy_node_secs(end);
-    let available_node_secs = total_nodes as f64 * world.util.elapsed_secs(end) - down_int;
-    let loc_percent = match world.loc.event_span() {
+    let busy_int = live.util.busy_node_secs(end);
+    let down_int = live.down_track.busy_node_secs(end);
+    let available_node_secs = total_nodes as f64 * live.util.elapsed_secs(end) - down_int;
+    let loc_percent = match history.loc.event_span() {
         Some((first, last)) if last > first => {
             let span_down =
-                world.down_track.busy_node_secs(last) - world.down_track.busy_node_secs(first);
+                live.down_track.busy_node_secs(last) - live.down_track.busy_node_secs(first);
             let denom = total_nodes as f64 * (last - first).as_secs() as f64 - span_down;
             if denom > 0.0 {
-                world.loc.lost_node_secs() / denom * 100.0
+                history.loc.lost_node_secs() / denom * 100.0
             } else {
                 0.0
             }
@@ -620,44 +611,44 @@ pub(crate) fn finish_run<P: Platform>(
     };
     let summary = MetricsSummary {
         label: meta.label,
-        jobs_completed: world.per_job.len(),
-        avg_wait_mins: world.wait.mean_mins(),
-        max_wait_mins: world.wait.max_mins(),
-        unfair_jobs: world.fairness.unfair_count(),
+        jobs_completed: history.per_job.len(),
+        avg_wait_mins: history.wait.mean_mins(),
+        max_wait_mins: history.wait.max_mins(),
+        unfair_jobs: history.fairness.unfair_count(),
         loc_percent,
         avg_utilization: if available_node_secs > 0.0 {
             busy_int / available_node_secs
         } else {
             0.0
         },
-        mean_bounded_slowdown: world.wait.mean_bounded_slowdown(),
+        mean_bounded_slowdown: history.wait.mean_bounded_slowdown(),
         makespan: end - SimTime::ZERO,
         node_downtime_hours: down_int / 3600.0,
-        abandoned_jobs: world.abandoned_jobs,
+        abandoned_jobs: live.abandoned_jobs,
     };
     let energy = meta
         .energy_model
-        .map(|model| energy_report(&world.util, model, end));
+        .map(|model| energy_report(&live.util, model, end));
     SimulationOutcome {
         summary,
-        queue_depth: world.queue_depth,
-        util_instant: world.util_instant,
-        util_1h: world.util_1h,
-        util_10h: world.util_10h,
-        util_24h: world.util_24h,
-        bf_series: world.bf_series,
-        window_series: world.window_series,
-        availability: world.availability,
-        down_nodes: world.down_nodes,
-        domain_downtime: world.domain_downtime,
-        per_job: world.per_job,
+        queue_depth: history.queue_depth,
+        util_instant: history.util_instant,
+        util_1h: history.util_1h,
+        util_10h: history.util_10h,
+        util_24h: history.util_24h,
+        bf_series: history.bf_series,
+        window_series: history.window_series,
+        availability: history.availability,
+        down_nodes: history.down_nodes,
+        domain_downtime: history.domain_downtime,
+        per_job: history.per_job,
         skipped_oversized: meta.skipped_oversized,
-        scheduler_passes: world.scheduler_passes,
-        backfilled_starts: world.backfilled_starts,
-        interrupted_jobs: world.interrupted_jobs,
-        lost_node_hours: world.lost_node_secs / 3600.0,
+        scheduler_passes: live.scheduler_passes,
+        backfilled_starts: live.backfilled_starts,
+        interrupted_jobs: live.interrupted_jobs,
+        lost_node_hours: live.lost_node_secs / 3600.0,
         energy,
-        hotpath: world.pass_cache.stats,
+        hotpath: pass_cache.stats,
     }
 }
 
@@ -672,21 +663,63 @@ pub(crate) struct Promise {
     start: SimTime,
 }
 
-/// The event-loop state. Crate-visible (not `pub`) so the persistence
-/// layer can snapshot, hash, and resume it without exposing the loop's
-/// internals in the public API.
-pub(crate) struct Runner<P: Platform> {
+/// What the next decision reads — the half of the event-loop state a
+/// what-if fork clones and `state_hash` covers (DESIGN.md §10 has the
+/// field-by-field table).
+#[derive(Clone)]
+pub(crate) struct LiveState<P: Platform> {
     platform: P,
     jobs: Vec<Job>,
     scheduler: Scheduler,
-    adaptive: AdaptiveScheme,
     /// Waiting jobs as trace indices, in submission order.
     queue: Vec<usize>,
     running: HashMap<JobId, Running>,
+    /// EASY reservations promised by the most recent scheduling pass,
+    /// for the oracle's backfill-protection check.
+    promised: Vec<Promise>,
+    /// When the most recent scheduling pass ran. The protection check
+    /// only applies at that instant — later events legitimately reshape
+    /// the plan (walltime overruns, new failures) before the next pass.
+    last_pass_time: Option<SimTime>,
+    /// Per-user walltime-accuracy model (planning estimates).
+    estimates: EstimateAdjuster,
+    failure_process: Option<FailureProcess>,
+    /// Integral of the busy level; the W tuner and the sampler read its
+    /// trailing averages.
+    util: UtilizationTracker,
+    /// Integral of the out-of-service node level ("busy" = down), the
+    /// downtime denominator correction for utilization and LoC.
+    down_track: UtilizationTracker,
+    /// Fair start of every submitted job, read back at its first start.
+    fair_starts: HashMap<JobId, SimTime>,
+    remaining_submits: usize,
+    /// Backoff re-submissions scheduled but not yet delivered (keeps
+    /// the failure/tick processes alive while jobs are off-queue).
+    pending_resubmits: usize,
+    /// Jobs dropped after exhausting [`RetryPolicy::max_attempts`].
+    abandoned_jobs: usize,
+    /// Jobs completed: `per_job.len()`, except in a fork, whose history
+    /// starts empty.
+    finished: usize,
+    scheduler_passes: u64,
+    backfilled_starts: u64,
+    interrupted_jobs: u64,
+    lost_node_secs: f64,
+    /// Next attempt number per interrupted job.
+    generations: HashMap<JobId, u32>,
+    /// Failures suffered so far, per job (drives the retry policy).
+    failure_counts: HashMap<JobId, u32>,
+    /// Runtime already banked by checkpoints, per interrupted job.
+    saved_progress: HashMap<JobId, SimDuration>,
+    last_end: SimTime,
+}
+
+/// What only the final report reads. A fork starts from
+/// [`History::new`], exactly as a run does.
+pub(crate) struct History {
     wait: WaitStats,
     fairness: FairnessTracker,
     loc: LossOfCapacity,
-    util: UtilizationTracker,
     queue_depth: TimeSeries,
     util_instant: TimeSeries,
     util_1h: TimeSeries,
@@ -699,60 +732,67 @@ pub(crate) struct Runner<P: Platform> {
     down_nodes: TimeSeries,
     /// Per-domain fault and downtime accounting.
     domain_downtime: DomainDowntime,
-    /// EASY reservations promised by the most recent scheduling pass,
-    /// for the oracle's backfill-protection check.
-    promised: Vec<Promise>,
-    /// When the most recent scheduling pass ran. The protection check
-    /// only applies at that instant — later events legitimately reshape
-    /// the plan (walltime overruns, new failures) before the next pass.
-    last_pass_time: Option<SimTime>,
-    /// Integral of the out-of-service node level ("busy" = down), the
-    /// downtime denominator correction for utilization and LoC.
-    down_track: UtilizationTracker,
     per_job: Vec<JobOutcome>,
-    sample_interval: SimDuration,
-    remaining_submits: usize,
-    scheduler_passes: u64,
-    backfilled_starts: u64,
-    interrupted_jobs: u64,
-    /// Jobs dropped after exhausting [`RetryPolicy::max_attempts`].
-    abandoned_jobs: usize,
-    /// Backoff re-submissions scheduled but not yet delivered (keeps
-    /// the failure/tick processes alive while jobs are off-queue).
-    pending_resubmits: usize,
-    lost_node_secs: f64,
     /// Jobs whose *first* start has been recorded (wait/fairness are
     /// measured to the first start; failure re-runs don't re-count).
     started_once: std::collections::HashSet<JobId>,
-    /// Next attempt number per interrupted job.
-    generations: HashMap<JobId, u32>,
-    /// Failures suffered so far, per job (drives the retry policy).
-    failure_counts: HashMap<JobId, u32>,
+}
+
+impl History {
+    /// The empty history of a machine of `total_nodes`, with room for
+    /// `jobs` outcome records.
+    fn new(total_nodes: u32, jobs: usize) -> Self {
+        History {
+            wait: WaitStats::new(),
+            fairness: FairnessTracker::new(SimDuration::from_secs(60)),
+            loc: LossOfCapacity::new(total_nodes),
+            queue_depth: TimeSeries::new("queue_depth_mins"),
+            util_instant: TimeSeries::new("util_instant"),
+            util_1h: TimeSeries::new("util_1h"),
+            util_10h: TimeSeries::new("util_10h"),
+            util_24h: TimeSeries::new("util_24h"),
+            bf_series: TimeSeries::new("balance_factor"),
+            window_series: TimeSeries::new("window_size"),
+            availability: TimeSeries::new("availability"),
+            down_nodes: amjs_metrics::domains::down_nodes_series(),
+            domain_downtime: DomainDowntime::new(),
+            per_job: Vec::with_capacity(jobs),
+            started_once: std::collections::HashSet::new(),
+        }
+    }
+}
+
+/// Fixed at genesis: covered by the run fingerprint, not by `state_hash`.
+#[derive(Clone)]
+pub(crate) struct RunConfig {
+    adaptive: AdaptiveScheme,
+    sample_interval: SimDuration,
     retry: RetryPolicy,
-    /// Per-user walltime-accuracy model (planning estimates).
-    estimates: EstimateAdjuster,
     /// Checkpoint interval, when checkpointing is enabled.
     checkpoint_interval: Option<SimDuration>,
-    /// Runtime already banked by checkpoints, per interrupted job.
-    saved_progress: HashMap<JobId, SimDuration>,
-    failure_process: Option<FailureProcess>,
-    last_end: SimTime,
-    /// Observability hooks (tracing, profiling, live stats). Transient:
-    /// deliberately excluded from the snapshot codecs and the state
-    /// hash — attaching a sink must never perturb replay/resume
-    /// byte-identity. A decoded runner always comes back disabled.
+}
+
+/// The event-loop state. Crate-visible (not `pub`) so the persistence
+/// layer can snapshot, hash, and resume it without exposing the loop's
+/// internals in the public API. Everything outside `live`, `history`
+/// and `config` is transient: in neither codec nor hash, cold after a
+/// decode or a fork.
+pub(crate) struct Runner<P: Platform> {
+    pub(crate) live: LiveState<P>,
+    history: History,
+    config: RunConfig,
+    /// Observability hooks (tracing, profiling, live stats): attaching a
+    /// sink must never perturb replay/resume byte-identity.
     pub(crate) obs: Observer,
     /// Incremental sorted-queue cache for the scheduling hot path (see
-    /// [`crate::passcache`]). Transient like `obs`: excluded from the
-    /// snapshot codecs and the state hash — a decoded runner comes back
-    /// with a cold cache, whose first pass is a full rebuild producing
-    /// the exact same sorted queue.
+    /// [`crate::passcache`]); a cold cache's first pass is a full
+    /// rebuild producing the exact same sorted queue.
     pass_cache: PassCache,
     /// Bumped whenever a plan of the machine could come out different:
     /// an allocation, a release, a node going down or up, a planning
     /// walltime moving. Equal epochs mean "the same machine", the first
     /// precondition for reusing `drain` and `pass_memo` at a later
-    /// instant (DESIGN.md §15). Transient like `pass_cache`, as are both.
+    /// instant (DESIGN.md §15).
     machine_epoch: u64,
     /// The previous submission's fair-start drain and the epoch it saw.
     drain: Option<(u64, Drain<P::Plan>)>,
@@ -774,7 +814,7 @@ struct PassMemo {
     head: Vec<QueuedJob>,
 }
 
-impl<P: Platform> Runner<P> {
+impl<P: Platform> LiveState<P> {
     /// The machine's short name tag, stored in snapshot metadata so
     /// resume can dispatch to the right concrete platform type.
     pub(crate) fn platform_name(&self) -> &'static str {
@@ -799,22 +839,6 @@ impl<P: Platform> Runner<P> {
                 }
             })
             .collect()
-    }
-
-    /// Mirror a newly queued job into the pass cache (a no-op while the
-    /// cache is cold). Applies the same too-big-for-current-capacity
-    /// filter as [`Runner::queued_jobs`], so the cache's view stays
-    /// aligned with a from-scratch rebuild.
-    fn cache_push(&mut self, trace_idx: usize) {
-        let j = &self.jobs[trace_idx];
-        if self.platform.could_ever_allocate(j.nodes) {
-            self.pass_cache.note_push(QueuedJob {
-                id: j.id,
-                submit: j.submit,
-                nodes: j.nodes,
-                walltime: self.estimates.planning_walltime(j.user, j.walltime),
-            });
-        }
     }
 
     /// Snapshot the machine's future availability. Jobs running past
@@ -845,44 +869,6 @@ impl<P: Platform> Runner<P> {
         self.running.values().all(|r| r.expected_end > now)
     }
 
-    /// `target`'s fair start on the hot path: drain over the pass cache's
-    /// sorted queue (the pass that follows reuses this very resolve) and
-    /// resume the previous submission's drain when the machine is the
-    /// same and no release has come due (DESIGN.md §15).
-    fn fair_start_resuming(&mut self, target: JobId, now: SimTime, gap_depth: usize) -> SimTime {
-        let mut cache = std::mem::take(&mut self.pass_cache);
-        cache.presort(now, self.scheduler.ordering(), || self.queued_jobs());
-        let epoch = self.machine_epoch;
-        let mut kept = match self.drain.take() {
-            Some((e, d)) if e == epoch && self.releases_are_fixed(now) => Some(d),
-            _ => None,
-        };
-        let base = || self.base_plan(now);
-        let (fair, reused) = drain_sorted(&mut kept, base, cache.sorted(), target, now, gap_depth);
-        if reused > 0 {
-            #[cfg(debug_assertions)]
-            assert_eq!(
-                fair,
-                fair_start_time(
-                    &self.base_plan(now),
-                    cache.sorted(),
-                    target,
-                    self.scheduler.ordering(),
-                    now,
-                    gap_depth
-                ),
-                "resumed drain diverged from a fresh one"
-            );
-            cache.stats.drains_resumed += 1;
-            cache.stats.drain_placements_reused += reused as u64;
-        } else {
-            cache.stats.drains_fresh += 1;
-        }
-        self.drain = kept.map(|d| (epoch, d));
-        self.pass_cache = cache;
-        fair
-    }
-
     /// The attempt number the next start of `job` should carry.
     fn generation_of(&self, job: JobId) -> u32 {
         self.generations.get(&job).copied().unwrap_or(0)
@@ -900,82 +886,6 @@ impl<P: Platform> Runner<P> {
             .set_busy(now, self.platform.total_nodes() - available);
     }
 
-    /// Kill the running job hit by a node failure: release its
-    /// partition, account the lost progress, and hand it to the retry
-    /// policy (re-queue now, re-queue after backoff, or abandon).
-    fn kill_job(&mut self, id: JobId, now: SimTime, events: &mut EventQueue<Ev>) {
-        let running = self
-            .running
-            .remove(&id)
-            .expect("kill_job victim must be running");
-        let freed = self.platform.release(running.alloc);
-        self.machine_epoch += 1;
-        self.note_capacity(now);
-        let elapsed = (now - running.start).max_zero();
-        // With checkpointing, whole intervals of progress survive the
-        // failure; only the tail since the last checkpoint is lost.
-        let banked = match self.checkpoint_interval {
-            Some(interval) => {
-                let n = elapsed.as_secs() / interval.as_secs();
-                SimDuration::from_secs(n * interval.as_secs())
-            }
-            None => SimDuration::ZERO,
-        };
-        if !banked.is_zero() {
-            let job = &self.jobs[running.trace_idx];
-            let entry = self.saved_progress.entry(id).or_insert(SimDuration::ZERO);
-            // Cap: never bank the full runtime, or the rerun would be
-            // zero-length.
-            *entry = (*entry + banked).min(job.runtime - SimDuration::from_secs(1));
-        }
-        let lost = elapsed - banked;
-        let lost_node_s = freed as i64 * lost.max_zero().as_secs();
-        self.lost_node_secs += freed as f64 * lost.max_zero().as_secs() as f64;
-        self.interrupted_jobs += 1;
-        self.generations.insert(id, running.gen + 1);
-        let failures = {
-            let count = self.failure_counts.entry(id).or_insert(0);
-            *count += 1;
-            *count
-        };
-        let emit_kill = |obs: &mut Observer, outcome: RetryOutcome, delay_s: i64| {
-            if obs.tracing() {
-                obs.emit(
-                    now,
-                    TraceEvent::JobKilled {
-                        job: id.0,
-                        attempt: failures,
-                        lost_node_s,
-                        outcome,
-                        delay_s,
-                    },
-                );
-            }
-        };
-        if self.retry.abandons_after(failures) {
-            self.abandoned_jobs += 1;
-            self.saved_progress.remove(&id);
-            emit_kill(&mut self.obs, RetryOutcome::Abandoned, 0);
-            return;
-        }
-        let delay = self.retry.resubmit_delay(failures);
-        if delay.is_zero() {
-            self.queue.push(running.trace_idx);
-            // A kill only happens under a node fault, so the in-service
-            // capacity (and with it the queue filter) just changed.
-            self.pass_cache.invalidate();
-            emit_kill(&mut self.obs, RetryOutcome::Requeued, 0);
-        } else {
-            self.pending_resubmits += 1;
-            events.schedule_with(
-                now + delay,
-                Priority::Arrival,
-                Ev::Resubmit(running.trace_idx),
-            );
-            emit_kill(&mut self.obs, RetryOutcome::Backoff, delay.as_secs());
-        }
-    }
-
     /// Queue depth in minutes: the sum of waiting time accrued so far by
     /// every queued job (paper §IV-A).
     fn queue_depth_mins(&self, now: SimTime) -> f64 {
@@ -983,199 +893,6 @@ impl<P: Platform> Runner<P> {
             .iter()
             .map(|&i| (now - self.jobs[i].submit).max_zero().as_mins_f64())
             .sum()
-    }
-
-    /// Run one scheduling pass and start the decided jobs.
-    fn run_scheduler(&mut self, now: SimTime, events: &mut EventQueue<Ev>) {
-        self.scheduler_passes += 1;
-        self.last_pass_time = Some(now);
-        if self.queue.is_empty() {
-            self.promised.clear();
-            self.pass_memo = None;
-            return;
-        }
-        let span = self.obs.prof_enter("schedule_pass");
-        let mut trace = if self.obs.tracing() {
-            Some(PassTrace::default())
-        } else {
-            None
-        };
-        let decision = if self.reference_hotpath {
-            // Differential baseline: rebuild + re-sort the queue from
-            // scratch and force the plan's naive query paths.
-            let queued = self.queued_jobs();
-            let mut base_plan = self.base_plan(now);
-            base_plan.set_reference(true);
-            self.scheduler.schedule_pass_traced(
-                now,
-                &queued,
-                &base_plan,
-                trace.as_mut(),
-                self.obs.profiler(),
-            )
-        } else {
-            // Borrow dance: the cache's rebuild closure needs `&self`
-            // (to list the queue), so take the cache out first.
-            let mut cache = std::mem::take(&mut self.pass_cache);
-            let sort_span = self.obs.prof_enter("score_sort");
-            let outcome = cache.resolve(now, self.scheduler.ordering(), || self.queued_jobs());
-            self.obs.prof_exit(sort_span);
-            if self.obs.profiler().is_some() {
-                // Zero-length marker span: counts cache outcomes in the
-                // span table without a dedicated counter channel.
-                let name = match outcome {
-                    CacheOutcome::Hit => "score_cache_hit",
-                    CacheOutcome::Repair => "score_cache_repair",
-                    CacheOutcome::Miss => "score_cache_miss",
-                };
-                let marker = self.obs.prof_enter(name);
-                self.obs.prof_exit(marker);
-            }
-            let head = &cache.sorted()[..self.scheduler.lookahead(cache.sorted().len())];
-            // Pass memo: the previous pass started nothing, and nothing
-            // it looked at has changed, so this one would decide the
-            // same (DESIGN.md §15) — `promised` stands as it is. Tracing
-            // needs the real pass: it emits every decision's reasons.
-            let memoized = trace.is_none()
-                && self.pass_memo.as_ref().is_some_and(|m| {
-                    m.epoch == self.machine_epoch && m.scheduler == self.scheduler && m.head == head
-                })
-                && self.releases_are_fixed(now);
-            if memoized {
-                #[cfg(debug_assertions)]
-                self.check_memoized_pass(now, cache.sorted());
-                cache.stats.passes_memoized += 1;
-                self.pass_cache = cache;
-                self.obs.prof_exit(span);
-                return;
-            }
-            let plan_span = self.obs.prof_enter("plan_build");
-            let base_plan = self.base_plan(now);
-            self.obs.prof_exit(plan_span);
-            let decision = self.scheduler.schedule_pass_sorted(
-                now,
-                cache.sorted(),
-                &base_plan,
-                trace.as_mut(),
-                self.obs.profiler(),
-            );
-            // (`TimeFlexible` re-places its reservations greedily per
-            // backfill candidate, and block choice is not monotone in
-            // what is busy, so the lemma does not cover it.)
-            let repeatable = decision.starts.is_empty()
-                && self.scheduler.protection == ProtectionStyle::PinnedBlocks;
-            self.pass_memo = repeatable.then(|| PassMemo {
-                epoch: self.machine_epoch,
-                scheduler: self.scheduler.clone(),
-                head: head.to_vec(),
-            });
-            self.pass_cache = cache;
-            decision
-        };
-        self.obs.prof_exit(span);
-        let stats = &mut self.pass_cache.stats;
-        stats.window_searches += decision.window.searches;
-        stats.window_placements += decision.window.placements;
-        stats.window_bound_exits += decision.window.bound_exits;
-        if let Some(tr) = trace {
-            self.emit_pass_trace(now, &tr);
-        }
-        self.promised.clear();
-
-        for start in &decision.starts {
-            let idx_in_queue = self
-                .queue
-                .iter()
-                .position(|&i| self.jobs[i].id == start.id)
-                .expect("scheduler started a job that is not queued");
-            let trace_idx = self.queue.remove(idx_in_queue);
-            self.pass_cache.note_remove(start.id);
-            let job = &self.jobs[trace_idx];
-
-            let alloc = self
-                .platform
-                .allocate_hinted(job.nodes, start.hint)
-                .expect("plan-approved start must allocate on the machine");
-            self.machine_epoch += 1;
-            let gen = self.generation_of(job.id);
-            let planning_walltime = self.estimates.planning_walltime(job.user, job.walltime);
-            self.running.insert(
-                job.id,
-                Running {
-                    alloc,
-                    trace_idx,
-                    start: now,
-                    expected_end: now + planning_walltime,
-                    backfilled: start.backfilled,
-                    gen,
-                },
-            );
-            let saved = self
-                .saved_progress
-                .get(&job.id)
-                .copied()
-                .unwrap_or(SimDuration::ZERO);
-            let remaining = (job.runtime - saved).max(SimDuration::from_secs(1));
-            events.schedule_with(now + remaining, Priority::Release, Ev::Finish(job.id, gen));
-
-            if self.started_once.insert(job.id) {
-                let wait = (now - job.submit).max_zero();
-                self.wait.record(job.id, wait);
-                self.wait.record_slowdown(wait, job.runtime);
-                self.fairness.record_actual_start(job.id, now);
-            }
-            if start.backfilled {
-                self.backfilled_starts += 1;
-            }
-            if self.obs.tracing() {
-                self.obs.emit(
-                    now,
-                    TraceEvent::JobStarted {
-                        job: job.id.0,
-                        nodes: job.nodes,
-                        backfilled: start.backfilled,
-                        wait_s: (now - job.submit).max_zero().as_secs(),
-                    },
-                );
-            }
-        }
-        // Remember what the pass promised its protected queue heads, so
-        // the oracle can verify backfill admissions did not steal the
-        // reserved capacity.
-        for &(id, start) in &decision.reservations {
-            if !decision.protected.contains(&id) {
-                continue;
-            }
-            // Reserved jobs necessarily passed the queued_jobs() filter
-            // (the pass only saw filtered jobs), so the trace record plus
-            // the current estimate model reproduce the QueuedJob fields.
-            let Some(&trace_idx) = self.queue.iter().find(|&&i| self.jobs[i].id == id) else {
-                continue;
-            };
-            let (nodes, walltime) = {
-                let j = &self.jobs[trace_idx];
-                (
-                    j.nodes,
-                    self.estimates.planning_walltime(j.user, j.walltime),
-                )
-            };
-            self.promised.push(Promise {
-                id,
-                nodes,
-                walltime,
-                start,
-            });
-            if self.obs.tracing() {
-                self.obs.emit(
-                    now,
-                    TraceEvent::JobReserved {
-                        job: id.0,
-                        start_s: start.as_secs(),
-                    },
-                );
-            }
-        }
-        self.note_capacity(now);
     }
 
     /// Debug builds run the real pass behind every memoized one: it must
@@ -1196,6 +913,546 @@ impl<P: Platform> Runner<P> {
         let promised: Vec<(JobId, SimTime)> =
             self.promised.iter().map(|p| (p.id, p.start)).collect();
         assert_eq!(protected, promised, "memoized pass changed a promise");
+    }
+
+    /// The oracle's invariant battery, run between events. Returns the
+    /// first violated invariant as a diagnostic message.
+    pub(crate) fn check_invariants(&self, now: SimTime) -> Result<(), String> {
+        // (1) The allocator's own books: pairwise-disjoint live blocks
+        // (no double allocation), busy/down/draining mask agreement.
+        self.platform.check_consistency()?;
+
+        // (2) No running job intersects a down failure quantum — kills
+        // happen inside the same event as the fault, so between events
+        // every live allocation runs on in-service capacity only.
+        for (id, r) in &self.running {
+            if self.platform.allocation_intersects_down(r.alloc) {
+                return Err(format!(
+                    "running job {id:?} holds an out-of-service quantum"
+                ));
+            }
+        }
+
+        // Runner and platform agree about what is live.
+        let mut held: Vec<AllocationId> = self.running.values().map(|r| r.alloc).collect();
+        held.sort();
+        let live = self.platform.active_allocations();
+        if live != held {
+            return Err(format!(
+                "allocation sets diverge: platform has {} live, runner tracks {}",
+                live.len(),
+                held.len()
+            ));
+        }
+
+        // (3) Queued / running / finished (plus not-yet-submitted,
+        // backoff-pending, and abandoned) partition the job set.
+        let mut seen = std::collections::HashSet::new();
+        for &i in &self.queue {
+            let id = self.jobs[i].id;
+            if !seen.insert(id) {
+                return Err(format!("job {id:?} queued twice"));
+            }
+            if self.running.contains_key(&id) {
+                return Err(format!("job {id:?} is both queued and running"));
+            }
+        }
+        let accounted = self.remaining_submits
+            + self.queue.len()
+            + self.running.len()
+            + self.pending_resubmits
+            + self.finished
+            + self.abandoned_jobs;
+        if accounted != self.jobs.len() {
+            return Err(format!(
+                "job-set partition broken: {accounted} accounted of {} \
+                 ({} unsubmitted, {} queued, {} running, {} in backoff, \
+                 {} finished, {} abandoned)",
+                self.jobs.len(),
+                self.remaining_submits,
+                self.queue.len(),
+                self.running.len(),
+                self.pending_resubmits,
+                self.finished,
+                self.abandoned_jobs,
+            ));
+        }
+
+        // (4) Node conservation: the machine's busy level is exactly the
+        // sum of the running jobs' (rounded) allocations.
+        let busy = self.platform.available_nodes() - self.platform.idle_nodes();
+        let sum: u64 = self
+            .running
+            .values()
+            .map(|r| self.platform.allocation_size(r.alloc).unwrap_or(0) as u64)
+            .sum();
+        if busy as u64 != sum {
+            return Err(format!(
+                "node-seconds conservation broken: {busy} busy vs {sum} allocated"
+            ));
+        }
+
+        // (5) Backfill never delays the EASY-protected head: right after
+        // a scheduling pass, each protected reservation must still be
+        // placeable at its promised start. (Checked only at the pass
+        // instant — later events legitimately reshape the plan.)
+        if self.last_pass_time == Some(now) && !self.promised.is_empty() {
+            let plan = self.base_plan(now);
+            for p in &self.promised {
+                if !self.queue.iter().any(|&i| self.jobs[i].id == p.id) {
+                    continue; // started or killed since the pass
+                }
+                let earliest = plan.earliest_start(p.nodes, p.walltime, now);
+                if earliest > p.start {
+                    return Err(format!(
+                        "backfill delayed EASY-protected job {:?} past its reservation \
+                         ({} nodes promised at t={}s, now earliest t={}s)",
+                        p.id,
+                        p.nodes,
+                        p.start.as_secs(),
+                        earliest.as_secs()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    // -----------------------------------------------------------------
+    // Live-mode surface (`crate::live`): the event loop is owned by an
+    // external driver, so the runner must accept *injected* work — jobs
+    // arriving from the outside, cancellations — and answer state
+    // queries without draining. Everything below preserves the job-set
+    // partition the oracle checks.
+    // -----------------------------------------------------------------
+
+    /// 0-based wait-queue position of `id`, if queued.
+    pub(crate) fn queue_position(&self, id: JobId) -> Option<usize> {
+        self.queue.iter().position(|&i| self.jobs[i].id == id)
+    }
+
+    /// `(start, expected_end)` of `id`, if running.
+    pub(crate) fn running_span(&self, id: JobId) -> Option<(SimTime, SimTime)> {
+        self.running.get(&id).map(|r| (r.start, r.expected_end))
+    }
+
+    /// Whether the machine could ever hold a job of this size (admission
+    /// guard: an oversized submission would otherwise sit queued
+    /// forever).
+    pub(crate) fn fits_machine(&self, nodes: u32) -> bool {
+        self.platform.rounded_size(nodes) <= self.platform.total_nodes()
+    }
+
+    /// Installed machine capacity in nodes.
+    pub(crate) fn machine_capacity(&self) -> u32 {
+        self.platform.total_nodes()
+    }
+
+    /// The full job trace (pre-seeded plus live-admitted).
+    pub(crate) fn trace_jobs(&self) -> &[Job] {
+        &self.jobs
+    }
+
+    /// The live policy currently in force.
+    pub(crate) fn current_policy(&self) -> crate::PolicyParams {
+        self.scheduler.policy
+    }
+
+    /// Live occupancy counters:
+    /// `(queued, running, finished, abandoned, in_backoff, unsubmitted)`.
+    pub(crate) fn occupancy(&self) -> (usize, usize, usize, usize, usize, usize) {
+        (
+            self.queue.len(),
+            self.running.len(),
+            self.finished,
+            self.abandoned_jobs,
+            self.pending_resubmits,
+            self.remaining_submits,
+        )
+    }
+
+    /// The monitored signals for the live dashboard:
+    /// `(queue_depth_mins, util_instant, util_1h, util_10h, util_24h,
+    /// down_nodes)`.
+    pub(crate) fn live_signals(&self, now: SimTime) -> (f64, f64, f64, f64, f64, u64) {
+        (
+            self.queue_depth_mins(now),
+            self.util.instant(now),
+            self.util.trailing_avg(now, SimDuration::from_hours(1)),
+            self.util.trailing_avg(now, SimDuration::from_hours(10)),
+            self.util.trailing_avg(now, SimDuration::from_hours(24)),
+            (self.platform.total_nodes() - self.platform.available_nodes()) as u64,
+        )
+    }
+}
+
+impl<P: Platform> Runner<P> {
+    /// A runner over the given state with the observer off and every
+    /// cache cold — what `prepare`, `decode` and a fork all start from.
+    fn cold(live: LiveState<P>, history: History, config: RunConfig) -> Self {
+        Runner {
+            live,
+            history,
+            config,
+            obs: Observer::disabled(),
+            pass_cache: PassCache::default(),
+            machine_epoch: 0,
+            drain: None,
+            pass_memo: None,
+            reference_hotpath: false,
+        }
+    }
+
+    /// The state a fork takes with it: a copy of what the next decision
+    /// reads, and none of the history.
+    pub(crate) fn fork_state(&self) -> (LiveState<P>, RunConfig) {
+        (self.live.clone(), self.config.clone())
+    }
+
+    /// The runner a decode of this state would give, minus the history.
+    pub(crate) fn from_fork(live: LiveState<P>, config: RunConfig) -> Self {
+        let history = History::new(live.platform.total_nodes(), 0);
+        Runner::cold(live, history, config)
+    }
+
+    /// Mirror a newly queued job into the pass cache (a no-op while the
+    /// cache is cold). Applies the same too-big-for-current-capacity
+    /// filter as [`Runner::queued_jobs`], so the cache's view stays
+    /// aligned with a from-scratch rebuild.
+    fn cache_push(&mut self, trace_idx: usize) {
+        let j = &self.live.jobs[trace_idx];
+        if self.live.platform.could_ever_allocate(j.nodes) {
+            self.pass_cache.note_push(QueuedJob {
+                id: j.id,
+                submit: j.submit,
+                nodes: j.nodes,
+                walltime: self.live.estimates.planning_walltime(j.user, j.walltime),
+            });
+        }
+    }
+
+    /// `target`'s fair start on the hot path: drain over the pass cache's
+    /// sorted queue (the pass that follows reuses this very resolve) and
+    /// resume the previous submission's drain when the machine is the
+    /// same and no release has come due (DESIGN.md §15).
+    fn fair_start_resuming(&mut self, target: JobId, now: SimTime, gap_depth: usize) -> SimTime {
+        let mut cache = std::mem::take(&mut self.pass_cache);
+        cache.presort(now, self.live.scheduler.ordering(), || {
+            self.live.queued_jobs()
+        });
+        let epoch = self.machine_epoch;
+        let mut kept = match self.drain.take() {
+            Some((e, d)) if e == epoch && self.live.releases_are_fixed(now) => Some(d),
+            _ => None,
+        };
+        let base = || self.live.base_plan(now);
+        let (fair, reused) = drain_sorted(&mut kept, base, cache.sorted(), target, now, gap_depth);
+        if reused > 0 {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                fair,
+                fair_start_time(
+                    &self.live.base_plan(now),
+                    cache.sorted(),
+                    target,
+                    self.live.scheduler.ordering(),
+                    now,
+                    gap_depth
+                ),
+                "resumed drain diverged from a fresh one"
+            );
+            cache.stats.drains_resumed += 1;
+            cache.stats.drain_placements_reused += reused as u64;
+        } else {
+            cache.stats.drains_fresh += 1;
+        }
+        self.drain = kept.map(|d| (epoch, d));
+        self.pass_cache = cache;
+        fair
+    }
+
+    /// Kill the running job hit by a node failure: release its
+    /// partition, account the lost progress, and hand it to the retry
+    /// policy (re-queue now, re-queue after backoff, or abandon).
+    fn kill_job(&mut self, id: JobId, now: SimTime, events: &mut EventQueue<Ev>) {
+        let running = self
+            .live
+            .running
+            .remove(&id)
+            .expect("kill_job victim must be running");
+        let freed = self.live.platform.release(running.alloc);
+        self.machine_epoch += 1;
+        self.live.note_capacity(now);
+        let elapsed = (now - running.start).max_zero();
+        // With checkpointing, whole intervals of progress survive the
+        // failure; only the tail since the last checkpoint is lost.
+        let banked = match self.config.checkpoint_interval {
+            Some(interval) => {
+                let n = elapsed.as_secs() / interval.as_secs();
+                SimDuration::from_secs(n * interval.as_secs())
+            }
+            None => SimDuration::ZERO,
+        };
+        if !banked.is_zero() {
+            let job = &self.live.jobs[running.trace_idx];
+            let entry = self
+                .live
+                .saved_progress
+                .entry(id)
+                .or_insert(SimDuration::ZERO);
+            // Cap: never bank the full runtime, or the rerun would be
+            // zero-length.
+            *entry = (*entry + banked).min(job.runtime - SimDuration::from_secs(1));
+        }
+        let lost = elapsed - banked;
+        let lost_node_s = freed as i64 * lost.max_zero().as_secs();
+        self.live.lost_node_secs += freed as f64 * lost.max_zero().as_secs() as f64;
+        self.live.interrupted_jobs += 1;
+        self.live.generations.insert(id, running.gen + 1);
+        let failures = {
+            let count = self.live.failure_counts.entry(id).or_insert(0);
+            *count += 1;
+            *count
+        };
+        let emit_kill = |obs: &mut Observer, outcome: RetryOutcome, delay_s: i64| {
+            if obs.tracing() {
+                obs.emit(
+                    now,
+                    TraceEvent::JobKilled {
+                        job: id.0,
+                        attempt: failures,
+                        lost_node_s,
+                        outcome,
+                        delay_s,
+                    },
+                );
+            }
+        };
+        if self.config.retry.abandons_after(failures) {
+            self.live.abandoned_jobs += 1;
+            self.live.saved_progress.remove(&id);
+            emit_kill(&mut self.obs, RetryOutcome::Abandoned, 0);
+            return;
+        }
+        let delay = self.config.retry.resubmit_delay(failures);
+        if delay.is_zero() {
+            self.live.queue.push(running.trace_idx);
+            // A kill only happens under a node fault, so the in-service
+            // capacity (and with it the queue filter) just changed.
+            self.pass_cache.invalidate();
+            emit_kill(&mut self.obs, RetryOutcome::Requeued, 0);
+        } else {
+            self.live.pending_resubmits += 1;
+            events.schedule_with(
+                now + delay,
+                Priority::Arrival,
+                Ev::Resubmit(running.trace_idx),
+            );
+            emit_kill(&mut self.obs, RetryOutcome::Backoff, delay.as_secs());
+        }
+    }
+
+    /// Run one scheduling pass and start the decided jobs.
+    fn run_scheduler(&mut self, now: SimTime, events: &mut EventQueue<Ev>) {
+        self.live.scheduler_passes += 1;
+        self.live.last_pass_time = Some(now);
+        if self.live.queue.is_empty() {
+            self.live.promised.clear();
+            self.pass_memo = None;
+            return;
+        }
+        let span = self.obs.prof_enter("schedule_pass");
+        let mut trace = if self.obs.tracing() {
+            Some(PassTrace::default())
+        } else {
+            None
+        };
+        let decision = if self.reference_hotpath {
+            // Differential baseline: rebuild + re-sort the queue from
+            // scratch and force the plan's naive query paths.
+            let queued = self.live.queued_jobs();
+            let mut base_plan = self.live.base_plan(now);
+            base_plan.set_reference(true);
+            self.live.scheduler.schedule_pass_traced(
+                now,
+                &queued,
+                &base_plan,
+                trace.as_mut(),
+                self.obs.profiler(),
+            )
+        } else {
+            // Borrow dance: the cache's rebuild closure needs `&self`
+            // (to list the queue), so take the cache out first.
+            let mut cache = std::mem::take(&mut self.pass_cache);
+            let sort_span = self.obs.prof_enter("score_sort");
+            let outcome = cache.resolve(now, self.live.scheduler.ordering(), || {
+                self.live.queued_jobs()
+            });
+            self.obs.prof_exit(sort_span);
+            if self.obs.profiler().is_some() {
+                // Zero-length marker span: counts cache outcomes in the
+                // span table without a dedicated counter channel.
+                let name = match outcome {
+                    CacheOutcome::Hit => "score_cache_hit",
+                    CacheOutcome::Repair => "score_cache_repair",
+                    CacheOutcome::Miss => "score_cache_miss",
+                };
+                let marker = self.obs.prof_enter(name);
+                self.obs.prof_exit(marker);
+            }
+            let head = &cache.sorted()[..self.live.scheduler.lookahead(cache.sorted().len())];
+            // Pass memo: the previous pass started nothing, and nothing
+            // it looked at has changed, so this one would decide the
+            // same (DESIGN.md §15) — `promised` stands as it is. Tracing
+            // needs the real pass: it emits every decision's reasons.
+            let memoized = trace.is_none()
+                && self.pass_memo.as_ref().is_some_and(|m| {
+                    m.epoch == self.machine_epoch
+                        && m.scheduler == self.live.scheduler
+                        && m.head == head
+                })
+                && self.live.releases_are_fixed(now);
+            if memoized {
+                #[cfg(debug_assertions)]
+                self.live.check_memoized_pass(now, cache.sorted());
+                cache.stats.passes_memoized += 1;
+                self.pass_cache = cache;
+                self.obs.prof_exit(span);
+                return;
+            }
+            let plan_span = self.obs.prof_enter("plan_build");
+            let base_plan = self.live.base_plan(now);
+            self.obs.prof_exit(plan_span);
+            let decision = self.live.scheduler.schedule_pass_sorted(
+                now,
+                cache.sorted(),
+                &base_plan,
+                trace.as_mut(),
+                self.obs.profiler(),
+            );
+            // (`TimeFlexible` re-places its reservations greedily per
+            // backfill candidate, and block choice is not monotone in
+            // what is busy, so the lemma does not cover it.)
+            let repeatable = decision.starts.is_empty()
+                && self.live.scheduler.protection == ProtectionStyle::PinnedBlocks;
+            self.pass_memo = repeatable.then(|| PassMemo {
+                epoch: self.machine_epoch,
+                scheduler: self.live.scheduler.clone(),
+                head: head.to_vec(),
+            });
+            self.pass_cache = cache;
+            decision
+        };
+        self.obs.prof_exit(span);
+        let stats = &mut self.pass_cache.stats;
+        stats.window_searches += decision.window.searches;
+        stats.window_placements += decision.window.placements;
+        stats.window_bound_exits += decision.window.bound_exits;
+        if let Some(tr) = trace {
+            self.emit_pass_trace(now, &tr);
+        }
+        self.live.promised.clear();
+
+        for start in &decision.starts {
+            let live = &mut self.live;
+            let idx_in_queue = live
+                .queue
+                .iter()
+                .position(|&i| live.jobs[i].id == start.id)
+                .expect("scheduler started a job that is not queued");
+            let trace_idx = live.queue.remove(idx_in_queue);
+            self.pass_cache.note_remove(start.id);
+            let job = &live.jobs[trace_idx];
+
+            let alloc = live
+                .platform
+                .allocate_hinted(job.nodes, start.hint)
+                .expect("plan-approved start must allocate on the machine");
+            self.machine_epoch += 1;
+            let gen = live.generation_of(job.id);
+            let planning_walltime = live.estimates.planning_walltime(job.user, job.walltime);
+            live.running.insert(
+                job.id,
+                Running {
+                    alloc,
+                    trace_idx,
+                    start: now,
+                    expected_end: now + planning_walltime,
+                    backfilled: start.backfilled,
+                    gen,
+                },
+            );
+            let saved = live
+                .saved_progress
+                .get(&job.id)
+                .copied()
+                .unwrap_or(SimDuration::ZERO);
+            let remaining = (job.runtime - saved).max(SimDuration::from_secs(1));
+            events.schedule_with(now + remaining, Priority::Release, Ev::Finish(job.id, gen));
+
+            if self.history.started_once.insert(job.id) {
+                let wait = (now - job.submit).max_zero();
+                self.history.wait.record(job.id, wait);
+                self.history.wait.record_slowdown(wait, job.runtime);
+                let fair = *live
+                    .fair_starts
+                    .get(&job.id)
+                    .unwrap_or_else(|| panic!("no fair start recorded for {}", job.id));
+                self.history.fairness.record(job.id, fair, now);
+            }
+            if start.backfilled {
+                live.backfilled_starts += 1;
+            }
+            if self.obs.tracing() {
+                self.obs.emit(
+                    now,
+                    TraceEvent::JobStarted {
+                        job: job.id.0,
+                        nodes: job.nodes,
+                        backfilled: start.backfilled,
+                        wait_s: (now - job.submit).max_zero().as_secs(),
+                    },
+                );
+            }
+        }
+        // Remember what the pass promised its protected queue heads, so
+        // the oracle can verify backfill admissions did not steal the
+        // reserved capacity.
+        let live = &mut self.live;
+        for &(id, start) in &decision.reservations {
+            if !decision.protected.contains(&id) {
+                continue;
+            }
+            // Reserved jobs necessarily passed the queued_jobs() filter
+            // (the pass only saw filtered jobs), so the trace record plus
+            // the current estimate model reproduce the QueuedJob fields.
+            let Some(&trace_idx) = live.queue.iter().find(|&&i| live.jobs[i].id == id) else {
+                continue;
+            };
+            let (nodes, walltime) = {
+                let j = &live.jobs[trace_idx];
+                (
+                    j.nodes,
+                    live.estimates.planning_walltime(j.user, j.walltime),
+                )
+            };
+            live.promised.push(Promise {
+                id,
+                nodes,
+                walltime,
+                start,
+            });
+            if self.obs.tracing() {
+                self.obs.emit(
+                    now,
+                    TraceEvent::JobReserved {
+                        job: id.0,
+                        start_s: start.as_secs(),
+                    },
+                );
+            }
+        }
+        live.note_capacity(now);
     }
 
     /// Turn a captured [`PassTrace`] into trace events, in decision
@@ -1253,35 +1510,39 @@ impl<P: Platform> Runner<P> {
 
     /// Record a Loss-of-Capacity scheduling event (after the pass).
     fn record_loc(&mut self, now: SimTime) {
-        let idle = self.platform.idle_nodes();
-        let has_fitting_waiter = self
+        let live = &self.live;
+        let idle = live.platform.idle_nodes();
+        let has_fitting_waiter = live
             .queue
             .iter()
-            .any(|&i| self.platform.rounded_size(self.jobs[i].nodes) <= idle);
-        self.loc.record_event(now, idle, has_fitting_waiter);
+            .any(|&i| live.platform.rounded_size(live.jobs[i].nodes) <= idle);
+        self.history.loc.record_event(now, idle, has_fitting_waiter);
     }
 
     fn sample_metrics(&mut self, now: SimTime) {
-        let qd = self.queue_depth_mins(now);
-        let util_instant = self.util.instant(now);
-        let util_1h = self.util.trailing_avg(now, SimDuration::from_hours(1));
-        let util_10h = self.util.trailing_avg(now, SimDuration::from_hours(10));
-        let util_24h = self.util.trailing_avg(now, SimDuration::from_hours(24));
-        let down = self.platform.total_nodes() - self.platform.available_nodes();
-        self.queue_depth.push(now, qd);
-        self.util_instant.push(now, util_instant);
-        self.util_1h.push(now, util_1h);
-        self.util_10h.push(now, util_10h);
-        self.util_24h.push(now, util_24h);
-        self.bf_series
-            .push(now, self.scheduler.policy.balance_factor);
-        self.window_series
-            .push(now, self.scheduler.policy.window as f64);
-        self.availability.push(
+        let live = &self.live;
+        let qd = live.queue_depth_mins(now);
+        let util_instant = live.util.instant(now);
+        let util_1h = live.util.trailing_avg(now, SimDuration::from_hours(1));
+        let util_10h = live.util.trailing_avg(now, SimDuration::from_hours(10));
+        let util_24h = live.util.trailing_avg(now, SimDuration::from_hours(24));
+        let down = live.platform.total_nodes() - live.platform.available_nodes();
+        self.history.queue_depth.push(now, qd);
+        self.history.util_instant.push(now, util_instant);
+        self.history.util_1h.push(now, util_1h);
+        self.history.util_10h.push(now, util_10h);
+        self.history.util_24h.push(now, util_24h);
+        self.history
+            .bf_series
+            .push(now, live.scheduler.policy.balance_factor);
+        self.history
+            .window_series
+            .push(now, live.scheduler.policy.window as f64);
+        self.history.availability.push(
             now,
-            self.platform.available_nodes() as f64 / self.platform.total_nodes() as f64,
+            live.platform.available_nodes() as f64 / live.platform.total_nodes() as f64,
         );
-        self.down_nodes.push(now, down as f64);
+        self.history.down_nodes.push(now, down as f64);
 
         if self.obs.tracing() {
             self.obs.emit(
@@ -1293,8 +1554,8 @@ impl<P: Platform> Runner<P> {
                     util_10h,
                     util_24h,
                     down_nodes: down as u64,
-                    running: self.running.len() as u64,
-                    waiting: self.queue.len() as u64,
+                    running: live.running.len() as u64,
+                    waiting: live.queue.len() as u64,
                 })),
             );
         }
@@ -1308,8 +1569,8 @@ impl<P: Platform> Runner<P> {
                 util_10h,
                 util_24h,
                 down_nodes: down as u64,
-                running: self.running.len() as u64,
-                waiting: self.queue.len() as u64,
+                running: live.running.len() as u64,
+                waiting: live.queue.len() as u64,
                 done: false,
                 repl: None,
                 extra: Vec::new(),
@@ -1321,18 +1582,18 @@ impl<P: Platform> Runner<P> {
     /// Algorithm 1's check-point body. Returns true if the policy
     /// changed.
     fn run_tuners(&mut self, now: SimTime) -> bool {
-        if !self.adaptive.is_active() {
+        if !self.config.adaptive.is_active() {
             return false;
         }
-        let qd = self.queue_depth_mins(now);
-        let util = &self.util;
+        let qd = self.live.queue_depth_mins(now);
+        let util = &self.live.util;
         let mut steps: Option<Vec<TunerStep>> = if self.obs.tracing() {
             Some(Vec::new())
         } else {
             None
         };
-        let mut changed = self.adaptive.check_traced(
-            &mut self.scheduler.policy,
+        let mut changed = self.config.adaptive.check_traced(
+            &mut self.live.scheduler.policy,
             |metric| match *metric {
                 MonitoredMetric::QueueDepthMins => qd,
                 MonitoredMetric::UtilizationTrend { short, long } => {
@@ -1365,134 +1626,27 @@ impl<P: Platform> Runner<P> {
             }
         }
         // dynP-style whole-policy switching, when configured.
-        if let Some(ordering) = self.adaptive.switched_ordering(self.queue.len()) {
-            if self.scheduler.ordering_override != Some(ordering) {
+        if let Some(ordering) = self
+            .config
+            .adaptive
+            .switched_ordering(self.live.queue.len())
+        {
+            if self.live.scheduler.ordering_override != Some(ordering) {
                 if self.obs.tracing() {
                     self.obs.emit(
                         now,
                         TraceEvent::OrderingSwitch {
-                            queue_len: self.queue.len() as u64,
+                            queue_len: self.live.queue.len() as u64,
                             ordering: format!("{ordering:?}"),
                         },
                     );
                 }
-                self.scheduler.ordering_override = Some(ordering);
+                self.live.scheduler.ordering_override = Some(ordering);
                 changed = true;
             }
         }
         changed
     }
-
-    /// The oracle's invariant battery, run between events. Returns the
-    /// first violated invariant as a diagnostic message.
-    pub(crate) fn check_invariants(&self, now: SimTime) -> Result<(), String> {
-        // (1) The allocator's own books: pairwise-disjoint live blocks
-        // (no double allocation), busy/down/draining mask agreement.
-        self.platform.check_consistency()?;
-
-        // (2) No running job intersects a down failure quantum — kills
-        // happen inside the same event as the fault, so between events
-        // every live allocation runs on in-service capacity only.
-        for (id, r) in &self.running {
-            if self.platform.allocation_intersects_down(r.alloc) {
-                return Err(format!(
-                    "running job {id:?} holds an out-of-service quantum"
-                ));
-            }
-        }
-
-        // Runner and platform agree about what is live.
-        let mut held: Vec<AllocationId> = self.running.values().map(|r| r.alloc).collect();
-        held.sort();
-        let live = self.platform.active_allocations();
-        if live != held {
-            return Err(format!(
-                "allocation sets diverge: platform has {} live, runner tracks {}",
-                live.len(),
-                held.len()
-            ));
-        }
-
-        // (3) Queued / running / finished (plus not-yet-submitted,
-        // backoff-pending, and abandoned) partition the job set.
-        let mut seen = std::collections::HashSet::new();
-        for &i in &self.queue {
-            let id = self.jobs[i].id;
-            if !seen.insert(id) {
-                return Err(format!("job {id:?} queued twice"));
-            }
-            if self.running.contains_key(&id) {
-                return Err(format!("job {id:?} is both queued and running"));
-            }
-        }
-        let accounted = self.remaining_submits
-            + self.queue.len()
-            + self.running.len()
-            + self.pending_resubmits
-            + self.per_job.len()
-            + self.abandoned_jobs;
-        if accounted != self.jobs.len() {
-            return Err(format!(
-                "job-set partition broken: {accounted} accounted of {} \
-                 ({} unsubmitted, {} queued, {} running, {} in backoff, \
-                 {} finished, {} abandoned)",
-                self.jobs.len(),
-                self.remaining_submits,
-                self.queue.len(),
-                self.running.len(),
-                self.pending_resubmits,
-                self.per_job.len(),
-                self.abandoned_jobs,
-            ));
-        }
-
-        // (4) Node conservation: the machine's busy level is exactly the
-        // sum of the running jobs' (rounded) allocations.
-        let busy = self.platform.available_nodes() - self.platform.idle_nodes();
-        let sum: u64 = self
-            .running
-            .values()
-            .map(|r| self.platform.allocation_size(r.alloc).unwrap_or(0) as u64)
-            .sum();
-        if busy as u64 != sum {
-            return Err(format!(
-                "node-seconds conservation broken: {busy} busy vs {sum} allocated"
-            ));
-        }
-
-        // (5) Backfill never delays the EASY-protected head: right after
-        // a scheduling pass, each protected reservation must still be
-        // placeable at its promised start. (Checked only at the pass
-        // instant — later events legitimately reshape the plan.)
-        if self.last_pass_time == Some(now) && !self.promised.is_empty() {
-            let plan = self.base_plan(now);
-            for p in &self.promised {
-                if !self.queue.iter().any(|&i| self.jobs[i].id == p.id) {
-                    continue; // started or killed since the pass
-                }
-                let earliest = plan.earliest_start(p.nodes, p.walltime, now);
-                if earliest > p.start {
-                    return Err(format!(
-                        "backfill delayed EASY-protected job {:?} past its reservation \
-                         ({} nodes promised at t={}s, now earliest t={}s)",
-                        p.id,
-                        p.nodes,
-                        p.start.as_secs(),
-                        earliest.as_secs()
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Live-mode surface (`crate::live`): the event loop is owned by an
-    // external driver, so the runner must accept *injected* work — jobs
-    // arriving from the outside, cancellations — and answer state
-    // queries without draining. Everything below preserves the job-set
-    // partition the oracle checks.
-    // -----------------------------------------------------------------
 
     /// Admit an externally-submitted job at `now`: append it to the
     /// trace, count it as a pending submission, and schedule its
@@ -1506,14 +1660,14 @@ impl<P: Platform> Runner<P> {
         events: &mut EventQueue<Ev>,
     ) -> usize {
         job.submit = now;
-        let idx = self.jobs.len();
-        self.jobs.push(job);
-        self.remaining_submits += 1;
+        let idx = self.live.jobs.len();
+        self.live.jobs.push(job);
+        self.live.remaining_submits += 1;
         events.schedule_with(now, Priority::Arrival, Ev::Submit(idx));
         if !events.iter().any(|e| matches!(e.payload, Ev::Tick)) {
-            events.schedule_with(now + self.sample_interval, Priority::Tick, Ev::Tick);
+            events.schedule_with(now + self.config.sample_interval, Priority::Tick, Ev::Tick);
         }
-        if let Some(process) = &mut self.failure_process {
+        if let Some(process) = &mut self.live.failure_process {
             if !events.iter().any(|e| matches!(e.payload, Ev::Fail)) {
                 let next = process.next_failure_after(now);
                 events.schedule_with(next, Priority::Release, Ev::Fail);
@@ -1528,52 +1682,25 @@ impl<P: Platform> Runner<P> {
     /// is not currently queued — running, finished, or unknown jobs are
     /// not cancelable through this path.
     pub(crate) fn cancel_queued(&mut self, id: JobId) -> bool {
-        match self.queue.iter().position(|&i| self.jobs[i].id == id) {
+        match self
+            .live
+            .queue
+            .iter()
+            .position(|&i| self.live.jobs[i].id == id)
+        {
             Some(pos) => {
-                self.queue.remove(pos);
+                self.live.queue.remove(pos);
                 self.pass_cache.note_remove(id);
-                self.abandoned_jobs += 1;
+                self.live.abandoned_jobs += 1;
                 true
             }
             None => false,
         }
     }
 
-    /// 0-based wait-queue position of `id`, if queued.
-    pub(crate) fn queue_position(&self, id: JobId) -> Option<usize> {
-        self.queue.iter().position(|&i| self.jobs[i].id == id)
-    }
-
-    /// `(start, expected_end)` of `id`, if running.
-    pub(crate) fn running_span(&self, id: JobId) -> Option<(SimTime, SimTime)> {
-        self.running.get(&id).map(|r| (r.start, r.expected_end))
-    }
-
     /// The finished-job record of `id`, if completed.
     pub(crate) fn outcome_of(&self, id: JobId) -> Option<&JobOutcome> {
-        self.per_job.iter().find(|o| o.id == id)
-    }
-
-    /// Whether the machine could ever hold a job of this size (admission
-    /// guard: an oversized submission would otherwise sit queued
-    /// forever).
-    pub(crate) fn fits_machine(&self, nodes: u32) -> bool {
-        self.platform.rounded_size(nodes) <= self.platform.total_nodes()
-    }
-
-    /// Installed machine capacity in nodes.
-    pub(crate) fn machine_capacity(&self) -> u32 {
-        self.platform.total_nodes()
-    }
-
-    /// The full job trace (pre-seeded plus live-admitted).
-    pub(crate) fn trace_jobs(&self) -> &[Job] {
-        &self.jobs
-    }
-
-    /// The live policy currently in force.
-    pub(crate) fn current_policy(&self) -> crate::PolicyParams {
-        self.scheduler.policy
+        self.history.per_job.iter().find(|o| o.id == id)
     }
 
     /// Pin the policy for a speculative fork: apply the overrides and
@@ -1581,39 +1708,12 @@ impl<P: Platform> Runner<P> {
     /// this start under BF=0.8?") is answered under exactly that policy.
     pub(crate) fn pin_policy(&mut self, bf: Option<f64>, window: Option<usize>) {
         if let Some(bf) = bf {
-            self.scheduler.policy.balance_factor = bf;
+            self.live.scheduler.policy.balance_factor = bf;
         }
         if let Some(w) = window {
-            self.scheduler.policy.window = w;
+            self.live.scheduler.policy.window = w;
         }
-        self.adaptive = AdaptiveScheme::none();
-    }
-
-    /// Live occupancy counters:
-    /// `(queued, running, finished, abandoned, in_backoff, unsubmitted)`.
-    pub(crate) fn occupancy(&self) -> (usize, usize, usize, usize, usize, usize) {
-        (
-            self.queue.len(),
-            self.running.len(),
-            self.per_job.len(),
-            self.abandoned_jobs,
-            self.pending_resubmits,
-            self.remaining_submits,
-        )
-    }
-
-    /// The monitored signals for the live dashboard:
-    /// `(queue_depth_mins, util_instant, util_1h, util_10h, util_24h,
-    /// down_nodes)`.
-    pub(crate) fn live_signals(&self, now: SimTime) -> (f64, f64, f64, f64, f64, u64) {
-        (
-            self.queue_depth_mins(now),
-            self.util.instant(now),
-            self.util.trailing_avg(now, SimDuration::from_hours(1)),
-            self.util.trailing_avg(now, SimDuration::from_hours(10)),
-            self.util.trailing_avg(now, SimDuration::from_hours(24)),
-            (self.platform.total_nodes() - self.platform.available_nodes()) as u64,
-        )
+        self.config.adaptive = AdaptiveScheme::none();
     }
 }
 
@@ -1629,7 +1729,7 @@ pub(crate) struct InvariantOracle {
 impl<P: Platform> Oracle<Runner<P>> for InvariantOracle {
     fn after_event(&mut self, world: &Runner<P>, now: SimTime, event_index: u64) {
         let span = world.obs.prof_enter("oracle_check");
-        let verdict = world.check_invariants(now);
+        let verdict = world.live.check_invariants(now);
         world.obs.prof_exit(span);
         if let Err(msg) = verdict {
             panic!(
@@ -1651,11 +1751,11 @@ impl<P: Platform> World for Runner<P> {
         self.obs.begin_event();
         match event {
             Ev::Submit(trace_idx) => {
-                self.remaining_submits -= 1;
-                self.queue.push(trace_idx);
+                self.live.remaining_submits -= 1;
+                self.live.queue.push(trace_idx);
                 self.cache_push(trace_idx);
                 if self.obs.tracing() {
-                    let job = &self.jobs[trace_idx];
+                    let job = &self.live.jobs[trace_idx];
                     let ev = TraceEvent::JobQueued {
                         job: job.id.0,
                         nodes: job.nodes,
@@ -1665,32 +1765,33 @@ impl<P: Platform> World for Runner<P> {
                     self.obs.emit(now, ev);
                 }
                 let fair_span = self.obs.prof_enter("fair_start");
-                let job = &self.jobs[trace_idx];
+                let job = &self.live.jobs[trace_idx];
                 let job_id = job.id;
                 // On a machine degraded below the job's size the
                 // no-later-arrivals drain cannot place it at all;
                 // use the submission instant as its fair start (any
                 // wait on repairs then counts as unfair treatment).
-                let gap_depth = self.scheduler.backfill_depth.unwrap_or(usize::MAX);
-                let fair = if !self.platform.could_ever_allocate(job.nodes) {
+                let gap_depth = self.live.scheduler.backfill_depth.unwrap_or(usize::MAX);
+                let fair = if !self.live.platform.could_ever_allocate(job.nodes) {
                     now
                 } else if self.reference_hotpath {
                     // Differential runs sort and drain from scratch
                     // on the naive path (see `reference_hotpath`).
-                    let mut base_plan = self.base_plan(now);
+                    let mut base_plan = self.live.base_plan(now);
                     base_plan.set_reference(true);
                     fair_start_time(
                         &base_plan,
-                        &self.queued_jobs(),
+                        &self.live.queued_jobs(),
                         job_id,
-                        self.scheduler.ordering(),
+                        self.live.scheduler.ordering(),
                         now,
                         gap_depth,
                     )
                 } else {
                     self.fair_start_resuming(job_id, now, gap_depth)
                 };
-                self.fairness.record_fair_start(job_id, fair);
+                let prev = self.live.fair_starts.insert(job_id, fair);
+                debug_assert!(prev.is_none(), "duplicate fair start for {job_id}");
                 self.obs.prof_exit(fair_span);
                 self.run_scheduler(now, events);
                 self.record_loc(now);
@@ -1698,22 +1799,25 @@ impl<P: Platform> World for Runner<P> {
             Ev::Finish(id, gen) => {
                 // A stale finish (the attempt was killed by a failure)
                 // is ignored; the job is queued or re-running by now.
-                match self.running.get(&id) {
+                match self.live.running.get(&id) {
                     Some(r) if r.gen == gen => {}
                     _ => return,
                 }
                 let running = self
+                    .live
                     .running
                     .remove(&id)
                     .expect("finish event for a job that is not running");
-                self.platform.release(running.alloc);
+                self.live.platform.release(running.alloc);
                 // Also covers the estimate update below: planning
                 // walltimes may move with it.
                 self.machine_epoch += 1;
-                self.note_capacity(now);
-                let job = &self.jobs[running.trace_idx];
-                self.estimates.observe(job.user, job.walltime, job.runtime);
-                if self.estimates.is_adaptive() {
+                self.live.note_capacity(now);
+                let job = &self.live.jobs[running.trace_idx];
+                self.live
+                    .estimates
+                    .observe(job.user, job.walltime, job.runtime);
+                if self.live.estimates.is_adaptive() {
                     // The completion may have moved the user's accuracy
                     // EMA, which changes queued jobs' planning walltimes.
                     self.pass_cache.invalidate();
@@ -1726,7 +1830,8 @@ impl<P: Platform> World for Runner<P> {
                     };
                     self.obs.emit(now, ev);
                 }
-                self.per_job.push(JobOutcome {
+                self.live.finished += 1;
+                self.history.per_job.push(JobOutcome {
                     id,
                     submit: job.submit,
                     // The successful attempt's span (shorter than the
@@ -1738,12 +1843,13 @@ impl<P: Platform> World for Runner<P> {
                     user: job.user,
                     backfilled: running.backfilled,
                 });
-                self.last_end = self.last_end.max(now);
+                self.live.last_end = self.live.last_end.max(now);
                 self.run_scheduler(now, events);
                 self.record_loc(now);
             }
             Ev::Fail => {
                 let mut process = self
+                    .live
                     .failure_process
                     .take()
                     .expect("Fail event without a failure process");
@@ -1755,7 +1861,7 @@ impl<P: Platform> World for Runner<P> {
                 // for draw; higher levels sweep the whole domain span,
                 // one quantum at a time.
                 let fault = process.draw_fault();
-                let quantum = self.platform.min_allocation().max(1);
+                let quantum = self.live.platform.min_allocation().max(1);
                 let targets: Vec<(u32, u32)> = if fault.level == FaultDomain::Midplane {
                     vec![(fault.origin, quantum)]
                 } else {
@@ -1777,7 +1883,7 @@ impl<P: Platform> World for Runner<P> {
                 let mut repair: Option<SimDuration> = None;
                 let mut any_change = false;
                 for &(node, nodes_hit) in &targets {
-                    let outcome = self.platform.mark_down(node);
+                    let outcome = self.live.platform.mark_down(node);
                     if outcome == DrainOutcome::AlreadyDown {
                         // Already out of service with a repair pending;
                         // this part of the fault is absorbed.
@@ -1793,6 +1899,7 @@ impl<P: Platform> World for Runner<P> {
                         // partition: kill the job (its capacity leaves
                         // service at the release inside kill_job).
                         let id = self
+                            .live
                             .running
                             .iter()
                             .find(|(_, r)| r.alloc == alloc)
@@ -1802,51 +1909,52 @@ impl<P: Platform> World for Runner<P> {
                     }
                     let d = *repair.get_or_insert_with(|| process.repair_duration());
                     events.schedule_with(now + d, Priority::Release, Ev::Repair(node));
-                    self.domain_downtime
+                    self.history
+                        .domain_downtime
                         .record_outage(fault.level, nodes_hit, d);
                     any_change = true;
                 }
-                self.domain_downtime.record_fault(fault.level);
+                self.history.domain_downtime.record_fault(fault.level);
                 if any_change {
                     // The down mask grew: jobs previously plannable may
                     // now be held back entirely (and vice versa on
                     // repair), so the cached filtered queue is stale.
                     self.pass_cache.invalidate();
-                    self.note_capacity(now);
+                    self.live.note_capacity(now);
                     self.run_scheduler(now, events);
                     self.record_loc(now);
                 }
                 // Keep the process alive while there is anything left to
                 // interrupt.
-                if self.remaining_submits > 0
-                    || !self.queue.is_empty()
-                    || !self.running.is_empty()
-                    || self.pending_resubmits > 0
+                if self.live.remaining_submits > 0
+                    || !self.live.queue.is_empty()
+                    || !self.live.running.is_empty()
+                    || self.live.pending_resubmits > 0
                 {
                     let next = process.next_failure_after(now);
                     events.schedule_with(next, Priority::Release, Ev::Fail);
                 }
-                self.failure_process = Some(process);
+                self.live.failure_process = Some(process);
             }
             Ev::Repair(node) => {
-                self.platform.mark_up(node);
+                self.live.platform.mark_up(node);
                 self.machine_epoch += 1;
                 if self.obs.tracing() {
                     self.obs
                         .emit(now, TraceEvent::NodeRepaired { node: node.into() });
                 }
                 self.pass_cache.invalidate();
-                self.note_capacity(now);
+                self.live.note_capacity(now);
                 // Restored capacity may unblock held-back jobs.
                 self.run_scheduler(now, events);
                 self.record_loc(now);
             }
             Ev::Resubmit(trace_idx) => {
-                self.pending_resubmits -= 1;
-                self.queue.push(trace_idx);
+                self.live.pending_resubmits -= 1;
+                self.live.queue.push(trace_idx);
                 self.cache_push(trace_idx);
                 if self.obs.tracing() {
-                    let job = &self.jobs[trace_idx];
+                    let job = &self.live.jobs[trace_idx];
                     let ev = TraceEvent::JobQueued {
                         job: job.id.0,
                         nodes: job.nodes,
@@ -1864,12 +1972,16 @@ impl<P: Platform> World for Runner<P> {
                     self.run_scheduler(now, events);
                 }
                 // Keep ticking while there is anything left to observe.
-                if self.remaining_submits > 0
-                    || !self.queue.is_empty()
-                    || !self.running.is_empty()
-                    || self.pending_resubmits > 0
+                if self.live.remaining_submits > 0
+                    || !self.live.queue.is_empty()
+                    || !self.live.running.is_empty()
+                    || self.live.pending_resubmits > 0
                 {
-                    events.schedule_with(now + self.sample_interval, Priority::Tick, Ev::Tick);
+                    events.schedule_with(
+                        now + self.config.sample_interval,
+                        Priority::Tick,
+                        Ev::Tick,
+                    );
                 }
             }
         }
@@ -1879,12 +1991,11 @@ impl<P: Platform> World for Runner<P> {
 // ---------------------------------------------------------------------------
 // Snapshot codecs for the event-loop state.
 //
-// The runner is the world the engine drives, so crash recovery must
-// capture *all* of it — every field below round-trips, HashMaps and
-// HashSets in canonical (sorted-key) order so identical states encode
-// to identical bytes. `Platform` deliberately has no `Snapshot`
-// supertrait (test doubles implement `Platform` alone); the bound
-// appears only here and on the persistence entry points.
+// HashMaps and HashSets are written in canonical (sorted-key) order so
+// identical states encode to identical bytes. `Platform` deliberately
+// has no `Snapshot` supertrait (test doubles implement `Platform`
+// alone); the bound appears only here and on the persistence entry
+// points.
 // ---------------------------------------------------------------------------
 
 impl amjs_sim::Snapshot for Ev {
@@ -2001,55 +2112,111 @@ fn sorted_entries<K: Ord + Copy, V: Clone>(map: &HashMap<K, V>) -> Vec<(K, V)> {
 }
 
 impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
+    /// File format v2's field order, read out of the two halves. Here,
+    /// in `decode`'s literals and in `state_hash` the halves are taken
+    /// apart without a `..`, so a new field compiles in none of them
+    /// until each says where it goes.
     fn encode(&self, w: &mut amjs_sim::SnapWriter) {
-        self.platform.encode(w);
-        self.jobs.encode(w);
-        self.scheduler.encode(w);
-        self.adaptive.encode(w);
-        self.queue.encode(w);
-        sorted_entries(&self.running).encode(w);
-        self.wait.encode(w);
-        self.fairness.encode(w);
+        let LiveState {
+            platform,
+            jobs,
+            scheduler,
+            queue,
+            running,
+            promised,
+            last_pass_time,
+            estimates,
+            failure_process,
+            util,
+            down_track,
+            fair_starts,
+            remaining_submits,
+            pending_resubmits,
+            abandoned_jobs,
+            finished,
+            scheduler_passes,
+            backfilled_starts,
+            interrupted_jobs,
+            lost_node_secs,
+            generations,
+            failure_counts,
+            saved_progress,
+            last_end,
+        } = &self.live;
+        let History {
+            wait,
+            fairness,
+            loc,
+            queue_depth,
+            util_instant,
+            util_1h,
+            util_10h,
+            util_24h,
+            bf_series,
+            window_series,
+            availability,
+            down_nodes,
+            domain_downtime,
+            per_job,
+            started_once,
+        } = &self.history;
+        let RunConfig {
+            adaptive,
+            sample_interval,
+            retry,
+            checkpoint_interval,
+        } = &self.config;
+        // `finished` travels as `per_job`'s length; a fork, where the
+        // two differ, has no history worth a snapshot.
+        assert_eq!(*finished, per_job.len(), "a fork is not encodable");
+        platform.encode(w);
+        jobs.encode(w);
+        scheduler.encode(w);
+        adaptive.encode(w);
+        queue.encode(w);
+        sorted_entries(running).encode(w);
+        wait.encode(w);
+        fairness.encode_around(&sorted_entries(fair_starts), w);
         // Format byte: `false` meant "no fair-start drain", which no
         // build can honour any more (decode refuses it).
         w.put_bool(true);
-        self.loc.encode(w);
-        self.util.encode(w);
-        self.queue_depth.encode(w);
-        self.util_instant.encode(w);
-        self.util_1h.encode(w);
-        self.util_10h.encode(w);
-        self.util_24h.encode(w);
-        self.bf_series.encode(w);
-        self.window_series.encode(w);
-        self.availability.encode(w);
-        self.down_nodes.encode(w);
-        self.domain_downtime.encode(w);
-        self.promised.encode(w);
-        self.last_pass_time.encode(w);
-        self.down_track.encode(w);
-        self.per_job.encode(w);
-        self.sample_interval.encode(w);
-        w.put_usize(self.remaining_submits);
-        w.put_u64(self.scheduler_passes);
-        w.put_u64(self.backfilled_starts);
-        w.put_u64(self.interrupted_jobs);
-        w.put_usize(self.abandoned_jobs);
-        w.put_usize(self.pending_resubmits);
-        w.put_f64(self.lost_node_secs);
+        loc.encode(w);
+        util.encode(w);
+        queue_depth.encode(w);
+        util_instant.encode(w);
+        util_1h.encode(w);
+        util_10h.encode(w);
+        util_24h.encode(w);
+        bf_series.encode(w);
+        window_series.encode(w);
+        availability.encode(w);
+        down_nodes.encode(w);
+        domain_downtime.encode(w);
+        promised.encode(w);
+        last_pass_time.encode(w);
+        down_track.encode(w);
+        per_job.encode(w);
+        sample_interval.encode(w);
+        w.put_usize(*remaining_submits);
+        w.put_u64(*scheduler_passes);
+        w.put_u64(*backfilled_starts);
+        w.put_u64(*interrupted_jobs);
+        w.put_usize(*abandoned_jobs);
+        w.put_usize(*pending_resubmits);
+        w.put_f64(*lost_node_secs);
         {
-            let mut started: Vec<JobId> = self.started_once.iter().copied().collect();
+            let mut started: Vec<JobId> = started_once.iter().copied().collect();
             started.sort();
             started.encode(w);
         }
-        sorted_entries(&self.generations).encode(w);
-        sorted_entries(&self.failure_counts).encode(w);
-        self.retry.encode(w);
-        self.estimates.encode(w);
-        self.checkpoint_interval.encode(w);
-        sorted_entries(&self.saved_progress).encode(w);
-        self.failure_process.encode(w);
-        self.last_end.encode(w);
+        sorted_entries(generations).encode(w);
+        sorted_entries(failure_counts).encode(w);
+        retry.encode(w);
+        estimates.encode(w);
+        checkpoint_interval.encode(w);
+        sorted_entries(saved_progress).encode(w);
+        failure_process.encode(w);
+        last_end.encode(w);
     }
 
     fn decode(r: &mut amjs_sim::SnapReader<'_>) -> Result<Self, amjs_sim::SnapError> {
@@ -2061,7 +2228,8 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
         let queue: Vec<usize> = Snapshot::decode(r)?;
         let running_entries: Vec<(JobId, Running)> = Snapshot::decode(r)?;
         let wait = Snapshot::decode(r)?;
-        let fairness = Snapshot::decode(r)?;
+        let (fairness, fair_starts): (_, Vec<(JobId, SimTime)>) =
+            FairnessTracker::decode_around(r)?;
         if !r.get_bool()? {
             let why = "taken with the fair-start drain switched off, an option since removed";
             return Err(amjs_sim::SnapError::Malformed(why.to_string()));
@@ -2081,7 +2249,7 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
         let promised = Snapshot::decode(r)?;
         let last_pass_time = Snapshot::decode(r)?;
         let down_track = Snapshot::decode(r)?;
-        let per_job = Snapshot::decode(r)?;
+        let per_job: Vec<JobOutcome> = Snapshot::decode(r)?;
         let sample_interval = Snapshot::decode(r)?;
         let remaining_submits = r.get_usize()?;
         let scheduler_passes = r.get_u64()?;
@@ -2116,17 +2284,36 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
             )));
         }
 
-        Ok(Runner {
+        let live = LiveState {
             platform,
             jobs,
             scheduler,
-            adaptive,
             queue,
             running: running_entries.into_iter().collect(),
+            promised,
+            last_pass_time,
+            estimates,
+            failure_process,
+            util,
+            down_track,
+            fair_starts: fair_starts.into_iter().collect(),
+            remaining_submits,
+            pending_resubmits,
+            abandoned_jobs,
+            finished: per_job.len(),
+            scheduler_passes,
+            backfilled_starts,
+            interrupted_jobs,
+            lost_node_secs,
+            generations: generations.into_iter().collect(),
+            failure_counts: failure_counts.into_iter().collect(),
+            saved_progress: saved_progress.into_iter().collect(),
+            last_end,
+        };
+        let history = History {
             wait,
             fairness,
             loc,
-            util,
             queue_depth,
             util_instant,
             util_1h,
@@ -2137,71 +2324,92 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
             availability,
             down_nodes,
             domain_downtime,
-            promised,
-            last_pass_time,
-            down_track,
             per_job,
-            sample_interval,
-            remaining_submits,
-            scheduler_passes,
-            backfilled_starts,
-            interrupted_jobs,
-            abandoned_jobs,
-            pending_resubmits,
-            lost_node_secs,
             started_once: started.into_iter().collect(),
-            generations: generations.into_iter().collect(),
-            failure_counts: failure_counts.into_iter().collect(),
+        };
+        let config = RunConfig {
+            adaptive,
+            sample_interval,
             retry,
-            estimates,
             checkpoint_interval,
-            saved_progress: saved_progress.into_iter().collect(),
-            failure_process,
-            last_end,
-            obs: Observer::disabled(),
-            // Transient hot-path state: a resumed run starts with a cold
-            // cache whose first pass rebuilds the exact sorted queue.
-            pass_cache: PassCache::default(),
-            machine_epoch: 0,
-            drain: None,
-            pass_memo: None,
-            reference_hotpath: false,
-        })
+        };
+        Ok(Runner::cold(live, history, config))
     }
 }
 
 impl<P: Platform + amjs_sim::Snapshot> amjs_sim::StateHash for Runner<P> {
-    /// Per-event digest over the *live* state: machine occupancy, queue,
-    /// running set, RNG cursors, and progress counters — the parts that
-    /// can diverge between a resumed run and the original. Derived
-    /// histories (metric series, per-job records) are covered indirectly
-    /// through their lengths; byte-exact equality of the full state is
-    /// proven by the snapshot round-trip tests, not per event.
+    /// Per-event digest over the live state, plus three history lengths
+    /// (DESIGN.md §10 says why each field is in or out).
     fn state_hash(&self) -> u64 {
         use amjs_sim::Snapshot;
+        let LiveState {
+            platform,
+            jobs: _, // append-only: genesis jobs are in the fingerprint, admitted ones in the WAL
+            scheduler,
+            queue,
+            running,
+            promised,
+            last_pass_time,
+            estimates,
+            failure_process,
+            util: _, // every step is a busy level of the platform, hashed when it was current
+            down_track: _, // likewise, of the platform's down set
+            fair_starts: _, // read only to write a fairness record, never by a decision
+            remaining_submits,
+            pending_resubmits,
+            abandoned_jobs,
+            finished,
+            scheduler_passes,
+            backfilled_starts,
+            interrupted_jobs,
+            lost_node_secs,
+            generations,
+            failure_counts,
+            saved_progress,
+            last_end,
+        } = &self.live;
+        // History is hashed by length only; its bytes are the snapshot
+        // round-trip tests' to prove.
+        let History {
+            wait,
+            fairness: _,
+            loc: _,
+            queue_depth: _,
+            util_instant: _,
+            util_1h: _,
+            util_10h: _,
+            util_24h: _,
+            bf_series: _,
+            window_series: _,
+            availability: _,
+            down_nodes: _,
+            domain_downtime: _,
+            per_job: _, // its length is `finished`
+            started_once,
+        } = &self.history;
         let mut w = amjs_sim::SnapWriter::new();
-        self.platform.encode(&mut w);
-        self.queue.encode(&mut w);
-        sorted_entries(&self.running).encode(&mut w);
-        self.promised.encode(&mut w);
-        self.last_pass_time.encode(&mut w);
-        self.scheduler.encode(&mut w);
-        self.estimates.encode(&mut w);
-        self.failure_process.encode(&mut w);
-        w.put_usize(self.remaining_submits);
-        w.put_usize(self.pending_resubmits);
-        w.put_usize(self.abandoned_jobs);
-        w.put_u64(self.scheduler_passes);
-        w.put_u64(self.backfilled_starts);
-        w.put_u64(self.interrupted_jobs);
-        w.put_f64(self.lost_node_secs);
-        w.put_usize(self.per_job.len());
-        w.put_usize(self.wait.count());
-        w.put_usize(self.started_once.len());
-        sorted_entries(&self.generations).encode(&mut w);
-        sorted_entries(&self.failure_counts).encode(&mut w);
-        sorted_entries(&self.saved_progress).encode(&mut w);
-        self.last_end.encode(&mut w);
+        platform.encode(&mut w);
+        queue.encode(&mut w);
+        sorted_entries(running).encode(&mut w);
+        promised.encode(&mut w);
+        last_pass_time.encode(&mut w);
+        scheduler.encode(&mut w);
+        estimates.encode(&mut w);
+        failure_process.encode(&mut w);
+        w.put_usize(*remaining_submits);
+        w.put_usize(*pending_resubmits);
+        w.put_usize(*abandoned_jobs);
+        w.put_u64(*scheduler_passes);
+        w.put_u64(*backfilled_starts);
+        w.put_u64(*interrupted_jobs);
+        w.put_f64(*lost_node_secs);
+        w.put_usize(*finished);
+        w.put_usize(wait.count());
+        w.put_usize(started_once.len());
+        sorted_entries(generations).encode(&mut w);
+        sorted_entries(failure_counts).encode(&mut w);
+        sorted_entries(saved_progress).encode(&mut w);
+        last_end.encode(&mut w);
         amjs_sim::snapshot::fnv1a(w.as_bytes())
     }
 }
@@ -2490,14 +2698,18 @@ mod tests {
             .world;
         // The byte follows the fairness tracker: encode up to there.
         let mut prefix = SnapWriter::new();
-        world.platform.encode(&mut prefix);
-        world.jobs.encode(&mut prefix);
-        world.scheduler.encode(&mut prefix);
-        world.adaptive.encode(&mut prefix);
-        world.queue.encode(&mut prefix);
-        sorted_entries(&world.running).encode(&mut prefix);
-        world.wait.encode(&mut prefix);
-        world.fairness.encode(&mut prefix);
+        world.live.platform.encode(&mut prefix);
+        world.live.jobs.encode(&mut prefix);
+        world.live.scheduler.encode(&mut prefix);
+        world.config.adaptive.encode(&mut prefix);
+        world.live.queue.encode(&mut prefix);
+        sorted_entries(&world.live.running).encode(&mut prefix);
+        world.history.wait.encode(&mut prefix);
+        let fair_starts = sorted_entries(&world.live.fair_starts);
+        world
+            .history
+            .fairness
+            .encode_around(&fair_starts, &mut prefix);
         let mut whole = SnapWriter::new();
         world.encode(&mut whole);
         let (at, mut bytes) = (prefix.len(), whole.into_bytes());
@@ -2505,6 +2717,87 @@ mod tests {
         bytes[at] = 0;
         let err = Runner::<FlatCluster>::decode(&mut SnapReader::new(&bytes)).err();
         assert!(matches!(&err, Some(SnapError::Malformed(m)) if m.contains("fair-start drain")));
+    }
+
+    /// The other direction of the destructure in `state_hash`: a field
+    /// it names must actually reach the digest.
+    #[test]
+    fn every_hashed_live_field_moves_the_state_hash() {
+        use crate::failures::{FailureSpec, RepairSpec};
+        use amjs_sim::{SnapReader, SnapWriter, Snapshot, StateHash};
+        let PreparedRun {
+            mut world,
+            mut queue,
+            ..
+        } = SimulationBuilder::new(FlatCluster::new(512), small_jobs(11))
+            .failures(Some(FailureSpec {
+                node_mtbf: SimDuration::from_hours(240),
+                repair: RepairSpec::Deterministic(SimDuration::from_mins(30)),
+                seed: 5,
+            }))
+            .estimate_policy(EstimatePolicy::user_adaptive())
+            .prepare();
+        Engine::new()
+            .with_max_events(40)
+            .run(&mut world, &mut queue);
+        let base = world.state_hash();
+        let mut w = SnapWriter::new();
+        world.encode(&mut w);
+        let bytes = w.into_bytes();
+
+        type Mutation = fn(&mut LiveState<FlatCluster>);
+        let mutations: [(&str, Mutation); 20] = [
+            ("platform", |l| {
+                l.platform.allocate(1);
+            }),
+            ("scheduler", |l| l.scheduler.policy.window += 1),
+            ("queue", |l| l.queue.push(0)),
+            ("running", |l| {
+                l.running.values_mut().for_each(|r| r.gen += 1)
+            }),
+            ("promised", |l| {
+                l.promised.push(Promise {
+                    id: JobId(0),
+                    nodes: 1,
+                    walltime: SimDuration::from_hours(1),
+                    start: SimTime::ZERO,
+                })
+            }),
+            ("last_pass_time", |l| l.last_pass_time = Some(SimTime::MAX)),
+            ("estimates", |l| {
+                l.estimates
+                    .observe(0, SimDuration::from_hours(9), SimDuration::from_secs(1))
+            }),
+            ("failure_process", |l| {
+                l.failure_process.as_mut().unwrap().draw_fault();
+            }),
+            ("remaining_submits", |l| l.remaining_submits += 1),
+            ("pending_resubmits", |l| l.pending_resubmits += 1),
+            ("abandoned_jobs", |l| l.abandoned_jobs += 1),
+            ("finished", |l| l.finished += 1),
+            ("scheduler_passes", |l| l.scheduler_passes += 1),
+            ("backfilled_starts", |l| l.backfilled_starts += 1),
+            ("interrupted_jobs", |l| l.interrupted_jobs += 1),
+            ("lost_node_secs", |l| l.lost_node_secs += 1.0),
+            ("generations", |l| {
+                l.generations.insert(JobId(0), 9);
+            }),
+            ("failure_counts", |l| {
+                l.failure_counts.insert(JobId(0), 9);
+            }),
+            ("saved_progress", |l| {
+                l.saved_progress
+                    .insert(JobId(0), SimDuration::from_hours(1));
+            }),
+            ("last_end", |l| l.last_end = SimTime::MAX),
+        ];
+        for (field, mutate) in mutations {
+            let mut copy = Runner::<FlatCluster>::decode(&mut SnapReader::new(&bytes)).unwrap();
+            assert_eq!(copy.state_hash(), base, "decode moved the hash");
+            assert!(!copy.live.running.is_empty(), "nothing running to mutate");
+            mutate(&mut copy.live);
+            assert_ne!(copy.state_hash(), base, "`{field}` does not reach the hash");
+        }
     }
 
     #[test]
@@ -2747,6 +3040,7 @@ mod tests {
 
     /// A delegating platform that forges a duplicate live block after
     /// the N-th allocation — the seeded bug the oracle must catch.
+    #[derive(Clone)]
     struct EvilPlatform {
         inner: BgpCluster,
         allocs: u32,

@@ -8,15 +8,14 @@
 //! the job will be started." (The approach of Sabin et al., ICPP 2004.)
 //!
 //! The drain simulation itself lives in `amjs-core` (it needs the
-//! scheduler); this tracker stores each job's fair start and actual
-//! start and counts violations. A small tolerance absorbs the
-//! one-second rounding of the event engine — a job is *unfair* only if
-//! it started more than [`FairnessTracker::tolerance`] after its fair
+//! scheduler), and so does the fair start of a job that has not started
+//! yet — the runner's live state. This tracker stores the completed
+//! (fair, actual) pairs and counts violations. A small tolerance absorbs
+//! the one-second rounding of the event engine — a job is *unfair* only
+//! if it started more than [`FairnessTracker::tolerance`] after its fair
 //! start time.
 
-use std::collections::HashMap;
-
-use amjs_sim::{SimDuration, SimTime};
+use amjs_sim::{SimDuration, SimTime, Snapshot};
 use amjs_workload::JobId;
 
 /// Record of one job's fairness outcome.
@@ -41,7 +40,6 @@ impl FairnessRecord {
 #[derive(Clone, Debug)]
 pub struct FairnessTracker {
     tolerance: SimDuration,
-    fair_starts: HashMap<JobId, SimTime>,
     records: Vec<FairnessRecord>,
 }
 
@@ -57,7 +55,6 @@ impl FairnessTracker {
         assert!(!tolerance.is_negative());
         FairnessTracker {
             tolerance,
-            fair_starts: HashMap::new(),
             records: Vec::new(),
         }
     }
@@ -67,24 +64,9 @@ impl FairnessTracker {
         self.tolerance
     }
 
-    /// Record the fair start computed for `job` at its submission.
-    pub fn record_fair_start(&mut self, job: JobId, fair_start: SimTime) {
-        let prev = self.fair_starts.insert(job, fair_start);
-        debug_assert!(prev.is_none(), "duplicate fair start for {job}");
-    }
-
-    /// Record the actual start of `job`, pairing it with its stored fair
-    /// start.
-    ///
-    /// # Panics
-    /// Panics if no fair start was recorded for the job — the runner
-    /// must compute fair starts at submission, before any start can
-    /// happen.
-    pub fn record_actual_start(&mut self, job: JobId, actual_start: SimTime) {
-        let fair_start = *self
-            .fair_starts
-            .get(&job)
-            .unwrap_or_else(|| panic!("no fair start recorded for {job}"));
+    /// Record that `job`, whose fair start was computed at submission,
+    /// actually started at `actual_start`.
+    pub fn record(&mut self, job: JobId, fair_start: SimTime, actual_start: SimTime) {
         self.records.push(FairnessRecord {
             job,
             fair_start,
@@ -125,14 +107,13 @@ impl FairnessTracker {
     }
 }
 
-impl amjs_sim::Snapshot for FairnessRecord {
+impl Snapshot for FairnessRecord {
     fn encode(&self, w: &mut amjs_sim::SnapWriter) {
         self.job.encode(w);
         self.fair_start.encode(w);
         self.actual_start.encode(w);
     }
     fn decode(r: &mut amjs_sim::SnapReader<'_>) -> Result<Self, amjs_sim::SnapError> {
-        use amjs_sim::Snapshot;
         Ok(FairnessRecord {
             job: Snapshot::decode(r)?,
             fair_start: Snapshot::decode(r)?,
@@ -141,26 +122,24 @@ impl amjs_sim::Snapshot for FairnessRecord {
     }
 }
 
-impl amjs_sim::Snapshot for FairnessTracker {
-    fn encode(&self, w: &mut amjs_sim::SnapWriter) {
+/// The snapshot layout puts the fair starts — the runner's, since a
+/// not-yet-started job's is live state — between tolerance and records.
+impl FairnessTracker {
+    /// Write tolerance, the caller's `fair_starts`, records.
+    pub fn encode_around(&self, fair_starts: &impl Snapshot, w: &mut amjs_sim::SnapWriter) {
         self.tolerance.encode(w);
-        // HashMap iteration order is nondeterministic; a canonical
-        // encoding requires sorted keys.
-        let mut starts: Vec<(JobId, SimTime)> =
-            self.fair_starts.iter().map(|(&j, &t)| (j, t)).collect();
-        starts.sort_by_key(|&(j, _)| j);
-        starts.encode(w);
+        fair_starts.encode(w);
         self.records.encode(w);
     }
-    fn decode(r: &mut amjs_sim::SnapReader<'_>) -> Result<Self, amjs_sim::SnapError> {
-        use amjs_sim::Snapshot;
+
+    /// Read back what [`FairnessTracker::encode_around`] wrote.
+    pub fn decode_around<S: Snapshot>(
+        r: &mut amjs_sim::SnapReader<'_>,
+    ) -> Result<(Self, S), amjs_sim::SnapError> {
         let tolerance = Snapshot::decode(r)?;
-        let starts: Vec<(JobId, SimTime)> = Snapshot::decode(r)?;
-        Ok(FairnessTracker {
-            tolerance,
-            fair_starts: starts.into_iter().collect(),
-            records: Snapshot::decode(r)?,
-        })
+        let fair_starts = Snapshot::decode(r)?;
+        let records = Snapshot::decode(r)?;
+        Ok((FairnessTracker { tolerance, records }, fair_starts))
     }
 }
 
@@ -175,12 +154,9 @@ mod tests {
     #[test]
     fn counts_only_beyond_tolerance() {
         let mut f = FairnessTracker::new(SimDuration::from_secs(60));
-        f.record_fair_start(JobId(0), t(100));
-        f.record_fair_start(JobId(1), t(100));
-        f.record_fair_start(JobId(2), t(100));
-        f.record_actual_start(JobId(0), t(100)); // exactly fair
-        f.record_actual_start(JobId(1), t(160)); // within tolerance
-        f.record_actual_start(JobId(2), t(161)); // unfair
+        f.record(JobId(0), t(100), t(100)); // exactly fair
+        f.record(JobId(1), t(100), t(160)); // within tolerance
+        f.record(JobId(2), t(100), t(161)); // unfair
         assert_eq!(f.total_count(), 3);
         assert_eq!(f.unfair_count(), 1);
     }
@@ -188,8 +164,7 @@ mod tests {
     #[test]
     fn early_start_is_fair() {
         let mut f = FairnessTracker::default();
-        f.record_fair_start(JobId(0), t(500));
-        f.record_actual_start(JobId(0), t(100)); // started early (e.g. backfilled)
+        f.record(JobId(0), t(500), t(100)); // started early (e.g. backfilled)
         assert_eq!(f.unfair_count(), 0);
         assert_eq!(f.records()[0].delay(), SimDuration::ZERO);
     }
@@ -197,10 +172,8 @@ mod tests {
     #[test]
     fn mean_unfair_delay() {
         let mut f = FairnessTracker::new(SimDuration::ZERO);
-        f.record_fair_start(JobId(0), t(0));
-        f.record_fair_start(JobId(1), t(0));
-        f.record_actual_start(JobId(0), t(120)); // 2 min late
-        f.record_actual_start(JobId(1), t(240)); // 4 min late
+        f.record(JobId(0), t(0), t(120)); // 2 min late
+        f.record(JobId(1), t(0), t(240)); // 4 min late
         assert_eq!(f.unfair_count(), 2);
         assert!((f.mean_unfair_delay_mins() - 3.0).abs() < 1e-12);
     }
@@ -210,12 +183,5 @@ mod tests {
         let f = FairnessTracker::default();
         assert_eq!(f.unfair_count(), 0);
         assert_eq!(f.mean_unfair_delay_mins(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no fair start")]
-    fn actual_without_fair_panics() {
-        let mut f = FairnessTracker::default();
-        f.record_actual_start(JobId(9), t(0));
     }
 }

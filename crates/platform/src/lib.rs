@@ -69,7 +69,10 @@ pub enum DrainOutcome {
 }
 
 /// A machine that can run jobs now and describe its future availability.
-pub trait Platform {
+///
+/// `Clone + Send` because a what-if fork copies the machine and hands
+/// the copy to a worker thread.
+pub trait Platform: Clone + Send {
     /// The what-if planning profile type for this machine.
     type Plan: Plan;
 

@@ -83,7 +83,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use amjs_core::live::{peek_platform, JobStatus, LiveScheduler, WhatIfAnswer};
+use amjs_core::live::{peek_platform, JobStatus, LiveFork, LiveScheduler, WhatIfAnswer};
 use amjs_obs::expo::{ReplStats, SharedStats};
 use amjs_platform::Platform;
 use amjs_sim::snapshot::SnapshotStore;
@@ -395,8 +395,9 @@ fn apply_mutation<P: Platform + Snapshot>(
             }
         }
         Command::Advance(secs) => {
-            let target = sched.now() + SimDuration::from_secs(*secs);
-            sched.advance_to(target);
+            let target = sched.now().as_secs().checked_add(*secs);
+            let target = target.ok_or("ADVANCE overflows the clock")?;
+            sched.advance_to(SimTime::from_secs(target));
             Ok(format!("OK T={}", sched.now().as_secs()))
         }
         other => Err(format!("not a mutation: {other:?}")),
@@ -1047,34 +1048,38 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                 bf,
                 window,
                 horizon_secs,
-            } => {
-                if self.counters.whatif_active.load(Ordering::SeqCst) >= self.cfg.whatif_cap {
-                    shed(&self.counters, &self.flight, "whatif-cap");
-                    let text = "BUSY what-if capacity".to_string();
-                    self.note_request(verb, &text, at, None);
-                    let _ = reply.send(text);
-                    return;
+            } => match self.sched.settled_whatif(JobId(*job)) {
+                // A job that has started (or never existed) needs no fork.
+                Some(answer) => render_whatif(answer),
+                None => {
+                    if self.counters.whatif_active.load(Ordering::SeqCst) >= self.cfg.whatif_cap {
+                        shed(&self.counters, &self.flight, "whatif-cap");
+                        let text = "BUSY what-if capacity".to_string();
+                        self.note_request(verb, &text, at, None);
+                        let _ = reply.send(text);
+                        return;
+                    }
+                    self.counters.whatif_active.fetch_add(1, Ordering::SeqCst);
+                    spawn_whatif_worker(
+                        self.sched.fork(),
+                        JobId(*job),
+                        *bf,
+                        *window,
+                        horizon_secs.unwrap_or(self.cfg.whatif_horizon_secs),
+                        self.cfg.whatif_deadline,
+                        reply,
+                        self.counters.clone(),
+                        WhatIfTelemetry {
+                            telem: self.telem.clone(),
+                            flight: self.flight.clone(),
+                            at,
+                            slow_ms: self.cfg.slow_ms,
+                            inject_panic: self.cfg.inject_whatif_panic,
+                        },
+                    );
+                    return; // worker replies asynchronously
                 }
-                self.counters.whatif_active.fetch_add(1, Ordering::SeqCst);
-                spawn_whatif_worker::<P>(
-                    self.sched.encode(),
-                    JobId(*job),
-                    *bf,
-                    *window,
-                    horizon_secs.unwrap_or(self.cfg.whatif_horizon_secs),
-                    self.cfg.whatif_deadline,
-                    reply,
-                    self.counters.clone(),
-                    WhatIfTelemetry {
-                        telem: self.telem.clone(),
-                        flight: self.flight.clone(),
-                        at,
-                        slow_ms: self.cfg.slow_ms,
-                        inject_panic: self.cfg.inject_whatif_panic,
-                    },
-                );
-                return; // worker replies asynchronously
-            }
+            },
             mutating if mutating.is_mutating() && self.role != Role::Primary => {
                 let Role::Follower { primary } = &self.role else {
                     unreachable!()
@@ -1769,7 +1774,7 @@ struct WhatIfTelemetry {
 
 #[allow(clippy::too_many_arguments)]
 fn spawn_whatif_worker<P: Platform + Snapshot + 'static>(
-    state: Vec<u8>,
+    fork: LiveFork<P>,
     job: JobId,
     bf: Option<f64>,
     window: Option<usize>,
@@ -1787,21 +1792,13 @@ fn spawn_whatif_worker<P: Platform + Snapshot + 'static>(
                 if inject_panic {
                     panic!("injected what-if panic (chaos)");
                 }
-                let mut fork = LiveScheduler::<P>::decode(&state)
-                    .map_err(|e| format!("fork decode failed: {e:?}"))?;
-                Ok::<WhatIfAnswer, String>(fork.speculate_start(
-                    job,
-                    bf,
-                    window,
-                    SimDuration::from_secs(horizon_secs),
-                ))
+                fork.speculate_start(job, bf, window, SimDuration::from_secs(horizon_secs))
             }));
             let _ = tx.send(outcome);
         });
         let mut panicked = false;
         let text = match rx.recv_timeout(deadline) {
-            Ok(Ok(Ok(ans))) => render_whatif(ans),
-            Ok(Ok(Err(e))) => format!("ERR {e}"),
+            Ok(Ok(ans)) => render_whatif(ans),
             Ok(Err(_panic)) => {
                 counters.whatif_panics.fetch_add(1, Ordering::SeqCst);
                 panicked = true;
@@ -1962,6 +1959,54 @@ mod tests {
         assert_eq!(c.ask("HASH"), hash_before);
         assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_started_or_unknown_job_is_answered_without_a_fork() {
+        let dir = tmp_dir("whatif-inline");
+        let (addr, handle) = spawn_daemon(&dir, false, |cfg| cfg.whatif_cap = 0);
+        let mut c = Client::connect(addr);
+        assert_eq!(c.ask("SUBMIT NODES=64 WALL=3600 USER=1"), "OK ID=0");
+        assert_eq!(c.ask("SUBMIT NODES=64 WALL=1800 USER=2"), "OK ID=1");
+        assert_eq!(c.ask("ADVANCE 60"), "OK T=60");
+        assert_eq!(c.ask("SUBMIT NODES=8 WALL=600 USER=3"), "OK ID=2");
+        // No what-if slot exists, and the running job needs none.
+        assert_eq!(c.ask("WHATIF 0"), "OK START=0 LIVE");
+        assert!(c.ask("WHATIF 42").starts_with("ERR unknown job"));
+        assert_eq!(c.ask("WHATIF 1"), "BUSY what-if capacity"); // queued
+        assert_eq!(c.ask("WHATIF 2"), "BUSY what-if capacity"); // pending
+        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+        assert_eq!(handle.join().unwrap().unwrap().sheds, 2);
+    }
+
+    #[test]
+    fn commands_that_overflow_the_clock_are_answered_not_obeyed() {
+        let dir = tmp_dir("overflow");
+        let (addr, handle) = spawn_daemon(&dir, false, |_| {});
+        let mut c = Client::connect(addr);
+        assert_eq!(c.ask("SUBMIT NODES=64 WALL=3600 USER=1"), "OK ID=0");
+        assert_eq!(c.ask("SUBMIT NODES=64 WALL=1800 USER=2"), "OK ID=1");
+        assert_eq!(c.ask("ADVANCE 1000"), "OK T=1000");
+        let hash_before = c.ask("HASH");
+
+        let ans = c.ask("ADVANCE 9223372036854775807");
+        assert_eq!(ans, "ERR ADVANCE overflows the clock");
+        // The deadline saturates: the queued job starts when job 0 ends.
+        let ans = c.ask("WHATIF 1 HORIZON=9223372036854775807");
+        assert_eq!(ans, "OK START=3600");
+
+        assert_eq!(c.ask("PING"), "OK PONG");
+        assert_eq!(c.ask("HASH"), hash_before);
+        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+        // Two submits and one advance: the refused one never reached the WAL.
+        assert_eq!(handle.join().unwrap().unwrap().commands_applied, 3);
+
+        let mut sched = fresh_sched();
+        sched.advance_to(SimTime::from_secs(1000));
+        let hash = sched.state_hash();
+        let refused = apply_mutation(&mut sched, &Command::Advance(i64::MAX));
+        assert_eq!(refused.unwrap_err(), "ADVANCE overflows the clock");
+        assert_eq!((sched.now().as_secs(), sched.state_hash()), (1000, hash));
     }
 
     #[test]
