@@ -4,100 +4,13 @@
 //! sequence, clean-vs-crash verdict, recovery plan, and the flight
 //! recorder tail.
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::path::Path;
+use std::process::Command;
 
 use amjs_obs::json;
-use amjs_serve::{read_frame, write_frame};
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("amjs-doctor-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn fresh(dir: &Path, extra: &[&str]) -> Daemon {
-        let mut args = vec![
-            "--serve-addr",
-            "127.0.0.1:0",
-            "--serve-dir",
-            dir.to_str().unwrap(),
-            "--machine",
-            "flat",
-            "--nodes",
-            "64",
-            "--clock",
-            "virtual",
-        ];
-        args.extend_from_slice(extra);
-        let mut child = Command::new(env!("CARGO_BIN_EXE_amjs"))
-            .arg("serve")
-            .args(&args)
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn amjs serve");
-        let stderr = child.stderr.take().unwrap();
-        let mut lines = BufReader::new(stderr).lines();
-        let mut addr = None;
-        for line in &mut lines {
-            let line = line.expect("daemon stderr");
-            if let Some(rest) = line.strip_prefix("amjs serve: listening on ") {
-                addr = Some(rest.trim().to_string());
-                break;
-            }
-        }
-        std::thread::spawn(move || for _ in lines {});
-        Daemon {
-            child,
-            addr: addr.expect("daemon announced its listener"),
-        }
-    }
-
-    fn sigkill(&mut self) {
-        self.child.kill().expect("SIGKILL daemon");
-        self.child.wait().expect("reap daemon");
-    }
-
-    fn wait_clean_exit(&mut self) {
-        let status = self.child.wait().expect("reap daemon");
-        assert!(status.success(), "daemon exited {status}");
-    }
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn ask(&mut self, cmd: &str) -> String {
-        write_frame(&mut self.writer, cmd.as_bytes()).expect("send frame");
-        let payload = read_frame(&mut self.reader).expect("read reply frame");
-        String::from_utf8(payload).expect("utf-8 reply")
-    }
-}
+mod support;
+use support::{tmp_dir, Client, Daemon};
 
 /// Run `amjs doctor` on a state directory and return its stdout.
 fn doctor(dir: &Path, extra: &[&str]) -> String {

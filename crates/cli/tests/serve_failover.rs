@@ -7,203 +7,10 @@
 //! hash (injected with `--repl-fault diverge-at`) kills the follower
 //! loudly at the exact WAL sequence rather than letting replicas drift.
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use amjs_serve::{read_frame, write_frame};
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("amjs-failover-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// A running `amjs serve` child, the address it announced, and a
-/// channel carrying the rest of its stderr (for post-mortem asserts).
-struct Daemon {
-    child: Child,
-    addr: String,
-    stderr_rx: mpsc::Receiver<String>,
-}
-
-impl Daemon {
-    /// Spawn `amjs serve <args>` and wait for the listener announcement
-    /// on stderr; later stderr lines are collected for [`Daemon::wait_exit`].
-    fn spawn(args: &[&str]) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_amjs"))
-            .arg("serve")
-            .args(args)
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn amjs serve");
-        let stderr = child.stderr.take().unwrap();
-        let mut lines = BufReader::new(stderr).lines();
-        let mut addr = None;
-        let mut early = Vec::new();
-        for line in &mut lines {
-            let line = line.expect("daemon stderr");
-            if let Some(rest) = line.strip_prefix("amjs serve: listening on ") {
-                addr = Some(rest.trim().to_string());
-                break;
-            }
-            early.push(line);
-        }
-        let (tx, stderr_rx) = mpsc::channel();
-        for line in early {
-            let _ = tx.send(line);
-        }
-        // Keep draining stderr so the daemon never blocks on the pipe.
-        std::thread::spawn(move || {
-            for line in lines.map_while(Result::ok) {
-                let _ = tx.send(line);
-            }
-        });
-        Daemon {
-            child,
-            addr: addr.expect("daemon announced its listener"),
-            stderr_rx,
-        }
-    }
-
-    /// Spawn a follower that may die before announcing a listener (e.g.
-    /// a fenced stale primary); returns `(status, stderr)` after exit.
-    fn spawn_expect_exit(args: &[&str]) -> (std::process::ExitStatus, String) {
-        let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
-            .arg("serve")
-            .args(args)
-            .stdout(Stdio::null())
-            .output()
-            .expect("spawn amjs serve");
-        (
-            out.status,
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    }
-
-    fn fresh(dir: &Path, extra: &[&str]) -> Daemon {
-        let mut args = vec![
-            "--serve-addr",
-            "127.0.0.1:0",
-            "--serve-dir",
-            dir.to_str().unwrap(),
-            "--machine",
-            "flat",
-            "--nodes",
-            "64",
-            "--clock",
-            "virtual",
-        ];
-        args.extend_from_slice(extra);
-        Daemon::spawn(&args)
-    }
-
-    /// A fresh hot standby of `primary` with a short promotion lease
-    /// (the machine shape rides in the bootstrap snapshot, so no
-    /// `--machine` flags are allowed here).
-    fn follower(dir: &Path, primary: &str) -> Daemon {
-        Daemon::spawn(&[
-            "--serve-addr",
-            "127.0.0.1:0",
-            "--serve-dir",
-            dir.to_str().unwrap(),
-            "--follow",
-            primary,
-            "--lease-ms",
-            "800",
-            "--repl-heartbeat-ms",
-            "100",
-        ])
-    }
-
-    fn sigkill(&mut self) {
-        self.child.kill().expect("SIGKILL daemon");
-        self.child.wait().expect("reap daemon");
-    }
-
-    fn wait_clean_exit(&mut self) {
-        let status = self.child.wait().expect("reap daemon");
-        assert!(status.success(), "daemon exited {status}");
-    }
-
-    /// Wait for the process to exit and return `(status, stderr)`.
-    fn wait_exit(&mut self) -> (std::process::ExitStatus, String) {
-        let status = self.child.wait().expect("reap daemon");
-        let mut err = String::new();
-        while let Ok(line) = self.stderr_rx.recv_timeout(Duration::from_secs(5)) {
-            err.push_str(&line);
-            err.push('\n');
-        }
-        (status, err)
-    }
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn ask(&mut self, cmd: &str) -> String {
-        write_frame(&mut self.writer, cmd.as_bytes()).expect("send frame");
-        let payload = read_frame(&mut self.reader).expect("read reply frame");
-        String::from_utf8(payload).expect("utf-8 reply")
-    }
-}
-
-/// Poll `probe` until it returns true or the deadline passes.
-fn wait_until(what: &str, deadline: Duration, mut probe: impl FnMut() -> bool) {
-    let begin = Instant::now();
-    while begin.elapsed() < deadline {
-        if probe() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    panic!("timed out after {deadline:?} waiting for {what}");
-}
-
-/// The scripted load (same shape as the crash-recovery suite): three
-/// 32-node jobs on the 64-node machine, a clock step, a backfill
-/// candidate, a cancel, another step.
-const SCRIPT: &[&str] = &[
-    "SUBMIT NODES=32 WALL=7200 RUN=3600 USER=1",
-    "SUBMIT NODES=32 WALL=7200 RUN=3600 USER=2",
-    "SUBMIT NODES=32 WALL=7200 USER=3",
-    "ADVANCE 1800",
-    "SUBMIT NODES=16 WALL=3600 RUN=1800 USER=4",
-    "CANCEL 2",
-    "ADVANCE 1800",
-];
-
-/// Replies that fingerprint the externally visible state: the
-/// structural hash, every job's status, and the stats row. None of
-/// them mention role or epoch, so a promoted follower must answer
-/// byte-identically to a daemon that never failed over.
-fn observe(c: &mut Client) -> Vec<String> {
-    let mut seen = vec![c.ask("HASH")];
-    for id in 0..5 {
-        seen.push(c.ask(&format!("STATUS {id}")));
-    }
-    seen.push(c.ask("STATS"));
-    seen
-}
+mod support;
+use support::{observe, tmp_dir, wait_until, Client, Daemon, SCRIPT};
 
 #[test]
 fn follower_promotes_after_sigkill_and_matches_an_uninterrupted_daemon() {

@@ -4,151 +4,14 @@
 //! — the headline property — restart after SIGKILL into byte-identical
 //! state via snapshot + WAL replay, losing no acknowledged submission.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use amjs_serve::{read_frame, write_frame, FrameError};
+use amjs_serve::{read_frame, FrameError};
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("amjs-robust-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// A running `amjs serve` child plus the address it announced.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    /// Spawn `amjs serve <args>` and wait for the listener announcement
-    /// on stderr. Callers pass all flags (fresh starts need the machine
-    /// shape; `--resume` must not repeat it).
-    fn spawn(args: &[&str]) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_amjs"))
-            .arg("serve")
-            .args(args)
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn amjs serve");
-        let stderr = child.stderr.take().unwrap();
-        let mut lines = BufReader::new(stderr).lines();
-        let mut addr = None;
-        for line in &mut lines {
-            let line = line.expect("daemon stderr");
-            if let Some(rest) = line.strip_prefix("amjs serve: listening on ") {
-                addr = Some(rest.trim().to_string());
-                break;
-            }
-        }
-        // Keep draining stderr so the daemon never blocks on the pipe.
-        std::thread::spawn(move || for _ in lines {});
-        Daemon {
-            child,
-            addr: addr.expect("daemon announced its listener"),
-        }
-    }
-
-    fn fresh(dir: &Path, extra: &[&str]) -> Daemon {
-        let mut args = vec![
-            "--serve-addr",
-            "127.0.0.1:0",
-            "--serve-dir",
-            dir.to_str().unwrap(),
-            "--machine",
-            "flat",
-            "--nodes",
-            "64",
-            "--clock",
-            "virtual",
-        ];
-        args.extend_from_slice(extra);
-        Daemon::spawn(&args)
-    }
-
-    fn resume(dir: &Path, extra: &[&str]) -> Daemon {
-        let mut args = vec![
-            "--serve-addr",
-            "127.0.0.1:0",
-            "--serve-dir",
-            dir.to_str().unwrap(),
-            "--resume",
-            "--clock",
-            "virtual",
-        ];
-        args.extend_from_slice(extra);
-        Daemon::spawn(&args)
-    }
-
-    fn sigkill(&mut self) {
-        self.child.kill().expect("SIGKILL daemon");
-        self.child.wait().expect("reap daemon");
-    }
-
-    fn wait_clean_exit(&mut self) {
-        let status = self.child.wait().expect("reap daemon");
-        assert!(status.success(), "daemon exited {status}");
-    }
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn ask(&mut self, cmd: &str) -> String {
-        write_frame(&mut self.writer, cmd.as_bytes()).expect("send frame");
-        self.read_reply()
-    }
-
-    fn read_reply(&mut self) -> String {
-        let payload = read_frame(&mut self.reader).expect("read reply frame");
-        String::from_utf8(payload).expect("utf-8 reply")
-    }
-}
-
-/// The scripted load both the crash-recovery test and its CI twin run:
-/// three 32-node jobs on the 64-node machine (two start, one queues),
-/// a clock step, a small backfill candidate, a cancel, another step.
-/// Every command is acknowledged before the next is sent.
-const SCRIPT: &[&str] = &[
-    "SUBMIT NODES=32 WALL=7200 RUN=3600 USER=1",
-    "SUBMIT NODES=32 WALL=7200 RUN=3600 USER=2",
-    "SUBMIT NODES=32 WALL=7200 USER=3",
-    "ADVANCE 1800",
-    "SUBMIT NODES=16 WALL=3600 RUN=1800 USER=4",
-    "CANCEL 2",
-    "ADVANCE 1800",
-];
-
-/// Replies that together fingerprint the daemon's externally visible
-/// state: the structural hash plus every job's status and the stats row.
-fn observe(c: &mut Client) -> Vec<String> {
-    let mut seen = vec![c.ask("HASH")];
-    for id in 0..5 {
-        seen.push(c.ask(&format!("STATUS {id}")));
-    }
-    seen.push(c.ask("STATS"));
-    seen
-}
+mod support;
+use support::{observe, tmp_dir, Client, Daemon, SCRIPT};
 
 #[test]
 fn daemon_survives_protocol_chaos() {

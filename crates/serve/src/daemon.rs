@@ -6,16 +6,16 @@
 //! ## Thread model
 //!
 //! ```text
-//!             accept            bounded sync_channel          reply mpsc
+//!             accept            bounded sync_channel          `Reply` mpsc
 //!  clients ──► listener thread ──► engine loop (caller's ──► connection
 //!             (non-blocking,        thread; sole owner of      threads
 //!              conn cap)            scheduler + WAL +          (read
-//!                                   snapshots + epoch)         deadline)
-//!                                      │            ▲
-//!                                      │            │ REPL records
-//!                                      ├─► follower sinks (feeder
-//!                                      │   threads, link chaos)
-//!                                      ├─► supervised what-if workers
+//!                                   epoch)                     deadline)
+//!                                      │            ▲             │
+//!                                      │            │ REPL        └─► one what-if
+//!                                      │            │ records         attempt thread
+//!                                      ├─► follower sinks (feeder     per forking
+//!                                      │   loops, link chaos)         `WHATIF`
 //!                                      ├─► snapshot writer (one encoded
 //!                                      │   buffer in flight at a time)
 //!                                      └── tail thread (follower mode:
@@ -24,7 +24,9 @@
 //!
 //! The engine loop is the *only* thread that touches scheduler state,
 //! so there are no locks on the hot path and determinism is inherited
-//! wholesale from the batch core. Everything else communicates through
+//! wholesale from the batch core. It takes one input, `Request`, and
+//! gives one output, `Reply`, which says what is left for the asking
+//! connection thread to do. Everything else communicates through
 //! channels:
 //!
 //! - the admission channel is **bounded** — when it fills, connection
@@ -32,12 +34,18 @@
 //! - connections above the cap get a `BUSY` frame and are closed;
 //! - every connection has a read deadline; a stuck or slow-loris client
 //!   is culled instead of pinning a thread forever;
-//! - `WHATIF` runs on forked state in a worker supervised by the PR-5
-//!   `catch_unwind` + deadline pattern: a pathological query times out
-//!   or panics without touching live state;
+//! - `WHATIF` runs on forked state: the engine hands the fork back as a
+//!   closure and the connection that asked supervises it with the PR-5
+//!   `catch_unwind` + deadline pattern, so a pathological query times
+//!   out or panics without touching live state;
 //! - replication reuses the same admission channel: a follower's tail
 //!   thread feeds records in, follower subscriptions feed records out
 //!   through per-connection sinks, and the engine stays single-owner.
+//!
+//! [`run_daemon`] is `Engine::open` (fresh, `--resume` or follower
+//! bootstrap: all there is before the first socket), a shell (listener,
+//! tail thread, stop flag, the `recv_timeout` loop over `Engine::handle`)
+//! and `Engine::close`; tests step the three with no socket.
 //!
 //! ## Durability contract
 //!
@@ -74,7 +82,7 @@
 //! [`crate::repl`].
 
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -83,7 +91,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use amjs_core::live::{peek_platform, JobStatus, LiveFork, LiveScheduler, WhatIfAnswer};
+use amjs_core::live::{peek_platform, JobStatus, LiveScheduler, WhatIfAnswer};
 use amjs_obs::expo::{ReplStats, SharedStats};
 use amjs_platform::Platform;
 use amjs_sim::snapshot::SnapshotStore;
@@ -182,9 +190,6 @@ pub struct ServeConfig {
     /// Log any request slower than this to stderr (milliseconds;
     /// 0 = off).
     pub slow_ms: u64,
-    /// Chaos knob: make every what-if worker panic (exercises the
-    /// supervision + flight recorder paths; tests only).
-    pub inject_whatif_panic: bool,
 }
 
 impl ServeConfig {
@@ -209,7 +214,6 @@ impl ServeConfig {
             stop: None,
             flightrec: 512,
             slow_ms: 0,
-            inject_whatif_panic: false,
         }
     }
 }
@@ -432,35 +436,41 @@ fn render_whatif(ans: WhatIfAnswer) -> String {
     }
 }
 
-/// One queued request into the engine loop.
+/// One queued input to the engine loop.
 enum Request {
     /// A client command with its reply channel and enqueue time (the
     /// latency clock starts here, so admission backlog is measured).
     Client {
         cmd: Command,
-        reply: mpsc::Sender<String>,
+        reply: mpsc::Sender<Reply>,
         at: Instant,
-    },
-    /// `REPL SNAPSHOT`: the connection thread streams the answer.
-    ReplSnapshot {
-        reply: mpsc::Sender<Result<Bootstrap, String>>,
-    },
-    /// `REPL TAIL`: subscribe this connection's sink to the record
-    /// stream (after backfilling from disk).
-    ReplSubscribe {
-        seq: u64,
-        epoch: u64,
-        fingerprint: u64,
-        sink: mpsc::Sender<String>,
-        reply: mpsc::Sender<String>,
     },
     /// An event from the follower's tail thread.
     Follow(FollowEvent),
 }
 
-/// Counters shared between the listener, connections, and engine.
-#[derive(Default)]
-struct Counters {
+/// The engine's answer to one [`Request::Client`]: what is left for the
+/// connection thread that asked to do.
+enum Reply {
+    /// Write this frame.
+    Text(String),
+    /// `REPL SNAPSHOT`: stream the chunked payload.
+    Snapshot(Bootstrap),
+    /// `REPL TAIL` accepted: write the greeting, then turn into the
+    /// feeder of this sink (already backfilled from disk).
+    Tail(String, mpsc::Receiver<String>),
+    /// A `WHATIF` that needs a fork: run the speculation under
+    /// [`supervise_whatif`]. Boxed so nothing here is generic over the
+    /// platform.
+    Speculate(Box<dyn FnOnce() -> WhatIfAnswer + Send>, WhatIfSlot),
+}
+
+/// What the engine, the listener, the connections and the snapshot
+/// writer share: the configuration, the two recorders and the counters.
+struct Shared {
+    cfg: ServeConfig,
+    telem: SharedTelemetry,
+    flight: FlightRecorder,
     connections_total: AtomicU64,
     connections_active: AtomicUsize,
     sheds: AtomicU64,
@@ -468,15 +478,76 @@ struct Counters {
     whatif_active: AtomicUsize,
     whatif_timeouts: AtomicU64,
     whatif_panics: AtomicU64,
+    /// What the engine publishes for the tail thread; its `stop` also
+    /// stops the listener.
+    follow: FollowShared,
 }
 
-/// Count one `BUSY` reply and leave the flight-recorder line `amjs
-/// doctor` builds its shed windows from.
-fn shed(counters: &Counters, flight: &FlightRecorder, what: &str) {
-    counters.sheds.fetch_add(1, Ordering::SeqCst);
-    flight.record(FlightKind::Shed {
-        what: what.to_string(),
-    });
+impl Shared {
+    fn new(cfg: ServeConfig) -> Shared {
+        Shared {
+            telem: shared_telemetry(),
+            flight: FlightRecorder::new(cfg.flightrec, cfg.dir.join("flightrec.jsonl")),
+            cfg,
+            connections_total: AtomicU64::new(0),
+            connections_active: AtomicUsize::new(0),
+            sheds: AtomicU64::new(0),
+            frame_errors: AtomicU64::new(0),
+            whatif_active: AtomicUsize::new(0),
+            whatif_timeouts: AtomicU64::new(0),
+            whatif_panics: AtomicU64::new(0),
+            follow: FollowShared::default(),
+        }
+    }
+
+    /// Count one `BUSY` reply and leave the flight-recorder line `amjs
+    /// doctor` builds its shed windows from.
+    fn shed(&self, what: &str) {
+        self.sheds.fetch_add(1, Ordering::SeqCst);
+        self.flight.record(FlightKind::Shed {
+            what: what.to_string(),
+        });
+    }
+
+    /// Telemetry for one finished request: latency histogram, flight
+    /// recorder event, and the slow-op log. `seq` is the WAL sequence
+    /// an accepted mutation logged. Called by the engine for what it
+    /// answers itself and by the connection that supervised a `WHATIF`.
+    fn note_request(&self, verb: &'static str, reply_text: &str, at: Instant, seq: Option<u64>) {
+        let elapsed = at.elapsed();
+        self.telem.lock().unwrap().observe_verb(verb, elapsed);
+        let status = reply_text
+            .split_whitespace()
+            .next()
+            .unwrap_or("")
+            .to_string();
+        self.flight.record(FlightKind::Request {
+            verb: verb.to_string(),
+            status,
+            dur_us: elapsed.as_micros() as u64,
+            seq,
+        });
+        if self.cfg.slow_ms > 0 && elapsed >= Duration::from_millis(self.cfg.slow_ms) {
+            eprintln!(
+                "amjs serve: slow op: {verb} took {:.1}ms (reply {:.40})",
+                elapsed.as_secs_f64() * 1e3,
+                reply_text
+            );
+        }
+    }
+}
+
+/// One of the `whatif_cap` speculation slots. The engine counts it
+/// into `whatif_active` before it forks; it is freed when the
+/// supervising connection has its text (an abandoned overrun frees it
+/// at the deadline) — or when a [`Reply`] nobody received is dropped,
+/// which is why it is a guard.
+struct WhatIfSlot(Arc<Shared>);
+
+impl Drop for WhatIfSlot {
+    fn drop(&mut self) {
+        self.0.whatif_active.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// The daemon's replication role.
@@ -513,11 +584,7 @@ impl SnapshotPipe {
     /// Start the writer. It times each write into
     /// `telem.snapshot_write` and records the flight-recorder
     /// `Snapshot` event when the file is in place.
-    fn spawn(
-        store: SnapshotStore,
-        telem: SharedTelemetry,
-        flight: FlightRecorder,
-    ) -> io::Result<SnapshotPipe> {
+    fn spawn(store: SnapshotStore, shared: Arc<Shared>) -> io::Result<SnapshotPipe> {
         let (jobs, inbox) = mpsc::channel::<(u64, Vec<u8>)>();
         let (outbox, done) = mpsc::channel();
         let writer = thread::Builder::new()
@@ -530,13 +597,14 @@ impl SnapshotPipe {
                     // has settled, its megabyte is gone.
                     drop(payload);
                     let elapsed = started.elapsed();
-                    telem
+                    shared
+                        .telem
                         .lock()
                         .expect("telemetry lock poisoned by a panicked thread")
                         .snapshot_write
                         .observe_duration(elapsed);
                     if res.is_ok() {
-                        flight.record(FlightKind::Snapshot {
+                        shared.flight.record(FlightKind::Snapshot {
                             seq,
                             dur_us: elapsed.as_micros() as u64,
                         });
@@ -615,19 +683,10 @@ struct Engine<P: Platform + Snapshot + 'static> {
     sched: LiveScheduler<P>,
     wal: WalWriter,
     snap: SnapshotPipe,
-    cfg: ServeConfig,
-    counters: Arc<Counters>,
-    telem: SharedTelemetry,
-    flight: FlightRecorder,
+    shared: Arc<Shared>,
     role: Role,
     epoch: u64,
     followers: Vec<mpsc::Sender<String>>,
-    /// Mirrors `wal.next_seq()` for the tail thread's re-tail point.
-    applied_seq: Arc<AtomicU64>,
-    /// Mirrors `epoch` for the tail thread's handshake.
-    epoch_shared: Arc<AtomicU64>,
-    /// Primary's head seq per its last heartbeat (follower lag gauge).
-    primary_next_seq: Arc<AtomicU64>,
     report: ServeReport,
     draining: bool,
     shutdown: bool,
@@ -639,9 +698,167 @@ struct Engine<P: Platform + Snapshot + 'static> {
     sim_anchor: SimTime,
 }
 
+fn refuse_dirty_dir(dir: &Path) -> Result<(), ServeError> {
+    if wal_path(dir).exists() {
+        return Err(ServeError::Corrupt(format!(
+            "state dir {} already holds a command wal; \
+             use --resume to recover it or point --serve-dir at a fresh directory",
+            dir.display()
+        )));
+    }
+    Ok(())
+}
+
+/// A dropped engine — closed or crashed — takes its recorder out of
+/// the process-wide panic hook.
+impl<P: Platform + Snapshot + 'static> Drop for Engine<P> {
+    fn drop(&mut self) {
+        self.shared.flight.deregister();
+    }
+}
+
 impl<P: Platform + Snapshot + 'static> Engine<P> {
+    /// Everything [`run_daemon`] does before it binds a thread to a
+    /// socket: recover the state directory (`resume`), or refuse a
+    /// dirty one and start from `init()` or — with
+    /// [`ServeConfig::follow`] — from the primary's snapshot. The
+    /// genesis/bootstrap snapshot is on disk when this returns.
+    fn open(
+        init: impl FnOnce() -> LiveScheduler<P>,
+        resume: bool,
+        cfg: ServeConfig,
+    ) -> Result<Engine<P>, ServeError> {
+        std::fs::create_dir_all(&cfg.dir)?;
+        let shared = Arc::new(Shared::new(cfg));
+        let cfg = &shared.cfg;
+        let store = SnapshotStore::new(&cfg.dir, cfg.keep_snapshots);
+        let mut snap = SnapshotPipe::spawn(store, shared.clone())?;
+        let wal_file = wal_path(&cfg.dir);
+        let (sched, wal, epoch) = match (&cfg.follow, resume) {
+            (_, true) => {
+                let (sched, wal, _, epoch) =
+                    recover::<P>(&cfg.dir, |m| eprintln!("amjs serve: {m}"))?;
+                (sched, wal, epoch)
+            }
+            (None, false) => {
+                refuse_dirty_dir(&cfg.dir)?;
+                let sched = init();
+                let wal = WalWriter::create(&wal_file, sched.fingerprint(), 0)?;
+                // Genesis snapshot: recovery always has a floor to replay from.
+                snap.write_now(0, sched.encode())?;
+                (sched, wal, 0)
+            }
+            (Some(spec), false) => {
+                refuse_dirty_dir(&cfg.dir)?;
+                // Bootstrap from the primary's live snapshot (prefetched by
+                // the CLI for platform dispatch, or fetched here).
+                let patience = spec.lease.max(Duration::from_millis(500));
+                let boot = match spec.bootstrap.clone() {
+                    Some(b) => b,
+                    None => fetch_snapshot(&spec.primary, patience).map_err(ServeError::Repl)?,
+                };
+                let sched = LiveScheduler::<P>::decode(&boot.payload)?;
+                if sched.fingerprint() != boot.fingerprint {
+                    return Err(ServeError::Corrupt(format!(
+                        "bootstrap fingerprint {:016x} does not match decoded state {:016x}",
+                        boot.fingerprint,
+                        sched.fingerprint()
+                    )));
+                }
+                snap.write_now(boot.seq, boot.payload)?;
+                let wal = WalWriter::create_at(&wal_file, boot.fingerprint, boot.epoch, boot.seq)?;
+                eprintln!(
+                    "amjs serve: bootstrapped from primary {} (seq {}, epoch {})",
+                    spec.primary, boot.seq, boot.epoch
+                );
+                (sched, wal, boot.epoch)
+            }
+        };
+        let role = cfg
+            .follow
+            .as_ref()
+            .map_or(Role::Primary, |spec| Role::Follower {
+                primary: spec.primary.clone(),
+            });
+        let follow = &shared.follow;
+        follow.applied_seq.store(wal.next_seq(), Ordering::SeqCst);
+        follow.epoch.store(epoch, Ordering::SeqCst);
+        follow
+            .primary_next_seq
+            .store(wal.next_seq(), Ordering::SeqCst);
+        shared.flight.register_panic_hook();
+        Ok(Engine {
+            snap,
+            report: ServeReport {
+                final_seq: wal.next_seq(),
+                final_epoch: epoch,
+                ..ServeReport::default()
+            },
+            wall_anchor: Instant::now(),
+            sim_anchor: sched.now(),
+            sched,
+            wal,
+            role,
+            epoch,
+            followers: Vec::new(),
+            draining: false,
+            shutdown: false,
+            fatal: None,
+            since_snapshot: 0,
+            since_oracle: 0,
+            last_heartbeat: Instant::now(),
+            shared,
+        })
+    }
+
+    /// The clean end of a segment, after the shell stopped feeding
+    /// [`handle`](Self::handle): settle the writer, take the final
+    /// snapshot — best-effort when already failing — flush the flight
+    /// recorder and report. Dropping the engine instead is a crash:
+    /// what the WAL holds is what a `resume` gets back.
+    fn close(mut self) -> Result<ServeReport, ServeError> {
+        self.followers.clear(); // feeder threads exit on sink disconnect
+        if self.fatal.is_none() {
+            // A rotation still in flight that fails is that failure, not
+            // the final snapshot's.
+            if let Err(e) = self.snap.settle() {
+                self.rotation_failed(e);
+            }
+        }
+        let final_snapshot = self.snapshot(self.wal.next_seq(), true);
+        if self.snap.join().is_err() {
+            eprintln!("amjs serve: error: the snapshot writer thread panicked");
+        }
+        // Flush the flight recorder before any early return: the
+        // postmortem must survive fatal exits, and the termination path
+        // (SIGTERM → stop flag → shell → here) lands here too.
+        self.shared.flight.flush();
+        match final_snapshot {
+            Ok(()) => {}
+            Err(e) if self.fatal.is_some() => {
+                // Already failing: the snapshot was a best-effort salvage.
+                eprintln!("amjs serve: final best-effort snapshot also failed: {e}");
+            }
+            Err(e) => return Err(ServeError::Io(e)),
+        }
+        if let Some(e) = self.fatal.take() {
+            eprintln!("amjs serve: fatal: {e}");
+            return Err(e);
+        }
+        self.report.sheds = self.shared.sheds.load(Ordering::SeqCst);
+        self.report.final_epoch = self.epoch;
+        eprintln!(
+            "amjs serve: shut down cleanly ({} commands, {} replicated, wal seq {}, epoch {})",
+            self.report.commands_applied,
+            self.report.replicated,
+            self.report.final_seq,
+            self.report.final_epoch
+        );
+        Ok(self.report)
+    }
+
     fn sim_now(&self) -> SimTime {
-        match self.cfg.clock {
+        match self.shared.cfg.clock {
             ClockMode::Wall { scale } => {
                 let elapsed = self.wall_anchor.elapsed().as_secs_f64() * scale;
                 self.sim_anchor + SimDuration::from_secs(elapsed as i64)
@@ -656,7 +873,7 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         if self.role != Role::Primary {
             return;
         }
-        if let ClockMode::Wall { .. } = self.cfg.clock {
+        if let ClockMode::Wall { .. } = self.shared.cfg.clock {
             let t = self.sim_now();
             if t > self.sched.now() {
                 self.sched.advance_to(t);
@@ -665,109 +882,90 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
     }
 
     fn stop_requested(&self) -> bool {
-        signal::termination_requested()
-            || self
-                .cfg
-                .stop
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::SeqCst))
+        let latch = self.shared.cfg.stop.as_ref();
+        signal::termination_requested() || latch.is_some_and(|s| s.load(Ordering::SeqCst))
     }
 
+    /// One step. A client request is answered, its telemetry noted and
+    /// the [`Reply`] sent, in that order; a [`Reply`] that leaves work
+    /// for the connection thread is noted there, when the work is done.
     fn handle(&mut self, req: Request) {
         match req {
-            Request::Client { cmd, reply, at } => self.handle_client(cmd, reply, at),
-            Request::ReplSnapshot { reply } => {
-                let answer = match &self.role {
-                    Role::Follower { primary } => Err(format!(
-                        "follower cannot serve snapshots; bootstrap from the primary at {primary}"
-                    )),
-                    Role::Primary => Ok(Bootstrap {
-                        payload: self.sched.encode(),
-                        seq: self.wal.next_seq(),
-                        epoch: self.epoch,
-                        fingerprint: self.sched.fingerprint(),
-                    }),
-                };
+            Request::Client { cmd, reply, at } => {
+                self.catch_up_clock();
+                let (answer, seq) = self.answer(&cmd);
+                if let Reply::Text(text) = &answer {
+                    self.shared.note_request(verb_name(&cmd), text, at, seq);
+                }
                 let _ = reply.send(answer);
             }
-            Request::ReplSubscribe {
-                seq,
-                epoch,
-                fingerprint,
-                sink,
-                reply,
-            } => self.handle_subscribe(seq, epoch, fingerprint, sink, reply),
-            Request::Follow(ev) => self.handle_follow_event(ev),
+            Request::Follow(FollowEvent::Record(rec)) => self.apply_repl_record(rec),
+            Request::Follow(FollowEvent::Fatal(msg)) => self.fatal = Some(ServeError::Repl(msg)),
+            Request::Follow(FollowEvent::PrimaryLost) => self.promote(),
         }
     }
 
-    /// Validate a `REPL TAIL` handshake — the fencing point — then
-    /// backfill from disk and register the sink.
-    fn handle_subscribe(
-        &mut self,
-        seq: u64,
-        epoch: u64,
-        fingerprint: u64,
-        sink: mpsc::Sender<String>,
-        reply: mpsc::Sender<String>,
-    ) {
+    /// `REPL TAIL`: validate the handshake — the fencing point — then
+    /// backfill a sink from disk and register it.
+    fn subscribe(&mut self, seq: u64, epoch: u64, fingerprint: u64) -> Reply {
         if let Role::Follower { primary } = &self.role {
-            let _ = reply.send(format!(
+            return Reply::Text(format!(
                 "ERR cannot tail a follower (the primary is at {primary})"
             ));
-            return;
         }
         let ours = self.sched.fingerprint();
         if fingerprint != ours {
-            let _ = reply.send(format!(
+            return Reply::Text(format!(
                 "ERR FENCED: fingerprint {fingerprint:016x} does not match this run \
                  ({ours:016x}); that state belongs to a different world"
             ));
-            return;
         }
         if epoch != self.epoch {
-            let _ = reply.send(format!(
+            return Reply::Text(format!(
                 "ERR FENCED: stale epoch {epoch} (current epoch {}); \
                  re-bootstrap from the current primary with a fresh --serve-dir",
                 self.epoch
             ));
-            return;
         }
         let head = self.wal.next_seq();
         if seq > head {
-            let _ = reply.send(format!(
+            return Reply::Text(format!(
                 "ERR tail seq {seq} is ahead of the wal head {head}"
             ));
-            return;
         }
+        let (sink, stream) = mpsc::channel();
         if seq < head {
             // Catch the subscriber up from the durable log. Appends only
             // happen on this thread, so the read races nothing.
-            let contents = match read_wal(&wal_path(&self.cfg.dir), Some(ours)) {
+            let contents = match read_wal(&wal_path(&self.shared.cfg.dir), Some(ours)) {
                 Ok(c) => c,
-                Err(e) => {
-                    let _ = reply.send(format!("ERR cannot backfill from wal: {e}"));
-                    return;
-                }
+                Err(e) => return Reply::Text(format!("ERR cannot backfill from wal: {e}")),
             };
             for rec in contents.records.iter().filter(|r| r.seq >= seq) {
-                if sink.send(self.render_for_stream(rec)).is_err() {
-                    return; // subscriber already gone
-                }
+                let _ = sink.send(self.render_for_stream(rec));
             }
         }
-        let _ = reply.send(format!("OK TAILING FROM={seq}"));
         self.followers.push(sink);
+        Reply::Tail(format!("OK TAILING FROM={seq}"), stream)
     }
 
-    fn handle_follow_event(&mut self, ev: FollowEvent) {
-        match ev {
-            FollowEvent::Record(rec) => self.apply_repl_record(rec),
-            FollowEvent::Fatal(msg) => {
-                self.fatal = Some(ServeError::Repl(msg));
-            }
-            FollowEvent::PrimaryLost => self.promote(),
-        }
+    /// The only caller of [`WalWriter::append`]: time the append and,
+    /// once the record is in the log, move the head the report and the
+    /// tail thread see.
+    fn log(&mut self, rec: &ReplRecord) -> io::Result<()> {
+        let started = Instant::now();
+        let appended = self
+            .wal
+            .append(rec.epoch, rec.time_secs, rec.state_hash, &rec.cmd);
+        let mut telem = self.shared.telem.lock().unwrap();
+        telem.wal_append.observe_duration(started.elapsed());
+        drop(telem);
+        let seq = appended?;
+        debug_assert_eq!(seq, rec.seq);
+        self.report.final_seq = seq + 1;
+        let follow = &self.shared.follow;
+        follow.applied_seq.store(seq + 1, Ordering::SeqCst);
+        Ok(())
     }
 
     /// Apply one record off the replication stream: identical apply
@@ -796,31 +994,17 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             self.fatal = Some(ServeError::Repl(e));
             return;
         }
-        let append_started = Instant::now();
-        let appended = self
-            .wal
-            .append(rec.epoch, rec.time_secs, rec.state_hash, &rec.cmd);
-        self.telem
-            .lock()
-            .unwrap()
-            .wal_append
-            .observe_duration(append_started.elapsed());
-        match appended {
-            Err(e) => {
-                eprintln!("amjs serve: error: follower wal append failed: {e} — shutting down");
-                self.fatal = Some(ServeError::Io(e));
-            }
-            Ok(seq) => {
-                self.report.replicated += 1;
-                self.report.final_seq = seq + 1;
-                self.applied_seq.store(seq + 1, Ordering::SeqCst);
-                self.flight.record(FlightKind::ReplApply {
-                    seq,
-                    epoch: rec.epoch,
-                });
-                self.after_mutation(seq);
-            }
+        if let Err(e) = self.log(&rec) {
+            eprintln!("amjs serve: error: follower wal append failed: {e} — shutting down");
+            self.fatal = Some(ServeError::Io(e));
+            return;
         }
+        self.report.replicated += 1;
+        self.shared.flight.record(FlightKind::ReplApply {
+            seq: rec.seq,
+            epoch: rec.epoch,
+        });
+        self.after_mutation(rec.seq);
     }
 
     /// Lease expired: step up into a new, fenced epoch.
@@ -842,7 +1026,7 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             return;
         }
         self.epoch = new_epoch;
-        self.epoch_shared.store(new_epoch, Ordering::SeqCst);
+        self.shared.follow.epoch.store(new_epoch, Ordering::SeqCst);
         self.role = Role::Primary;
         self.report.promotions += 1;
         // Promotion snapshot: a durability floor inside the new epoch,
@@ -854,8 +1038,8 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         // Time-to-takeover: lease expiry to serving writes in the new
         // epoch (epoch persisted + promotion snapshot on disk).
         let takeover = takeover_started.elapsed();
-        self.telem.lock().unwrap().promotion_secs = Some(takeover.as_secs_f64());
-        self.flight.record(FlightKind::Promotion {
+        self.shared.telem.lock().unwrap().promotion_secs = Some(takeover.as_secs_f64());
+        self.shared.flight.record(FlightKind::Promotion {
             epoch: new_epoch,
             dur_us: takeover.as_micros() as u64,
         });
@@ -865,12 +1049,8 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
     /// forgery if configured (the divergence-detection drill).
     fn render_for_stream(&self, rec: &ReplRecord) -> String {
         let mut rec = rec.clone();
-        if self
-            .cfg
-            .repl_chaos
-            .as_ref()
-            .is_some_and(|c| c.diverge_at == Some(rec.seq))
-        {
+        let chaos = self.shared.cfg.repl_chaos.as_ref();
+        if chaos.is_some_and(|c| c.diverge_at == Some(rec.seq)) {
             rec.state_hash ^= 0xDEAD_BEEF;
         }
         render_record(&rec)
@@ -885,7 +1065,9 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
 
     /// Periodic heartbeat to followers (liveness + lag signal).
     fn heartbeat_tick(&mut self) {
-        if self.followers.is_empty() || self.last_heartbeat.elapsed() < self.cfg.repl_heartbeat {
+        if self.followers.is_empty()
+            || self.last_heartbeat.elapsed() < self.shared.cfg.repl_heartbeat
+        {
             return;
         }
         self.last_heartbeat = Instant::now();
@@ -909,7 +1091,8 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         } else {
             self.snap.submit(seq, payload)
         };
-        self.telem
+        self.shared
+            .telem
             .lock()
             .unwrap()
             .snapshot_stall
@@ -936,13 +1119,13 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
     fn after_mutation(&mut self, seq: u64) {
         self.since_snapshot += 1;
         self.since_oracle += 1;
-        if self.since_snapshot >= self.cfg.snapshot_every {
+        if self.since_snapshot >= self.shared.cfg.snapshot_every {
             match self.snapshot(seq + 1, false) {
                 Ok(()) => self.since_snapshot = 0,
                 Err(e) => self.rotation_failed(e),
             }
         }
-        if self.cfg.oracle_every > 0 && self.since_oracle >= self.cfg.oracle_every {
+        if self.shared.cfg.oracle_every > 0 && self.since_oracle >= self.shared.cfg.oracle_every {
             self.since_oracle = 0;
             if let Err(msg) = self.sched.check_invariants() {
                 eprintln!("amjs serve: error: live invariant violation: {msg}");
@@ -953,43 +1136,18 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         }
     }
 
-    /// Telemetry for one finished request: latency histogram, flight
-    /// recorder event, and the slow-op log. `seq` is the WAL sequence
-    /// an accepted mutation logged.
-    fn note_request(
-        &mut self,
-        verb: &'static str,
-        reply_text: &str,
-        at: Instant,
-        seq: Option<u64>,
-    ) {
-        let elapsed = at.elapsed();
-        self.telem.lock().unwrap().observe_verb(verb, elapsed);
-        let status = reply_text
-            .split_whitespace()
-            .next()
-            .unwrap_or("")
-            .to_string();
-        self.flight.record(FlightKind::Request {
-            verb: verb.to_string(),
-            status,
-            dur_us: elapsed.as_micros() as u64,
-            seq,
-        });
-        if self.cfg.slow_ms > 0 && elapsed >= Duration::from_millis(self.cfg.slow_ms) {
-            eprintln!(
-                "amjs serve: slow op: {verb} took {:.1}ms (reply {:.40})",
-                elapsed.as_secs_f64() * 1e3,
-                reply_text
-            );
-        }
+    /// Records between this follower and the head the primary last told
+    /// the tail thread of (0 on a primary).
+    fn lag_records(&self) -> u64 {
+        let head = self.shared.follow.primary_next_seq.load(Ordering::SeqCst);
+        head.saturating_sub(self.wal.next_seq())
     }
 
-    fn handle_client(&mut self, cmd: Command, reply: mpsc::Sender<String>, at: Instant) {
-        self.catch_up_clock();
-        let verb = verb_name(&cmd);
+    /// Answer one client command: the reply, and the WAL sequence it
+    /// logged if it was an accepted mutation.
+    fn answer(&mut self, cmd: &Command) -> (Reply, Option<u64>) {
         let mut logged_seq = None;
-        let reply_text = match &cmd {
+        let text = match cmd {
             Command::Ping => "OK PONG".to_string(),
             Command::Stats => {
                 let s = self.sched.stats();
@@ -1026,9 +1184,7 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                     "OK ROLE=follower EPOCH={} PRIMARY={} LAG={}",
                     self.epoch,
                     primary,
-                    self.primary_next_seq
-                        .load(Ordering::SeqCst)
-                        .saturating_sub(self.wal.next_seq()),
+                    self.lag_records(),
                 ),
             },
             Command::Status(id) => render_status(self.sched.status(JobId(*id))),
@@ -1040,9 +1196,25 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                 self.shutdown = true;
                 "OK BYE".to_string()
             }
-            Command::ReplSnapshot | Command::ReplTail { .. } => {
-                "ERR REPL commands are handled at the connection layer".to_string()
-            }
+            Command::ReplSnapshot => match &self.role {
+                Role::Follower { primary } => format!(
+                    "ERR follower cannot serve snapshots; bootstrap from the primary at {primary}"
+                ),
+                Role::Primary => {
+                    let boot = Bootstrap {
+                        payload: self.sched.encode(),
+                        seq: self.wal.next_seq(),
+                        epoch: self.epoch,
+                        fingerprint: self.sched.fingerprint(),
+                    };
+                    return (Reply::Snapshot(boot), None);
+                }
+            },
+            Command::ReplTail {
+                seq,
+                epoch,
+                fingerprint,
+            } => return (self.subscribe(*seq, *epoch, *fingerprint), None),
             Command::WhatIf {
                 job,
                 bf,
@@ -1051,33 +1223,21 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             } => match self.sched.settled_whatif(JobId(*job)) {
                 // A job that has started (or never existed) needs no fork.
                 Some(answer) => render_whatif(answer),
+                None if self.shared.whatif_active.load(Ordering::SeqCst)
+                    >= self.shared.cfg.whatif_cap =>
+                {
+                    self.shared.shed("whatif-cap");
+                    "BUSY what-if capacity".to_string()
+                }
                 None => {
-                    if self.counters.whatif_active.load(Ordering::SeqCst) >= self.cfg.whatif_cap {
-                        shed(&self.counters, &self.flight, "whatif-cap");
-                        let text = "BUSY what-if capacity".to_string();
-                        self.note_request(verb, &text, at, None);
-                        let _ = reply.send(text);
-                        return;
-                    }
-                    self.counters.whatif_active.fetch_add(1, Ordering::SeqCst);
-                    spawn_whatif_worker(
-                        self.sched.fork(),
-                        JobId(*job),
-                        *bf,
-                        *window,
-                        horizon_secs.unwrap_or(self.cfg.whatif_horizon_secs),
-                        self.cfg.whatif_deadline,
-                        reply,
-                        self.counters.clone(),
-                        WhatIfTelemetry {
-                            telem: self.telem.clone(),
-                            flight: self.flight.clone(),
-                            at,
-                            slow_ms: self.cfg.slow_ms,
-                            inject_panic: self.cfg.inject_whatif_panic,
-                        },
-                    );
-                    return; // worker replies asynchronously
+                    self.shared.whatif_active.fetch_add(1, Ordering::SeqCst);
+                    let slot = WhatIfSlot(self.shared.clone());
+                    let fork = self.sched.fork();
+                    let (job, bf, window) = (JobId(*job), *bf, *window);
+                    let horizon = horizon_secs.unwrap_or(self.shared.cfg.whatif_horizon_secs);
+                    let horizon = SimDuration::from_secs(horizon);
+                    let speculate = move || fork.speculate_start(job, bf, window, horizon);
+                    return (Reply::Speculate(Box::new(speculate), slot), None);
                 }
             },
             mutating if mutating.is_mutating() && self.role != Role::Primary => {
@@ -1086,7 +1246,7 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                 };
                 format!("ERR follower is read-only (the primary is at {primary})")
             }
-            Command::Advance(_) if self.cfg.clock != ClockMode::Virtual => {
+            Command::Advance(_) if self.shared.cfg.clock != ClockMode::Virtual => {
                 "ERR ADVANCE requires --clock virtual".to_string()
             }
             Command::Submit { .. } if self.draining => {
@@ -1105,43 +1265,29 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                         // no longer be written means memory is ahead of
                         // what the log can promise — refuse the ACK and
                         // stop serving, cleanly.
-                        let state_hash = self.sched.state_hash();
-                        let rendered = mutating.render();
-                        let append_started = Instant::now();
-                        let appended = self
-                            .wal
-                            .append(self.epoch, applied_at, state_hash, &rendered);
-                        self.telem
-                            .lock()
-                            .unwrap()
-                            .wal_append
-                            .observe_duration(append_started.elapsed());
-                        match appended {
+                        let rec = ReplRecord {
+                            seq: self.wal.next_seq(),
+                            epoch: self.epoch,
+                            time_secs: applied_at,
+                            state_hash: self.sched.state_hash(),
+                            cmd: mutating.render(),
+                        };
+                        match self.log(&rec) {
                             Err(e) => {
-                                let text =
-                                    format!("ERR durability failure: {e}; daemon shutting down");
-                                self.note_request(verb, &text, at, None);
-                                let _ = reply.send(text);
                                 eprintln!(
                                     "amjs serve: error: command wal append failed: {e} — \
                                      refusing to acknowledge, shutting down"
                                 );
+                                let text =
+                                    format!("ERR durability failure: {e}; daemon shutting down");
                                 self.fatal = Some(ServeError::Io(e));
-                                return;
+                                text
                             }
-                            Ok(seq) => {
-                                logged_seq = Some(seq);
+                            Ok(()) => {
+                                logged_seq = Some(rec.seq);
                                 self.report.commands_applied += 1;
-                                self.report.final_seq = seq + 1;
-                                self.applied_seq.store(seq + 1, Ordering::SeqCst);
-                                self.broadcast_record(&ReplRecord {
-                                    seq,
-                                    epoch: self.epoch,
-                                    time_secs: applied_at,
-                                    state_hash,
-                                    cmd: rendered,
-                                });
-                                self.after_mutation(seq);
+                                self.broadcast_record(&rec);
+                                self.after_mutation(rec.seq);
                                 ok
                             }
                         }
@@ -1150,57 +1296,43 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                 }
             }
         };
-        self.note_request(verb, &reply_text, at, logged_seq);
-        let _ = reply.send(reply_text);
+        (Reply::Text(text), logged_seq)
     }
 
     /// Publish the daemon dashboard into the PR-4 metrics endpoint.
     fn publish_stats(&self) {
-        let Some(stats) = &self.cfg.stats else { return };
+        let Some(stats) = &self.shared.cfg.stats else {
+            return;
+        };
         let s = self.sched.stats();
-        let mut extra = vec![
+        let shared = &self.shared;
+        let count = |c: &AtomicU64| c.load(Ordering::SeqCst) as f64;
+        let gauges = [
             (
-                "serve_connections_active".to_string(),
-                self.counters.connections_active.load(Ordering::SeqCst) as f64,
+                "serve_connections_active",
+                shared.connections_active.load(Ordering::SeqCst) as f64,
+            ),
+            ("serve_connections_total", count(&shared.connections_total)),
+            ("serve_sheds_total", count(&shared.sheds)),
+            ("serve_frame_errors_total", count(&shared.frame_errors)),
+            (
+                "serve_whatif_active",
+                shared.whatif_active.load(Ordering::SeqCst) as f64,
             ),
             (
-                "serve_connections_total".to_string(),
-                self.counters.connections_total.load(Ordering::SeqCst) as f64,
+                "serve_whatif_timeouts_total",
+                count(&shared.whatif_timeouts),
             ),
-            (
-                "serve_sheds_total".to_string(),
-                self.counters.sheds.load(Ordering::SeqCst) as f64,
-            ),
-            (
-                "serve_frame_errors_total".to_string(),
-                self.counters.frame_errors.load(Ordering::SeqCst) as f64,
-            ),
-            (
-                "serve_whatif_active".to_string(),
-                self.counters.whatif_active.load(Ordering::SeqCst) as f64,
-            ),
-            (
-                "serve_whatif_timeouts_total".to_string(),
-                self.counters.whatif_timeouts.load(Ordering::SeqCst) as f64,
-            ),
-            (
-                "serve_whatif_panics_total".to_string(),
-                self.counters.whatif_panics.load(Ordering::SeqCst) as f64,
-            ),
-            ("serve_wal_seq".to_string(), self.wal.next_seq() as f64),
-            (
-                "serve_draining".to_string(),
-                if self.draining { 1.0 } else { 0.0 },
-            ),
-            ("serve_jobs_abandoned".to_string(), s.abandoned as f64),
-            ("serve_jobs_finished".to_string(), s.finished as f64),
+            ("serve_whatif_panics_total", count(&shared.whatif_panics)),
+            ("serve_wal_seq", self.wal.next_seq() as f64),
+            ("serve_draining", if self.draining { 1.0 } else { 0.0 }),
+            ("serve_jobs_abandoned", s.abandoned as f64),
+            ("serve_jobs_finished", s.finished as f64),
         ];
-        let lag_records = self
-            .primary_next_seq
-            .load(Ordering::SeqCst)
-            .saturating_sub(self.wal.next_seq());
+        let mut extra: Vec<(String, f64)> = gauges.map(|(name, v)| (name.to_string(), v)).into();
+        let lag_records = self.lag_records();
         let hists = {
-            let mut t = self.telem.lock().unwrap();
+            let mut t = self.shared.telem.lock().unwrap();
             // Sample follower lag into its distribution each engine
             // pass (the instantaneous value stays a gauge below).
             if matches!(self.role, Role::Follower { .. }) {
@@ -1211,8 +1343,8 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             }
             t.hist_entries()
         };
-        let (flight_total, flight_dropped) = self.flight.totals();
-        if self.flight.enabled() {
+        let (flight_total, flight_dropped) = self.shared.flight.totals();
+        if self.shared.flight.enabled() {
             extra.push((
                 "serve_flightrec_events_total".to_string(),
                 flight_total as f64,
@@ -1270,162 +1402,39 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
     resume: bool,
     cfg: ServeConfig,
 ) -> Result<ServeReport, ServeError> {
-    std::fs::create_dir_all(&cfg.dir)?;
-    let fresh_dir_guard = |cfg: &ServeConfig| -> Result<(), ServeError> {
-        if wal_path(&cfg.dir).exists() {
-            return Err(ServeError::Corrupt(format!(
-                "state dir {} already holds a command wal; \
-                 use --resume to recover it or point --serve-dir at a fresh directory",
-                cfg.dir.display()
-            )));
-        }
-        Ok(())
-    };
-    let telem = shared_telemetry();
-    let flight = FlightRecorder::new(cfg.flightrec, cfg.dir.join("flightrec.jsonl"));
-    let mut snap = SnapshotPipe::spawn(
-        SnapshotStore::new(&cfg.dir, cfg.keep_snapshots),
-        telem.clone(),
-        flight.clone(),
-    )?;
-    let (sched, wal, epoch) = match (&cfg.follow, resume) {
-        (_, true) => {
-            let (sched, wal, _, epoch) = recover::<P>(&cfg.dir, |m| eprintln!("amjs serve: {m}"))?;
-            (sched, wal, epoch)
-        }
-        (None, false) => {
-            fresh_dir_guard(&cfg)?;
-            let sched = init();
-            let wal = WalWriter::create(&wal_path(&cfg.dir), sched.fingerprint(), 0)?;
-            // Genesis snapshot: recovery always has a floor to replay from.
-            snap.write_now(0, sched.encode())?;
-            (sched, wal, 0)
-        }
-        (Some(spec), false) => {
-            fresh_dir_guard(&cfg)?;
-            // Bootstrap from the primary's live snapshot (prefetched by
-            // the CLI for platform dispatch, or fetched here).
-            let boot = match spec.bootstrap.clone() {
-                Some(b) => b,
-                None => fetch_snapshot(&spec.primary, spec.lease.max(Duration::from_millis(500)))
-                    .map_err(ServeError::Repl)?,
-            };
-            let sched = LiveScheduler::<P>::decode(&boot.payload)?;
-            if sched.fingerprint() != boot.fingerprint {
-                return Err(ServeError::Corrupt(format!(
-                    "bootstrap fingerprint {:016x} does not match decoded state {:016x}",
-                    boot.fingerprint,
-                    sched.fingerprint()
-                )));
-            }
-            snap.write_now(boot.seq, boot.payload)?;
-            let wal =
-                WalWriter::create_at(&wal_path(&cfg.dir), boot.fingerprint, boot.epoch, boot.seq)?;
-            eprintln!(
-                "amjs serve: bootstrapped from primary {} (seq {}, epoch {})",
-                spec.primary, boot.seq, boot.epoch
-            );
-            (sched, wal, boot.epoch)
-        }
-    };
-
-    let counters = Arc::new(Counters::default());
-    flight.register_panic_hook();
-    let stop_listener = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::sync_channel::<Request>(cfg.admission_cap);
+    let mut engine = Engine::open(init, resume, cfg)?;
+    let shared = engine.shared.clone();
+    let (tx, rx) = mpsc::sync_channel::<Request>(shared.cfg.admission_cap);
 
     let local_addr = listener.local_addr()?;
     eprintln!("amjs serve: listening on {local_addr}");
-
     let listener_handle = {
-        let counters = counters.clone();
-        let stop = stop_listener.clone();
-        let tx = tx.clone();
-        let max_conns = cfg.max_conns;
-        let read_timeout = cfg.read_timeout;
-        let chaos = cfg.repl_chaos;
-        let flight = flight.clone();
-        thread::spawn(move || {
-            listener_loop(
-                listener,
-                tx,
-                counters,
-                stop,
-                max_conns,
-                read_timeout,
-                chaos,
-                flight,
-            )
-        })
+        let (tx, shared) = (tx.clone(), shared.clone());
+        thread::spawn(move || listener_loop(listener, tx, shared))
     };
 
     // ----- follower tail thread -----
-    let applied_seq = Arc::new(AtomicU64::new(wal.next_seq()));
-    let epoch_shared = Arc::new(AtomicU64::new(epoch));
-    let primary_next_seq = Arc::new(AtomicU64::new(wal.next_seq()));
-    let follow_stop = Arc::new(AtomicBool::new(false));
-    let role = match &cfg.follow {
-        Some(spec) => {
-            let shared = FollowShared {
-                applied_seq: applied_seq.clone(),
-                epoch: epoch_shared.clone(),
-                primary_next_seq: primary_next_seq.clone(),
-                stop: follow_stop.clone(),
-            };
-            let tail_tx = tx.clone();
-            let primary = spec.primary.clone();
-            let lease = spec.lease;
-            let fingerprint = sched.fingerprint();
-            thread::Builder::new()
-                .name("amjs-repl-tail".into())
-                .spawn(move || {
-                    follow_loop(&primary, fingerprint, lease, &shared, move |ev| {
-                        tail_tx.send(Request::Follow(ev)).is_ok()
-                    })
+    if let Some(spec) = &shared.cfg.follow {
+        let (events, tail) = (tx.clone(), shared.clone());
+        let primary = spec.primary.clone();
+        let lease = spec.lease;
+        let fingerprint = engine.sched.fingerprint();
+        thread::Builder::new()
+            .name("amjs-repl-tail".into())
+            .spawn(move || {
+                follow_loop(&primary, fingerprint, lease, &tail.follow, move |ev| {
+                    events.send(Request::Follow(ev)).is_ok()
                 })
-                .expect("spawn tail thread");
-            eprintln!(
-                "amjs serve: following primary {} (lease {:?})",
-                spec.primary, spec.lease
-            );
-            Role::Follower {
-                primary: spec.primary.clone(),
-            }
-        }
-        None => Role::Primary,
-    };
+            })
+            .expect("spawn tail thread");
+        eprintln!(
+            "amjs serve: following primary {} (lease {:?})",
+            spec.primary, spec.lease
+        );
+    }
     drop(tx); // engine holds rx; connections hold clones via listener
 
     // ----- engine loop (this thread owns all scheduler state) -----
-    let mut engine = Engine {
-        snap,
-        report: ServeReport {
-            final_seq: wal.next_seq(),
-            final_epoch: epoch,
-            ..ServeReport::default()
-        },
-        wall_anchor: Instant::now(),
-        sim_anchor: sched.now(),
-        sched,
-        wal,
-        cfg,
-        counters: counters.clone(),
-        telem,
-        flight: flight.clone(),
-        role,
-        epoch,
-        followers: Vec::new(),
-        applied_seq,
-        epoch_shared,
-        primary_next_seq,
-        draining: false,
-        shutdown: false,
-        fatal: None,
-        since_snapshot: 0,
-        since_oracle: 0,
-        last_heartbeat: Instant::now(),
-    };
-
     let tick = Duration::from_millis(50);
     loop {
         if engine.stop_requested() {
@@ -1460,110 +1469,43 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
     }
 
     // ----- shutdown -----
-    // Stop admitting, finish in-flight replies (clean path only), then
-    // the final snapshot — best-effort when already failing.
-    stop_listener.store(true, Ordering::SeqCst);
-    follow_stop.store(true, Ordering::SeqCst);
+    // Stop admitting, finish in-flight replies (clean path only), close.
+    shared.follow.stop.store(true, Ordering::SeqCst);
     if engine.fatal.is_none() {
         while let Ok(req) = rx.try_recv() {
             engine.handle(req);
         }
     }
-    engine.followers.clear(); // feeder threads exit on sink disconnect
-    if engine.fatal.is_none() {
-        // A rotation still in flight that fails is that failure, not
-        // the final snapshot's.
-        if let Err(e) = engine.snap.settle() {
-            engine.rotation_failed(e);
-        }
-    }
-    let final_snapshot = engine.snapshot(engine.wal.next_seq(), true);
-    if engine.snap.join().is_err() {
-        eprintln!("amjs serve: error: the snapshot writer thread panicked");
-    }
-    // Flush the flight recorder before any early return: the
-    // postmortem must survive fatal exits, and the termination path
-    // (SIGTERM → stop flag → this section) lands here too.
-    flight.flush();
-    flight.deregister();
-    match final_snapshot {
-        Ok(()) => {}
-        Err(e) if engine.fatal.is_some() => {
-            // Already failing: the snapshot was a best-effort salvage.
-            eprintln!("amjs serve: final best-effort snapshot also failed: {e}");
-        }
-        Err(e) => return Err(ServeError::Io(e)),
-    }
-    engine.report.sheds = counters.sheds.load(Ordering::SeqCst);
-    engine.report.final_epoch = engine.epoch;
+    let result = engine.close();
     let _ = listener_handle.join();
-    if let Some(e) = engine.fatal {
-        eprintln!("amjs serve: fatal: {e}");
-        return Err(e);
-    }
-    eprintln!(
-        "amjs serve: shut down cleanly ({} commands, {} replicated, wal seq {}, epoch {})",
-        engine.report.commands_applied,
-        engine.report.replicated,
-        engine.report.final_seq,
-        engine.report.final_epoch
-    );
-    Ok(engine.report)
+    result
 }
 
 /// Accept loop: enforce the connection cap, hand accepted sockets to
 /// per-connection threads, and exit promptly when asked.
-#[allow(clippy::too_many_arguments)]
-fn listener_loop(
-    listener: TcpListener,
-    tx: SyncSender<Request>,
-    counters: Arc<Counters>,
-    stop: Arc<AtomicBool>,
-    max_conns: usize,
-    read_timeout: Duration,
-    chaos: Option<ReplChaos>,
-    flight: FlightRecorder,
-) {
+fn listener_loop(listener: TcpListener, tx: SyncSender<Request>, shared: Arc<Shared>) {
     listener
         .set_nonblocking(true)
         .expect("set_nonblocking on listener");
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
+    while !shared.follow.stop.load(Ordering::SeqCst) {
+        let Ok((mut stream, _peer)) = listener.accept() else {
+            // Nobody waiting (`WouldBlock`), or a transient accept error.
+            thread::sleep(Duration::from_millis(20));
+            continue;
+        };
+        let conn_id = shared.connections_total.fetch_add(1, Ordering::SeqCst);
+        if shared.connections_active.load(Ordering::SeqCst) >= shared.cfg.max_conns {
+            shared.shed("connection-limit");
+            let _ = stream.set_nodelay(true);
+            let _ = write_frame(&mut stream, b"BUSY connection limit");
+            continue; // dropped: closed
         }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let conn_id = counters.connections_total.fetch_add(1, Ordering::SeqCst);
-                if counters.connections_active.load(Ordering::SeqCst) >= max_conns {
-                    shed(&counters, &flight, "connection-limit");
-                    let mut s = stream;
-                    let _ = s.set_nodelay(true);
-                    let _ = write_frame(&mut s, b"BUSY connection limit");
-                    continue; // dropped: closed
-                }
-                counters.connections_active.fetch_add(1, Ordering::SeqCst);
-                let tx = tx.clone();
-                let counters = counters.clone();
-                let flight = flight.clone();
-                thread::spawn(move || {
-                    connection_loop(
-                        stream,
-                        peer,
-                        tx,
-                        &counters,
-                        read_timeout,
-                        conn_id,
-                        chaos,
-                        &flight,
-                    );
-                    counters.connections_active.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(20)),
-        }
+        shared.connections_active.fetch_add(1, Ordering::SeqCst);
+        let (tx, shared) = (tx.clone(), shared.clone());
+        thread::spawn(move || {
+            connection_loop(stream, tx, &shared, conn_id);
+            shared.connections_active.fetch_sub(1, Ordering::SeqCst);
+        });
     }
 }
 
@@ -1571,22 +1513,13 @@ fn listener_loop(
 /// or read deadline. Unknown verbs and bad arguments get `ERR` and the
 /// conversation continues; framing violations (oversized/truncated/
 /// garbage) get a best-effort `ERR` and the connection is closed, since
-/// the stream can no longer be resynchronized. The two `REPL` verbs are
-/// handled here rather than in the engine reply path: `REPL SNAPSHOT`
-/// streams a chunked payload, and `REPL TAIL` permanently converts the
-/// connection into a one-way record feeder.
-#[allow(clippy::too_many_arguments)]
-fn connection_loop(
-    stream: TcpStream,
-    _peer: SocketAddr,
-    tx: SyncSender<Request>,
-    counters: &Counters,
-    read_timeout: Duration,
-    conn_id: u64,
-    chaos: Option<ReplChaos>,
-    flight: &FlightRecorder,
-) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
+/// the stream can no longer be resynchronized. Every parsed command is
+/// admitted to the engine the same way; the [`Reply`] says what this
+/// thread does next — `REPL SNAPSHOT` streams a chunked payload, an
+/// accepted `REPL TAIL` permanently converts the connection into a
+/// one-way record feeder, a forking `WHATIF` is supervised here.
+fn connection_loop(stream: TcpStream, tx: SyncSender<Request>, shared: &Shared, conn_id: u64) {
+    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -1599,7 +1532,7 @@ fn connection_loop(
                 let line = match std::str::from_utf8(&payload) {
                     Ok(s) => s,
                     Err(_) => {
-                        counters.frame_errors.fetch_add(1, Ordering::SeqCst);
+                        shared.frame_errors.fetch_add(1, Ordering::SeqCst);
                         let _ = write_frame(&mut writer, b"ERR payload is not utf-8");
                         continue;
                     }
@@ -1613,100 +1546,46 @@ fn connection_loop(
                         continue;
                     }
                 };
-                match cmd {
-                    Command::ReplSnapshot => {
-                        let (reply_tx, reply_rx) = mpsc::channel();
-                        match tx.try_send(Request::ReplSnapshot { reply: reply_tx }) {
-                            Ok(()) => {}
-                            Err(_) => {
-                                shed(counters, flight, "admission");
-                                if write_frame(&mut writer, b"BUSY admission queue full").is_err() {
-                                    return;
-                                }
-                                continue;
-                            }
-                        }
-                        match reply_rx.recv_timeout(Duration::from_secs(60)) {
-                            Ok(Ok(boot)) => {
-                                if send_snapshot(&mut writer, &boot).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(Err(msg)) => {
-                                let _ = write_frame(&mut writer, format!("ERR {msg}").as_bytes());
-                            }
-                            Err(_) => {
-                                let _ = write_frame(&mut writer, b"ERR server shutting down");
-                                return;
-                            }
-                        }
-                    }
-                    Command::ReplTail {
-                        seq,
-                        epoch,
-                        fingerprint,
-                    } => {
-                        let (reply_tx, reply_rx) = mpsc::channel();
-                        let (sink_tx, sink_rx) = mpsc::channel::<String>();
-                        match tx.try_send(Request::ReplSubscribe {
-                            seq,
-                            epoch,
-                            fingerprint,
-                            sink: sink_tx,
-                            reply: reply_tx,
-                        }) {
-                            Ok(()) => {}
-                            Err(_) => {
-                                shed(counters, flight, "admission");
-                                if write_frame(&mut writer, b"BUSY admission queue full").is_err() {
-                                    return;
-                                }
-                                continue;
-                            }
-                        }
-                        let reply = reply_rx
-                            .recv_timeout(Duration::from_secs(60))
-                            .unwrap_or_else(|_| "ERR server shutting down".to_string());
-                        let accepted = reply.starts_with("OK TAILING");
-                        if write_frame(&mut writer, reply.as_bytes()).is_err() || !accepted {
+                let at = Instant::now();
+                let (reply, answer) = mpsc::channel();
+                match tx.try_send(Request::Client { cmd, reply, at }) {
+                    Err(TrySendError::Full(_)) => {
+                        // Load shed: bounded admission queue is full.
+                        shared.shed("admission");
+                        if write_frame(&mut writer, b"BUSY admission queue full").is_err() {
                             return;
                         }
-                        feeder_loop(&mut writer, sink_rx, conn_id, chaos);
+                        continue;
+                    }
+                    // A disconnected engine hands the request back and
+                    // `reply` drops with it: the wait below ends at once.
+                    Ok(()) | Err(TrySendError::Disconnected(_)) => {}
+                }
+                let sent = match answer.recv_timeout(Duration::from_secs(60)) {
+                    Ok(Reply::Text(text)) => write_frame(&mut writer, text.as_bytes()),
+                    Ok(Reply::Speculate(speculate, slot)) => {
+                        let text = supervise_whatif(shared, speculate, slot, at);
+                        write_frame(&mut writer, text.as_bytes())
+                    }
+                    Ok(Reply::Snapshot(boot)) => send_snapshot(&mut writer, &boot),
+                    Ok(Reply::Tail(greeting, sink)) => {
+                        if write_frame(&mut writer, greeting.as_bytes()).is_ok() {
+                            feeder_loop(&mut writer, sink, conn_id, shared.cfg.repl_chaos);
+                        }
                         return; // the connection was consumed by the stream
                     }
-                    cmd => {
-                        let (reply_tx, reply_rx) = mpsc::channel::<String>();
-                        match tx.try_send(Request::Client {
-                            cmd,
-                            reply: reply_tx,
-                            at: Instant::now(),
-                        }) {
-                            Ok(()) => {
-                                let reply = reply_rx
-                                    .recv_timeout(Duration::from_secs(60))
-                                    .unwrap_or_else(|_| "ERR server shutting down".to_string());
-                                if write_frame(&mut writer, reply.as_bytes()).is_err() {
-                                    return;
-                                }
-                            }
-                            Err(TrySendError::Full(_)) => {
-                                // Load shed: bounded admission queue is full.
-                                shed(counters, flight, "admission");
-                                if write_frame(&mut writer, b"BUSY admission queue full").is_err() {
-                                    return;
-                                }
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                let _ = write_frame(&mut writer, b"ERR server shutting down");
-                                return;
-                            }
-                        }
+                    Err(_) => {
+                        let _ = write_frame(&mut writer, b"ERR server shutting down");
+                        return;
                     }
+                };
+                if sent.is_err() {
+                    return;
                 }
             }
             Err(FrameError::Eof) => return,
             Err(FrameError::TooLarge(n)) => {
-                counters.frame_errors.fetch_add(1, Ordering::SeqCst);
+                shared.frame_errors.fetch_add(1, Ordering::SeqCst);
                 let _ = write_frame(
                     &mut writer,
                     format!("ERR frame of {n} bytes exceeds limit").as_bytes(),
@@ -1714,7 +1593,7 @@ fn connection_loop(
                 return; // unsynchronizable
             }
             Err(FrameError::Malformed(m)) => {
-                counters.frame_errors.fetch_add(1, Ordering::SeqCst);
+                shared.frame_errors.fetch_add(1, Ordering::SeqCst);
                 let _ = write_frame(&mut writer, format!("ERR {m}").as_bytes());
                 return; // unsynchronizable
             }
@@ -1756,93 +1635,56 @@ fn feeder_loop(
     }
 }
 
-/// The PR-5 supervision pattern around one what-if query: the attempt
-/// thread does the speculative work; the supervisor waits with a
-/// deadline and reports panic/timeout as clean `ERR` replies. An
-/// overrunning attempt is abandoned (honest semantics: its fork is
-/// garbage-collected when the thread eventually finishes; live state
-/// was never shared with it).
-/// Telemetry context handed to one supervised what-if worker: where to
-/// record, when the latency clock started, and the chaos knob.
-struct WhatIfTelemetry {
-    telem: SharedTelemetry,
-    flight: FlightRecorder,
+/// The PR-5 supervision pattern around one what-if query, run by the
+/// connection thread that asked: one attempt thread does the
+/// speculative work; this thread waits with a deadline, reports
+/// panic/timeout as clean `ERR` replies and leaves the request's
+/// telemetry. An overrunning attempt is abandoned (honest semantics:
+/// its fork is garbage-collected when the thread eventually finishes;
+/// live state was never shared with it). `at` is when the request was
+/// enqueued; the slot is freed on return.
+fn supervise_whatif(
+    shared: &Shared,
+    speculate: Box<dyn FnOnce() -> WhatIfAnswer + Send>,
+    _slot: WhatIfSlot,
     at: Instant,
-    slow_ms: u64,
-    inject_panic: bool,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_whatif_worker<P: Platform + Snapshot + 'static>(
-    fork: LiveFork<P>,
-    job: JobId,
-    bf: Option<f64>,
-    window: Option<usize>,
-    horizon_secs: i64,
-    deadline: Duration,
-    reply: mpsc::Sender<String>,
-    counters: Arc<Counters>,
-    obs: WhatIfTelemetry,
-) {
+) -> String {
+    let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
-        let (tx, rx) = mpsc::channel();
-        let inject_panic = obs.inject_panic;
-        thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if inject_panic {
-                    panic!("injected what-if panic (chaos)");
-                }
-                fork.speculate_start(job, bf, window, SimDuration::from_secs(horizon_secs))
-            }));
-            let _ = tx.send(outcome);
-        });
-        let mut panicked = false;
-        let text = match rx.recv_timeout(deadline) {
-            Ok(Ok(ans)) => render_whatif(ans),
-            Ok(Err(_panic)) => {
-                counters.whatif_panics.fetch_add(1, Ordering::SeqCst);
-                panicked = true;
-                "ERR what-if worker panicked (live state unaffected)".to_string()
-            }
-            Err(_) => {
-                counters.whatif_timeouts.fetch_add(1, Ordering::SeqCst);
-                "ERR what-if deadline exceeded".to_string()
-            }
-        };
-        let elapsed = obs.at.elapsed();
-        obs.telem.lock().unwrap().observe_verb("WHATIF", elapsed);
-        let status = text.split_whitespace().next().unwrap_or("").to_string();
-        obs.flight.record(FlightKind::Request {
-            verb: "WHATIF".to_string(),
-            status,
-            dur_us: elapsed.as_micros() as u64,
-            seq: None,
-        });
-        if panicked {
-            // The panic hook already flushed at panic time; flush
-            // again so the on-disk tail ends at the panicking command.
-            obs.flight.flush();
-        }
-        if obs.slow_ms > 0 && elapsed >= Duration::from_millis(obs.slow_ms) {
-            eprintln!(
-                "amjs serve: slow op: WHATIF took {:.1}ms (reply {:.40})",
-                elapsed.as_secs_f64() * 1e3,
-                text
-            );
-        }
-        counters.whatif_active.fetch_sub(1, Ordering::SeqCst);
-        let _ = reply.send(text);
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(speculate)));
     });
+    let (text, panicked) = match rx.recv_timeout(shared.cfg.whatif_deadline) {
+        Ok(Ok(ans)) => (render_whatif(ans), false),
+        Ok(Err(_panic)) => {
+            shared.whatif_panics.fetch_add(1, Ordering::SeqCst);
+            let text = "ERR what-if worker panicked (live state unaffected)";
+            (text.to_string(), true)
+        }
+        Err(_) => {
+            shared.whatif_timeouts.fetch_add(1, Ordering::SeqCst);
+            ("ERR what-if deadline exceeded".to_string(), false)
+        }
+    };
+    shared.note_request("WHATIF", &text, at, None);
+    if panicked {
+        // The panic hook already flushed at panic time; flush
+        // again so the on-disk tail ends at the panicking command.
+        shared.flight.flush();
+    }
+    text
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::read_flightrec;
+    use crate::repl::{parse_stream_frame, StreamFrame};
     use amjs_core::{PolicyParams, SimulationBuilder};
     use amjs_platform::FlatCluster;
-    use std::net::TcpStream;
+    use std::io::Write as _;
+    use std::net::SocketAddr;
 
-    pub(super) fn tmp_dir(tag: &str) -> PathBuf {
+    fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("amjs-serve-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1856,13 +1698,132 @@ mod tests {
         )
     }
 
-    pub(super) struct Client {
+    fn config(dir: &Path, tweak: impl FnOnce(&mut ServeConfig)) -> ServeConfig {
+        let mut cfg = ServeConfig::new(dir);
+        tweak(&mut cfg);
+        cfg
+    }
+
+    // ----- the stepped harness: an engine and no socket -----
+
+    type Stepped = Engine<FlatCluster>;
+
+    fn open(dir: &Path, resume: bool, tweak: impl FnOnce(&mut ServeConfig)) -> Stepped {
+        try_open(dir, resume, tweak).unwrap()
+    }
+
+    fn try_open(
+        dir: &Path,
+        resume: bool,
+        tweak: impl FnOnce(&mut ServeConfig),
+    ) -> Result<Stepped, ServeError> {
+        Engine::open(fresh_sched, resume, config(dir, tweak))
+    }
+
+    /// One client command through `Engine::handle`; the reply is on the
+    /// channel when `handle` returns.
+    fn step(engine: &mut Stepped, line: &str) -> Reply {
+        let (reply, answer) = mpsc::channel();
+        let cmd = Command::parse(line).unwrap();
+        let at = Instant::now();
+        engine.handle(Request::Client { cmd, reply, at });
+        answer.try_recv().expect("every client request is answered")
+    }
+
+    /// [`step`] down to the text a client reads first; a speculation
+    /// runs inline.
+    fn ask(engine: &mut Stepped, line: &str) -> String {
+        match step(engine, line) {
+            Reply::Text(text) | Reply::Tail(text, _) => text,
+            Reply::Speculate(speculate, _slot) => render_whatif(speculate()),
+            Reply::Snapshot(boot) => format!("OK SNAPSHOT SEQ={}", boot.seq),
+        }
+    }
+
+    /// `count` accepted submissions of one shape, users 0, 1, 2, ...
+    fn submits(engine: &mut Stepped, count: usize, shape: &str) {
+        for user in 0..count {
+            let reply = ask(engine, &format!("SUBMIT {shape} USER={user}"));
+            assert!(reply.starts_with("OK ID="), "unexpected: {reply}");
+        }
+    }
+
+    /// Replies that together fingerprint the externally visible state.
+    fn observe(engine: &mut Stepped, jobs: usize) -> Vec<String> {
+        let per_job = (0..jobs).flat_map(|id| [format!("STATUS {id}"), format!("WHATIF {id}")]);
+        let probes = ["HASH", "STATS"].map(String::from);
+        let probes = probes.into_iter().chain(per_job);
+        probes.map(|probe| ask(engine, &probe)).collect()
+    }
+
+    /// A follower of `primary` in `dir`, bootstrapped from its snapshot.
+    fn bootstrap(primary: &mut Stepped, dir: &Path) -> Stepped {
+        let Reply::Snapshot(boot) = step(primary, "REPL SNAPSHOT") else {
+            panic!("a primary serves snapshots");
+        };
+        open(dir, false, following("primary:0", 3000, Some(boot)))
+    }
+
+    /// Follower configuration. A stepped follower's link is [`pump`],
+    /// so its `primary` is only a name.
+    fn following(
+        primary: impl ToString,
+        lease_ms: u64,
+        bootstrap: Option<Bootstrap>,
+    ) -> impl FnOnce(&mut ServeConfig) {
+        move |cfg| {
+            cfg.follow = Some(FollowSpec {
+                primary: primary.to_string(),
+                lease: Duration::from_millis(lease_ms),
+                bootstrap,
+            })
+        }
+    }
+
+    /// The handshake `follow_loop` would send for `engine`.
+    fn hello(engine: &Stepped) -> String {
+        let (seq, epoch) = (engine.wal.next_seq(), engine.epoch);
+        let fingerprint = engine.sched.fingerprint();
+        format!("REPL TAIL SEQ={seq} EPOCH={epoch} FP={fingerprint:016x}")
+    }
+
+    /// Subscribe `follower` to `primary`: the stream half of the
+    /// accepted handshake's `Reply::Tail`.
+    fn link(primary: &mut Stepped, follower: &Stepped) -> mpsc::Receiver<String> {
+        match step(primary, &hello(follower)) {
+            Reply::Tail(_, stream) => stream,
+            _ => panic!("handshake refused"),
+        }
+    }
+
+    /// Deliver the records waiting on `link` as the tail thread and
+    /// the shell's loop would: nothing more once the engine is failing.
+    fn pump(link: &mpsc::Receiver<String>, follower: &mut Stepped) {
+        for frame in link.try_iter() {
+            let event = match parse_stream_frame(&frame).unwrap() {
+                StreamFrame::Record(rec) => FollowEvent::Record(rec),
+                StreamFrame::Heartbeat { .. } => continue, // only moves the lag gauge
+            };
+            if follower.fatal.is_none() {
+                follower.handle(Request::Follow(event));
+            }
+        }
+    }
+
+    fn snapshot_seqs(dir: &Path) -> Vec<u64> {
+        let listed = SnapshotStore::new(dir, 1).list().unwrap();
+        listed.into_iter().map(|(seq, _)| seq).collect()
+    }
+
+    // ----- the wire harness: a daemon on a socket -----
+
+    struct Client {
         reader: BufReader<TcpStream>,
         writer: TcpStream,
     }
 
     impl Client {
-        pub(super) fn connect(addr: SocketAddr) -> Client {
+        fn connect(addr: SocketAddr) -> Client {
             let stream = TcpStream::connect(addr).unwrap();
             stream
                 .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1874,24 +1835,30 @@ mod tests {
             }
         }
 
-        pub(super) fn ask(&mut self, line: &str) -> String {
-            write_frame(&mut self.writer, line.as_bytes()).unwrap();
+        fn read(&mut self) -> String {
             String::from_utf8(read_frame(&mut self.reader).unwrap()).unwrap()
+        }
+
+        fn ask(&mut self, line: &str) -> String {
+            write_frame(&mut self.writer, line.as_bytes()).unwrap();
+            self.read()
+        }
+
+        fn was_closed(&mut self) -> bool {
+            matches!(read_frame(&mut self.reader), Err(FrameError::Eof))
         }
     }
 
-    pub(super) fn spawn_daemon(
+    type Running = thread::JoinHandle<Result<ServeReport, ServeError>>;
+
+    fn spawn_daemon(
         dir: &Path,
         resume: bool,
         tweak: impl FnOnce(&mut ServeConfig),
-    ) -> (
-        SocketAddr,
-        thread::JoinHandle<Result<ServeReport, ServeError>>,
-    ) {
+    ) -> (SocketAddr, Running) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut cfg = ServeConfig::new(dir);
-        tweak(&mut cfg);
+        let cfg = config(dir, tweak);
         let handle = thread::spawn(move || run_daemon(listener, fresh_sched, resume, cfg));
         (addr, handle)
     }
@@ -1908,6 +1875,26 @@ mod tests {
         panic!("timed out waiting for {what}");
     }
 
+    /// `connection_loop` by hand over one accepted socket, against
+    /// whatever holds the other end of `tx`.
+    fn with_connection(
+        shared: &Shared,
+        tx: &SyncSender<Request>,
+        script: impl FnOnce(&mut Client),
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap());
+        let (stream, _) = listener.accept().unwrap();
+        thread::scope(|s| {
+            s.spawn(|| connection_loop(stream, tx.clone(), shared, 0));
+            script(&mut client);
+            drop(client); // EOF ends the connection loop
+        });
+    }
+
+    /// Three verbs, three `Reply` shapes, one admission site.
+    const ADMITTED_ALIKE: [&str; 3] = ["REPL TAIL SEQ=0 EPOCH=0 FP=0", "REPL SNAPSHOT", "PING"];
+
     #[test]
     fn end_to_end_over_the_wire() {
         let dir = tmp_dir("e2e");
@@ -1915,7 +1902,7 @@ mod tests {
         let mut c = Client::connect(addr);
 
         assert_eq!(c.ask("PING"), "OK PONG");
-        assert_eq!(c.ask("SUBMIT NODES=16 WALL=1800 RUN=600 USER=1"), "OK ID=0");
+        assert_eq!(c.ask("SUBMIT NODES=64 WALL=1800 RUN=600 USER=1"), "OK ID=0");
         assert_eq!(c.ask("STATUS 0"), "OK PENDING");
         assert_eq!(c.ask("ADVANCE 60"), "OK T=60");
         assert!(c.ask("STATUS 0").starts_with("OK RUNNING START=0"));
@@ -1931,75 +1918,90 @@ mod tests {
         assert!(c.ask("SUBMIT NODES=9999 WALL=60").starts_with("ERR "));
         assert!(c.ask("CANCEL 77").starts_with("ERR "));
 
+        // Every other `Reply` shape crosses the socket once: a
+        // speculation this connection's thread supervises (job 1 queues
+        // behind job 0), a streamed snapshot, a refused handshake — an
+        // ordinary ERR on a connection that stays open — and an accepted
+        // one, which turns its connection into the backfilled stream.
+        assert_eq!(c.ask("SUBMIT NODES=64 WALL=900 USER=2"), "OK ID=1");
+        assert_eq!(c.ask("WHATIF 1"), "OK START=600");
+        let boot = fetch_snapshot(&addr.to_string(), Duration::from_secs(5)).unwrap();
+        assert_eq!((boot.seq, boot.epoch), (3, 0));
+        let fp = boot.fingerprint;
+        let refused = c.ask(&format!("REPL TAIL SEQ=0 EPOCH=7 FP={fp:016x}"));
+        assert!(
+            refused.starts_with("ERR FENCED: stale epoch 7"),
+            "{refused}"
+        );
+        assert_eq!(c.ask("PING"), "OK PONG");
+        let mut tail = Client::connect(addr);
+        let greeting = tail.ask(&format!("REPL TAIL SEQ=1 EPOCH=0 FP={fp:016x}"));
+        assert_eq!(greeting, "OK TAILING FROM=1");
+        assert!(tail.read().ends_with(" ADVANCE 60"));
+        assert!(tail.read().ends_with(" SUBMIT NODES=64 WALL=900 USER=2"));
+        assert_eq!(c.ask("ROLE"), "OK ROLE=primary EPOCH=0 FOLLOWERS=1");
+
         assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
         let report = handle.join().unwrap().unwrap();
-        assert_eq!(report.commands_applied, 2); // SUBMIT + ADVANCE only
-        assert_eq!(report.final_seq, 2);
+        assert_eq!(report.commands_applied, 3); // SUBMIT ×2 + ADVANCE only
+        assert_eq!(report.final_seq, 3);
     }
 
     #[test]
     fn whatif_is_answered_from_a_fork() {
-        let dir = tmp_dir("whatif");
-        let (addr, handle) = spawn_daemon(&dir, false, |_| {});
-        let mut c = Client::connect(addr);
+        let mut e = open(&tmp_dir("whatif"), false, |_| {});
 
         // Fill the machine; the second job must queue behind the first.
-        assert_eq!(c.ask("SUBMIT NODES=64 WALL=3600 USER=1"), "OK ID=0");
-        assert_eq!(c.ask("SUBMIT NODES=64 WALL=1800 USER=2"), "OK ID=1");
-        assert_eq!(c.ask("ADVANCE 60"), "OK T=60");
-        let hash_before = c.ask("HASH");
+        assert_eq!(ask(&mut e, "SUBMIT NODES=64 WALL=3600 USER=1"), "OK ID=0");
+        assert_eq!(ask(&mut e, "SUBMIT NODES=64 WALL=1800 USER=2"), "OK ID=1");
+        assert_eq!(ask(&mut e, "ADVANCE 60"), "OK T=60");
+        let hash_before = ask(&mut e, "HASH");
 
-        let ans = c.ask("WHATIF 1");
+        assert!(matches!(step(&mut e, "WHATIF 1"), Reply::Speculate(..)));
+        let ans = ask(&mut e, "WHATIF 1");
         assert!(ans.starts_with("OK START="), "unexpected: {ans}");
-        let ans = c.ask("WHATIF 1 BF=0.9 W=8");
+        let ans = ask(&mut e, "WHATIF 1 BF=0.9 W=8");
         assert!(ans.starts_with("OK START="), "unexpected: {ans}");
-        assert!(c.ask("WHATIF 42").starts_with("ERR unknown job"));
+        assert!(ask(&mut e, "WHATIF 42").starts_with("ERR unknown job"));
 
         // Speculation never touches live state.
-        assert_eq!(c.ask("HASH"), hash_before);
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        handle.join().unwrap().unwrap();
+        assert_eq!(ask(&mut e, "HASH"), hash_before);
+        e.close().unwrap();
     }
 
     #[test]
     fn a_started_or_unknown_job_is_answered_without_a_fork() {
-        let dir = tmp_dir("whatif-inline");
-        let (addr, handle) = spawn_daemon(&dir, false, |cfg| cfg.whatif_cap = 0);
-        let mut c = Client::connect(addr);
-        assert_eq!(c.ask("SUBMIT NODES=64 WALL=3600 USER=1"), "OK ID=0");
-        assert_eq!(c.ask("SUBMIT NODES=64 WALL=1800 USER=2"), "OK ID=1");
-        assert_eq!(c.ask("ADVANCE 60"), "OK T=60");
-        assert_eq!(c.ask("SUBMIT NODES=8 WALL=600 USER=3"), "OK ID=2");
+        let mut e = open(&tmp_dir("whatif-inline"), false, |cfg| cfg.whatif_cap = 0);
+        assert_eq!(ask(&mut e, "SUBMIT NODES=64 WALL=3600 USER=1"), "OK ID=0");
+        assert_eq!(ask(&mut e, "SUBMIT NODES=64 WALL=1800 USER=2"), "OK ID=1");
+        assert_eq!(ask(&mut e, "ADVANCE 60"), "OK T=60");
+        assert_eq!(ask(&mut e, "SUBMIT NODES=8 WALL=600 USER=3"), "OK ID=2");
         // No what-if slot exists, and the running job needs none.
-        assert_eq!(c.ask("WHATIF 0"), "OK START=0 LIVE");
-        assert!(c.ask("WHATIF 42").starts_with("ERR unknown job"));
-        assert_eq!(c.ask("WHATIF 1"), "BUSY what-if capacity"); // queued
-        assert_eq!(c.ask("WHATIF 2"), "BUSY what-if capacity"); // pending
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        assert_eq!(handle.join().unwrap().unwrap().sheds, 2);
+        assert_eq!(ask(&mut e, "WHATIF 0"), "OK START=0 LIVE");
+        assert!(ask(&mut e, "WHATIF 42").starts_with("ERR unknown job"));
+        assert_eq!(ask(&mut e, "WHATIF 1"), "BUSY what-if capacity"); // queued
+        assert_eq!(ask(&mut e, "WHATIF 2"), "BUSY what-if capacity"); // pending
+        assert_eq!(e.close().unwrap().sheds, 2);
     }
 
     #[test]
     fn commands_that_overflow_the_clock_are_answered_not_obeyed() {
-        let dir = tmp_dir("overflow");
-        let (addr, handle) = spawn_daemon(&dir, false, |_| {});
-        let mut c = Client::connect(addr);
-        assert_eq!(c.ask("SUBMIT NODES=64 WALL=3600 USER=1"), "OK ID=0");
-        assert_eq!(c.ask("SUBMIT NODES=64 WALL=1800 USER=2"), "OK ID=1");
-        assert_eq!(c.ask("ADVANCE 1000"), "OK T=1000");
-        let hash_before = c.ask("HASH");
+        let mut e = open(&tmp_dir("overflow"), false, |_| {});
+        assert_eq!(ask(&mut e, "SUBMIT NODES=64 WALL=3600 USER=1"), "OK ID=0");
+        assert_eq!(ask(&mut e, "SUBMIT NODES=64 WALL=1800 USER=2"), "OK ID=1");
+        assert_eq!(ask(&mut e, "ADVANCE 1000"), "OK T=1000");
+        let hash_before = ask(&mut e, "HASH");
 
-        let ans = c.ask("ADVANCE 9223372036854775807");
+        let ans = ask(&mut e, "ADVANCE 9223372036854775807");
         assert_eq!(ans, "ERR ADVANCE overflows the clock");
         // The deadline saturates: the queued job starts when job 0 ends.
-        let ans = c.ask("WHATIF 1 HORIZON=9223372036854775807");
+        let ans = ask(&mut e, "WHATIF 1 HORIZON=9223372036854775807");
         assert_eq!(ans, "OK START=3600");
 
-        assert_eq!(c.ask("PING"), "OK PONG");
-        assert_eq!(c.ask("HASH"), hash_before);
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+        assert_eq!(ask(&mut e, "PING"), "OK PONG");
+        assert_eq!(ask(&mut e, "HASH"), hash_before);
         // Two submits and one advance: the refused one never reached the WAL.
-        assert_eq!(handle.join().unwrap().unwrap().commands_applied, 3);
+        assert_eq!(e.close().unwrap().commands_applied, 3);
 
         let mut sched = fresh_sched();
         sched.advance_to(SimTime::from_secs(1000));
@@ -2011,15 +2013,25 @@ mod tests {
 
     #[test]
     fn whatif_cap_sheds_with_busy() {
-        let dir = tmp_dir("whatif-cap");
-        let (addr, handle) = spawn_daemon(&dir, false, |cfg| cfg.whatif_cap = 0);
-        let mut c = Client::connect(addr);
-        c.ask("SUBMIT NODES=8 WALL=600 USER=1");
-        assert_eq!(c.ask("WHATIF 0"), "BUSY what-if capacity");
-        assert_eq!(c.ask("PING"), "OK PONG");
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        let report = handle.join().unwrap().unwrap();
-        assert!(report.sheds >= 1);
+        let mut e = open(&tmp_dir("whatif-cap"), false, |cfg| cfg.whatif_cap = 0);
+        submits(&mut e, 1, "NODES=8 WALL=600");
+        assert_eq!(ask(&mut e, "WHATIF 0"), "BUSY what-if capacity");
+        assert_eq!(ask(&mut e, "PING"), "OK PONG");
+        assert!(e.close().unwrap().sheds >= 1);
+    }
+
+    #[test]
+    fn a_speculation_dropped_undelivered_frees_its_slot() {
+        let mut e = open(&tmp_dir("whatif-drop"), false, |cfg| cfg.whatif_cap = 1);
+        submits(&mut e, 1, "NODES=8 WALL=600");
+        let held = step(&mut e, "WHATIF 0");
+        assert!(matches!(held, Reply::Speculate(..)));
+        assert_eq!(ask(&mut e, "WHATIF 0"), "BUSY what-if capacity");
+        // The connection that asked went away before it read its reply.
+        drop(held);
+        assert_eq!(e.shared.whatif_active.load(Ordering::SeqCst), 0);
+        assert_eq!(ask(&mut e, "WHATIF 0"), "OK START=0");
+        assert_eq!(e.close().unwrap().sheds, 1);
     }
 
     #[test]
@@ -2029,67 +2041,81 @@ mod tests {
         let mut first = Client::connect(addr);
         assert_eq!(first.ask("PING"), "OK PONG"); // registered for sure
         let mut second = Client::connect(addr);
-        let reply = String::from_utf8(read_frame(&mut second.reader).unwrap()).unwrap();
-        assert_eq!(reply, "BUSY connection limit");
+        assert_eq!(second.read(), "BUSY connection limit");
         assert_eq!(first.ask("PING"), "OK PONG"); // daemon unbothered
         assert_eq!(first.ask("SHUTDOWN"), "OK BYE");
-        handle.join().unwrap().unwrap();
+        assert_eq!(handle.join().unwrap().unwrap().sheds, 1);
+        let events = read_flightrec(&dir.join("flightrec.jsonl")).unwrap();
+        let limit = FlightKind::Shed {
+            what: "connection-limit".to_string(),
+        };
+        assert!(events.iter().any(|e| e.kind == limit), "{events:?}");
     }
 
     #[test]
     fn a_full_admission_queue_under_repl_tail_leaves_a_shed_line() {
         let dir = tmp_dir("repl-shed");
-        let flight = FlightRecorder::new(8, dir.join("flightrec.jsonl"));
-        let counters = Counters::default();
+        let shared = Shared::new(config(&dir, |cfg| cfg.flightrec = 8));
         // An admission queue of one, already full, that no engine drains.
         let (tx, _rx) = mpsc::sync_channel::<Request>(1);
-        let (reply, _) = mpsc::channel();
-        tx.try_send(Request::ReplSnapshot { reply }).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = Client::connect(listener.local_addr().unwrap());
-        let (stream, peer) = listener.accept().unwrap();
-        let timeout = Duration::from_secs(10);
-        thread::scope(|s| {
-            s.spawn(|| connection_loop(stream, peer, tx, &counters, timeout, 0, None, &flight));
-            for verb in ["REPL TAIL SEQ=0 EPOCH=0 FP=0", "REPL SNAPSHOT", "PING"] {
+        let filler = Request::Follow(FollowEvent::PrimaryLost);
+        assert!(tx.try_send(filler).is_ok());
+        with_connection(&shared, &tx, |client| {
+            for verb in ADMITTED_ALIKE {
                 assert_eq!(client.ask(verb), "BUSY admission queue full", "{verb}");
             }
-            drop(client); // EOF ends the connection loop
         });
-        flight.flush();
-        let events = crate::flight::read_flightrec(&dir.join("flightrec.jsonl")).unwrap();
+        shared.flight.flush();
+        let events = read_flightrec(&dir.join("flightrec.jsonl")).unwrap();
         let admission = FlightKind::Shed {
             what: "admission".to_string(),
         };
         let kinds: Vec<&FlightKind> = events.iter().map(|e| &e.kind).collect();
         assert_eq!(kinds, [&admission; 3]);
-        assert_eq!(counters.sheds.load(Ordering::SeqCst), 3);
+        assert_eq!(shared.sheds.load(Ordering::SeqCst), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
+    fn a_disconnected_engine_is_shutdown_not_overload() {
+        let shared = Shared::new(config(&tmp_dir("repl-gone"), |cfg| cfg.flightrec = 8));
+        let (tx, rx) = mpsc::sync_channel::<Request>(1);
+        drop(rx); // the engine loop has returned
+        for verb in ADMITTED_ALIKE {
+            with_connection(&shared, &tx, |client| {
+                assert_eq!(client.ask(verb), "ERR server shutting down", "{verb}");
+                assert!(client.was_closed()); // nothing can serve it any more
+            });
+        }
+        assert_eq!(shared.sheds.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.flight.totals(), (0, 0));
+    }
+
+    #[test]
+    fn a_silent_client_is_culled_at_the_read_deadline() {
+        let quick = |cfg: &mut ServeConfig| cfg.read_timeout = Duration::from_millis(50);
+        let shared = Shared::new(config(&tmp_dir("idle"), quick));
+        let (tx, _rx) = mpsc::sync_channel::<Request>(1);
+        with_connection(&shared, &tx, |client| {
+            assert_eq!(client.read(), "ERR idle timeout");
+            assert!(client.was_closed());
+        });
+    }
+
+    #[test]
     fn framing_violation_closes_but_daemon_survives() {
-        use std::io::Write as _;
         let dir = tmp_dir("framing");
         let (addr, handle) = spawn_daemon(&dir, false, |_| {});
 
-        let mut garbage = TcpStream::connect(addr).unwrap();
-        garbage
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        garbage.write_all(b"not a frame at all\n").unwrap();
-        let mut r = BufReader::new(garbage.try_clone().unwrap());
-        let reply = String::from_utf8(read_frame(&mut r).unwrap()).unwrap();
+        let mut garbage = Client::connect(addr);
+        garbage.writer.write_all(b"not a frame at all\n").unwrap();
+        let reply = garbage.read();
         assert!(reply.starts_with("ERR "), "unexpected: {reply}");
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Eof))); // closed
+        assert!(garbage.was_closed());
 
-        let mut oversized = TcpStream::connect(addr).unwrap();
-        oversized
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        oversized.write_all(b"999999:").unwrap();
-        let mut r = BufReader::new(oversized.try_clone().unwrap());
-        let reply = String::from_utf8(read_frame(&mut r).unwrap()).unwrap();
+        let mut oversized = Client::connect(addr);
+        oversized.writer.write_all(b"999999:").unwrap();
+        let reply = oversized.read();
         assert!(reply.contains("exceeds limit"), "unexpected: {reply}");
 
         let mut c = Client::connect(addr);
@@ -2102,22 +2128,16 @@ mod tests {
     fn recovery_replays_wal_into_identical_state() {
         let dir = tmp_dir("recover");
 
-        // Segment 1: mutate state, record the reference hash, shut down.
-        let (addr, handle) = spawn_daemon(&dir, false, |cfg| {
+        // Segment 1: mutate state, record the reference replies, close.
+        let mut e = open(&dir, false, |cfg| {
             cfg.snapshot_every = u64::MAX; // force recovery through the WAL
         });
-        let mut c = Client::connect(addr);
-        for u in 0..5 {
-            let reply = c.ask(&format!("SUBMIT NODES=32 WALL=3600 RUN=1200 USER={u}"));
-            assert!(reply.starts_with("OK ID="), "unexpected: {reply}");
-        }
-        assert_eq!(c.ask("ADVANCE 1800"), "OK T=1800");
-        assert_eq!(c.ask("CANCEL 4"), "OK CANCELED");
-        assert_eq!(c.ask("ADVANCE 1800"), "OK T=3600");
-        let reference_hash = c.ask("HASH");
-        let reference_status: Vec<String> = (0..5).map(|i| c.ask(&format!("STATUS {i}"))).collect();
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        handle.join().unwrap().unwrap();
+        submits(&mut e, 5, "NODES=32 WALL=3600 RUN=1200");
+        assert_eq!(ask(&mut e, "ADVANCE 1800"), "OK T=1800");
+        assert_eq!(ask(&mut e, "CANCEL 4"), "OK CANCELED");
+        assert_eq!(ask(&mut e, "ADVANCE 1800"), "OK T=3600");
+        let reference = observe(&mut e, 5);
+        e.close().unwrap();
 
         // Simulate a crash that predates the final snapshot: delete every
         // snapshot except genesis so recovery must earn its state from
@@ -2130,50 +2150,70 @@ mod tests {
         }
 
         // Segment 2: resume and compare against the reference replies.
-        let (addr, handle) = spawn_daemon(&dir, true, |_| {});
-        let mut c = Client::connect(addr);
-        assert_eq!(c.ask("HASH"), reference_hash);
-        for (i, expect) in reference_status.iter().enumerate() {
-            assert_eq!(&c.ask(&format!("STATUS {i}")), expect);
-        }
+        let mut e = open(&dir, true, |_| {});
+        assert_eq!(observe(&mut e, 5), reference);
         // The recovered daemon keeps serving: new work lands normally.
-        assert!(c
-            .ask("SUBMIT NODES=8 WALL=600 USER=9")
-            .starts_with("OK ID="));
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        handle.join().unwrap().unwrap();
+        submits(&mut e, 1, "NODES=8 WALL=600");
+        e.close().unwrap();
+    }
+
+    #[test]
+    fn stepped_crash_at_every_wal_boundary_recovers_to_the_reference() {
+        // Forty commands, 24 jobs; the cancels meet queued, running and
+        // finished jobs, so some are refused and leave no record.
+        let script: Vec<String> = (0..40)
+            .map(|i| match i % 5 {
+                3 => format!("ADVANCE {}", 200 + 40 * i),
+                4 => format!("CANCEL {}", i * 3 / 5 - 1),
+                n => format!(
+                    "SUBMIT NODES={} WALL=7200 RUN={} USER={n}",
+                    16 << n,
+                    1500 + 100 * i
+                ),
+            })
+            .collect();
+        let cadence = |cfg: &mut ServeConfig| cfg.snapshot_every = 4;
+
+        let mut reference = open(&tmp_dir("crash-ref"), false, cadence);
+        let replies: Vec<String> = script.iter().map(|l| ask(&mut reference, l)).collect();
+        let observed = observe(&mut reference, 24);
+        assert!(observed.iter().any(|reply| reply.starts_with("OK QUEUED")));
+        assert!(replies.iter().any(|reply| reply.starts_with("ERR job")));
+
+        for cut in 0..=script.len() {
+            let dir = tmp_dir("crash-cut");
+            let mut e = open(&dir, false, cadence);
+            for (line, expect) in script[..cut].iter().zip(&replies) {
+                assert_eq!(&ask(&mut e, line), expect, "before cut {cut}: {line}");
+            }
+            drop(e); // the crash: no drain, no final snapshot
+            let mut e = open(&dir, true, cadence);
+            for (line, expect) in script[cut..].iter().zip(&replies[cut..]) {
+                assert_eq!(&ask(&mut e, line), expect, "after cut {cut}: {line}");
+            }
+            assert_eq!(observe(&mut e, 24), observed, "cut {cut}");
+        }
     }
 
     #[test]
     fn fresh_start_refuses_dirty_state_dir() {
         let dir = tmp_dir("dirty");
-        let (addr, handle) = spawn_daemon(&dir, false, |_| {});
-        let mut c = Client::connect(addr);
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        handle.join().unwrap().unwrap();
-
-        let (_, handle) = spawn_daemon(&dir, false, |_| {});
-        match handle.join().unwrap() {
+        open(&dir, false, |_| {}).close().unwrap();
+        match try_open(&dir, false, |_| {}) {
             Err(ServeError::Corrupt(msg)) => assert!(msg.contains("--resume")),
-            other => panic!("expected refusal, got {other:?}"),
+            other => panic!("expected refusal, got {:?}", other.map(drop)),
         }
     }
 
     #[test]
     fn drain_refuses_new_work_but_keeps_answering() {
-        let dir = tmp_dir("drain");
-        let (addr, handle) = spawn_daemon(&dir, false, |_| {});
-        let mut c = Client::connect(addr);
-        assert_eq!(c.ask("SUBMIT NODES=8 WALL=600 USER=1"), "OK ID=0");
-        assert_eq!(c.ask("DRAIN"), "OK DRAINING");
-        assert!(c
-            .ask("SUBMIT NODES=8 WALL=600 USER=2")
-            .starts_with("ERR draining"));
-        assert!(c.ask("STATUS 0").starts_with("OK ")); // reads still served
-        assert_eq!(c.ask("ADVANCE 60"), "OK T=60"); // time still moves
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        let report = handle.join().unwrap().unwrap();
-        assert_eq!(report.commands_applied, 2); // drained SUBMIT not logged
+        let mut e = open(&tmp_dir("drain"), false, |_| {});
+        assert_eq!(ask(&mut e, "SUBMIT NODES=8 WALL=600 USER=1"), "OK ID=0");
+        assert_eq!(ask(&mut e, "DRAIN"), "OK DRAINING");
+        assert!(ask(&mut e, "SUBMIT NODES=8 WALL=600 USER=2").starts_with("ERR draining"));
+        assert!(ask(&mut e, "STATUS 0").starts_with("OK ")); // reads still served
+        assert_eq!(ask(&mut e, "ADVANCE 60"), "OK T=60"); // time still moves
+        assert_eq!(e.close().unwrap().commands_applied, 2); // drained SUBMIT not logged
     }
 
     #[test]
@@ -2224,9 +2264,85 @@ mod tests {
     }
 
     #[test]
+    fn stepped_follower_mirrors_promotes_and_fences() {
+        let (dir_p, dir_f) = (tmp_dir("step-prim"), tmp_dir("step-foll"));
+        let mut p = open(&dir_p, false, |cfg| cfg.snapshot_every = u64::MAX);
+        submits(&mut p, 6, "NODES=16 WALL=3600 RUN=1800");
+        assert_eq!(ask(&mut p, "ADVANCE 600"), "OK T=600");
+
+        // Bootstrap moves state, not records. Then the handshake — the
+        // fencing point — refuses a foreign world, a stale epoch, a tail
+        // from the future and a follower, before it accepts ours.
+        let mut f = bootstrap(&mut p, &dir_f);
+        let fp = f.sched.fingerprint();
+        for ((seq, epoch, fp), refusal) in [
+            ((7, 0, 0), "ERR FENCED: fingerprint 0000000000000000 does"),
+            ((7, 3, fp), "ERR FENCED: stale epoch 3 (current epoch 0)"),
+            ((8, 0, fp), "ERR tail seq 8 is ahead of the wal head 7"),
+        ] {
+            let handshake = format!("REPL TAIL SEQ={seq} EPOCH={epoch} FP={fp:016x}");
+            let reply = ask(&mut p, &handshake);
+            assert!(reply.starts_with(refusal), "{reply}");
+        }
+        let ours = hello(&f);
+        assert!(ask(&mut f, &ours).starts_with("ERR cannot tail a follower"));
+        assert!(ask(&mut f, "REPL SNAPSHOT").starts_with("ERR follower cannot serve"));
+        let link = link(&mut p, &f);
+        assert_eq!(ask(&mut p, "ROLE"), "OK ROLE=primary EPOCH=0 FOLLOWERS=1");
+
+        // Two records over the link. Job 4 is queued on both sides, so
+        // the follower's what-if forks the follower's own state.
+        assert_eq!(ask(&mut p, "CANCEL 5"), "OK CANCELED");
+        assert_eq!(ask(&mut p, "ADVANCE 600"), "OK T=1200");
+        pump(&link, &mut f);
+        let reference = observe(&mut p, 6);
+        assert_eq!(observe(&mut f, 6), reference);
+        assert!(reference.contains(&"OK START=1800".to_string()));
+        let role = ask(&mut f, "ROLE");
+        assert_eq!(role, "OK ROLE=follower EPOCH=0 PRIMARY=primary:0 LAG=0");
+        let refused = ask(&mut f, "SUBMIT NODES=1 WALL=60 USER=9");
+        assert!(
+            refused.starts_with("ERR follower is read-only"),
+            "{refused}"
+        );
+        assert!(!snapshot_seqs(&dir_f).contains(&9));
+
+        // The primary dies — dropped, not closed — and the lease runs
+        // out: the follower steps up into a new epoch, the promotion
+        // snapshot on disk before the epoch's first write is served.
+        drop((p, link));
+        f.handle(Request::Follow(FollowEvent::PrimaryLost));
+        assert_eq!(ask(&mut f, "ROLE"), "OK ROLE=primary EPOCH=1 FOLLOWERS=0");
+        assert!(snapshot_seqs(&dir_f).contains(&9));
+        assert_eq!(observe(&mut f, 6), reference);
+        assert_eq!(ask(&mut f, "SUBMIT NODES=1 WALL=60 USER=9"), "OK ID=6");
+
+        // The ex-primary comes back from its own directory and asks to
+        // follow from its old epoch: fenced at the handshake, and the
+        // refusal `follow_loop` forwards is what ends it.
+        let mut stale = open(&dir_p, true, following("primary:0", 3000, None));
+        assert_eq!(observe(&mut stale, 6), reference);
+        let refusal = ask(&mut f, &hello(&stale));
+        assert!(
+            refusal.starts_with("ERR FENCED: stale epoch 0"),
+            "{refusal}"
+        );
+        stale.handle(Request::Follow(FollowEvent::Fatal(
+            refusal[4..].to_string(),
+        )));
+        match stale.close() {
+            Err(ServeError::Repl(msg)) => assert!(msg.contains("stale epoch 0"), "{msg}"),
+            other => panic!("expected fencing, got {other:?}"),
+        }
+
+        let report = f.close().unwrap();
+        let counts = (report.promotions, report.final_epoch, report.replicated);
+        assert_eq!((counts, report.commands_applied), ((1, 1, 2), 1));
+    }
+
+    #[test]
     fn follower_mirrors_promotes_and_fences_the_stale_primary() {
-        let dir_p = tmp_dir("repl-prim");
-        let dir_f = tmp_dir("repl-foll");
+        let (dir_p, dir_f) = (tmp_dir("repl-prim"), tmp_dir("repl-foll"));
         let latch = Arc::new(AtomicBool::new(false));
         let hook = latch.clone();
         let (p_addr, p_handle) = spawn_daemon(&dir_p, false, move |cfg| {
@@ -2235,18 +2351,13 @@ mod tests {
         });
         let mut c = Client::connect(p_addr);
         for u in 0..6 {
-            assert!(c
-                .ask(&format!("SUBMIT NODES=16 WALL=3600 RUN=900 USER={u}"))
-                .starts_with("OK ID="));
+            let submit = format!("SUBMIT NODES=16 WALL=3600 RUN=900 USER={u}");
+            assert!(c.ask(&submit).starts_with("OK ID="));
         }
         assert_eq!(c.ask("ADVANCE 600"), "OK T=600");
 
         let (f_addr, f_handle) = spawn_daemon(&dir_f, false, |cfg| {
-            cfg.follow = Some(FollowSpec {
-                primary: p_addr.to_string(),
-                lease: Duration::from_millis(800),
-                bootstrap: None,
-            });
+            following(p_addr, 800, None)(cfg);
             cfg.repl_heartbeat = Duration::from_millis(100);
         });
 
@@ -2254,25 +2365,27 @@ mod tests {
         // stream, not just the snapshot, must carry these.
         assert_eq!(c.ask("CANCEL 5"), "OK CANCELED");
         assert_eq!(c.ask("ADVANCE 600"), "OK T=1200");
-        let reference_hash = c.ask("HASH");
-        let reference_stats = c.ask("STATS");
-        let reference_status: Vec<String> = (0..6).map(|i| c.ask(&format!("STATUS {i}"))).collect();
+        let observe = |c: &mut Client| -> Vec<String> {
+            let statuses = (0..6).map(|i| format!("STATUS {i}"));
+            let probes = ["HASH", "STATS"].map(String::from).into_iter();
+            probes.chain(statuses).map(|probe| c.ask(&probe)).collect()
+        };
+        let reference = observe(&mut c);
 
         // Replication is asynchronous with respect to the primary's ACK:
         // wait for convergence before comparing or killing anything.
         let mut f = Client::connect(f_addr);
         wait_until("follower catch-up", Duration::from_secs(10), || {
-            f.ask("HASH") == reference_hash
+            f.ask("HASH") == reference[0]
         });
-        assert_eq!(f.ask("STATS"), reference_stats);
-        for (i, expect) in reference_status.iter().enumerate() {
-            assert_eq!(&f.ask(&format!("STATUS {i}")), expect);
-        }
+        assert_eq!(observe(&mut f), reference);
         let role = f.ask("ROLE");
         assert!(role.starts_with("OK ROLE=follower EPOCH=0"), "{role}");
-        assert!(f
-            .ask("SUBMIT NODES=1 WALL=60 USER=9")
-            .starts_with("ERR follower is read-only"));
+        let refused = f.ask("SUBMIT NODES=1 WALL=60 USER=9");
+        assert!(
+            refused.starts_with("ERR follower is read-only"),
+            "{refused}"
+        );
         // Tail registration is asynchronous too: the follower can
         // converge via the bootstrap snapshot alone before its TAIL
         // stream registers on the primary, so poll rather than assert.
@@ -2283,42 +2396,29 @@ mod tests {
         // follower's log now ends at seq 10 and it holds no snapshot
         // there.
         assert_eq!(c.ask("ADVANCE 60"), "OK T=1260");
-        let reference_hash = c.ask("HASH");
-        let reference_stats = c.ask("STATS");
+        let reference = observe(&mut c);
         wait_until("follower catch-up", Duration::from_secs(10), || {
-            f.ask("HASH") == reference_hash
+            f.ask("HASH") == reference[0]
         });
-        let snapshot_seqs = |dir: &Path| -> Vec<u64> {
-            let listed = SnapshotStore::new(dir, 1).list().unwrap();
-            listed.into_iter().map(|(seq, _)| seq).collect()
-        };
         assert!(!snapshot_seqs(&dir_f).contains(&10));
 
         // Primary dies; the lease expires; the follower steps up into a
-        // new epoch with state byte-identical to the reference.
+        // new epoch with state byte-identical to the reference, the
+        // promotion snapshot on disk before the epoch's first write.
         latch.store(true, Ordering::SeqCst);
         p_handle.join().unwrap().unwrap();
         wait_until("promotion", Duration::from_secs(10), || {
             f.ask("ROLE").starts_with("OK ROLE=primary")
         });
         assert_eq!(f.ask("ROLE"), "OK ROLE=primary EPOCH=1 FOLLOWERS=0");
-        // The promotion snapshot is on disk before the first write of
-        // the new epoch is even sent.
         assert!(snapshot_seqs(&dir_f).contains(&10));
-        assert_eq!(f.ask("HASH"), reference_hash);
-        assert_eq!(f.ask("STATS"), reference_stats);
+        assert_eq!(observe(&mut f), reference);
         assert_eq!(f.ask("SUBMIT NODES=1 WALL=60 USER=9"), "OK ID=6");
 
         // The stale ex-primary comes back and asks to follow the new
         // primary from its old epoch: fenced at the handshake, clean
         // diagnostic, no records moved.
-        let (_, stale_handle) = spawn_daemon(&dir_p, true, |cfg| {
-            cfg.follow = Some(FollowSpec {
-                primary: f_addr.to_string(),
-                lease: Duration::from_millis(800),
-                bootstrap: None,
-            });
-        });
+        let (_, stale_handle) = spawn_daemon(&dir_p, true, following(f_addr, 800, None));
         match stale_handle.join().unwrap() {
             Err(ServeError::Repl(msg)) => {
                 assert!(msg.contains("FENCED"), "{msg}");
@@ -2329,54 +2429,35 @@ mod tests {
 
         assert_eq!(f.ask("SHUTDOWN"), "OK BYE");
         let report = f_handle.join().unwrap().unwrap();
-        assert_eq!(report.promotions, 1);
-        assert_eq!(report.final_epoch, 1);
+        assert_eq!((report.promotions, report.final_epoch), (1, 1));
         // Bootstrap moves *state*, not records, so only mutations issued
         // after the snapshot arrive over the stream (CANCEL and the two
-        // ADVANCEs, fewer if the bootstrap raced past the first two).
-        assert!(
-            (1..=3).contains(&report.replicated),
-            "replicated {}",
-            report.replicated
-        );
+        // ADVANCEs, fewer if the bootstrap raced past the first two);
+        // the stepped twin of this test counts them exactly.
+        let replicated = report.replicated;
+        assert!((1..=3).contains(&replicated), "replicated {replicated}");
         assert_eq!(report.commands_applied, 1); // post-promotion SUBMIT
     }
 
     #[test]
     fn injected_divergence_is_reported_at_its_sequence() {
-        let dir_p = tmp_dir("div-prim");
-        let dir_f = tmp_dir("div-foll");
-        let (p_addr, p_handle) = spawn_daemon(&dir_p, false, |cfg| {
+        let mut p = open(&tmp_dir("div-prim"), false, |cfg| {
             cfg.repl_chaos = Some(ReplChaos {
                 diverge_at: Some(2),
                 ..ReplChaos::default()
             });
         });
-        let (_, f_handle) = spawn_daemon(&dir_f, false, |cfg| {
-            cfg.follow = Some(FollowSpec {
-                primary: p_addr.to_string(),
-                lease: Duration::from_secs(5),
-                bootstrap: None,
-            });
-        });
-        let mut c = Client::connect(p_addr);
-        // Give the follower time to attach before the poisoned record.
-        wait_until("follower attach", Duration::from_secs(10), || {
-            c.ask("ROLE").ends_with("FOLLOWERS=1")
-        });
-        for u in 0..4 {
-            assert!(c
-                .ask(&format!("SUBMIT NODES=8 WALL=600 USER={u}"))
-                .starts_with("OK ID="));
-        }
-        match f_handle.join().unwrap() {
+        let mut f = bootstrap(&mut p, &tmp_dir("div-foll"));
+        let link = link(&mut p, &f);
+        submits(&mut p, 4, "NODES=8 WALL=600");
+        pump(&link, &mut f);
+        match f.close() {
             Err(ServeError::Repl(msg)) => {
                 assert!(msg.contains("divergence at wal seq 2"), "{msg}");
             }
             other => panic!("expected divergence detection, got {other:?}"),
         }
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        p_handle.join().unwrap().unwrap();
+        p.close().unwrap();
     }
 
     #[test]
@@ -2392,13 +2473,7 @@ mod tests {
             });
             cfg.repl_heartbeat = Duration::from_millis(50);
         });
-        let (f_addr, f_handle) = spawn_daemon(&dir_f, false, |cfg| {
-            cfg.follow = Some(FollowSpec {
-                primary: p_addr.to_string(),
-                lease: Duration::from_secs(5),
-                bootstrap: None,
-            });
-        });
+        let (f_addr, f_handle) = spawn_daemon(&dir_f, false, following(p_addr, 5000, None));
         let mut c = Client::connect(p_addr);
         for u in 0..24 {
             assert!(c
@@ -2421,28 +2496,41 @@ mod tests {
         p_handle.join().unwrap().unwrap();
     }
 
-    // ----- flight recorder -----
+    // ----- speculation under supervision, flight recorder -----
+
+    /// A pending job's `WHATIF`, stopped where the connection thread
+    /// takes over: the engine, the speculation and its slot.
+    fn forked_whatif(
+        tag: &str,
+        tweak: impl FnOnce(&mut ServeConfig),
+    ) -> (
+        Stepped,
+        Box<dyn FnOnce() -> WhatIfAnswer + Send>,
+        WhatIfSlot,
+    ) {
+        let mut e = open(&tmp_dir(tag), false, tweak);
+        assert_eq!(ask(&mut e, "SUBMIT NODES=8 WALL=600 USER=1"), "OK ID=0");
+        match step(&mut e, "WHATIF 0") {
+            Reply::Speculate(speculate, slot) => (e, speculate, slot),
+            _ => panic!("a pending job needs a fork"),
+        }
+    }
 
     #[test]
     fn whatif_panic_leaves_a_flightrec_tail_ending_at_the_command() {
-        use crate::flight::read_flightrec;
-        let dir = tmp_dir("flight-panic");
-        let latch = Arc::new(AtomicBool::new(false));
-        let hook = latch.clone();
-        let (addr, handle) = spawn_daemon(&dir, false, move |cfg| {
-            cfg.inject_whatif_panic = true;
-            cfg.flightrec = 64;
-            cfg.stop = Some(hook);
-        });
-        let mut c = Client::connect(addr);
-        assert_eq!(c.ask("SUBMIT NODES=8 WALL=600 USER=1"), "OK ID=0");
+        let (mut e, _, slot) = forked_whatif("flight-panic", |cfg| cfg.flightrec = 64);
+        let hash_before = ask(&mut e, "HASH");
+        // The engine forked; what runs on the attempt thread is ours.
+        let chaos = Box::new(|| panic!("injected what-if panic (chaos)"));
         assert_eq!(
-            c.ask("WHATIF 0"),
+            supervise_whatif(&e.shared, chaos, slot, Instant::now()),
             "ERR what-if worker panicked (live state unaffected)"
         );
+        assert_eq!(e.shared.whatif_panics.load(Ordering::SeqCst), 1);
+        assert_eq!(e.shared.whatif_active.load(Ordering::SeqCst), 0);
         // The supervisor flushed before replying: the on-disk tail is
         // already complete, no shutdown needed to observe it.
-        let events = read_flightrec(&dir.join("flightrec.jsonl")).unwrap();
+        let events = read_flightrec(&e.shared.cfg.dir.join("flightrec.jsonl")).unwrap();
         let last_request = events
             .iter()
             .rev()
@@ -2465,47 +2553,53 @@ mod tests {
             FlightKind::Request { verb, seq: Some(0), .. } if verb == "SUBMIT"
         )));
         // Live state survived the worker panic.
-        assert_eq!(c.ask("PING"), "OK PONG");
-        latch.store(true, Ordering::SeqCst);
-        handle.join().unwrap().unwrap();
+        assert_eq!(ask(&mut e, "HASH"), hash_before);
+        e.close().unwrap();
+    }
+
+    #[test]
+    fn an_overrunning_speculation_is_abandoned_at_the_deadline() {
+        let brief = |cfg: &mut ServeConfig| cfg.whatif_deadline = Duration::from_millis(20);
+        let (mut e, speculate, slot) = forked_whatif("whatif-overrun", brief);
+        let hash_before = ask(&mut e, "HASH");
+        let (release, gate) = mpsc::channel::<()>();
+        let stuck = Box::new(move || {
+            let _ = gate.recv(); // until the test lets go
+            speculate()
+        });
+        assert_eq!(
+            supervise_whatif(&e.shared, stuck, slot, Instant::now()),
+            "ERR what-if deadline exceeded"
+        );
+        assert_eq!(e.shared.whatif_timeouts.load(Ordering::SeqCst), 1);
+        assert_eq!(e.shared.whatif_active.load(Ordering::SeqCst), 0);
+        assert_eq!(ask(&mut e, "HASH"), hash_before);
+        drop(release);
+        e.close().unwrap();
     }
 
     #[test]
     fn disabled_recorder_is_byte_identical_and_writes_nothing() {
-        let script = |addr: SocketAddr| {
-            let mut c = Client::connect(addr);
-            for u in 0..5 {
-                assert!(c
-                    .ask(&format!("SUBMIT NODES=32 WALL=3600 RUN=1200 USER={u}"))
-                    .starts_with("OK ID="));
-            }
+        let script = |dir: &Path, flightrec: usize| {
+            let mut e = open(dir, false, |cfg| cfg.flightrec = flightrec);
+            submits(&mut e, 5, "NODES=32 WALL=3600 RUN=1200");
             // At T=1800 jobs 0-1 are done, 2-3 are running, 4 is still
             // queued — and a queued job is cancelable.
-            assert_eq!(c.ask("ADVANCE 1800"), "OK T=1800");
-            assert_eq!(c.ask("CANCEL 4"), "OK CANCELED");
-            assert_eq!(c.ask("ADVANCE 900"), "OK T=2700");
-            let hash = c.ask("HASH");
-            assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+            assert_eq!(ask(&mut e, "ADVANCE 1800"), "OK T=1800");
+            assert_eq!(ask(&mut e, "CANCEL 4"), "OK CANCELED");
+            assert_eq!(ask(&mut e, "ADVANCE 900"), "OK T=2700");
+            let hash = ask(&mut e, "HASH");
+            e.close().unwrap();
             hash
         };
 
         let dir_on = tmp_dir("flight-on");
-        let (addr, handle) = spawn_daemon(&dir_on, false, |cfg| cfg.flightrec = 128);
-        let hash_on = script(addr);
-        handle.join().unwrap().unwrap();
-        assert!(
-            dir_on.join("flightrec.jsonl").exists(),
-            "enabled recorder must flush on shutdown"
-        );
+        let hash_on = script(&dir_on, 128);
+        assert!(dir_on.join("flightrec.jsonl").exists()); // flushed at close
 
         let dir_off = tmp_dir("flight-off");
-        let (addr, handle) = spawn_daemon(&dir_off, false, |cfg| cfg.flightrec = 0);
-        let hash_off = script(addr);
-        handle.join().unwrap().unwrap();
-        assert!(
-            !dir_off.join("flightrec.jsonl").exists(),
-            "disabled recorder must never write"
-        );
+        let hash_off = script(&dir_off, 0);
+        assert!(!dir_off.join("flightrec.jsonl").exists()); // never writes
 
         // Identical command script => byte-identical scheduler state,
         // recorder on or off.
@@ -2543,12 +2637,29 @@ mod tests {
         }
         // WAL creation fails before the daemon ever serves: clean Err,
         // no panic, no listener left half-alive.
-        let (_, handle) = spawn_daemon(&dir, false, |_| {});
-        match handle.join().unwrap() {
+        match try_open(&dir, false, |_| {}) {
             Err(ServeError::Io(_)) => {}
-            other => panic!("expected io error, got {other:?}"),
+            other => panic!("expected io error, got {:?}", other.map(drop)),
         }
         restore_writable(&dir);
+    }
+
+    #[test]
+    fn a_failed_wal_append_is_refused_not_acknowledged() {
+        let dir = tmp_dir("wal-fail");
+        let mut p = open(&dir, false, |_| {});
+        let f = bootstrap(&mut p, &tmp_dir("wal-fail-foll"));
+        let link = link(&mut p, &f);
+        assert_eq!(ask(&mut p, "SUBMIT NODES=8 WALL=600 USER=1"), "OK ID=0");
+        // The log stops taking bytes.
+        p.wal = WalWriter::broken(&wal_path(&dir), 1);
+        let reply = ask(&mut p, "SUBMIT NODES=8 WALL=600 USER=2");
+        assert!(reply.starts_with("ERR durability failure"), "{reply}");
+        // No ACK, no record for the follower, and the engine is stopping.
+        assert_eq!(link.try_iter().count(), 1);
+        assert_eq!((p.report.commands_applied, p.report.final_seq), (1, 1));
+        assert!(matches!(p.fatal, Some(ServeError::Io(_))));
+        assert!(matches!(p.close(), Err(ServeError::Io(_))));
     }
 
     /// Path of the `.tmp` the writer uses for the snapshot at `seq`.
@@ -2569,9 +2680,8 @@ mod tests {
     #[test]
     fn snapshot_rotation_failure_keeps_the_ack_and_shuts_down_cleanly() {
         let dir = tmp_dir("rotate-fail");
-        let (addr, handle) = spawn_daemon(&dir, false, |cfg| cfg.snapshot_every = 2);
-        let mut c = Client::connect(addr);
-        assert_eq!(c.ask("SUBMIT NODES=8 WALL=600 USER=1"), "OK ID=0");
+        let mut e = open(&dir, false, |cfg| cfg.snapshot_every = 2);
+        assert_eq!(ask(&mut e, "SUBMIT NODES=8 WALL=600 USER=1"), "OK ID=0");
         // A directory squatting on the writer's temp path fails the
         // `File::create` of the seq-2 snapshot for any user, root too.
         let blocker = snapshot_tmp_path(&dir, 2);
@@ -2579,48 +2689,40 @@ mod tests {
         // The second accepted mutation hands off a rotation, which then
         // fails on the writer thread. The command itself IS durable (the
         // wal append preceded the handoff), so the ACK must stand — but
-        // the daemon must notice on its next idle tick and shut down
-        // with a clean error, not a panic, and the final best-effort
-        // snapshot failing too must not turn it into one.
-        assert_eq!(c.ask("ADVANCE 60"), "OK T=60");
-        match handle.join().unwrap() {
+        // the failure must surface when the write is settled, as a clean
+        // error, not a panic, and the final best-effort snapshot failing
+        // too must not turn it into one.
+        assert_eq!(ask(&mut e, "ADVANCE 60"), "OK T=60");
+        match e.close() {
             Err(ServeError::Io(_)) => {}
             other => panic!("expected io error, got {other:?}"),
         }
         std::fs::remove_dir(&blocker).unwrap();
 
         // Both acknowledged commands survived in the WAL.
-        let (addr, handle) = spawn_daemon(&dir, true, |_| {});
-        let mut c = Client::connect(addr);
-        assert!(c.ask("STATS").contains("T=60"));
-        assert!(c.ask("STATUS 0").starts_with("OK "));
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        handle.join().unwrap().unwrap();
+        let mut e = open(&dir, true, |_| {});
+        assert!(ask(&mut e, "STATS").contains("T=60"));
+        assert!(ask(&mut e, "STATUS 0").starts_with("OK "));
+        e.close().unwrap();
     }
 
     // ----- pipelined rotation -----
 
     /// Six mutations at `snapshot_every = 2` — so the last one is a
-    /// cadence point — with `HASH` and `SHUTDOWN` straight behind it.
-    /// Returns the `HASH` reply and the daemon's report.
-    fn six_mutations_then_shutdown(dir: &Path) -> (String, ServeReport) {
-        let (addr, handle) = spawn_daemon(dir, false, |cfg| cfg.snapshot_every = 2);
-        let mut c = Client::connect(addr);
-        for u in 0..5 {
-            let reply = c.ask(&format!("SUBMIT NODES=16 WALL=3600 RUN=1200 USER={u}"));
-            assert!(reply.starts_with("OK ID="), "unexpected: {reply}");
-        }
-        assert_eq!(c.ask("ADVANCE 1800"), "OK T=1800");
-        let hash = c.ask("HASH");
-        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-        (hash, handle.join().unwrap().unwrap())
+    /// cadence point — with `HASH` and a clean close straight behind
+    /// it. Returns the `HASH` reply and the engine's report.
+    fn six_mutations_then_close(dir: &Path) -> (String, ServeReport) {
+        let mut e = open(dir, false, |cfg| cfg.snapshot_every = 2);
+        submits(&mut e, 5, "NODES=16 WALL=3600 RUN=1200");
+        assert_eq!(ask(&mut e, "ADVANCE 1800"), "OK T=1800");
+        (ask(&mut e, "HASH"), e.close().unwrap())
     }
 
     #[test]
     fn shutdown_behind_a_cadence_point_leaves_a_snapshot_at_next_seq() {
         let dir = tmp_dir("rotate-a");
-        let (_, first) = six_mutations_then_shutdown(&dir);
-        let (_, second) = six_mutations_then_shutdown(&tmp_dir("rotate-b"));
+        let (_, first) = six_mutations_then_close(&dir);
+        let (_, second) = six_mutations_then_close(&tmp_dir("rotate-b"));
         // Three rotations and the final snapshot, run after run.
         assert_eq!(first.snapshots_written, 4);
         assert_eq!(second.snapshots_written, 4);
@@ -2645,7 +2747,7 @@ mod tests {
         // the `.tmp`.
         for (tag, written) in [("kill-half", 0.5), ("kill-whole", 1.0)] {
             let dir = tmp_dir(tag);
-            let (reference_hash, _) = six_mutations_then_shutdown(&dir);
+            let (reference_hash, _) = six_mutations_then_close(&dir);
             let store = SnapshotStore::new(&dir, 1);
             let (newest, path) = store.list().unwrap().pop().unwrap();
             assert_eq!(newest, 6);
@@ -2655,12 +2757,9 @@ mod tests {
             std::fs::remove_file(&path).unwrap();
 
             // Snapshot 4 + the two-record WAL tail.
-            let (addr, handle) = spawn_daemon(&dir, true, |_| {});
-            let mut c = Client::connect(addr);
-            assert_eq!(c.ask("HASH"), reference_hash, "{tag}");
-            assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
-            let report = handle.join().unwrap().unwrap();
-            assert_eq!(report.final_seq, 6);
+            let mut e = open(&dir, true, |_| {});
+            assert_eq!(ask(&mut e, "HASH"), reference_hash, "{tag}");
+            assert_eq!(e.close().unwrap().final_seq, 6);
             // The resumed daemon's final snapshot swept the stale `.tmp`.
             assert_eq!(leftover_snapshot_tmps(&dir), Vec::<String>::new());
         }

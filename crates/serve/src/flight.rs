@@ -38,9 +38,10 @@ pub struct FlightEvent {
 /// The event taxonomy the postmortem timeline is built from.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FlightKind {
-    /// A client request ran to completion on the engine (or a
-    /// supervised worker): verb, reply status word, latency, and the
-    /// WAL sequence it logged (mutations only).
+    /// A client request ran to completion on the engine (or, a forking
+    /// `WHATIF`, under the connection thread that supervised it): verb,
+    /// reply status word, latency, and the WAL sequence it logged
+    /// (mutations only).
     Request {
         /// Protocol verb (`SUBMIT`, `WHATIF`, ...).
         verb: String,
@@ -211,11 +212,6 @@ impl FlightRecorder {
                 })
             }),
         }
-    }
-
-    /// A disabled recorder (for embedders that opted out).
-    pub fn disabled() -> FlightRecorder {
-        FlightRecorder { inner: None }
     }
 
     /// Whether events are actually being kept.

@@ -9,7 +9,9 @@
 //! - **Bootstrap** is a snapshot transfer: `REPL SNAPSHOT` returns the
 //!   primary's live state through the PR-3 snapshot codec, chunked into
 //!   netstring frames (the frame cap is 4 KiB; a snapshot is not).
-//! - **Tailing** is WAL shipping: `REPL TAIL SEQ=n EPOCH=e FP=h` turns
+//! - **Tailing** is WAL shipping: `REPL TAIL SEQ=n EPOCH=e FP=h` is
+//!   admitted and answered like any other command — refused, it is an
+//!   ordinary `ERR` on a connection that stays open; accepted, it turns
 //!   the connection into a one-way stream of WAL records. Each record
 //!   carries the primary's post-apply `state_hash`, and the follower
 //!   applies it through the *identical* apply path, so divergence is
@@ -39,7 +41,6 @@
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use amjs_sim::rng::Xoshiro256;
@@ -345,16 +346,17 @@ pub enum FollowEvent {
 }
 
 /// Shared state between the engine loop and the tail thread.
+#[derive(Default)]
 pub struct FollowShared {
     /// Last sequence the engine has applied + 1 (i.e. the next record
     /// it needs). The tail thread re-tails from here after a reconnect.
-    pub applied_seq: Arc<AtomicU64>,
+    pub applied_seq: AtomicU64,
     /// The follower's current epoch (engine bumps it on promotion).
-    pub epoch: Arc<AtomicU64>,
+    pub epoch: AtomicU64,
     /// Primary's head sequence as of the last heartbeat (lag gauge).
-    pub primary_next_seq: Arc<AtomicU64>,
+    pub primary_next_seq: AtomicU64,
     /// Set by the daemon on shutdown; the tail thread exits promptly.
-    pub stop: Arc<AtomicBool>,
+    pub stop: AtomicBool,
 }
 
 fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {

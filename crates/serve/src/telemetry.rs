@@ -20,7 +20,8 @@
 //! * **Replication lag** (records behind the primary, sampled each
 //!   engine pass) and **promotion time-to-takeover**.
 //!
-//! The engine and the supervised what-if workers share one
+//! The engine, the snapshot writer and the connection threads (each
+//! supervises the `WHATIF` speculations it asked for) share one
 //! [`SharedTelemetry`] handle; recording is a mutex lock plus a
 //! histogram bucket increment, a fraction of the WAL append every
 //! mutation already pays.
@@ -95,8 +96,8 @@ impl Telemetry {
     /// Render every distribution into exposition entries. Per-verb
     /// series share the `serve_request_latency_seconds` family under a
     /// `verb` label — except `WHATIF`, which keeps its own
-    /// `serve_whatif_latency_seconds` family (it is answered by a
-    /// supervised worker, not the engine loop).
+    /// `serve_whatif_latency_seconds` family (a forking one is finished
+    /// off the engine loop, by the connection that supervises it).
     pub fn hist_entries(&self) -> Vec<HistEntry> {
         let mut out = Vec::new();
         for (verb, hist) in TRACKED_VERBS.iter().zip(&self.verbs) {
@@ -152,7 +153,7 @@ impl Telemetry {
     }
 }
 
-/// Shared handle: the engine loop and what-if workers both record.
+/// Shared handle: engine, snapshot writer and connections all record.
 pub type SharedTelemetry = Arc<Mutex<Telemetry>>;
 
 /// A fresh shared telemetry handle.

@@ -316,6 +316,15 @@ pub fn read_wal(path: &Path, expect_fingerprint: Option<u64>) -> Result<WalConte
 }
 
 #[cfg(test)]
+impl WalWriter {
+    /// A writer whose every append fails: the handle is read-only.
+    pub(crate) fn broken(path: &Path, next_seq: u64) -> WalWriter {
+        let file = File::open(path).unwrap();
+        WalWriter { file, next_seq }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::fs;
