@@ -49,3 +49,19 @@ observe() {  # observe <port> <outfile>: fingerprint visible state
     ask "$1" STATS
   } > "$2"
 }
+churn() {  # churn <port> <n>: n more acknowledged mutations, a clock step every fourth
+  for i in $(seq 1 "$2"); do
+    if [ $((i % 4)) -eq 0 ]; then cmd='ADVANCE 300'; else cmd="SUBMIT NODES=8 WALL=1800 RUN=600 USER=$i"; fi
+    ask "$1" "$cmd" | grep -q ':OK ' || { echo "command not acknowledged: $cmd"; exit 1; }
+  done
+}
+rotated_head() {  # rotated_head <dir> <resume-log>: resumed off a rotated head; heads stay heads
+  # Recovery took a head past genesis, so it decoded it with its column
+  # log prefix; and after any number of mutations the newest snapshot
+  # file is still the bounded head, not the run's history.
+  grep -E 'recovered snapshot .*snapshot-0*[1-9][0-9]*\.snap' "$2"
+  newest=$(ls "$1"/snapshot-*.snap | sort | tail -1)
+  size=$(stat -c %s "$newest")
+  echo "$newest: $size bytes"
+  test "$size" -lt 65536
+}

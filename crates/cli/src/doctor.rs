@@ -1,8 +1,9 @@
 //! `amjs doctor` — postmortem analysis of a daemon state directory.
 //!
-//! Correlates the three durable artifacts a (possibly dead) daemon
-//! leaves behind — the command WAL, the snapshot rotation, and the
-//! crash flight recorder — into one timeline an operator can read at
+//! Correlates the durable artifacts a (possibly dead) daemon leaves
+//! behind — the command WAL, the snapshot heads and the column log
+//! they count on, and the crash flight recorder — into one timeline an
+//! operator can read at
 //! 3am: what the last acknowledged command was, whether the exit was
 //! clean, what recovery will replay, which epoch fences fired, and
 //! what the daemon was doing in its final moments (slowest ops, shed
@@ -17,8 +18,10 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use amjs_obs::json::ObjWriter;
-use amjs_serve::{read_flightrec, read_wal, FlightEvent, FlightKind};
-use amjs_sim::snapshot::SnapshotStore;
+use amjs_serve::{
+    column_log_path, read_column_log, read_flightrec, read_wal, split_head, FlightEvent, FlightKind,
+};
+use amjs_sim::snapshot::{read_snapshot_file, SnapshotStore};
 
 use crate::args::{self, ArgError, FlagSpec};
 
@@ -65,6 +68,19 @@ impl ShedWindow {
     }
 }
 
+/// The column log beside the snapshot heads, against the newest head.
+struct ColumnLogReport {
+    bytes: u64,
+    /// Whole, checksummed frames from the start of the file.
+    frames: u64,
+    /// Bytes those frames and the header take up.
+    intact: u64,
+    /// Log length the newest head was sealed with, if it reads.
+    covered: Option<u64>,
+    /// Whole frames past `covered`.
+    uncovered_frames: u64,
+}
+
 /// Everything the doctor concluded, ready to render either way.
 struct Report {
     dir: PathBuf,
@@ -79,6 +95,7 @@ struct Report {
     transitions: Vec<EpochTransition>,
     // snapshots
     snapshots: Vec<(u64, PathBuf)>,
+    column_log: Result<ColumnLogReport, String>,
     clean_shutdown: bool,
     replay_from: Option<u64>,
     replay_records: u64,
@@ -116,13 +133,41 @@ fn build_report(dir: &Path) -> Result<Report, ArgError> {
         .map_err(|e| ArgError(format!("{}: cannot list snapshots: {e}", dir.display())))?;
     snapshots.sort();
 
+    // What each head was sealed with, and which of them the log still
+    // backs: recovery takes the newest that it does.
+    let sealed: Vec<(u64, Option<u64>)> = snapshots
+        .iter()
+        .map(|(seq, path)| {
+            let payload = read_snapshot_file(path).ok();
+            (*seq, payload.and_then(|p| Some(split_head(&p).ok()?.1)))
+        })
+        .collect();
+    let covered = sealed.last().and_then(|&(_, covered)| covered);
+    let log = read_column_log(&column_log_path(dir));
+    let boundaries: Vec<u64> = log.iter().flat_map(|log| log.boundaries()).collect();
+    let backed = |&&(_, c): &&(u64, Option<u64>)| c.is_some_and(|c| boundaries.contains(&c));
+    let usable_snap = sealed.iter().rev().find(backed).map(|&(seq, _)| seq);
+    let column_log = log
+        .map(|log| ColumnLogReport {
+            bytes: log.bytes(),
+            frames: boundaries.len() as u64 - 1,
+            intact: boundaries[boundaries.len() - 1],
+            covered,
+            uncovered_frames: match covered {
+                Some(c) => boundaries.iter().filter(|&&end| end > c).count() as u64,
+                None => 0,
+            },
+        })
+        .map_err(|e| e.to_string());
+
     // Clean-shutdown heuristic: the engine's last act is a snapshot at
     // `next_seq` (one past the final record), so a newest snapshot
     // covering the whole journal means the daemon said goodbye.
     let next_seq = wal.records.last().map(|r| r.seq + 1).unwrap_or(0);
-    let newest_snap = snapshots.last().map(|(i, _)| *i);
-    let clean_shutdown = !wal.torn_tail && newest_snap.is_some_and(|s| s >= next_seq);
-    let replay_from = newest_snap.map(|s| s.min(next_seq));
+    let clean_shutdown = !wal.torn_tail
+        && usable_snap.is_some_and(|s| s >= next_seq)
+        && usable_snap == snapshots.last().map(|(i, _)| *i);
+    let replay_from = usable_snap.map(|s| s.min(next_seq));
     let replay_records = match replay_from {
         Some(from) => wal.records.iter().filter(|r| r.seq >= from).count() as u64,
         None => wal.records.len() as u64,
@@ -149,6 +194,7 @@ fn build_report(dir: &Path) -> Result<Report, ArgError> {
         dropped_bytes: wal_len.saturating_sub(wal.valid_len),
         transitions,
         snapshots,
+        column_log,
         clean_shutdown,
         replay_from,
         replay_records,
@@ -309,6 +355,47 @@ fn render_text(r: &Report, slowest: usize, tail: usize) -> String {
             path.file_name().unwrap_or_default().to_string_lossy()
         );
     }
+    match &r.column_log {
+        Err(e) => {
+            let _ = writeln!(w, "  column log        UNREADABLE: {e}");
+        }
+        Ok(log) => {
+            let _ = writeln!(
+                w,
+                "  column log        {} bytes, {} frame(s); the newest head counts on {}",
+                log.bytes,
+                log.frames,
+                match log.covered {
+                    Some(c) => format!("the first {c} bytes"),
+                    None => "nothing that reads".to_string(),
+                }
+            );
+            if log.covered.is_some_and(|c| c > log.intact) {
+                let _ = writeln!(
+                    w,
+                    "  DAMAGED PREFIX    only {} bytes of the log are whole frames: \
+                     recovery rejects the newest head and falls back to the one before",
+                    log.intact
+                );
+            }
+            if log.uncovered_frames > 0 {
+                let _ = writeln!(
+                    w,
+                    "  frame past the newest head: {} — the crash fell between log \
+                     append and head rename; recovery drops it",
+                    log.uncovered_frames
+                );
+            }
+            if log.bytes > log.intact {
+                let _ = writeln!(
+                    w,
+                    "  torn log tail     {} bytes that are no whole frame — the crash \
+                     fell inside a log append; recovery drops it",
+                    log.bytes - log.intact
+                );
+            }
+        }
+    }
     if r.clean_shutdown {
         let _ = writeln!(
             w,
@@ -434,10 +521,28 @@ fn render_json(r: &Report, slowest: usize) -> String {
     }
     recovery.u64("replay_records", r.replay_records);
 
+    let mut column_log = ObjWriter::new();
+    match &r.column_log {
+        Err(e) => {
+            column_log.str("error", e);
+        }
+        Ok(log) => {
+            column_log
+                .u64("bytes", log.bytes)
+                .u64("frames", log.frames)
+                .u64("intact_bytes", log.intact)
+                .u64("uncovered_frames", log.uncovered_frames);
+            if let Some(covered) = log.covered {
+                column_log.u64("newest_head_covers", covered);
+            }
+        }
+    }
+
     let mut root = ObjWriter::new();
     root.str("dir", &r.dir.display().to_string())
         .raw("wal", &wal.finish())
         .raw("snapshots", &format!("[{}]", snaps.join(",")))
+        .raw("column_log", &column_log.finish())
         .raw("recovery", &recovery.finish());
 
     match (&r.flightrec, &r.flightrec_error) {

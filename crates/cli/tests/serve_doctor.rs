@@ -48,6 +48,12 @@ fn doctor_diagnoses_a_sigkilled_daemon() {
     // SIGKILL gave the recorder no chance to flush: the doctor says so
     // instead of inventing a tail.
     assert!(text.contains("absent"), "{text}");
+    // Genesis laid one frame, and the genesis head counts on all of it.
+    assert!(
+        text.contains("1 frame(s); the newest head counts"),
+        "{text}"
+    );
+    assert!(!text.contains("frame past the newest head"), "{text}");
 
     // Machine-readable mode agrees, field for field.
     let parsed = json::parse(doctor(&dir, &["--json"]).trim()).expect("doctor --json parses");
@@ -102,4 +108,90 @@ fn doctor_reads_the_flightrec_tail_after_a_clean_shutdown() {
     assert!(fr.get("events").and_then(json::Json::as_u64).unwrap_or(0) >= 3);
     assert_eq!(fr.get("panics").and_then(json::Json::as_u64), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn doctor_explains_what_a_crash_left_in_the_column_log() {
+    // Six mutations at a cadence of two and a clean goodbye: heads at
+    // 0, 2, 4 and 6, the last one written twice (rotation, then final).
+    let dir = tmp_dir("column-log");
+    let mut daemon = Daemon::fresh(&dir, &["--snapshot-every", "2"]);
+    let mut c = Client::connect(&daemon.addr);
+    for user in 0..5 {
+        let submit = format!("SUBMIT NODES=8 WALL=3600 USER={user}");
+        assert!(c.ask(&submit).starts_with("OK ID="));
+    }
+    assert_eq!(c.ask("ADVANCE 60"), "OK T=60");
+    assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+    daemon.wait_clean_exit();
+    let text = doctor(&dir, &[]);
+    assert!(text.contains("CLEAN SHUTDOWN"), "{text}");
+    assert!(
+        text.contains("5 frame(s); the newest head counts"),
+        "{text}"
+    );
+
+    // What a kill between the log append and the head's rename leaves —
+    // the seq-6 frames with no head — and, behind them, half an append.
+    std::fs::remove_file(dir.join("snapshot-000000000006.snap")).unwrap();
+    let log_path = dir.join("columns.log");
+    let mut log = std::fs::read(&log_path).unwrap();
+    log.extend_from_slice(b"half a frame");
+    std::fs::write(&log_path, &log).unwrap();
+
+    let text = doctor(&dir, &[]);
+    assert!(text.contains("UNCLEAN EXIT"), "{text}");
+    assert!(text.contains("frame past the newest head: 2"), "{text}");
+    assert!(
+        text.contains("between log append and head rename"),
+        "{text}"
+    );
+    assert!(text.contains("torn log tail     12 bytes"), "{text}");
+    assert!(
+        text.contains("load the seq-4 snapshot and replay 2"),
+        "{text}"
+    );
+    let parsed = json::parse(doctor(&dir, &["--json"]).trim()).expect("doctor --json parses");
+    let log = parsed.get("column_log").expect("column_log object");
+    let field = |name: &str| log.get(name).and_then(json::Json::as_u64);
+    assert_eq!(
+        (field("frames"), field("uncovered_frames")),
+        (Some(5), Some(2))
+    );
+    assert_eq!(field("bytes"), field("intact_bytes").map(|b| b + 12));
+
+    // A head whose own frame is damaged is a head recovery will not
+    // take: the plan names the one before.
+    let intact = field("intact_bytes").unwrap() as usize;
+    let covered = field("newest_head_covers").unwrap() as usize;
+    assert!(covered < intact);
+    log_flip(&log_path, covered - 12);
+    let text = doctor(&dir, &[]);
+    assert!(text.contains("DAMAGED PREFIX"), "{text}");
+    assert!(
+        text.contains("load the seq-2 snapshot and replay 4"),
+        "{text}"
+    );
+
+    // And recovery does what the doctor said it would.
+    let mut revived = Daemon::resume(&dir, &[]);
+    let mut c = Client::connect(&revived.addr);
+    assert!(c.ask("STATS").contains("T=60"));
+    assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+    let (status, stderr) = revived.wait_exit();
+    assert!(status.success(), "{stderr}");
+    assert!(stderr.contains("rejecting snapshot"), "{stderr}");
+    assert!(
+        stderr.contains("000000000002.snap (command seq 2)"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("replayed 4 wal records"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Flip one bit of the file at `path`.
+fn log_flip(path: &Path, at: usize) {
+    let mut raw = std::fs::read(path).unwrap();
+    raw[at] ^= 0x10;
+    std::fs::write(path, raw).unwrap();
 }

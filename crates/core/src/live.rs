@@ -14,18 +14,20 @@
 //! digital twin rather than a reimplementation.
 //!
 //! Durability is snapshot-shaped: [`LiveScheduler::encode`] reuses the
-//! PR-3 snapshot codec (META/WORLD/QUEUE sections) plus one trailing
-//! LIVE section for the driver-side facts (job-id allocator, live
-//! clock). Decoding a payload restores a scheduler that evolves
-//! byte-identically to the original — the property the serve daemon's
-//! crash recovery is built on. `WHATIF` speculation does not go through
-//! the codec: [`LiveScheduler::fork`] copies the live half of the state
-//! in memory and leaves the history behind.
+//! PR-3 snapshot codec (column frames, then the META/WORLD/QUEUE head)
+//! plus one trailing LIVE section for the driver-side facts (job-id
+//! allocator, live clock). Decoding a payload restores a scheduler that
+//! evolves byte-identically to the original — the property the serve
+//! daemon's crash recovery is built on; the daemon's rotating snapshots
+//! are [`LiveScheduler::encode_since`] deltas of the same listing.
+//! `WHATIF` speculation does not go through the codec:
+//! [`LiveScheduler::fork`] copies the live half of the state in memory
+//! and leaves the history behind.
 
 use amjs_platform::Platform;
 use amjs_sim::{
-    Engine, EventQueue, SimDuration, SimTime, SnapError, SnapReader, SnapWriter, Snapshot,
-    StateHash,
+    ColumnWriter, Columns, Engine, EventQueue, SimDuration, SimTime, SnapError, SnapReader,
+    SnapWriter, Snapshot, StateHash,
 };
 use amjs_workload::{Job, JobId};
 
@@ -36,7 +38,7 @@ use crate::runner::{
 };
 
 /// Section tag for the live-mode trailer appended after the PR-3
-/// META/WORLD/QUEUE sections (1–3).
+/// META/WORLD/QUEUE sections (1–3; 5 is `persist`'s column frame).
 const SEC_LIVE: u32 = 4;
 
 /// Why a submission was refused at admission time.
@@ -442,33 +444,59 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
         }
     }
 
-    /// Serialize the complete live state: the PR-3 snapshot sections
-    /// (META/WORLD/QUEUE) plus a LIVE trailer (id allocator, live
-    /// clock). [`decode`](Self::decode) restores a scheduler that
+    /// Serialize the complete live state, self-contained: one frame of
+    /// every column from zero, then the head — the PR-3 snapshot
+    /// sections (META/WORLD/QUEUE) plus a LIVE trailer (id allocator,
+    /// live clock). [`decode`](Self::decode) restores a scheduler that
     /// evolves byte-identically.
     pub fn encode(&self) -> Vec<u8> {
-        let mut bytes = persist::encode_state(
+        persist::full_payload(|w| self.encode_columns(w))
+    }
+
+    /// The two halves of [`encode`](Self::encode) apart, the frame
+    /// carrying only what the columns gained since the cursor `since`:
+    /// `(head, frame, cursor of this state)`. The head is a few KB
+    /// whatever the script's length; heads and frames taken in a chain
+    /// of cursors decode through [`decode_parts`](Self::decode_parts).
+    pub fn encode_since(&self, since: &Columns) -> (Vec<u8>, Vec<u8>, Columns) {
+        let (mut head, mut frame) = (SnapWriter::new(), SnapWriter::new());
+        let mut w = ColumnWriter::new(&mut head, &mut frame, since);
+        self.encode_columns(&mut w);
+        let next = w.finish();
+        (head.into_bytes(), frame.into_bytes(), next)
+    }
+
+    fn encode_columns(&self, w: &mut ColumnWriter<'_>) {
+        persist::encode_state(
             &self.world,
             &self.queue,
             self.fingerprint,
             self.event_index,
             self.now,
             &self.meta,
+            w,
         );
-        let mut w = SnapWriter::new();
-        w.section(SEC_LIVE, |w| {
+        w.head.section(SEC_LIVE, |w| {
             w.put_u64(self.next_job_id);
             self.now.encode(w);
         });
-        bytes.extend_from_slice(&w.into_bytes());
-        bytes
     }
 
     /// Restore a scheduler from [`encode`](Self::encode) bytes. The
     /// caller dispatches on [`peek_platform`] to pick the concrete `P`.
     pub fn decode(payload: &[u8]) -> Result<Self, SnapError> {
-        let mut r = SnapReader::new(payload);
-        let (header, world, queue) = persist::decode_state_from::<P>(&mut r)?;
+        let (frames, head) = persist::split_payload(payload)?;
+        Ok(Self::decode_parts(head, &frames)?.0)
+    }
+
+    /// Restore a scheduler from a head and every frame written since
+    /// the columns were empty, oldest first; also returns the cursor the
+    /// next [`encode_since`](Self::encode_since) continues from. A head
+    /// whose column counts are not exactly what the frames hold is
+    /// [`SnapError::Malformed`].
+    pub fn decode_parts(head: &[u8], frames: &[&[u8]]) -> Result<(Self, Columns), SnapError> {
+        let mut r = SnapReader::new(head);
+        let (header, world, queue, columns) = persist::decode_state_from::<P>(&mut r, frames)?;
         let (next_job_id, now) = r.section(SEC_LIVE, |r| {
             let next_job_id = r.get_u64()?;
             let now = Snapshot::decode(r)?;
@@ -480,7 +508,7 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
             meta,
             ..
         } = header;
-        Ok(LiveScheduler {
+        let sched = LiveScheduler {
             world,
             queue,
             meta,
@@ -488,7 +516,8 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
             event_index,
             now,
             next_job_id,
-        })
+        };
+        Ok((sched, columns))
     }
 
     /// Drain the live scheduler into a batch-style

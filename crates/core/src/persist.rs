@@ -28,10 +28,15 @@
 //! ## Snapshot payload layout
 //!
 //! The file envelope (magic, version, checksum, atomic rename) is
-//! [`amjs_sim::snapshot`]'s. Inside the payload are three tagged,
-//! length-prefixed sections: META (run fingerprint, event index, sim
-//! time, platform name tag, run-level facts), WORLD (the full runner),
-//! and QUEUE (the pending event queue). The platform name tag lets
+//! [`amjs_sim::snapshot`]'s. The run state is split by growth (format
+//! v3): a *head* of three tagged, length-prefixed sections — META (run
+//! fingerprint, event index, sim time, platform name tag, run-level
+//! facts), WORLD (every bounded field of the runner, and the length of
+//! each append-only vector) and QUEUE (the pending event queue) — and
+//! COLUMNS *frames* holding those vectors' elements, each frame from
+//! where the one before stopped. A payload is the frames, oldest first,
+//! then the head that counts them; a batch snapshot is self-contained,
+//! one frame from zero. The platform name tag lets
 //! [`resume_simulation`] dispatch to the right concrete machine type
 //! without the caller restating it.
 
@@ -43,10 +48,11 @@ use std::path::{Path, PathBuf};
 use amjs_obs::Observer;
 use amjs_platform::{BgpCluster, FlatCluster, Platform};
 use amjs_sim::journal::{journal_path, read_journal, JournalFile};
-use amjs_sim::snapshot::{fnv1a, read_snapshot_file};
+use amjs_sim::snapshot::{read_snapshot_file, Fnv1a};
 use amjs_sim::{
-    Engine, EventQueue, JournalRecord, JournalWriter, NoOracle, Recorder, RunStats, SimDuration,
-    SimTime, SnapError, SnapReader, SnapWriter, Snapshot, SnapshotStore, StateHash,
+    ColumnReader, ColumnWriter, Columns, Engine, EventQueue, JournalRecord, JournalWriter,
+    NoOracle, Recorder, RunStats, SimDuration, SimTime, SnapError, SnapReader, SnapWriter,
+    Snapshot, SnapshotStore, StateHash,
 };
 
 use crate::runner::{
@@ -60,6 +66,8 @@ const SEC_META: u32 = 1;
 const SEC_WORLD: u32 = 2;
 /// Section tag for the pending event queue.
 const SEC_QUEUE: u32 = 3;
+/// Section tag for a frame of column elements (4 is `crate::live`'s).
+const SEC_COLUMNS: u32 = 5;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -182,6 +190,9 @@ pub(crate) struct SnapshotHeader {
     pub(crate) meta: RunMeta,
 }
 
+/// Write the run state split by growth: the META, WORLD and QUEUE
+/// sections to `w`'s head, the column elements past its cursor to its
+/// frame.
 pub(crate) fn encode_state<P: Platform + Snapshot>(
     world: &Runner<P>,
     queue: &EventQueue<Ev>,
@@ -189,18 +200,43 @@ pub(crate) fn encode_state<P: Platform + Snapshot>(
     event_index: u64,
     time: SimTime,
     meta: &RunMeta,
-) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.section(SEC_META, |w| {
+    w: &mut ColumnWriter<'_>,
+) {
+    w.head.section(SEC_META, |w| {
         w.put_u64(fingerprint);
         w.put_u64(event_index);
         time.encode(w);
         w.put_str(world.live.platform_name());
         meta.encode(w);
     });
-    w.section(SEC_WORLD, |w| world.encode(w));
-    w.section(SEC_QUEUE, |w| queue.encode(w));
-    w.into_bytes()
+    let world_section = w.head.begin_section(SEC_WORLD);
+    world.encode_columns(w);
+    w.head.end_section(world_section);
+    w.head.section(SEC_QUEUE, |w| queue.encode(w));
+}
+
+/// A self-contained payload: `write` encodes from cursor zero, and the
+/// one frame goes in front of the head — written in place, it is the
+/// megabyte; the head is the few KB copied behind it.
+pub(crate) fn full_payload(write: impl FnOnce(&mut ColumnWriter<'_>)) -> Vec<u8> {
+    let (mut head, mut payload) = (SnapWriter::new(), SnapWriter::new());
+    let since = Columns::default();
+    payload.section(SEC_COLUMNS, |frame| {
+        write(&mut ColumnWriter::new(&mut head, frame, &since))
+    });
+    let mut payload = payload.into_bytes();
+    payload.extend_from_slice(head.as_bytes());
+    payload
+}
+
+/// A payload's leading frames, and the head behind them.
+pub(crate) fn split_payload(payload: &[u8]) -> Result<(Vec<&[u8]>, &[u8]), SnapError> {
+    let mut r = SnapReader::new(payload);
+    let mut frames = Vec::new();
+    while let Some(frame) = r.section_if(SEC_COLUMNS)? {
+        frames.push(frame);
+    }
+    Ok((frames, r.rest()))
 }
 
 fn decode_header_section(r: &mut SnapReader<'_>) -> Result<SnapshotHeader, SnapError> {
@@ -215,29 +251,36 @@ fn decode_header_section(r: &mut SnapReader<'_>) -> Result<SnapshotHeader, SnapE
     })
 }
 
-/// Read just the META section of a snapshot payload (cheap: the WORLD
-/// and QUEUE sections are not touched).
+/// Read just the META section of a snapshot payload (cheap: frames are
+/// stepped over, the WORLD and QUEUE sections not touched).
 pub(crate) fn peek_header(payload: &[u8]) -> Result<SnapshotHeader, SnapError> {
-    decode_header_section(&mut SnapReader::new(payload))
+    let (_, head) = split_payload(payload)?;
+    decode_header_section(&mut SnapReader::new(head))
 }
 
 /// Decode a full snapshot payload for a known platform type.
 pub(crate) fn decode_state<P: Platform + Snapshot>(
     payload: &[u8],
 ) -> Result<(SnapshotHeader, Runner<P>, EventQueue<Ev>), SnapError> {
-    decode_state_from(&mut SnapReader::new(payload))
+    let (frames, head) = split_payload(payload)?;
+    let (header, world, queue, _) = decode_state_from(&mut SnapReader::new(head), &frames)?;
+    Ok((header, world, queue))
 }
 
-/// Like [`decode_state`], but read from an existing reader and leave it
-/// positioned after the QUEUE section — the live-mode codec appends its
-/// own trailing section (`crate::live`).
+/// Decode a head's META, WORLD and QUEUE sections from `r`, the columns
+/// from `frames`, and leave `r` positioned after the QUEUE section —
+/// the live-mode codec appends its own trailing section
+/// (`crate::live`). Also returns the cursor of the decoded state.
 pub(crate) fn decode_state_from<P: Platform + Snapshot>(
     r: &mut SnapReader<'_>,
-) -> Result<(SnapshotHeader, Runner<P>, EventQueue<Ev>), SnapError> {
+    frames: &[&[u8]],
+) -> Result<(SnapshotHeader, Runner<P>, EventQueue<Ev>, Columns), SnapError> {
     let header = decode_header_section(r)?;
-    let world = r.section(SEC_WORLD, Runner::<P>::decode)?;
+    let mut columns = ColumnReader::new(r.section_bytes(SEC_WORLD)?, frames);
+    let world = Runner::<P>::decode_columns(&mut columns)?;
+    let columns = columns.finish()?;
     let queue = r.section(SEC_QUEUE, EventQueue::<Ev>::decode)?;
-    Ok((header, world, queue))
+    Ok((header, world, queue, columns))
 }
 
 /// The run fingerprint: FNV-1a over the *genesis* state (world, queue,
@@ -249,11 +292,15 @@ pub(crate) fn run_fingerprint<P: Platform + Snapshot>(
     queue: &EventQueue<Ev>,
     meta: &RunMeta,
 ) -> u64 {
-    let mut w = SnapWriter::new();
-    world.encode(&mut w);
-    queue.encode(&mut w);
-    meta.encode(&mut w);
-    fnv1a(w.as_bytes())
+    let (mut head, mut frame) = (SnapWriter::new(), SnapWriter::new());
+    let since = Columns::default();
+    world.encode_columns(&mut ColumnWriter::new(&mut head, &mut frame, &since));
+    queue.encode(&mut head);
+    meta.encode(&mut head);
+    let mut h = Fnv1a::new();
+    h.write(frame.as_bytes());
+    h.write(head.as_bytes());
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -306,7 +353,17 @@ impl<'m, P: Platform + Snapshot> Recorder<Runner<P>> for PersistentRecorder<'m> 
             return;
         }
         let span = world.obs.prof_enter("snapshot_encode");
-        let payload = encode_state(world, queue, self.fingerprint, snap_index, now, self.meta);
+        let payload = full_payload(|w| {
+            encode_state(
+                world,
+                queue,
+                self.fingerprint,
+                snap_index,
+                now,
+                self.meta,
+                w,
+            )
+        });
         world.obs.prof_exit(span);
         self.store
             .write(snap_index, &payload)
@@ -419,7 +476,8 @@ fn persistent_drive<P: Platform + Snapshot>(
 ) -> Result<RunStats, PersistError> {
     let fingerprint = run_fingerprint(world, queue, meta);
     let store = SnapshotStore::new(&spec.dir, spec.keep);
-    let genesis = encode_state(world, queue, fingerprint, 0, SimTime::ZERO, meta);
+    let genesis =
+        full_payload(|w| encode_state(world, queue, fingerprint, 0, SimTime::ZERO, meta, w));
     store.write(0, &genesis)?;
     let journal = JournalWriter::create(&journal_path(&spec.dir, 0), fingerprint, 0)?;
 

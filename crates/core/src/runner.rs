@@ -690,7 +690,8 @@ pub(crate) struct LiveState<P: Platform> {
     /// Integral of the out-of-service node level ("busy" = down), the
     /// downtime denominator correction for utilization and LoC.
     down_track: UtilizationTracker,
-    /// Fair start of every submitted job, read back at its first start.
+    /// Fair start of every job submitted and not yet started, taken out
+    /// at its first start: bounded by the queue, in a fork too.
     fair_starts: HashMap<JobId, SimTime>,
     remaining_submits: usize,
     /// Backoff re-submissions scheduled but not yet delivered (keeps
@@ -733,9 +734,6 @@ pub(crate) struct History {
     /// Per-domain fault and downtime accounting.
     domain_downtime: DomainDowntime,
     per_job: Vec<JobOutcome>,
-    /// Jobs whose *first* start has been recorded (wait/fairness are
-    /// measured to the first start; failure re-runs don't re-count).
-    started_once: std::collections::HashSet<JobId>,
 }
 
 impl History {
@@ -757,7 +755,6 @@ impl History {
             down_nodes: amjs_metrics::domains::down_nodes_series(),
             domain_downtime: DomainDowntime::new(),
             per_job: Vec::with_capacity(jobs),
-            started_once: std::collections::HashSet::new(),
         }
     }
 }
@@ -1390,13 +1387,16 @@ impl<P: Platform> Runner<P> {
             let remaining = (job.runtime - saved).max(SimDuration::from_secs(1));
             events.schedule_with(now + remaining, Priority::Release, Ev::Finish(job.id, gen));
 
-            if self.history.started_once.insert(job.id) {
+            // Wait and fairness are measured to the first start; a
+            // failure re-run carries a later generation and does not
+            // re-count — in a fork as well, whose history starts empty.
+            if gen == 0 {
                 let wait = (now - job.submit).max_zero();
                 self.history.wait.record(job.id, wait);
                 self.history.wait.record_slowdown(wait, job.runtime);
-                let fair = *live
+                let fair = live
                     .fair_starts
-                    .get(&job.id)
+                    .remove(&job.id)
                     .unwrap_or_else(|| panic!("no fair start recorded for {}", job.id));
                 self.history.fairness.record(job.id, fair, now);
             }
@@ -1691,6 +1691,7 @@ impl<P: Platform> Runner<P> {
             Some(pos) => {
                 self.live.queue.remove(pos);
                 self.pass_cache.note_remove(id);
+                self.live.fair_starts.remove(&id);
                 self.live.abandoned_jobs += 1;
                 true
             }
@@ -2111,12 +2112,16 @@ fn sorted_entries<K: Ord + Copy, V: Clone>(map: &HashMap<K, V>) -> Vec<(K, V)> {
     entries
 }
 
-impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
-    /// File format v2's field order, read out of the two halves. Here,
-    /// in `decode`'s literals and in `state_hash` the halves are taken
-    /// apart without a `..`, so a new field compiles in none of them
-    /// until each says where it goes.
-    fn encode(&self, w: &mut amjs_sim::SnapWriter) {
+impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
+    /// The one field listing of file format v3. Every field is either
+    /// bounded — it goes to the head — or a column: a vector only ever
+    /// pushed to, of which the head gets the length and the frame the
+    /// elements past the writer's cursor. Here, in `decode_columns`'
+    /// literals and in `state_hash` the halves are taken apart without a
+    /// `..`, so a new field compiles in none of them until each says
+    /// where it goes.
+    pub(crate) fn encode_columns(&self, w: &mut amjs_sim::ColumnWriter<'_>) {
+        use amjs_sim::Snapshot;
         let LiveState {
             platform,
             jobs,
@@ -2158,7 +2163,6 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
             down_nodes,
             domain_downtime,
             per_job,
-            started_once,
         } = &self.history;
         let RunConfig {
             adaptive,
@@ -2169,104 +2173,103 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
         // `finished` travels as `per_job`'s length; a fork, where the
         // two differ, has no history worth a snapshot.
         assert_eq!(*finished, per_job.len(), "a fork is not encodable");
-        platform.encode(w);
-        jobs.encode(w);
-        scheduler.encode(w);
-        adaptive.encode(w);
-        queue.encode(w);
-        sorted_entries(running).encode(w);
-        wait.encode(w);
-        fairness.encode_around(&sorted_entries(fair_starts), w);
+        platform.encode(w.head);
+        w.column(jobs);
+        scheduler.encode(w.head);
+        adaptive.encode(w.head);
+        queue.encode(w.head);
+        sorted_entries(running).encode(w.head);
+        wait.encode_columns(w);
+        fairness.encode_columns(w);
+        sorted_entries(fair_starts).encode(w.head);
         // Format byte: `false` meant "no fair-start drain", which no
         // build can honour any more (decode refuses it).
-        w.put_bool(true);
-        loc.encode(w);
-        util.encode(w);
-        queue_depth.encode(w);
-        util_instant.encode(w);
-        util_1h.encode(w);
-        util_10h.encode(w);
-        util_24h.encode(w);
-        bf_series.encode(w);
-        window_series.encode(w);
-        availability.encode(w);
-        down_nodes.encode(w);
-        domain_downtime.encode(w);
-        promised.encode(w);
-        last_pass_time.encode(w);
-        down_track.encode(w);
-        per_job.encode(w);
-        sample_interval.encode(w);
-        w.put_usize(*remaining_submits);
-        w.put_u64(*scheduler_passes);
-        w.put_u64(*backfilled_starts);
-        w.put_u64(*interrupted_jobs);
-        w.put_usize(*abandoned_jobs);
-        w.put_usize(*pending_resubmits);
-        w.put_f64(*lost_node_secs);
-        {
-            let mut started: Vec<JobId> = started_once.iter().copied().collect();
-            started.sort();
-            started.encode(w);
-        }
-        sorted_entries(generations).encode(w);
-        sorted_entries(failure_counts).encode(w);
-        retry.encode(w);
-        estimates.encode(w);
-        checkpoint_interval.encode(w);
-        sorted_entries(saved_progress).encode(w);
-        failure_process.encode(w);
-        last_end.encode(w);
+        w.head.put_bool(true);
+        loc.encode(w.head);
+        util.encode_columns(w);
+        queue_depth.encode_columns(w);
+        util_instant.encode_columns(w);
+        util_1h.encode_columns(w);
+        util_10h.encode_columns(w);
+        util_24h.encode_columns(w);
+        bf_series.encode_columns(w);
+        window_series.encode_columns(w);
+        availability.encode_columns(w);
+        down_nodes.encode_columns(w);
+        domain_downtime.encode(w.head);
+        promised.encode(w.head);
+        last_pass_time.encode(w.head);
+        down_track.encode_columns(w);
+        w.column(per_job);
+        sample_interval.encode(w.head);
+        w.head.put_usize(*remaining_submits);
+        w.head.put_u64(*scheduler_passes);
+        w.head.put_u64(*backfilled_starts);
+        w.head.put_u64(*interrupted_jobs);
+        w.head.put_usize(*abandoned_jobs);
+        w.head.put_usize(*pending_resubmits);
+        w.head.put_f64(*lost_node_secs);
+        sorted_entries(generations).encode(w.head);
+        sorted_entries(failure_counts).encode(w.head);
+        retry.encode(w.head);
+        estimates.encode(w.head);
+        checkpoint_interval.encode(w.head);
+        sorted_entries(saved_progress).encode(w.head);
+        failure_process.encode(w.head);
+        last_end.encode(w.head);
     }
 
-    fn decode(r: &mut amjs_sim::SnapReader<'_>) -> Result<Self, amjs_sim::SnapError> {
+    /// Read back a head and the frames it counts, in the listing's
+    /// order.
+    pub(crate) fn decode_columns(
+        r: &mut amjs_sim::ColumnReader<'_>,
+    ) -> Result<Self, amjs_sim::SnapError> {
         use amjs_sim::Snapshot;
-        let platform: P = Snapshot::decode(r)?;
-        let jobs: Vec<Job> = Snapshot::decode(r)?;
-        let scheduler = Snapshot::decode(r)?;
-        let adaptive = Snapshot::decode(r)?;
-        let queue: Vec<usize> = Snapshot::decode(r)?;
-        let running_entries: Vec<(JobId, Running)> = Snapshot::decode(r)?;
-        let wait = Snapshot::decode(r)?;
-        let (fairness, fair_starts): (_, Vec<(JobId, SimTime)>) =
-            FairnessTracker::decode_around(r)?;
-        if !r.get_bool()? {
+        let platform: P = Snapshot::decode(&mut r.head)?;
+        let jobs: Vec<Job> = r.column()?;
+        let scheduler = Snapshot::decode(&mut r.head)?;
+        let adaptive = Snapshot::decode(&mut r.head)?;
+        let queue: Vec<usize> = Snapshot::decode(&mut r.head)?;
+        let running_entries: Vec<(JobId, Running)> = Snapshot::decode(&mut r.head)?;
+        let wait = WaitStats::decode_columns(r)?;
+        let fairness = FairnessTracker::decode_columns(r)?;
+        let fair_starts: Vec<(JobId, SimTime)> = Snapshot::decode(&mut r.head)?;
+        if !r.head.get_bool()? {
             let why = "taken with the fair-start drain switched off, an option since removed";
             return Err(amjs_sim::SnapError::Malformed(why.to_string()));
         }
-        let loc = Snapshot::decode(r)?;
-        let util = Snapshot::decode(r)?;
-        let queue_depth = Snapshot::decode(r)?;
-        let util_instant = Snapshot::decode(r)?;
-        let util_1h = Snapshot::decode(r)?;
-        let util_10h = Snapshot::decode(r)?;
-        let util_24h = Snapshot::decode(r)?;
-        let bf_series = Snapshot::decode(r)?;
-        let window_series = Snapshot::decode(r)?;
-        let availability = Snapshot::decode(r)?;
-        let down_nodes = Snapshot::decode(r)?;
-        let domain_downtime = Snapshot::decode(r)?;
-        let promised = Snapshot::decode(r)?;
-        let last_pass_time = Snapshot::decode(r)?;
-        let down_track = Snapshot::decode(r)?;
-        let per_job: Vec<JobOutcome> = Snapshot::decode(r)?;
-        let sample_interval = Snapshot::decode(r)?;
-        let remaining_submits = r.get_usize()?;
-        let scheduler_passes = r.get_u64()?;
-        let backfilled_starts = r.get_u64()?;
-        let interrupted_jobs = r.get_u64()?;
-        let abandoned_jobs = r.get_usize()?;
-        let pending_resubmits = r.get_usize()?;
-        let lost_node_secs = r.get_f64()?;
-        let started: Vec<JobId> = Snapshot::decode(r)?;
-        let generations: Vec<(JobId, u32)> = Snapshot::decode(r)?;
-        let failure_counts: Vec<(JobId, u32)> = Snapshot::decode(r)?;
-        let retry = Snapshot::decode(r)?;
-        let estimates = Snapshot::decode(r)?;
-        let checkpoint_interval = Snapshot::decode(r)?;
-        let saved_progress: Vec<(JobId, SimDuration)> = Snapshot::decode(r)?;
-        let failure_process = Snapshot::decode(r)?;
-        let last_end = Snapshot::decode(r)?;
+        let loc = Snapshot::decode(&mut r.head)?;
+        let util = UtilizationTracker::decode_columns(r)?;
+        let queue_depth = TimeSeries::decode_columns(r)?;
+        let util_instant = TimeSeries::decode_columns(r)?;
+        let util_1h = TimeSeries::decode_columns(r)?;
+        let util_10h = TimeSeries::decode_columns(r)?;
+        let util_24h = TimeSeries::decode_columns(r)?;
+        let bf_series = TimeSeries::decode_columns(r)?;
+        let window_series = TimeSeries::decode_columns(r)?;
+        let availability = TimeSeries::decode_columns(r)?;
+        let down_nodes = TimeSeries::decode_columns(r)?;
+        let domain_downtime = Snapshot::decode(&mut r.head)?;
+        let promised = Snapshot::decode(&mut r.head)?;
+        let last_pass_time = Snapshot::decode(&mut r.head)?;
+        let down_track = UtilizationTracker::decode_columns(r)?;
+        let per_job: Vec<JobOutcome> = r.column()?;
+        let sample_interval = Snapshot::decode(&mut r.head)?;
+        let remaining_submits = r.head.get_usize()?;
+        let scheduler_passes = r.head.get_u64()?;
+        let backfilled_starts = r.head.get_u64()?;
+        let interrupted_jobs = r.head.get_u64()?;
+        let abandoned_jobs = r.head.get_usize()?;
+        let pending_resubmits = r.head.get_usize()?;
+        let lost_node_secs = r.head.get_f64()?;
+        let generations: Vec<(JobId, u32)> = Snapshot::decode(&mut r.head)?;
+        let failure_counts: Vec<(JobId, u32)> = Snapshot::decode(&mut r.head)?;
+        let retry = Snapshot::decode(&mut r.head)?;
+        let estimates = Snapshot::decode(&mut r.head)?;
+        let checkpoint_interval = Snapshot::decode(&mut r.head)?;
+        let saved_progress: Vec<(JobId, SimDuration)> = Snapshot::decode(&mut r.head)?;
+        let failure_process = Snapshot::decode(&mut r.head)?;
+        let last_end = Snapshot::decode(&mut r.head)?;
 
         // Index sanity: a decoded queue or running set referring past
         // the trace would panic deep inside the event loop; reject it
@@ -2325,7 +2328,6 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::Snapshot for Runner<P> {
             down_nodes,
             domain_downtime,
             per_job,
-            started_once: started.into_iter().collect(),
         };
         let config = RunConfig {
             adaptive,
@@ -2385,7 +2387,6 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::StateHash for Runner<P> {
             down_nodes: _,
             domain_downtime: _,
             per_job: _, // its length is `finished`
-            started_once,
         } = &self.history;
         let mut w = amjs_sim::SnapWriter::new();
         platform.encode(&mut w);
@@ -2404,8 +2405,10 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::StateHash for Runner<P> {
         w.put_u64(*interrupted_jobs);
         w.put_f64(*lost_node_secs);
         w.put_usize(*finished);
+        // Twice: the second used to be the length of a set of the same
+        // job ids, and every pinned hash has it mixed in.
         w.put_usize(wait.count());
-        w.put_usize(started_once.len());
+        w.put_usize(wait.count());
         sorted_entries(generations).encode(&mut w);
         sorted_entries(failure_counts).encode(&mut w);
         sorted_entries(saved_progress).encode(&mut w);
@@ -2690,33 +2693,67 @@ mod tests {
         assert!((mean_from_records - out.summary.avg_wait_mins).abs() < 1e-6);
     }
 
+    /// `world`'s head and its one frame from cursor zero.
+    fn encoded(world: &Runner<FlatCluster>) -> (Vec<u8>, Vec<u8>) {
+        use amjs_sim::{ColumnWriter, Columns, SnapWriter};
+        let (mut head, mut frame) = (SnapWriter::new(), SnapWriter::new());
+        let since = Columns::default();
+        world.encode_columns(&mut ColumnWriter::new(&mut head, &mut frame, &since));
+        (head.into_bytes(), frame.into_bytes())
+    }
+
+    fn decoded(head: &[u8], frame: &[u8]) -> Result<Runner<FlatCluster>, amjs_sim::SnapError> {
+        Runner::decode_columns(&mut amjs_sim::ColumnReader::new(head, &[frame]))
+    }
+
     #[test]
     fn a_snapshot_with_the_fair_start_byte_cleared_is_malformed() {
-        use amjs_sim::{SnapError, SnapReader, SnapWriter, Snapshot};
+        use amjs_sim::{ColumnWriter, Columns, SnapError, SnapWriter, Snapshot};
         let world = SimulationBuilder::new(FlatCluster::new(512), small_jobs(11))
             .prepare()
             .world;
-        // The byte follows the fairness tracker: encode up to there.
-        let mut prefix = SnapWriter::new();
-        world.live.platform.encode(&mut prefix);
-        world.live.jobs.encode(&mut prefix);
-        world.live.scheduler.encode(&mut prefix);
-        world.config.adaptive.encode(&mut prefix);
-        world.live.queue.encode(&mut prefix);
-        sorted_entries(&world.live.running).encode(&mut prefix);
-        world.history.wait.encode(&mut prefix);
-        let fair_starts = sorted_entries(&world.live.fair_starts);
-        world
-            .history
-            .fairness
-            .encode_around(&fair_starts, &mut prefix);
-        let mut whole = SnapWriter::new();
-        world.encode(&mut whole);
-        let (at, mut bytes) = (prefix.len(), whole.into_bytes());
-        assert_eq!(bytes[at], 1);
-        bytes[at] = 0;
-        let err = Runner::<FlatCluster>::decode(&mut SnapReader::new(&bytes)).err();
+        // The byte follows the fair starts in the head: encode up to there.
+        let (mut prefix, mut frame) = (SnapWriter::new(), SnapWriter::new());
+        let since = Columns::default();
+        let mut w = ColumnWriter::new(&mut prefix, &mut frame, &since);
+        world.live.platform.encode(w.head);
+        w.column(&world.live.jobs);
+        world.live.scheduler.encode(w.head);
+        world.config.adaptive.encode(w.head);
+        world.live.queue.encode(w.head);
+        sorted_entries(&world.live.running).encode(w.head);
+        world.history.wait.encode_columns(&mut w);
+        world.history.fairness.encode_columns(&mut w);
+        sorted_entries(&world.live.fair_starts).encode(w.head);
+        let (mut head, frame) = encoded(&world);
+        let at = prefix.len();
+        assert_eq!(head[at], 1);
+        head[at] = 0;
+        let err = decoded(&head, &frame).err();
         assert!(matches!(&err, Some(SnapError::Malformed(m)) if m.contains("fair-start drain")));
+    }
+
+    #[test]
+    fn a_head_whose_column_counts_disagree_with_its_frames_is_malformed() {
+        use amjs_sim::SnapError;
+        let PreparedRun {
+            mut world,
+            mut queue,
+            ..
+        } = SimulationBuilder::new(FlatCluster::new(512), small_jobs(11)).prepare();
+        let (_, genesis_frame) = encoded(&world);
+        Engine::new()
+            .with_max_events(40)
+            .run(&mut world, &mut queue);
+        let (head, frame) = encoded(&world);
+        assert!(decoded(&head, &frame).is_ok());
+        // A head beside the frame of another moment: the trace is all
+        // there, the history columns are short.
+        let err = decoded(&head, &genesis_frame).err();
+        assert!(
+            matches!(&err, Some(SnapError::Malformed(m)) if m.contains("but the head counts")),
+            "{err:?}"
+        );
     }
 
     /// The other direction of the destructure in `state_hash`: a field
@@ -2724,7 +2761,7 @@ mod tests {
     #[test]
     fn every_hashed_live_field_moves_the_state_hash() {
         use crate::failures::{FailureSpec, RepairSpec};
-        use amjs_sim::{SnapReader, SnapWriter, Snapshot, StateHash};
+        use amjs_sim::StateHash;
         let PreparedRun {
             mut world,
             mut queue,
@@ -2741,9 +2778,7 @@ mod tests {
             .with_max_events(40)
             .run(&mut world, &mut queue);
         let base = world.state_hash();
-        let mut w = SnapWriter::new();
-        world.encode(&mut w);
-        let bytes = w.into_bytes();
+        let (head, frame) = encoded(&world);
 
         type Mutation = fn(&mut LiveState<FlatCluster>);
         let mutations: [(&str, Mutation); 20] = [
@@ -2792,7 +2827,7 @@ mod tests {
             ("last_end", |l| l.last_end = SimTime::MAX),
         ];
         for (field, mutate) in mutations {
-            let mut copy = Runner::<FlatCluster>::decode(&mut SnapReader::new(&bytes)).unwrap();
+            let mut copy = decoded(&head, &frame).unwrap();
             assert_eq!(copy.state_hash(), base, "decode moved the hash");
             assert!(!copy.live.running.is_empty(), "nothing running to mutate");
             mutate(&mut copy.live);

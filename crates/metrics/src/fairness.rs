@@ -122,24 +122,20 @@ impl Snapshot for FairnessRecord {
     }
 }
 
-/// The snapshot layout puts the fair starts — the runner's, since a
-/// not-yet-started job's is live state — between tolerance and records.
+/// The tolerance is bounded state; the records are a column.
 impl FairnessTracker {
-    /// Write tolerance, the caller's `fair_starts`, records.
-    pub fn encode_around(&self, fair_starts: &impl Snapshot, w: &mut amjs_sim::SnapWriter) {
-        self.tolerance.encode(w);
-        fair_starts.encode(w);
-        self.records.encode(w);
+    /// Write the tolerance to the head and the records as a column.
+    pub fn encode_columns(&self, w: &mut amjs_sim::ColumnWriter<'_>) {
+        self.tolerance.encode(w.head);
+        w.column(&self.records);
     }
 
-    /// Read back what [`FairnessTracker::encode_around`] wrote.
-    pub fn decode_around<S: Snapshot>(
-        r: &mut amjs_sim::SnapReader<'_>,
-    ) -> Result<(Self, S), amjs_sim::SnapError> {
-        let tolerance = Snapshot::decode(r)?;
-        let fair_starts = Snapshot::decode(r)?;
-        let records = Snapshot::decode(r)?;
-        Ok((FairnessTracker { tolerance, records }, fair_starts))
+    /// Read back what [`FairnessTracker::encode_columns`] wrote.
+    pub fn decode_columns(r: &mut amjs_sim::ColumnReader<'_>) -> Result<Self, amjs_sim::SnapError> {
+        Ok(FairnessTracker {
+            tolerance: Snapshot::decode(&mut r.head)?,
+            records: r.column()?,
+        })
     }
 }
 

@@ -104,16 +104,19 @@ impl TimeSeries {
     }
 }
 
-impl amjs_sim::Snapshot for TimeSeries {
-    fn encode(&self, w: &mut amjs_sim::SnapWriter) {
-        w.put_str(&self.name);
-        self.points.encode(w);
+/// The name is bounded state; the points are a column.
+impl TimeSeries {
+    /// Write the name to the head and the points as a column.
+    pub fn encode_columns(&self, w: &mut amjs_sim::ColumnWriter<'_>) {
+        w.head.put_str(&self.name);
+        w.column(&self.points);
     }
-    fn decode(r: &mut amjs_sim::SnapReader<'_>) -> Result<Self, amjs_sim::SnapError> {
-        use amjs_sim::Snapshot;
+
+    /// Read back what [`TimeSeries::encode_columns`] wrote.
+    pub fn decode_columns(r: &mut amjs_sim::ColumnReader<'_>) -> Result<Self, amjs_sim::SnapError> {
         Ok(TimeSeries {
-            name: r.get_str()?,
-            points: Snapshot::decode(r)?,
+            name: r.head.get_str()?,
+            points: r.column()?,
         })
     }
 }

@@ -146,15 +146,18 @@ impl UtilizationTracker {
     }
 }
 
-impl amjs_sim::Snapshot for UtilizationTracker {
-    fn encode(&self, w: &mut amjs_sim::SnapWriter) {
-        w.put_u32(self.total_nodes);
-        self.steps.encode(w);
+/// The machine size is bounded state; the steps are a column.
+impl UtilizationTracker {
+    /// Write the machine size to the head and the steps as a column.
+    pub fn encode_columns(&self, w: &mut amjs_sim::ColumnWriter<'_>) {
+        w.head.put_u32(self.total_nodes);
+        w.column(&self.steps);
     }
-    fn decode(r: &mut amjs_sim::SnapReader<'_>) -> Result<Self, amjs_sim::SnapError> {
-        use amjs_sim::Snapshot;
-        let total_nodes = r.get_u32()?;
-        let steps: Vec<(SimTime, u32, f64)> = Snapshot::decode(r)?;
+
+    /// Read back what [`UtilizationTracker::encode_columns`] wrote.
+    pub fn decode_columns(r: &mut amjs_sim::ColumnReader<'_>) -> Result<Self, amjs_sim::SnapError> {
+        let total_nodes = r.head.get_u32()?;
+        let steps: Vec<(SimTime, u32, f64)> = r.column()?;
         if steps.is_empty() {
             return Err(amjs_sim::SnapError::Malformed(
                 "utilization tracker with no initial step".into(),

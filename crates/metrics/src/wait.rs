@@ -118,16 +118,19 @@ impl WaitStats {
     }
 }
 
-impl amjs_sim::Snapshot for WaitStats {
-    fn encode(&self, w: &mut amjs_sim::SnapWriter) {
-        self.waits.encode(w);
-        self.slowdowns.encode(w);
+/// Both vectors are columns of the run state: only ever pushed to.
+impl WaitStats {
+    /// Write the two columns.
+    pub fn encode_columns(&self, w: &mut amjs_sim::ColumnWriter<'_>) {
+        w.column(&self.waits);
+        w.column(&self.slowdowns);
     }
-    fn decode(r: &mut amjs_sim::SnapReader<'_>) -> Result<Self, amjs_sim::SnapError> {
-        use amjs_sim::Snapshot;
+
+    /// Read back what [`WaitStats::encode_columns`] wrote.
+    pub fn decode_columns(r: &mut amjs_sim::ColumnReader<'_>) -> Result<Self, amjs_sim::SnapError> {
         Ok(WaitStats {
-            waits: Snapshot::decode(r)?,
-            slowdowns: Snapshot::decode(r)?,
+            waits: r.column()?,
+            slowdowns: r.column()?,
         })
     }
 }

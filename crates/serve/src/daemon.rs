@@ -16,8 +16,8 @@
 //!                                      │            │ records         attempt thread
 //!                                      ├─► follower sinks (feeder     per forking
 //!                                      │   loops, link chaos)         `WHATIF`
-//!                                      ├─► snapshot writer (one encoded
-//!                                      │   buffer in flight at a time)
+//!                                      ├─► snapshot writer (one head +
+//!                                      │   frame in flight at a time)
 //!                                      └── tail thread (follower mode:
 //!                                          REPL TAIL from the primary)
 //! ```
@@ -50,16 +50,23 @@
 //! ## Durability contract
 //!
 //! Accepted mutations are applied, then appended to the command WAL
-//! ([`crate::wal`]) and flushed, and only then acknowledged. Snapshots
-//! of the full live state rotate every `snapshot_every` accepted
-//! commands: the engine encodes at the cadence point and hands the
-//! buffer to the `amjs-snap-writer` thread, which checksums, writes,
-//! syncs, renames and prunes while the engine goes on serving. The ACK
-//! never waits for that write — the WAL is what it promises, and the
+//! ([`crate::wal`]) and flushed, and only then acknowledged. Every
+//! `snapshot_every` accepted commands a snapshot rotates: the engine
+//! encodes the bounded *head* of the live state and a *frame* of what
+//! the append-only columns gained since the last snapshot — a few KB
+//! however long the daemon has run — and hands both to the
+//! `amjs-snap-writer` thread in one step. The writer appends the frame
+//! to the column log ([`crate::collog`]) and syncs it, and only then
+//! checksums, writes, syncs, renames and prunes the head as
+//! `snapshot-<seq>.snap`, sealed with the log length it counts on: a
+//! head never names log bytes that were not durable before it. The ACK
+//! never waits for any of that — the WAL is what it promises, and the
 //! WAL is never truncated at a snapshot, so a snapshot that lands late
 //! only lengthens the replayed tail. Snapshots a caller builds on
 //! (genesis, follower bootstrap, promotion, final) are waited for.
-//! Recovery = newest valid snapshot + WAL tail replayed
+//! Recovery = newest head whose log prefix verifies (frame checksums,
+//! column counts equal to the head's — else the one before, down to
+//! genesis) + the log cut back to that prefix + WAL tail replayed
 //! through the identical apply path ⇒ byte-identical state as of the
 //! last acknowledged mutation (each replayed record's `state_hash` is
 //! cross-checked, so silent divergence is impossible). An
@@ -95,9 +102,10 @@ use amjs_core::live::{peek_platform, JobStatus, LiveScheduler, WhatIfAnswer};
 use amjs_obs::expo::{ReplStats, SharedStats};
 use amjs_platform::Platform;
 use amjs_sim::snapshot::SnapshotStore;
-use amjs_sim::{SimDuration, SimTime, SnapError, Snapshot};
+use amjs_sim::{Columns, SimDuration, SimTime, SnapError, Snapshot};
 use amjs_workload::JobId;
 
+use crate::collog::{column_log_path, read_column_log, seal_head, split_head, ColumnLog};
 use crate::flight::{FlightKind, FlightRecorder};
 use crate::proto::{read_frame, write_frame, Command, FrameError};
 use crate::repl::{
@@ -295,23 +303,61 @@ pub fn snapshot_platform(dir: &Path) -> Result<String, ServeError> {
     Ok(peek_platform(&payload)?)
 }
 
-/// Recover a scheduler from `dir`: newest valid snapshot + WAL tail
-/// replay through the live apply path, cross-checking each record's
-/// logged `state_hash` so divergence is caught at its exact sequence.
+/// Recover a scheduler from `dir`: newest snapshot head whose column
+/// log prefix verifies + WAL tail replay through the live apply path,
+/// cross-checking each record's logged `state_hash` so divergence is
+/// caught at its exact sequence. The column log is cut back to the
+/// prefix that head counts on, as the WAL is to its last intact record.
 /// Returns the scheduler, the reopened WAL positioned after the last
 /// intact record, the number of replayed records, and the epoch the
 /// log ended in.
 pub fn recover<P: Platform + Snapshot>(
     dir: &Path,
-    mut diag: impl FnMut(&str),
+    diag: impl FnMut(&str),
 ) -> Result<(LiveScheduler<P>, WalWriter, u64, u64), ServeError> {
+    let r = recover_state::<P>(dir, diag)?;
+    Ok((r.sched, r.wal, r.replayed, r.epoch))
+}
+
+/// What [`recover`] found, and what [`Engine::open`] goes on writing
+/// snapshots with.
+struct Recovered<P: Platform + Snapshot> {
+    sched: LiveScheduler<P>,
+    wal: WalWriter,
+    replayed: u64,
+    epoch: u64,
+    log: ColumnLog,
+    /// Column lengths of the recovered *head*: the replayed tail is in
+    /// memory, not in the log.
+    cursor: Columns,
+}
+
+fn recover_state<P: Platform + Snapshot>(
+    dir: &Path,
+    mut diag: impl FnMut(&str),
+) -> Result<Recovered<P>, ServeError> {
+    let log_path = column_log_path(dir);
+    let log = read_column_log(&log_path)?;
     let store = SnapshotStore::new(dir, 1);
-    let (snap_seq, payload, snap_path) = store.load_latest(u64::MAX, &mut diag)?;
-    let mut sched = LiveScheduler::<P>::decode(&payload)?;
+    let (snap_seq, (mut sched, cursor, covered), snap_path) =
+        store.load_latest_with(u64::MAX, &mut diag, |payload| {
+            let (head, covered) = split_head(&payload)?;
+            let (sched, cursor) =
+                LiveScheduler::<P>::decode_parts(head, &log.covered_by(covered)?)?;
+            Ok((sched, cursor, covered))
+        })?;
     diag(&format!(
         "recovered snapshot {} (command seq {snap_seq})",
         snap_path.display()
     ));
+    if log.bytes() > covered {
+        diag(&format!(
+            "dropping {} bytes of column log past the recovered snapshot \
+             (frames whose head is not the one recovered, or a torn append)",
+            log.bytes() - covered
+        ));
+    }
+    let log = ColumnLog::reopen(&log_path, covered)?;
 
     let wal = read_wal(&wal_path(dir), Some(sched.fingerprint()))?;
     if wal.torn_tail {
@@ -332,8 +378,15 @@ pub fn recover<P: Platform + Snapshot>(
     }
     diag(&format!("replayed {replayed} wal records"));
     let epoch = wal.current_epoch();
-    let writer = WalWriter::reopen(&wal_path(dir), next_seq, wal.valid_len)?;
-    Ok((sched, writer, replayed, epoch))
+    let wal = WalWriter::reopen(&wal_path(dir), next_seq, wal.valid_len)?;
+    Ok(Recovered {
+        sched,
+        wal,
+        replayed,
+        epoch,
+        log,
+        cursor,
+    })
 }
 
 /// Re-apply one logged record — the step recovery replay and follower
@@ -562,15 +615,19 @@ enum Role {
     },
 }
 
+/// One snapshot on its way to the writer: `(seq, head, frame)`.
+type HandOff = (u64, Vec<u8>, Vec<u8>);
+
 /// Handle on the `amjs-snap-writer` thread, which owns the state dir's
-/// [`SnapshotStore`]: every snapshot file of a running daemon is
-/// checksummed, written, synced, renamed and pruned there. At most one
-/// write is in flight; handing over the next buffer first waits for the
-/// previous one, so a disk slower than the snapshot cadence slows the
-/// engine down instead of queueing buffers.
+/// [`ColumnLog`] and [`SnapshotStore`]: every snapshot of a running
+/// daemon — frame appended and synced, then the head checksummed,
+/// written, synced, renamed and pruned — is made durable there. At most
+/// one is in flight; handing over the next first waits for the previous
+/// one, so a disk slower than the snapshot cadence slows the engine
+/// down instead of queueing buffers.
 struct SnapshotPipe {
     /// `None` once closed.
-    jobs: Option<mpsc::Sender<(u64, Vec<u8>)>>,
+    jobs: Option<mpsc::Sender<HandOff>>,
     done: mpsc::Receiver<io::Result<()>>,
     in_flight: bool,
     writer: Option<thread::JoinHandle<()>>,
@@ -584,18 +641,24 @@ impl SnapshotPipe {
     /// Start the writer. It times each write into
     /// `telem.snapshot_write` and records the flight-recorder
     /// `Snapshot` event when the file is in place.
-    fn spawn(store: SnapshotStore, shared: Arc<Shared>) -> io::Result<SnapshotPipe> {
-        let (jobs, inbox) = mpsc::channel::<(u64, Vec<u8>)>();
+    fn spawn(
+        store: SnapshotStore,
+        mut log: ColumnLog,
+        shared: Arc<Shared>,
+    ) -> io::Result<SnapshotPipe> {
+        let (jobs, inbox) = mpsc::channel::<HandOff>();
         let (outbox, done) = mpsc::channel();
         let writer = thread::Builder::new()
             .name("amjs-snap-writer".into())
             .spawn(move || {
-                for (seq, payload) in inbox {
+                for (seq, head, frame) in inbox {
                     let started = Instant::now();
-                    let res = store.write(seq, &payload).map(drop);
-                    // Free the buffer before reporting: once a write
-                    // has settled, its megabyte is gone.
-                    drop(payload);
+                    // The frame is durable before the head that counts
+                    // on it exists under its name.
+                    let res = log
+                        .append(&frame)
+                        .and_then(|covered| store.write(seq, &seal_head(head, covered)))
+                        .map(drop);
                     let elapsed = started.elapsed();
                     shared
                         .telem
@@ -645,21 +708,15 @@ impl SnapshotPipe {
         res
     }
 
-    /// Settle the previous write, then hand `payload` over as the
-    /// snapshot at command sequence `seq`. An `Err` is the previous
-    /// write's; `payload` is then dropped unwritten.
-    fn submit(&mut self, seq: u64, payload: Vec<u8>) -> io::Result<()> {
+    /// Settle the previous write, then hand `head` and `frame` over as
+    /// the snapshot at command sequence `seq`. An `Err` is the previous
+    /// write's; the two are then dropped unwritten.
+    fn submit(&mut self, seq: u64, head: Vec<u8>, frame: Vec<u8>) -> io::Result<()> {
         self.settle()?;
         let jobs = self.jobs.as_ref().ok_or_else(writer_gone)?;
-        jobs.send((seq, payload)).map_err(|_| writer_gone())?;
+        jobs.send((seq, head, frame)).map_err(|_| writer_gone())?;
         self.in_flight = true;
         Ok(())
-    }
-
-    /// [`submit`](Self::submit) and wait: the file is on disk on `Ok`.
-    fn write_now(&mut self, seq: u64, payload: Vec<u8>) -> io::Result<()> {
-        self.submit(seq, payload)?;
-        self.settle()
     }
 
     /// Close the queue and join the writer (it finishes a write in
@@ -683,6 +740,11 @@ struct Engine<P: Platform + Snapshot + 'static> {
     sched: LiveScheduler<P>,
     wal: WalWriter,
     snap: SnapshotPipe,
+    /// Column lengths of the last snapshot handed to the writer: the
+    /// next frame starts here.
+    cursor: Columns,
+    /// Head + frame bytes of that hand-off (`serve_snapshot_bytes`).
+    snapshot_bytes: usize,
     shared: Arc<Shared>,
     role: Role,
     epoch: u64,
@@ -731,22 +793,17 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         std::fs::create_dir_all(&cfg.dir)?;
         let shared = Arc::new(Shared::new(cfg));
         let cfg = &shared.cfg;
-        let store = SnapshotStore::new(&cfg.dir, cfg.keep_snapshots);
-        let mut snap = SnapshotPipe::spawn(store, shared.clone())?;
         let wal_file = wal_path(&cfg.dir);
-        let (sched, wal, epoch) = match (&cfg.follow, resume) {
+        let (sched, wal, epoch, resumed) = match (&cfg.follow, resume) {
             (_, true) => {
-                let (sched, wal, _, epoch) =
-                    recover::<P>(&cfg.dir, |m| eprintln!("amjs serve: {m}"))?;
-                (sched, wal, epoch)
+                let r = recover_state::<P>(&cfg.dir, |m| eprintln!("amjs serve: {m}"))?;
+                (r.sched, r.wal, r.epoch, Some((r.log, r.cursor)))
             }
             (None, false) => {
                 refuse_dirty_dir(&cfg.dir)?;
                 let sched = init();
                 let wal = WalWriter::create(&wal_file, sched.fingerprint(), 0)?;
-                // Genesis snapshot: recovery always has a floor to replay from.
-                snap.write_now(0, sched.encode())?;
-                (sched, wal, 0)
+                (sched, wal, 0, None)
             }
             (Some(spec), false) => {
                 refuse_dirty_dir(&cfg.dir)?;
@@ -765,15 +822,27 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                         sched.fingerprint()
                     )));
                 }
-                snap.write_now(boot.seq, boot.payload)?;
                 let wal = WalWriter::create_at(&wal_file, boot.fingerprint, boot.epoch, boot.seq)?;
                 eprintln!(
                     "amjs serve: bootstrapped from primary {} (seq {}, epoch {})",
                     spec.primary, boot.seq, boot.epoch
                 );
-                (sched, wal, boot.epoch)
+                (sched, wal, boot.epoch, None)
             }
         };
+        // A fresh directory starts an empty column log, and lays the
+        // snapshot it starts from — genesis, or the primary's state —
+        // once there is an engine to take it.
+        let fresh = resumed.is_none();
+        let (log, cursor) = match resumed {
+            Some(resumed) => resumed,
+            None => (
+                ColumnLog::create(&column_log_path(&cfg.dir))?,
+                Columns::default(),
+            ),
+        };
+        let store = SnapshotStore::new(&cfg.dir, cfg.keep_snapshots);
+        let snap = SnapshotPipe::spawn(store, log, shared.clone())?;
         let role = cfg
             .follow
             .as_ref()
@@ -787,8 +856,10 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             .primary_next_seq
             .store(wal.next_seq(), Ordering::SeqCst);
         shared.flight.register_panic_hook();
-        Ok(Engine {
+        let mut engine = Engine {
             snap,
+            cursor,
+            snapshot_bytes: 0,
             report: ServeReport {
                 final_seq: wal.next_seq(),
                 final_epoch: epoch,
@@ -808,7 +879,14 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             since_oracle: 0,
             last_heartbeat: Instant::now(),
             shared,
-        })
+        };
+        if fresh {
+            // Recovery always has a floor to replay from. It is where
+            // the segment starts, not part of its work.
+            engine.snapshot(engine.wal.next_seq(), true)?;
+            engine.report.snapshots_written = 0;
+        }
+        Ok(engine)
     }
 
     /// The clean end of a segment, after the shell stopped feeding
@@ -1076,32 +1154,36 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             .retain(|sink| sink.send(frame.clone()).is_ok());
     }
 
-    /// One snapshot at command sequence `seq`: encode here, write on
-    /// the writer thread. All three engine sites (rotation, promotion,
-    /// final) go through here; `wait` makes the call return only once
-    /// the file is on disk. Without it an `Err` is the *previous*
-    /// write's, and this one's surfaces at the next call or idle tick.
-    /// What the engine thread paid — encode plus any waiting — goes to
-    /// `snapshot_stall`.
+    /// One snapshot at command sequence `seq`: encode the head and the
+    /// frame past the cursor here, make them durable on the writer
+    /// thread. Every snapshot of a daemon (genesis or bootstrap,
+    /// rotation, promotion, final) goes through here; `wait` makes the
+    /// call return only once the head is on disk. Without it an `Err`
+    /// is the *previous* write's, and this one's surfaces at the next
+    /// call or idle tick. What the engine thread paid — encode plus any
+    /// waiting — goes to `snapshot_stall`.
     fn snapshot(&mut self, seq: u64, wait: bool) -> io::Result<()> {
         let started = Instant::now();
-        let payload = self.sched.encode();
-        let res = if wait {
-            self.snap.write_now(seq, payload)
-        } else {
-            self.snap.submit(seq, payload)
-        };
+        let (head, frame, next) = self.sched.encode_since(&self.cursor);
+        let bytes = head.len() + frame.len();
+        let mut res = self.snap.submit(seq, head, frame);
+        if res.is_ok() {
+            // Handed over: the next frame starts where this one stopped.
+            // A write that fails after this is fatal, and a daemon that
+            // ends fatally returns no report.
+            self.cursor = next;
+            self.snapshot_bytes = bytes;
+            self.report.snapshots_written += 1;
+            if wait {
+                res = self.snap.settle();
+            }
+        }
         self.shared
             .telem
             .lock()
             .unwrap()
             .snapshot_stall
             .observe_duration(started.elapsed());
-        if res.is_ok() {
-            // A write that fails after this is fatal, and a daemon that
-            // ends fatally returns no report.
-            self.report.snapshots_written += 1;
-        }
         res
     }
 
@@ -1325,6 +1407,7 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
             ),
             ("serve_whatif_panics_total", count(&shared.whatif_panics)),
             ("serve_wal_seq", self.wal.next_seq() as f64),
+            ("serve_snapshot_bytes", self.snapshot_bytes as f64),
             ("serve_draining", if self.draining { 1.0 } else { 0.0 }),
             ("serve_jobs_abandoned", s.abandoned as f64),
             ("serve_jobs_finished", s.finished as f64),
@@ -1681,6 +1764,7 @@ mod tests {
     use crate::repl::{parse_stream_frame, StreamFrame};
     use amjs_core::{PolicyParams, SimulationBuilder};
     use amjs_platform::FlatCluster;
+    use std::fs::OpenOptions;
     use std::io::Write as _;
     use std::net::SocketAddr;
 
@@ -2735,7 +2819,15 @@ mod tests {
         let (seq, payload, _) = store.load_latest(u64::MAX, |m| panic!("{m}")).unwrap();
         assert_eq!(seq, first.final_seq);
         assert_eq!(first.final_seq, 6);
-        LiveScheduler::<FlatCluster>::decode(&payload).unwrap();
+        // Whole: the head decodes with the log it counts on, all of it.
+        let (head, covered) = split_head(&payload).unwrap();
+        let log = read_column_log(&column_log_path(&dir)).unwrap();
+        assert_eq!(
+            (covered, log.boundaries().last()),
+            (log.bytes(), Some(covered))
+        );
+        LiveScheduler::<FlatCluster>::decode_parts(head, &log.covered_by(covered).unwrap())
+            .unwrap();
         assert_eq!(leftover_snapshot_tmps(&dir), Vec::<String>::new());
     }
 
@@ -2763,5 +2855,194 @@ mod tests {
             // The resumed daemon's final snapshot swept the stale `.tmp`.
             assert_eq!(leftover_snapshot_tmps(&dir), Vec::<String>::new());
         }
+    }
+
+    // ----- the crash windows the column log opens -----
+
+    /// Twelve mutations at `snapshot_every = 4`, then a crash: heads 0,
+    /// 4, 8 and 12 on disk, one frame in the log for each. Returns what
+    /// the dead daemon would have answered.
+    fn crashed_after_three_rotations(dir: &Path) -> Vec<String> {
+        let mut e = open(dir, false, |cfg| cfg.snapshot_every = 4);
+        for round in 0..3 {
+            submits(&mut e, 3, "NODES=16 WALL=3600 RUN=900");
+            assert!(ask(&mut e, &format!("ADVANCE {}", 400 + round)).starts_with("OK T="));
+        }
+        let reference = observe(&mut e, 9);
+        drop(e); // a dropped engine's writer finishes what it was handed
+        assert_eq!(snapshot_seqs(dir), [0, 4, 8, 12]);
+        reference
+    }
+
+    /// `recover` on `dir`: the snapshot recovered from, the records
+    /// replayed on top, and every diagnostic line.
+    fn recovery_of(dir: &Path) -> (u64, u64, Vec<String>) {
+        let mut diags = Vec::new();
+        let (_, wal, replayed, _) =
+            recover::<FlatCluster>(dir, |m| diags.push(m.to_string())).unwrap();
+        (wal.next_seq() - replayed, replayed, diags)
+    }
+
+    /// The resumed daemon answers as the dead one did, keeps rotating on
+    /// the log recovery cut back, and comes back from *that* as well.
+    fn resumes_to(dir: &Path, reference: &[String]) {
+        let mut e = open(dir, true, |cfg| cfg.snapshot_every = 4);
+        assert_eq!(observe(&mut e, 9), reference);
+        submits(&mut e, 5, "NODES=16 WALL=3600 RUN=900");
+        let extended = observe(&mut e, 14);
+        drop(e);
+        let (from, replayed, diags) = recovery_of(dir);
+        assert_eq!((from, replayed), (16, 1), "{diags:?}");
+        let mut e = open(dir, true, |_| {});
+        assert_eq!(observe(&mut e, 14), extended);
+        e.close().unwrap();
+    }
+
+    #[test]
+    fn a_frame_whose_head_never_landed_is_dropped_with_a_diagnostic() {
+        // Killed between the log append and the head's rename — or,
+        // with the log torn as well, inside the append itself.
+        for (tag, torn) in [("log-headless", 0), ("log-torn", 5)] {
+            let dir = tmp_dir(tag);
+            let reference = crashed_after_three_rotations(&dir);
+            std::fs::remove_file(SnapshotStore::new(&dir, 1).path_for(12)).unwrap();
+            let log_path = column_log_path(&dir);
+            let whole = std::fs::metadata(&log_path).unwrap().len();
+            let log = OpenOptions::new().write(true).open(&log_path).unwrap();
+            log.set_len(whole - torn).unwrap();
+
+            let (from, replayed, diags) = recovery_of(&dir);
+            assert_eq!((from, replayed), (8, 4), "{tag}: {diags:?}");
+            let dropped = "of column log past the recovered snapshot";
+            assert!(diags.iter().any(|d| d.contains(dropped)), "{diags:?}");
+            assert!(!diags.iter().any(|d| d.contains("rejecting")), "{diags:?}");
+            let cut = std::fs::metadata(&log_path).unwrap().len();
+            assert!(
+                cut < whole - torn,
+                "recovery cut the log back to head 8's prefix"
+            );
+            resumes_to(&dir, &reference);
+        }
+    }
+
+    #[test]
+    fn a_head_whose_log_prefix_is_damaged_falls_back_to_the_head_before() {
+        // (frame damaged, how, snapshot recovered from): the newest
+        // head's own frame truncated or bit-flipped costs that head; a
+        // flip in head 4's frame costs every head that counts on it.
+        for (tag, frame, flip, survivor) in [
+            ("log-cut", 4, false, 8),
+            ("log-flip", 4, true, 8),
+            ("log-flip-early", 2, true, 0),
+        ] {
+            let dir = tmp_dir(tag);
+            let reference = crashed_after_three_rotations(&dir);
+            let log_path = column_log_path(&dir);
+            // The header's end, then one frame's for each of the four heads.
+            let ends: Vec<u64> = read_column_log(&log_path).unwrap().boundaries().collect();
+            assert_eq!(ends.len(), 5);
+            let mut raw = std::fs::read(&log_path).unwrap();
+            if flip {
+                raw[ends[frame] as usize - 12] ^= 0x10; // in the frame's body
+            } else {
+                raw.truncate(ends[frame] as usize - 5);
+            }
+            std::fs::write(&log_path, &raw).unwrap();
+
+            let (from, replayed, diags) = recovery_of(&dir);
+            assert_eq!(
+                (from, replayed),
+                (survivor, 12 - survivor),
+                "{tag}: {diags:?}"
+            );
+            let rejected = diags.iter().filter(|d| d.starts_with("rejecting snapshot"));
+            let counted_on = "bytes of column log, which is intact for";
+            assert!(
+                rejected.clone().all(|d| d.contains(counted_on)),
+                "{diags:?}"
+            );
+            assert_eq!(rejected.count() as u64, (12 - survivor) / 4, "{diags:?}");
+            assert!(
+                diags.iter().any(|d| d.starts_with("falling back")),
+                "{diags:?}"
+            );
+            resumes_to(&dir, &reference);
+        }
+    }
+
+    #[test]
+    fn a_bootstrapped_follower_rotates_deltas_and_resumes_from_them() {
+        let (dir_p, dir_f) = (tmp_dir("delta-prim"), tmp_dir("delta-foll"));
+        let mut p = open(&dir_p, false, |_| {});
+        submits(&mut p, 6, "NODES=16 WALL=3600 RUN=900");
+        assert_eq!(ask(&mut p, "ADVANCE 600"), "OK T=600");
+
+        // The bootstrap is one full payload; from there on the follower
+        // writes its own log, a frame every fourth mirrored record.
+        let Reply::Snapshot(boot) = step(&mut p, "REPL SNAPSHOT") else {
+            panic!("a primary serves snapshots");
+        };
+        let cadence = |boot| {
+            move |cfg: &mut ServeConfig| {
+                following("primary:0", 3000, boot)(cfg);
+                cfg.snapshot_every = 4;
+            }
+        };
+        let mut f = open(&dir_f, false, cadence(Some(boot)));
+        let link = link(&mut p, &f);
+        for i in 0..200 {
+            let line = match i % 4 {
+                3 => "ADVANCE 300".to_string(),
+                n => format!("SUBMIT NODES=8 WALL=1800 RUN=600 USER={n}"),
+            };
+            assert!(ask(&mut p, &line).starts_with("OK "), "{line}");
+        }
+        pump(&link, &mut f);
+        let reference = observe(&mut p, 156);
+        assert_eq!(observe(&mut f, 156), reference);
+        assert_eq!(f.report.replicated, 200);
+        assert_eq!(f.report.snapshots_written, 50);
+
+        // Killed, and resumed from the last head + its log prefix with
+        // nothing left to replay.
+        drop((f, link));
+        let (from, replayed, diags) = recovery_of(&dir_f);
+        assert_eq!((from, replayed), (207, 0), "{diags:?}");
+        let mut f = open(&dir_f, true, cadence(None));
+        assert_eq!(observe(&mut f, 156), reference);
+        assert_eq!(
+            ask(&mut f, "ROLE"),
+            "OK ROLE=follower EPOCH=0 PRIMARY=primary:0 LAG=0"
+        );
+        f.close().unwrap();
+        p.close().unwrap();
+    }
+
+    #[test]
+    fn what_a_rotation_hands_the_writer_does_not_grow_with_the_script() {
+        // 4 000 mutations at the default cadence, in a steady state: the
+        // machine keeps up with three submissions every two minutes.
+        let mut e = open(&tmp_dir("size-gate"), false, |_| {});
+        let mut handed = Vec::new();
+        for i in 0..4000 {
+            let line = match i % 4 {
+                3 => "ADVANCE 120".to_string(),
+                n => format!("SUBMIT NODES=8 WALL=600 RUN=240 USER={n}"),
+            };
+            assert!(ask(&mut e, &line).starts_with("OK "), "{line}");
+            if (i + 1) % 64 == 0 {
+                handed.push(e.snapshot_bytes);
+            }
+        }
+        assert_eq!((handed.len() as u64, e.report.snapshots_written), (62, 62));
+        let (fourth, last) = (handed[3], handed[61]);
+        // The gate a growing field in the head trips: 16 B a job would
+        // be 48 KB by the last rotation.
+        assert!(
+            last <= 2 * fourth,
+            "{fourth} B at rotation 4, {last} B at 62"
+        );
+        assert!(last < 64 << 10, "{last} B");
+        e.close().unwrap();
     }
 }

@@ -13,6 +13,9 @@
 //! - **[`wal`]** — checksummed append-only command journal. Accepted
 //!   mutations are applied, journaled, flushed, *then* acknowledged,
 //!   so a SIGKILL can never lose an acknowledged submission.
+//! - **[`collog`]** — the column log: the append-only part of the run
+//!   state, written once. A snapshot appends a frame of what the
+//!   columns gained and rotates only a few-KB head.
 //! - **[`daemon`]** — the service itself: single-owner engine loop,
 //!   bounded admission queue with `BUSY` load-shedding, per-connection
 //!   read deadlines, supervised what-if workers, snapshot rotation,
@@ -33,6 +36,7 @@
 //! Like the rest of the workspace, this crate uses no external
 //! dependencies: sockets, threads, and channels all come from `std`.
 
+pub mod collog;
 pub mod daemon;
 pub mod flight;
 pub mod proto;
@@ -41,6 +45,7 @@ pub mod signal;
 pub mod telemetry;
 pub mod wal;
 
+pub use collog::{column_log_path, read_column_log, split_head};
 pub use daemon::{
     recover, run_daemon, snapshot_platform, ClockMode, FollowSpec, ServeConfig, ServeError,
     ServeReport,

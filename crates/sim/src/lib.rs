@@ -59,5 +59,8 @@ pub use engine::{Engine, Recorder, RunStats, World};
 pub use event::{EventEntry, EventQueue, Priority};
 pub use journal::{JournalFile, JournalRecord, JournalWriter};
 pub use oracle::{NoOracle, Oracle};
-pub use snapshot::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotStore, StateHash};
+pub use snapshot::{
+    ColumnReader, ColumnWriter, Columns, SnapError, SnapReader, SnapWriter, Snapshot,
+    SnapshotStore, StateHash,
+};
 pub use time::{SimDuration, SimTime};
