@@ -44,6 +44,7 @@ pub mod runner;
 pub mod scheduler;
 pub mod score;
 pub mod spec;
+pub(crate) mod state;
 pub mod window;
 
 pub use adaptive::{AdaptiveScheme, TunerConfig};

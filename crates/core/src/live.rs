@@ -33,9 +33,10 @@ use amjs_workload::{Job, JobId};
 
 use crate::persist::{self, SnapshotHeader};
 use crate::runner::{
-    finish_run, Ev, InvariantOracle, JobOutcome, LiveState, PreparedRun, RunConfig, RunMeta,
-    Runner, SimulationBuilder, SimulationOutcome,
+    finish_run, Ev, InvariantOracle, JobOutcome, PreparedRun, Runner, SimulationBuilder,
+    SimulationOutcome,
 };
+use crate::state::{LiveState, RunConfig, RunMeta};
 
 /// Section tag for the live-mode trailer appended after the PR-3
 /// META/WORLD/QUEUE sections (1–3; 5 is `persist`'s column frame).

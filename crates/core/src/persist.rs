@@ -56,9 +56,9 @@ use amjs_sim::{
 };
 
 use crate::runner::{
-    finish_run, Ev, InvariantOracle, PreparedRun, RunMeta, Runner, SimulationBuilder,
-    SimulationOutcome,
+    finish_run, Ev, InvariantOracle, PreparedRun, Runner, SimulationBuilder, SimulationOutcome,
 };
+use crate::state::RunMeta;
 
 /// Section tag for run metadata inside a snapshot payload.
 const SEC_META: u32 = 1;
