@@ -16,7 +16,7 @@ use amjs_core::{LiveScheduler, MachineSpec, PolicyParams, SimulationBuilder};
 use amjs_obs::{shared_stats, MetricsServer};
 use amjs_platform::{BgpCluster, FlatCluster, Platform};
 use amjs_serve::{
-    fetch_snapshot, run_daemon, snapshot_platform, ClockMode, FollowSpec, ReplChaos, ServeConfig,
+    fetch_snapshot, run_daemon, snapshot_platform, ClockMode, FollowSpec, ServeConfig,
 };
 use amjs_sim::Snapshot;
 
@@ -140,11 +140,6 @@ fn flag_specs() -> Vec<FlagSpec> {
             d.repl_heartbeat.as_millis(),
             "heartbeat cadence on follower streams (primary side)",
         ),
-        FlagSpec::value(
-            "repl-fault",
-            "deterministic link faults on follower streams: \
-                   drop=<p>,delay-ms=<n>,disconnect=<p>,seed=<n>,diverge-at=<seq>",
-        ),
     ]
 }
 
@@ -257,10 +252,6 @@ fn serve_config(parsed: &ParsedArgs, dir: &Path) -> Result<ServeConfig, ArgError
     cfg.repl_heartbeat = Duration::from_millis(parsed.get_parsed("repl-heartbeat-ms")?);
     if cfg.repl_heartbeat.is_zero() {
         return Err(ArgError("--repl-heartbeat-ms: must be positive".into()));
-    }
-    if let Some(spec) = parsed.get("repl-fault") {
-        cfg.repl_chaos =
-            Some(ReplChaos::parse_spec(spec).map_err(|e| ArgError(format!("--repl-fault: {e}")))?);
     }
     if let Some(primary) = parsed.get("follow") {
         if lease.is_zero() {
@@ -476,7 +467,7 @@ mod tests {
             ServeConfig::new("state"),
         );
         assert_eq!(knobs(&cfg), knobs(&d));
-        assert!(cfg.follow.is_none() && cfg.repl_chaos.is_none() && cfg.stats.is_none());
+        assert!(cfg.follow.is_none() && cfg.stats.is_none());
         let fresh = (MachineSpec::intrepid(), PolicyParams::new(0.5, 4));
         assert_eq!(fresh_start(&parsed).unwrap(), fresh);
 

@@ -10,9 +10,8 @@
 //! `amjs sweep --resume <dir>` skips completed runs exactly and
 //! re-aggregates byte-identically.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use amjs_core::{grid_fingerprint, AdaptiveKind, PolicyParams, RunSpec, WorkloadSource};
@@ -89,19 +88,7 @@ fn sweep_flags() -> Vec<FlagSpec> {
         ),
         FlagSpec::value(
             "stop-after",
-            "stop dispatching after N runs this invocation (testing aid for --resume)",
-        ),
-        FlagSpec::value(
-            "inject-panic",
-            "testing aid: panic every attempt of runs whose key contains this substring",
-        ),
-        FlagSpec::value(
-            "inject-flaky",
-            "testing aid: panic the first attempt of runs whose key contains this substring",
-        ),
-        FlagSpec::value(
-            "inject-hang",
-            "testing aid: hang runs whose key contains this substring (pair with --run-timeout)",
+            "stop dispatching after N runs this invocation",
         ),
         FlagSpec::switch("quiet", "print only the aggregated CSV on stdout"),
     ]);
@@ -120,6 +107,15 @@ fn grid_flags() -> Vec<&'static str> {
 
 /// `amjs sweep`.
 pub fn sweep(argv: &[String]) -> Result<(), ArgError> {
+    run_sweep(argv, build_exec)
+}
+
+/// `amjs sweep` with the per-run executor built by `exec` — the seam a
+/// test hands its own [`Exec`] through.
+fn run_sweep(
+    argv: &[String],
+    exec: impl FnOnce(&ParsedArgs) -> Result<Exec, ArgError>,
+) -> Result<(), ArgError> {
     let flags = sweep_flags();
     let parsed = parse(argv, &flags)?;
     if parsed.get_bool("help") {
@@ -197,7 +193,7 @@ pub fn sweep(argv: &[String]) -> Result<(), ArgError> {
             .map(|s| format!(" (journal in {})", s.dir().display()))
             .unwrap_or_default()
     );
-    let exec = build_exec(&parsed)?;
+    let exec = exec(&parsed)?;
     let report = run_fleet(&specs, &cfg, exec, store.as_ref())
         .map_err(|e| ArgError(format!("sweep failed: {e}")))?;
 
@@ -372,12 +368,9 @@ fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgErr
     validate_grid(specs).map_err(|e| ArgError(e.to_string()))
 }
 
-/// Build the per-run executor: the real simulation, wrapped with the
-/// failure-injection testing aids and optional per-run span profiling.
+/// Build the per-run executor: the real simulation, with optional
+/// per-run span profiling.
 fn build_exec(parsed: &ParsedArgs) -> Result<Exec, ArgError> {
-    let inject_panic = parsed.get("inject-panic").map(String::from);
-    let inject_flaky = parsed.get("inject-flaky").map(String::from);
-    let inject_hang = parsed.get("inject-hang").map(String::from);
     let profile_dir = parsed.get("profile-dir").map(PathBuf::from);
     if let Some(dir) = &profile_dir {
         std::fs::create_dir_all(dir).map_err(|e| {
@@ -387,35 +380,9 @@ fn build_exec(parsed: &ParsedArgs) -> Result<Exec, ArgError> {
             ))
         })?;
     }
-    // Keys whose injected first-attempt failure has already fired.
-    let flaky_tripped: Mutex<HashSet<String>> = Mutex::new(HashSet::new());
-    Ok(Arc::new(move |spec: &RunSpec| {
-        if let Some(pat) = &inject_hang {
-            if spec.key.contains(pat.as_str()) {
-                loop {
-                    std::thread::sleep(Duration::from_secs(3600));
-                }
-            }
-        }
-        if let Some(pat) = &inject_panic {
-            if spec.key.contains(pat.as_str()) {
-                panic!("injected panic for run {}", spec.key);
-            }
-        }
-        if let Some(pat) = &inject_flaky {
-            if spec.key.contains(pat.as_str())
-                && flaky_tripped.lock().unwrap().insert(spec.key.clone())
-            {
-                panic!(
-                    "injected flaky failure for run {} (first attempt)",
-                    spec.key
-                );
-            }
-        }
-        match &profile_dir {
-            None => RunDigest::from_outcome(&spec.execute()),
-            Some(dir) => run_profiled(spec, dir),
-        }
+    Ok(Arc::new(move |spec: &RunSpec| match &profile_dir {
+        None => RunDigest::from_outcome(&spec.execute()),
+        Some(dir) => run_profiled(spec, dir),
     }))
 }
 
@@ -438,6 +405,8 @@ fn run_profiled(spec: &RunSpec, dir: &Path) -> RunDigest {
 mod tests {
     use super::*;
     use crate::args::tests::argv;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
 
     const SMALL: &[&str] = &[
         "--workload",
@@ -576,6 +545,24 @@ mod tests {
         assert!(err.0.contains("mutually exclusive"), "{err}");
     }
 
+    /// The real executor, except that a run whose key contains `pat`
+    /// panics: on its first attempt only if `flaky`, else on every one.
+    fn panicking(pat: &'static str, flaky: bool) -> Exec {
+        let tripped = Mutex::new(HashSet::new());
+        Arc::new(move |spec: &RunSpec| {
+            let first = tripped.lock().unwrap().insert(spec.key.clone());
+            if spec.key.contains(pat) && (first || !flaky) {
+                panic!("injected failure for run {}", spec.key);
+            }
+            RunDigest::from_outcome(&spec.execute())
+        })
+    }
+
+    /// [`sweep`] over `argv`, every run through `exec`.
+    fn sweep_with(argv: &[String], exec: Exec) -> Result<(), ArgError> {
+        run_sweep(argv, |_| Ok(exec))
+    }
+
     #[test]
     fn degraded_runs_fail_the_exit_unless_keep_going() {
         let base = &[
@@ -587,16 +574,14 @@ mod tests {
             "2",
             "--run-backoff",
             "0.001",
-            "--inject-panic",
-            "bf0-",
         ];
-        let err = sweep(&small_argv(base)).unwrap_err();
+        let err = sweep_with(&small_argv(base), panicking("bf0-", false)).unwrap_err();
         assert!(err.0.contains("degraded"), "{err}");
         assert!(err.0.contains("--keep-going"), "{err}");
 
         let mut with_keep = base.to_vec();
         with_keep.push("--keep-going");
-        sweep(&small_argv(&with_keep)).unwrap();
+        sweep_with(&small_argv(&with_keep), panicking("bf0-", false)).unwrap();
     }
 
     #[test]
@@ -605,19 +590,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let csv_path = dir.join("out.csv");
         std::fs::create_dir_all(&dir).unwrap();
-        sweep(&small_argv(&[
+        let argv = small_argv(&[
             "--bf",
             "1",
             "--window",
             "1,2",
             "--run-backoff",
             "0.001",
-            "--inject-flaky",
-            "w2",
             "--csv",
             csv_path.to_str().unwrap(),
-        ]))
-        .unwrap();
+        ]);
+        sweep_with(&argv, panicking("w2", true)).unwrap();
         let csv = std::fs::read_to_string(&csv_path).unwrap();
         assert!(csv.contains("none-bf1-w2-s42,retried,2,"), "{csv}");
         assert!(csv.contains("none-bf1-w1-s42,ok,1,"), "{csv}");

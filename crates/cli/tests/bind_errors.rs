@@ -3,8 +3,9 @@
 //! (or at a nonsense address) must exit nonzero with a clean
 //! `error: --<flag>: cannot bind ...` diagnostic on stderr — never a
 //! panic, never a half-started process. The same contract covers a
-//! fresh daemon's policy flags, which are validated on that path, and
-//! every float flag and machine size on every command.
+//! fresh daemon's policy flags, which are validated on that path,
+//! every float flag and machine size on every command, and the fault
+//! switches the CLI no longer has.
 
 use std::net::TcpListener;
 use std::process::Command;
@@ -223,4 +224,23 @@ fn non_finite_floats_and_an_empty_flat_machine_are_one_line_errors() {
         assert_eq!(String::from_utf8_lossy(&out.stderr), want, "amjs {line}");
     }
     assert!(!dir.exists(), "serve left a state directory behind");
+}
+
+#[test]
+fn removed_fault_switches_are_unknown_flags() {
+    // Tests inject link and executor faults on their own side now.
+    for (command, flag) in [
+        ("serve --repl-fault drop=0.1", "--repl-fault"),
+        ("sweep --inject-panic x", "--inject-panic"),
+        ("sweep --inject-flaky x", "--inject-flaky"),
+        ("sweep --inject-hang x", "--inject-hang"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
+            .args(command.split_whitespace())
+            .output()
+            .expect("spawn amjs");
+        assert_eq!(out.status.code(), Some(1), "amjs {command}: {out:?}");
+        let want = format!("error: unknown flag {flag} (try --help)\n");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "amjs {command}");
+    }
 }

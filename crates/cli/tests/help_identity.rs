@@ -34,8 +34,8 @@ fn help_text_of_every_subcommand_is_pinned() {
 const PINNED: &[&str] = &[
     "simulate 6f742c9d86cb2871",
     "replay f1d96e044fc9162a",
-    "sweep 2f512e27d2341d3c",
-    "serve 39a5645817e8ace1",
+    "sweep c260d2b597394927",
+    "serve 7e2ba7f483d41939",
     "workload 6c3d6937b1acc3fc",
     "doctor f72b6a4500cefe49",
     "trace 85b3002badebd426",

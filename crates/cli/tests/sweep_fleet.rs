@@ -1,15 +1,17 @@
 //! `amjs sweep` fleet contract, driven through the real binary:
 //!
 //! - the aggregated CSV is byte-identical across `--jobs 1/2/8`;
-//! - an injected panic is retried, recorded as `failed`, and the rest
-//!   of the grid still completes (exit 0 under `--keep-going`);
-//! - an injected hang hits the per-run deadline and degrades to
-//!   `timeout` instead of wedging the sweep;
+//! - runs that overrun the per-run deadline degrade to `timeout`
+//!   instead of wedging the sweep;
 //! - a sweep stopped mid-flight resumes from its journal and
 //!   re-aggregates byte-identically to an uninterrupted sweep.
+//!
+//! Panicking and flaky runs are the executor's business: `amjs-fleet`'s
+//! engine tests and `sweep.rs`'s own hand the fleet a failing `Exec`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::time::Instant;
 
 fn amjs(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_amjs"))
@@ -71,70 +73,55 @@ fn aggregated_csv_is_byte_identical_across_worker_counts() {
     assert!(csv1.contains("avg_wait_mins_mean"), "{csv1}");
 }
 
+/// One month run on the default machine: ~0.17 s in a release build,
+/// 17x the 10 ms deadline below, and longer still in debug.
+const MONTH: &[&str] = &[
+    "sweep",
+    "--workload",
+    "month",
+    "--bf",
+    "1",
+    "--window",
+    "1",
+    "--quiet",
+];
+
 #[test]
-fn injected_panic_degrades_to_failed_without_killing_the_sweep() {
-    let args = grid_with(&[
-        "--jobs",
-        "4",
-        "--run-retries",
-        "2",
-        "--run-backoff",
-        "0.001",
-        "--inject-panic",
-        "bf0.5-w2",
-        "--keep-going",
-    ]);
-    let out = amjs(&args);
+fn overrunning_runs_time_out_instead_of_wedging() {
+    let started = Instant::now();
+    run_ok(MONTH);
+    let one_run = started.elapsed();
+
+    let deadline = [
+        MONTH,
+        &[
+            "--seeds",
+            "42,43",
+            "--jobs",
+            "2",
+            "--run-timeout",
+            "0.01",
+            "--run-retries",
+            "1",
+        ],
+    ]
+    .concat();
+    let started = Instant::now();
+    let csv = run_ok(&[&deadline[..], &["--keep-going"]].concat());
+    let swept = started.elapsed();
+    assert_eq!(csv.matches(",timeout,1,").count(), 2, "{csv}");
+    assert_eq!(csv.matches(",ok,").count(), 0, "{csv}");
     assert!(
-        out.status.success(),
-        "--keep-going should exit 0:\n{}",
-        String::from_utf8_lossy(&out.stderr)
+        swept * 2 < one_run,
+        "two timed-out runs took {swept:?}; one whole run takes {one_run:?}"
     );
-    let csv = String::from_utf8(out.stdout).unwrap();
-    // Both seeds of the poisoned config retried then failed...
-    assert!(csv.contains("none-bf0.5-w2-s42,failed,2,"), "{csv}");
-    assert!(csv.contains("none-bf0.5-w2-s43,failed,2,"), "{csv}");
-    // ...and every other run still completed.
-    assert_eq!(csv.matches(",ok,1,").count(), 10, "{csv}");
 
     // Without --keep-going the same sweep reports failure via the exit
-    // code (the CSV still carries the degraded rows).
-    let args: Vec<&str> = args
-        .iter()
-        .copied()
-        .filter(|a| *a != "--keep-going")
-        .collect();
-    let out = amjs(&args);
+    // code.
+    let out = amjs(&deadline);
     assert!(!out.status.success(), "degraded sweep must exit nonzero");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("degraded"), "{err}");
-}
-
-#[test]
-fn injected_hang_times_out_instead_of_wedging() {
-    let out = amjs(&grid_with(&[
-        "--bf",
-        "1",
-        "--seeds",
-        "42,43",
-        "--jobs",
-        "2",
-        "--run-timeout",
-        "2",
-        "--run-retries",
-        "1",
-        "--inject-hang",
-        "w2-s43",
-        "--keep-going",
-    ]));
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let csv = String::from_utf8(out.stdout).unwrap();
-    assert!(csv.contains("none-bf1-w2-s43,timeout,1,"), "{csv}");
-    assert_eq!(csv.matches(",ok,1,").count(), 3, "{csv}");
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //!                                      │            │ REPL        └─► one what-if
 //!                                      │            │ records         attempt thread
 //!                                      ├─► follower sinks (feeder     per forking
-//!                                      │   loops, link chaos)         `WHATIF`
+//!                                      │   loops)                     `WHATIF`
 //!                                      ├─► snapshot writer (one head +
 //!                                      │   frame in flight at a time)
 //!                                      └── tail thread (follower mode:
@@ -110,7 +110,7 @@ use crate::flight::{FlightKind, FlightRecorder};
 use crate::proto::{read_frame, write_frame, Command, FrameError};
 use crate::repl::{
     fetch_snapshot, follow_loop, render_heartbeat, render_record, send_snapshot, Bootstrap,
-    ChaosAction, FollowEvent, FollowShared, LinkChaos, ReplChaos, ReplRecord,
+    FollowEvent, FollowShared, ReplRecord,
 };
 use crate::signal;
 use crate::telemetry::{shared_telemetry, verb_name, SharedTelemetry};
@@ -183,8 +183,6 @@ pub struct ServeConfig {
     pub follow: Option<FollowSpec>,
     /// Heartbeat cadence on follower streams (primary side).
     pub repl_heartbeat: Duration,
-    /// Deterministic link-fault injection on follower streams.
-    pub repl_chaos: Option<ReplChaos>,
     /// Publish dashboard gauges here (the PR-4 metrics endpoint).
     pub stats: Option<SharedStats>,
     /// Extra shutdown latch checked alongside the process signal flag —
@@ -217,7 +215,6 @@ impl ServeConfig {
             oracle_every: 64,
             follow: None,
             repl_heartbeat: Duration::from_millis(500),
-            repl_chaos: None,
             stats: None,
             stop: None,
             flightrec: 512,
@@ -1020,7 +1017,7 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                 Err(e) => return Reply::Text(format!("ERR cannot backfill from wal: {e}")),
             };
             for rec in contents.records.iter().filter(|r| r.seq >= seq) {
-                let _ = sink.send(self.render_for_stream(rec));
+                let _ = sink.send(render_record(rec));
             }
         }
         self.followers.push(sink);
@@ -1123,20 +1120,9 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         });
     }
 
-    /// Render a record for the stream, applying the `diverge-at`
-    /// forgery if configured (the divergence-detection drill).
-    fn render_for_stream(&self, rec: &ReplRecord) -> String {
-        let mut rec = rec.clone();
-        let chaos = self.shared.cfg.repl_chaos.as_ref();
-        if chaos.is_some_and(|c| c.diverge_at == Some(rec.seq)) {
-            rec.state_hash ^= 0xDEAD_BEEF;
-        }
-        render_record(&rec)
-    }
-
     /// Fan a freshly logged record out to every follower sink.
     fn broadcast_record(&mut self, rec: &ReplRecord) {
-        let frame = self.render_for_stream(rec);
+        let frame = render_record(rec);
         self.followers
             .retain(|sink| sink.send(frame.clone()).is_ok());
     }
@@ -1576,7 +1562,7 @@ fn listener_loop(listener: TcpListener, tx: SyncSender<Request>, shared: Arc<Sha
             thread::sleep(Duration::from_millis(20));
             continue;
         };
-        let conn_id = shared.connections_total.fetch_add(1, Ordering::SeqCst);
+        shared.connections_total.fetch_add(1, Ordering::SeqCst);
         if shared.connections_active.load(Ordering::SeqCst) >= shared.cfg.max_conns {
             shared.shed("connection-limit");
             let _ = stream.set_nodelay(true);
@@ -1586,7 +1572,7 @@ fn listener_loop(listener: TcpListener, tx: SyncSender<Request>, shared: Arc<Sha
         shared.connections_active.fetch_add(1, Ordering::SeqCst);
         let (tx, shared) = (tx.clone(), shared.clone());
         thread::spawn(move || {
-            connection_loop(stream, tx, &shared, conn_id);
+            connection_loop(stream, tx, &shared);
             shared.connections_active.fetch_sub(1, Ordering::SeqCst);
         });
     }
@@ -1601,7 +1587,7 @@ fn listener_loop(listener: TcpListener, tx: SyncSender<Request>, shared: Arc<Sha
 /// thread does next — `REPL SNAPSHOT` streams a chunked payload, an
 /// accepted `REPL TAIL` permanently converts the connection into a
 /// one-way record feeder, a forking `WHATIF` is supervised here.
-fn connection_loop(stream: TcpStream, tx: SyncSender<Request>, shared: &Shared, conn_id: u64) {
+fn connection_loop(stream: TcpStream, tx: SyncSender<Request>, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
@@ -1653,7 +1639,7 @@ fn connection_loop(stream: TcpStream, tx: SyncSender<Request>, shared: &Shared, 
                     Ok(Reply::Snapshot(boot)) => send_snapshot(&mut writer, &boot),
                     Ok(Reply::Tail(greeting, sink)) => {
                         if write_frame(&mut writer, greeting.as_bytes()).is_ok() {
-                            feeder_loop(&mut writer, sink, conn_id, shared.cfg.repl_chaos);
+                            feeder_loop(&mut writer, sink);
                         }
                         return; // the connection was consumed by the stream
                     }
@@ -1689,29 +1675,11 @@ fn connection_loop(stream: TcpStream, tx: SyncSender<Request>, shared: &Shared, 
     }
 }
 
-/// Forward the engine's record/heartbeat frames to one follower,
-/// applying the deterministic link-fault injector. Ends when the sink
-/// disconnects (engine shutdown) or the transport dies — the engine
-/// prunes the sink on its next send.
-fn feeder_loop(
-    writer: &mut TcpStream,
-    sink_rx: mpsc::Receiver<String>,
-    conn_id: u64,
-    chaos: Option<ReplChaos>,
-) {
-    let mut chaos = chaos.map(|cfg| LinkChaos::new(cfg, conn_id));
+/// Forward the engine's record/heartbeat frames to one follower. Ends
+/// when the sink disconnects (engine shutdown) or the transport dies —
+/// the engine prunes the sink on its next send.
+fn feeder_loop(writer: &mut TcpStream, sink_rx: mpsc::Receiver<String>) {
     while let Ok(frame) = sink_rx.recv() {
-        if let Some(inj) = &mut chaos {
-            match inj.action() {
-                ChaosAction::Drop => continue,
-                ChaosAction::Disconnect => return,
-                ChaosAction::Deliver => {
-                    if !inj.delay().is_zero() {
-                        thread::sleep(inj.delay());
-                    }
-                }
-            }
-        }
         if write_frame(writer, frame.as_bytes()).is_err() {
             return;
         }
@@ -1764,6 +1732,7 @@ mod tests {
     use crate::repl::{parse_stream_frame, StreamFrame};
     use amjs_core::{PolicyParams, SimulationBuilder};
     use amjs_platform::FlatCluster;
+    use amjs_sim::rng::Xoshiro256;
     use std::fs::OpenOptions;
     use std::io::Write as _;
     use std::net::SocketAddr;
@@ -1880,10 +1849,11 @@ mod tests {
         }
     }
 
-    /// Deliver the records waiting on `link` as the tail thread and
-    /// the shell's loop would: nothing more once the engine is failing.
-    fn pump(link: &mpsc::Receiver<String>, follower: &mut Stepped) {
-        for frame in link.try_iter() {
+    /// Deliver stream frames — those waiting on a [`link`], or a test's
+    /// edit of them — as the tail thread and the shell's loop would:
+    /// nothing more once the engine is failing.
+    fn pump(frames: impl IntoIterator<Item = String>, follower: &mut Stepped) {
+        for frame in frames {
             let event = match parse_stream_frame(&frame).unwrap() {
                 StreamFrame::Record(rec) => FollowEvent::Record(rec),
                 StreamFrame::Heartbeat { .. } => continue, // only moves the lag gauge
@@ -1891,6 +1861,17 @@ mod tests {
             if follower.fatal.is_none() {
                 follower.handle(Request::Follow(event));
             }
+        }
+    }
+
+    /// `frame`, with `edit` applied if it is the record at `seq`.
+    fn forge(frame: String, seq: u64, edit: impl FnOnce(&mut ReplRecord)) -> String {
+        match parse_stream_frame(&frame) {
+            Ok(StreamFrame::Record(mut rec)) if rec.seq == seq => {
+                edit(&mut rec);
+                render_record(&rec)
+            }
+            _ => frame,
         }
     }
 
@@ -1970,7 +1951,7 @@ mod tests {
         let mut client = Client::connect(listener.local_addr().unwrap());
         let (stream, _) = listener.accept().unwrap();
         thread::scope(|s| {
-            s.spawn(|| connection_loop(stream, tx.clone(), shared, 0));
+            s.spawn(|| connection_loop(stream, tx.clone(), shared));
             script(&mut client);
             drop(client); // EOF ends the connection loop
         });
@@ -2378,7 +2359,7 @@ mod tests {
         // the follower's what-if forks the follower's own state.
         assert_eq!(ask(&mut p, "CANCEL 5"), "OK CANCELED");
         assert_eq!(ask(&mut p, "ADVANCE 600"), "OK T=1200");
-        pump(&link, &mut f);
+        pump(link.try_iter(), &mut f);
         let reference = observe(&mut p, 6);
         assert_eq!(observe(&mut f, 6), reference);
         assert!(reference.contains(&"OK START=1800".to_string()));
@@ -2525,16 +2506,15 @@ mod tests {
 
     #[test]
     fn injected_divergence_is_reported_at_its_sequence() {
-        let mut p = open(&tmp_dir("div-prim"), false, |cfg| {
-            cfg.repl_chaos = Some(ReplChaos {
-                diverge_at: Some(2),
-                ..ReplChaos::default()
-            });
-        });
+        let mut p = open(&tmp_dir("div-prim"), false, |_| {});
         let mut f = bootstrap(&mut p, &tmp_dir("div-foll"));
         let link = link(&mut p, &f);
         submits(&mut p, 4, "NODES=8 WALL=600");
-        pump(&link, &mut f);
+        // The link, not the primary, lies: seq 2 arrives with a forged hash.
+        let forged = link
+            .try_iter()
+            .map(|frame| forge(frame, 2, |r| r.state_hash ^= 0xDEAD_BEEF));
+        pump(forged, &mut f);
         match f.close() {
             Err(ServeError::Repl(msg)) => {
                 assert!(msg.contains("divergence at wal seq 2"), "{msg}");
@@ -2545,19 +2525,98 @@ mod tests {
     }
 
     #[test]
+    fn stepped_stream_guards_refuse_a_duplicate_a_skip_and_a_foreign_epoch() {
+        // Records 0 and 1 arrive as sent; the third is the fault.
+        type Fault = fn(&[String]) -> String;
+        let cases: [(&str, Fault, &str); 3] = [
+            (
+                "dup",
+                |sent| sent[1].clone(),
+                "replication sequence gap: expected 2, got 1",
+            ),
+            (
+                "skip",
+                |sent| sent[3].clone(),
+                "replication sequence gap: expected 2, got 3",
+            ),
+            (
+                "epoch",
+                |sent| forge(sent[2].clone(), 2, |r| r.epoch = 1),
+                "fenced record: epoch 1 vs local epoch 0 at seq 2",
+            ),
+        ];
+        for (tag, fault, refusal) in cases {
+            let dir_f = tmp_dir(&format!("guard-{tag}-foll"));
+            let mut p = open(&tmp_dir(&format!("guard-{tag}-prim")), false, |_| {});
+            let mut f = bootstrap(&mut p, &dir_f);
+            let link = link(&mut p, &f);
+            submits(&mut p, 4, "NODES=8 WALL=600");
+            let sent: Vec<String> = link.try_iter().collect();
+            pump([sent[0].clone(), sent[1].clone(), fault(&sent)], &mut f);
+            match f.close() {
+                Err(ServeError::Repl(msg)) => assert!(msg.contains(refusal), "{tag}: {msg}"),
+                other => panic!("{tag}: expected {refusal:?}, got {other:?}"),
+            }
+            let logged = read_wal(&wal_path(&dir_f), None).unwrap().records;
+            let seqs: Vec<u64> = logged.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, [0, 1], "{tag}: the log ends before the fault");
+            p.close().unwrap();
+        }
+    }
+
+    /// A test-side link from a follower to the primary at `upstream`:
+    /// each accepted connection forwards the follower's first frame up
+    /// and relays the primary's frames down. On a tail stream every
+    /// frame meets a seeded fate — both sockets cut (10 %), an `R …`
+    /// frame dropped (25 %), or delivered.
+    fn lossy_relay(upstream: SocketAddr, seed: u64) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        thread::spawn(move || {
+            for (conn, down) in listener.incoming().enumerate() {
+                let salt = (conn as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut fate = Xoshiro256::seed_from_u64(seed ^ salt);
+                let (Ok(mut down), Ok(mut up)) = (down, TcpStream::connect(upstream)) else {
+                    continue;
+                };
+                // Returning closes both sockets: that is the cut.
+                thread::spawn(move || {
+                    let mut from_follower = BufReader::new(down.try_clone().unwrap());
+                    let mut from_primary = BufReader::new(up.try_clone().unwrap());
+                    let Ok(hello) = read_frame(&mut from_follower) else {
+                        return;
+                    };
+                    let lossy = hello.starts_with(b"REPL TAIL");
+                    if write_frame(&mut up, &hello).is_err() {
+                        return;
+                    }
+                    while let Ok(frame) = read_frame(&mut from_primary) {
+                        if lossy && fate.next_bool(0.10) {
+                            return;
+                        }
+                        if lossy && frame.starts_with(b"R ") && fate.next_bool(0.25) {
+                            continue;
+                        }
+                        if write_frame(&mut down, &frame).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    #[test]
     fn lossy_link_heals_and_converges() {
         let dir_p = tmp_dir("lossy-prim");
         let dir_f = tmp_dir("lossy-foll");
         let (p_addr, p_handle) = spawn_daemon(&dir_p, false, |cfg| {
-            cfg.repl_chaos = Some(ReplChaos {
-                drop_p: 0.25,
-                disconnect_p: 0.1,
-                seed: 42,
-                ..ReplChaos::default()
-            });
             cfg.repl_heartbeat = Duration::from_millis(50);
         });
-        let (f_addr, f_handle) = spawn_daemon(&dir_f, false, following(p_addr, 5000, None));
+        // The follower bootstraps and tails through the relay.
+        let relay = lossy_relay(p_addr, 42);
+        let (f_addr, f_handle) = spawn_daemon(&dir_f, false, following(relay, 5000, None));
         let mut c = Client::connect(p_addr);
         for u in 0..24 {
             assert!(c
@@ -2997,7 +3056,7 @@ mod tests {
             };
             assert!(ask(&mut p, &line).starts_with("OK "), "{line}");
         }
-        pump(&link, &mut f);
+        pump(link.try_iter(), &mut f);
         let reference = observe(&mut p, 156);
         assert_eq!(observe(&mut f, 156), reference);
         assert_eq!(f.report.replicated, 200);

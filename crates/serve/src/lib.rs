@@ -22,8 +22,8 @@
 //!   and crash recovery (snapshot + WAL-tail replay through the same
 //!   apply path as live service).
 //! - **[`repl`]** — hot-standby replication: snapshot bootstrap, WAL
-//!   tailing with per-record `state_hash` cross-checks, epoch-fenced
-//!   automatic failover, and a deterministic link-fault injector.
+//!   tailing with per-record `state_hash` cross-checks, and epoch-fenced
+//!   automatic failover.
 //! - **[`signal`]** — SIGTERM/SIGINT → graceful drain via one atomic
 //!   flag, no signal crate.
 //! - **[`telemetry`]** — serving-layer latency distributions (per-verb
@@ -52,6 +52,6 @@ pub use daemon::{
 };
 pub use flight::{read_flightrec, FlightEvent, FlightKind, FlightRecorder};
 pub use proto::{read_frame, write_frame, Command, FrameError, MAX_FRAME};
-pub use repl::{fetch_snapshot, Bootstrap, ReplChaos};
+pub use repl::{fetch_snapshot, Bootstrap};
 pub use telemetry::{shared_telemetry, SharedTelemetry, Telemetry, TRACKED_VERBS};
 pub use wal::{read_wal, WalError, WalRecord, WalWriter};

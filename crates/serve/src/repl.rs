@@ -29,21 +29,11 @@
 //! R <seq> <epoch> <time-secs> <state-hash:016x> <command text>
 //! HB <epoch> <next-seq>
 //! ```
-//!
-//! The link-fault injector ([`ReplChaos`]) perturbs the *feeder* side
-//! deterministically (seeded drop/delay/disconnect, in the spirit of
-//! the PR-5 chaos hooks) so partition behavior is testable in-process:
-//! a dropped record frame surfaces as a sequence gap, which the
-//! follower heals by reconnecting and re-tailing from its applied
-//! sequence; `diverge-at` forges one record's state hash to prove the
-//! divergence contract fires where it should.
 
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-use amjs_sim::rng::Xoshiro256;
 
 use crate::proto::{read_frame, write_frame, Command, FrameError};
 use crate::wal::WalRecord;
@@ -175,7 +165,8 @@ pub fn fetch_snapshot(primary: &str, timeout: Duration) -> Result<Bootstrap, Str
         (Some(s), Some(e), Some(f), Some(z)) => (s, e, f, z),
         _ => return Err(format!("malformed snapshot header: {head}")),
     };
-    let mut payload = Vec::with_capacity(size);
+    // `size` is the primary's word: hold only what has arrived.
+    let mut payload = Vec::new();
     while payload.len() < size {
         let chunk = read_frame(&mut reader).map_err(|e| {
             format!(
@@ -213,119 +204,6 @@ pub fn send_snapshot(writer: &mut impl std::io::Write, boot: &Bootstrap) -> std:
         write_frame(writer, chunk)?;
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Link-fault injection
-// ---------------------------------------------------------------------------
-
-/// Deterministic link-fault configuration for the replication stream.
-/// Parsed from the CLI's `--repl-fault` spec; applied per feeder
-/// connection with a connection-salted seed so runs replay exactly.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ReplChaos {
-    /// Probability a stream frame is silently dropped.
-    pub drop_p: f64,
-    /// Fixed delay before each frame is written.
-    pub delay: Duration,
-    /// Probability the connection is severed instead of a write.
-    pub disconnect_p: f64,
-    /// Seed for the injector's PRNG stream.
-    pub seed: u64,
-    /// Forge the state hash of exactly this sequence number — the
-    /// divergence-detection drill.
-    pub diverge_at: Option<u64>,
-}
-
-impl ReplChaos {
-    /// Parse a `key=value,key=value` spec: `drop=<p>`, `delay-ms=<n>`,
-    /// `disconnect=<p>`, `seed=<n>`, `diverge-at=<seq>`.
-    pub fn parse_spec(spec: &str) -> Result<ReplChaos, String> {
-        let mut chaos = ReplChaos::default();
-        for part in spec.split(',').filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            match key {
-                "drop" => chaos.drop_p = parse_prob(value, "drop")?,
-                "disconnect" => chaos.disconnect_p = parse_prob(value, "disconnect")?,
-                "delay-ms" => {
-                    let ms: u64 = value
-                        .parse()
-                        .map_err(|_| format!("bad delay-ms: {value:?}"))?;
-                    chaos.delay = Duration::from_millis(ms);
-                }
-                "seed" => {
-                    chaos.seed = value.parse().map_err(|_| format!("bad seed: {value:?}"))?;
-                }
-                "diverge-at" => {
-                    chaos.diverge_at = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad diverge-at: {value:?}"))?,
-                    );
-                }
-                other => return Err(format!("unknown repl-fault key {other:?}")),
-            }
-        }
-        Ok(chaos)
-    }
-}
-
-fn parse_prob(value: &str, what: &str) -> Result<f64, String> {
-    let p: f64 = value
-        .parse()
-        .map_err(|_| format!("bad {what}: {value:?}"))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(format!("{what} must be a probability in [0,1], got {p}"));
-    }
-    Ok(p)
-}
-
-/// What the injector decided for one frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosAction {
-    /// Write the frame (after any configured delay).
-    Deliver,
-    /// Silently skip the frame.
-    Drop,
-    /// Sever the connection.
-    Disconnect,
-}
-
-/// Per-connection injector instance: one seeded PRNG stream, salted by
-/// the connection index so concurrent followers see independent but
-/// reproducible fault patterns.
-pub struct LinkChaos {
-    cfg: ReplChaos,
-    rng: Xoshiro256,
-}
-
-impl LinkChaos {
-    /// Injector for feeder connection number `conn` under `cfg`.
-    pub fn new(cfg: ReplChaos, conn: u64) -> LinkChaos {
-        LinkChaos {
-            cfg,
-            rng: Xoshiro256::seed_from_u64(cfg.seed ^ conn.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        }
-    }
-
-    /// Decide the fate of the next frame. The caller sleeps
-    /// [`ReplChaos::delay`] before a `Deliver`.
-    pub fn action(&mut self) -> ChaosAction {
-        if self.cfg.disconnect_p > 0.0 && self.rng.next_bool(self.cfg.disconnect_p) {
-            ChaosAction::Disconnect
-        } else if self.cfg.drop_p > 0.0 && self.rng.next_bool(self.cfg.drop_p) {
-            ChaosAction::Drop
-        } else {
-            ChaosAction::Deliver
-        }
-    }
-
-    /// The configured per-frame delay.
-    pub fn delay(&self) -> Duration {
-        self.cfg.delay
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -510,6 +388,8 @@ pub fn follow_loop(
 mod tests {
     use super::*;
     use crate::proto::MAX_FRAME;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
 
     #[test]
     fn record_frame_round_trip() {
@@ -553,38 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_spec_parses_and_validates() {
-        let c = ReplChaos::parse_spec("drop=0.25,delay-ms=3,disconnect=0.125,seed=9,diverge-at=7")
-            .unwrap();
-        assert_eq!(c.drop_p, 0.25);
-        assert_eq!(c.delay, Duration::from_millis(3));
-        assert_eq!(c.disconnect_p, 0.125);
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.diverge_at, Some(7));
-        assert_eq!(ReplChaos::parse_spec("").unwrap(), ReplChaos::default());
-        assert!(ReplChaos::parse_spec("drop=1.5").is_err());
-        assert!(ReplChaos::parse_spec("frob=1").is_err());
-        assert!(ReplChaos::parse_spec("drop").is_err());
-    }
-
-    #[test]
-    fn link_chaos_is_deterministic_per_connection() {
-        let cfg = ReplChaos {
-            drop_p: 0.3,
-            disconnect_p: 0.1,
-            seed: 1234,
-            ..ReplChaos::default()
-        };
-        let run = |conn| {
-            let mut inj = LinkChaos::new(cfg, conn);
-            (0..64).map(|_| inj.action()).collect::<Vec<_>>()
-        };
-        assert_eq!(run(0), run(0)); // same seed+conn => same fault pattern
-        assert_ne!(run(0), run(1)); // different connections diverge
-        assert!(run(0).contains(&ChaosAction::Drop));
-    }
-
-    #[test]
     fn snapshot_chunking_round_trips_through_frames() {
         let boot = Bootstrap {
             payload: (0..10_000u32).flat_map(|i| i.to_le_bytes()).collect(),
@@ -609,5 +457,130 @@ mod tests {
         }
         assert_eq!(payload, boot.payload);
         assert!(matches!(read_frame(&mut r), Err(FrameError::Eof)));
+    }
+
+    // ----- a scripted primary on a loopback port -----
+
+    /// What the scripted primary does with one connection: these
+    /// frames, then close — or, `hold`, stay open and silent.
+    type Script = (Vec<String>, bool);
+
+    /// A primary that plays one [`Script`] per accepted connection, in
+    /// order, after reading the client's first frame (sent on the
+    /// returned receiver). Held sockets close when the returned sender
+    /// drops.
+    fn fake_primary(scripts: Vec<Script>) -> (String, mpsc::Receiver<String>, mpsc::Sender<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (heard, hellos) = mpsc::channel();
+        let (done, finished) = mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for (frames, hold) in scripts {
+                let (mut stream, _) = listener.accept().unwrap();
+                let hello = read_frame(&mut BufReader::new(&stream)).unwrap();
+                let _ = heard.send(String::from_utf8(hello).unwrap());
+                for frame in frames {
+                    write_frame(&mut stream, frame.as_bytes()).unwrap();
+                }
+                if hold {
+                    held.push(stream);
+                }
+            }
+            let _ = finished.recv();
+        });
+        (addr, hellos, done)
+    }
+
+    #[test]
+    fn fetch_snapshot_holds_only_what_arrived() {
+        let huge = format!("OK SNAPSHOT SEQ=0 EPOCH=0 FP=0 SIZE={}", usize::MAX);
+        let (addr, hellos, _done) = fake_primary(vec![(vec![huge], false)]);
+        let err = fetch_snapshot(&addr, Duration::from_secs(5)).unwrap_err();
+        assert!(err.contains("interrupted at 0 bytes"), "{err}");
+        assert_eq!(hellos.recv().unwrap(), "REPL SNAPSHOT");
+
+        let short = "OK SNAPSHOT SEQ=0 EPOCH=0 FP=0 SIZE=4".to_string();
+        let (addr, _, _done) = fake_primary(vec![(vec![short, "12345678".into()], false)]);
+        let err = fetch_snapshot(&addr, Duration::from_secs(5)).unwrap_err();
+        assert!(err.contains("overran: got 8 bytes, expected 4"), "{err}");
+    }
+
+    /// `follow_loop` against `addr` until it returns, with a `deliver`
+    /// that applies each record as the engine would: every event, in
+    /// order.
+    fn follow(addr: &str, lease: Duration) -> Vec<FollowEvent> {
+        let shared = FollowShared::default();
+        let mut events = Vec::new();
+        follow_loop(addr, 0xF00D, lease, &shared, |event| {
+            if let FollowEvent::Record(rec) = &event {
+                shared.applied_seq.store(rec.seq + 1, Ordering::SeqCst);
+            }
+            events.push(event);
+            true
+        });
+        events
+    }
+
+    fn hello(seq: u64) -> String {
+        format!("REPL TAIL SEQ={seq} EPOCH=0 FP=000000000000f00d")
+    }
+
+    #[test]
+    fn a_refused_handshake_is_one_fatal_event() {
+        let refusal = "ERR FENCED: stale epoch 0 (current epoch 1)";
+        let (addr, hellos, _done) = fake_primary(vec![(vec![refusal.into()], false)]);
+        let events = follow(&addr, Duration::from_secs(5));
+        let fatal = |m: &str| m == &refusal[4..];
+        assert!(
+            matches!(&events[..], [FollowEvent::Fatal(m)] if fatal(m)),
+            "{events:?}"
+        );
+        assert_eq!(hellos.recv().unwrap(), hello(0));
+    }
+
+    #[test]
+    fn a_gap_re_tails_from_the_applied_sequence() {
+        let record = |seq| {
+            let cmd = "ADVANCE 60".to_string();
+            render_record(&ReplRecord {
+                seq,
+                epoch: 0,
+                time_secs: 60,
+                state_hash: 0,
+                cmd,
+            })
+        };
+        let (addr, hellos, _done) = fake_primary(vec![
+            (
+                vec!["OK TAILING FROM=0".into(), record(0), record(2)],
+                false,
+            ),
+            (vec!["ERR enough".into()], false),
+        ]);
+        let events = follow(&addr, Duration::from_secs(5));
+        assert!(
+            matches!(&events[..], [FollowEvent::Record(r), FollowEvent::Fatal(m)]
+                if r.seq == 0 && m == "enough"),
+            "{events:?}"
+        );
+        assert_eq!(hellos.try_iter().collect::<Vec<_>>(), [hello(0), hello(1)]);
+    }
+
+    #[test]
+    fn a_silent_primary_is_lost_once_the_lease_runs_out() {
+        let (addr, _, _done) = fake_primary(vec![(vec!["OK TAILING FROM=0".into()], true)]);
+        let lease = Duration::from_millis(300);
+        let started = Instant::now();
+        let events = follow(&addr, lease);
+        assert!(
+            matches!(&events[..], [FollowEvent::PrimaryLost]),
+            "{events:?}"
+        );
+        assert!(
+            started.elapsed() >= lease,
+            "lost after {:?}",
+            started.elapsed()
+        );
     }
 }
