@@ -1,14 +1,12 @@
-//! Extension experiment: scheduling under node failures, with energy
-//! accounting — the two "system cost" metrics the paper's §V names as
-//! future work, implemented here.
+//! Extension experiment: scheduling under node failures — the "system
+//! cost" the paper's §V names as future work.
 //!
 //! Failures arrive as a Poisson process over the machine; a failure
 //! inside a running partition kills the job, which loses its progress
 //! and reruns. The question the paper's framework would ask: *which
 //! policies limit the work lost to failures?* Long jobs carry more
 //! exposure (probability of interruption grows with nodes × residence
-//! time), so short-job-leaning policies should lose less — and they
-//! also deliver work with less idle energy burn.
+//! time), so short-job-leaning policies might be expected to lose less.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin ablation_failures [--seed N] [--fast]`
 
@@ -16,7 +14,6 @@ use amjs_bench::harness::{self, RunConfig};
 use amjs_bench::{results, table};
 use amjs_core::failures::FailureSpec;
 use amjs_core::runner::SimulationBuilder;
-use amjs_metrics::energy::EnergyModel;
 
 fn main() {
     let (seed, fast) = harness::parse_args();
@@ -31,24 +28,16 @@ fn main() {
     // motivation for checkpointing, not a scheduling-policy question.
     let spec = FailureSpec::bgp_production(seed ^ 0xFA11);
 
-    // (config, checkpoint interval) variants: the last row shows what
-    // hourly checkpointing buys back.
-    let variants: Vec<(RunConfig, Option<amjs_sim::SimDuration>, String)> = vec![
-        (RunConfig::fixed(1.0, 1), None, "BF=1/W=1".into()),
-        (RunConfig::fixed(0.5, 1), None, "BF=0.5/W=1".into()),
-        (RunConfig::fixed(0.5, 4), None, "BF=0.5/W=4".into()),
-        (
-            RunConfig::fixed(0.5, 4),
-            Some(amjs_sim::SimDuration::from_hours(1)),
-            "BF=0.5/W=4 +ckpt1h".into(),
-        ),
+    let variants = [
+        (RunConfig::fixed(1.0, 1), "BF=1/W=1"),
+        (RunConfig::fixed(0.5, 1), "BF=0.5/W=1"),
+        (RunConfig::fixed(0.5, 4), "BF=0.5/W=4"),
     ];
     let outcomes: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = variants
             .iter()
-            .map(|(config, ckpt, label)| {
+            .map(|(config, label)| {
                 let jobs = jobs.clone();
-                let label = label.clone();
                 s.spawn(move || {
                     SimulationBuilder::new(harness::intrepid(), jobs)
                         .policy(config.policy)
@@ -56,9 +45,7 @@ fn main() {
                         .easy_protected(Some(harness::EASY_PROTECTED))
                         .backfill_depth(Some(harness::BACKFILL_DEPTH))
                         .failures(Some(spec))
-                        .checkpointing(*ckpt)
-                        .energy_model(Some(EnergyModel::bgp()))
-                        .label(label)
+                        .label(*label)
                         .run()
                 })
             })
@@ -66,33 +53,23 @@ fn main() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let header = [
-        "config",
-        "wait(min)",
-        "interrupts",
-        "lost node-h",
-        "energy MWh",
-        "kWh/node-h",
-    ];
+    let header = ["config", "wait(min)", "interrupts", "lost node-h"];
     let rows: Vec<Vec<String>> = outcomes
         .iter()
         .map(|o| {
-            let e = o.energy.expect("energy model configured");
             vec![
                 o.summary.label.clone(),
                 table::num(o.summary.avg_wait_mins, 1),
                 o.interrupted_jobs.to_string(),
                 table::num(o.lost_node_hours, 0),
-                table::num(e.total_mwh, 1),
-                table::num(e.kwh_per_node_hour, 4),
             ]
         })
         .collect();
 
     let mut out = String::new();
     out.push_str(&format!(
-        "Extension — failures and energy (\u{00a7}V future work)\n\
-         ({} jobs, seed {seed}, machine MTBF {:.1} h, BG/P power model)\n\n",
+        "Extension — failures (\u{00a7}V future work)\n\
+         ({} jobs, seed {seed}, machine MTBF {:.1} h)\n\n",
         jobs.len(),
         spec.machine_mtbf_secs(40_960) / 3600.0,
     ));
@@ -100,8 +77,8 @@ fn main() {
     out.push_str(
         "\nReading: interruption counts are similar across policies (the failure\n\
          process does not care who is running), but *lost node-hours* track how\n\
-         much exposed in-flight work each policy keeps, and kWh per delivered\n\
-         node-hour rewards policies that keep the machine busy.\n",
+         much exposed in-flight work each policy keeps, which need not follow\n\
+         the wait column.\n",
     );
     print!("{out}");
     results::write_result("ablation_failures.txt", &out);

@@ -104,7 +104,6 @@ pub(crate) fn simulate_flags() -> Vec<FlagSpec> {
         ),
         FlagSpec::value("series", "write sampled time series CSV to this path"),
         FlagSpec::value("jobs-csv", "write per-job records CSV to this path"),
-        FlagSpec::switch("users", "print per-user service table (top 10 by jobs)"),
         FlagSpec::with_default("estimates", "raw", "planning walltimes: raw|adaptive"),
         FlagSpec::value(
             "snapshot-every",
@@ -300,25 +299,6 @@ fn print_outcome(
     if !outcome.domain_downtime.is_empty() {
         print!("{}", outcome.domain_downtime.render_table());
     }
-    if parsed.get_bool("users") {
-        let mut rows = outcome.user_service();
-        let gini = amjs_metrics::users::wait_gini(&rows);
-        rows.sort_by_key(|r| std::cmp::Reverse(r.jobs));
-        println!(
-            "
-per-user service (top 10 by jobs; wait gini {gini:.3}):"
-        );
-        println!(
-            "{:>6} {:>6} {:>12} {:>12} {:>12}",
-            "user", "jobs", "mean wait(m)", "max wait(m)", "node-hours"
-        );
-        for r in rows.iter().take(10) {
-            println!(
-                "{:>6} {:>6} {:>12.1} {:>12.1} {:>12.0}",
-                r.user, r.jobs, r.mean_wait_mins, r.max_wait_mins, r.node_hours
-            );
-        }
-    }
 
     write_outcome_files(parsed, outcome)
 }
@@ -501,7 +481,6 @@ mod tests {
             "0.5",
             "--window",
             "2",
-            "--users",
         ]))
         .unwrap();
     }

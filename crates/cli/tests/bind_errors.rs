@@ -4,8 +4,8 @@
 //! `error: --<flag>: cannot bind ...` diagnostic on stderr — never a
 //! panic, never a half-started process. The same contract covers a
 //! fresh daemon's policy flags, which are validated on that path,
-//! every float flag and machine size on every command, and the fault
-//! switches the CLI no longer has.
+//! every float flag and machine size on every command, and the flags
+//! the CLI no longer has.
 
 use std::net::TcpListener;
 use std::process::Command;
@@ -227,13 +227,18 @@ fn non_finite_floats_and_an_empty_flat_machine_are_one_line_errors() {
 }
 
 #[test]
-fn removed_fault_switches_are_unknown_flags() {
-    // Tests inject link and executor faults on their own side now.
+fn removed_flags_are_unknown_flags() {
+    // Tests inject link and executor faults on their own side now, and
+    // the per-user service table left with the unpinned extensions.
     for (command, flag) in [
         ("serve --repl-fault drop=0.1", "--repl-fault"),
         ("sweep --inject-panic x", "--inject-panic"),
         ("sweep --inject-flaky x", "--inject-flaky"),
         ("sweep --inject-hang x", "--inject-hang"),
+        (
+            "simulate --workload small --machine flat --nodes 64 --users",
+            "--users",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
             .args(command.split_whitespace())

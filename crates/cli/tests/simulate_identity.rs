@@ -3,7 +3,10 @@
 //! Every digest below was recorded from the binary of the commit before
 //! `RunSpec::run` became the only path from flags to a run (this same
 //! file, run at that commit), so the flag → spec → simulator plumbing
-//! cannot drift without this test saying which command moved. A change
+//! cannot drift without this test saying which command moved
+//! (`estimates-adaptive` and `cascades-bgp-report` were recorded the
+//! same way at the commit before energy, `--users` and job
+//! checkpointing were removed). A change
 //! that alters scheduling on purpose re-pins them, like
 //! `benchmark/expected.txt`.
 
@@ -35,6 +38,11 @@ fn run_digest(dir: &Path, args: &str) -> u64 {
 }
 
 const SMALL_FLAT: &str = "--workload small --machine flat --nodes 640";
+/// Capped retries and short repairs: at this fault rate an unbounded
+/// retry loop runs for simulated years.
+const CASCADES_BGP: &str = "simulate --workload small --machine bgp --nodes 4096 \
+     --node-mtbf 240 --repair-time 0.5 --max-attempts 5 --cascade-prob 0.4 \
+     --burst-model weibull:0.7 --oracle";
 
 #[test]
 fn simulate_replay_and_sweep_outputs_are_pinned() {
@@ -51,17 +59,13 @@ fn simulate_replay_and_sweep_outputs_are_pinned() {
             "adaptive-2d",
             run_digest(&dir, &format!("simulate {SMALL_FLAT} --adaptive 2d")),
         ),
-        // Capped retries and short repairs: at this fault rate an
-        // unbounded retry loop runs for simulated years.
         (
-            "cascades-bgp",
-            run_digest(
-                &dir,
-                "simulate --workload small --machine bgp --nodes 4096 --node-mtbf 240 \
-                 --repair-time 0.5 --max-attempts 5 --cascade-prob 0.4 \
-                 --burst-model weibull:0.7 --oracle",
-            ),
+            "estimates-adaptive",
+            run_digest(&dir, &format!("{static_run} --estimates adaptive")),
         ),
+        ("cascades-bgp", run_digest(&dir, CASCADES_BGP)),
+        // Without --quiet: the stdout carries the failure-domain table.
+        ("cascades-bgp-report", fnv1a(&amjs(&dir, CASCADES_BGP))),
         // Checkpointing only observes the run, and a resumed run
         // finishes it: both must reproduce the static digest.
         (
@@ -99,7 +103,9 @@ fn simulate_replay_and_sweep_outputs_are_pinned() {
 const PINNED: &[&str] = &[
     "static 4189decfecfee5f9",
     "adaptive-2d 97ae465925c0c6b9",
+    "estimates-adaptive a67a7c4acba6572f",
     "cascades-bgp f0519ed1a2abd1c7",
+    "cascades-bgp-report 0981afc023b8f6ae",
     "checkpointed 4189decfecfee5f9",
     "resumed 4189decfecfee5f9",
     "replay-swf 14f3d95bc308ecd1",

@@ -29,7 +29,7 @@
 //!
 //! The file envelope (magic, version, checksum, atomic rename) is
 //! [`amjs_sim::snapshot`]'s. The run state is split by growth (format
-//! v3): a *head* of three tagged, length-prefixed sections — META (run
+//! v4): a *head* of three tagged, length-prefixed sections — META (run
 //! fingerprint, event index, sim time, platform name tag, run-level
 //! facts), WORLD (every bounded field of the runner, and the length of
 //! each append-only vector) and QUEUE (the pending event queue) — and

@@ -37,8 +37,6 @@ use amjs_sim::event::Priority;
 use amjs_sim::{Engine, EventQueue, Oracle, SimDuration, SimTime, World};
 use amjs_workload::{Job, JobId};
 
-use amjs_metrics::energy::{energy_report, EnergyModel, EnergyReport};
-
 use crate::adaptive::{AdaptiveScheme, MonitoredMetric, TunerStep};
 use crate::estimates::{EstimateAdjuster, EstimatePolicy};
 use crate::failures::{CorrelationSpec, FailureProcess, FailureSpec, RetryPolicy};
@@ -147,28 +145,10 @@ pub struct SimulationOutcome {
     /// Node-hours of progress destroyed by failures (work that must be
     /// redone).
     pub lost_node_hours: f64,
-    /// Energy accounting, when an [`EnergyModel`] was configured.
-    pub energy: Option<EnergyReport>,
     /// How often each hot-path shortcut fired (cost accounting; all
     /// reuse counters are zero under
     /// [`SimulationBuilder::reference_hotpath`]).
     pub hotpath: PassCacheStats,
-}
-
-impl SimulationOutcome {
-    /// Per-user service rows (mean/max wait, node-hours), in user-id
-    /// order; pair with [`amjs_metrics::users::wait_gini`] for the
-    /// per-user fairness view.
-    pub fn user_service(&self) -> Vec<amjs_metrics::users::UserServiceRow> {
-        amjs_metrics::users::user_service(self.per_job.iter().map(|r| {
-            (
-                r.user,
-                (r.start - r.submit).max_zero(),
-                r.nodes,
-                r.end - r.start,
-            )
-        }))
-    }
 }
 
 /// Builder for one simulation run.
@@ -203,9 +183,7 @@ pub struct SimulationBuilder<P: Platform> {
     correlation: Option<CorrelationSpec>,
     oracle: Option<bool>,
     retry: RetryPolicy,
-    energy_model: Option<EnergyModel>,
     estimate_policy: EstimatePolicy,
-    checkpoint_interval: Option<SimDuration>,
     label: Option<String>,
     reference_hotpath: bool,
 }
@@ -231,9 +209,7 @@ impl<P: Platform> SimulationBuilder<P> {
             correlation: None,
             oracle: None,
             retry: RetryPolicy::default(),
-            energy_model: None,
             estimate_policy: EstimatePolicy::Requested,
-            checkpoint_interval: None,
             label: None,
             reference_hotpath: false,
         }
@@ -335,28 +311,6 @@ impl<P: Platform> SimulationBuilder<P> {
     /// retries forever with no backoff — the historical behavior.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
-        self
-    }
-
-    /// Enable application-level checkpointing: jobs save their progress
-    /// every `interval`, so a failure only destroys the work since the
-    /// last checkpoint and the rerun resumes from it. Without this, a
-    /// failed job restarts from scratch — and at high failure rates the
-    /// largest jobs can *never* finish (expected failures per attempt
-    /// exceed one), which is precisely why production systems
-    /// checkpoint.
-    pub fn checkpointing(mut self, interval: Option<SimDuration>) -> Self {
-        if let Some(iv) = interval {
-            assert!(iv.as_secs() > 0, "checkpoint interval must be positive");
-        }
-        self.checkpoint_interval = interval;
-        self
-    }
-
-    /// Account energy with the given per-node power model; the outcome's
-    /// `energy` field is populated.
-    pub fn energy_model(mut self, model: Option<EnergyModel>) -> Self {
-        self.energy_model = model;
         self
     }
 
@@ -476,7 +430,6 @@ impl<P: Platform> SimulationBuilder<P> {
             lost_node_secs: 0.0,
             generations: HashMap::new(),
             failure_counts: HashMap::new(),
-            saved_progress: HashMap::new(),
             last_end: SimTime::ZERO,
             platform: self.platform,
             jobs,
@@ -485,7 +438,6 @@ impl<P: Platform> SimulationBuilder<P> {
             adaptive: self.adaptive,
             sample_interval: self.sample_interval,
             retry: self.retry,
-            checkpoint_interval: self.checkpoint_interval,
         };
         let history = History::new(total_nodes, live.jobs.len());
         let mut world = Runner::cold(live, history, config);
@@ -515,7 +467,6 @@ impl<P: Platform> SimulationBuilder<P> {
                 skipped_oversized,
                 oracle_enabled,
                 failure_seed,
-                energy_model: self.energy_model,
             },
         }
     }
@@ -592,9 +543,6 @@ pub(crate) fn finish_run<P: Platform>(
         node_downtime_hours: down_int / 3600.0,
         abandoned_jobs: live.abandoned_jobs,
     };
-    let energy = meta
-        .energy_model
-        .map(|model| energy_report(&live.util, model, end));
     SimulationOutcome {
         summary,
         queue_depth: history.queue_depth,
@@ -613,7 +561,6 @@ pub(crate) fn finish_run<P: Platform>(
         backfilled_starts: live.backfilled_starts,
         interrupted_jobs: live.interrupted_jobs,
         lost_node_hours: live.lost_node_secs / 3600.0,
-        energy,
         hotpath: pass_cache.stats,
     }
 }
@@ -1029,30 +976,9 @@ impl<P: Platform> Runner<P> {
         let freed = self.live.platform.release(running.alloc);
         self.machine_epoch += 1;
         self.live.note_capacity(now);
-        let elapsed = (now - running.start).max_zero();
-        // With checkpointing, whole intervals of progress survive the
-        // failure; only the tail since the last checkpoint is lost.
-        let banked = match self.config.checkpoint_interval {
-            Some(interval) => {
-                let n = elapsed.as_secs() / interval.as_secs();
-                SimDuration::from_secs(n * interval.as_secs())
-            }
-            None => SimDuration::ZERO,
-        };
-        if !banked.is_zero() {
-            let job = &self.live.jobs[running.trace_idx];
-            let entry = self
-                .live
-                .saved_progress
-                .entry(id)
-                .or_insert(SimDuration::ZERO);
-            // Cap: never bank the full runtime, or the rerun would be
-            // zero-length.
-            *entry = (*entry + banked).min(job.runtime - SimDuration::from_secs(1));
-        }
-        let lost = elapsed - banked;
-        let lost_node_s = freed as i64 * lost.max_zero().as_secs();
-        self.live.lost_node_secs += freed as f64 * lost.max_zero().as_secs() as f64;
+        let lost = (now - running.start).max_zero();
+        let lost_node_s = freed as i64 * lost.as_secs();
+        self.live.lost_node_secs += freed as f64 * lost.as_secs() as f64;
         self.live.interrupted_jobs += 1;
         self.live.generations.insert(id, running.gen + 1);
         let failures = {
@@ -1076,7 +1002,6 @@ impl<P: Platform> Runner<P> {
         };
         if self.config.retry.abandons_after(failures) {
             self.live.abandoned_jobs += 1;
-            self.live.saved_progress.remove(&id);
             emit_kill(&mut self.obs, RetryOutcome::Abandoned, 0);
             return;
         }
@@ -1228,12 +1153,7 @@ impl<P: Platform> Runner<P> {
                     gen,
                 },
             );
-            let saved = live
-                .saved_progress
-                .get(&job.id)
-                .copied()
-                .unwrap_or(SimDuration::ZERO);
-            let remaining = (job.runtime - saved).max(SimDuration::from_secs(1));
+            let remaining = job.runtime.max(SimDuration::from_secs(1));
             events.schedule_with(now + remaining, Priority::Release, Ev::Finish(job.id, gen));
 
             // Wait and fairness are measured to the first start; a
@@ -2163,32 +2083,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_report_is_populated_and_consistent() {
-        use amjs_metrics::energy::EnergyModel;
-        let out = SimulationBuilder::new(FlatCluster::new(512), small_jobs(14))
-            .energy_model(Some(EnergyModel::bgp()))
-            .run();
-        let e = out.energy.expect("energy model configured");
-        assert!(e.total_mwh > 0.0);
-        assert!((e.total_mwh - (e.busy_mwh + e.idle_mwh)).abs() < 1e-9);
-        // Delivered node-hours must match the per-job records.
-        let delivered: f64 = out
-            .per_job
-            .iter()
-            .map(|r| r.nodes as f64 * (r.end - r.start).as_secs() as f64 / 3600.0)
-            .sum();
-        assert!(
-            (e.delivered_node_hours - delivered).abs() / delivered < 1e-6,
-            "energy {} vs records {}",
-            e.delivered_node_hours,
-            delivered
-        );
-        // No energy model → no report.
-        let plain = SimulationBuilder::new(FlatCluster::new(512), small_jobs(14)).run();
-        assert!(plain.energy.is_none());
-    }
-
-    #[test]
     fn estimate_adjustment_changes_schedule_but_completes_everything() {
         use crate::estimates::EstimatePolicy;
         let jobs = small_jobs(16);
@@ -2203,49 +2097,6 @@ mod tests {
         // Tighter estimates must change the schedule on a congested
         // machine (if they never did, the wiring would be dead).
         assert_ne!(raw.per_job, adjusted.per_job);
-    }
-
-    #[test]
-    fn checkpointing_reduces_lost_work() {
-        use crate::failures::{FailureSpec, RepairSpec};
-        let spec = FailureSpec {
-            node_mtbf: SimDuration::from_hours(240),
-            repair: RepairSpec::Deterministic(SimDuration::from_mins(30)),
-            seed: 5,
-        };
-        let jobs = small_jobs(18);
-        let n = jobs.len();
-        let plain = SimulationBuilder::new(FlatCluster::new(640), jobs.clone())
-            .failures(Some(spec))
-            .run();
-        let ckpt = SimulationBuilder::new(FlatCluster::new(640), jobs)
-            .failures(Some(spec))
-            .checkpointing(Some(SimDuration::from_mins(10)))
-            .run();
-        assert_eq!(plain.summary.jobs_completed, n);
-        assert_eq!(ckpt.summary.jobs_completed, n);
-        assert!(plain.interrupted_jobs > 0);
-        assert!(
-            ckpt.lost_node_hours < plain.lost_node_hours,
-            "checkpointed {:.0} !< plain {:.0}",
-            ckpt.lost_node_hours,
-            plain.lost_node_hours
-        );
-        // Banked progress also shortens the recovery makespan.
-        assert!(ckpt.summary.makespan <= plain.summary.makespan);
-    }
-
-    #[test]
-    fn user_service_rows_cover_all_users() {
-        let jobs = small_jobs(17);
-        let users: std::collections::HashSet<u32> = jobs.iter().map(|j| j.user).collect();
-        let out = SimulationBuilder::new(FlatCluster::new(640), jobs).run();
-        let rows = out.user_service();
-        assert_eq!(rows.len(), users.len());
-        let total_jobs: usize = rows.iter().map(|r| r.jobs).sum();
-        assert_eq!(total_jobs, out.summary.jobs_completed);
-        let gini = amjs_metrics::users::wait_gini(&rows);
-        assert!((0.0..=1.0).contains(&gini));
     }
 
     #[test]

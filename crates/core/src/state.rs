@@ -10,7 +10,6 @@
 
 use std::collections::HashMap;
 
-use amjs_metrics::energy::EnergyModel;
 use amjs_metrics::{
     DomainDowntime, FairnessTracker, LossOfCapacity, TimeSeries, UtilizationTracker, WaitStats,
 };
@@ -27,15 +26,13 @@ use crate::scheduler::Scheduler;
 /// Run-level facts that live outside the event loop but are needed to
 /// finish — or resume — a run identically: the summary label, the
 /// oversized-job count (decided at load), whether the invariant oracle
-/// runs, the failure seed (for replay tags), and the energy model (the
-/// report is computed at the end from the utilization integral).
+/// runs, and the failure seed (for replay tags).
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct RunMeta {
     pub(crate) label: String,
     pub(crate) skipped_oversized: usize,
     pub(crate) oracle_enabled: bool,
     pub(crate) failure_seed: Option<u64>,
-    pub(crate) energy_model: Option<EnergyModel>,
 }
 
 impl amjs_sim::Snapshot for RunMeta {
@@ -44,7 +41,6 @@ impl amjs_sim::Snapshot for RunMeta {
         w.put_usize(self.skipped_oversized);
         w.put_bool(self.oracle_enabled);
         self.failure_seed.encode(w);
-        self.energy_model.encode(w);
     }
     fn decode(r: &mut amjs_sim::SnapReader<'_>) -> Result<Self, amjs_sim::SnapError> {
         use amjs_sim::Snapshot;
@@ -53,7 +49,6 @@ impl amjs_sim::Snapshot for RunMeta {
             skipped_oversized: r.get_usize()?,
             oracle_enabled: r.get_bool()?,
             failure_seed: Snapshot::decode(r)?,
-            energy_model: Snapshot::decode(r)?,
         })
     }
 }
@@ -116,8 +111,6 @@ pub(crate) struct LiveState<P: Platform> {
     pub(crate) generations: HashMap<JobId, u32>,
     /// Failures suffered so far, per job (drives the retry policy).
     pub(crate) failure_counts: HashMap<JobId, u32>,
-    /// Runtime already banked by checkpoints, per interrupted job.
-    pub(crate) saved_progress: HashMap<JobId, SimDuration>,
     pub(crate) last_end: SimTime,
 }
 
@@ -171,8 +164,6 @@ pub(crate) struct RunConfig {
     pub(crate) adaptive: AdaptiveScheme,
     pub(crate) sample_interval: SimDuration,
     pub(crate) retry: RetryPolicy,
-    /// Checkpoint interval, when checkpointing is enabled.
-    pub(crate) checkpoint_interval: Option<SimDuration>,
 }
 
 // ---------------------------------------------------------------------------
@@ -299,7 +290,7 @@ fn sorted_entries<K: Ord + Copy, V: Clone>(map: &HashMap<K, V>) -> Vec<(K, V)> {
 }
 
 impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
-    /// The one field listing of file format v3. Every field is either
+    /// The one field listing of file format v4. Every field is either
     /// bounded — it goes to the head — or a column: a vector only ever
     /// pushed to, of which the head gets the length and the frame the
     /// elements past the writer's cursor. Here, in `decode_columns`'
@@ -331,7 +322,6 @@ impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
             lost_node_secs,
             generations,
             failure_counts,
-            saved_progress,
             last_end,
         } = &self.live;
         let History {
@@ -354,7 +344,6 @@ impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
             adaptive,
             sample_interval,
             retry,
-            checkpoint_interval,
         } = &self.config;
         // `finished` travels as `per_job`'s length; a fork, where the
         // two differ, has no history worth a snapshot.
@@ -399,8 +388,6 @@ impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
         sorted_entries(failure_counts).encode(w.head);
         retry.encode(w.head);
         estimates.encode(w.head);
-        checkpoint_interval.encode(w.head);
-        sorted_entries(saved_progress).encode(w.head);
         failure_process.encode(w.head);
         last_end.encode(w.head);
     }
@@ -452,8 +439,6 @@ impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
         let failure_counts: Vec<(JobId, u32)> = Snapshot::decode(&mut r.head)?;
         let retry = Snapshot::decode(&mut r.head)?;
         let estimates = Snapshot::decode(&mut r.head)?;
-        let checkpoint_interval = Snapshot::decode(&mut r.head)?;
-        let saved_progress: Vec<(JobId, SimDuration)> = Snapshot::decode(&mut r.head)?;
         let failure_process = Snapshot::decode(&mut r.head)?;
         let last_end = Snapshot::decode(&mut r.head)?;
 
@@ -496,7 +481,6 @@ impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
             lost_node_secs,
             generations: generations.into_iter().collect(),
             failure_counts: failure_counts.into_iter().collect(),
-            saved_progress: saved_progress.into_iter().collect(),
             last_end,
         };
         let history = History {
@@ -519,7 +503,6 @@ impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
             adaptive,
             sample_interval,
             retry,
-            checkpoint_interval,
         };
         Ok(Runner::cold(live, history, config))
     }
@@ -553,7 +536,6 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::StateHash for Runner<P> {
             lost_node_secs,
             generations,
             failure_counts,
-            saved_progress,
             last_end,
         } = &self.live;
         // History is hashed by length only; its bytes are the snapshot
@@ -597,7 +579,8 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::StateHash for Runner<P> {
         w.put_usize(wait.count());
         sorted_entries(generations).encode(&mut w);
         sorted_entries(failure_counts).encode(&mut w);
-        sorted_entries(saved_progress).encode(&mut w);
+        // The length of `saved_progress`, empty in every pinned hash.
+        w.put_usize(0);
         last_end.encode(&mut w);
         amjs_sim::snapshot::fnv1a(w.as_bytes())
     }
@@ -704,7 +687,7 @@ mod tests {
         let (head, frame) = encoded(&world);
 
         type Mutation = fn(&mut LiveState<FlatCluster>);
-        let mutations: [(&str, Mutation); 20] = [
+        let mutations: [(&str, Mutation); 19] = [
             ("platform", |l| {
                 l.platform.allocate(1);
             }),
@@ -742,10 +725,6 @@ mod tests {
             }),
             ("failure_counts", |l| {
                 l.failure_counts.insert(JobId(0), 9);
-            }),
-            ("saved_progress", |l| {
-                l.saved_progress
-                    .insert(JobId(0), SimDuration::from_hours(1));
             }),
             ("last_end", |l| l.last_end = SimTime::MAX),
         ];

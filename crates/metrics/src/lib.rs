@@ -26,17 +26,14 @@
 #![warn(missing_docs)]
 
 pub mod domains;
-pub mod energy;
 pub mod fairness;
 pub mod loc;
 pub mod report;
 pub mod series;
-pub mod users;
 pub mod utilization;
 pub mod wait;
 
 pub use domains::{DomainDowntime, DomainOutage, FaultDomain};
-pub use energy::{energy_report, EnergyModel, EnergyReport};
 pub use fairness::FairnessTracker;
 pub use loc::LossOfCapacity;
 pub use report::MetricsSummary;

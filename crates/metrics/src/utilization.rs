@@ -61,11 +61,6 @@ impl UtilizationTracker {
         self.steps.push((t, busy, integral));
     }
 
-    /// Machine size.
-    pub fn total_nodes(&self) -> u32 {
-        self.total_nodes
-    }
-
     /// Busy nodes at time `t` (clamped to the last known level after the
     /// final step; the level before the first step is 0).
     pub fn busy_at(&self, t: SimTime) -> u32 {
@@ -134,8 +129,7 @@ impl UtilizationTracker {
 
     /// Busy node-seconds accumulated over `[start, until]` (the exact
     /// integral of the busy step function) — the "delivered node-hours"
-    /// numerator of the paper's utilization definition, and the energy
-    /// model's input.
+    /// numerator of the paper's utilization definition.
     pub fn busy_node_secs(&self, until: SimTime) -> f64 {
         self.integral_to(until.max(self.steps[0].0))
     }

@@ -258,7 +258,7 @@ pub enum TraceEvent {
         job: u64,
         /// 1-based attempt number that was killed.
         attempt: u32,
-        /// Node-seconds of work lost (after checkpoint credit).
+        /// Node-seconds of work lost (nodes × the attempt's run time).
         lost_node_s: i64,
         /// What the retry policy decided.
         outcome: RetryOutcome,

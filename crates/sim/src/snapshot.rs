@@ -704,10 +704,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMJSNAP\0";
 /// Snapshot *file* format version this build writes and the only one it
 /// reads. Bump only on layout changes a section length-prefix cannot
 /// absorb. Version 2 changed the trailing checksum from FNV-1a to
-/// [`file_checksum`]; version 3 split the run state into a head and
-/// column frames ([`ColumnWriter`]). Any other version is refused by
-/// name.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// [`file_checksum`]; 3 split the run state into a head and column
+/// frames ([`ColumnWriter`]); 4 dropped two extensions' head fields.
+/// Any other version is refused by name.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// magic(8) + version(4) + payload length(8).
 const HEADER_LEN: usize = 20;
@@ -1207,24 +1207,39 @@ mod tests {
         raw[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
         assert!(matches!(
             verify_snapshot_bytes(&raw),
-            Err(SnapError::UnsupportedVersion { found: 4, .. })
+            Err(SnapError::UnsupportedVersion { found: 5, .. })
         ));
     }
 
-    #[test]
-    fn a_version_2_header_is_refused_naming_both_versions() {
-        // The first 20 bytes of a file PR 14's build wrote: magic,
-        // version 2, a 100-byte payload. Refused before the checksum,
-        // which is the version's to define.
+    /// Why a file is refused whose first 20 bytes an older build wrote:
+    /// magic, `version`, a 100-byte payload. Refused before the
+    /// checksum, which is the version's to define.
+    fn older_header_refusal(version: u8) -> String {
         let header: [u8; HEADER_LEN] = [
-            b'A', b'M', b'J', b'S', b'N', b'A', b'P', 0, 2, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0,
+            b'A', b'M', b'J', b'S', b'N', b'A', b'P', 0, version, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0,
         ];
         let mut raw = header.to_vec();
         raw.extend_from_slice(&small_payload());
         raw.extend_from_slice(&[0; 8]);
-        let err = verify_snapshot_bytes(&raw).unwrap_err().to_string();
+        verify_snapshot_bytes(&raw).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn a_version_2_header_is_refused_naming_both_versions() {
+        // PR 14's build wrote version 2.
+        let err = older_header_refusal(2);
         assert!(
-            err.contains("version 2 is not supported") && err.contains("reads version 3"),
+            err.contains("version 2 is not supported") && err.contains("reads version 4"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_version_3_header_is_refused_naming_both_versions() {
+        // PR 25's build wrote version 3.
+        let err = older_header_refusal(3);
+        assert!(
+            err.contains("version 3 is not supported") && err.contains("reads version 4"),
             "{err}"
         );
     }

@@ -138,13 +138,13 @@ fn random_failures(rng: &mut Xoshiro256) -> amjs::core::failures::FailureSpec {
 }
 
 /// Node-seconds are conserved under the failure lifecycle: the busy
-/// integral (delivered node-hours of the energy report) must equal the
-/// node-time of completed attempts plus the progress destroyed by
-/// kills. Nothing leaks when jobs drain, retry, or are abandoned.
+/// integral (utilization × available node-time, from the summary) must
+/// equal the node-time of completed attempts plus the progress
+/// destroyed by kills. Nothing leaks when jobs drain, retry, or are
+/// abandoned.
 #[test]
 fn node_seconds_conserved_under_failures() {
     use amjs::core::failures::RetryPolicy;
-    use amjs::metrics::energy::EnergyModel;
     let mut rng = Xoshiro256::seed_from_u64(0xC04E);
     let mut cases = 0;
     while cases < 12 {
@@ -167,14 +167,16 @@ fn node_seconds_conserved_under_failures() {
             .policy(random_policy(&mut rng))
             .failures(Some(failures))
             .retry_policy(retry)
-            .energy_model(Some(EnergyModel::bgp()))
             .run();
         let completed_node_hours: f64 = out
             .per_job
             .iter()
             .map(|r| r.nodes as f64 * (r.end - r.start).as_secs() as f64 / 3600.0)
             .sum();
-        let delivered = out.energy.unwrap().delivered_node_hours;
+        let s = &out.summary;
+        let available_node_secs =
+            512.0 * s.makespan.as_secs() as f64 - s.node_downtime_hours * 3600.0;
+        let delivered = s.avg_utilization * available_node_secs / 3600.0;
         let accounted = completed_node_hours + out.lost_node_hours;
         assert!(
             (delivered - accounted).abs() <= 1e-6 * delivered.max(1.0),
