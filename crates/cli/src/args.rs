@@ -110,9 +110,8 @@ impl ParsedArgs {
     }
 
     /// Whether the user supplied this flag at all (value or boolean).
-    /// Used to reject flags that contradict each other — e.g. workload
-    /// flags alongside `--resume-from`, whose snapshot already carries
-    /// the full configuration.
+    /// Used to reject flags that contradict each other — e.g. grid
+    /// flags alongside `sweep --resume` that describe another grid.
     pub fn is_given(&self, name: &str) -> bool {
         self.values.contains_key(name)
     }

@@ -1,6 +1,5 @@
 //! The CLI subcommands.
 
-use amjs_core::persist::PersistSpec;
 use amjs_core::{MachineSpec, PolicyParams, PresetName, RunSpec};
 use amjs_metrics::report;
 use amjs_obs::Observer;
@@ -8,7 +7,7 @@ use amjs_workload::stats::WorkloadStats;
 use amjs_workload::swf;
 
 use crate::args::{parse, render_flags, ArgError, FlagSpec, ParsedArgs};
-use crate::config::{adaptive_kind, load_workload, machine_spec, template_spec, SnapshotFlags};
+use crate::config::{adaptive_kind, load_workload, machine_spec, template_spec};
 use crate::obs::{obs_flag_specs, ObsFlags};
 
 /// Top-level usage text.
@@ -21,7 +20,7 @@ pub fn top_level_help() -> String {
        doctor <dir>         postmortem of a daemon state directory\n\
        sweep                fault-tolerant parallel grid sweep (resumable)\n\
        workload             generate a synthetic trace (writes SWF)\n\
-       replay <file>        simulate an SWF trace, or verify an event journal\n\
+       replay <trace.swf>   simulate an SWF trace\n\
        trace explain        reconstruct a job's decision chain from a trace\n\n\
      run `amjs <command> --help` for each command's flags"
         .to_string()
@@ -105,23 +104,6 @@ pub(crate) fn simulate_flags() -> Vec<FlagSpec> {
         FlagSpec::value("series", "write sampled time series CSV to this path"),
         FlagSpec::value("jobs-csv", "write per-job records CSV to this path"),
         FlagSpec::with_default("estimates", "raw", "planning walltimes: raw|adaptive"),
-        FlagSpec::value(
-            "snapshot-every",
-            "checkpoint cadence: events (50000) or simulated time (12h, 2d)",
-        ),
-        FlagSpec::value(
-            "snapshot-dir",
-            "existing directory for snapshots and the event journal",
-        ),
-        FlagSpec::with_default(
-            "snapshot-keep",
-            PersistSpec::new("").keep,
-            "recent snapshots to retain (genesis is always kept)",
-        ),
-        FlagSpec::value(
-            "resume-from",
-            "snapshot file or directory to resume; excludes workload/policy flags",
-        ),
     ]);
     flags.extend(obs_flag_specs());
     flags
@@ -141,21 +123,14 @@ pub fn simulate(argv: &[String]) -> Result<(), ArgError> {
     run_simulate(&parsed)
 }
 
-/// `amjs replay <trace.swf | journal>` — two modes, told apart by the
-/// file's magic bytes:
-///
-/// * an event journal (written by `--snapshot-every`) is *verified*:
-///   the run is re-executed from the nearest snapshot and every
-///   recorded state hash compared, reporting the first divergent event;
-/// * anything else is treated as an SWF trace and simulated
-///   (shorthand for `simulate --workload <file>`).
+/// `amjs replay <trace.swf>` — shorthand for `simulate --workload
+/// <trace.swf>`.
 pub fn replay(argv: &[String]) -> Result<(), ArgError> {
     let flags = simulate_flags();
     let parsed = parse(argv, &flags)?;
     if parsed.get_bool("help") {
         println!(
-            "amjs replay <trace.swf | journal> — simulate an SWF trace, or verify an \
-             event journal against deterministic re-execution\n\n{}",
+            "amjs replay <trace.swf> — simulate an SWF trace\n\n{}",
             render_flags(&flags)
         );
         return Ok(());
@@ -163,13 +138,8 @@ pub fn replay(argv: &[String]) -> Result<(), ArgError> {
     let path = parsed
         .positionals
         .first()
-        .ok_or_else(|| ArgError("replay needs a trace or journal path".to_string()))?
+        .ok_or_else(|| ArgError("replay needs a trace path".to_string()))?
         .clone();
-    let is_journal = amjs_sim::journal::is_journal_file(std::path::Path::new(&path))
-        .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    if is_journal {
-        return replay_journal_cmd(&parsed, &path);
-    }
     // Rebuild argv with the positional as --workload and delegate.
     let mut argv2: Vec<String> = argv.iter().filter(|a| **a != path).cloned().collect();
     argv2.push("--workload".to_string());
@@ -178,48 +148,8 @@ pub fn replay(argv: &[String]) -> Result<(), ArgError> {
     run_simulate(&parsed)
 }
 
-/// Verify a journal segment: re-execute from the nearest snapshot and
-/// compare every recorded world-state hash.
-fn replay_journal_cmd(parsed: &ParsedArgs, path: &str) -> Result<(), ArgError> {
-    let snapshot_dir = parsed.get("snapshot-dir").map(std::path::PathBuf::from);
-    let report =
-        amjs_core::replay_journal(std::path::Path::new(path), snapshot_dir.as_deref(), |d| {
-            eprintln!("amjs: {d}")
-        })
-        .map_err(|e| ArgError(format!("replay: {e}")))?;
-    println!(
-        "replayed {} from snapshot {}: {}/{} records verified{}",
-        report.journal.display(),
-        report.snapshot_index,
-        report.checked,
-        report.records,
-        if report.truncated_tail {
-            " (trailing partial record from a crash ignored)"
-        } else {
-            ""
-        }
-    );
-    if let Some(idx) = report.first_divergence {
-        return Err(ArgError(format!(
-            "first divergence at event {idx}: re-execution no longer matches the \
-             journal (nondeterminism, corruption, or a semantics-changing code edit)"
-        )));
-    }
-    println!("journal verified: deterministic replay matches every record");
-    Ok(())
-}
-
 fn run_simulate(parsed: &ParsedArgs) -> Result<(), ArgError> {
-    let snapshot_flags = SnapshotFlags::from_args(parsed)?;
     let obs_flags = ObsFlags::from_args(parsed)?;
-    if let Some(path) = &snapshot_flags.resume_from {
-        obs_flags.reject_with_resume(parsed)?;
-        let outcome = amjs_core::resume_simulation(path, snapshot_flags.spec.as_ref(), |d| {
-            eprintln!("amjs: {d}")
-        })
-        .map_err(|e| ArgError(format!("--resume-from: {e}")))?;
-        return print_outcome(parsed, &outcome);
-    }
     let machine = machine_spec(parsed)?;
     let (workload, jobs, workload_label) = load_workload(parsed)?;
     let template = template_spec(parsed, machine, workload)?;
@@ -246,12 +176,8 @@ fn run_simulate(parsed: &ParsedArgs) -> Result<(), ArgError> {
             ..spec.clone()
         }
         .labeled("base");
-        let (outcome, _) = base.run(jobs.clone(), Observer::disabled(), None);
-        let th = outcome
-            .expect("only a persistent run can fail")
-            .queue_depth
-            .mean_value()
-            .unwrap_or(1000.0);
+        let (outcome, _) = base.run(jobs.clone(), Observer::disabled());
+        let th = outcome.queue_depth.mean_value().unwrap_or(1000.0);
         eprintln!("amjs: threshold = {th:.0} queued minutes");
         th
     })?;
@@ -265,8 +191,7 @@ fn run_simulate(parsed: &ParsedArgs) -> Result<(), ArgError> {
         jobs.len()
     );
     let (observer, session) = obs_flags.build()?;
-    let (result, _observer) = spec.run(jobs, observer, snapshot_flags.spec.as_ref());
-    let outcome = result.map_err(|e| ArgError(format!("snapshotting failed: {e}")))?;
+    let (outcome, _observer) = spec.run(jobs, observer);
     session.finalize()?;
     print_outcome(parsed, &outcome)
 }

@@ -1,13 +1,10 @@
 //! Shared CLI configuration: turning flags into the pieces of a
-//! [`RunSpec`] — machine, workload, policy and persistence.
-
-use std::path::PathBuf;
+//! [`RunSpec`] — machine, workload, policy and failures.
 
 use amjs_core::estimates::EstimatePolicy;
 use amjs_core::failures::{
     BurstModel, CorrelationSpec, DomainSpec, FailureSpec, RepairSpec, RetryPolicy,
 };
-use amjs_core::persist::PersistSpec;
 use amjs_core::scheduler::BackfillMode;
 use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
 use amjs_sim::SimDuration;
@@ -217,11 +214,9 @@ fn retry_flags(args: &ParsedArgs) -> Result<RetryPolicy, ArgError> {
 /// a comma-separated list).
 const POLICY_FLAG_NAMES: [&str; 5] = ["bf", "window", "adaptive", "threshold", "estimates"];
 
-/// Flags that configure a *fresh* run. They are rejected alongside
-/// `--resume-from`: a snapshot is self-contained (it carries the
-/// platform, jobs, policy, RNG cursors, and pending events), so any of
-/// these would either be ignored or silently contradict the state being
-/// resumed.
+/// Every flag that configures a run. `sweep` builds its grid from
+/// them, and alongside `--resume` accepts them only when they rebuild
+/// the manifest's grid exactly.
 pub fn run_config_flags() -> Vec<&'static str> {
     crate::commands::common_flags()
         .iter()
@@ -229,120 +224,6 @@ pub fn run_config_flags() -> Vec<&'static str> {
         .filter(|&name| name != "help")
         .chain(POLICY_FLAG_NAMES)
         .collect()
-}
-
-/// Parsed `--snapshot-every` cadence: a bare integer means events, a
-/// `h`/`d` suffix means simulated time (e.g. `50000`, `12h`, `2d`).
-fn parse_snapshot_every(raw: &str) -> Result<(Option<u64>, Option<SimDuration>), ArgError> {
-    let bad = |detail: &str| {
-        ArgError(format!(
-            "--snapshot-every: {detail} (expected an event count like 50000, \
-             or simulated time like 12h or 2d), got {raw:?}"
-        ))
-    };
-    let parse_positive = |digits: &str, unit_secs: i64| -> Result<SimDuration, ArgError> {
-        let n: i64 = digits.parse().map_err(|_| bad("cannot parse"))?;
-        if n <= 0 {
-            return Err(bad("the interval must be positive"));
-        }
-        Ok(SimDuration::from_secs(n * unit_secs))
-    };
-    if let Some(digits) = raw.strip_suffix('h') {
-        return Ok((None, Some(parse_positive(digits, 3600)?)));
-    }
-    if let Some(digits) = raw.strip_suffix('d') {
-        return Ok((None, Some(parse_positive(digits, 86_400)?)));
-    }
-    let n: u64 = raw.parse().map_err(|_| bad("cannot parse"))?;
-    if n == 0 {
-        return Err(bad("a cadence of 0 events would snapshot never"));
-    }
-    Ok((Some(n), None))
-}
-
-/// Snapshot/resume flags shared by `simulate` and `replay`.
-#[derive(Debug)]
-pub struct SnapshotFlags {
-    /// Checkpointing configuration (`None` = persistence off).
-    pub spec: Option<PersistSpec>,
-    /// Snapshot file or directory to resume from.
-    pub resume_from: Option<PathBuf>,
-}
-
-impl SnapshotFlags {
-    /// Parse and cross-validate `--snapshot-every`, `--snapshot-dir`,
-    /// `--snapshot-keep`, and `--resume-from`.
-    pub fn from_args(args: &ParsedArgs) -> Result<Self, ArgError> {
-        let resume_from = args.get("resume-from").map(PathBuf::from);
-        if let Some(path) = &resume_from {
-            let offending = args.given_among(&run_config_flags());
-            if !offending.is_empty() {
-                return Err(ArgError(format!(
-                    "--resume-from cannot be combined with {}: the snapshot already \
-                     carries the full run configuration (workload, policy, failures, \
-                     RNG state); drop those flags, or start a fresh run without \
-                     --resume-from",
-                    offending.join(", ")
-                )));
-            }
-            if !path.exists() {
-                return Err(ArgError(format!(
-                    "--resume-from: {} does not exist (expected a snapshot-*.snap \
-                     file or a snapshot directory)",
-                    path.display()
-                )));
-            }
-        }
-
-        let every = args.get("snapshot-every").map(parse_snapshot_every);
-        let dir = args.get("snapshot-dir").map(PathBuf::from);
-        match (&every, &dir) {
-            (Some(_), None) => {
-                return Err(ArgError(
-                    "--snapshot-every needs --snapshot-dir to say where the \
-                     snapshots and journal go"
-                        .to_string(),
-                ))
-            }
-            (None, Some(_)) => {
-                return Err(ArgError(
-                    "--snapshot-dir needs --snapshot-every to say how often to \
-                     snapshot (an event count like 50000, or simulated time like 12h)"
-                        .to_string(),
-                ))
-            }
-            _ => {}
-        }
-        let spec = match (every, dir) {
-            (Some(every), Some(dir)) => {
-                let (every_events, every_sim) = every?;
-                if !dir.is_dir() {
-                    return Err(ArgError(format!(
-                        "--snapshot-dir: {} does not exist or is not a directory; \
-                         create it first (amjs will not invent a location for \
-                         durable state)",
-                        dir.display()
-                    )));
-                }
-                let keep: usize = args.get_parsed("snapshot-keep")?;
-                if keep == 0 {
-                    return Err(ArgError(
-                        "--snapshot-keep: must retain at least 1 snapshot".to_string(),
-                    ));
-                }
-                let mut spec = PersistSpec::new(dir).keep(keep);
-                if let Some(n) = every_events {
-                    spec = spec.snapshot_every_events(n);
-                }
-                if let Some(d) = every_sim {
-                    spec = spec.snapshot_every_sim(d);
-                }
-                Some(spec)
-            }
-            _ => None,
-        };
-        Ok(SnapshotFlags { spec, resume_from })
-    }
 }
 
 /// The shared run-config flags parsed onto one spec: `simulate` runs
@@ -426,7 +307,7 @@ mod tests {
     fn run_small(flags: &[&str], nodes: u32, label: &str) -> amjs_core::SimulationOutcome {
         let mut spec = template(&flags.join(" ")).unwrap().labeled(label);
         spec.machine = MachineSpec::Flat { nodes };
-        spec.run(spec.jobs(), Observer::disabled(), None).0.unwrap()
+        spec.run(spec.jobs(), Observer::disabled()).0
     }
 
     #[test]
@@ -440,11 +321,7 @@ mod tests {
     /// guard the rest of the reads.
     #[test]
     fn every_default_is_readable() {
-        let on = format!(
-            "--node-mtbf 1000 --cascade-prob 0.1 --snapshot-every 9 --snapshot-dir {}",
-            std::env::temp_dir().display()
-        );
-        let on: Vec<&str> = on.split_whitespace().collect();
+        let on = ["--node-mtbf", "1000", "--cascade-prob", "0.1"];
         for flags in [&[][..], &on] {
             let args = parsed(flags);
             let machine = machine_spec(&args).unwrap();
@@ -453,9 +330,6 @@ mod tests {
             assert_eq!(spec.backfill_depth, None);
             let tuning = adaptive_kind(&args, || unreachable!("no tuning asked for"));
             assert_eq!(tuning, Ok(AdaptiveKind::None));
-            if let Some(persist) = SnapshotFlags::from_args(&args).unwrap().spec {
-                assert_eq!(persist.keep, PersistSpec::new("").keep);
-            }
         }
     }
 
@@ -676,91 +550,6 @@ mod tests {
         );
         assert!(out.summary.node_downtime_hours > 0.0);
         assert!(out.availability.points().iter().any(|&(_, v)| v < 1.0));
-    }
-
-    #[test]
-    fn snapshot_flags_validate() {
-        // Off by default.
-        let s = SnapshotFlags::from_args(&parsed(&[])).unwrap();
-        assert!(s.spec.is_none() && s.resume_from.is_none());
-
-        // Both cadence forms parse.
-        let dir = std::env::temp_dir();
-        let dir_str = dir.to_str().unwrap();
-        let s = SnapshotFlags::from_args(&parsed(&[
-            "--snapshot-every",
-            "5000",
-            "--snapshot-dir",
-            dir_str,
-        ]))
-        .unwrap();
-        let spec = s.spec.unwrap();
-        assert_eq!(spec.every_events, Some(5000));
-        assert_eq!(spec.every_sim, None);
-        assert_eq!(spec.keep, 2);
-        let s = SnapshotFlags::from_args(&parsed(&[
-            "--snapshot-every",
-            "12h",
-            "--snapshot-dir",
-            dir_str,
-            "--snapshot-keep",
-            "5",
-        ]))
-        .unwrap();
-        let spec = s.spec.unwrap();
-        assert_eq!(spec.every_sim, Some(SimDuration::from_hours(12)));
-        assert_eq!(spec.keep, 5);
-
-        // --snapshot-every 0 (and 0h), each flag without its partner, a
-        // nonexistent directory, and --snapshot-keep 0 are all rejected.
-        for bad in [
-            &["--snapshot-every", "0", "--snapshot-dir", dir_str][..],
-            &["--snapshot-every", "0h", "--snapshot-dir", dir_str],
-            &["--snapshot-every", "x", "--snapshot-dir", dir_str],
-            &["--snapshot-every", "5000"],
-            &["--snapshot-dir", dir_str],
-            &["--snapshot-every", "10", "--snapshot-dir", "/no/such/dir"],
-            &[
-                "--snapshot-every",
-                "10",
-                "--snapshot-dir",
-                dir_str,
-                "--snapshot-keep",
-                "0",
-            ],
-        ] {
-            assert!(
-                SnapshotFlags::from_args(&parsed(bad)).is_err(),
-                "expected rejection of {bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn resume_rejects_run_config_flags() {
-        // A resume path must exist...
-        let err =
-            SnapshotFlags::from_args(&parsed(&["--resume-from", "/no/such.snap"])).unwrap_err();
-        assert!(err.0.contains("does not exist"), "got: {}", err.0);
-
-        // ...and must not be combined with fresh-run configuration.
-        for conflicting in [
-            &["--workload", "small"][..],
-            &["--seed", "7"],
-            &["--bf", "0.5"],
-            &["--node-mtbf", "100"],
-            &["--oracle"],
-        ] {
-            let mut argv = vec!["--resume-from", "/tmp"];
-            argv.extend_from_slice(conflicting);
-            let err = SnapshotFlags::from_args(&parsed(&argv)).unwrap_err();
-            assert!(
-                err.0.contains(conflicting[0]),
-                "error should name the offending flag {conflicting:?}: {}",
-                err.0
-            );
-            assert!(err.0.contains("self-contained") || err.0.contains("carries the full run"));
-        }
     }
 
     #[test]

@@ -81,6 +81,17 @@ struct ColumnLogReport {
     uncovered_frames: u64,
 }
 
+/// One snapshot head on disk, and why recovery would pass it over.
+struct Head {
+    seq: u64,
+    path: PathBuf,
+    /// Log length the head was sealed with, if it reads.
+    sealed: Option<u64>,
+    /// Why recovery rejects it: a read/verify error, or a log prefix
+    /// that `columns.log` does not hold.
+    rejected: Option<String>,
+}
+
 /// Everything the doctor concluded, ready to render either way.
 struct Report {
     dir: PathBuf,
@@ -94,11 +105,12 @@ struct Report {
     dropped_bytes: u64,
     transitions: Vec<EpochTransition>,
     // snapshots
-    snapshots: Vec<(u64, PathBuf)>,
+    snapshots: Vec<Head>,
     column_log: Result<ColumnLogReport, String>,
     clean_shutdown: bool,
-    replay_from: Option<u64>,
-    replay_records: u64,
+    /// The recovery plan: the snapshot seq it loads and the records it
+    /// replays, or why it refuses to start.
+    plan: Result<(u64, u64), String>,
     // flight recorder
     flightrec: Option<Vec<FlightEvent>>,
     flightrec_error: Option<String>,
@@ -135,18 +147,33 @@ fn build_report(dir: &Path) -> Result<Report, ArgError> {
 
     // What each head was sealed with, and which of them the log still
     // backs: recovery takes the newest that it does.
-    let sealed: Vec<(u64, Option<u64>)> = snapshots
-        .iter()
-        .map(|(seq, path)| {
-            let payload = read_snapshot_file(path).ok();
-            (*seq, payload.and_then(|p| Some(split_head(&p).ok()?.1)))
-        })
-        .collect();
-    let covered = sealed.last().and_then(|&(_, covered)| covered);
     let log = read_column_log(&column_log_path(dir));
     let boundaries: Vec<u64> = log.iter().flat_map(|log| log.boundaries()).collect();
-    let backed = |&&(_, c): &&(u64, Option<u64>)| c.is_some_and(|c| boundaries.contains(&c));
-    let usable_snap = sealed.iter().rev().find(backed).map(|&(seq, _)| seq);
+    let snapshots: Vec<Head> = snapshots
+        .into_iter()
+        .map(|(seq, path)| {
+            let sealed = read_snapshot_file(&path).and_then(|p| Ok(split_head(&p)?.1));
+            let rejected = match &sealed {
+                Err(e) => Some(e.to_string()),
+                Ok(c) if !boundaries.contains(c) => {
+                    Some(format!("its log prefix ({c} bytes) is not in columns.log"))
+                }
+                Ok(_) => None,
+            };
+            Head {
+                seq,
+                path,
+                sealed: sealed.ok(),
+                rejected,
+            }
+        })
+        .collect();
+    let covered = snapshots.last().and_then(|h| h.sealed);
+    let usable_snap = snapshots
+        .iter()
+        .rev()
+        .find(|h| h.rejected.is_none())
+        .map(|h| h.seq);
     let column_log = log
         .map(|log| ColumnLogReport {
             bytes: log.bytes(),
@@ -166,11 +193,21 @@ fn build_report(dir: &Path) -> Result<Report, ArgError> {
     let next_seq = wal.records.last().map(|r| r.seq + 1).unwrap_or(0);
     let clean_shutdown = !wal.torn_tail
         && usable_snap.is_some_and(|s| s >= next_seq)
-        && usable_snap == snapshots.last().map(|(i, _)| *i);
-    let replay_from = usable_snap.map(|s| s.min(next_seq));
-    let replay_records = match replay_from {
-        Some(from) => wal.records.iter().filter(|r| r.seq >= from).count() as u64,
-        None => wal.records.len() as u64,
+        && usable_snap == snapshots.last().map(|h| h.seq);
+    let plan = match usable_snap {
+        Some(s) => {
+            let from = s.min(next_seq);
+            Ok((
+                from,
+                wal.records.iter().filter(|r| r.seq >= from).count() as u64,
+            ))
+        }
+        None if column_log.is_err() => Err("columns.log does not read".to_string()),
+        None if snapshots.is_empty() => Err("there is no snapshot to load".to_string()),
+        None => Err(format!(
+            "all {} snapshot head(s) are rejected",
+            snapshots.len()
+        )),
     };
 
     let fr_path = dir.join("flightrec.jsonl");
@@ -196,8 +233,7 @@ fn build_report(dir: &Path) -> Result<Report, ArgError> {
         snapshots,
         column_log,
         clean_shutdown,
-        replay_from,
-        replay_records,
+        plan,
         flightrec,
         flightrec_error,
     })
@@ -305,6 +341,10 @@ fn describe_event(ev: &FlightEvent) -> String {
     }
 }
 
+fn file_name(path: &Path) -> std::borrow::Cow<'_, str> {
+    path.file_name().unwrap_or_default().to_string_lossy()
+}
+
 fn render_text(r: &Report, slowest: usize, tail: usize) -> String {
     let mut out = String::new();
     let w = &mut out;
@@ -341,19 +381,21 @@ fn render_text(r: &Report, slowest: usize, tail: usize) -> String {
     }
 
     let _ = writeln!(w, "\nsnapshots:");
-    if r.snapshots.is_empty() {
+    if let Some(newest) = r.snapshots.last() {
         let _ = writeln!(
             w,
-            "  none on disk — recovery would replay the whole journal"
+            "  {} on disk; newest covers seq {} ({})",
+            r.snapshots.len(),
+            newest.seq,
+            file_name(&newest.path)
         );
     } else {
-        let (seq, path) = r.snapshots.last().unwrap();
-        let _ = writeln!(
-            w,
-            "  {} on disk; newest covers seq {seq} ({})",
-            r.snapshots.len(),
-            path.file_name().unwrap_or_default().to_string_lossy()
-        );
+        let _ = writeln!(w, "  none on disk");
+    }
+    for head in r.snapshots.iter().rev() {
+        if let Some(why) = &head.rejected {
+            let _ = writeln!(w, "  rejected          {}: {why}", file_name(&head.path));
+        }
     }
     match &r.column_log {
         Err(e) => {
@@ -396,23 +438,27 @@ fn render_text(r: &Report, slowest: usize, tail: usize) -> String {
             }
         }
     }
-    if r.clean_shutdown {
-        let _ = writeln!(
-            w,
-            "  verdict: CLEAN SHUTDOWN — the final snapshot covers the whole \
-             journal; recovery replays nothing"
-        );
-    } else {
-        let _ = writeln!(
-            w,
-            "  verdict: UNCLEAN EXIT — recovery will load {} and replay {} \
-             journal record(s)",
-            match r.replay_from {
-                Some(s) => format!("the seq-{s} snapshot"),
-                None => "nothing".to_string(),
-            },
-            r.replay_records
-        );
+    match &r.plan {
+        _ if r.clean_shutdown => {
+            let _ = writeln!(
+                w,
+                "  verdict: CLEAN SHUTDOWN — the final snapshot covers the whole \
+                 journal; recovery replays nothing"
+            );
+        }
+        Ok((from, records)) => {
+            let _ = writeln!(
+                w,
+                "  verdict: UNCLEAN EXIT — recovery will load the seq-{from} snapshot \
+                 and replay {records} journal record(s)"
+            );
+        }
+        Err(why) => {
+            let _ = writeln!(
+                w,
+                "  verdict: UNRECOVERABLE — recovery will refuse to start: {why}"
+            );
+        }
     }
 
     let _ = writeln!(w, "\nflight recorder (flightrec.jsonl):");
@@ -504,22 +550,28 @@ fn render_json(r: &Report, slowest: usize) -> String {
     let snaps: Vec<String> = r
         .snapshots
         .iter()
-        .map(|(seq, path)| {
+        .map(|head| {
             let mut o = ObjWriter::new();
-            o.u64("seq", *seq).str(
-                "file",
-                &path.file_name().unwrap_or_default().to_string_lossy(),
-            );
+            o.u64("seq", head.seq).str("file", &file_name(&head.path));
+            if let Some(why) = &head.rejected {
+                o.str("rejected", why);
+            }
             o.finish()
         })
         .collect();
 
     let mut recovery = ObjWriter::new();
     recovery.bool("clean_shutdown", r.clean_shutdown);
-    if let Some(from) = r.replay_from {
-        recovery.u64("snapshot_seq", from);
+    match &r.plan {
+        Ok((from, records)) => {
+            recovery
+                .u64("snapshot_seq", *from)
+                .u64("replay_records", *records);
+        }
+        Err(why) => {
+            recovery.str("refused", why);
+        }
     }
-    recovery.u64("replay_records", r.replay_records);
 
     let mut column_log = ObjWriter::new();
     match &r.column_log {

@@ -7,8 +7,7 @@
 //! amjs doctor <dir> [flags]         postmortem of a daemon state directory
 //! amjs sweep     [flags]            fault-tolerant parallel grid sweep
 //! amjs workload  [flags]            generate a synthetic trace (SWF out)
-//! amjs replay <file> [flags]        simulate an SWF trace, or verify an
-//!                                   event journal against re-execution
+//! amjs replay <trace.swf> [flags]   simulate an SWF trace
 //! amjs trace explain <file> <job>   reconstruct a job's decision chain
 //! ```
 //!

@@ -107,28 +107,6 @@ impl ObsFlags {
         })
     }
 
-    /// Reject every observability flag (all of them but `--quiet`)
-    /// alongside `--resume-from`: a resumed run re-enters mid-stream, so
-    /// its trace would be missing every decision before the snapshot —
-    /// better to refuse than to write a silently incomplete artifact.
-    pub fn reject_with_resume(&self, args: &ParsedArgs) -> Result<(), ArgError> {
-        let names: Vec<&str> = obs_flag_specs()
-            .iter()
-            .map(|f| f.name)
-            .filter(|&name| name != "quiet")
-            .collect();
-        let offending = args.given_among(&names);
-        if offending.is_empty() {
-            return Ok(());
-        }
-        Err(ArgError(format!(
-            "--resume-from cannot be combined with {}: a resumed run re-enters \
-             mid-stream, so its trace/profile would be missing every decision \
-             before the snapshot; observe a fresh run instead",
-            offending.join(", ")
-        )))
-    }
-
     /// Build the observer and the session handles for end-of-run
     /// reporting. Binds the metrics listener immediately so a bad
     /// address fails before the simulation starts.
@@ -242,25 +220,5 @@ impl ObsSession {
             server.shutdown();
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::args::{parse, tests::argv};
-
-    #[test]
-    fn resume_refuses_the_seven_observability_flags_and_not_quiet() {
-        // An empty argv reads every default.
-        let flags = ObsFlags::from_args(&parse(&[], &obs_flag_specs()).unwrap()).unwrap();
-        let all = "--trace t --trace-tail 1 --profile --profile-json p --metrics-addr a \
-                   --metrics-linger 1 --heartbeat 1 --quiet";
-        let all: Vec<&str> = all.split_whitespace().collect();
-        let all = parse(&argv(&all), &obs_flag_specs()).unwrap();
-        let err = flags.reject_with_resume(&all).unwrap_err();
-        let seven = "combined with --trace, --trace-tail, --profile, --profile-json, \
-                     --metrics-addr, --metrics-linger, --heartbeat: a resumed run";
-        assert!(err.0.contains(seven), "{err}");
     }
 }

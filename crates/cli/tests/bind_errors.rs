@@ -228,17 +228,22 @@ fn non_finite_floats_and_an_empty_flat_machine_are_one_line_errors() {
 
 #[test]
 fn removed_flags_are_unknown_flags() {
-    // Tests inject link and executor faults on their own side now, and
-    // the per-user service table left with the unpinned extensions.
+    // Tests inject link and executor faults on their own side now, the
+    // per-user service table left with the unpinned extensions, and a
+    // batch run is re-run rather than checkpointed.
+    const SIM: &str = "simulate --workload small --machine flat --nodes 64";
     for (command, flag) in [
         ("serve --repl-fault drop=0.1", "--repl-fault"),
         ("sweep --inject-panic x", "--inject-panic"),
         ("sweep --inject-flaky x", "--inject-flaky"),
         ("sweep --inject-hang x", "--inject-hang"),
+        (&format!("{SIM} --users"), "--users"),
         (
-            "simulate --workload small --machine flat --nodes 64 --users",
-            "--users",
+            &format!("{SIM} --snapshot-every 500 --snapshot-dir d"),
+            "--snapshot-every",
         ),
+        (&format!("{SIM} --snapshot-keep 2"), "--snapshot-keep"),
+        (&format!("{SIM} --resume-from d"), "--resume-from"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
             .args(command.split_whitespace())
@@ -248,4 +253,33 @@ fn removed_flags_are_unknown_flags() {
         let want = format!("error: unknown flag {flag} (try --help)\n");
         assert_eq!(String::from_utf8_lossy(&out.stderr), want, "amjs {command}");
     }
+}
+
+#[test]
+fn replay_of_an_event_journal_is_a_one_line_error() {
+    // `replay` takes SWF traces only; a file in the retired event-journal
+    // format (magic, version, fingerprint, start index, then 24-byte
+    // records) is an unreadable trace, not a crash.
+    let path = std::env::temp_dir().join(format!("amjs-journal-{}.jrnl", std::process::id()));
+    let mut journal = b"AMJSJRN\0".to_vec();
+    journal.extend_from_slice(&1u32.to_le_bytes());
+    journal.extend_from_slice(&0x9e37_79b9_7f4a_7c15u64.to_le_bytes());
+    journal.extend_from_slice(&0u64.to_le_bytes());
+    for i in 0..3u64 {
+        journal.extend_from_slice(&i.to_le_bytes());
+        journal.extend_from_slice(&(60 * i as i64).to_le_bytes());
+        journal.extend_from_slice(&(i ^ 0xfeed_f00d_dead_beef).to_le_bytes());
+    }
+    std::fs::write(&path, &journal).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
+        .arg("replay")
+        .arg(&path)
+        .output()
+        .expect("spawn amjs");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -32,8 +32,8 @@ fn help_text_of_every_subcommand_is_pinned() {
 }
 
 const PINNED: &[&str] = &[
-    "simulate 0f0c81b4eaef4fd6",
-    "replay 06c597df62bc297f",
+    "simulate bb4a40757498eafb",
+    "replay 780eea680b5d4d8e",
     "sweep c260d2b597394927",
     "serve 7e2ba7f483d41939",
     "workload 6c3d6937b1acc3fc",

@@ -189,6 +189,66 @@ fn doctor_explains_what_a_crash_left_in_the_column_log() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn doctor_and_recovery_agree_when_every_head_is_damaged() {
+    // A stopped daemon with heads at 0, 2 and 4, each then damaged
+    // mid-file: no head reads, so recovery has nothing to load.
+    let dir = tmp_dir("all-heads-damaged");
+    let mut daemon = Daemon::fresh(&dir, &["--snapshot-every", "2"]);
+    let mut c = Client::connect(&daemon.addr);
+    for _ in 0..4 {
+        assert!(c.ask("SUBMIT NODES=8 WALL=3600").starts_with("OK ID="));
+    }
+    assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+    daemon.wait_clean_exit();
+    let mut heads: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".snap"))
+        .collect();
+    heads.sort();
+    assert_eq!(heads.len(), 3, "{heads:?}");
+    for head in &heads {
+        let path = dir.join(head);
+        log_flip(&path, std::fs::metadata(&path).unwrap().len() as usize / 2);
+    }
+
+    // The doctor names each rejection and says recovery will refuse.
+    let text = doctor(&dir, &[]);
+    for head in &heads {
+        assert!(
+            text.contains(&format!("rejected          {head}: checksum mismatch")),
+            "{text}"
+        );
+    }
+    assert!(!text.contains("load nothing"), "{text}");
+    assert!(
+        text.contains("UNRECOVERABLE — recovery will refuse to start: all 3 snapshot head(s)"),
+        "{text}"
+    );
+    let parsed = json::parse(doctor(&dir, &["--json"]).trim()).expect("doctor --json parses");
+    let recovery = parsed.get("recovery").expect("recovery object");
+    assert!(recovery.get("refused").is_some(), "{recovery:?}");
+    assert!(recovery.get("replay_records").is_none(), "{recovery:?}");
+    let Some(json::Json::Arr(snaps)) = parsed.get("snapshots") else {
+        panic!("snapshots array");
+    };
+    assert!(
+        snaps.iter().all(|s| s.get("rejected").is_some()),
+        "{snaps:?}"
+    );
+
+    // And recovery does refuse.
+    let (status, stderr) =
+        Daemon::spawn_expect_exit(&["--serve-dir", dir.to_str().unwrap(), "--resume"]);
+    assert!(!status.success(), "{stderr}");
+    assert!(
+        stderr.contains("every candidate snapshot failed verification"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Flip one bit of the file at `path`.
 fn log_flip(path: &Path, at: usize) {
     let mut raw = std::fs::read(path).unwrap();

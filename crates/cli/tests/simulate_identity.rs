@@ -48,7 +48,7 @@ const CASCADES_BGP: &str = "simulate --workload small --machine bgp --nodes 4096
 fn simulate_replay_and_sweep_outputs_are_pinned() {
     let dir = std::env::temp_dir().join(format!("amjs-identity-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("snaps")).unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
     let static_run = format!("simulate {SMALL_FLAT} --bf 0.5 --window 2");
     amjs(&dir, "workload --preset small --seed 5 --out trace.swf");
 
@@ -66,16 +66,6 @@ fn simulate_replay_and_sweep_outputs_are_pinned() {
         ("cascades-bgp", run_digest(&dir, CASCADES_BGP)),
         // Without --quiet: the stdout carries the failure-domain table.
         ("cascades-bgp-report", fnv1a(&amjs(&dir, CASCADES_BGP))),
-        // Checkpointing only observes the run, and a resumed run
-        // finishes it: both must reproduce the static digest.
-        (
-            "checkpointed",
-            run_digest(
-                &dir,
-                &format!("{static_run} --snapshot-every 500 --snapshot-dir snaps"),
-            ),
-        ),
-        ("resumed", run_digest(&dir, "simulate --resume-from snaps")),
         (
             "replay-swf",
             run_digest(
@@ -106,8 +96,6 @@ const PINNED: &[&str] = &[
     "estimates-adaptive a67a7c4acba6572f",
     "cascades-bgp f0519ed1a2abd1c7",
     "cascades-bgp-report 0981afc023b8f6ae",
-    "checkpointed 4189decfecfee5f9",
-    "resumed 4189decfecfee5f9",
     "replay-swf 14f3d95bc308ecd1",
     "sweep-2x2x2 4de7d7197156efce",
 ];

@@ -38,7 +38,7 @@ pub mod failures;
 pub mod fairshare;
 pub mod live;
 pub mod passcache;
-pub mod persist;
+pub(crate) mod persist;
 pub mod policy;
 pub mod runner;
 pub mod scheduler;
@@ -50,7 +50,6 @@ pub mod window;
 pub use adaptive::{AdaptiveScheme, TunerConfig};
 pub use live::{JobStatus, LiveScheduler, LiveStateStats, SubmitError, WhatIfAnswer};
 pub use passcache::{CacheOutcome, PassCache, PassCacheStats};
-pub use persist::{replay_journal, resume_simulation, PersistError, PersistSpec, ReplayReport};
 pub use policy::{PolicyParams, QueuePolicy};
 pub use runner::{SimulationBuilder, SimulationOutcome};
 pub use scheduler::{BackfillMode, QueuedJob, ScheduleDecision, Scheduler};

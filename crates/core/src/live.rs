@@ -13,8 +13,8 @@
 //! exactly as in batch mode, which is what makes the live process a
 //! digital twin rather than a reimplementation.
 //!
-//! Durability is snapshot-shaped: [`LiveScheduler::encode`] reuses the
-//! PR-3 snapshot codec (column frames, then the META/WORLD/QUEUE head)
+//! Durability is snapshot-shaped: [`LiveScheduler::encode`] writes the
+//! run-state snapshot codec (column frames, then the META/WORLD/QUEUE head)
 //! plus one trailing LIVE section for the driver-side facts (job-id
 //! allocator, live clock). Decoding a payload restores a scheduler that
 //! evolves byte-identically to the original — the property the serve
@@ -38,7 +38,7 @@ use crate::runner::{
 };
 use crate::state::{LiveState, RunConfig, RunMeta};
 
-/// Section tag for the live-mode trailer appended after the PR-3
+/// Section tag for the live-mode trailer appended after the
 /// META/WORLD/QUEUE sections (1–3; 5 is `persist`'s column frame).
 const SEC_LIVE: u32 = 4;
 
@@ -446,7 +446,7 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
     }
 
     /// Serialize the complete live state, self-contained: one frame of
-    /// every column from zero, then the head — the PR-3 snapshot
+    /// every column from zero, then the head — the run-state snapshot
     /// sections (META/WORLD/QUEUE) plus a LIVE trailer (id allocator,
     /// live clock). [`decode`](Self::decode) restores a scheduler that
     /// evolves byte-identically.

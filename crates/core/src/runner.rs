@@ -375,8 +375,8 @@ impl<P: Platform> SimulationBuilder<P> {
     /// Assemble the event-loop state without running it: the world, the
     /// seeded event queue, and the run-level facts the outcome tail
     /// needs. [`SimulationBuilder::run`] is exactly
-    /// `prepare` → engine → [`finish_run`]; the persistence layer uses
-    /// the same pieces with a recorder wrapped around the engine.
+    /// `prepare` → engine → [`finish_run`]; [`crate::LiveScheduler`]
+    /// uses the same pieces, stepping the engine in slices.
     pub(crate) fn prepare(self) -> PreparedRun<P> {
         let label = self.label.clone().unwrap_or_else(|| {
             if self.adaptive.is_active() {
@@ -1517,7 +1517,7 @@ impl<P: Platform> World for Runner<P> {
     fn handle(&mut self, now: SimTime, event: Ev, events: &mut EventQueue<Ev>) {
         // Event-index bookkeeping: the observer's counter advances once
         // per handled event, so every record emitted below carries the
-        // same index the engine reports to oracles and the journal.
+        // same index the engine reports to oracles.
         self.obs.begin_event();
         match event {
             Ev::Submit(trace_idx) => {
@@ -1604,9 +1604,7 @@ impl<P: Platform> World for Runner<P> {
                 self.history.per_job.push(JobOutcome {
                     id,
                     submit: job.submit,
-                    // The successful attempt's span (shorter than the
-                    // nominal runtime when checkpointed progress was
-                    // resumed).
+                    // The successful attempt's span.
                     start: running.start,
                     end: now,
                     nodes: job.nodes,

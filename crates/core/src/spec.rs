@@ -23,7 +23,6 @@ use amjs_workload::{swf, Job, WorkloadSpec};
 use crate::adaptive::AdaptiveScheme;
 use crate::estimates::EstimatePolicy;
 use crate::failures::{CorrelationSpec, FailureSpec, RetryPolicy};
-use crate::persist::{PersistError, PersistSpec};
 use crate::runner::{SimulationBuilder, SimulationOutcome};
 use crate::scheduler::BackfillMode;
 use crate::PolicyParams;
@@ -259,30 +258,20 @@ impl RunSpec {
     /// per-run span profiler). The observer must be built on the
     /// calling thread — it is not `Send`.
     pub fn execute_observed(&self, obs: Observer) -> (SimulationOutcome, Observer) {
-        let (result, obs) = self.run(self.jobs(), obs, None);
-        (result.expect("only a persistent run can fail"), obs)
+        self.run(self.jobs(), obs)
     }
 
     /// Run this spec over `jobs` — the one path from a spec to the
     /// simulator. The caller supplies the jobs so it can load them with
     /// its own error handling ([`RunSpec::jobs`] panics) or share one
-    /// loaded trace between runs. With `persist` the run checkpoints
-    /// (genesis snapshot, per-event journal, cadence snapshots) and can
-    /// fail; the flushed observer comes back either way.
-    pub fn run(
-        &self,
-        jobs: Vec<Job>,
-        obs: Observer,
-        persist: Option<&PersistSpec>,
-    ) -> (Result<SimulationOutcome, PersistError>, Observer) {
+    /// loaded trace between runs. The flushed observer comes back with
+    /// the outcome.
+    pub fn run(&self, jobs: Vec<Job>, obs: Observer) -> (SimulationOutcome, Observer) {
         match self.machine {
-            MachineSpec::Bgp { nodes } => self.run_on(
-                BgpCluster::new((nodes / 512) as u16, 512),
-                jobs,
-                obs,
-                persist,
-            ),
-            MachineSpec::Flat { nodes } => self.run_on(FlatCluster::new(nodes), jobs, obs, persist),
+            MachineSpec::Bgp { nodes } => {
+                self.run_on(BgpCluster::new((nodes / 512) as u16, 512), jobs, obs)
+            }
+            MachineSpec::Flat { nodes } => self.run_on(FlatCluster::new(nodes), jobs, obs),
         }
     }
 
@@ -291,8 +280,7 @@ impl RunSpec {
         platform: P,
         jobs: Vec<Job>,
         obs: Observer,
-        persist: Option<&PersistSpec>,
-    ) -> (Result<SimulationOutcome, PersistError>, Observer) {
+    ) -> (SimulationOutcome, Observer) {
         let mut builder = SimulationBuilder::new(platform, jobs)
             .policy(self.policy)
             .backfill(self.backfill)
@@ -309,13 +297,7 @@ impl RunSpec {
             // alone otherwise.
             builder = builder.oracle(true);
         }
-        match persist {
-            None => {
-                let (outcome, obs) = builder.run_observed(obs);
-                (Ok(outcome), obs)
-            }
-            Some(spec) => builder.run_persistent_observed(spec, obs),
-        }
+        builder.run_observed(obs)
     }
 
     /// Append this spec's canonical encoding to a snapshot writer. The

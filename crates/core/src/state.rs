@@ -592,11 +592,19 @@ mod tests {
     use crate::estimates::EstimatePolicy;
     use crate::runner::{PreparedRun, SimulationBuilder};
     use amjs_platform::FlatCluster;
-    use amjs_sim::Engine;
+    use amjs_sim::{EventQueue, World};
     use amjs_workload::WorkloadSpec;
 
     fn small_jobs(seed: u64) -> Vec<Job> {
         WorkloadSpec::small_test().generate(seed)
+    }
+
+    /// Handle the next `n` events, as the engine would without an oracle.
+    fn handle_events(world: &mut Runner<FlatCluster>, queue: &mut EventQueue<Ev>, n: usize) {
+        for _ in 0..n {
+            let e = queue.pop().expect("the run has at least n events");
+            world.handle(e.time, e.payload, queue);
+        }
     }
 
     /// `world`'s head and its one frame from cursor zero.
@@ -648,9 +656,7 @@ mod tests {
             ..
         } = SimulationBuilder::new(FlatCluster::new(512), small_jobs(11)).prepare();
         let (_, genesis_frame) = encoded(&world);
-        Engine::new()
-            .with_max_events(40)
-            .run(&mut world, &mut queue);
+        handle_events(&mut world, &mut queue, 40);
         let (head, frame) = encoded(&world);
         assert!(decoded(&head, &frame).is_ok());
         // A head beside the frame of another moment: the trace is all
@@ -680,9 +686,7 @@ mod tests {
             }))
             .estimate_policy(EstimatePolicy::user_adaptive())
             .prepare();
-        Engine::new()
-            .with_max_events(40)
-            .run(&mut world, &mut queue);
+        handle_events(&mut world, &mut queue, 40);
         let base = world.state_hash();
         let (head, frame) = encoded(&world);
 

@@ -3,8 +3,8 @@
 //! One [`TraceRecord`] is emitted per observable decision. Every record
 //! carries the engine event index (`i`) of the event being handled when
 //! the decision was made, so a trace line correlates exactly with the
-//! journal records and replay tags of the persistence layer, plus the
-//! simulated time (`t`, whole seconds). Nothing in a record derives
+//! oracle's `(seed, event_index)` tags and with the same line of another
+//! trace, plus the simulated time (`t`, whole seconds). Nothing in a record derives
 //! from wall-clock state: same seed ⇒ byte-identical trace.
 
 use crate::json::{Json, ObjWriter};
@@ -13,7 +13,7 @@ use crate::json::{Json, ObjWriter};
 /// seconds), and what was decided.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceRecord {
-    /// Global engine event index (journal-correlated).
+    /// Global engine event index (what oracle tags carry).
     pub index: u64,
     /// Simulated time, whole seconds since the epoch.
     pub t: i64,

@@ -4,7 +4,7 @@
 //! The chain follows the lifecycle queued → scored → windowed →
 //! placed/backfilled (→ killed → retried …) → finished, with each step
 //! tagged by its engine event index so it can be cross-referenced with
-//! the journal and `replay`. Repetitive steps (a job is re-scored every
+//! an oracle tag or another trace. Repetitive steps (a job is re-scored every
 //! scheduling pass while it waits) are run-length compressed.
 
 use std::fmt::Write as _;

@@ -10,7 +10,7 @@
 //!   permutations' makespans, backfill accept/reject reasons, adaptive
 //!   tuner transitions, and the failure/repair/retry lifecycle. Each
 //!   record carries the engine event index, so traces line up exactly
-//!   with the persistence journal and `replay`.
+//!   with oracle tags and with each other.
 //! * **Explain** ([`explain`]) — reconstruct one job's decision chain
 //!   from a JSONL trace into a human-readable timeline
 //!   (`amjs trace explain`).

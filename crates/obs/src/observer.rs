@@ -23,8 +23,8 @@ use crate::sink::TraceSink;
 /// after the run (e.g. the CLI dumping a ring buffer's tail).
 pub type SharedSink = Rc<RefCell<dyn TraceSink>>;
 
-/// A profiler shared between the runner, the scheduler pass, and the
-/// persistence recorder (all on the simulation thread).
+/// A profiler shared between the runner and the scheduler pass (both
+/// on the simulation thread).
 pub type SharedProfiler = Rc<RefCell<Profiler>>;
 
 /// Observation capabilities attached to one simulation run.

@@ -164,8 +164,8 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         self.buf.clear();
         self.buf.push_str(&rec.to_json_line());
         self.buf.push('\n');
-        // A tracing run that can no longer trace must fail loudly, like
-        // a checkpointing run that can no longer checkpoint.
+        // A tracing run that can no longer trace must fail loudly rather
+        // than finish with a silently incomplete trace.
         self.out
             .write_all(self.buf.as_bytes())
             .unwrap_or_else(|e| panic!("trace write failed after {} records: {e}", self.written));

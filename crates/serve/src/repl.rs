@@ -7,7 +7,7 @@
 //! earlier PRs already proved out:
 //!
 //! - **Bootstrap** is a snapshot transfer: `REPL SNAPSHOT` returns the
-//!   primary's live state through the PR-3 snapshot codec, chunked into
+//!   primary's live state through the run-state snapshot codec, chunked into
 //!   netstring frames (the frame cap is 4 KiB; a snapshot is not).
 //! - **Tailing** is WAL shipping: `REPL TAIL SEQ=n EPOCH=e FP=h` is
 //!   admitted and answered like any other command — refused, it is an
@@ -15,8 +15,8 @@
 //!   the connection into a one-way stream of WAL records. Each record
 //!   carries the primary's post-apply `state_hash`, and the follower
 //!   applies it through the *identical* apply path, so divergence is
-//!   detected at the exact sequence number — the same contract PR-3's
-//!   journal replay gives batch runs.
+//!   detected at the exact sequence number — the same contract crash
+//!   recovery's WAL replay gives.
 //! - **Failover** is epoch-fenced: the follower promotes itself into
 //!   `epoch + 1` once the lease expires, and any stale ex-primary that
 //!   later asks to tail with an old epoch (or a foreign fingerprint) is
@@ -123,7 +123,7 @@ pub fn parse_stream_frame(line: &str) -> Result<StreamFrame, String> {
 /// primary's encoded state plus where in the log that state sits.
 #[derive(Clone, Debug)]
 pub struct Bootstrap {
-    /// Encoded live-scheduler state (PR-3 snapshot codec).
+    /// Encoded live-scheduler state (`LiveScheduler::encode`).
     pub payload: Vec<u8>,
     /// WAL sequence the payload corresponds to (tail from here).
     pub seq: u64,

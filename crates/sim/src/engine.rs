@@ -19,46 +19,11 @@ pub trait World {
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
 }
 
-/// A post-event observer with access to the event queue — the engine
-/// hook behind run persistence.
-///
-/// Unlike an [`Oracle`], which sees only the world (it *checks*), a
-/// recorder also sees the pending event queue (it *persists*): a
-/// snapshot must capture world and queue together or the restored run
-/// would replay a different future. [`Engine::run_resumable`] invokes
-/// it after every handled event with the event's global index, which
-/// keeps counting across process restarts (see [`Engine::starting_at`]).
-pub trait Recorder<W: World> {
-    /// Observe the world and queue after the `event_index`-th event
-    /// (0-based, global across resumes), handled at `now`.
-    fn after_event(
-        &mut self,
-        world: &W,
-        queue: &EventQueue<W::Event>,
-        now: SimTime,
-        event_index: u64,
-    );
-}
-
-/// The no-op recorder, for resumable runs that do not persist.
-impl<W: World> Recorder<W> for () {
-    #[inline]
-    fn after_event(
-        &mut self,
-        _world: &W,
-        _queue: &EventQueue<W::Event>,
-        _now: SimTime,
-        _event_index: u64,
-    ) {
-    }
-}
-
 /// Statistics about one engine run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Number of events handled *by this run* (a resumed run counts
-    /// from zero; add [`Engine::starting_at`]'s index for the global
-    /// total).
+    /// Number of events handled *by this run* (counted from zero; add
+    /// [`Engine::starting_at`]'s index for the global total).
     pub events_processed: u64,
     /// Timestamp of the last handled event (epoch if none).
     pub end_time: SimTime,
@@ -66,13 +31,11 @@ pub struct RunStats {
 
 /// The discrete-event run loop.
 ///
-/// Construction is trivial today; the struct exists so run-scoped options
-/// (horizon, event budget, resume offset) have a home without breaking
-/// the call sites.
+/// Construction is trivial; the struct exists so run-scoped options
+/// (horizon, index offset) have a home without breaking the call sites.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Engine {
     horizon: Option<SimTime>,
-    max_events: Option<u64>,
     first_index: u64,
 }
 
@@ -89,26 +52,19 @@ impl Engine {
         self
     }
 
-    /// Hard cap on the number of handled events (guards against a buggy
-    /// world that schedules unboundedly).
-    pub fn with_max_events(mut self, max: u64) -> Self {
-        self.max_events = Some(max);
-        self
-    }
-
     /// Set the global index of the first event this run will handle.
     ///
-    /// A run resumed from a snapshot taken after `n` events passes `n`
-    /// here so oracle panics, journal records, and snapshot names keep
-    /// the original run's numbering — `(seed, event_index)` replay tags
-    /// stay valid across process restarts.
+    /// A live scheduler stepped in slices (or decoded from a snapshot
+    /// taken after `n` events) passes its running count here, so oracle
+    /// panics keep one numbering from genesis — `(seed, event_index)`
+    /// tags stay valid across steps and restarts.
     pub fn starting_at(mut self, first_index: u64) -> Self {
         self.first_index = first_index;
         self
     }
 
-    /// Run `world` against `queue` until the queue drains, the horizon is
-    /// passed, or the event budget is exhausted.
+    /// Run `world` against `queue` until the queue drains or the horizon
+    /// is passed.
     ///
     /// # Panics
     ///
@@ -130,25 +86,6 @@ impl Engine {
         queue: &mut EventQueue<W::Event>,
         oracle: &mut O,
     ) -> RunStats {
-        self.run_resumable(world, queue, oracle, &mut ())
-    }
-
-    /// The full loop: like [`Engine::run_with_oracle`], but additionally
-    /// invoke `recorder` after every handled event with the post-event
-    /// world *and* the pending event queue, plus the event's global
-    /// index (offset by [`Engine::starting_at`]).
-    ///
-    /// This is the persistence hook: a recorder appends the per-event
-    /// write-ahead journal record and periodically snapshots world +
-    /// queue, so a killed process can resume from its last checkpoint
-    /// and continue the identical event sequence.
-    pub fn run_resumable<W: World, O: Oracle<W>, R: Recorder<W>>(
-        &self,
-        world: &mut W,
-        queue: &mut EventQueue<W::Event>,
-        oracle: &mut O,
-        recorder: &mut R,
-    ) -> RunStats {
         let mut stats = RunStats::default();
         let mut last_time: Option<SimTime> = None;
 
@@ -161,16 +98,9 @@ impl Engine {
             }
             last_time = Some(time);
             world.handle(time, payload, queue);
-            let global_index = self.first_index + stats.events_processed;
-            oracle.after_event(world, time, global_index);
-            recorder.after_event(world, queue, time, global_index);
+            oracle.after_event(world, time, self.first_index + stats.events_processed);
             stats.events_processed += 1;
             stats.end_time = time;
-            if let Some(max) = self.max_events {
-                if stats.events_processed >= max {
-                    break;
-                }
-            }
         }
         stats
     }
@@ -232,16 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn max_events_caps_the_run() {
-        let mut w = Chain { seen: Vec::new() };
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 100u32);
-        let stats = Engine::new().with_max_events(10).run(&mut w, &mut q);
-        assert_eq!(stats.events_processed, 10);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn empty_queue_is_a_noop() {
         let mut w = Chain { seen: Vec::new() };
         let mut q: EventQueue<u32> = EventQueue::new();
@@ -268,33 +188,26 @@ mod tests {
         Engine::new().run(&mut w, &mut q);
     }
 
-    /// Records (global index, queue length) after every event.
-    struct Tape(Vec<(u64, usize)>);
-    impl Recorder<Chain> for Tape {
-        fn after_event(
-            &mut self,
-            _world: &Chain,
-            queue: &EventQueue<u32>,
-            _now: SimTime,
-            event_index: u64,
-        ) {
-            self.0.push((event_index, queue.len()));
+    /// Records (global index, time) of every event the oracle sees.
+    struct Tape(Vec<(u64, i64)>);
+    impl Oracle<Chain> for Tape {
+        fn after_event(&mut self, _world: &Chain, now: SimTime, event_index: u64) {
+            self.0.push((event_index, now.as_secs()));
         }
     }
 
     #[test]
-    fn recorder_sees_global_indices_and_queue() {
+    fn oracle_sees_indices_from_the_starting_point() {
         let mut w = Chain { seen: Vec::new() };
         let mut q = EventQueue::new();
         q.schedule(SimTime::ZERO, 2u32);
         let mut tape = Tape(Vec::new());
-        let stats =
-            Engine::new()
-                .starting_at(100)
-                .run_resumable(&mut w, &mut q, &mut NoOracle, &mut tape);
-        // Indices continue the pre-resume numbering; the queue holds the
-        // follow-up event until the countdown expires.
-        assert_eq!(tape.0, vec![(100, 1), (101, 1), (102, 0)]);
+        let stats = Engine::new()
+            .starting_at(100)
+            .run_with_oracle(&mut w, &mut q, &mut tape);
+        // Indices continue the numbering the caller passed in; the
+        // per-run count starts from zero.
+        assert_eq!(tape.0, vec![(100, 0), (101, 5), (102, 10)]);
         assert_eq!(stats.events_processed, 3);
     }
 }

@@ -49,15 +49,13 @@
 
 pub mod engine;
 pub mod event;
-pub mod journal;
 pub mod oracle;
 pub mod rng;
 pub mod snapshot;
 pub mod time;
 
-pub use engine::{Engine, Recorder, RunStats, World};
+pub use engine::{Engine, RunStats, World};
 pub use event::{EventEntry, EventQueue, Priority};
-pub use journal::{JournalFile, JournalRecord, JournalWriter};
 pub use oracle::{NoOracle, Oracle};
 pub use snapshot::{
     ColumnReader, ColumnWriter, Columns, SnapError, SnapReader, SnapWriter, Snapshot,

@@ -108,7 +108,7 @@ pub enum SnapError {
     },
     /// The file does not start with the expected magic bytes.
     BadMagic {
-        /// What kind of file was expected (e.g. "snapshot", "journal").
+        /// What kind of file was expected (e.g. "snapshot").
         expected: &'static str,
     },
     /// The file's format version is not one this build reads.
@@ -190,9 +190,9 @@ pub trait Snapshot: Sized {
 
 /// A world that can produce a cheap 64-bit digest of its live state.
 ///
-/// This is the per-event hash written to the write-ahead journal: it
+/// This is the hash each serve WAL record carries and replay checks: it
 /// must be (a) deterministic across processes and (b) cheap enough to
-/// compute after *every* event, so implementations hash the mutating
+/// compute after *every* command, so implementations hash the mutating
 /// live state (queues, running sets, allocator masks, RNG cursors)
 /// rather than re-encoding the whole world.
 pub trait StateHash {
@@ -851,8 +851,8 @@ const SNAP_SUFFIX: &str = ".snap";
 
 /// A directory of rotating snapshots named `snapshot-<event index>.snap`.
 ///
-/// Rotation keeps the genesis snapshot (the lowest index, which anchors
-/// full-journal replay) plus the most recent `keep` snapshots; everything
+/// Rotation keeps the genesis snapshot (the lowest index, recovery's
+/// last fallback) plus the most recent `keep` snapshots; everything
 /// in between is pruned after each successful write, along with any
 /// `.tmp` a writer killed mid-write left behind. One writer per
 /// directory: a second one's in-progress `.tmp` would be pruned too.

@@ -49,9 +49,6 @@ pub mod prelude {
     pub use amjs_core::adaptive::{
         AdaptiveScheme, BfTuner, MonitoredMetric, TunerConfig, TwoDTuner, WindowTuner,
     };
-    pub use amjs_core::persist::{
-        replay_journal, resume_simulation, PersistError, PersistSpec, ReplayReport,
-    };
     pub use amjs_core::policy::PolicyParams;
     pub use amjs_core::runner::{SimulationBuilder, SimulationOutcome};
     pub use amjs_core::scheduler::{BackfillMode, Scheduler};

@@ -101,7 +101,7 @@ fn tracing_never_perturbs_the_outcome() {
 }
 
 /// Trace records carry non-decreasing engine event indices (the
-/// correlation key into the persistence journal), and the failure
+/// correlation key with oracle tags and other traces), and the failure
 /// lifecycle shows up when failures are injected.
 #[test]
 fn trace_indices_are_monotonic_and_lifecycle_complete() {

@@ -1,22 +1,25 @@
-//! End-to-end persistence properties: crash-recoverable deterministic
-//! replay across the whole stack.
+//! The snapshot codec's contracts, which the serve daemon's crash
+//! recovery stands on.
 //!
-//! The contract under test is the strongest one the engine makes:
-//! snapshot → restore → run produces a **byte-identical**
+//! The strongest one: a [`LiveScheduler`] stepped to any point, encoded
+//! and decoded, and drained produces a **byte-identical**
 //! `SimulationOutcome` (summary CSV row, per-job records, sampled
-//! series) to the uninterrupted run, across seeds × adaptive schemes ×
-//! failure specs, with the runtime invariant oracle enabled. On top of
-//! that: journal replay pinpoints the exact index of an injected
-//! divergence, corrupt snapshots are rejected by checksum and fall back
-//! to the previous one with a diagnostic, and journals from a different
-//! run are refused by fingerprint.
+//! series) to the uninterrupted batch run, across seeds × adaptive
+//! schemes × failure specs, on both machine types, with the runtime
+//! invariant oracle enabled. On top of that: corrupt snapshot files are
+//! rejected by checksum and the store falls back to the previous one
+//! with a diagnostic, a decode keeps the run's fingerprint and event
+//! index, and a payload decoded as the wrong machine type is an error.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use amjs::prelude::*;
 use amjs_core::failures::{CorrelationSpec, DomainSpec, FailureSpec, RepairSpec, RetryPolicy};
+use amjs_core::live::peek_platform;
+use amjs_core::LiveScheduler;
 use amjs_sim::snapshot::SnapshotStore;
+use amjs_sim::Snapshot;
 
 /// A fresh scratch directory under the system temp dir.
 fn tempdir(tag: &str) -> PathBuf {
@@ -69,12 +72,43 @@ impl Case {
         )
     }
 
+    /// The case on a 512-node flat machine.
     fn builder(&self) -> SimulationBuilder<FlatCluster> {
+        let domains = DomainSpec {
+            midplane_nodes: 64,
+            midplanes_per_rack: 2,
+            racks_per_power_domain: 2,
+        };
+        self.configure(FlatCluster::new(512), 1, domains, 400)
+    }
+
+    /// The case on a 4096-node BG/P (eight 512-node midplanes) with
+    /// partition-sized jobs, so failures drain whole midplanes and
+    /// cascade across racks and power domains.
+    fn bgp_builder(&self) -> SimulationBuilder<BgpCluster> {
+        let domains = DomainSpec {
+            midplane_nodes: 512,
+            midplanes_per_rack: 2,
+            racks_per_power_domain: 2,
+        };
+        self.configure(BgpCluster::new(8, 512), 8, domains, 3200)
+    }
+
+    fn configure<P: Platform>(
+        &self,
+        platform: P,
+        scale: u32,
+        domains: DomainSpec,
+        node_mtbf_hours: i64,
+    ) -> SimulationBuilder<P> {
         let mut spec = WorkloadSpec::small_test();
         spec.span = SimDuration::from_hours(6);
-        let jobs = spec.generate(self.seed);
+        let mut jobs = spec.generate(self.seed);
         assert!(!jobs.is_empty());
-        let mut b = SimulationBuilder::new(FlatCluster::new(512), jobs)
+        for j in &mut jobs {
+            j.nodes *= scale;
+        }
+        let mut b = SimulationBuilder::new(platform, jobs)
             .policy(PolicyParams::new(0.5, 2))
             .backfill(BackfillMode::Easy)
             .oracle(true)
@@ -85,7 +119,7 @@ impl Case {
         if self.failures {
             b = b
                 .failures(Some(FailureSpec {
-                    node_mtbf: SimDuration::from_hours(400),
+                    node_mtbf: SimDuration::from_hours(node_mtbf_hours),
                     repair: RepairSpec::LogNormal {
                         mean: SimDuration::from_hours(1),
                         sigma: 0.8,
@@ -98,11 +132,7 @@ impl Case {
                 })
                 .correlated_failures(Some(CorrelationSpec {
                     cascade_prob: 0.4,
-                    domains: DomainSpec {
-                        midplane_nodes: 64,
-                        midplanes_per_rack: 2,
-                        racks_per_power_domain: 2,
-                    },
+                    domains,
                     burst: amjs_core::failures::BurstModel::Weibull { shape: 0.7 },
                 }));
         }
@@ -126,141 +156,66 @@ impl Case {
     }
 }
 
-/// The tentpole property: a run that checkpoints, is "killed" at any
-/// snapshot boundary, and resumes from the snapshot produces the exact
-/// outcome of the uninterrupted run — across seeds × schemes × failure
-/// specs, with the invariant oracle checking every event on both sides.
+/// The simulated times at a quarter, half and three quarters of the
+/// way to the run's last job end: every one precedes the last event.
+fn slice_points(out: &SimulationOutcome) -> Vec<SimTime> {
+    let last = out.per_job.iter().map(|j| j.end.as_secs()).max().unwrap();
+    (1..=3).map(|q| SimTime::from_secs(last * q / 4)).collect()
+}
+
+/// Step a live scheduler through `slice_points`, replacing it at each
+/// one by the decode of its own encoding, then drain it: the outcome
+/// must be the uninterrupted batch run's, byte for byte. Returns that
+/// run's outcome.
+fn assert_decoded_run_matches<P: Platform + Snapshot>(
+    builder: impl Fn() -> SimulationBuilder<P>,
+    label: &str,
+) -> SimulationOutcome {
+    let baseline = builder().run();
+    let mut live = LiveScheduler::from_builder(builder());
+    for t in slice_points(&baseline) {
+        live.advance_to(t);
+        let before = live.state_hash();
+        live = LiveScheduler::decode(&live.encode())
+            .unwrap_or_else(|e| panic!("{label}: decode at {t:?} failed: {e}"));
+        assert_eq!(
+            live.state_hash(),
+            before,
+            "{label}: decode at {t:?} moved the state"
+        );
+    }
+    assert_eq!(
+        outcome_digest(&live.drain_into_outcome()),
+        outcome_digest(&baseline),
+        "{label}: the decoded scheduler diverged from the uninterrupted run"
+    );
+    baseline
+}
+
+/// The codec's central property, on the flat machine: state decoded at
+/// any point evolves exactly as the state that was encoded.
 #[test]
-fn resume_is_byte_identical_to_uninterrupted_run() {
+fn a_decoded_flat_scheduler_finishes_the_uninterrupted_run() {
     for case in Case::grid() {
-        let dir = tempdir(&format!("resume-{}", case.label()));
-        let baseline = outcome_digest(&case.builder().run());
-
-        // The persistent run itself must be observationally identical:
-        // persistence only watches, never steers.
-        let spec = PersistSpec::new(&dir).snapshot_every_events(150).keep(3);
-        let persistent = case.builder().run_persistent(&spec).unwrap();
-        assert_eq!(
-            outcome_digest(&persistent),
-            baseline,
-            "{}: persistence changed the outcome",
-            case.label()
-        );
-
-        // Resume from a mid-run snapshot (what a SIGKILL leaves behind:
-        // snapshots are written atomically, so the newest one is always
-        // whole). Byte-identical outcome required.
-        let store = SnapshotStore::new(&dir, 3);
-        let snaps = store.list().unwrap();
-        assert!(
-            snaps.len() >= 2,
-            "{}: expected several snapshots, got {snaps:?}",
-            case.label()
-        );
-        let (mid_index, mid_path) = &snaps[snaps.len() / 2];
-        let resumed = resume_simulation(mid_path, None, |d| panic!("unexpected diag: {d}"))
-            .unwrap_or_else(|e| panic!("{}: resume failed: {e}", case.label()));
-        assert_eq!(
-            outcome_digest(&resumed),
-            baseline,
-            "{}: resume from snapshot {mid_index} diverged",
-            case.label()
-        );
-
-        // Pointing at the directory resumes from the newest snapshot.
-        let resumed_dir = resume_simulation(&dir, None, |_| {}).unwrap();
-        assert_eq!(outcome_digest(&resumed_dir), baseline);
-
-        // And the journal the persistent run left behind verifies clean.
-        let report = replay_journal(&amjs::sim::journal::journal_path(&dir, 0), None, |d| {
-            panic!("unexpected diag: {d}")
-        })
-        .unwrap();
-        assert!(
-            report.is_clean(),
-            "{}: journal replay diverged at {:?}",
-            case.label(),
-            report.first_divergence
-        );
-        assert!(report.records > 0 && report.checked == report.records);
-
-        fs::remove_dir_all(&dir).unwrap();
+        assert_decoded_run_matches(|| case.builder(), &case.label());
     }
 }
 
-/// A resumed run that keeps checkpointing writes a second journal
-/// segment whose records verify against the same snapshots.
+/// The same on the partitioned machine, where failures drain whole
+/// midplanes and cascade through the failure-domain tree.
 #[test]
-fn resumed_run_continues_the_journal() {
-    let case = Case {
-        seed: 7,
-        adaptive: false,
-        failures: true,
-    };
-    let dir = tempdir("continue");
-    let spec = PersistSpec::new(&dir).snapshot_every_events(200).keep(2);
-    let baseline = outcome_digest(&case.builder().run_persistent(&spec).unwrap());
-
-    let store = SnapshotStore::new(&dir, 2);
-    let snaps = store.list().unwrap();
-    let (mid_index, mid_path) = snaps[snaps.len() / 2].clone();
-    assert!(mid_index > 0, "need a mid-run snapshot");
-
-    let resumed = resume_simulation(&mid_path, Some(&spec), |_| {}).unwrap();
-    assert_eq!(outcome_digest(&resumed), baseline);
-
-    // The resumed segment starts at the snapshot's event index and
-    // replays clean from the snapshots in the directory.
-    let segment = amjs::sim::journal::journal_path(&dir, mid_index);
-    assert!(segment.exists(), "resume should write its own segment");
-    let report = replay_journal(&segment, None, |_| {}).unwrap();
-    assert!(
-        report.is_clean(),
-        "diverged at {:?}",
-        report.first_divergence
-    );
-    assert!(report.snapshot_index <= mid_index);
-
-    fs::remove_dir_all(&dir).unwrap();
+fn a_decoded_bgp_scheduler_finishes_the_uninterrupted_run() {
+    let mut interrupted = 0;
+    for case in Case::grid() {
+        interrupted +=
+            assert_decoded_run_matches(|| case.bgp_builder(), &case.label()).interrupted_jobs;
+    }
+    assert!(interrupted > 0, "no midplane failure hit a running job");
 }
 
-/// Flip one bit in one journal record's hash: replay must point at
-/// exactly that record's event index, not merely "the CSV differs".
-#[test]
-fn replay_pinpoints_an_injected_divergence() {
-    let case = Case {
-        seed: 13,
-        adaptive: true,
-        failures: false,
-    };
-    let dir = tempdir("divergence");
-    let spec = PersistSpec::new(&dir).snapshot_every_events(500).keep(2);
-    case.builder().run_persistent(&spec).unwrap();
-
-    let journal = amjs::sim::journal::journal_path(&dir, 0);
-    let clean = replay_journal(&journal, None, |_| {}).unwrap();
-    assert!(clean.is_clean());
-    assert!(clean.records > 10);
-
-    // Record k's world_hash lives at header(28) + k*24 + 16.
-    let k = (clean.records / 2) as usize;
-    let mut raw = fs::read(&journal).unwrap();
-    raw[28 + k * 24 + 16] ^= 0x01;
-    fs::write(&journal, &raw).unwrap();
-
-    let report = replay_journal(&journal, None, |_| {}).unwrap();
-    assert_eq!(
-        report.first_divergence,
-        Some(k as u64),
-        "divergence must name the exact tampered record"
-    );
-
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Corrupt and truncated snapshots are detected by checksum and resume
-/// falls back to the previous snapshot with a diagnostic; when nothing
-/// valid remains the error names every rejected file.
+/// Corrupt and truncated snapshots are detected by checksum and the
+/// store falls back to the previous snapshot with a diagnostic; when
+/// nothing valid remains the error names every rejected file.
 #[test]
 fn corrupt_snapshots_fall_back_with_diagnostics() {
     let case = Case {
@@ -269,42 +224,54 @@ fn corrupt_snapshots_fall_back_with_diagnostics() {
         failures: false,
     };
     let dir = tempdir("corrupt");
-    let baseline = outcome_digest(&case.builder().run());
-    let spec = PersistSpec::new(&dir).snapshot_every_events(150).keep(3);
-    case.builder().run_persistent(&spec).unwrap();
-
+    let baseline = case.builder().run();
     let store = SnapshotStore::new(&dir, 3);
-    let snaps = store.list().unwrap();
-    assert!(snaps.len() >= 3);
-    let (_, newest) = snaps.last().unwrap().clone();
+    let mut live = LiveScheduler::from_builder(case.builder());
+    store.write(0, &live.encode()).unwrap();
+    for t in slice_points(&baseline) {
+        live.advance_to(t);
+        store.write(live.event_index(), &live.encode()).unwrap();
+    }
+    let baseline = outcome_digest(&baseline);
+    let finish = |payload: &[u8]| {
+        let live = LiveScheduler::<FlatCluster>::decode(payload).unwrap();
+        outcome_digest(&live.drain_into_outcome())
+    };
 
-    // Bit-flip the newest snapshot: resuming from the directory must
-    // reject it (checksum) and fall back, still reproducing the run.
+    let snaps = store.list().unwrap();
+    assert!(snaps.len() >= 3, "{snaps:?}");
+    let (newest_index, newest) = snaps.last().unwrap().clone();
+
+    // Bit-flip the newest snapshot: loading the latest must reject it
+    // (checksum) and fall back, still reproducing the run.
     let mut raw = fs::read(&newest).unwrap();
     let mid = raw.len() / 2;
     raw[mid] ^= 0x10;
     fs::write(&newest, &raw).unwrap();
     let mut diags = Vec::new();
-    let resumed = resume_simulation(&dir, None, |d| diags.push(d.to_string())).unwrap();
-    assert_eq!(outcome_digest(&resumed), baseline);
+    let (index, payload, _) = store
+        .load_latest(u64::MAX, |d| diags.push(d.to_string()))
+        .unwrap();
+    assert!(index < newest_index);
+    assert_eq!(finish(&payload), baseline);
     assert!(
         diags.iter().any(|d| d.contains("rejecting snapshot")),
         "fallback must be loud, got {diags:?}"
     );
-
-    // Naming the corrupt file directly also falls back (with the path
-    // in the diagnostic), because its name identifies where to look.
-    let mut diags = Vec::new();
-    let resumed = resume_simulation(&newest, None, |d| diags.push(d.to_string())).unwrap();
-    assert_eq!(outcome_digest(&resumed), baseline);
-    assert!(diags.iter().any(|d| d.contains("falling back")));
+    assert!(
+        diags.iter().any(|d| d.contains("falling back")),
+        "{diags:?}"
+    );
 
     // Truncation is equally fatal for a single file...
     let (_, second) = snaps[snaps.len() - 2].clone();
     let raw = fs::read(&second).unwrap();
     fs::write(&second, &raw[..raw.len() / 3]).unwrap();
+    let (index, payload, _) = store.load_latest(u64::MAX, |_| {}).unwrap();
+    assert!(index < snaps[snaps.len() - 2].0);
+    assert_eq!(finish(&payload), baseline);
 
-    // ...and once every snapshot is damaged, resume refuses with an
+    // ...and once every snapshot is damaged, loading refuses with an
     // error that names the rejected files.
     for (_, path) in &snaps {
         let raw = fs::read(path).unwrap();
@@ -312,7 +279,7 @@ fn corrupt_snapshots_fall_back_with_diagnostics() {
             fs::write(path, &raw[..40]).unwrap();
         }
     }
-    let err = resume_simulation(&dir, None, |_| {}).unwrap_err();
+    let err = store.load_latest(u64::MAX, |_| {}).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("snapshot-") && msg.contains(".snap"),
@@ -322,39 +289,45 @@ fn corrupt_snapshots_fall_back_with_diagnostics() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A journal can only be verified against snapshots of its own run:
-/// fingerprints must match.
+/// A decode keeps the run's fingerprint (what recovery checks a WAL
+/// and a snapshot against) and its event index; another seed is
+/// another run, with another fingerprint.
 #[test]
-fn replay_refuses_a_foreign_journal() {
-    let dir_a = tempdir("fingerprint-a");
-    let dir_b = tempdir("fingerprint-b");
-    let spec_a = PersistSpec::new(&dir_a).snapshot_every_events(300);
-    let spec_b = PersistSpec::new(&dir_b).snapshot_every_events(300);
-    Case {
+fn fingerprint_and_event_index_survive_a_decode() {
+    let case = Case {
         seed: 5,
-        adaptive: false,
-        failures: false,
-    }
-    .builder()
-    .run_persistent(&spec_a)
-    .unwrap();
-    Case {
-        seed: 6,
-        adaptive: false,
-        failures: false,
-    }
-    .builder()
-    .run_persistent(&spec_b)
-    .unwrap();
+        adaptive: true,
+        failures: true,
+    };
+    let baseline = case.builder().run();
+    let mut live = LiveScheduler::from_builder(case.builder());
+    live.advance_to(slice_points(&baseline)[1]);
+    assert!(live.event_index() > 0);
+    let decoded = LiveScheduler::<FlatCluster>::decode(&live.encode()).unwrap();
+    assert_eq!(decoded.fingerprint(), live.fingerprint());
+    assert_eq!(decoded.event_index(), live.event_index());
+    assert_eq!(decoded.now(), live.now());
 
-    // Journal from run B against snapshots from run A.
-    let journal_b = amjs::sim::journal::journal_path(&dir_b, 0);
-    let err = replay_journal(&journal_b, Some(Path::new(&dir_a)), |_| {}).unwrap_err();
-    assert!(
-        err.to_string().contains("does not belong"),
-        "expected a fingerprint refusal, got: {err}"
+    let other = Case { seed: 6, ..case };
+    assert_ne!(
+        LiveScheduler::from_builder(other.builder()).fingerprint(),
+        live.fingerprint()
     );
+}
 
-    fs::remove_dir_all(&dir_a).unwrap();
-    fs::remove_dir_all(&dir_b).unwrap();
+/// A caller picks the machine type from `peek_platform`; decoding as
+/// the other type is an error, never a panic.
+#[test]
+fn a_payload_is_refused_by_the_wrong_platform_type() {
+    let case = Case {
+        seed: 7,
+        adaptive: false,
+        failures: true,
+    };
+    let baseline = case.builder().run();
+    let mut live = LiveScheduler::from_builder(case.builder());
+    live.advance_to(slice_points(&baseline)[0]);
+    let payload = live.encode();
+    assert_eq!(peek_platform(&payload).unwrap(), "flat");
+    assert!(LiveScheduler::<BgpCluster>::decode(&payload).is_err());
 }
