@@ -53,7 +53,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// Spawn an in-process daemon on an ephemeral port; returns its
-/// address and the engine thread's handle (joined via SHUTDOWN).
+/// address and the daemon thread's handle (joined via SHUTDOWN).
 fn spawn_daemon(
     dir: &Path,
     tweak: impl FnOnce(&mut ServeConfig),

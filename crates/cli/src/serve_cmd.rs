@@ -5,7 +5,7 @@
 //! dispatch on the recovered snapshot's platform tag (`--resume`), bind
 //! the listener and optional metrics endpoint up front so bad addresses
 //! fail with a diagnostic instead of after the daemon is half-up, then
-//! hand the calling thread to the engine loop.
+//! hand the calling thread to the daemon as its ticker.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};

@@ -24,17 +24,20 @@
 //! [`LiveScheduler::fork`] copies the live half of the state in memory
 //! and leaves the history behind.
 
+use std::cell::RefCell;
+
+use amjs_obs::Observer;
 use amjs_platform::Platform;
+use amjs_sim::snapshot::ResumableFnv;
 use amjs_sim::{
     ColumnWriter, Columns, Engine, EventQueue, SimDuration, SimTime, SnapError, SnapReader,
-    SnapWriter, Snapshot, StateHash,
+    SnapWriter, Snapshot,
 };
 use amjs_workload::{Job, JobId};
 
 use crate::persist::{self, SnapshotHeader};
 use crate::runner::{
-    finish_run, Ev, InvariantOracle, JobOutcome, PreparedRun, Runner, SimulationBuilder,
-    SimulationOutcome,
+    finish_run, Ev, JobOutcome, PreparedRun, Runner, SimulationBuilder, SimulationOutcome,
 };
 use crate::state::{LiveState, RunConfig, RunMeta};
 
@@ -167,6 +170,17 @@ pub struct LiveScheduler<P: Platform + Snapshot> {
     now: SimTime,
     /// Allocator for externally-submitted job ids.
     next_job_id: u64,
+    /// [`state_hash`](Self::state_hash)'s buffers, kept between calls.
+    hash: RefCell<HashCache>,
+}
+
+/// The image `state_hash` last digested and where its FNV can resume:
+/// a mutation changes the image near its end, so the next hash costs
+/// the bytes after the change.
+#[derive(Default)]
+struct HashCache {
+    image: SnapWriter,
+    fnv: ResumableFnv,
 }
 
 impl<P: Platform + Snapshot> LiveScheduler<P> {
@@ -191,6 +205,7 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
             event_index: 0,
             now: SimTime::ZERO,
             next_job_id,
+            hash: RefCell::default(),
         }
     }
 
@@ -215,7 +230,11 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
     /// RNG cursors, counters) — the recovery proof compares this across
     /// a crash/restore boundary.
     pub fn state_hash(&self) -> u64 {
-        self.world.state_hash()
+        let mut cache = self.hash.borrow_mut();
+        let HashCache { image, fnv } = &mut *cache;
+        image.clear();
+        self.world.hash_image(image);
+        fnv.hash(image.as_bytes())
     }
 
     /// Short platform name tag (`"flat"`, `"bgp"`).
@@ -238,14 +257,12 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
             self.now
         );
         let engine = Engine::new().with_horizon(t).starting_at(self.event_index);
-        let stats = if self.meta.oracle_enabled {
-            let mut oracle = InvariantOracle {
-                failure_seed: self.meta.failure_seed,
-            };
-            engine.run_with_oracle(&mut self.world, &mut self.queue, &mut oracle)
-        } else {
-            engine.run(&mut self.world, &mut self.queue)
-        };
+        let stats = self.world.run_engine(
+            engine,
+            &mut self.queue,
+            &self.meta,
+            &mut Observer::disabled(),
+        );
         self.event_index += stats.events_processed;
         self.now = t;
         stats.events_processed
@@ -310,16 +327,11 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
                 expected_end,
             };
         }
-        if let Some(o) = self.world.outcome_of(id) {
-            return JobStatus::Finished {
-                start: o.start,
-                end: o.end,
-            };
-        }
         // Admitted but not yet queued/running/finished: either the
         // `Submit` event has not fired yet, or the job is in retry
-        // backoff (`Resubmit` pending). Canceled and abandoned jobs
-        // have no pending event and fall through to `Unknown`.
+        // backoff (`Resubmit` pending). A job is never both pending and
+        // finished, so the pending events — as many as the live state
+        // holds — are looked at before the history, which only grows.
         let pending = self.queue.iter().any(|e| match e.payload {
             Ev::Submit(i) | Ev::Resubmit(i) => self.world.live.trace_jobs()[i].id == id,
             _ => false,
@@ -327,7 +339,15 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
         if pending {
             return JobStatus::Pending;
         }
-        JobStatus::Unknown
+        // Canceled and abandoned jobs have no pending event and no
+        // outcome: `Unknown`.
+        match self.world.outcome_of(id) {
+            Some(o) => JobStatus::Finished {
+                start: o.start,
+                end: o.end,
+            },
+            None => JobStatus::Unknown,
+        }
     }
 
     /// The finished-job record for `id`, if it completed.
@@ -432,12 +452,12 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
         loop {
             match self.queue.peek_time() {
                 Some(t) if t <= deadline => {
+                    // Each step ends at one event instant, and a job that
+                    // starts at `t` finishes at `t + 1 s` at the earliest:
+                    // a start is always seen while the job is running.
                     self.advance_to(t);
                     if let Some((start, _)) = self.world.live.running_span(id) {
                         return WhatIfAnswer::PredictedStart(start);
-                    }
-                    if let Some(o) = self.world.outcome_of(id) {
-                        return WhatIfAnswer::PredictedStart(o.start);
                     }
                 }
                 _ => return WhatIfAnswer::NoStartWithin(horizon),
@@ -517,6 +537,7 @@ impl<P: Platform + Snapshot> LiveScheduler<P> {
             event_index,
             now,
             next_job_id,
+            hash: RefCell::default(),
         };
         Ok((sched, columns))
     }
@@ -570,6 +591,7 @@ impl<P: Platform + Snapshot> LiveFork<P> {
             event_index: self.event_index,
             now: self.now,
             next_job_id: self.next_job_id,
+            hash: RefCell::default(),
         };
         sched.speculate_start(id, bf, window, horizon)
     }
@@ -581,6 +603,14 @@ impl<P: Platform + Snapshot> LiveFork<P> {
 pub fn peek_platform(payload: &[u8]) -> Result<String, SnapError> {
     Ok(persist::peek_header(payload)?.platform)
 }
+
+// A daemon steps its scheduler on whichever connection thread holds
+// the engine lock.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<LiveScheduler<amjs_platform::FlatCluster>>();
+    assert_send::<LiveScheduler<amjs_platform::BgpCluster>>();
+};
 
 #[cfg(test)]
 mod tests {

@@ -34,7 +34,7 @@ use amjs_obs::{
 use amjs_platform::plan::Plan;
 use amjs_platform::{AllocationId, DrainOutcome, Platform};
 use amjs_sim::event::Priority;
-use amjs_sim::{Engine, EventQueue, Oracle, SimDuration, SimTime, World};
+use amjs_sim::{Engine, EventQueue, Oracle, RunStats, SimDuration, SimTime, World};
 use amjs_workload::{Job, JobId};
 
 use crate::adaptive::{AdaptiveScheme, MonitoredMetric, TunerStep};
@@ -352,22 +352,13 @@ impl<P: Platform> SimulationBuilder<P> {
     ///
     /// The observer is returned (flushed) so the caller can read back
     /// its ring buffer or profiler after the run.
-    pub fn run_observed(self, obs: Observer) -> (SimulationOutcome, Observer) {
+    pub fn run_observed(self, mut obs: Observer) -> (SimulationOutcome, Observer) {
         let PreparedRun {
             mut world,
             mut queue,
             meta,
         } = self.prepare();
-        world.obs = obs;
-        let stats = if meta.oracle_enabled {
-            let mut oracle = InvariantOracle {
-                failure_seed: meta.failure_seed,
-            };
-            Engine::new().run_with_oracle(&mut world, &mut queue, &mut oracle)
-        } else {
-            Engine::new().run(&mut world, &mut queue)
-        };
-        let mut obs = std::mem::take(&mut world.obs);
+        let stats = world.run_engine(Engine::new(), &mut queue, &meta, &mut obs);
         obs.finish();
         (finish_run(world, stats.end_time, meta), obs)
     }
@@ -574,9 +565,6 @@ pub(crate) struct Runner<P: Platform> {
     pub(crate) live: LiveState<P>,
     pub(crate) history: History,
     pub(crate) config: RunConfig,
-    /// Observability hooks (tracing, profiling, live stats): attaching a
-    /// sink must never perturb replay/resume byte-identity.
-    pub(crate) obs: Observer,
     /// Incremental sorted-queue cache for the scheduling hot path (see
     /// [`crate::passcache`]); a cold cache's first pass is a full
     /// rebuild producing the exact same sorted queue.
@@ -887,7 +875,6 @@ impl<P: Platform> Runner<P> {
             live,
             history,
             config,
-            obs: Observer::disabled(),
             pass_cache: PassCache::default(),
             machine_epoch: 0,
             drain: None,
@@ -967,7 +954,13 @@ impl<P: Platform> Runner<P> {
     /// Kill the running job hit by a node failure: release its
     /// partition, account the lost progress, and hand it to the retry
     /// policy (re-queue now, re-queue after backoff, or abandon).
-    fn kill_job(&mut self, id: JobId, now: SimTime, events: &mut EventQueue<Ev>) {
+    fn kill_job(
+        &mut self,
+        id: JobId,
+        now: SimTime,
+        events: &mut EventQueue<Ev>,
+        obs: &mut Observer,
+    ) {
         let running = self
             .live
             .running
@@ -1002,7 +995,7 @@ impl<P: Platform> Runner<P> {
         };
         if self.config.retry.abandons_after(failures) {
             self.live.abandoned_jobs += 1;
-            emit_kill(&mut self.obs, RetryOutcome::Abandoned, 0);
+            emit_kill(obs, RetryOutcome::Abandoned, 0);
             return;
         }
         let delay = self.config.retry.resubmit_delay(failures);
@@ -1011,7 +1004,7 @@ impl<P: Platform> Runner<P> {
             // A kill only happens under a node fault, so the in-service
             // capacity (and with it the queue filter) just changed.
             self.pass_cache.invalidate();
-            emit_kill(&mut self.obs, RetryOutcome::Requeued, 0);
+            emit_kill(obs, RetryOutcome::Requeued, 0);
         } else {
             self.live.pending_resubmits += 1;
             events.schedule_with(
@@ -1019,12 +1012,12 @@ impl<P: Platform> Runner<P> {
                 Priority::Arrival,
                 Ev::Resubmit(running.trace_idx),
             );
-            emit_kill(&mut self.obs, RetryOutcome::Backoff, delay.as_secs());
+            emit_kill(obs, RetryOutcome::Backoff, delay.as_secs());
         }
     }
 
     /// Run one scheduling pass and start the decided jobs.
-    fn run_scheduler(&mut self, now: SimTime, events: &mut EventQueue<Ev>) {
+    fn run_scheduler(&mut self, now: SimTime, events: &mut EventQueue<Ev>, obs: &mut Observer) {
         self.live.scheduler_passes += 1;
         self.live.last_pass_time = Some(now);
         if self.live.queue.is_empty() {
@@ -1032,8 +1025,8 @@ impl<P: Platform> Runner<P> {
             self.pass_memo = None;
             return;
         }
-        let span = self.obs.prof_enter("schedule_pass");
-        let mut trace = if self.obs.tracing() {
+        let span = obs.prof_enter("schedule_pass");
+        let mut trace = if obs.tracing() {
             Some(PassTrace::default())
         } else {
             None
@@ -1049,18 +1042,18 @@ impl<P: Platform> Runner<P> {
                 &queued,
                 &base_plan,
                 trace.as_mut(),
-                self.obs.profiler(),
+                obs.profiler(),
             )
         } else {
             // Borrow dance: the cache's rebuild closure needs `&self`
             // (to list the queue), so take the cache out first.
             let mut cache = std::mem::take(&mut self.pass_cache);
-            let sort_span = self.obs.prof_enter("score_sort");
+            let sort_span = obs.prof_enter("score_sort");
             let outcome = cache.resolve(now, self.live.scheduler.ordering(), || {
                 self.live.queued_jobs()
             });
-            self.obs.prof_exit(sort_span);
-            if self.obs.profiler().is_some() {
+            obs.prof_exit(sort_span);
+            if obs.profiler().is_some() {
                 // Zero-length marker span: counts cache outcomes in the
                 // span table without a dedicated counter channel.
                 let name = match outcome {
@@ -1068,8 +1061,8 @@ impl<P: Platform> Runner<P> {
                     CacheOutcome::Repair => "score_cache_repair",
                     CacheOutcome::Miss => "score_cache_miss",
                 };
-                let marker = self.obs.prof_enter(name);
-                self.obs.prof_exit(marker);
+                let marker = obs.prof_enter(name);
+                obs.prof_exit(marker);
             }
             let head = &cache.sorted()[..self.live.scheduler.lookahead(cache.sorted().len())];
             // Pass memo: the previous pass started nothing, and nothing
@@ -1088,18 +1081,18 @@ impl<P: Platform> Runner<P> {
                 self.live.check_memoized_pass(now, cache.sorted());
                 cache.stats.passes_memoized += 1;
                 self.pass_cache = cache;
-                self.obs.prof_exit(span);
+                obs.prof_exit(span);
                 return;
             }
-            let plan_span = self.obs.prof_enter("plan_build");
+            let plan_span = obs.prof_enter("plan_build");
             let base_plan = self.live.base_plan(now);
-            self.obs.prof_exit(plan_span);
+            obs.prof_exit(plan_span);
             let decision = self.live.scheduler.schedule_pass_sorted(
                 now,
                 cache.sorted(),
                 &base_plan,
                 trace.as_mut(),
-                self.obs.profiler(),
+                obs.profiler(),
             );
             // (`TimeFlexible` re-places its reservations greedily per
             // backfill candidate, and block choice is not monotone in
@@ -1114,13 +1107,13 @@ impl<P: Platform> Runner<P> {
             self.pass_cache = cache;
             decision
         };
-        self.obs.prof_exit(span);
+        obs.prof_exit(span);
         let stats = &mut self.pass_cache.stats;
         stats.window_searches += decision.window.searches;
         stats.window_placements += decision.window.placements;
         stats.window_bound_exits += decision.window.bound_exits;
         if let Some(tr) = trace {
-            self.emit_pass_trace(now, &tr);
+            Self::emit_pass_trace(obs, now, &tr);
         }
         self.live.promised.clear();
 
@@ -1172,8 +1165,8 @@ impl<P: Platform> Runner<P> {
             if start.backfilled {
                 live.backfilled_starts += 1;
             }
-            if self.obs.tracing() {
-                self.obs.emit(
+            if obs.tracing() {
+                obs.emit(
                     now,
                     TraceEvent::JobStarted {
                         job: job.id.0,
@@ -1211,8 +1204,8 @@ impl<P: Platform> Runner<P> {
                 walltime,
                 start,
             });
-            if self.obs.tracing() {
-                self.obs.emit(
+            if obs.tracing() {
+                obs.emit(
                     now,
                     TraceEvent::JobReserved {
                         job: id.0,
@@ -1226,9 +1219,9 @@ impl<P: Platform> Runner<P> {
 
     /// Turn a captured [`PassTrace`] into trace events, in decision
     /// order: scores, window searches, backfill admissions.
-    fn emit_pass_trace(&mut self, now: SimTime, tr: &PassTrace) {
+    fn emit_pass_trace(obs: &mut Observer, now: SimTime, tr: &PassTrace) {
         for sc in &tr.scores {
-            self.obs.emit(
+            obs.emit(
                 now,
                 TraceEvent::JobScored {
                     job: sc.job.0,
@@ -1242,7 +1235,7 @@ impl<P: Platform> Runner<P> {
         for wt in &tr.windows {
             let ids =
                 |order: &[usize]| -> Vec<u64> { order.iter().map(|&i| wt.jobs[i].0).collect() };
-            self.obs.emit(
+            obs.emit(
                 now,
                 TraceEvent::WindowChoice(Box::new(WindowChoiceEv {
                     window: wt.index as u64,
@@ -1266,7 +1259,7 @@ impl<P: Platform> Runner<P> {
             );
         }
         for &(id, accepted, reason) in &tr.backfill {
-            self.obs.emit(
+            obs.emit(
                 now,
                 TraceEvent::BackfillDecision {
                     job: id.0,
@@ -1288,7 +1281,7 @@ impl<P: Platform> Runner<P> {
         self.history.loc.record_event(now, idle, has_fitting_waiter);
     }
 
-    fn sample_metrics(&mut self, now: SimTime) {
+    fn sample_metrics(&mut self, now: SimTime, obs: &mut Observer) {
         let live = &self.live;
         let qd = live.queue_depth_mins(now);
         let util_instant = live.util.instant(now);
@@ -1313,8 +1306,8 @@ impl<P: Platform> Runner<P> {
         );
         self.history.down_nodes.push(now, down as f64);
 
-        if self.obs.tracing() {
-            self.obs.emit(
+        if obs.tracing() {
+            obs.emit(
                 now,
                 TraceEvent::MetricsSample(Box::new(MetricsSampleEv {
                     queue_depth_mins: qd,
@@ -1328,8 +1321,8 @@ impl<P: Platform> Runner<P> {
                 })),
             );
         }
-        if self.obs.live_enabled() {
-            self.obs.publish(LiveStats {
+        if obs.live_enabled() {
+            obs.publish(LiveStats {
                 sim_time_s: now.as_secs(),
                 events: 0, // filled in by the observer
                 queue_depth_mins: qd,
@@ -1350,13 +1343,13 @@ impl<P: Platform> Runner<P> {
 
     /// Algorithm 1's check-point body. Returns true if the policy
     /// changed.
-    fn run_tuners(&mut self, now: SimTime) -> bool {
+    fn run_tuners(&mut self, now: SimTime, obs: &mut Observer) -> bool {
         if !self.config.adaptive.is_active() {
             return false;
         }
         let qd = self.live.queue_depth_mins(now);
         let util = &self.live.util;
-        let mut steps: Option<Vec<TunerStep>> = if self.obs.tracing() {
+        let mut steps: Option<Vec<TunerStep>> = if obs.tracing() {
             Some(Vec::new())
         } else {
             None
@@ -1375,7 +1368,7 @@ impl<P: Platform> Runner<P> {
             // Only actual transitions are worth a record; steady-state
             // checks re-fire every interval.
             for s in steps.iter().filter(|s| s.changed) {
-                self.obs.emit(
+                obs.emit(
                     now,
                     TraceEvent::TunerTransition(Box::new(TunerTransitionEv {
                         tunable: s.tunable.tag().to_string(),
@@ -1401,8 +1394,8 @@ impl<P: Platform> Runner<P> {
             .switched_ordering(self.live.queue.len())
         {
             if self.live.scheduler.ordering_override != Some(ordering) {
-                if self.obs.tracing() {
-                    self.obs.emit(
+                if obs.tracing() {
+                    obs.emit(
                         now,
                         TraceEvent::OrderingSwitch {
                             queue_len: self.live.queue.len() as u64,
@@ -1492,15 +1485,15 @@ impl<P: Platform> Runner<P> {
 /// replayable `(failure seed, event index)` tag on the first violation.
 /// On by default in debug builds, opt-in via
 /// [`SimulationBuilder::oracle`] (CLI `--oracle`) in release.
-pub(crate) struct InvariantOracle {
-    pub(crate) failure_seed: Option<u64>,
+struct InvariantOracle {
+    failure_seed: Option<u64>,
 }
 
-impl<P: Platform> Oracle<Runner<P>> for InvariantOracle {
-    fn after_event(&mut self, world: &Runner<P>, now: SimTime, event_index: u64) {
-        let span = world.obs.prof_enter("oracle_check");
-        let verdict = world.live.check_invariants(now);
-        world.obs.prof_exit(span);
+impl<P: Platform> Oracle<Observed<'_, P>> for InvariantOracle {
+    fn after_event(&mut self, run: &Observed<'_, P>, now: SimTime, event_index: u64) {
+        let span = run.obs.prof_enter("oracle_check");
+        let verdict = run.world.live.check_invariants(now);
+        run.obs.prof_exit(span);
         if let Err(msg) = verdict {
             panic!(
                 "invariant violation (replay: failure-seed={}, event_index={event_index}): {msg}",
@@ -1511,20 +1504,60 @@ impl<P: Platform> Oracle<Runner<P>> for InvariantOracle {
     }
 }
 
-impl<P: Platform> World for Runner<P> {
+/// One engine run: the [`Runner`] and the [`Observer`] it borrows for
+/// the run's length.
+struct Observed<'a, P: Platform> {
+    world: &'a mut Runner<P>,
+    obs: &'a mut Observer,
+}
+
+impl<P: Platform> World for Observed<'_, P> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, event: Ev, events: &mut EventQueue<Ev>) {
+        self.world.step(now, event, events, self.obs);
+    }
+}
+
+impl<P: Platform> Runner<P> {
+    /// Run `engine` over `queue` with `obs` watching, under the
+    /// invariant oracle when `meta` enables it.
+    pub(crate) fn run_engine(
+        &mut self,
+        engine: Engine,
+        queue: &mut EventQueue<Ev>,
+        meta: &RunMeta,
+        obs: &mut Observer,
+    ) -> RunStats {
+        let mut run = Observed { world: self, obs };
+        if meta.oracle_enabled {
+            let mut oracle = InvariantOracle {
+                failure_seed: meta.failure_seed,
+            };
+            engine.run_with_oracle(&mut run, queue, &mut oracle)
+        } else {
+            engine.run(&mut run, queue)
+        }
+    }
+
+    /// Handle one event.
+    pub(crate) fn step(
+        &mut self,
+        now: SimTime,
+        event: Ev,
+        events: &mut EventQueue<Ev>,
+        obs: &mut Observer,
+    ) {
         // Event-index bookkeeping: the observer's counter advances once
         // per handled event, so every record emitted below carries the
         // same index the engine reports to oracles.
-        self.obs.begin_event();
+        obs.begin_event();
         match event {
             Ev::Submit(trace_idx) => {
                 self.live.remaining_submits -= 1;
                 self.live.queue.push(trace_idx);
                 self.cache_push(trace_idx);
-                if self.obs.tracing() {
+                if obs.tracing() {
                     let job = &self.live.jobs[trace_idx];
                     let ev = TraceEvent::JobQueued {
                         job: job.id.0,
@@ -1532,9 +1565,9 @@ impl<P: Platform> World for Runner<P> {
                         walltime_s: job.walltime.as_secs(),
                         resubmit: false,
                     };
-                    self.obs.emit(now, ev);
+                    obs.emit(now, ev);
                 }
-                let fair_span = self.obs.prof_enter("fair_start");
+                let fair_span = obs.prof_enter("fair_start");
                 let job = &self.live.jobs[trace_idx];
                 let job_id = job.id;
                 // On a machine degraded below the job's size the
@@ -1562,8 +1595,8 @@ impl<P: Platform> World for Runner<P> {
                 };
                 let prev = self.live.fair_starts.insert(job_id, fair);
                 debug_assert!(prev.is_none(), "duplicate fair start for {job_id}");
-                self.obs.prof_exit(fair_span);
-                self.run_scheduler(now, events);
+                obs.prof_exit(fair_span);
+                self.run_scheduler(now, events, obs);
                 self.record_loc(now);
             }
             Ev::Finish(id, gen) => {
@@ -1592,13 +1625,13 @@ impl<P: Platform> World for Runner<P> {
                     // EMA, which changes queued jobs' planning walltimes.
                     self.pass_cache.invalidate();
                 }
-                if self.obs.tracing() {
+                if obs.tracing() {
                     let ev = TraceEvent::JobFinished {
                         job: id.0,
                         nodes: job.nodes,
                         ran_s: (now - running.start).as_secs(),
                     };
-                    self.obs.emit(now, ev);
+                    obs.emit(now, ev);
                 }
                 self.live.finished += 1;
                 self.history.per_job.push(JobOutcome {
@@ -1612,7 +1645,7 @@ impl<P: Platform> World for Runner<P> {
                     backfilled: running.backfilled,
                 });
                 self.live.last_end = self.live.last_end.max(now);
-                self.run_scheduler(now, events);
+                self.run_scheduler(now, events, obs);
                 self.record_loc(now);
             }
             Ev::Fail => {
@@ -1658,9 +1691,8 @@ impl<P: Platform> World for Runner<P> {
                         continue;
                     }
                     self.machine_epoch += 1;
-                    if self.obs.tracing() {
-                        self.obs
-                            .emit(now, TraceEvent::NodeFailed { node: node.into() });
+                    if obs.tracing() {
+                        obs.emit(now, TraceEvent::NodeFailed { node: node.into() });
                     }
                     if let DrainOutcome::Draining(alloc) = outcome {
                         // The quantum sits inside a running job's
@@ -1673,7 +1705,7 @@ impl<P: Platform> World for Runner<P> {
                             .find(|(_, r)| r.alloc == alloc)
                             .map(|(&id, _)| id)
                             .expect("draining allocation belongs to a running job");
-                        self.kill_job(id, now, events);
+                        self.kill_job(id, now, events, obs);
                     }
                     let d = *repair.get_or_insert_with(|| process.repair_duration());
                     events.schedule_with(now + d, Priority::Release, Ev::Repair(node));
@@ -1689,7 +1721,7 @@ impl<P: Platform> World for Runner<P> {
                     // repair), so the cached filtered queue is stale.
                     self.pass_cache.invalidate();
                     self.live.note_capacity(now);
-                    self.run_scheduler(now, events);
+                    self.run_scheduler(now, events, obs);
                     self.record_loc(now);
                 }
                 // Keep the process alive while there is anything left to
@@ -1707,21 +1739,20 @@ impl<P: Platform> World for Runner<P> {
             Ev::Repair(node) => {
                 self.live.platform.mark_up(node);
                 self.machine_epoch += 1;
-                if self.obs.tracing() {
-                    self.obs
-                        .emit(now, TraceEvent::NodeRepaired { node: node.into() });
+                if obs.tracing() {
+                    obs.emit(now, TraceEvent::NodeRepaired { node: node.into() });
                 }
                 self.pass_cache.invalidate();
                 self.live.note_capacity(now);
                 // Restored capacity may unblock held-back jobs.
-                self.run_scheduler(now, events);
+                self.run_scheduler(now, events, obs);
                 self.record_loc(now);
             }
             Ev::Resubmit(trace_idx) => {
                 self.live.pending_resubmits -= 1;
                 self.live.queue.push(trace_idx);
                 self.cache_push(trace_idx);
-                if self.obs.tracing() {
+                if obs.tracing() {
                     let job = &self.live.jobs[trace_idx];
                     let ev = TraceEvent::JobQueued {
                         job: job.id.0,
@@ -1729,15 +1760,15 @@ impl<P: Platform> World for Runner<P> {
                         walltime_s: job.walltime.as_secs(),
                         resubmit: true,
                     };
-                    self.obs.emit(now, ev);
+                    obs.emit(now, ev);
                 }
-                self.run_scheduler(now, events);
+                self.run_scheduler(now, events, obs);
                 self.record_loc(now);
             }
             Ev::Tick => {
-                self.sample_metrics(now);
-                if self.run_tuners(now) {
-                    self.run_scheduler(now, events);
+                self.sample_metrics(now, obs);
+                if self.run_tuners(now, obs) {
+                    self.run_scheduler(now, events, obs);
                 }
                 // Keep ticking while there is anything left to observe.
                 if self.live.remaining_submits > 0

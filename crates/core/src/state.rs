@@ -281,12 +281,21 @@ impl amjs_sim::Snapshot for JobOutcome {
     }
 }
 
-/// A map's entries in canonical (sorted-key) order, for deterministic
-/// encoding.
-fn sorted_entries<K: Ord + Copy, V: Clone>(map: &HashMap<K, V>) -> Vec<(K, V)> {
-    let mut entries: Vec<(K, V)> = map.iter().map(|(&k, v)| (k, v.clone())).collect();
-    entries.sort_by_key(|&(k, _)| k);
-    entries
+/// Encode a map as the `Vec<(K, V)>` of its entries in sorted-key
+/// order — the same bytes — sorting references rather than cloning the
+/// values.
+fn encode_sorted<K, V>(map: &HashMap<K, V>, w: &mut amjs_sim::SnapWriter)
+where
+    K: Ord + Copy + amjs_sim::Snapshot,
+    V: amjs_sim::Snapshot,
+{
+    let mut entries: Vec<(K, &V)> = map.iter().map(|(&k, v)| (k, v)).collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    w.put_usize(entries.len());
+    for (k, v) in entries {
+        k.encode(w);
+        v.encode(w);
+    }
 }
 
 impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
@@ -353,10 +362,10 @@ impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
         scheduler.encode(w.head);
         adaptive.encode(w.head);
         queue.encode(w.head);
-        sorted_entries(running).encode(w.head);
+        encode_sorted(running, w.head);
         wait.encode_columns(w);
         fairness.encode_columns(w);
-        sorted_entries(fair_starts).encode(w.head);
+        encode_sorted(fair_starts, w.head);
         // Format byte: `false` meant "no fair-start drain", which no
         // build can honour any more (decode refuses it).
         w.head.put_bool(true);
@@ -384,8 +393,8 @@ impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
         w.head.put_usize(*abandoned_jobs);
         w.head.put_usize(*pending_resubmits);
         w.head.put_f64(*lost_node_secs);
-        sorted_entries(generations).encode(w.head);
-        sorted_entries(failure_counts).encode(w.head);
+        encode_sorted(generations, w.head);
+        encode_sorted(failure_counts, w.head);
         retry.encode(w.head);
         estimates.encode(w.head);
         failure_process.encode(w.head);
@@ -509,9 +518,18 @@ impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
 }
 
 impl<P: Platform + amjs_sim::Snapshot> amjs_sim::StateHash for Runner<P> {
-    /// Per-event digest over the live state, plus three history lengths
-    /// (DESIGN.md §10 says why each field is in or out).
+    /// FNV-1a over [`Runner::hash_image`].
     fn state_hash(&self) -> u64 {
+        let mut w = amjs_sim::SnapWriter::new();
+        self.hash_image(&mut w);
+        amjs_sim::snapshot::fnv1a(w.as_bytes())
+    }
+}
+
+impl<P: Platform + amjs_sim::Snapshot> Runner<P> {
+    /// What `state_hash` digests: the live state, plus three history
+    /// lengths (DESIGN.md §10 says why each field is in or out).
+    pub(crate) fn hash_image(&self, w: &mut amjs_sim::SnapWriter) {
         use amjs_sim::Snapshot;
         let LiveState {
             platform,
@@ -556,15 +574,14 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::StateHash for Runner<P> {
             domain_downtime: _,
             per_job: _, // its length is `finished`
         } = &self.history;
-        let mut w = amjs_sim::SnapWriter::new();
-        platform.encode(&mut w);
-        queue.encode(&mut w);
-        sorted_entries(running).encode(&mut w);
-        promised.encode(&mut w);
-        last_pass_time.encode(&mut w);
-        scheduler.encode(&mut w);
-        estimates.encode(&mut w);
-        failure_process.encode(&mut w);
+        platform.encode(w);
+        queue.encode(w);
+        encode_sorted(running, w);
+        promised.encode(w);
+        last_pass_time.encode(w);
+        scheduler.encode(w);
+        estimates.encode(w);
+        failure_process.encode(w);
         w.put_usize(*remaining_submits);
         w.put_usize(*pending_resubmits);
         w.put_usize(*abandoned_jobs);
@@ -577,12 +594,11 @@ impl<P: Platform + amjs_sim::Snapshot> amjs_sim::StateHash for Runner<P> {
         // job ids, and every pinned hash has it mixed in.
         w.put_usize(wait.count());
         w.put_usize(wait.count());
-        sorted_entries(generations).encode(&mut w);
-        sorted_entries(failure_counts).encode(&mut w);
+        encode_sorted(generations, w);
+        encode_sorted(failure_counts, w);
         // The length of `saved_progress`, empty in every pinned hash.
         w.put_usize(0);
-        last_end.encode(&mut w);
-        amjs_sim::snapshot::fnv1a(w.as_bytes())
+        last_end.encode(w);
     }
 }
 
@@ -591,8 +607,9 @@ mod tests {
     use super::*;
     use crate::estimates::EstimatePolicy;
     use crate::runner::{PreparedRun, SimulationBuilder};
+    use amjs_obs::Observer;
     use amjs_platform::FlatCluster;
-    use amjs_sim::{EventQueue, World};
+    use amjs_sim::EventQueue;
     use amjs_workload::WorkloadSpec;
 
     fn small_jobs(seed: u64) -> Vec<Job> {
@@ -603,7 +620,7 @@ mod tests {
     fn handle_events(world: &mut Runner<FlatCluster>, queue: &mut EventQueue<Ev>, n: usize) {
         for _ in 0..n {
             let e = queue.pop().expect("the run has at least n events");
-            world.handle(e.time, e.payload, queue);
+            world.step(e.time, e.payload, queue, &mut Observer::disabled());
         }
     }
 
@@ -635,10 +652,10 @@ mod tests {
         world.live.scheduler.encode(w.head);
         world.config.adaptive.encode(w.head);
         world.live.queue.encode(w.head);
-        sorted_entries(&world.live.running).encode(w.head);
+        encode_sorted(&world.live.running, w.head);
         world.history.wait.encode_columns(&mut w);
         world.history.fairness.encode_columns(&mut w);
-        sorted_entries(&world.live.fair_starts).encode(w.head);
+        encode_sorted(&world.live.fair_starts, w.head);
         let (mut head, frame) = encoded(&world);
         let at = prefix.len();
         assert_eq!(head[at], 1);

@@ -74,7 +74,7 @@ pub enum DrainOutcome {
 /// the copy to a worker thread.
 pub trait Platform: Clone + Send {
     /// The what-if planning profile type for this machine.
-    type Plan: Plan;
+    type Plan: Plan + Send;
 
     /// Short machine name for reports (e.g. `"bgp-intrepid"`).
     fn name(&self) -> &'static str;

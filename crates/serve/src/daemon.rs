@@ -6,46 +6,51 @@
 //! ## Thread model
 //!
 //! ```text
-//!             accept            bounded sync_channel          `Reply` mpsc
-//!  clients ──► listener thread ──► engine loop (caller's ──► connection
-//!             (non-blocking,        thread; sole owner of      threads
-//!              conn cap)            scheduler + WAL +          (read
-//!                                   epoch)                     deadline)
-//!                                      │            ▲             │
-//!                                      │            │ REPL        └─► one what-if
-//!                                      │            │ records         attempt thread
-//!                                      ├─► follower sinks (feeder     per forking
-//!                                      │   loops)                     `WHATIF`
-//!                                      ├─► snapshot writer (one head +
-//!                                      │   frame in flight at a time)
-//!                                      └── tail thread (follower mode:
-//!                                          REPL TAIL from the primary)
+//!              accept             admit, lock          unlock, then act on the `Reply`
+//!  clients ──► listener thread ──► connection ──► Engine::step ──► write the frame, stream
+//!              (non-blocking,      thread (read    (scheduler +     `REPL SNAPSHOT`, feed
+//!               conn cap)          deadline)       WAL + epoch)     `REPL TAIL`, or supervise
+//!                                                    ▲   │          one what-if attempt thread
+//!   tail thread (follower mode) ── lock, apply ──────┤   ├─► follower sinks (feeder loops)
+//!   ticker (`run_daemon`'s thread) ── lock, tick ────┘   └─► snapshot writer (one head +
+//!                                                            frame in flight at a time)
 //! ```
 //!
-//! The engine loop is the *only* thread that touches scheduler state,
-//! so there are no locks on the hot path and determinism is inherited
-//! wholesale from the batch core. It takes one input, `Request`, and
-//! gives one output, `Reply`, which says what is left for the asking
-//! connection thread to do. Everything else communicates through
-//! channels:
+//! Scheduler state lives in one `Engine` behind one `Mutex`, and the
+//! thread that holds the lock runs one step on it: a client command on
+//! the connection thread that read it, a replicated record on the tail
+//! thread, a tick on the ticker. Steps run one at a time, in the order
+//! the lock is taken, and the WAL sequence is that order; determinism
+//! is inherited wholesale from the batch core. A client step takes one
+//! input, a parsed `Command`, and gives one output, `Reply`, which says
+//! what is left for the connection thread to do once it has let go of
+//! the lock:
 //!
-//! - the admission channel is **bounded** — when it fills, connection
-//!   threads answer `BUSY` instead of queueing unboundedly;
+//! - admission is **bounded**: `admission_cap` counts the requests
+//!   waiting for or holding the lock, and a request over it is answered
+//!   `BUSY` instead of queueing unboundedly;
 //! - connections above the cap get a `BUSY` frame and are closed;
 //! - every connection has a read deadline; a stuck or slow-loris client
 //!   is culled instead of pinning a thread forever;
-//! - `WHATIF` runs on forked state: the engine hands the fork back as a
+//! - `WHATIF` runs on forked state: the step hands the fork back as a
 //!   closure and the connection that asked supervises it with the PR-5
 //!   `catch_unwind` + deadline pattern, so a pathological query times
 //!   out or panics without touching live state;
-//! - replication reuses the same admission channel: a follower's tail
-//!   thread feeds records in, follower subscriptions feed records out
-//!   through per-connection sinks, and the engine stays single-owner.
+//! - replication takes the same lock: a follower's tail thread applies
+//!   the records it reads itself, and follower subscriptions feed
+//!   records out through per-connection sinks.
 //!
 //! [`run_daemon`] is `Engine::open` (fresh, `--resume` or follower
 //! bootstrap: all there is before the first socket), a shell (listener,
-//! tail thread, stop flag, the `recv_timeout` loop over `Engine::handle`)
-//! and `Engine::close`; tests step the three with no socket.
+//! tail thread, and its own thread as the ticker) and `Engine::close`;
+//! tests step the engine with no socket. The ticker wakes every 50 ms,
+//! or at once when a step sets shutdown or a fatal error, and under the
+//! lock handles the stop latch and SIGTERM, wall-clock catch-up, the
+//! snapshot writer's result, the follower heartbeat and the dashboard.
+//! On shutdown it lets every request already admitted be answered, then
+//! closes the engine; a request that arrives later gets `ERR server
+//! shutting down`. A panic inside a step poisons the lock and the
+//! ticker re-raises it, so `run_daemon` panics.
 //!
 //! ## Durability contract
 //!
@@ -93,9 +98,9 @@ use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::Arc;
-use std::thread;
+use std::sync::mpsc::{self, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use amjs_core::live::{peek_platform, JobStatus, LiveScheduler, WhatIfAnswer};
@@ -167,7 +172,8 @@ pub struct ServeConfig {
     pub keep_snapshots: usize,
     /// Connection cap; excess connections get `BUSY` and are closed.
     pub max_conns: usize,
-    /// Bounded admission queue depth; when full, clients get `BUSY`.
+    /// Requests that may wait for or hold the engine at once; one over
+    /// it gets `BUSY`.
     pub admission_cap: usize,
     /// Per-connection read deadline; idle/stuck clients are culled.
     pub read_timeout: Duration,
@@ -486,21 +492,8 @@ fn render_whatif(ans: WhatIfAnswer) -> String {
     }
 }
 
-/// One queued input to the engine loop.
-enum Request {
-    /// A client command with its reply channel and enqueue time (the
-    /// latency clock starts here, so admission backlog is measured).
-    Client {
-        cmd: Command,
-        reply: mpsc::Sender<Reply>,
-        at: Instant,
-    },
-    /// An event from the follower's tail thread.
-    Follow(FollowEvent),
-}
-
-/// The engine's answer to one [`Request::Client`]: what is left for the
-/// connection thread that asked to do.
+/// The engine's answer to one client command: what is left for the
+/// connection thread that asked to do once it has let go of the lock.
 enum Reply {
     /// Write this frame.
     Text(String),
@@ -587,7 +580,7 @@ impl Shared {
     }
 }
 
-/// One of the `whatif_cap` speculation slots. The engine counts it
+/// One of the `whatif_cap` speculation slots. The step counts it
 /// into `whatif_active` before it forks; it is freed when the
 /// supervising connection has its text (an abandoned overrun frees it
 /// at the deadline) — or when a [`Reply`] nobody received is dropped,
@@ -732,7 +725,8 @@ impl Drop for SnapshotPipe {
 
 /// The engine: sole owner of scheduler, WAL, epoch, and follower
 /// sinks; snapshots leave it as encoded buffers through
-/// [`SnapshotPipe`]. Every method runs on the engine-loop thread.
+/// [`SnapshotPipe`]. A daemon runs every method under [`Served`]'s
+/// lock.
 struct Engine<P: Platform + Snapshot + 'static> {
     sched: LiveScheduler<P>,
     wal: WalWriter,
@@ -886,8 +880,8 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         Ok(engine)
     }
 
-    /// The clean end of a segment, after the shell stopped feeding
-    /// [`handle`](Self::handle): settle the writer, take the final
+    /// The clean end of a segment, after the last
+    /// [`step`](Self::step): settle the writer, take the final
     /// snapshot — best-effort when already failing — flush the flight
     /// recorder and report. Dropping the engine instead is a crash:
     /// what the WAL holds is what a `resume` gets back.
@@ -961,22 +955,33 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         signal::termination_requested() || latch.is_some_and(|s| s.load(Ordering::SeqCst))
     }
 
-    /// One step. A client request is answered, its telemetry noted and
-    /// the [`Reply`] sent, in that order; a [`Reply`] that leaves work
-    /// for the connection thread is noted there, when the work is done.
-    fn handle(&mut self, req: Request) {
-        match req {
-            Request::Client { cmd, reply, at } => {
-                self.catch_up_clock();
-                let (answer, seq) = self.answer(&cmd);
-                if let Reply::Text(text) = &answer {
-                    self.shared.note_request(verb_name(&cmd), text, at, seq);
-                }
-                let _ = reply.send(answer);
-            }
-            Request::Follow(FollowEvent::Record(rec)) => self.apply_repl_record(rec),
-            Request::Follow(FollowEvent::Fatal(msg)) => self.fatal = Some(ServeError::Repl(msg)),
-            Request::Follow(FollowEvent::PrimaryLost) => self.promote(),
+    /// One client command, read at `at` (the latency clock starts
+    /// there, so the wait for the lock is measured). A [`Reply::Text`]
+    /// has its telemetry noted here; a [`Reply`] that leaves work for
+    /// the connection thread is noted there, when the work is done.
+    fn step(&mut self, cmd: &Command, at: Instant) -> Reply {
+        #[cfg(test)]
+        if let Command::Submit {
+            user: tests::PANIC_USER,
+            ..
+        } = cmd
+        {
+            panic!("injected step panic");
+        }
+        self.catch_up_clock();
+        let (answer, seq) = self.answer(cmd);
+        if let Reply::Text(text) = &answer {
+            self.shared.note_request(verb_name(cmd), text, at, seq);
+        }
+        answer
+    }
+
+    /// One event from the follower's tail thread.
+    fn follow(&mut self, event: FollowEvent) {
+        match event {
+            FollowEvent::Record(rec) => self.apply_repl_record(rec),
+            FollowEvent::Fatal(msg) => self.fatal = Some(ServeError::Repl(msg)),
+            FollowEvent::PrimaryLost => self.promote(),
         }
     }
 
@@ -1011,7 +1016,8 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         let (sink, stream) = mpsc::channel();
         if seq < head {
             // Catch the subscriber up from the durable log. Appends only
-            // happen on this thread, so the read races nothing.
+            // happen under the engine lock, held here, so the read races
+            // nothing.
             let contents = match read_wal(&wal_path(&self.shared.cfg.dir), Some(ours)) {
                 Ok(c) => c,
                 Err(e) => return Reply::Text(format!("ERR cannot backfill from wal: {e}")),
@@ -1122,6 +1128,9 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
 
     /// Fan a freshly logged record out to every follower sink.
     fn broadcast_record(&mut self, rec: &ReplRecord) {
+        if self.followers.is_empty() {
+            return;
+        }
         let frame = render_record(rec);
         self.followers
             .retain(|sink| sink.send(frame.clone()).is_ok());
@@ -1146,8 +1155,8 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
     /// rotation, promotion, final) goes through here; `wait` makes the
     /// call return only once the head is on disk. Without it an `Err`
     /// is the *previous* write's, and this one's surfaces at the next
-    /// call or idle tick. What the engine thread paid — encode plus any
-    /// waiting — goes to `snapshot_stall`.
+    /// call or tick. What the step paid — encode plus any waiting —
+    /// goes to `snapshot_stall`.
     fn snapshot(&mut self, seq: u64, wait: bool) -> io::Result<()> {
         let started = Instant::now();
         let (head, frame, next) = self.sched.encode_since(&self.cursor);
@@ -1402,8 +1411,8 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         let lag_records = self.lag_records();
         let hists = {
             let mut t = self.shared.telem.lock().unwrap();
-            // Sample follower lag into its distribution each engine
-            // pass (the instantaneous value stays a gauge below).
+            // Sample follower lag into its distribution each tick (the
+            // instantaneous value stays a gauge below).
             if matches!(self.role, Role::Follower { .. }) {
                 t.repl_lag.observe(lag_records as f64);
             }
@@ -1451,11 +1460,99 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
     }
 }
 
+/// The engine behind its lock, and admission's count: what connection
+/// threads, the tail thread and the ticker share.
+struct Served<P: Platform + Snapshot + 'static> {
+    /// `None` once the ticker has closed it.
+    engine: Mutex<Option<Engine<P>>>,
+    shared: Arc<Shared>,
+    /// Requests waiting for or holding the engine.
+    admitted: AtomicUsize,
+    /// Set when the ticker starts to close; later requests are refused.
+    closing: AtomicBool,
+    /// The ticker, woken by a step that stops the engine.
+    ticker: OnceLock<Thread>,
+}
+
+/// Why a client command was not stepped: over `admission_cap`
+/// (`Busy`), or shutting down, failed or panicked (`Closed`).
+enum Refusal {
+    Busy,
+    Closed,
+}
+
+impl<P: Platform + Snapshot + 'static> Served<P> {
+    fn new(engine: Engine<P>) -> Served<P> {
+        Served {
+            shared: engine.shared.clone(),
+            engine: Mutex::new(Some(engine)),
+            admitted: AtomicUsize::new(0),
+            closing: AtomicBool::new(false),
+            ticker: OnceLock::new(),
+        }
+    }
+
+    /// Run `f` on the engine if it still serves: not closed, not
+    /// failing, and no step has panicked. A panic in `f` poisons the
+    /// lock and wakes the ticker, which re-raises it.
+    fn with_engine<R>(&self, f: impl FnOnce(&mut Engine<P>) -> R) -> Option<R> {
+        let stepped = catch_unwind(AssertUnwindSafe(|| {
+            let mut guard = self.engine.lock().ok()?;
+            let engine = guard.as_mut().filter(|e| e.fatal.is_none())?;
+            let out = f(engine);
+            Some((out, engine.shutdown || engine.fatal.is_some()))
+        }));
+        let (out, stopped) = match stepped {
+            Ok(Some((out, stopped))) => (Some(out), stopped),
+            Ok(None) => (None, false),
+            Err(_panic) => (None, true),
+        };
+        if let (true, Some(ticker)) = (stopped, self.ticker.get()) {
+            ticker.unpark();
+        }
+        out
+    }
+
+    /// Admit one client command, step it, and let go of the engine.
+    fn request(&self, cmd: &Command, at: Instant) -> Result<Reply, Refusal> {
+        let ahead = self.admitted.fetch_add(1, Ordering::SeqCst);
+        // Read after the count went up: the ticker that set `closing`
+        // and then saw no request admitted cannot have missed this one.
+        let reply = if self.closing.load(Ordering::SeqCst) {
+            Err(Refusal::Closed)
+        } else if ahead >= self.shared.cfg.admission_cap {
+            Err(Refusal::Busy)
+        } else {
+            self.with_engine(|e| e.step(cmd, at)).ok_or(Refusal::Closed)
+        };
+        self.admitted.fetch_sub(1, Ordering::SeqCst);
+        reply
+    }
+
+    /// The ticker's lock. Poisoned, a step panicked: stop the listener
+    /// and the tail thread, drop the engine as an unwinding engine
+    /// thread would, and panic here too.
+    fn lock_or_raise(&self) -> MutexGuard<'_, Option<Engine<P>>> {
+        self.engine.lock().unwrap_or_else(|poisoned| {
+            self.shared.follow.stop.store(true, Ordering::SeqCst);
+            drop(poisoned.into_inner().take());
+            panic!("amjs serve: a step panicked; the engine state cannot be trusted");
+        })
+    }
+}
+
+// Whichever thread holds the lock steps the engine.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Engine<amjs_platform::FlatCluster>>();
+    assert_send::<Engine<amjs_platform::BgpCluster>>();
+};
+
 /// Run the daemon over an already-bound listener until `SHUTDOWN`,
 /// SIGTERM/SIGINT, an unrecoverable persistence failure, or a
-/// replication fence/divergence. The engine loop runs on the calling
-/// thread; listener, connection, feeder, and tail threads are spawned
-/// internally.
+/// replication fence/divergence. The calling thread is the ticker;
+/// listener, connection, feeder, and tail threads are spawned
+/// internally, and steps run on them.
 ///
 /// For a fresh start the state directory must not already contain a
 /// WAL (a stale directory silently overwritten would destroy exactly
@@ -1471,28 +1568,28 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
     resume: bool,
     cfg: ServeConfig,
 ) -> Result<ServeReport, ServeError> {
-    let mut engine = Engine::open(init, resume, cfg)?;
-    let shared = engine.shared.clone();
-    let (tx, rx) = mpsc::sync_channel::<Request>(shared.cfg.admission_cap);
+    let engine = Engine::open(init, resume, cfg)?;
+    let fingerprint = engine.sched.fingerprint();
+    let served = Arc::new(Served::new(engine));
+    let shared = served.shared.clone();
 
     let local_addr = listener.local_addr()?;
     eprintln!("amjs serve: listening on {local_addr}");
     let listener_handle = {
-        let (tx, shared) = (tx.clone(), shared.clone());
-        thread::spawn(move || listener_loop(listener, tx, shared))
+        let served = served.clone();
+        thread::spawn(move || listener_loop(listener, served))
     };
 
     // ----- follower tail thread -----
     if let Some(spec) = &shared.cfg.follow {
-        let (events, tail) = (tx.clone(), shared.clone());
+        let tail = served.clone();
         let primary = spec.primary.clone();
         let lease = spec.lease;
-        let fingerprint = engine.sched.fingerprint();
         thread::Builder::new()
             .name("amjs-repl-tail".into())
             .spawn(move || {
-                follow_loop(&primary, fingerprint, lease, &tail.follow, move |ev| {
-                    events.send(Request::Follow(ev)).is_ok()
+                follow_loop(&primary, fingerprint, lease, &tail.shared.follow, |ev| {
+                    tail.with_engine(|e| e.follow(ev)).is_some()
                 })
             })
             .expect("spawn tail thread");
@@ -1501,58 +1598,64 @@ pub fn run_daemon<P: Platform + Snapshot + 'static>(
             spec.primary, spec.lease
         );
     }
-    drop(tx); // engine holds rx; connections hold clones via listener
 
-    // ----- engine loop (this thread owns all scheduler state) -----
-    let tick = Duration::from_millis(50);
-    loop {
-        if engine.stop_requested() {
-            engine.shutdown = true;
-        }
-        if engine.shutdown || engine.fatal.is_some() {
-            break;
-        }
-        match rx.recv_timeout(tick) {
-            Ok(req) => {
-                engine.handle(req);
-                // Drain whatever queued behind it without re-sleeping.
-                while !engine.shutdown && engine.fatal.is_none() {
-                    match rx.try_recv() {
-                        Ok(req) => engine.handle(req),
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle: keep the wall clock moving so the world evolves
-                // (jobs finish, ticks fire) even with no client traffic.
-                engine.catch_up_clock();
-                if let Err(e) = engine.snap.poll() {
-                    engine.rotation_failed(e);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        engine.heartbeat_tick();
-        engine.publish_stats();
-    }
-
-    // ----- shutdown -----
-    // Stop admitting, finish in-flight replies (clean path only), close.
-    shared.follow.stop.store(true, Ordering::SeqCst);
-    if engine.fatal.is_none() {
-        while let Ok(req) = rx.try_recv() {
-            engine.handle(req);
-        }
-    }
-    let result = engine.close();
+    let result = tick_until_closed(&served);
     let _ = listener_handle.join();
     result
 }
 
+/// The ticker, from the first socket to the close: under the lock,
+/// every 50 ms or when a step stops the engine, it handles the stop
+/// latch, keeps the wall clock moving so the world evolves with no
+/// client traffic, takes the snapshot writer's result, beats the
+/// heartbeat and publishes the dashboard. Once stopped, it waits for
+/// every request already admitted to be answered, then closes.
+fn tick_until_closed<P: Platform + Snapshot + 'static>(
+    served: &Served<P>,
+) -> Result<ServeReport, ServeError> {
+    let _ = served.ticker.set(thread::current());
+    let tick = Duration::from_millis(50);
+    loop {
+        {
+            let mut guard = served.lock_or_raise();
+            let engine = guard.as_mut().expect("only the ticker closes the engine");
+            if engine.stop_requested() {
+                engine.shutdown = true;
+            }
+            if engine.shutdown || engine.fatal.is_some() {
+                break;
+            }
+            engine.catch_up_clock();
+            if let Err(e) = engine.snap.poll() {
+                engine.rotation_failed(e);
+            }
+            engine.heartbeat_tick();
+            engine.publish_stats();
+        }
+        thread::park_timeout(tick);
+    }
+
+    // ----- shutdown -----
+    // Stop admitting and stop the listener and the tail thread; answer
+    // what is admitted (a failing engine refuses it), then close.
+    served.closing.store(true, Ordering::SeqCst);
+    served.shared.follow.stop.store(true, Ordering::SeqCst);
+    let engine = loop {
+        let mut guard = served.lock_or_raise();
+        if served.admitted.load(Ordering::SeqCst) == 0 {
+            break guard.take().expect("only the ticker closes the engine");
+        }
+        drop(guard);
+        thread::yield_now();
+    };
+    engine.publish_stats();
+    engine.close()
+}
+
 /// Accept loop: enforce the connection cap, hand accepted sockets to
 /// per-connection threads, and exit promptly when asked.
-fn listener_loop(listener: TcpListener, tx: SyncSender<Request>, shared: Arc<Shared>) {
+fn listener_loop<P: Platform + Snapshot + 'static>(listener: TcpListener, served: Arc<Served<P>>) {
+    let shared = &served.shared;
     listener
         .set_nonblocking(true)
         .expect("set_nonblocking on listener");
@@ -1570,10 +1673,13 @@ fn listener_loop(listener: TcpListener, tx: SyncSender<Request>, shared: Arc<Sha
             continue; // dropped: closed
         }
         shared.connections_active.fetch_add(1, Ordering::SeqCst);
-        let (tx, shared) = (tx.clone(), shared.clone());
+        let served = served.clone();
         thread::spawn(move || {
-            connection_loop(stream, tx, &shared);
-            shared.connections_active.fetch_sub(1, Ordering::SeqCst);
+            connection_loop(stream, &served);
+            served
+                .shared
+                .connections_active
+                .fetch_sub(1, Ordering::SeqCst);
         });
     }
 }
@@ -1583,11 +1689,12 @@ fn listener_loop(listener: TcpListener, tx: SyncSender<Request>, shared: Arc<Sha
 /// conversation continues; framing violations (oversized/truncated/
 /// garbage) get a best-effort `ERR` and the connection is closed, since
 /// the stream can no longer be resynchronized. Every parsed command is
-/// admitted to the engine the same way; the [`Reply`] says what this
-/// thread does next — `REPL SNAPSHOT` streams a chunked payload, an
-/// accepted `REPL TAIL` permanently converts the connection into a
+/// admitted and stepped here, the same way; the [`Reply`] says what
+/// this thread does next — `REPL SNAPSHOT` streams a chunked payload,
+/// an accepted `REPL TAIL` permanently converts the connection into a
 /// one-way record feeder, a forking `WHATIF` is supervised here.
-fn connection_loop(stream: TcpStream, tx: SyncSender<Request>, shared: &Shared) {
+fn connection_loop<P: Platform + Snapshot + 'static>(stream: TcpStream, served: &Served<P>) {
+    let shared = &served.shared;
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
@@ -1616,21 +1723,12 @@ fn connection_loop(stream: TcpStream, tx: SyncSender<Request>, shared: &Shared) 
                     }
                 };
                 let at = Instant::now();
-                let (reply, answer) = mpsc::channel();
-                match tx.try_send(Request::Client { cmd, reply, at }) {
-                    Err(TrySendError::Full(_)) => {
-                        // Load shed: bounded admission queue is full.
+                let sent = match served.request(&cmd, at) {
+                    Err(Refusal::Busy) => {
+                        // Load shed: admission is full.
                         shared.shed("admission");
-                        if write_frame(&mut writer, b"BUSY admission queue full").is_err() {
-                            return;
-                        }
-                        continue;
+                        write_frame(&mut writer, b"BUSY admission queue full")
                     }
-                    // A disconnected engine hands the request back and
-                    // `reply` drops with it: the wait below ends at once.
-                    Ok(()) | Err(TrySendError::Disconnected(_)) => {}
-                }
-                let sent = match answer.recv_timeout(Duration::from_secs(60)) {
                     Ok(Reply::Text(text)) => write_frame(&mut writer, text.as_bytes()),
                     Ok(Reply::Speculate(speculate, slot)) => {
                         let text = supervise_whatif(shared, speculate, slot, at);
@@ -1643,7 +1741,7 @@ fn connection_loop(stream: TcpStream, tx: SyncSender<Request>, shared: &Shared) 
                         }
                         return; // the connection was consumed by the stream
                     }
-                    Err(_) => {
+                    Err(Refusal::Closed) => {
                         let _ = write_frame(&mut writer, b"ERR server shutting down");
                         return;
                     }
@@ -1693,7 +1791,7 @@ fn feeder_loop(writer: &mut TcpStream, sink_rx: mpsc::Receiver<String>) {
 /// telemetry. An overrunning attempt is abandoned (honest semantics:
 /// its fork is garbage-collected when the thread eventually finishes;
 /// live state was never shared with it). `at` is when the request was
-/// enqueued; the slot is freed on return.
+/// read; the slot is freed on return.
 fn supervise_whatif(
     shared: &Shared,
     speculate: Box<dyn FnOnce() -> WhatIfAnswer + Send>,
@@ -1736,6 +1834,11 @@ mod tests {
     use std::fs::OpenOptions;
     use std::io::Write as _;
     use std::net::SocketAddr;
+    use std::sync::Barrier;
+
+    /// A `SUBMIT` from this user panics inside its step (test builds
+    /// only).
+    pub(super) const PANIC_USER: u32 = u32::MAX;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("amjs-serve-{tag}-{}", std::process::id()));
@@ -1773,14 +1876,9 @@ mod tests {
         Engine::open(fresh_sched, resume, config(dir, tweak))
     }
 
-    /// One client command through `Engine::handle`; the reply is on the
-    /// channel when `handle` returns.
+    /// One client command through `Engine::step`.
     fn step(engine: &mut Stepped, line: &str) -> Reply {
-        let (reply, answer) = mpsc::channel();
-        let cmd = Command::parse(line).unwrap();
-        let at = Instant::now();
-        engine.handle(Request::Client { cmd, reply, at });
-        answer.try_recv().expect("every client request is answered")
+        engine.step(&Command::parse(line).unwrap(), Instant::now())
     }
 
     /// [`step`] down to the text a client reads first; a speculation
@@ -1850,8 +1948,8 @@ mod tests {
     }
 
     /// Deliver stream frames — those waiting on a [`link`], or a test's
-    /// edit of them — as the tail thread and the shell's loop would:
-    /// nothing more once the engine is failing.
+    /// edit of them — as the tail thread would: nothing more once the
+    /// engine is failing.
     fn pump(frames: impl IntoIterator<Item = String>, follower: &mut Stepped) {
         for frame in frames {
             let event = match parse_stream_frame(&frame).unwrap() {
@@ -1859,7 +1957,7 @@ mod tests {
                 StreamFrame::Heartbeat { .. } => continue, // only moves the lag gauge
             };
             if follower.fatal.is_none() {
-                follower.handle(Request::Follow(event));
+                follower.follow(event);
             }
         }
     }
@@ -1904,8 +2002,12 @@ mod tests {
             String::from_utf8(read_frame(&mut self.reader).unwrap()).unwrap()
         }
 
-        fn ask(&mut self, line: &str) -> String {
+        fn send(&mut self, line: &str) {
             write_frame(&mut self.writer, line.as_bytes()).unwrap();
+        }
+
+        fn ask(&mut self, line: &str) -> String {
+            self.send(line);
             self.read()
         }
 
@@ -1940,21 +2042,44 @@ mod tests {
         panic!("timed out waiting for {what}");
     }
 
-    /// `connection_loop` by hand over one accepted socket, against
-    /// whatever holds the other end of `tx`.
-    fn with_connection(
-        shared: &Shared,
-        tx: &SyncSender<Request>,
-        script: impl FnOnce(&mut Client),
-    ) {
+    /// A client whose accepted socket `connection_loop` serves against
+    /// `served` on a thread of `scope`; dropping the client ends it.
+    fn connect<'s>(scope: &'s thread::Scope<'s, '_>, served: &'s Served<FlatCluster>) -> Client {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = Client::connect(listener.local_addr().unwrap());
+        let client = Client::connect(listener.local_addr().unwrap());
         let (stream, _) = listener.accept().unwrap();
-        thread::scope(|s| {
-            s.spawn(|| connection_loop(stream, tx.clone(), shared));
-            script(&mut client);
-            drop(client); // EOF ends the connection loop
-        });
+        scope.spawn(move || connection_loop(stream, served));
+        client
+    }
+
+    /// `connection_loop` by hand over one accepted socket.
+    fn with_connection(served: &Served<FlatCluster>, script: impl FnOnce(&mut Client)) {
+        thread::scope(|s| script(&mut connect(s, served)));
+    }
+
+    /// A daemon's shared half over a freshly opened engine: no listener
+    /// and no ticker.
+    fn served(tag: &str, tweak: impl FnOnce(&mut ServeConfig)) -> Served<FlatCluster> {
+        Served::new(open(&tmp_dir(tag), false, tweak))
+    }
+
+    /// Yield until `probe` holds — the threads it waits for run, the
+    /// test never sleeps.
+    fn spin_until(what: &str, mut probe: impl FnMut() -> bool) {
+        let end = Instant::now() + Duration::from_secs(10);
+        while !probe() {
+            assert!(Instant::now() < end, "timed out waiting for {what}");
+            thread::yield_now();
+        }
+    }
+
+    fn admission_sheds(served: &Served<FlatCluster>) -> usize {
+        served.shared.flight.flush();
+        let events = read_flightrec(&served.shared.cfg.dir.join("flightrec.jsonl")).unwrap();
+        let admission = FlightKind::Shed {
+            what: "admission".to_string(),
+        };
+        events.iter().filter(|e| e.kind == admission).count()
     }
 
     /// Three verbs, three `Reply` shapes, one admission site.
@@ -2118,53 +2243,165 @@ mod tests {
     }
 
     #[test]
-    fn a_full_admission_queue_under_repl_tail_leaves_a_shed_line() {
-        let dir = tmp_dir("repl-shed");
-        let shared = Shared::new(config(&dir, |cfg| cfg.flightrec = 8));
-        // An admission queue of one, already full, that no engine drains.
-        let (tx, _rx) = mpsc::sync_channel::<Request>(1);
-        let filler = Request::Follow(FollowEvent::PrimaryLost);
-        assert!(tx.try_send(filler).is_ok());
-        with_connection(&shared, &tx, |client| {
-            for verb in ADMITTED_ALIKE {
-                assert_eq!(client.ask(verb), "BUSY admission queue full", "{verb}");
+    fn behind_a_held_engine_the_request_over_the_cap_is_shed_alone() {
+        let served = served("held-cap", |cfg| cfg.admission_cap = 2);
+        thread::scope(|s| {
+            let held = served.engine.lock().unwrap();
+            let mut waiting = [connect(s, &served), connect(s, &served)];
+            for (n, client) in waiting.iter_mut().enumerate() {
+                client.send("PING");
+                spin_until("admission", || {
+                    served.admitted.load(Ordering::SeqCst) == n + 1
+                });
             }
+            let mut over = connect(s, &served);
+            assert_eq!(over.ask("PING"), "BUSY admission queue full");
+            drop(held);
+            for client in &mut waiting {
+                assert_eq!(client.read(), "OK PONG");
+            }
+            assert_eq!(over.ask("PING"), "OK PONG");
         });
-        shared.flight.flush();
-        let events = read_flightrec(&dir.join("flightrec.jsonl")).unwrap();
-        let admission = FlightKind::Shed {
-            what: "admission".to_string(),
-        };
-        let kinds: Vec<&FlightKind> = events.iter().map(|e| &e.kind).collect();
-        assert_eq!(kinds, [&admission; 3]);
-        assert_eq!(shared.sheds.load(Ordering::SeqCst), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(served.shared.sheds.load(Ordering::SeqCst), 1);
+        assert_eq!(admission_sheds(&served), 1);
     }
 
     #[test]
-    fn a_disconnected_engine_is_shutdown_not_overload() {
-        let shared = Shared::new(config(&tmp_dir("repl-gone"), |cfg| cfg.flightrec = 8));
-        let (tx, rx) = mpsc::sync_channel::<Request>(1);
-        drop(rx); // the engine loop has returned
+    fn a_full_admission_queue_under_repl_tail_leaves_a_shed_line() {
+        let served = served("repl-shed", |cfg| cfg.admission_cap = 1);
+        thread::scope(|s| {
+            // One request waits for an engine the test holds: admission
+            // is full.
+            let held = served.engine.lock().unwrap();
+            let mut waiting = connect(s, &served);
+            waiting.send("PING");
+            spin_until("admission", || served.admitted.load(Ordering::SeqCst) == 1);
+            let mut client = connect(s, &served);
+            for verb in ADMITTED_ALIKE {
+                assert_eq!(client.ask(verb), "BUSY admission queue full", "{verb}");
+            }
+            drop(held);
+            assert_eq!(waiting.read(), "OK PONG");
+        });
+        assert_eq!(served.shared.sheds.load(Ordering::SeqCst), 3);
+        assert_eq!(admission_sheds(&served), 3);
+    }
+
+    #[test]
+    fn a_closed_engine_is_shutdown_not_overload() {
+        let served = served("repl-gone", |cfg| cfg.flightrec = 8);
+        let engine = served.engine.lock().unwrap().take().unwrap();
+        engine.close().unwrap();
+        let flight = served.shared.flight.totals();
         for verb in ADMITTED_ALIKE {
-            with_connection(&shared, &tx, |client| {
+            with_connection(&served, |client| {
                 assert_eq!(client.ask(verb), "ERR server shutting down", "{verb}");
                 assert!(client.was_closed()); // nothing can serve it any more
             });
         }
-        assert_eq!(shared.sheds.load(Ordering::SeqCst), 0);
-        assert_eq!(shared.flight.totals(), (0, 0));
+        assert_eq!(served.shared.sheds.load(Ordering::SeqCst), 0);
+        assert_eq!(served.shared.flight.totals(), flight);
     }
 
     #[test]
     fn a_silent_client_is_culled_at_the_read_deadline() {
         let quick = |cfg: &mut ServeConfig| cfg.read_timeout = Duration::from_millis(50);
-        let shared = Shared::new(config(&tmp_dir("idle"), quick));
-        let (tx, _rx) = mpsc::sync_channel::<Request>(1);
-        with_connection(&shared, &tx, |client| {
+        with_connection(&served("idle", quick), |client| {
             assert_eq!(client.read(), "ERR idle timeout");
             assert!(client.was_closed());
         });
+    }
+
+    #[test]
+    fn requests_admitted_before_shutdown_are_answered_later_ones_refused() {
+        let served = served("shutdown-drain", |_| {});
+        thread::scope(|s| {
+            let held = served.engine.lock().unwrap();
+            let mut bye = connect(s, &served);
+            bye.send("SHUTDOWN");
+            spin_until("admission", || served.admitted.load(Ordering::SeqCst) == 1);
+            let mut waiting = connect(s, &served);
+            waiting.send("SUBMIT NODES=8 WALL=600 USER=1");
+            spin_until("admission", || served.admitted.load(Ordering::SeqCst) == 2);
+            let ticker = s.spawn(|| tick_until_closed(&served));
+            drop(held);
+            // In whichever order the three take the lock, both requests
+            // were admitted before the ticker closed: both are answered.
+            assert_eq!(bye.read(), "OK BYE");
+            assert_eq!(waiting.read(), "OK ID=0");
+            assert_eq!(ticker.join().unwrap().unwrap().commands_applied, 1);
+            let mut late = connect(s, &served);
+            assert_eq!(late.ask("PING"), "ERR server shutting down");
+            assert!(late.was_closed());
+        });
+        assert!(served.engine.lock().unwrap().is_none());
+    }
+
+    #[test]
+    fn concurrent_clients_serialize_in_wal_order() {
+        let dir = tmp_dir("concurrent");
+        let (addr, handle) = spawn_daemon(&dir, false, |cfg| {
+            cfg.snapshot_every = u64::MAX; // recovery replays every record
+        });
+        let start = Barrier::new(4);
+        thread::scope(|s| {
+            for client in 0..4u64 {
+                let start = &start;
+                s.spawn(move || {
+                    let mut c = Client::connect(addr);
+                    start.wait();
+                    for i in 0..25 {
+                        let submit = format!("SUBMIT NODES=16 WALL=1800 RUN=900 USER={client}");
+                        assert!(c.ask(&submit).starts_with("OK ID="));
+                        assert!(c.ask("ADVANCE 60").starts_with("OK T="));
+                        let other = (client * 25 + i) / 2;
+                        let cancel = c.ask(&format!("CANCEL {other}"));
+                        assert!(cancel.starts_with("OK") || cancel.starts_with("ERR job"));
+                        let whatif = c.ask(&format!("WHATIF {other}"));
+                        assert!(whatif.starts_with("OK ") || whatif == "ERR unknown job");
+                    }
+                });
+            }
+        });
+        let mut c = Client::connect(addr);
+        let hash = c.ask("HASH");
+        assert_eq!(c.ask("SHUTDOWN"), "OK BYE");
+        handle.join().unwrap().unwrap();
+        for (seq, path) in SnapshotStore::new(&dir, 8).list().unwrap() {
+            if seq > 0 {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+        let (sched, _, replayed, _) = recover::<FlatCluster>(&dir, |_| {}).unwrap();
+        assert!(replayed >= 200, "{replayed}"); // the SUBMITs and ADVANCEs
+        let recovered = format!(
+            "OK HASH={:016x} INDEX={} T={}",
+            sched.state_hash(),
+            sched.event_index(),
+            sched.now().as_secs()
+        );
+        assert_eq!(hash, recovered);
+    }
+
+    #[test]
+    fn a_panicking_step_panics_the_daemon_and_leaves_a_flight_tail() {
+        let dir = tmp_dir("step-panic");
+        let (addr, handle) = spawn_daemon(&dir, false, |cfg| cfg.flightrec = 64);
+        let mut c = Client::connect(addr);
+        assert_eq!(c.ask("SUBMIT NODES=8 WALL=600 USER=1"), "OK ID=0");
+        let fatal = format!("SUBMIT NODES=8 WALL=600 USER={PANIC_USER}");
+        assert_eq!(c.ask(&fatal), "ERR server shutting down");
+        assert!(handle.join().is_err(), "run_daemon re-raises the panic");
+        let events = read_flightrec(&dir.join("flightrec.jsonl")).unwrap();
+        let last = events.last().map(|e| &e.kind);
+        assert!(
+            matches!(last, Some(FlightKind::Panic { what }) if what.contains("injected step panic")),
+            "{events:?}"
+        );
+        assert!(events.iter().any(|e| matches!(
+            &e.kind,
+            FlightKind::Request { verb, seq: Some(0), .. } if verb == "SUBMIT"
+        )));
     }
 
     #[test]
@@ -2284,7 +2521,7 @@ mod tests {
     #[test]
     fn stop_latch_triggers_graceful_shutdown() {
         // Exercises the same path a SIGTERM takes (the signal handler
-        // just flips a flag the engine loop polls), but through the
+        // just flips a flag the ticker polls), but through the
         // per-daemon latch so parallel tests in this process are not
         // taken down with it.
         let dir = tmp_dir("sigterm");
@@ -2376,7 +2613,7 @@ mod tests {
         // out: the follower steps up into a new epoch, the promotion
         // snapshot on disk before the epoch's first write is served.
         drop((p, link));
-        f.handle(Request::Follow(FollowEvent::PrimaryLost));
+        f.follow(FollowEvent::PrimaryLost);
         assert_eq!(ask(&mut f, "ROLE"), "OK ROLE=primary EPOCH=1 FOLLOWERS=0");
         assert!(snapshot_seqs(&dir_f).contains(&9));
         assert_eq!(observe(&mut f, 6), reference);
@@ -2392,9 +2629,7 @@ mod tests {
             refusal.starts_with("ERR FENCED: stale epoch 0"),
             "{refusal}"
         );
-        stale.handle(Request::Follow(FollowEvent::Fatal(
-            refusal[4..].to_string(),
-        )));
+        stale.follow(FollowEvent::Fatal(refusal[4..].to_string()));
         match stale.close() {
             Err(ServeError::Repl(msg)) => assert!(msg.contains("stale epoch 0"), "{msg}"),
             other => panic!("expected fencing, got {other:?}"),

@@ -16,8 +16,9 @@
 //! - **[`collog`]** — the column log: the append-only part of the run
 //!   state, written once. A snapshot appends a frame of what the
 //!   columns gained and rotates only a few-KB head.
-//! - **[`daemon`]** — the service itself: single-owner engine loop,
-//!   bounded admission queue with `BUSY` load-shedding, per-connection
+//! - **[`daemon`]** — the service itself: one engine behind one lock,
+//!   stepped on the connection thread that read each request, bounded
+//!   admission with `BUSY` load-shedding, per-connection
 //!   read deadlines, supervised what-if workers, snapshot rotation,
 //!   and crash recovery (snapshot + WAL-tail replay through the same
 //!   apply path as live service).

@@ -210,7 +210,7 @@ pub fn send_snapshot(writer: &mut impl std::io::Write, boot: &Bootstrap) -> std:
 // The follower's tail loop
 // ---------------------------------------------------------------------------
 
-/// What the tail thread reports up to the engine loop.
+/// What the tail thread hands the engine, under its lock.
 #[derive(Clone, Debug)]
 pub enum FollowEvent {
     /// A contiguous record to apply (gaps are healed by reconnecting
@@ -223,7 +223,7 @@ pub enum FollowEvent {
     PrimaryLost,
 }
 
-/// Shared state between the engine loop and the tail thread.
+/// Shared state between the engine and the tail thread.
 #[derive(Default)]
 pub struct FollowShared {
     /// Last sequence the engine has applied + 1 (i.e. the next record
@@ -260,7 +260,8 @@ fn read_reply(reader: &mut BufReader<TcpStream>) -> Result<String, String> {
 }
 
 /// Tail the primary's WAL until told to stop, delivering contiguous
-/// records to `deliver` (return `false` to stop the loop). Transient
+/// records to `deliver`, which applies each before it returns (return
+/// `false` to stop the loop). Transient
 /// faults — disconnects, dropped frames (sequence gaps), handshake
 /// timeouts — are healed by reconnecting and re-tailing from the
 /// engine's applied sequence; only once the primary stays unreachable
@@ -277,10 +278,6 @@ pub fn follow_loop(
         .max(Duration::from_millis(10));
     let read_timeout = connect_timeout;
     let mut last_contact = Instant::now();
-    // Highest sequence already handed to the engine + 1; the re-tail
-    // point must wait for the engine to catch up to it so a sequence is
-    // never delivered twice.
-    let mut forwarded: Option<u64> = None;
     'outer: loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
@@ -302,18 +299,7 @@ pub fn follow_loop(
             Err(_) => continue 'outer,
         };
         let mut reader = BufReader::new(stream);
-
-        // Drain barrier: records already delivered may still be queued
-        // at the engine; wait for it to catch up before re-tailing.
-        if let Some(f) = forwarded {
-            let deadline = Instant::now() + lease;
-            while shared.applied_seq.load(Ordering::SeqCst) < f && Instant::now() < deadline {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
+        // Every delivered record is applied: nothing is delivered twice.
         let resume_from = shared.applied_seq.load(Ordering::SeqCst);
 
         let hello = Command::ReplTail {
@@ -365,7 +351,6 @@ pub fn follow_loop(
                             if !deliver(FollowEvent::Record(rec)) {
                                 return;
                             }
-                            forwarded = Some(expected_seq);
                         }
                         Err(_) => continue 'outer, // corrupt stream: resync
                     }

@@ -1,5 +1,5 @@
 //! Minimal SIGTERM/SIGINT handling without a signal crate: the handler
-//! flips one atomic flag the engine loop polls, which is the entirety
+//! flips one atomic flag the daemon's ticker polls, which is the entirety
 //! of what graceful shutdown needs. Registered via the libc `signal`
 //! symbol std already links against — no new dependency.
 

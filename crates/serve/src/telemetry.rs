@@ -14,7 +14,7 @@
 //! * **Snapshot write latency** — checksum, write, `sync_all`, rename
 //!   and prune of one snapshot file, measured on the
 //!   `amjs-snap-writer` thread; a degrading disk shows up here first.
-//! * **Snapshot stall** — what a snapshot cost the engine thread:
+//! * **Snapshot stall** — what a snapshot cost the step that took it:
 //!   the encode, plus any wait for the previous write to finish (and
 //!   for its own, where the caller needs the file on disk).
 //! * **Replication lag** (records behind the primary, sampled each
@@ -97,7 +97,7 @@ impl Telemetry {
     /// series share the `serve_request_latency_seconds` family under a
     /// `verb` label — except `WHATIF`, which keeps its own
     /// `serve_whatif_latency_seconds` family (a forking one is finished
-    /// off the engine loop, by the connection that supervises it).
+    /// off the engine lock, by the connection that supervises it).
     pub fn hist_entries(&self) -> Vec<HistEntry> {
         let mut out = Vec::new();
         for (verb, hist) in TRACKED_VERBS.iter().zip(&self.verbs) {

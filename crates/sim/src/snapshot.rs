@@ -94,6 +94,57 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Bytes between two [`ResumableFnv`] checkpoints.
+const FNV_CHECKPOINT: usize = 64;
+
+/// FNV-1a over a sequence of images, each hashed from the last
+/// checkpoint at or before its first difference from the one before.
+///
+/// FNV-1a is a left fold over the bytes, so the state after a prefix is
+/// all the hash of a longer image needs of that prefix: the value is
+/// `fnv1a(image)` by construction, and an image that changed near its
+/// end costs the bytes after the change.
+#[derive(Clone, Debug, Default)]
+pub struct ResumableFnv {
+    /// The last image hashed.
+    image: Vec<u8>,
+    /// `checkpoints[k]`: the hash state after `image[..k * 64]`.
+    checkpoints: Vec<u64>,
+}
+
+impl ResumableFnv {
+    /// A hasher that has seen no image yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `fnv1a(image)`, remembering `image` for the next call.
+    pub fn hash(&mut self, image: &[u8]) -> u64 {
+        if self.checkpoints.is_empty() {
+            self.checkpoints.push(FNV_OFFSET);
+        }
+        let common = self.image.len().min(image.len());
+        let equal_chunks = self.image[..common]
+            .chunks(FNV_CHECKPOINT)
+            .zip(image[..common].chunks(FNV_CHECKPOINT))
+            .take_while(|(old, new)| old == new)
+            .count();
+        // Only whole chunks end at a checkpoint.
+        let k = equal_chunks.min(common / FNV_CHECKPOINT);
+        self.checkpoints.truncate(k + 1);
+        self.image.truncate(k * FNV_CHECKPOINT);
+        self.image.extend_from_slice(&image[k * FNV_CHECKPOINT..]);
+        let mut h = Fnv1a(self.checkpoints[k]);
+        for chunk in image[k * FNV_CHECKPOINT..].chunks(FNV_CHECKPOINT) {
+            h.write(chunk);
+            if chunk.len() == FNV_CHECKPOINT {
+                self.checkpoints.push(h.finish());
+            }
+        }
+        h.finish()
+    }
+}
+
 /// Everything that can go wrong decoding a snapshot.
 #[derive(Debug)]
 pub enum SnapError {
@@ -230,6 +281,11 @@ impl SnapWriter {
     /// Borrow the encoded bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
+    }
+
+    /// Drop the bytes written, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Write one byte.
@@ -1107,6 +1163,41 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn resumable_fnv_is_fnv1a_of_every_image() {
+        use crate::rng::Xoshiro256;
+        let mut rng = Xoshiro256::seed_from_u64(0x5EED_F0A1);
+        let mut fnv = ResumableFnv::new();
+        let mut image: Vec<u8> = Vec::new();
+        assert_eq!(fnv.hash(&image), fnv1a(b""), "empty first");
+        for round in 0..4000 {
+            let len = image.len() as u64;
+            match round % 6 {
+                // A byte flipped anywhere, or near the end.
+                0 | 1 if len > 0 => {
+                    let at = match round % 2 {
+                        0 => rng.next_below(len),
+                        _ => len - 1 - rng.next_below(len.min(80)),
+                    };
+                    image[at as usize] ^= 1 + rng.next_below(255) as u8;
+                }
+                // Longer: bytes appended, or inserted mid-image.
+                2 => {
+                    let mut extra = vec![0u8; rng.next_below(200) as usize];
+                    rng.fill_bytes(&mut extra);
+                    let at = rng.next_below(len + 1) as usize;
+                    image.splice(at..at, extra);
+                }
+                // Shorter, sometimes down to nothing.
+                3 => image.truncate(rng.next_below(len + 1) as usize),
+                4 if round % 60 == 4 => image.clear(),
+                // Equal: hashed again unchanged.
+                _ => {}
+            }
+            assert_eq!(fnv.hash(&image), fnv1a(&image), "round {round}");
+        }
     }
 
     fn test_dir(tag: &str) -> PathBuf {
