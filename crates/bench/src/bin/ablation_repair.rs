@@ -14,7 +14,7 @@
 //! times inflate even though no extra work is destroyed.
 //!
 //! The grid runs on the fault-tolerant fleet engine (`amjs-fleet`):
-//! supervised workers, panics retried, digests in spec order. `--jobs 1`
+//! supervised workers, panics caught, digests in spec order. `--jobs 1`
 //! reproduces the old sequential output byte-for-byte.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin ablation_repair

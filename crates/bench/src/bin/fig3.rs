@@ -11,7 +11,7 @@
 //!   W while BF ≥ 0.5 and the effect disappears toward SJF.
 //!
 //! The 25-point grid runs on the fault-tolerant fleet engine
-//! (`amjs-fleet`): supervised workers, panics retried, digests in grid
+//! (`amjs-fleet`): supervised workers, panics caught, digests in grid
 //! order. `--jobs 1` reproduces the old sequential output
 //! byte-for-byte.
 //!

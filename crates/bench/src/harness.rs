@@ -118,14 +118,15 @@ pub fn run_one<P: Platform>(platform: P, jobs: Vec<Job>, config: &RunConfig) -> 
 }
 
 /// Run fully-specified grid points on the fault-tolerant fleet engine
-/// (`amjs-fleet`): supervised workers, panics retried with backoff,
-/// results journaling-ready. `workers == 1` reproduces the old
-/// sequential behaviour exactly — the digests come back in spec order
-/// either way, so the output is byte-identical across worker counts.
+/// (`amjs-fleet`): supervised workers, each run executed once with its
+/// panic caught, results journaling-ready. `workers == 1` reproduces
+/// the old sequential behaviour exactly — the digests come back in spec
+/// order either way, so the output is byte-identical across worker
+/// counts.
 ///
 /// # Panics
-/// Panics when a run stays degraded after its retry budget — an
-/// experiment binary has no use for a partial grid.
+/// Panics when a run ends degraded — an experiment binary has no use
+/// for a partial grid.
 pub fn run_fleet_sweep(
     specs: &[amjs_core::RunSpec],
     workers: usize,
@@ -144,10 +145,9 @@ pub fn run_fleet_sweep(
             let rec = slot.as_ref().expect("fleet left a run undispatched");
             rec.digest.clone().unwrap_or_else(|| {
                 panic!(
-                    "run {} ended {} after {} attempts: {}",
+                    "run {} ended {}: {}",
                     rec.key,
                     rec.status.as_str(),
-                    rec.attempts,
                     rec.error.as_deref().unwrap_or("no error recorded")
                 )
             })
@@ -165,7 +165,7 @@ pub fn run_fleet_sweep(
 /// old sequential output byte-for-byte.
 ///
 /// # Panics
-/// Panics when a run stays degraded after its retry budget.
+/// Panics when a run ends degraded.
 pub fn run_fleet_outcomes(specs: &[amjs_core::RunSpec], workers: usize) -> Vec<SimulationOutcome> {
     use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
@@ -177,8 +177,6 @@ pub fn run_fleet_outcomes(specs: &[amjs_core::RunSpec], workers: usize) -> Vec<S
         Arc::new(move |spec| {
             let outcome = spec.execute();
             let digest = amjs_fleet::RunDigest::from_outcome(&outcome);
-            // A retried run simply overwrites its slot — re-execution is
-            // deterministic, so the replacement is identical.
             side.lock().unwrap().insert(spec.key.clone(), outcome);
             digest
         })
@@ -193,10 +191,9 @@ pub fn run_fleet_outcomes(specs: &[amjs_core::RunSpec], workers: usize) -> Vec<S
         let rec = slot.as_ref().expect("fleet left a run undispatched");
         assert!(
             rec.digest.is_some(),
-            "run {} ended {} after {} attempts: {}",
+            "run {} ended {}: {}",
             rec.key,
             rec.status.as_str(),
-            rec.attempts,
             rec.error.as_deref().unwrap_or("no error recorded")
         );
     }

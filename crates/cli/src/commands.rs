@@ -20,7 +20,6 @@ pub fn top_level_help() -> String {
        doctor <dir>         postmortem of a daemon state directory\n\
        sweep                fault-tolerant parallel grid sweep (resumable)\n\
        workload             generate a synthetic trace (writes SWF)\n\
-       replay <trace.swf>   simulate an SWF trace\n\
        trace explain        reconstruct a job's decision chain from a trace\n\n\
      run `amjs <command> --help` for each command's flags"
         .to_string()
@@ -87,7 +86,7 @@ pub(crate) fn common_flags() -> Vec<FlagSpec> {
 }
 
 // ---------------------------------------------------------------------------
-// simulate / replay
+// simulate
 // ---------------------------------------------------------------------------
 
 pub(crate) fn simulate_flags() -> Vec<FlagSpec> {
@@ -120,31 +119,6 @@ pub fn simulate(argv: &[String]) -> Result<(), ArgError> {
         );
         return Ok(());
     }
-    run_simulate(&parsed)
-}
-
-/// `amjs replay <trace.swf>` — shorthand for `simulate --workload
-/// <trace.swf>`.
-pub fn replay(argv: &[String]) -> Result<(), ArgError> {
-    let flags = simulate_flags();
-    let parsed = parse(argv, &flags)?;
-    if parsed.get_bool("help") {
-        println!(
-            "amjs replay <trace.swf> — simulate an SWF trace\n\n{}",
-            render_flags(&flags)
-        );
-        return Ok(());
-    }
-    let path = parsed
-        .positionals
-        .first()
-        .ok_or_else(|| ArgError("replay needs a trace path".to_string()))?
-        .clone();
-    // Rebuild argv with the positional as --workload and delegate.
-    let mut argv2: Vec<String> = argv.iter().filter(|a| **a != path).cloned().collect();
-    argv2.push("--workload".to_string());
-    argv2.push(path);
-    let parsed = parse(&argv2, &flags)?;
     run_simulate(&parsed)
 }
 
@@ -389,7 +363,6 @@ mod tests {
     fn helps_do_not_error() {
         assert!(simulate(&argv(&["--help"])).is_ok());
         assert!(workload(&argv(&["--help"])).is_ok());
-        assert!(replay(&argv(&["--help"])).is_ok());
         assert!(top_level_help().contains("simulate"));
     }
 
@@ -498,14 +471,17 @@ mod tests {
             path_str,
         ]))
         .unwrap();
-        // The written trace replays.
-        replay(&argv(&[path_str, "--machine", "flat", "--nodes", "1024"])).unwrap();
+        // The written trace simulates.
+        simulate(&argv(&[
+            "--workload",
+            path_str,
+            "--machine",
+            "flat",
+            "--nodes",
+            "1024",
+        ]))
+        .unwrap();
         std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn replay_requires_a_path() {
-        assert!(replay(&argv(&[])).is_err());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! amjs doctor <dir> [flags]         postmortem of a daemon state directory
 //! amjs sweep     [flags]            fault-tolerant parallel grid sweep
 //! amjs workload  [flags]            generate a synthetic trace (SWF out)
-//! amjs replay <trace.swf> [flags]   simulate an SWF trace
 //! amjs trace explain <file> <job>   reconstruct a job's decision chain
 //! ```
 //!
@@ -39,7 +38,6 @@ fn main() -> ExitCode {
         "doctor" => doctor::doctor(&rest),
         "sweep" => sweep::sweep(&rest),
         "workload" => commands::workload(&rest),
-        "replay" => commands::replay(&rest),
         "trace" => commands::trace(&rest),
         "--help" | "-h" | "help" => {
             println!("{}", commands::top_level_help());

@@ -20,7 +20,7 @@ use amjs_obs::{
 
 use crate::args::{ArgError, FlagSpec, ParsedArgs};
 
-/// The observability flags shared by `simulate` and `replay`.
+/// The observability flags of `simulate`.
 pub fn obs_flag_specs() -> Vec<FlagSpec> {
     vec![
         FlagSpec::value(

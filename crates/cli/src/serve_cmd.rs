@@ -117,11 +117,6 @@ fn flag_specs() -> Vec<FlagSpec> {
             d.flightrec,
             "crash flight recorder capacity in events (0 disables it)",
         ),
-        FlagSpec::with_default(
-            "slow-ms",
-            d.slow_ms,
-            "log ops slower than this to stderr (0 = off)",
-        ),
         FlagSpec::value(
             "metrics-addr",
             "also serve Prometheus metrics on this address",
@@ -245,7 +240,6 @@ fn serve_config(parsed: &ParsedArgs, dir: &Path) -> Result<ServeConfig, ArgError
     }
     cfg.oracle_every = parsed.get_parsed("oracle-every")?;
     cfg.flightrec = parsed.get_parsed("flightrec")?;
-    cfg.slow_ms = parsed.get_parsed("slow-ms")?;
 
     // ----- replication flags -----
     let lease = Duration::from_millis(parsed.get_parsed("lease-ms")?);
@@ -453,7 +447,7 @@ mod tests {
         let sizes = (c.keep_snapshots, c.max_conns, c.admission_cap, c.whatif_cap);
         let times = (c.read_timeout, c.whatif_deadline, c.repl_heartbeat);
         let every = (c.snapshot_every, c.oracle_every, c.whatif_horizon_secs);
-        (&c.dir, c.clock, sizes, times, every, c.flightrec, c.slow_ms)
+        (&c.dir, c.clock, sizes, times, every, c.flightrec)
     }
 
     /// The table renders `ServeConfig::new`, so an empty argv parses

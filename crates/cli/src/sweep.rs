@@ -5,10 +5,11 @@
 //! machine/workload/failure configuration) into a grid of
 //! [`RunSpec`]s, fans it across supervised workers, and aggregates the
 //! per-run digests into one CSV with per-config mean ± 95% CI and a
-//! status column. With `--sweep-dir` the grid manifest and a
-//! checksummed result journal make the sweep crash-recoverable:
-//! `amjs sweep --resume <dir>` skips completed runs exactly and
-//! re-aggregates byte-identically.
+//! status column. Each grid point runs once; a panic or an overrun
+//! deadline leaves a degraded row. With `--sweep-dir` the grid manifest
+//! and a checksummed result journal make the sweep crash-recoverable:
+//! `amjs sweep --resume <dir>` skips successful runs exactly, runs
+//! degraded ones again, and re-aggregates byte-identically.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -24,7 +25,6 @@ use crate::args::{parse, render_flags, ArgError, FlagSpec, ParsedArgs};
 use crate::config::{machine_spec, run_config_flags, template_spec, workload_source};
 
 fn sweep_flags() -> Vec<FlagSpec> {
-    let d = FleetConfig::default();
     let mut flags = crate::commands::common_flags();
     flags.extend([
         FlagSpec::with_default("bf", "1,0.75,0.5,0.25,0", "comma-separated balance factors"),
@@ -50,16 +50,6 @@ fn sweep_flags() -> Vec<FlagSpec> {
             "run-timeout",
             "unbounded",
             "per-run wall-clock deadline in seconds; overrunning runs are abandoned",
-        ),
-        FlagSpec::with_default(
-            "run-retries",
-            d.max_attempts,
-            "attempt budget per run (1 = no retries)",
-        ),
-        FlagSpec::with_default(
-            "run-backoff",
-            d.backoff_base.as_secs_f64(),
-            "retry backoff base in seconds (doubles per failure)",
         ),
         FlagSpec::switch(
             "keep-going",
@@ -161,9 +151,13 @@ fn run_sweep(
                 }
             }
             eprintln!(
-                "amjs: resuming sweep in {} ({} of {} runs already journaled)",
+                "amjs: resuming sweep in {} ({} of {} runs already journaled ok)",
                 dir.display(),
-                store.completed().len(),
+                store
+                    .completed()
+                    .values()
+                    .filter(|r| r.status.succeeded())
+                    .count(),
                 specs.len()
             );
             (specs, Some(store))
@@ -216,8 +210,7 @@ fn run_sweep(
 
     let failed = report.failed_runs();
     eprintln!(
-        "amjs: sweep {}: {} runs ({} resumed, {} executed), {} retried, {} degraded, \
-         {:.1}s wall",
+        "amjs: sweep {}: {} runs ({} resumed, {} executed), {} degraded, {:.1}s wall",
         if report.complete() {
             "complete"
         } else {
@@ -226,7 +219,6 @@ fn run_sweep(
         report.records.iter().flatten().count(),
         report.resumed,
         report.executed,
-        report.retried_runs(),
         failed,
         report.wall.as_secs_f64(),
     );
@@ -268,17 +260,9 @@ fn fleet_config(parsed: &ParsedArgs) -> Result<FleetConfig, ArgError> {
             "--run-timeout: must be positive seconds, got {s}"
         )));
     }
-    let backoff = parsed.get_f64("run-backoff")?;
-    if backoff < 0.0 {
-        return Err(ArgError(format!(
-            "--run-backoff: must be >= 0 seconds, got {backoff}"
-        )));
-    }
     Ok(FleetConfig {
         workers,
         run_timeout: run_timeout.map(Duration::from_secs_f64),
-        max_attempts: parsed.get_parsed("run-retries")?,
-        backoff_base: Duration::from_secs_f64(backoff),
         keep_going: parsed.get_bool("keep-going"),
         heartbeat: parsed
             .get_opt_f64("heartbeat")?
@@ -405,7 +389,6 @@ fn run_profiled(spec: &RunSpec, dir: &Path) -> RunDigest {
 mod tests {
     use super::*;
     use crate::args::tests::argv;
-    use std::collections::HashSet;
     use std::sync::Mutex;
 
     const SMALL: &[&str] = &[
@@ -432,9 +415,7 @@ mod tests {
     fn an_empty_argv_is_the_fleet_default_and_the_full_grid() {
         let parsed = parse(&[], &sweep_flags()).unwrap();
         let (cfg, d) = (fleet_config(&parsed).unwrap(), FleetConfig::default());
-        assert_eq!((cfg.workers, cfg.max_attempts), (d.workers, d.max_attempts));
-        let timing = (cfg.run_timeout, cfg.backoff_base);
-        assert_eq!(timing, (d.run_timeout, d.backoff_base));
+        assert_eq!((cfg.workers, cfg.run_timeout), (d.workers, d.run_timeout));
         assert_eq!((cfg.heartbeat, cfg.stop_after), (d.heartbeat, d.stop_after));
         // `--keep-going` is a switch: off unless asked for.
         assert!(!cfg.keep_going);
@@ -510,19 +491,17 @@ mod tests {
         // --jobs 0
         let err = sweep(&small_argv(&["--bf", "1", "--window", "1", "--jobs", "0"])).unwrap_err();
         assert!(err.0.contains("--jobs"), "{err}");
-        // run timeout shorter than the retry backoff
+        // a deadline that is not positive
         let err = sweep(&small_argv(&[
             "--bf",
             "1",
             "--window",
             "1",
             "--run-timeout",
-            "0.5",
-            "--run-backoff",
-            "2",
+            "0",
         ]))
         .unwrap_err();
-        assert!(err.0.contains("backoff"), "{err}");
+        assert!(err.0.contains("--run-timeout"), "{err}");
         // bad grid values
         assert!(sweep(&small_argv(&["--bf", "1.5", "--window", "1"])).is_err());
         assert!(sweep(&small_argv(&["--bf", "1", "--window", "0"])).is_err());
@@ -546,12 +525,10 @@ mod tests {
     }
 
     /// The real executor, except that a run whose key contains `pat`
-    /// panics: on its first attempt only if `flaky`, else on every one.
-    fn panicking(pat: &'static str, flaky: bool) -> Exec {
-        let tripped = Mutex::new(HashSet::new());
+    /// panics.
+    fn panicking(pat: &'static str) -> Exec {
         Arc::new(move |spec: &RunSpec| {
-            let first = tripped.lock().unwrap().insert(spec.key.clone());
-            if spec.key.contains(pat) && (first || !flaky) {
+            if spec.key.contains(pat) {
                 panic!("injected failure for run {}", spec.key);
             }
             RunDigest::from_outcome(&spec.execute())
@@ -565,45 +542,48 @@ mod tests {
 
     #[test]
     fn degraded_runs_fail_the_exit_unless_keep_going() {
-        let base = &[
-            "--bf",
-            "1,0",
-            "--window",
-            "1",
-            "--run-retries",
-            "2",
-            "--run-backoff",
-            "0.001",
-        ];
-        let err = sweep_with(&small_argv(base), panicking("bf0-", false)).unwrap_err();
+        let base = &["--bf", "1,0", "--window", "1"];
+        let err = sweep_with(&small_argv(base), panicking("bf0-")).unwrap_err();
         assert!(err.0.contains("degraded"), "{err}");
         assert!(err.0.contains("--keep-going"), "{err}");
 
         let mut with_keep = base.to_vec();
         with_keep.push("--keep-going");
-        sweep_with(&small_argv(&with_keep), panicking("bf0-", false)).unwrap();
+        sweep_with(&small_argv(&with_keep), panicking("bf0-")).unwrap();
     }
 
     #[test]
-    fn flaky_injection_is_retried_to_success() {
-        let dir = std::env::temp_dir().join(format!("amjs-sweep-flaky-{}", std::process::id()));
+    fn resume_runs_a_failed_point_again() {
+        let dir = std::env::temp_dir().join(format!("amjs-sweep-rerun-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let csv_path = dir.join("out.csv");
-        std::fs::create_dir_all(&dir).unwrap();
-        let argv = small_argv(&[
+        let (dir_s, csv_s) = (dir.to_str().unwrap(), csv_path.to_str().unwrap());
+        let first = small_argv(&[
             "--bf",
             "1",
             "--window",
             "1,2",
-            "--run-backoff",
-            "0.001",
-            "--csv",
-            csv_path.to_str().unwrap(),
+            "--keep-going",
+            "--sweep-dir",
+            dir_s,
         ]);
-        sweep_with(&argv, panicking("w2", true)).unwrap();
+        sweep_with(&first, panicking("w2")).unwrap();
+
+        // The failed point is dispatched again and its new record
+        // supersedes the old one; the successful point is reused.
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let healthy: Exec = {
+            let calls = calls.clone();
+            Arc::new(move |spec: &RunSpec| {
+                calls.lock().unwrap().push(spec.key.clone());
+                RunDigest::from_outcome(&spec.execute())
+            })
+        };
+        sweep_with(&argv(&["--resume", dir_s, "--csv", csv_s]), healthy).unwrap();
+        assert_eq!(*calls.lock().unwrap(), ["none-bf1-w2-s42"]);
         let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert!(csv.contains("none-bf1-w2-s42,retried,2,"), "{csv}");
-        assert!(csv.contains("none-bf1-w1-s42,ok,1,"), "{csv}");
+        assert!(csv.contains("none-bf1-w1-s42,ok,"), "{csv}");
+        assert!(csv.contains("none-bf1-w2-s42,ok,"), "{csv}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -229,14 +229,19 @@ fn non_finite_floats_and_an_empty_flat_machine_are_one_line_errors() {
 #[test]
 fn removed_flags_are_unknown_flags() {
     // Tests inject link and executor faults on their own side now, the
-    // per-user service table left with the unpinned extensions, and a
-    // batch run is re-run rather than checkpointed.
+    // per-user service table left with the unpinned extensions, a
+    // batch run is re-run rather than checkpointed, a degraded sweep
+    // point runs again only under `--resume`, and slow ops are read
+    // from the flight recorder.
     const SIM: &str = "simulate --workload small --machine flat --nodes 64";
     for (command, flag) in [
         ("serve --repl-fault drop=0.1", "--repl-fault"),
         ("sweep --inject-panic x", "--inject-panic"),
         ("sweep --inject-flaky x", "--inject-flaky"),
         ("sweep --inject-hang x", "--inject-hang"),
+        ("sweep --run-retries 2", "--run-retries"),
+        ("sweep --run-backoff 1", "--run-backoff"),
+        ("serve --slow-ms 50", "--slow-ms"),
         (&format!("{SIM} --users"), "--users"),
         (
             &format!("{SIM} --snapshot-every 500 --snapshot-dir d"),
@@ -256,10 +261,26 @@ fn removed_flags_are_unknown_flags() {
 }
 
 #[test]
+fn replay_is_an_unknown_command() {
+    // There is no `replay`: an SWF trace runs as `simulate --workload`.
+    let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
+        .args(["replay", "x.swf"])
+        .output()
+        .expect("spawn amjs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.lines().next(),
+        Some("error: unknown command \"replay\""),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn replay_of_an_event_journal_is_a_one_line_error() {
-    // `replay` takes SWF traces only; a file in the retired event-journal
-    // format (magic, version, fingerprint, start index, then 24-byte
-    // records) is an unreadable trace, not a crash.
+    // `--workload` takes SWF traces only; a file in the retired
+    // event-journal format (magic, version, fingerprint, start index,
+    // then 24-byte records) is an unreadable trace, not a crash.
     let path = std::env::temp_dir().join(format!("amjs-journal-{}.jrnl", std::process::id()));
     let mut journal = b"AMJSJRN\0".to_vec();
     journal.extend_from_slice(&1u32.to_le_bytes());
@@ -272,7 +293,8 @@ fn replay_of_an_event_journal_is_a_one_line_error() {
     }
     std::fs::write(&path, &journal).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
-        .arg("replay")
+        .arg("simulate")
+        .arg("--workload")
         .arg(&path)
         .output()
         .expect("spawn amjs");

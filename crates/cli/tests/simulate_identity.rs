@@ -1,4 +1,4 @@
-//! `simulate`, `replay <swf>` and `sweep` output, pinned byte for byte.
+//! `simulate` and `sweep` output, pinned byte for byte.
 //!
 //! Every digest below was recorded from the binary of the commit before
 //! `RunSpec::run` became the only path from flags to a run (this same
@@ -6,9 +6,10 @@
 //! cannot drift without this test saying which command moved
 //! (`estimates-adaptive` and `cascades-bgp-report` were recorded the
 //! same way at the commit before energy, `--users` and job
-//! checkpointing were removed). A change
-//! that alters scheduling on purpose re-pins them, like
-//! `benchmark/expected.txt`.
+//! checkpointing were removed; `sweep-2x2x2` by cutting the `attempts`
+//! column out of that commit's per-run rows when the column was
+//! removed). A change that alters scheduling on purpose re-pins them,
+//! like `benchmark/expected.txt`.
 
 use std::path::Path;
 use std::process::Command;
@@ -28,7 +29,7 @@ fn amjs(dir: &Path, args: &str) -> Vec<u8> {
 }
 
 /// FNV-1a over `--quiet` stdout, the `--series` file and the
-/// `--jobs-csv` file of one `simulate`/`replay` invocation.
+/// `--jobs-csv` file of one `simulate` invocation.
 fn run_digest(dir: &Path, args: &str) -> u64 {
     let files = "--quiet --series series.csv --jobs-csv jobs.csv";
     let mut bytes = amjs(dir, &format!("{args} {files}"));
@@ -45,7 +46,7 @@ const CASCADES_BGP: &str = "simulate --workload small --machine bgp --nodes 4096
      --burst-model weibull:0.7 --oracle";
 
 #[test]
-fn simulate_replay_and_sweep_outputs_are_pinned() {
+fn simulate_and_sweep_outputs_are_pinned() {
     let dir = std::env::temp_dir().join(format!("amjs-identity-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -70,7 +71,7 @@ fn simulate_replay_and_sweep_outputs_are_pinned() {
             "replay-swf",
             run_digest(
                 &dir,
-                "replay trace.swf --machine flat --nodes 1024 --bf 0.5 --window 2",
+                "simulate --workload trace.swf --machine flat --nodes 1024 --bf 0.5 --window 2",
             ),
         ),
         (
@@ -97,5 +98,5 @@ const PINNED: &[&str] = &[
     "cascades-bgp f0519ed1a2abd1c7",
     "cascades-bgp-report 0981afc023b8f6ae",
     "replay-swf 14f3d95bc308ecd1",
-    "sweep-2x2x2 4de7d7197156efce",
+    "sweep-2x2x2 0f86d734607c3088",
 ];

@@ -68,8 +68,8 @@ fn aggregated_csv_is_byte_identical_across_worker_counts() {
     assert_eq!(csv1, csv2, "--jobs 2 changed the aggregated CSV");
     assert_eq!(csv1, csv8, "--jobs 8 changed the aggregated CSV");
     // Sanity: per-run rows in grid order, then the aggregate section.
-    assert!(csv1.starts_with("key,status,attempts,config,"), "{csv1}");
-    assert!(csv1.contains("none-bf1-w1-s42,ok,1,"), "{csv1}");
+    assert!(csv1.starts_with("key,status,config,"), "{csv1}");
+    assert!(csv1.contains("none-bf1-w1-s42,ok,"), "{csv1}");
     assert!(csv1.contains("avg_wait_mins_mean"), "{csv1}");
 }
 
@@ -94,22 +94,13 @@ fn overrunning_runs_time_out_instead_of_wedging() {
 
     let deadline = [
         MONTH,
-        &[
-            "--seeds",
-            "42,43",
-            "--jobs",
-            "2",
-            "--run-timeout",
-            "0.01",
-            "--run-retries",
-            "1",
-        ],
+        &["--seeds", "42,43", "--jobs", "2", "--run-timeout", "0.01"],
     ]
     .concat();
     let started = Instant::now();
     let csv = run_ok(&[&deadline[..], &["--keep-going"]].concat());
     let swept = started.elapsed();
-    assert_eq!(csv.matches(",timeout,1,").count(), 2, "{csv}");
+    assert_eq!(csv.matches(",timeout,").count(), 2, "{csv}");
     assert_eq!(csv.matches(",ok,").count(), 0, "{csv}");
     assert!(
         swept * 2 < one_run,

@@ -43,17 +43,12 @@ fn digest(r: &RunRecord) -> &crate::digest::RunDigest {
 /// uninterrupted sweep would have.
 pub fn aggregate_csv(specs: &[RunSpec], records: &[Option<RunRecord>]) -> String {
     let mut out = String::new();
-    out.push_str("key,status,attempts,");
+    out.push_str("key,status,");
     out.push_str(report::csv_header());
     out.push('\n');
     for (spec, rec) in specs.iter().zip(records) {
         let Some(rec) = rec else { continue };
-        out.push_str(&format!(
-            "{},{},{},",
-            rec.key,
-            rec.status.as_str(),
-            rec.attempts
-        ));
+        out.push_str(&format!("{},{},", rec.key, rec.status.as_str()));
         match &rec.digest {
             Some(d) => out.push_str(&d.summary.csv_row()),
             // Degraded run: label only, metric cells empty.
@@ -143,7 +138,6 @@ pub fn bench_json(report: &FleetReport, records: &[Option<RunRecord>]) -> String
             "{{\n",
             "  \"runs\": {},\n",
             "  \"ok\": {},\n",
-            "  \"retried\": {},\n",
             "  \"timeout\": {},\n",
             "  \"failed\": {},\n",
             "  \"resumed\": {},\n",
@@ -156,7 +150,6 @@ pub fn bench_json(report: &FleetReport, records: &[Option<RunRecord>]) -> String
         ),
         recs.len(),
         count(RunStatus::Ok),
-        count(RunStatus::Retried),
         count(RunStatus::Timeout),
         count(RunStatus::Failed),
         report.resumed,
@@ -172,20 +165,19 @@ pub fn bench_json(report: &FleetReport, records: &[Option<RunRecord>]) -> String
     )
 }
 
-/// Human-readable sweep table for stdout: status + attempts + the
-/// standard metrics table, one row per grid point in grid order.
+/// Human-readable sweep table for stdout: status + the standard
+/// metrics table, one row per grid point in grid order.
 pub fn render_table(specs: &[RunSpec], records: &[Option<RunRecord>]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<22} {:<8} {:>3}  {}\n",
+        "{:<22} {:<8}  {}\n",
         "key",
         "status",
-        "att",
         report::table_header()
     ));
     for (spec, rec) in specs.iter().zip(records) {
         match rec {
-            None => out.push_str(&format!("{:<22} {:<8} {:>3}\n", spec.key, "pending", "-")),
+            None => out.push_str(&format!("{:<22} pending\n", spec.key)),
             Some(rec) => {
                 let tail = match &rec.digest {
                     Some(d) => d.summary.table_row(),
@@ -196,10 +188,9 @@ pub fn render_table(specs: &[RunSpec], records: &[Option<RunRecord>]) -> String 
                     ),
                 };
                 out.push_str(&format!(
-                    "{:<22} {:<8} {:>3}  {}\n",
+                    "{:<22} {:<8}  {}\n",
                     rec.key,
                     rec.status.as_str(),
-                    rec.attempts,
                     tail
                 ));
             }
@@ -237,7 +228,6 @@ mod tests {
         Some(RunRecord {
             key: key.to_string(),
             status,
-            attempts: if status == RunStatus::Ok { 1 } else { 3 },
             wall_ms: 100,
             digest,
             error: (!status.succeeded()).then(|| "boom".to_string()),
@@ -253,7 +243,7 @@ mod tests {
         ];
         let records = vec![
             record("a-s1", "cfgA", RunStatus::Ok, 100.0),
-            record("a-s2", "cfgA", RunStatus::Retried, 200.0),
+            record("a-s2", "cfgA", RunStatus::Ok, 200.0),
             record("b-s1", "cfgB", RunStatus::Ok, 50.0),
             record("b-s2", "cfgB", RunStatus::Failed, 0.0),
         ];
@@ -265,12 +255,12 @@ mod tests {
         let (specs, records) = fixture();
         let csv = aggregate_csv(&specs, &records);
         let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with("key,status,attempts,config,"));
-        assert!(lines[1].starts_with("a-s1,ok,1,cfgA,"));
-        assert!(lines[2].starts_with("a-s2,retried,3,cfgA,"));
-        assert!(lines[3].starts_with("b-s1,ok,1,cfgB,"));
+        assert!(lines[0].starts_with("key,status,config,"));
+        assert!(lines[1].starts_with("a-s1,ok,cfgA,"));
+        assert!(lines[2].starts_with("a-s2,ok,cfgA,"));
+        assert!(lines[3].starts_with("b-s1,ok,cfgB,"));
         // The failed run keeps its row — label present, metrics empty.
-        assert!(lines[4].starts_with("b-s2,failed,3,cfgB,"));
+        assert!(lines[4].starts_with("b-s2,failed,cfgB,"));
         assert!(lines[4].ends_with(",,"));
         // Every per-run line has the same column count as the header.
         let cols = lines[0].matches(',').count();
@@ -322,8 +312,7 @@ mod tests {
         };
         let json = bench_json(&report, &records);
         assert!(json.contains("\"runs\": 4"));
-        assert!(json.contains("\"ok\": 2"));
-        assert!(json.contains("\"retried\": 1"));
+        assert!(json.contains("\"ok\": 3"));
         assert!(json.contains("\"failed\": 1"));
         assert!(json.contains("\"timeout\": 0"));
         assert!(json.contains("\"resumed\": 1"));

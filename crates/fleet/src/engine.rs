@@ -3,17 +3,21 @@
 //! A fixed pool of supervisor workers (`std::thread::scope`) pulls grid
 //! points from one shared injector queue — an idle worker always steals
 //! the next pending run, so the schedule load-balances regardless of
-//! per-run cost. Each run is executed under supervision:
+//! per-run cost. Each run is executed once, under supervision:
 //!
-//! * panics are caught (`catch_unwind`) and become [`RunFailure::Panicked`];
-//! * with a deadline configured, the attempt runs on a dedicated thread
-//!   the supervisor waits on with a timeout; an overrunning attempt is
+//! * a panic is caught (`catch_unwind`) and recorded as `failed`, with
+//!   the panic message;
+//! * with a deadline configured, the run executes on a dedicated thread
+//!   the supervisor waits on with a timeout; an overrunning run is
 //!   abandoned (std threads cannot be force-killed — the stray thread
-//!   is detached and its eventual result discarded) and becomes
-//!   [`RunFailure::TimedOut`];
-//! * failures are retried with exponential backoff up to the attempt
-//!   budget, then recorded as degraded (`timeout`/`failed`) — the sweep
-//!   itself keeps going.
+//!   is detached and its eventual result discarded) and recorded as
+//!   `timeout`.
+//!
+//! A degraded run does not stop the sweep, and it is not retried in
+//! process: a grid point is a pure function of its spec, so a second
+//! attempt would only repeat the first. `amjs sweep --resume` runs it
+//! again, for the one case where that can help (a transient failure
+//! outside the simulation, such as an unreadable trace file).
 //!
 //! Results are journaled through the optional [`SweepStore`] the moment
 //! they complete, so a crash loses at most the runs in flight.
@@ -39,37 +43,14 @@ pub fn default_exec() -> Exec {
     Arc::new(|spec| RunDigest::from_outcome(&spec.execute()))
 }
 
-/// Why one attempt of a run did not produce a result.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RunFailure {
-    /// The simulation panicked (oracle trip, workload load failure, a
-    /// bug); the payload message is preserved.
-    Panicked(String),
-    /// The attempt overran its wall-clock deadline and was abandoned.
-    TimedOut(Duration),
-}
-
-impl RunFailure {
-    fn message(&self) -> String {
-        match self {
-            RunFailure::Panicked(msg) => format!("panicked: {msg}"),
-            RunFailure::TimedOut(limit) => {
-                format!("timed out after {:.1}s", limit.as_secs_f64())
-            }
-        }
-    }
-}
-
 /// Final disposition of one grid point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunStatus {
-    /// Completed on the first attempt.
+    /// Completed with a digest.
     Ok,
-    /// Completed after at least one failed attempt.
-    Retried,
-    /// Every attempt overran the deadline; no result.
+    /// Overran the deadline and was abandoned; no result.
     Timeout,
-    /// Every attempt failed, the last one by panic; no result.
+    /// Panicked; no result.
     Failed,
 }
 
@@ -78,7 +59,6 @@ impl RunStatus {
     pub fn as_str(&self) -> &'static str {
         match self {
             RunStatus::Ok => "ok",
-            RunStatus::Retried => "retried",
             RunStatus::Timeout => "timeout",
             RunStatus::Failed => "failed",
         }
@@ -86,28 +66,26 @@ impl RunStatus {
 
     /// Whether the run produced a digest.
     pub fn succeeded(&self) -> bool {
-        matches!(self, RunStatus::Ok | RunStatus::Retried)
+        *self == RunStatus::Ok
     }
 
     fn to_tag(self) -> u8 {
         match self {
             RunStatus::Ok => 0,
-            RunStatus::Retried => 1,
-            RunStatus::Timeout => 2,
-            RunStatus::Failed => 3,
+            RunStatus::Timeout => 1,
+            RunStatus::Failed => 2,
         }
     }
 
     fn from_tag(tag: u8) -> Result<Self, SnapError> {
         Ok(match tag {
             0 => RunStatus::Ok,
-            1 => RunStatus::Retried,
-            2 => RunStatus::Timeout,
-            3 => RunStatus::Failed,
+            1 => RunStatus::Timeout,
+            2 => RunStatus::Failed,
             other => {
                 return Err(SnapError::UnsupportedVersion {
                     found: other as u32,
-                    supported: 3,
+                    supported: 2,
                 })
             }
         })
@@ -121,13 +99,11 @@ pub struct RunRecord {
     pub key: String,
     /// Final disposition.
     pub status: RunStatus,
-    /// Attempts consumed (1 = first try).
-    pub attempts: u32,
-    /// Wall-clock milliseconds across all attempts (includes backoff).
+    /// Wall-clock milliseconds of the run.
     pub wall_ms: u64,
     /// The result (`None` for `timeout`/`failed`).
     pub digest: Option<RunDigest>,
-    /// The last failure message, if any attempt failed.
+    /// Why the run failed, for `timeout`/`failed`.
     pub error: Option<String>,
 }
 
@@ -136,7 +112,6 @@ impl RunRecord {
     pub fn encode(&self, w: &mut SnapWriter) {
         w.put_str(&self.key);
         w.put_u8(self.status.to_tag());
-        w.put_u32(self.attempts);
         w.put_u64(self.wall_ms);
         match &self.digest {
             None => w.put_u8(0),
@@ -158,7 +133,6 @@ impl RunRecord {
     pub fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
         let key = r.get_str()?;
         let status = RunStatus::from_tag(r.get_u8()?)?;
-        let attempts = r.get_u32()?;
         let wall_ms = r.get_u64()?;
         let digest = match r.get_u8()? {
             0 => None,
@@ -171,7 +145,6 @@ impl RunRecord {
         Ok(RunRecord {
             key,
             status,
-            attempts,
             wall_ms,
             digest,
             error,
@@ -188,16 +161,6 @@ pub enum FleetError {
     DuplicateKey(String),
     /// `--jobs 0`: a sweep needs at least one worker.
     ZeroWorkers,
-    /// A retry budget of zero attempts can never run anything.
-    ZeroAttempts,
-    /// The per-run timeout is shorter than the first retry backoff, so
-    /// the retry schedule could never be exercised meaningfully.
-    TimeoutShorterThanBackoff {
-        /// Configured per-run deadline.
-        timeout: Duration,
-        /// Configured base backoff.
-        backoff: Duration,
-    },
     /// The sweep store (manifest/journal) failed or does not match.
     Store(String),
 }
@@ -213,15 +176,6 @@ impl fmt::Display for FleetError {
                 "two different grid points share the key {key:?}; keys must be unique"
             ),
             FleetError::ZeroWorkers => write!(f, "--jobs must be at least 1"),
-            FleetError::ZeroAttempts => write!(f, "the retry budget must allow at least 1 attempt"),
-            FleetError::TimeoutShorterThanBackoff { timeout, backoff } => write!(
-                f,
-                "the per-run timeout ({:.1}s) is shorter than the first retry backoff \
-                 ({:.1}s); a retried run would spend its whole deadline waiting — raise \
-                 the timeout or lower the backoff",
-                timeout.as_secs_f64(),
-                backoff.as_secs_f64()
-            ),
             FleetError::Store(msg) => write!(f, "sweep store: {msg}"),
         }
     }
@@ -236,11 +190,6 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Per-run wall-clock deadline (`None` = unbounded).
     pub run_timeout: Option<Duration>,
-    /// Attempt budget per run (1 = no retries).
-    pub max_attempts: u32,
-    /// Base of the exponential retry backoff (doubles per failure,
-    /// capped at 64×).
-    pub backoff_base: Duration,
     /// Record failed runs and exit cleanly instead of reporting an
     /// error exit.
     pub keep_going: bool,
@@ -259,8 +208,6 @@ impl Default for FleetConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             run_timeout: None,
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(500),
             keep_going: true,
             heartbeat: None,
             stop_after: None,
@@ -273,17 +220,6 @@ impl FleetConfig {
     pub fn validate(&self) -> Result<(), FleetError> {
         if self.workers == 0 {
             return Err(FleetError::ZeroWorkers);
-        }
-        if self.max_attempts == 0 {
-            return Err(FleetError::ZeroAttempts);
-        }
-        if let Some(timeout) = self.run_timeout {
-            if self.max_attempts > 1 && timeout < self.backoff_base {
-                return Err(FleetError::TimeoutShorterThanBackoff {
-                    timeout,
-                    backoff: self.backoff_base,
-                });
-            }
         }
         Ok(())
     }
@@ -325,7 +261,8 @@ pub struct FleetReport {
     /// Per-grid-point records, aligned with the spec slice (`None` =
     /// never dispatched, e.g. the invocation was stopped early).
     pub records: Vec<Option<RunRecord>>,
-    /// Records reused from a resumed journal instead of re-run.
+    /// Successful records reused from a resumed journal instead of
+    /// re-run.
     pub resumed: usize,
     /// Runs executed by *this* invocation.
     pub executed: usize,
@@ -342,15 +279,6 @@ impl FleetReport {
             .iter()
             .flatten()
             .filter(|r| !r.status.succeeded())
-            .count()
-    }
-
-    /// Runs that recovered via retry.
-    pub fn retried_runs(&self) -> usize {
-        self.records
-            .iter()
-            .flatten()
-            .filter(|r| r.status == RunStatus::Retried)
             .count()
     }
 
@@ -374,7 +302,6 @@ struct Shared<'a> {
     inflight: Vec<Mutex<Option<Inflight>>>,
     done: AtomicUsize,
     failed: AtomicUsize,
-    retried: AtomicUsize,
     executed: AtomicUsize,
     stop: AtomicBool,
     finished: AtomicBool,
@@ -382,10 +309,12 @@ struct Shared<'a> {
 }
 
 /// Run a grid under supervision, resuming from `store` when it already
-/// holds completed records.
+/// holds records: a successful record is reused, a degraded one
+/// (`timeout`/`failed`) is dispatched again and its new record
+/// supersedes the old in the journal.
 ///
-/// Determinism contract: each grid point is executed by exactly one
-/// worker with a deterministic `exec`, and all aggregation happens in
+/// Determinism contract: each grid point is executed once, by one
+/// worker, with a deterministic `exec`, and all aggregation happens in
 /// grid order — so the sweep's results are independent of the worker
 /// count and of the work-stealing schedule.
 pub fn run_fleet(
@@ -402,7 +331,12 @@ pub fn run_fleet(
 
     let mut records: Vec<Option<RunRecord>> = specs
         .iter()
-        .map(|s| store.and_then(|st| st.completed().get(&s.key).cloned()))
+        .map(|s| {
+            store
+                .and_then(|st| st.completed().get(&s.key))
+                .filter(|r| r.status.succeeded())
+                .cloned()
+        })
         .collect();
     let resumed = records.iter().flatten().count();
     let pending: VecDeque<usize> = records
@@ -420,7 +354,6 @@ pub fn run_fleet(
         inflight: (0..workers).map(|_| Mutex::new(None)).collect(),
         done: AtomicUsize::new(0),
         failed: AtomicUsize::new(0),
-        retried: AtomicUsize::new(0),
         executed: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         finished: AtomicBool::new(false),
@@ -478,14 +411,8 @@ fn worker_loop(
         let spec = &shared.specs[idx];
         let rec = supervise(shared, slot, spec, cfg, &exec);
 
-        match rec.status {
-            RunStatus::Retried => {
-                shared.retried.fetch_add(1, Ordering::SeqCst);
-            }
-            RunStatus::Timeout | RunStatus::Failed => {
-                shared.failed.fetch_add(1, Ordering::SeqCst);
-            }
-            RunStatus::Ok => {}
+        if !rec.status.succeeded() {
+            shared.failed.fetch_add(1, Ordering::SeqCst);
         }
         shared.done.fetch_add(1, Ordering::SeqCst);
 
@@ -507,8 +434,8 @@ fn worker_loop(
     }
 }
 
-/// Run one grid point to a final record: attempt, catch, time out,
-/// back off, retry, give up.
+/// Run one grid point to its record: one attempt, panics caught, the
+/// deadline enforced when configured.
 fn supervise(
     shared: &Shared<'_>,
     slot: usize,
@@ -516,65 +443,37 @@ fn supervise(
     cfg: &FleetConfig,
     exec: &Exec,
 ) -> RunRecord {
-    let run_start = Instant::now();
-    let mut attempts = 0u32;
-    let mut had_failure = false;
-    loop {
-        attempts += 1;
-        *shared.inflight[slot].lock().unwrap() = Some(Inflight {
-            key: spec.key.clone(),
-            started: Instant::now(),
-        });
-        let result = attempt(spec, exec, cfg.run_timeout);
-        *shared.inflight[slot].lock().unwrap() = None;
+    let started = Instant::now();
+    *shared.inflight[slot].lock().unwrap() = Some(Inflight {
+        key: spec.key.clone(),
+        started,
+    });
+    let result = attempt(spec, exec, cfg.run_timeout);
+    *shared.inflight[slot].lock().unwrap() = None;
 
-        match result {
-            Ok(digest) => {
-                return RunRecord {
-                    key: spec.key.clone(),
-                    status: if had_failure {
-                        RunStatus::Retried
-                    } else {
-                        RunStatus::Ok
-                    },
-                    attempts,
-                    wall_ms: run_start.elapsed().as_millis() as u64,
-                    digest: Some(digest),
-                    error: None,
-                }
-            }
-            Err(failure) => {
-                had_failure = true;
-                if attempts >= cfg.max_attempts {
-                    return RunRecord {
-                        key: spec.key.clone(),
-                        status: match failure {
-                            RunFailure::TimedOut(_) => RunStatus::Timeout,
-                            RunFailure::Panicked(_) => RunStatus::Failed,
-                        },
-                        attempts,
-                        wall_ms: run_start.elapsed().as_millis() as u64,
-                        digest: None,
-                        error: Some(failure.message()),
-                    };
-                }
-                // Exponential backoff, capped at 64x the base.
-                let exp = (attempts - 1).min(6);
-                std::thread::sleep(cfg.backoff_base * 2u32.pow(exp));
-            }
-        }
+    let (status, digest, error) = match result {
+        Ok(digest) => (RunStatus::Ok, Some(digest), None),
+        Err((status, msg)) => (status, None, Some(msg)),
+    };
+    RunRecord {
+        key: spec.key.clone(),
+        status,
+        wall_ms: started.elapsed().as_millis() as u64,
+        digest,
+        error,
     }
 }
 
-/// One supervised attempt.
+/// Execute `spec` once: its digest, or the degraded status and why.
 fn attempt(
     spec: &RunSpec,
     exec: &Exec,
     timeout: Option<Duration>,
-) -> Result<RunDigest, RunFailure> {
+) -> Result<RunDigest, (RunStatus, String)> {
+    let panicked = |msg: String| (RunStatus::Failed, format!("panicked: {msg}"));
     match timeout {
         None => catch_unwind(AssertUnwindSafe(|| exec(spec)))
-            .map_err(|payload| RunFailure::Panicked(panic_message(payload.as_ref()))),
+            .map_err(|payload| panicked(panic_message(payload.as_ref()))),
         Some(limit) => {
             let (tx, rx) = mpsc::channel();
             let spec = spec.clone();
@@ -588,18 +487,17 @@ fn attempt(
                 })
                 .expect("cannot spawn attempt thread");
             match rx.recv_timeout(limit) {
-                Ok(Ok(digest)) => {
+                Ok(result) => {
                     let _ = handle.join();
-                    Ok(digest)
+                    result.map_err(panicked)
                 }
-                Ok(Err(msg)) => {
-                    let _ = handle.join();
-                    Err(RunFailure::Panicked(msg))
-                }
-                // The attempt overran its deadline. The thread cannot be
+                // The run overran its deadline. The thread cannot be
                 // killed; it is abandoned (detached) and its eventual
                 // result, if any, is discarded with the channel.
-                Err(_) => Err(RunFailure::TimedOut(limit)),
+                Err(_) => Err((
+                    RunStatus::Timeout,
+                    format!("timed out after {:.1}s", limit.as_secs_f64()),
+                )),
             }
         }
     }
@@ -634,7 +532,6 @@ fn heartbeat_loop(
         last = Instant::now();
         let done = shared.done.load(Ordering::SeqCst);
         let failed = shared.failed.load(Ordering::SeqCst);
-        let retried = shared.retried.load(Ordering::SeqCst);
         let inflight: Vec<String> = shared
             .inflight
             .iter()
@@ -647,7 +544,7 @@ fn heartbeat_loop(
             .collect();
         let rate = done as f64 / start.elapsed().as_secs_f64().max(1e-9);
         eprintln!(
-            "amjs fleet: {}/{} done ({retried} retried, {failed} failed), \
+            "amjs fleet: {}/{} done ({failed} failed), \
              {} inflight [{}], {rate:.2} runs/s",
             resumed + done,
             total,
@@ -660,7 +557,9 @@ fn heartbeat_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::aggregate_csv;
     use amjs_core::{MachineSpec, PolicyParams, PresetName, WorkloadSource};
+    use std::path::{Path, PathBuf};
 
     fn spec(key: &str, seed: u64) -> RunSpec {
         RunSpec::new(
@@ -688,49 +587,61 @@ mod tests {
         })
     }
 
-    fn quick_cfg(workers: usize) -> FleetConfig {
+    /// [`fake_exec`], except that the run keyed `bad` panics every time.
+    fn panics_on(bad: &'static str) -> Exec {
+        let healthy = fake_exec();
+        Arc::new(move |s: &RunSpec| {
+            if s.key == bad {
+                panic!("injected failure for {}", s.key);
+            }
+            healthy(s)
+        })
+    }
+
+    fn cfg(workers: usize) -> FleetConfig {
         FleetConfig {
             workers,
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(1),
             ..FleetConfig::default()
         }
     }
 
+    fn keys(n: u64) -> Vec<RunSpec> {
+        (0..n).map(|i| spec(&format!("k{i}"), i)).collect()
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("amjs-fleet-engine-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Journal a whole sweep of `specs` in `dir` through `first`, then
+    /// resume it from the directory through `second`.
+    fn journal_then_resume(
+        dir: &Path,
+        specs: &[RunSpec],
+        first: Exec,
+        second: Exec,
+    ) -> FleetReport {
+        let store = SweepStore::create(dir, specs).unwrap();
+        assert!(run_fleet(specs, &cfg(2), first, Some(&store))
+            .unwrap()
+            .complete());
+        drop(store);
+        let (resumed_specs, store) = SweepStore::resume(dir).unwrap();
+        assert_eq!(resumed_specs, specs);
+        run_fleet(specs, &cfg(2), second, Some(&store)).unwrap()
+    }
+
     #[test]
     fn config_validation_guards() {
-        assert_eq!(
-            FleetConfig {
-                workers: 0,
-                ..FleetConfig::default()
-            }
-            .validate(),
-            Err(FleetError::ZeroWorkers)
-        );
-        assert_eq!(
-            FleetConfig {
-                max_attempts: 0,
-                ..FleetConfig::default()
-            }
-            .validate(),
-            Err(FleetError::ZeroAttempts)
-        );
-        // Timeout shorter than the first backoff is rejected...
-        let bad = FleetConfig {
-            run_timeout: Some(Duration::from_millis(100)),
-            backoff_base: Duration::from_secs(1),
-            ..FleetConfig::default()
+        assert_eq!(cfg(0).validate(), Err(FleetError::ZeroWorkers));
+        let deadline = FleetConfig {
+            run_timeout: Some(Duration::from_millis(1)),
+            ..cfg(1)
         };
-        assert!(matches!(
-            bad.validate(),
-            Err(FleetError::TimeoutShorterThanBackoff { .. })
-        ));
-        // ...but fine when retries are off (the backoff can never fire).
-        let no_retry = FleetConfig {
-            max_attempts: 1,
-            ..bad
-        };
-        assert_eq!(no_retry.validate(), Ok(()));
+        assert_eq!(deadline.validate(), Ok(()));
     }
 
     #[test]
@@ -752,8 +663,8 @@ mod tests {
 
     #[test]
     fn fleet_runs_every_grid_point_once() {
-        let specs: Vec<RunSpec> = (0..13).map(|i| spec(&format!("k{i}"), i)).collect();
-        let report = run_fleet(&specs, &quick_cfg(4), fake_exec(), None).unwrap();
+        let specs = keys(13);
+        let report = run_fleet(&specs, &cfg(4), fake_exec(), None).unwrap();
         assert!(report.complete());
         assert_eq!(report.executed, 13);
         assert_eq!(report.resumed, 0);
@@ -762,53 +673,35 @@ mod tests {
             let rec = rec.as_ref().unwrap();
             assert_eq!(rec.key, format!("k{i}"));
             assert_eq!(rec.status, RunStatus::Ok);
-            assert_eq!(rec.attempts, 1);
             assert_eq!(rec.digest.as_ref().unwrap().scheduler_passes, i as u64);
         }
     }
 
     #[test]
-    fn panicking_run_is_retried_then_failed_and_the_rest_complete() {
-        let specs: Vec<RunSpec> = (0..6).map(|i| spec(&format!("k{i}"), i)).collect();
-        let exec: Exec = Arc::new(|s: &RunSpec| {
-            if s.key == "k3" {
-                panic!("injected failure for {}", s.key);
-            }
-            crate::digest::tests::sample(&s.label)
-        });
-        let report = run_fleet(&specs, &quick_cfg(3), exec, None).unwrap();
+    fn panicking_run_fails_on_its_one_attempt_and_the_rest_complete() {
+        let specs = keys(6);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let exec: Exec = {
+            let (calls, inner) = (calls.clone(), panics_on("k3"));
+            Arc::new(move |s: &RunSpec| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                inner(s)
+            })
+        };
+        let report = run_fleet(&specs, &cfg(3), exec, None).unwrap();
         assert!(report.complete());
+        assert_eq!(calls.load(Ordering::SeqCst), 6, "each point runs once");
         assert_eq!(report.failed_runs(), 1);
         let bad = report.records[3].as_ref().unwrap();
         assert_eq!(bad.status, RunStatus::Failed);
-        assert_eq!(bad.attempts, 3, "the full retry budget was consumed");
         assert!(bad.digest.is_none());
-        assert!(bad.error.as_ref().unwrap().contains("injected failure"));
+        assert_eq!(
+            bad.error.as_deref(),
+            Some("panicked: injected failure for k3")
+        );
         for i in [0, 1, 2, 4, 5] {
             assert_eq!(report.records[i].as_ref().unwrap().status, RunStatus::Ok);
         }
-    }
-
-    #[test]
-    fn flaky_run_recovers_and_is_marked_retried() {
-        let specs = vec![spec("flaky", 1), spec("steady", 2)];
-        let tripped = Arc::new(AtomicBool::new(false));
-        let exec: Exec = {
-            let tripped = tripped.clone();
-            Arc::new(move |s: &RunSpec| {
-                if s.key == "flaky" && !tripped.swap(true, Ordering::SeqCst) {
-                    panic!("first attempt fails");
-                }
-                crate::digest::tests::sample(&s.label)
-            })
-        };
-        let report = run_fleet(&specs, &quick_cfg(2), exec, None).unwrap();
-        let flaky = report.records[0].as_ref().unwrap();
-        assert_eq!(flaky.status, RunStatus::Retried);
-        assert_eq!(flaky.attempts, 2);
-        assert!(flaky.digest.is_some());
-        assert_eq!(report.retried_runs(), 1);
-        assert_eq!(report.failed_runs(), 0);
     }
 
     #[test]
@@ -816,17 +709,14 @@ mod tests {
         let specs = vec![spec("hung", 1), spec("fine", 2)];
         let exec: Exec = Arc::new(|s: &RunSpec| {
             if s.key == "hung" {
-                // Far past the deadline; the attempt thread is abandoned.
+                // Far past the deadline; the run thread is abandoned.
                 std::thread::sleep(Duration::from_secs(5));
             }
             crate::digest::tests::sample(&s.label)
         });
         let cfg = FleetConfig {
-            workers: 2,
-            max_attempts: 2,
-            backoff_base: Duration::from_millis(1),
             run_timeout: Some(Duration::from_millis(80)),
-            ..FleetConfig::default()
+            ..cfg(2)
         };
         let started = Instant::now();
         let report = run_fleet(&specs, &cfg, exec, None).unwrap();
@@ -836,18 +726,16 @@ mod tests {
         );
         let hung = report.records[0].as_ref().unwrap();
         assert_eq!(hung.status, RunStatus::Timeout);
-        assert_eq!(hung.attempts, 2);
-        assert!(hung.error.as_ref().unwrap().contains("timed out"));
+        assert_eq!(hung.error.as_deref(), Some("timed out after 0.1s"));
         assert_eq!(report.records[1].as_ref().unwrap().status, RunStatus::Ok);
     }
 
     #[test]
     fn stop_after_leaves_the_tail_undispatched() {
-        let specs: Vec<RunSpec> = (0..8).map(|i| spec(&format!("k{i}"), i)).collect();
+        let specs = keys(8);
         let cfg = FleetConfig {
-            workers: 1,
             stop_after: Some(3),
-            ..quick_cfg(1)
+            ..cfg(1)
         };
         let report = run_fleet(&specs, &cfg, fake_exec(), None).unwrap();
         assert_eq!(report.executed, 3);
@@ -856,23 +744,65 @@ mod tests {
     }
 
     #[test]
+    fn resume_runs_a_failed_point_again_and_reuses_only_successes() {
+        let dir = tmp_dir("rerun");
+        let specs = keys(5);
+        let report = journal_then_resume(&dir, &specs, panics_on("k2"), fake_exec());
+        assert_eq!(report.resumed, 4, "only the successes are reused");
+        assert_eq!(report.executed, 1, "the failed point runs again");
+        assert_eq!(report.failed_runs(), 0);
+        let healthy = run_fleet(&specs, &cfg(2), fake_exec(), None).unwrap();
+        assert_eq!(
+            aggregate_csv(&specs, &report.records),
+            aggregate_csv(&specs, &healthy.records)
+        );
+        // The new record superseded the failed one in the journal.
+        let (_, store) = SweepStore::resume(&dir).unwrap();
+        assert_eq!(store.completed()["k2"].status, RunStatus::Ok);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resuming_a_deterministic_failure_reproduces_the_uninterrupted_csv() {
+        let dir = tmp_dir("repeat");
+        let specs = keys(5);
+        let report = journal_then_resume(&dir, &specs, panics_on("k2"), panics_on("k2"));
+        assert_eq!((report.resumed, report.executed), (4, 1));
+        assert_eq!(
+            report.records[2].as_ref().unwrap().status,
+            RunStatus::Failed
+        );
+        let uninterrupted = run_fleet(&specs, &cfg(2), panics_on("k2"), None).unwrap();
+        assert_eq!(
+            aggregate_csv(&specs, &report.records),
+            aggregate_csv(&specs, &uninterrupted.records)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn record_round_trips_through_the_codec() {
         for rec in [
             RunRecord {
                 key: "k".into(),
-                status: RunStatus::Retried,
-                attempts: 2,
+                status: RunStatus::Ok,
                 wall_ms: 1234,
                 digest: Some(crate::digest::tests::sample("BF=1/W=1")),
-                error: Some("panicked: once".into()),
+                error: None,
             },
             RunRecord {
                 key: "dead".into(),
                 status: RunStatus::Timeout,
-                attempts: 3,
                 wall_ms: 9000,
                 digest: None,
                 error: Some("timed out after 3.0s".into()),
+            },
+            RunRecord {
+                key: "bad".into(),
+                status: RunStatus::Failed,
+                wall_ms: 7,
+                digest: None,
+                error: Some("panicked: boom".into()),
             },
         ] {
             let mut w = SnapWriter::new();

@@ -4,21 +4,19 @@
 //! simulations ([`amjs_core::RunSpec`] grid points). This crate fans a
 //! grid across all cores and makes the sweep robust by construction:
 //!
-//! * **supervised workers** — each run executes under `catch_unwind`,
-//!   so a panicking simulation (an oracle trip, a workload that cannot
-//!   load) becomes a structured [`RunFailure`] instead of poisoning the
-//!   sweep;
+//! * **supervised workers** — each run executes once, under
+//!   `catch_unwind`, so a panicking simulation (an oracle trip, a
+//!   workload that cannot load) becomes a `failed` record instead of
+//!   poisoning the sweep;
 //! * **deadlines** — a per-run wall-clock timeout is enforced by the
-//!   supervising worker (the run executes on an attempt thread that is
-//!   abandoned when it overruns), and a shared inflight table lets the
-//!   heartbeat name overdue runs;
-//! * **retry with backoff** — failed attempts are retried with
-//!   exponential backoff up to a capped attempt budget, then recorded
-//!   as degraded (`timeout`/`failed`) rather than aborting the sweep;
+//!   supervising worker (the run executes on its own thread, which is
+//!   abandoned when it overruns) and recorded as `timeout`; a shared
+//!   inflight table lets the heartbeat name overdue runs;
 //! * **durable progress** — a sweep manifest (the full encoded grid +
 //!   its fingerprint) and an append-only checksummed result journal
-//!   make `amjs sweep --resume <dir>` skip completed runs exactly and
-//!   re-aggregate byte-identically after a crash (see [`store`]);
+//!   make `amjs sweep --resume <dir>` skip successful runs exactly,
+//!   run degraded ones again, and re-aggregate byte-identically after
+//!   a crash (see [`store`]);
 //! * **deterministic aggregation** — per-run rows and per-config
 //!   mean ± 95% CI aggregates are emitted in grid order, so the
 //!   aggregated CSV is byte-identical across worker counts and
@@ -34,7 +32,7 @@ pub mod store;
 pub use aggregate::{aggregate_csv, bench_json, render_table};
 pub use digest::RunDigest;
 pub use engine::{
-    default_exec, run_fleet, validate_grid, Exec, FleetConfig, FleetError, FleetReport, RunFailure,
-    RunRecord, RunStatus,
+    default_exec, run_fleet, validate_grid, Exec, FleetConfig, FleetError, FleetReport, RunRecord,
+    RunStatus,
 };
 pub use store::SweepStore;

@@ -15,6 +15,10 @@
 //!   payload]` per record. Each record is flushed the moment its run
 //!   finishes, so a crash loses at most the runs in flight.
 //!
+//! A key's last record wins: a degraded run that `--resume` runs again
+//! appends a second record for its key, and that one supersedes the
+//! first.
+//!
 //! The reader tolerates a truncated or corrupt tail (the crash case):
 //! good records up to that point are kept, the bad tail is truncated
 //! away before the journal is reopened for append, and the resumed
@@ -33,8 +37,9 @@ use crate::engine::{FleetError, RunRecord};
 
 /// Magic bytes opening a sweep result journal.
 pub const SWEEP_JOURNAL_MAGIC: [u8; 8] = *b"AMJSFLT\0";
-/// Journal format version this build writes and the highest it reads.
-pub const SWEEP_JOURNAL_VERSION: u32 = 1;
+/// Journal format version this build writes and the only one it reads:
+/// a record of another version has another layout.
+pub const SWEEP_JOURNAL_VERSION: u32 = 2;
 /// Header: magic(8) + version(4) + grid fingerprint(8).
 const JOURNAL_HEADER_LEN: usize = 20;
 
@@ -158,7 +163,8 @@ impl SweepStore {
         self.fingerprint
     }
 
-    /// Records recovered from the journal, by run key.
+    /// Records recovered from the journal, by run key (the last record
+    /// journaled for a key).
     pub fn completed(&self) -> &HashMap<String, RunRecord> {
         &self.completed
     }
@@ -204,10 +210,11 @@ fn read_journal(
         )));
     }
     let version = u32::from_le_bytes(content[8..12].try_into().unwrap());
-    if version > SWEEP_JOURNAL_VERSION {
+    if version != SWEEP_JOURNAL_VERSION {
         return Err(store_err(format!(
-            "journal format version {version} is newer than this build supports \
-             (max {SWEEP_JOURNAL_VERSION})"
+            "journal {} has format version {version}; this build reads only version \
+             {SWEEP_JOURNAL_VERSION}",
+            path.display()
         )));
     }
     let fingerprint = u64::from_le_bytes(content[12..20].try_into().unwrap());
@@ -266,7 +273,6 @@ mod tests {
         RunRecord {
             key: key.to_string(),
             status,
-            attempts: 1,
             wall_ms: 42,
             digest: status
                 .succeeded()
@@ -299,7 +305,7 @@ mod tests {
         assert!(!resumed.completed().contains_key("b"));
 
         // Appending after resume keeps the journal readable.
-        resumed.append(&record("b", RunStatus::Retried)).unwrap();
+        resumed.append(&record("b", RunStatus::Timeout)).unwrap();
         drop(resumed);
         let (_, again) = SweepStore::resume(&dir).unwrap();
         assert_eq!(again.completed().len(), 3);
@@ -390,6 +396,42 @@ mod tests {
 
         let err = SweepStore::resume(&dir).unwrap_err();
         assert!(err.to_string().contains("different grid"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_last_record_for_a_key_wins() {
+        let dir = tmp_dir("supersede");
+        let specs = vec![spec("a", 1)];
+        let store = SweepStore::create(&dir, &specs).unwrap();
+        store.append(&record("a", RunStatus::Failed)).unwrap();
+        store.append(&record("a", RunStatus::Ok)).unwrap();
+        drop(store);
+
+        let (_, resumed) = SweepStore::resume(&dir).unwrap();
+        assert_eq!(resumed.completed().len(), 1);
+        assert_eq!(resumed.completed()["a"], record("a", RunStatus::Ok));
+
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_journal_of_another_version_is_refused_by_name() {
+        let dir = tmp_dir("version");
+        let store = SweepStore::create(&dir, &[spec("a", 1)]).unwrap();
+        store.append(&record("a", RunStatus::Ok)).unwrap();
+        drop(store);
+
+        // Stamp the header with the retired version 1.
+        let journal = dir.join(JOURNAL_NAME);
+        let mut raw = fs::read(&journal).unwrap();
+        raw[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&journal, &raw).unwrap();
+
+        let err = SweepStore::resume(&dir).unwrap_err().to_string();
+        assert!(err.contains("format version 1;"), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -199,9 +199,6 @@ pub struct ServeConfig {
     /// events for the `flightrec.jsonl` postmortem (0 = disabled; the
     /// disabled path is byte-identical in scheduler state).
     pub flightrec: usize,
-    /// Log any request slower than this to stderr (milliseconds;
-    /// 0 = off).
-    pub slow_ms: u64,
 }
 
 impl ServeConfig {
@@ -224,7 +221,6 @@ impl ServeConfig {
             stats: None,
             stop: None,
             flightrec: 512,
-            slow_ms: 0,
         }
     }
 }
@@ -552,8 +548,8 @@ impl Shared {
         });
     }
 
-    /// Telemetry for one finished request: latency histogram, flight
-    /// recorder event, and the slow-op log. `seq` is the WAL sequence
+    /// Telemetry for one finished request: latency histogram and flight
+    /// recorder event. `seq` is the WAL sequence
     /// an accepted mutation logged. Called by the engine for what it
     /// answers itself and by the connection that supervised a `WHATIF`.
     fn note_request(&self, verb: &'static str, reply_text: &str, at: Instant, seq: Option<u64>) {
@@ -570,13 +566,6 @@ impl Shared {
             dur_us: elapsed.as_micros() as u64,
             seq,
         });
-        if self.cfg.slow_ms > 0 && elapsed >= Duration::from_millis(self.cfg.slow_ms) {
-            eprintln!(
-                "amjs serve: slow op: {verb} took {:.1}ms (reply {:.40})",
-                elapsed.as_secs_f64() * 1e3,
-                reply_text
-            );
-        }
     }
 }
 
