@@ -94,9 +94,17 @@ fn main() {
                     let file = fs::File::create(&trace_path).unwrap();
                     let sink = Rc::new(RefCell::new(JsonlSink::new(BufWriter::new(file))));
                     let probe = sink.clone();
+                    let path = trace_path.clone();
+                    let written = move || {
+                        let sink = probe.borrow();
+                        if let Some(e) = sink.error() {
+                            panic!("cannot write {}: {e}", path.display());
+                        }
+                        sink.written()
+                    };
                     (
                         Observer::disabled().with_sink(sink),
-                        Box::new(move || probe.borrow().written()) as RecordProbe,
+                        Box::new(written) as RecordProbe,
                     )
                 }
             }),

@@ -2,21 +2,18 @@
 //! construction, and end-of-run reporting.
 //!
 //! The simulation itself only ever sees an [`Observer`]; this module
-//! owns the concrete sinks (JSONL file, in-memory ring), the shared
-//! profiler, and the live metrics server, and turns them into
-//! user-facing artifacts once the run completes. Everything diagnostic
-//! goes to stderr — stdout stays reserved for results.
+//! owns the concrete sinks (JSONL file, in-memory ring) and the shared
+//! profiler, and turns them into user-facing artifacts once the run
+//! completes. Everything diagnostic goes to stderr — stdout stays
+//! reserved for results.
 
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::time::Duration;
 
-use amjs_obs::{
-    shared_stats, Heartbeat, JsonlSink, MetricsServer, Observer, Profiler, RingSink, SharedProfiler,
-};
+use amjs_obs::{JsonlSink, Observer, Profiler, RingSink, SharedProfiler};
 
 use crate::args::{ArgError, FlagSpec, ParsedArgs};
 
@@ -39,19 +36,6 @@ pub fn obs_flag_specs() -> Vec<FlagSpec> {
             "profile-json",
             "write the profiling spans as JSON to this path (implies --profile)",
         ),
-        FlagSpec::value(
-            "metrics-addr",
-            "serve live Prometheus metrics on this address (e.g. 127.0.0.1:9184)",
-        ),
-        FlagSpec::with_default(
-            "metrics-linger",
-            0,
-            "keep serving /metrics this many seconds after the run finishes",
-        ),
-        FlagSpec::value(
-            "heartbeat",
-            "stderr progress line every N seconds (0 = off; default 10 with --metrics-addr)",
-        ),
         FlagSpec::switch("quiet", "print only the summary CSV on stdout"),
     ]
 }
@@ -62,9 +46,6 @@ pub struct ObsFlags {
     pub trace_tail: Option<usize>,
     pub profile: bool,
     pub profile_json: Option<PathBuf>,
-    pub metrics_addr: Option<String>,
-    pub metrics_linger: f64,
-    pub heartbeat_secs: Option<f64>,
 }
 
 impl ObsFlags {
@@ -86,30 +67,17 @@ impl ObsFlags {
         }
         let profile_json = args.get("profile-json").map(PathBuf::from);
         let profile = args.get_bool("profile") || profile_json.is_some();
-        let metrics_linger = args.get_f64("metrics-linger")?;
-        if metrics_linger < 0.0 {
-            return Err(ArgError(format!(
-                "--metrics-linger: must be >= 0 seconds, got {metrics_linger}"
-            )));
-        }
-        let heartbeat_secs = args.get_opt_f64("heartbeat")?;
-        if heartbeat_secs.is_some_and(|s| s < 0.0) {
-            return Err(ArgError("--heartbeat: must be >= 0 seconds".to_string()));
-        }
         Ok(ObsFlags {
             trace,
             trace_tail,
             profile,
             profile_json,
-            metrics_addr: args.get("metrics-addr").map(String::from),
-            metrics_linger,
-            heartbeat_secs,
         })
     }
 
     /// Build the observer and the session handles for end-of-run
-    /// reporting. Binds the metrics listener immediately so a bad
-    /// address fails before the simulation starts.
+    /// reporting. Creates the trace file immediately so a bad path
+    /// fails before the simulation starts.
     pub fn build(&self) -> Result<(Observer, ObsSession), ArgError> {
         let mut obs = Observer::disabled();
         let mut session = ObsSession {
@@ -118,8 +86,6 @@ impl ObsFlags {
             profiler: None,
             profile_table: self.profile,
             profile_json: self.profile_json.clone(),
-            server: None,
-            linger: Duration::from_secs_f64(self.metrics_linger),
         };
         if let Some(path) = &self.trace {
             let file = File::create(path)
@@ -138,26 +104,6 @@ impl ObsFlags {
             obs = obs.with_profiler(prof.clone());
             session.profiler = Some(prof);
         }
-        if let Some(addr) = &self.metrics_addr {
-            let stats = shared_stats();
-            let server = MetricsServer::bind(addr.as_str(), stats.clone())
-                .map_err(|e| ArgError(format!("--metrics-addr: cannot bind {addr}: {e}")))?;
-            eprintln!(
-                "amjs: serving Prometheus metrics on http://{}/metrics",
-                server.local_addr()
-            );
-            obs = obs.with_live(stats);
-            session.server = Some(server);
-        }
-        let heartbeat = match self.heartbeat_secs {
-            Some(s) if s > 0.0 => Some(s),
-            Some(_) => None, // explicit 0 disables
-            None if self.metrics_addr.is_some() => Some(10.0),
-            None => None,
-        };
-        if let Some(s) = heartbeat {
-            obs = obs.with_heartbeat(Heartbeat::new(Duration::from_secs_f64(s)));
-        }
         Ok((obs, session))
     }
 }
@@ -172,19 +118,27 @@ pub struct ObsSession {
     profiler: Option<SharedProfiler>,
     profile_table: bool,
     profile_json: Option<PathBuf>,
-    server: Option<MetricsServer>,
-    linger: Duration,
 }
 
 impl ObsSession {
     /// Report everything the observer collected. The observer itself is
     /// already flushed by the run; this only formats and writes the
-    /// user-facing artifacts (all diagnostics on stderr).
-    pub fn finalize(mut self) -> Result<(), ArgError> {
+    /// user-facing artifacts (all diagnostics on stderr). A trace the
+    /// disk refused is an error: the run does not report success with
+    /// a truncated trace.
+    pub fn finalize(self) -> Result<(), ArgError> {
         if let Some((path, sink)) = &self.jsonl {
+            let sink = sink.borrow();
+            if let Some(e) = sink.error() {
+                return Err(ArgError(format!(
+                    "--trace: cannot write {} after {} records: {e}",
+                    path.display(),
+                    sink.written()
+                )));
+            }
             eprintln!(
                 "amjs: wrote {} trace records to {}",
-                sink.borrow().written(),
+                sink.written(),
                 path.display()
             );
         }
@@ -208,16 +162,6 @@ impl ObsSession {
                     .map_err(|e| ArgError(format!("cannot write {}: {e}", path.display())))?;
                 eprintln!("amjs: wrote profile JSON to {}", path.display());
             }
-        }
-        if let Some(server) = self.server.take() {
-            if !self.linger.is_zero() {
-                eprintln!(
-                    "amjs: run finished; /metrics stays up for {:.0}s (--metrics-linger)",
-                    self.linger.as_secs_f64()
-                );
-                std::thread::sleep(self.linger);
-            }
-            server.shutdown();
         }
         Ok(())
     }

@@ -1,11 +1,11 @@
-//! Regression tests for the address-binding contract: pointing
-//! `--metrics-addr` or `--serve-addr` at a port that is already in use
-//! (or at a nonsense address) must exit nonzero with a clean
-//! `error: --<flag>: cannot bind ...` diagnostic on stderr — never a
-//! panic, never a half-started process. The same contract covers a
-//! fresh daemon's policy flags, which are validated on that path,
-//! every float flag and machine size on every command, and the flags
-//! the CLI no longer has.
+//! Regression tests for the address-binding contract: pointing the
+//! daemon's `--metrics-addr` or `--serve-addr` at a port that is
+//! already in use (or at a nonsense address) must exit nonzero with a
+//! clean `error: --<flag>: cannot bind ...` diagnostic on stderr —
+//! never a panic, never a half-started process. The same contract
+//! covers a fresh daemon's policy flags, which are validated on that
+//! path, every float flag and machine size on every command, a trace
+//! file the disk refuses, and the flags the CLI no longer has.
 
 use std::net::TcpListener;
 use std::process::Command;
@@ -31,17 +31,19 @@ fn occupied_port() -> (TcpListener, String) {
 #[test]
 fn metrics_addr_in_use_is_a_clean_error() {
     let (_guard, addr) = occupied_port();
+    let dir = std::env::temp_dir().join(format!("amjs-bind-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
     let (ok, stderr) = run(&[
-        "simulate",
-        "--workload",
-        "small",
-        "--machine",
-        "flat",
-        "--nodes",
-        "1024",
+        "serve",
+        "--serve-addr",
+        "127.0.0.1:0",
+        "--serve-dir",
+        dir.to_str().unwrap(),
         "--metrics-addr",
         &addr,
     ]);
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(!ok, "in-use metrics address must exit nonzero");
     assert!(
         stderr.contains(&format!("error: --metrics-addr: cannot bind {addr}")),
@@ -86,13 +88,11 @@ fn unparseable_addresses_are_clean_errors_too() {
     for (args, flag) in [
         (
             vec![
-                "simulate",
-                "--workload",
-                "small",
-                "--machine",
-                "flat",
-                "--nodes",
-                "1024",
+                "serve",
+                "--serve-addr",
+                "127.0.0.1:0",
+                "--serve-dir",
+                dir.to_str().unwrap(),
                 "--metrics-addr",
                 "not-an-address",
             ],
@@ -232,7 +232,8 @@ fn removed_flags_are_unknown_flags() {
     // per-user service table left with the unpinned extensions, a
     // batch run is re-run rather than checkpointed, a degraded sweep
     // point runs again only under `--resume`, and slow ops are read
-    // from the flight recorder.
+    // from the flight recorder. A batch run is observed through its
+    // artefacts; the live endpoint belongs to the daemon.
     const SIM: &str = "simulate --workload small --machine flat --nodes 64";
     for (command, flag) in [
         ("serve --repl-fault drop=0.1", "--repl-fault"),
@@ -249,6 +250,12 @@ fn removed_flags_are_unknown_flags() {
         ),
         (&format!("{SIM} --snapshot-keep 2"), "--snapshot-keep"),
         (&format!("{SIM} --resume-from d"), "--resume-from"),
+        (
+            &format!("{SIM} --metrics-addr 127.0.0.1:0"),
+            "--metrics-addr",
+        ),
+        (&format!("{SIM} --metrics-linger 5"), "--metrics-linger"),
+        (&format!("{SIM} --heartbeat 5"), "--heartbeat"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
             .args(command.split_whitespace())
@@ -258,6 +265,27 @@ fn removed_flags_are_unknown_flags() {
         let want = format!("error: unknown flag {flag} (try --help)\n");
         assert_eq!(String::from_utf8_lossy(&out.stderr), want, "amjs {command}");
     }
+}
+
+#[test]
+fn a_trace_the_disk_refuses_is_a_clean_error() {
+    // A full disk truncates the trace: the run must say so and fail,
+    // like every other output file, not panic or report success.
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_amjs"))
+        .args("simulate --workload small --machine flat --nodes 1024 --quiet".split(' '))
+        .args(["--trace", "/dev/full"])
+        .output()
+        .expect("spawn amjs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: --trace: cannot write /dev/full after "),
+        "expected a clean write diagnostic, got:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! file, run at that commit), so no flag name, help text or default can
 //! drift without this test saying which command moved (`sweep` and
 //! `serve` were re-pinned when the sweep's two retry flags and the
-//! daemon's slow-op threshold left: each text is the previous one less
-//! those rows). A
+//! daemon's slow-op threshold left, `simulate` when its live metrics
+//! endpoint, linger and heartbeat flags left: each text is the
+//! previous one less those rows). A
 //! change that alters the CLI surface on purpose re-pins them from the
 //! `found:` block, like `simulate_identity.rs`.
 //!
@@ -112,7 +113,7 @@ fn the_docs_name_only_flags_that_exist() {
 }
 
 const PINNED: &[&str] = &[
-    "simulate bb4a40757498eafb",
+    "simulate aa66fabb545d40f4",
     "sweep 5ce9b74d67d11c72",
     "serve 049459680a587700",
     "workload 6c3d6937b1acc3fc",

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use amjs_metrics::report::MetricsSummary;
 use amjs_metrics::{DomainDowntime, FaultDomain, TimeSeries, UtilizationTracker};
 use amjs_obs::{
-    LiveStats, LosingPerm, MetricsSampleEv, Observer, RetryOutcome, TraceEvent, TunerTransitionEv,
+    LosingPerm, MetricsSampleEv, Observer, RetryOutcome, TraceEvent, TunerTransitionEv,
     WindowChoiceEv,
 };
 use amjs_platform::plan::Plan;
@@ -345,10 +345,10 @@ impl<P: Platform> SimulationBuilder<P> {
     }
 
     /// Run the simulation with an attached [`Observer`] — decision
-    /// tracing, span profiling, and/or live metrics exposition per its
-    /// configuration. A disabled observer makes this exactly
-    /// [`SimulationBuilder::run`]: every hook is `Option`-gated, so the
-    /// outcome is byte-identical and the hot path allocation-free.
+    /// tracing and/or span profiling per its configuration. A disabled
+    /// observer makes this exactly [`SimulationBuilder::run`]: every
+    /// hook is `Option`-gated, so the outcome is byte-identical and the
+    /// hot path allocation-free.
     ///
     /// The observer is returned (flushed) so the caller can read back
     /// its ring buffer or profiler after the run.
@@ -1320,24 +1320,6 @@ impl<P: Platform> Runner<P> {
                     waiting: live.queue.len() as u64,
                 })),
             );
-        }
-        if obs.live_enabled() {
-            obs.publish(LiveStats {
-                sim_time_s: now.as_secs(),
-                events: 0, // filled in by the observer
-                queue_depth_mins: qd,
-                util_instant,
-                util_1h,
-                util_10h,
-                util_24h,
-                down_nodes: down as u64,
-                running: live.running.len() as u64,
-                waiting: live.queue.len() as u64,
-                done: false,
-                repl: None,
-                extra: Vec::new(),
-                hists: Vec::new(),
-            });
         }
     }
 

@@ -1,24 +1,26 @@
-//! Live metrics exposition: a tiny `std::net` HTTP listener serving
-//! Prometheus text format, plus a throttled stderr heartbeat.
+//! Metrics exposition: a tiny `std::net` HTTP listener serving
+//! Prometheus text format.
 //!
-//! The simulation thread publishes the paper's monitored signals
-//! (queue depth, instant/1H/10H/24H utilization, down nodes, jobs
-//! running/waiting) into a mutex-guarded [`LiveStats`]; a background
-//! thread answers `GET /metrics` with exposition-format text
-//! (version 0.0.4). The server only *reads* shared state — it can
-//! never perturb the simulation, so determinism guarantees hold with
-//! the endpoint enabled.
+//! The serve daemon publishes its gauges (the paper's monitored
+//! signals — queue depth, instant/1H/10H/24H utilization, down nodes,
+//! jobs running/waiting — plus replication posture and its own
+//! counters and histograms) into a mutex-guarded [`LiveStats`]; a
+//! background thread answers `GET /metrics` with exposition-format
+//! text (version 0.0.4). The server only *reads* shared state — it can
+//! never perturb the scheduler, so determinism guarantees hold with
+//! the endpoint enabled. A batch run is observed through its
+//! artefacts (`--series`, `--trace`, the summary CSV) instead.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::hist::Histogram;
 
-/// The monitored signals, as last published by the simulation thread.
+/// The monitored signals, as last published by the daemon.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LiveStats {
     /// Simulated time, seconds since the epoch.
@@ -41,22 +43,16 @@ pub struct LiveStats {
     pub running: u64,
     /// Jobs waiting in the queue.
     pub waiting: u64,
-    /// True once the run has finished.
-    pub done: bool,
-    /// Replication posture, when the publisher is a serve daemon in a
-    /// replicated topology (`None` for batch runs and standalone
-    /// daemons started before the gauges are first published).
+    /// Replication posture (`None` until the daemon first publishes).
     pub repl: Option<ReplStats>,
     /// Additional publisher-defined gauges, rendered verbatim as
     /// `amjs_<name> <value>`. The serve daemon uses this for its
-    /// connection/shedding/what-if latency dashboard; batch runs leave
-    /// it empty.
+    /// connection/shedding/what-if latency dashboard.
     pub extra: Vec<(String, f64)>,
     /// Publisher-defined histograms, rendered as the Prometheus
     /// `_bucket`/`_sum`/`_count` triple under `amjs_<name>`. The serve
     /// daemon uses these for per-verb request latency, WAL append,
-    /// snapshot, and replication-lag distributions; batch runs leave
-    /// them empty.
+    /// snapshot, and replication-lag distributions.
     pub hists: Vec<HistEntry>,
 }
 
@@ -135,7 +131,7 @@ pub struct ReplStats {
     pub last_seq: u64,
 }
 
-/// Shared handle the simulation publishes into and the server reads.
+/// Shared handle the daemon publishes into and the server reads.
 pub type SharedStats = Arc<Mutex<LiveStats>>;
 
 /// A fresh all-zero [`SharedStats`].
@@ -212,11 +208,6 @@ pub fn prometheus_text(stats: &LiveStats) -> String {
         "amjs_jobs_waiting",
         "Jobs currently waiting in the queue.",
         stats.waiting as f64,
-    );
-    gauge(
-        "amjs_run_done",
-        "1 once the simulation has finished.",
-        if stats.done { 1.0 } else { 0.0 },
     );
     if let Some(repl) = &stats.repl {
         gauge(
@@ -407,46 +398,6 @@ fn handle_conn(stream: &mut TcpStream, stats: &SharedStats) {
     let _ = stream.write_all(response.as_bytes());
 }
 
-// ---------------------------------------------------------------------------
-// Heartbeat
-// ---------------------------------------------------------------------------
-
-/// Throttled stderr progress line. Wall-clock throttling keeps output
-/// bounded regardless of simulation speed; the line never touches
-/// stdout or any deterministic artifact.
-pub struct Heartbeat {
-    every: Duration,
-    last: Option<Instant>,
-}
-
-impl Heartbeat {
-    /// A heartbeat printing at most once per `every`.
-    pub fn new(every: Duration) -> Self {
-        Heartbeat { every, last: None }
-    }
-
-    /// Print a progress line if the throttle window has passed.
-    pub fn maybe_beat(&mut self, stats: &LiveStats) {
-        let now = Instant::now();
-        if let Some(last) = self.last {
-            if now.duration_since(last) < self.every {
-                return;
-            }
-        }
-        self.last = Some(now);
-        eprintln!(
-            "amjs: t={:.1}h events={} queue={:.0} node-min running={} waiting={} util24h={:.3} down={}",
-            stats.sim_time_s as f64 / 3600.0,
-            stats.events,
-            stats.queue_depth_mins,
-            stats.running,
-            stats.waiting,
-            stats.util_24h,
-            stats.down_nodes,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,7 +414,6 @@ mod tests {
             down_nodes: 2,
             running: 10,
             waiting: 3,
-            done: false,
             repl: None,
             extra: Vec::new(),
             hists: Vec::new(),
@@ -787,15 +737,5 @@ mod tests {
         server.shutdown();
         // After shutdown the port stops answering (bind may be reused,
         // so just assert the call returns).
-    }
-
-    #[test]
-    fn heartbeat_throttles() {
-        let mut hb = Heartbeat::new(Duration::from_secs(3600));
-        let s = sample();
-        hb.maybe_beat(&s); // first beat prints
-        let first = hb.last;
-        hb.maybe_beat(&s); // throttled: timestamp unchanged
-        assert_eq!(hb.last, first);
     }
 }

@@ -1,5 +1,6 @@
 //! Observability for `amjs`: decision tracing, span-based
-//! self-profiling, and live metrics exposition.
+//! self-profiling, and the metrics exposition the serve daemon
+//! answers scrapes with.
 //!
 //! The layer is hand-rolled (zero external dependencies, like the rest
 //! of the workspace) and strictly pay-for-what-you-use:
@@ -16,10 +17,10 @@
 //!   (`amjs trace explain`).
 //! * **Self-profiling** ([`profile`]) — hierarchical wall-clock spans
 //!   around the hot paths, aggregated into a table and JSON.
-//! * **Live exposition** ([`expo`]) — a `std::net` HTTP listener
-//!   serving Prometheus text format plus a throttled stderr heartbeat.
+//! * **Exposition** ([`expo`]) — a `std::net` HTTP listener serving
+//!   Prometheus text format; `amjs serve --metrics-addr` starts it.
 //!
-//! Everything funnels through one [`Observer`] handle; with nothing
+//! Tracing and profiling funnel through one [`Observer`] handle; with nothing
 //! attached it costs a counter increment per event and guarantees
 //! byte-identical simulation outputs.
 
@@ -39,9 +40,7 @@ pub use event::{
     TunerTransitionEv, WindowChoiceEv,
 };
 pub use explain::{explain_job, parse_trace, read_trace};
-pub use expo::{
-    prometheus_text, shared_stats, Heartbeat, HistEntry, LiveStats, MetricsServer, SharedStats,
-};
+pub use expo::{prometheus_text, shared_stats, HistEntry, LiveStats, MetricsServer, SharedStats};
 pub use hist::Histogram;
 pub use observer::{Observer, SharedProfiler, SharedSink};
 pub use profile::{Profiler, SpanStats, SpanToken};

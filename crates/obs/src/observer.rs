@@ -1,12 +1,11 @@
 //! The [`Observer`]: the one handle the simulation runner carries.
 //!
-//! Bundles an optional trace sink, an optional shared profiler, and an
-//! optional live-stats publisher. Every capability is independently
-//! `Option`-gated so the disabled observer is free: no sink ⇒ no event
-//! is ever constructed (call sites gate on [`Observer::tracing`]), no
-//! profiler ⇒ span calls return immediately, no publisher ⇒ nothing is
-//! locked. The observer is deliberately *not* part of any snapshot or
-//! state hash — it observes the run, it is not the run.
+//! Bundles an optional trace sink and an optional shared profiler. Each
+//! is `Option`-gated so the disabled observer is free: no sink ⇒ no
+//! event is ever constructed (call sites gate on [`Observer::tracing`]),
+//! no profiler ⇒ span calls return immediately. The observer is
+//! deliberately *not* part of any snapshot or state hash — it observes
+//! the run, it is not the run.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -15,7 +14,6 @@ use std::rc::Rc;
 use amjs_sim::SimTime;
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::expo::{Heartbeat, LiveStats, SharedStats};
 use crate::profile::{Profiler, SpanToken};
 use crate::sink::TraceSink;
 
@@ -32,8 +30,6 @@ pub type SharedProfiler = Rc<RefCell<Profiler>>;
 pub struct Observer {
     sink: Option<SharedSink>,
     profiler: Option<SharedProfiler>,
-    live: Option<SharedStats>,
-    heartbeat: Option<Heartbeat>,
     /// Engine event index of the event currently being handled.
     current: u64,
     /// Total events begun (the next `begin_event` gets this index).
@@ -58,37 +54,11 @@ impl Observer {
         self
     }
 
-    /// Attach a live-stats publisher (the metrics endpoint reads it).
-    pub fn with_live(mut self, stats: SharedStats) -> Self {
-        self.live = Some(stats);
-        self
-    }
-
-    /// Attach a throttled stderr heartbeat.
-    pub fn with_heartbeat(mut self, heartbeat: Heartbeat) -> Self {
-        self.heartbeat = Some(heartbeat);
-        self
-    }
-
-    /// True when any capability is attached.
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-            || self.profiler.is_some()
-            || self.live.is_some()
-            || self.heartbeat.is_some()
-    }
-
     /// True when decision events should be constructed and emitted.
     /// Call sites gate on this so a disabled run never allocates.
     #[inline]
     pub fn tracing(&self) -> bool {
         self.sink.is_some()
-    }
-
-    /// True when live stats should be published.
-    #[inline]
-    pub fn live_enabled(&self) -> bool {
-        self.live.is_some() || self.heartbeat.is_some()
     }
 
     /// Mark the start of the next engine event; subsequent emissions
@@ -103,11 +73,6 @@ impl Observer {
     /// Index of the event currently being handled.
     pub fn current_index(&self) -> u64 {
         self.current
-    }
-
-    /// Events begun so far.
-    pub fn events_begun(&self) -> u64 {
-        self.next
     }
 
     /// Emit one decision event at simulated time `t`. No-op (and the
@@ -144,31 +109,12 @@ impl Observer {
         self.profiler.as_ref()
     }
 
-    /// Publish a fresh live sample (and maybe heartbeat to stderr).
-    pub fn publish(&mut self, mut stats: LiveStats) {
-        stats.events = self.next;
-        if let Some(live) = &self.live {
-            if let Ok(mut guard) = live.lock() {
-                *guard = stats.clone();
-            }
-        }
-        if let Some(hb) = &mut self.heartbeat {
-            hb.maybe_beat(&stats);
-        }
-    }
-
-    /// End-of-run housekeeping: flush the sink and mark the live stats
-    /// done so scrapers can see completion.
+    /// End-of-run housekeeping: flush the sink. A sink that can fail
+    /// keeps its first error for its owner to report
+    /// ([`crate::JsonlSink::error`]); the run itself never panics on it.
     pub fn finish(&mut self) {
         if let Some(sink) = &self.sink {
-            if let Err(e) = sink.borrow_mut().flush() {
-                panic!("trace flush failed: {e}");
-            }
-        }
-        if let Some(live) = &self.live {
-            if let Ok(mut guard) = live.lock() {
-                guard.done = true;
-            }
+            sink.borrow_mut().flush();
         }
     }
 }
@@ -178,9 +124,7 @@ impl fmt::Debug for Observer {
         f.debug_struct("Observer")
             .field("tracing", &self.sink.is_some())
             .field("profiling", &self.profiler.is_some())
-            .field("live", &self.live.is_some())
-            .field("heartbeat", &self.heartbeat.is_some())
-            .field("events_begun", &self.next)
+            .field("events", &self.next)
             .finish()
     }
 }
@@ -188,7 +132,6 @@ impl fmt::Debug for Observer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expo::shared_stats;
     use crate::sink::VecSink;
 
     fn shared_vec_sink() -> (Rc<RefCell<VecSink>>, SharedSink) {
@@ -200,9 +143,8 @@ mod tests {
     #[test]
     fn disabled_observer_reports_everything_off() {
         let obs = Observer::disabled();
-        assert!(!obs.is_enabled());
         assert!(!obs.tracing());
-        assert!(!obs.live_enabled());
+        assert!(obs.profiler().is_none());
         assert!(obs.prof_enter("x").is_none());
         obs.prof_exit(None);
     }
@@ -227,24 +169,5 @@ mod tests {
         let t = obs.prof_enter("hot");
         obs.prof_exit(t);
         assert_eq!(prof.borrow().spans()["hot"].count, 1);
-    }
-
-    #[test]
-    fn publish_updates_live_stats_and_finish_marks_done() {
-        let stats = shared_stats();
-        let mut obs = Observer::disabled().with_live(stats.clone());
-        obs.begin_event();
-        obs.publish(LiveStats {
-            running: 7,
-            ..LiveStats::default()
-        });
-        {
-            let guard = stats.lock().unwrap();
-            assert_eq!(guard.running, 7);
-            assert_eq!(guard.events, 1);
-            assert!(!guard.done);
-        }
-        obs.finish();
-        assert!(stats.lock().unwrap().done);
     }
 }

@@ -24,9 +24,9 @@ pub trait TraceSink {
     fn record(&mut self, rec: &TraceRecord);
 
     /// Flush any buffered output (end of run, or before inspection).
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
+    /// A sink that can fail keeps its first error for its owner to
+    /// read; the run it observes goes on.
+    fn flush(&mut self) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -135,12 +135,19 @@ impl TraceSink for RingSink {
 // ---------------------------------------------------------------------------
 
 /// Serializes every record as one JSON object per line.
+///
+/// The first write or flush error is kept and ends the output: later
+/// records are dropped, and [`JsonlSink::error`] tells the owner that
+/// the trace is incomplete, so it can fail the run instead of
+/// reporting a truncated trace as written.
 pub struct JsonlSink<W: Write> {
     out: W,
     /// Records written so far.
     written: u64,
     /// Reused line buffer (avoids one allocation per record).
     buf: String,
+    /// The first I/O error; nothing is written after it.
+    error: Option<io::Error>,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -150,6 +157,7 @@ impl<W: Write> JsonlSink<W> {
             out,
             written: 0,
             buf: String::new(),
+            error: None,
         }
     }
 
@@ -157,23 +165,31 @@ impl<W: Write> JsonlSink<W> {
     pub fn written(&self) -> u64 {
         self.written
     }
+
+    /// The first write or flush error, if any.
+    pub fn error(&self) -> Option<&io::Error> {
+        self.error.as_ref()
+    }
 }
 
 impl<W: Write> TraceSink for JsonlSink<W> {
     fn record(&mut self, rec: &TraceRecord) {
+        if self.error.is_some() {
+            return;
+        }
         self.buf.clear();
         self.buf.push_str(&rec.to_json_line());
         self.buf.push('\n');
-        // A tracing run that can no longer trace must fail loudly rather
-        // than finish with a silently incomplete trace.
-        self.out
-            .write_all(self.buf.as_bytes())
-            .unwrap_or_else(|e| panic!("trace write failed after {} records: {e}", self.written));
-        self.written += 1;
+        match self.out.write_all(self.buf.as_bytes()) {
+            Ok(()) => self.written += 1,
+            Err(e) => self.error = Some(e),
+        }
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
+    fn flush(&mut self) {
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
     }
 }
 
@@ -243,7 +259,8 @@ mod tests {
         let mut sink = JsonlSink::new(Vec::new());
         sink.record(&rec(7));
         sink.record(&rec(8));
-        sink.flush().unwrap();
+        sink.flush();
+        assert!(sink.error().is_none());
         assert_eq!(sink.written(), 2);
         let text = String::from_utf8(sink.out).unwrap();
         let parsed: Vec<TraceRecord> = text
@@ -251,6 +268,41 @@ mod tests {
             .map(|l| TraceRecord::from_json_line(l).unwrap())
             .collect();
         assert_eq!(parsed, vec![rec(7), rec(8)]);
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_its_first_error_and_stops_writing() {
+        // Accepts `room` bytes, then fails every write like a full disk.
+        struct Full {
+            room: usize,
+            calls: usize,
+        }
+        impl Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.calls += 1;
+                if self.room == 0 {
+                    return Err(io::Error::from_raw_os_error(28));
+                }
+                let n = buf.len().min(self.room);
+                self.room -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let line = rec(0).to_json_line().len() + 1;
+        let mut sink = JsonlSink::new(Full {
+            room: 2 * line,
+            calls: 0,
+        });
+        for i in 0..5 {
+            sink.record(&rec(i));
+        }
+        sink.flush();
+        assert_eq!(sink.written(), 2);
+        assert_eq!(sink.error().unwrap().raw_os_error(), Some(28));
+        assert_eq!(sink.out.calls, 3, "nothing is written after the error");
     }
 
     #[test]

@@ -1442,7 +1442,6 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
         g.down_nodes = s.down_nodes;
         g.running = s.running as u64;
         g.waiting = s.queued as u64;
-        g.done = false;
         g.repl = Some(repl);
         g.extra = extra;
         g.hists = hists;
@@ -2971,6 +2970,74 @@ mod tests {
         // Identical command script => byte-identical scheduler state,
         // recorder on or off.
         assert_eq!(hash_on, hash_off);
+    }
+
+    /// Every `amjs_…` token in `text` that is not a Rust path (`amjs_obs::…`).
+    fn metric_tokens(text: &str) -> Vec<&str> {
+        let bytes = text.as_bytes();
+        let mut out = Vec::new();
+        for (at, _) in text.match_indices("amjs_") {
+            if at > 0 && (bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_') {
+                continue;
+            }
+            let len = text[at..]
+                .bytes()
+                .take_while(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || *b == b'_')
+                .count();
+            if !text[at + len..].starts_with("::") {
+                out.push(&text[at..at + len]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_docs_name_only_metric_families_the_daemon_exposes() {
+        // One observation in every distribution and a promotion time put
+        // every family the daemon can render on the page. A documented
+        // name must be a prefix of a sample name: README greps with
+        // prefixes such as `amjs_serve_snapshot_`.
+        let stats = amjs_obs::shared_stats();
+        let e = open(&tmp_dir("metric-docs"), false, |cfg| {
+            cfg.stats = Some(stats.clone())
+        });
+        {
+            let mut guard = e.shared.telem.lock().unwrap();
+            let t = &mut *guard;
+            let singles = [
+                &mut t.wal_append,
+                &mut t.snapshot_write,
+                &mut t.snapshot_stall,
+                &mut t.repl_lag,
+            ];
+            for hist in t.verbs.iter_mut().chain(singles) {
+                hist.observe(0.001);
+            }
+            t.promotion_secs = Some(0.5);
+        }
+        e.publish_stats();
+        let page = amjs_obs::prometheus_text(&stats.lock().unwrap());
+        let samples: Vec<&str> = page
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| line.split(['{', ' ']).next().unwrap())
+            .collect();
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut undocumented = Vec::new();
+        for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+            let text = std::fs::read_to_string(format!("{root}/{doc}")).unwrap();
+            for token in metric_tokens(&text) {
+                if !samples.iter().any(|name| name.starts_with(token)) {
+                    undocumented.push(format!("{doc}: {token}"));
+                }
+            }
+        }
+        assert!(
+            undocumented.is_empty(),
+            "no sample on the daemon's page starts with:\n{}",
+            undocumented.join("\n")
+        );
+        e.close().unwrap();
     }
 
     // ----- durability-path errors -----
