@@ -119,10 +119,9 @@ pub fn run_one<P: Platform>(platform: P, jobs: Vec<Job>, config: &RunConfig) -> 
 
 /// Run fully-specified grid points on the fault-tolerant fleet engine
 /// (`amjs-fleet`): supervised workers, each run executed once with its
-/// panic caught, results journaling-ready. `workers == 1` reproduces
-/// the old sequential behaviour exactly — the digests come back in spec
-/// order either way, so the output is byte-identical across worker
-/// counts.
+/// panic caught. `workers == 1` reproduces the old sequential behaviour
+/// exactly — the digests come back in spec order either way, so the
+/// output is byte-identical across worker counts.
 ///
 /// # Panics
 /// Panics when a run ends degraded — an experiment binary has no use
@@ -136,13 +135,12 @@ pub fn run_fleet_sweep(
         heartbeat: Some(std::time::Duration::from_secs(10)),
         ..amjs_fleet::FleetConfig::default()
     };
-    let report = amjs_fleet::run_fleet(specs, &cfg, amjs_fleet::default_exec(), None)
-        .expect("fleet sweep failed");
+    let report =
+        amjs_fleet::run_fleet(specs, &cfg, amjs_fleet::default_exec()).expect("fleet sweep failed");
     let digests = report
         .records
         .iter()
-        .map(|slot| {
-            let rec = slot.as_ref().expect("fleet left a run undispatched");
+        .map(|rec| {
             rec.digest.clone().unwrap_or_else(|| {
                 panic!(
                     "run {} ended {}: {}",
@@ -186,9 +184,8 @@ pub fn run_fleet_outcomes(specs: &[amjs_core::RunSpec], workers: usize) -> Vec<S
         heartbeat: Some(std::time::Duration::from_secs(10)),
         ..amjs_fleet::FleetConfig::default()
     };
-    let report = amjs_fleet::run_fleet(specs, &cfg, exec, None).expect("fleet sweep failed");
-    for slot in &report.records {
-        let rec = slot.as_ref().expect("fleet left a run undispatched");
+    let report = amjs_fleet::run_fleet(specs, &cfg, exec).expect("fleet sweep failed");
+    for rec in &report.records {
         assert!(
             rec.digest.is_some(),
             "run {} ended {}: {}",
@@ -210,10 +207,7 @@ pub fn run_fleet_outcomes(specs: &[amjs_core::RunSpec], workers: usize) -> Vec<S
 /// Write the fleet throughput benchmark (runs/s, aggregate passes/s,
 /// per-run wall-clock quartiles) to `results/BENCH_sweep.json`.
 pub fn write_sweep_bench(report: &amjs_fleet::FleetReport) {
-    let path = crate::results::write_result(
-        "BENCH_sweep.json",
-        &amjs_fleet::bench_json(report, &report.records),
-    );
+    let path = crate::results::write_result("BENCH_sweep.json", &amjs_fleet::bench_json(report));
     eprintln!("wrote {}", path.display());
 }
 

@@ -110,8 +110,9 @@ impl ParsedArgs {
     }
 
     /// Whether the user supplied this flag at all (value or boolean).
-    /// Used to reject flags that contradict each other — e.g. grid
-    /// flags alongside `sweep --resume` that describe another grid.
+    /// Used to reject flags that contradict each other — e.g. machine
+    /// and policy flags alongside `serve --resume`, whose snapshot
+    /// already carries both.
     pub fn is_given(&self, name: &str) -> bool {
         self.values.contains_key(name)
     }

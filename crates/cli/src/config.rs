@@ -209,23 +209,6 @@ fn retry_flags(args: &ParsedArgs) -> Result<RetryPolicy, ArgError> {
     })
 }
 
-/// The run-config flags that are not in `common_flags()`: `simulate`
-/// and `sweep` each declare them with their own help text (one value vs
-/// a comma-separated list).
-const POLICY_FLAG_NAMES: [&str; 5] = ["bf", "window", "adaptive", "threshold", "estimates"];
-
-/// Every flag that configures a run. `sweep` builds its grid from
-/// them, and alongside `--resume` accepts them only when they rebuild
-/// the manifest's grid exactly.
-pub fn run_config_flags() -> Vec<&'static str> {
-    crate::commands::common_flags()
-        .iter()
-        .map(|f| f.name)
-        .filter(|&name| name != "help")
-        .chain(POLICY_FLAG_NAMES)
-        .collect()
-}
-
 /// The shared run-config flags parsed onto one spec: `simulate` runs
 /// it, `sweep` clones it per grid point. Key, label, policy and the
 /// adaptive scheme are the caller's.
@@ -342,45 +325,6 @@ mod tests {
         assert!(machine_spec(&parsed(&["--nodes", "1000"])).is_err()); // bgp needs x512
         assert!(machine_spec(&parsed(&["--machine", "flat", "--nodes", "0"])).is_err());
         assert!(machine_spec(&parsed(&["--machine", "torus"])).is_err());
-    }
-
-    /// The conflict lists are computed from the flag tables; pin what
-    /// they must come out as, so a flag added to `common_flags()` that
-    /// is *not* run configuration shows up here.
-    #[test]
-    fn derived_conflict_lists_name_every_run_config_flag() {
-        let mut run_config = run_config_flags();
-        run_config.sort_unstable();
-        let mut expected = vec![
-            "workload",
-            "seed",
-            "machine",
-            "nodes",
-            "bf",
-            "window",
-            "backfill",
-            "backfill-depth",
-            "adaptive",
-            "threshold",
-            "estimates",
-            "node-mtbf",
-            "repair-time",
-            "repair-sigma",
-            "failure-seed",
-            "max-attempts",
-            "retry-backoff",
-            "cascade-prob",
-            "failure-domains",
-            "burst-model",
-            "oracle",
-        ];
-        expected.sort_unstable();
-        assert_eq!(run_config, expected);
-        // Every one of them is a flag `simulate` actually declares.
-        let declared = simulate_flags();
-        for name in &run_config {
-            assert!(declared.iter().any(|f| f.name == *name), "{name}");
-        }
     }
 
     #[test]

@@ -6,23 +6,21 @@
 //! [`RunSpec`]s, fans it across supervised workers, and aggregates the
 //! per-run digests into one CSV with per-config mean ± 95% CI and a
 //! status column. Each grid point runs once; a panic or an overrun
-//! deadline leaves a degraded row. With `--sweep-dir` the grid manifest
-//! and a checksummed result journal make the sweep crash-recoverable:
-//! `amjs sweep --resume <dir>` skips successful runs exactly, runs
-//! degraded ones again, and re-aggregates byte-identically.
+//! deadline leaves a degraded row. A sweep keeps nothing on disk but
+//! the artifacts it is asked for: an interrupted sweep, or one with a
+//! degraded point, is run again.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use amjs_core::{grid_fingerprint, AdaptiveKind, PolicyParams, RunSpec, WorkloadSource};
+use amjs_core::{AdaptiveKind, PolicyParams, RunSpec, WorkloadSource};
 use amjs_fleet::{
-    aggregate_csv, bench_json, render_table, run_fleet, validate_grid, Exec, FleetConfig,
-    RunDigest, SweepStore,
+    aggregate_csv, bench_json, render_table, run_fleet, validate_grid, Exec, FleetConfig, RunDigest,
 };
 
 use crate::args::{parse, render_flags, ArgError, FlagSpec, ParsedArgs};
-use crate::config::{machine_spec, run_config_flags, template_spec, workload_source};
+use crate::config::{machine_spec, template_spec, workload_source};
 
 fn sweep_flags() -> Vec<FlagSpec> {
     let mut flags = crate::commands::common_flags();
@@ -55,14 +53,6 @@ fn sweep_flags() -> Vec<FlagSpec> {
             "keep-going",
             "exit 0 even when runs end degraded (status column still records them)",
         ),
-        FlagSpec::value(
-            "sweep-dir",
-            "directory for the sweep manifest + result journal (enables --resume)",
-        ),
-        FlagSpec::value(
-            "resume",
-            "resume the sweep in this directory, skipping completed runs",
-        ),
         FlagSpec::value("csv", "write the aggregated sweep CSV to this path"),
         FlagSpec::value(
             "bench-json",
@@ -76,22 +66,8 @@ fn sweep_flags() -> Vec<FlagSpec> {
             "profile-dir",
             "write a per-run scheduler span profile JSON into this directory",
         ),
-        FlagSpec::value(
-            "stop-after",
-            "stop dispatching after N runs this invocation",
-        ),
         FlagSpec::switch("quiet", "print only the aggregated CSV on stdout"),
     ]);
-    flags
-}
-
-/// Flags that define the grid: every run-config flag plus `seeds`.
-/// Alongside `--resume` they are only accepted when they reproduce the
-/// manifest's grid exactly (checked by fingerprint) — anything else
-/// would silently sweep a different experiment than the journal records.
-fn grid_flags() -> Vec<&'static str> {
-    let mut flags = run_config_flags();
-    flags.push("seeds");
     flags
 }
 
@@ -120,76 +96,18 @@ fn run_sweep(
     let cfg = fleet_config(&parsed)?;
     cfg.validate().map_err(|e| ArgError(e.to_string()))?;
 
-    // Resolve the grid and the durable store.
-    let resume_dir = parsed.get("resume").map(PathBuf::from);
-    let sweep_dir = parsed.get("sweep-dir").map(PathBuf::from);
-    if resume_dir.is_some() && sweep_dir.is_some() {
-        return Err(ArgError(
-            "--resume and --sweep-dir are mutually exclusive: --resume already \
-             names the sweep directory"
-                .to_string(),
-        ));
+    let (specs, warnings) = build_grid(&parsed)?;
+    for w in &warnings {
+        eprintln!("amjs: warning: {w}");
     }
-    let (specs, store) = match &resume_dir {
-        Some(dir) => {
-            let (specs, store) =
-                SweepStore::resume(dir).map_err(|e| ArgError(format!("--resume: {e}")))?;
-            // Grid flags may accompany --resume only if they rebuild the
-            // exact same grid (guard against resuming the wrong sweep).
-            let given = parsed.given_among(&grid_flags());
-            if !given.is_empty() {
-                let (flag_specs, _) = build_grid(&parsed)?;
-                if grid_fingerprint(&flag_specs) != store.fingerprint() {
-                    return Err(ArgError(format!(
-                        "--resume: the grid described by {} does not match the sweep \
-                         manifest in {} (grid fingerprint mismatch); drop the grid \
-                         flags — the manifest already carries the full grid — or \
-                         start a fresh sweep with --sweep-dir",
-                        given.join(", "),
-                        dir.display()
-                    )));
-                }
-            }
-            eprintln!(
-                "amjs: resuming sweep in {} ({} of {} runs already journaled ok)",
-                dir.display(),
-                store
-                    .completed()
-                    .values()
-                    .filter(|r| r.status.succeeded())
-                    .count(),
-                specs.len()
-            );
-            (specs, Some(store))
-        }
-        None => {
-            let (specs, warnings) = build_grid(&parsed)?;
-            for w in &warnings {
-                eprintln!("amjs: warning: {w}");
-            }
-            let store = match &sweep_dir {
-                Some(dir) => Some(
-                    SweepStore::create(dir, &specs)
-                        .map_err(|e| ArgError(format!("--sweep-dir: {e}")))?,
-                ),
-                None => None,
-            };
-            (specs, store)
-        }
-    };
-
     eprintln!(
-        "amjs: sweeping {} runs on {} workers{}",
+        "amjs: sweeping {} runs on {} workers",
         specs.len(),
-        cfg.workers,
-        store
-            .as_ref()
-            .map(|s| format!(" (journal in {})", s.dir().display()))
-            .unwrap_or_default()
+        cfg.workers_for(specs.len())
     );
     let exec = exec(&parsed)?;
-    let report = run_fleet(&specs, &cfg, exec, store.as_ref())
-        .map_err(|e| ArgError(format!("sweep failed: {e}")))?;
+    let report =
+        run_fleet(&specs, &cfg, exec).map_err(|e| ArgError(format!("sweep failed: {e}")))?;
 
     // Artifacts and stdout, all in grid order.
     let csv = aggregate_csv(&specs, &report.records);
@@ -203,39 +121,21 @@ fn run_sweep(
         eprintln!("amjs: wrote aggregated sweep CSV to {path}");
     }
     if let Some(path) = parsed.get("bench-json") {
-        std::fs::write(path, bench_json(&report, &report.records))
+        std::fs::write(path, bench_json(&report))
             .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         eprintln!("amjs: wrote sweep benchmark to {path}");
     }
 
     let failed = report.failed_runs();
     eprintln!(
-        "amjs: sweep {}: {} runs ({} resumed, {} executed), {} degraded, {:.1}s wall",
-        if report.complete() {
-            "complete"
-        } else {
-            "stopped"
-        },
-        report.records.iter().flatten().count(),
-        report.resumed,
-        report.executed,
-        failed,
+        "amjs: sweep complete: {} runs, {failed} degraded, {:.1}s wall",
+        report.records.len(),
         report.wall.as_secs_f64(),
     );
-    if !report.complete() {
-        if let Some(store) = &store {
-            eprintln!(
-                "amjs: {} runs still pending; continue with: amjs sweep --resume {}",
-                report.records.iter().filter(|r| r.is_none()).count(),
-                store.dir().display()
-            );
-        }
-    }
     if failed > 0 && !cfg.keep_going {
         let keys: Vec<&str> = report
             .records
             .iter()
-            .flatten()
             .filter(|r| !r.status.succeeded())
             .map(|r| r.key.as_str())
             .collect();
@@ -254,22 +154,23 @@ fn fleet_config(parsed: &ParsedArgs) -> Result<FleetConfig, ArgError> {
         Some(n) => n,
         None => FleetConfig::default().workers,
     };
-    let run_timeout = parsed.get_opt_f64("run-timeout")?;
-    if let Some(s) = run_timeout.filter(|s| *s <= 0.0) {
-        return Err(ArgError(format!(
-            "--run-timeout: must be positive seconds, got {s}"
-        )));
-    }
     Ok(FleetConfig {
         workers,
-        run_timeout: run_timeout.map(Duration::from_secs_f64),
+        run_timeout: positive_secs(parsed, "run-timeout")?,
         keep_going: parsed.get_bool("keep-going"),
-        heartbeat: parsed
-            .get_opt_f64("heartbeat")?
-            .filter(|s| *s > 0.0)
-            .map(Duration::from_secs_f64),
-        stop_after: parsed.get_opt::<usize>("stop-after")?,
+        heartbeat: positive_secs(parsed, "heartbeat")?,
     })
+}
+
+/// An optional duration flag in seconds, which must be positive.
+fn positive_secs(parsed: &ParsedArgs, flag: &str) -> Result<Option<Duration>, ArgError> {
+    let secs = parsed.get_opt_f64(flag)?;
+    if let Some(s) = secs.filter(|s| *s <= 0.0) {
+        return Err(ArgError(format!(
+            "--{flag}: must be positive seconds, got {s}"
+        )));
+    }
+    Ok(secs.map(Duration::from_secs_f64))
 }
 
 /// Expand the grid flags into a validated, deduplicated spec list.
@@ -389,7 +290,6 @@ fn run_profiled(spec: &RunSpec, dir: &Path) -> RunDigest {
 mod tests {
     use super::*;
     use crate::args::tests::argv;
-    use std::sync::Mutex;
 
     const SMALL: &[&str] = &[
         "--workload",
@@ -416,23 +316,12 @@ mod tests {
         let parsed = parse(&[], &sweep_flags()).unwrap();
         let (cfg, d) = (fleet_config(&parsed).unwrap(), FleetConfig::default());
         assert_eq!((cfg.workers, cfg.run_timeout), (d.workers, d.run_timeout));
-        assert_eq!((cfg.heartbeat, cfg.stop_after), (d.heartbeat, d.stop_after));
+        assert_eq!(cfg.heartbeat, d.heartbeat);
         // `--keep-going` is a switch: off unless asked for.
         assert!(!cfg.keep_going);
         let (specs, _) = build_grid(&parsed).unwrap();
         assert_eq!(specs.len(), 5 * 3);
         assert!(specs.iter().any(|s| s.key == "none-bf0.25-w4-s42"));
-    }
-
-    #[test]
-    fn grid_flags_are_the_run_config_flags_plus_seeds() {
-        let grid = grid_flags();
-        assert_eq!(grid.len(), 22);
-        assert!(grid.contains(&"seeds") && grid.contains(&"threshold"));
-        let declared = sweep_flags();
-        for name in &grid {
-            assert!(declared.iter().any(|f| f.name == *name), "{name}");
-        }
     }
 
     #[test]
@@ -491,17 +380,19 @@ mod tests {
         // --jobs 0
         let err = sweep(&small_argv(&["--bf", "1", "--window", "1", "--jobs", "0"])).unwrap_err();
         assert!(err.0.contains("--jobs"), "{err}");
-        // a deadline that is not positive
-        let err = sweep(&small_argv(&[
-            "--bf",
-            "1",
-            "--window",
-            "1",
-            "--run-timeout",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(err.0.contains("--run-timeout"), "{err}");
+        // a deadline or a heartbeat that is not positive
+        for (flag, bad) in [
+            ("--run-timeout", "0"),
+            ("--heartbeat", "0"),
+            ("--heartbeat", "-1"),
+        ] {
+            let err = sweep(&small_argv(&["--bf", "1", "--window", "1", flag, bad])).unwrap_err();
+            assert_eq!(
+                err.0,
+                format!("{flag}: must be positive seconds, got {bad}"),
+                "{flag} {bad}"
+            );
+        }
         // bad grid values
         assert!(sweep(&small_argv(&["--bf", "1.5", "--window", "1"])).is_err());
         assert!(sweep(&small_argv(&["--bf", "1", "--window", "0"])).is_err());
@@ -519,9 +410,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.0.contains("--seeds"), "{err}");
-        // --resume and --sweep-dir together
-        let err = sweep(&argv(&["--resume", "/tmp/a", "--sweep-dir", "/tmp/b"])).unwrap_err();
-        assert!(err.0.contains("mutually exclusive"), "{err}");
     }
 
     /// The real executor, except that a run whose key contains `pat`
@@ -550,77 +438,5 @@ mod tests {
         let mut with_keep = base.to_vec();
         with_keep.push("--keep-going");
         sweep_with(&small_argv(&with_keep), panicking("bf0-")).unwrap();
-    }
-
-    #[test]
-    fn resume_runs_a_failed_point_again() {
-        let dir = std::env::temp_dir().join(format!("amjs-sweep-rerun-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let csv_path = dir.join("out.csv");
-        let (dir_s, csv_s) = (dir.to_str().unwrap(), csv_path.to_str().unwrap());
-        let first = small_argv(&[
-            "--bf",
-            "1",
-            "--window",
-            "1,2",
-            "--keep-going",
-            "--sweep-dir",
-            dir_s,
-        ]);
-        sweep_with(&first, panicking("w2")).unwrap();
-
-        // The failed point is dispatched again and its new record
-        // supersedes the old one; the successful point is reused.
-        let calls = Arc::new(Mutex::new(Vec::new()));
-        let healthy: Exec = {
-            let calls = calls.clone();
-            Arc::new(move |spec: &RunSpec| {
-                calls.lock().unwrap().push(spec.key.clone());
-                RunDigest::from_outcome(&spec.execute())
-            })
-        };
-        sweep_with(&argv(&["--resume", dir_s, "--csv", csv_s]), healthy).unwrap();
-        assert_eq!(*calls.lock().unwrap(), ["none-bf1-w2-s42"]);
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert!(csv.contains("none-bf1-w1-s42,ok,"), "{csv}");
-        assert!(csv.contains("none-bf1-w2-s42,ok,"), "{csv}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn resume_with_mismatched_grid_flags_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("amjs-sweep-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        sweep(&small_argv(&[
-            "--bf",
-            "1",
-            "--window",
-            "1",
-            "--sweep-dir",
-            dir.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // Same grid flags: accepted.
-        sweep(&small_argv(&[
-            "--bf",
-            "1",
-            "--window",
-            "1",
-            "--resume",
-            dir.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // Different grid: fingerprint mismatch.
-        let err = sweep(&small_argv(&[
-            "--bf",
-            "0.5",
-            "--window",
-            "1",
-            "--resume",
-            dir.to_str().unwrap(),
-        ]))
-        .unwrap_err();
-        assert!(err.0.contains("fingerprint mismatch"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -230,10 +230,10 @@ fn non_finite_floats_and_an_empty_flat_machine_are_one_line_errors() {
 fn removed_flags_are_unknown_flags() {
     // Tests inject link and executor faults on their own side now, the
     // per-user service table left with the unpinned extensions, a
-    // batch run is re-run rather than checkpointed, a degraded sweep
-    // point runs again only under `--resume`, and slow ops are read
-    // from the flight recorder. A batch run is observed through its
-    // artefacts; the live endpoint belongs to the daemon.
+    // batch run or a sweep is re-run rather than checkpointed or
+    // resumed, and slow ops are read from the flight recorder. A batch
+    // run is observed through its artefacts; the live endpoint belongs
+    // to the daemon.
     const SIM: &str = "simulate --workload small --machine flat --nodes 64";
     for (command, flag) in [
         ("serve --repl-fault drop=0.1", "--repl-fault"),
@@ -242,6 +242,9 @@ fn removed_flags_are_unknown_flags() {
         ("sweep --inject-hang x", "--inject-hang"),
         ("sweep --run-retries 2", "--run-retries"),
         ("sweep --run-backoff 1", "--run-backoff"),
+        ("sweep --sweep-dir d", "--sweep-dir"),
+        ("sweep --resume d", "--resume"),
+        ("sweep --stop-after 3", "--stop-after"),
         ("serve --slow-ms 50", "--slow-ms"),
         (&format!("{SIM} --users"), "--users"),
         (

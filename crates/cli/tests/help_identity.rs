@@ -7,8 +7,9 @@
 //! drift without this test saying which command moved (`sweep` and
 //! `serve` were re-pinned when the sweep's two retry flags and the
 //! daemon's slow-op threshold left, `simulate` when its live metrics
-//! endpoint, linger and heartbeat flags left: each text is the
-//! previous one less those rows). A
+//! endpoint, linger and heartbeat flags left, `sweep` again when its
+//! three crash-resume flags left: each text is the previous one less
+//! those rows). A
 //! change that alters the CLI surface on purpose re-pins them from the
 //! `found:` block, like `simulate_identity.rs`.
 //!
@@ -114,7 +115,7 @@ fn the_docs_name_only_flags_that_exist() {
 
 const PINNED: &[&str] = &[
     "simulate aa66fabb545d40f4",
-    "sweep 5ce9b74d67d11c72",
+    "sweep 2c7868d843b6d0e2",
     "serve 049459680a587700",
     "workload 6c3d6937b1acc3fc",
     "doctor f72b6a4500cefe49",

@@ -496,21 +496,6 @@ impl Snapshot for RepairSpec {
     }
 }
 
-impl Snapshot for FailureSpec {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.node_mtbf.encode(w);
-        self.repair.encode(w);
-        w.put_u64(self.seed);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FailureSpec {
-            node_mtbf: Snapshot::decode(r)?,
-            repair: Snapshot::decode(r)?,
-            seed: r.get_u64()?,
-        })
-    }
-}
-
 impl Snapshot for DomainSpec {
     fn encode(&self, w: &mut SnapWriter) {
         w.put_u32(self.midplane_nodes);

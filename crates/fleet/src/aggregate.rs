@@ -3,8 +3,8 @@
 //!
 //! Everything here is a pure function of the grid and its records,
 //! iterated **in grid order** — never in completion order — so the
-//! artifacts are byte-identical across worker counts, work-stealing
-//! schedules, and interrupted-then-resumed sweeps. Wall-clock numbers
+//! artifacts are byte-identical across worker counts and work-stealing
+//! schedules. Wall-clock numbers
 //! are deliberately kept out of the CSV (they live in the benchmark
 //! JSON), because they are the one thing that legitimately differs
 //! between two runs of the same grid.
@@ -37,17 +37,12 @@ fn digest(r: &RunRecord) -> &crate::digest::RunDigest {
 /// The aggregated sweep CSV: a per-run section (one row per grid point,
 /// with a status column) and a per-config aggregate section (mean ±
 /// 95% confidence interval over that config's successful runs).
-///
-/// Grid points without a record (an interrupted sweep) are skipped; a
-/// resumed-to-completion sweep therefore emits exactly the bytes the
-/// uninterrupted sweep would have.
-pub fn aggregate_csv(specs: &[RunSpec], records: &[Option<RunRecord>]) -> String {
+pub fn aggregate_csv(specs: &[RunSpec], records: &[RunRecord]) -> String {
     let mut out = String::new();
     out.push_str("key,status,");
     out.push_str(report::csv_header());
     out.push('\n');
     for (spec, rec) in specs.iter().zip(records) {
-        let Some(rec) = rec else { continue };
         out.push_str(&format!("{},{},", rec.key, rec.status.as_str()));
         match &rec.digest {
             Some(d) => out.push_str(&d.summary.csv_row()),
@@ -82,11 +77,10 @@ pub fn aggregate_csv(specs: &[RunSpec], records: &[Option<RunRecord>]) -> String
 /// (first-appearance) order.
 fn group_by_label<'a>(
     specs: &[RunSpec],
-    records: &'a [Option<RunRecord>],
+    records: &'a [RunRecord],
 ) -> Vec<(String, Vec<&'a RunRecord>)> {
     let mut groups: Vec<(String, Vec<&RunRecord>)> = Vec::new();
     for (spec, rec) in specs.iter().zip(records) {
-        let Some(rec) = rec else { continue };
         if !rec.status.succeeded() {
             continue;
         }
@@ -116,8 +110,8 @@ pub fn mean_ci95(values: &[f64]) -> (f64, f64) {
 /// The sweep throughput benchmark artifact (`BENCH_sweep.json`):
 /// run counts by status, worker count, wall clock, runs/s, aggregate
 /// simulated scheduler passes/s, and per-run wall-clock quartiles.
-pub fn bench_json(report: &FleetReport, records: &[Option<RunRecord>]) -> String {
-    let recs: Vec<&RunRecord> = records.iter().flatten().collect();
+pub fn bench_json(report: &FleetReport) -> String {
+    let recs = &report.records;
     let count = |s: RunStatus| recs.iter().filter(|r| r.status == s).count();
     let wall_s = report.wall.as_secs_f64();
     let total_passes: u64 = recs
@@ -140,7 +134,6 @@ pub fn bench_json(report: &FleetReport, records: &[Option<RunRecord>]) -> String
             "  \"ok\": {},\n",
             "  \"timeout\": {},\n",
             "  \"failed\": {},\n",
-            "  \"resumed\": {},\n",
             "  \"workers\": {},\n",
             "  \"wall_s\": {:.3},\n",
             "  \"runs_per_s\": {:.3},\n",
@@ -152,10 +145,9 @@ pub fn bench_json(report: &FleetReport, records: &[Option<RunRecord>]) -> String
         count(RunStatus::Ok),
         count(RunStatus::Timeout),
         count(RunStatus::Failed),
-        report.resumed,
         report.workers,
         wall_s,
-        report.executed as f64 / wall_s.max(1e-9),
+        recs.len() as f64 / wall_s.max(1e-9),
         total_passes as f64 / wall_s.max(1e-9),
         q(0.0),
         q(0.25),
@@ -167,7 +159,7 @@ pub fn bench_json(report: &FleetReport, records: &[Option<RunRecord>]) -> String
 
 /// Human-readable sweep table for stdout: status + the standard
 /// metrics table, one row per grid point in grid order.
-pub fn render_table(specs: &[RunSpec], records: &[Option<RunRecord>]) -> String {
+pub fn render_table(specs: &[RunSpec], records: &[RunRecord]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<22} {:<8}  {}\n",
@@ -176,25 +168,20 @@ pub fn render_table(specs: &[RunSpec], records: &[Option<RunRecord>]) -> String 
         report::table_header()
     ));
     for (spec, rec) in specs.iter().zip(records) {
-        match rec {
-            None => out.push_str(&format!("{:<22} pending\n", spec.key)),
-            Some(rec) => {
-                let tail = match &rec.digest {
-                    Some(d) => d.summary.table_row(),
-                    None => format!(
-                        "{:<14} {}",
-                        spec.label,
-                        rec.error.as_deref().unwrap_or("no result")
-                    ),
-                };
-                out.push_str(&format!(
-                    "{:<22} {:<8}  {}\n",
-                    rec.key,
-                    rec.status.as_str(),
-                    tail
-                ));
-            }
-        }
+        let tail = match &rec.digest {
+            Some(d) => d.summary.table_row(),
+            None => format!(
+                "{:<14} {}",
+                spec.label,
+                rec.error.as_deref().unwrap_or("no result")
+            ),
+        };
+        out.push_str(&format!(
+            "{:<22} {:<8}  {}\n",
+            rec.key,
+            rec.status.as_str(),
+            tail
+        ));
     }
     out
 }
@@ -219,22 +206,22 @@ mod tests {
         .labeled(label)
     }
 
-    fn record(key: &str, label: &str, status: RunStatus, wait: f64) -> Option<RunRecord> {
+    fn record(key: &str, label: &str, status: RunStatus, wait: f64) -> RunRecord {
         let digest = status.succeeded().then(|| {
             let mut d = crate::digest::tests::sample(label);
             d.summary.avg_wait_mins = wait;
             d
         });
-        Some(RunRecord {
+        RunRecord {
             key: key.to_string(),
             status,
             wall_ms: 100,
             digest,
             error: (!status.succeeded()).then(|| "boom".to_string()),
-        })
+        }
     }
 
-    fn fixture() -> (Vec<RunSpec>, Vec<Option<RunRecord>>) {
+    fn fixture() -> (Vec<RunSpec>, Vec<RunRecord>) {
         let specs = vec![
             spec("a-s1", "cfgA", 1),
             spec("a-s2", "cfgA", 2),
@@ -304,29 +291,24 @@ mod tests {
     fn bench_json_counts_statuses_and_quartiles() {
         let (_, records) = fixture();
         let report = FleetReport {
-            records: records.clone(),
-            resumed: 1,
-            executed: 3,
+            records,
             wall: Duration::from_secs(2),
             workers: 4,
         };
-        let json = bench_json(&report, &records);
+        let json = bench_json(&report);
         assert!(json.contains("\"runs\": 4"));
         assert!(json.contains("\"ok\": 3"));
         assert!(json.contains("\"failed\": 1"));
         assert!(json.contains("\"timeout\": 0"));
-        assert!(json.contains("\"resumed\": 1"));
         assert!(json.contains("\"workers\": 4"));
-        assert!(json.contains("\"runs_per_s\": 1.500"));
+        assert!(json.contains("\"runs_per_s\": 2.000"));
         assert!(json.contains("\"p50\": 100"));
     }
 
     #[test]
-    fn table_marks_pending_and_degraded_rows() {
-        let (specs, mut records) = fixture();
-        records[2] = None;
+    fn table_marks_degraded_rows() {
+        let (specs, records) = fixture();
         let table = render_table(&specs, &records);
-        assert!(table.contains("pending"));
         assert!(table.contains("failed"));
         assert!(table.contains("boom"));
     }

@@ -1,8 +1,8 @@
-//! The per-run result a sweep keeps: a compact, journal-serializable
-//! digest of one [`SimulationOutcome`].
+//! The per-run result a sweep keeps: a compact digest of one
+//! [`SimulationOutcome`].
 //!
 //! A full outcome carries every sampled time series and per-job record
-//! — far too heavy to journal for thousands of runs. The digest keeps
+//! — far too heavy to keep for thousands of runs. The digest keeps
 //! the Table-II summary plus the handful of whole-run numbers the
 //! experiment binaries aggregate (queue-depth mean for threshold
 //! calibration, failure/downtime accounting, pass counts for the
@@ -10,8 +10,6 @@
 
 use amjs_core::runner::SimulationOutcome;
 use amjs_metrics::{FaultDomain, MetricsSummary};
-use amjs_sim::snapshot::{SnapError, SnapReader, SnapWriter};
-use amjs_sim::SimDuration;
 
 /// Whole-run numbers distilled from one simulation.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,61 +60,12 @@ impl RunDigest {
             backfilled_starts: o.backfilled_starts,
         }
     }
-
-    /// Append the digest's encoding to a snapshot writer.
-    pub fn encode(&self, w: &mut SnapWriter) {
-        let s = &self.summary;
-        w.put_str(&s.label);
-        w.put_usize(s.jobs_completed);
-        w.put_f64(s.avg_wait_mins);
-        w.put_f64(s.max_wait_mins);
-        w.put_usize(s.unfair_jobs);
-        w.put_f64(s.loc_percent);
-        w.put_f64(s.avg_utilization);
-        w.put_f64(s.mean_bounded_slowdown);
-        w.put_i64(s.makespan.as_secs());
-        w.put_f64(s.node_downtime_hours);
-        w.put_usize(s.abandoned_jobs);
-        w.put_f64(self.queue_depth_mean);
-        w.put_u64(self.interrupted_jobs);
-        w.put_f64(self.lost_node_hours);
-        w.put_f64(self.min_availability);
-        w.put_str(&self.worst_domain);
-        w.put_u64(self.scheduler_passes);
-        w.put_u64(self.backfilled_starts);
-    }
-
-    /// Decode a digest (inverse of [`RunDigest::encode`]).
-    pub fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let summary = MetricsSummary {
-            label: r.get_str()?,
-            jobs_completed: r.get_usize()?,
-            avg_wait_mins: r.get_f64()?,
-            max_wait_mins: r.get_f64()?,
-            unfair_jobs: r.get_usize()?,
-            loc_percent: r.get_f64()?,
-            avg_utilization: r.get_f64()?,
-            mean_bounded_slowdown: r.get_f64()?,
-            makespan: SimDuration::from_secs(r.get_i64()?),
-            node_downtime_hours: r.get_f64()?,
-            abandoned_jobs: r.get_usize()?,
-        };
-        Ok(RunDigest {
-            summary,
-            queue_depth_mean: r.get_f64()?,
-            interrupted_jobs: r.get_u64()?,
-            lost_node_hours: r.get_f64()?,
-            min_availability: r.get_f64()?,
-            worst_domain: r.get_str()?,
-            scheduler_passes: r.get_u64()?,
-            backfilled_starts: r.get_u64()?,
-        })
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use amjs_sim::SimDuration;
 
     pub(crate) fn sample(label: &str) -> RunDigest {
         RunDigest {
@@ -141,16 +90,6 @@ pub(crate) mod tests {
             scheduler_passes: 15_000,
             backfilled_starts: 800,
         }
-    }
-
-    #[test]
-    fn digest_round_trips() {
-        let d = sample("BF=0.5/W=4");
-        let mut w = SnapWriter::new();
-        d.encode(&mut w);
-        let bytes = w.into_bytes();
-        let decoded = RunDigest::decode(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(decoded, d);
     }
 
     #[test]

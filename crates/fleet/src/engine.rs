@@ -15,12 +15,9 @@
 //!
 //! A degraded run does not stop the sweep, and it is not retried in
 //! process: a grid point is a pure function of its spec, so a second
-//! attempt would only repeat the first. `amjs sweep --resume` runs it
+//! attempt would only repeat the first. Re-running the sweep runs it
 //! again, for the one case where that can help (a transient failure
 //! outside the simulation, such as an unreadable trace file).
-//!
-//! Results are journaled through the optional [`SweepStore`] the moment
-//! they complete, so a crash loses at most the runs in flight.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -30,10 +27,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use amjs_core::RunSpec;
-use amjs_sim::snapshot::{Fnv1a, SnapError, SnapReader, SnapWriter};
 
 use crate::digest::RunDigest;
-use crate::store::SweepStore;
 
 /// How a sweep executes one grid point.
 pub type Exec = Arc<dyn Fn(&RunSpec) -> RunDigest + Send + Sync + 'static>;
@@ -68,31 +63,9 @@ impl RunStatus {
     pub fn succeeded(&self) -> bool {
         *self == RunStatus::Ok
     }
-
-    fn to_tag(self) -> u8 {
-        match self {
-            RunStatus::Ok => 0,
-            RunStatus::Timeout => 1,
-            RunStatus::Failed => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, SnapError> {
-        Ok(match tag {
-            0 => RunStatus::Ok,
-            1 => RunStatus::Timeout,
-            2 => RunStatus::Failed,
-            other => {
-                return Err(SnapError::UnsupportedVersion {
-                    found: other as u32,
-                    supported: 2,
-                })
-            }
-        })
-    }
 }
 
-/// The journaled record of one completed (or degraded) grid point.
+/// The record of one completed (or degraded) grid point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunRecord {
     /// The grid point's key.
@@ -107,52 +80,7 @@ pub struct RunRecord {
     pub error: Option<String>,
 }
 
-impl RunRecord {
-    /// Append the record's encoding to a snapshot writer.
-    pub fn encode(&self, w: &mut SnapWriter) {
-        w.put_str(&self.key);
-        w.put_u8(self.status.to_tag());
-        w.put_u64(self.wall_ms);
-        match &self.digest {
-            None => w.put_u8(0),
-            Some(d) => {
-                w.put_u8(1);
-                d.encode(w);
-            }
-        }
-        match &self.error {
-            None => w.put_u8(0),
-            Some(e) => {
-                w.put_u8(1);
-                w.put_str(e);
-            }
-        }
-    }
-
-    /// Decode one record (inverse of [`RunRecord::encode`]).
-    pub fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let key = r.get_str()?;
-        let status = RunStatus::from_tag(r.get_u8()?)?;
-        let wall_ms = r.get_u64()?;
-        let digest = match r.get_u8()? {
-            0 => None,
-            _ => Some(RunDigest::decode(r)?),
-        };
-        let error = match r.get_u8()? {
-            0 => None,
-            _ => Some(r.get_str()?),
-        };
-        Ok(RunRecord {
-            key,
-            status,
-            wall_ms,
-            digest,
-            error,
-        })
-    }
-}
-
-/// Sweep-level error: invalid configuration or grid, or a broken store.
+/// Sweep-level error: an invalid configuration or grid.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FleetError {
     /// The parameter grid expanded to zero runs.
@@ -161,8 +89,6 @@ pub enum FleetError {
     DuplicateKey(String),
     /// `--jobs 0`: a sweep needs at least one worker.
     ZeroWorkers,
-    /// The sweep store (manifest/journal) failed or does not match.
-    Store(String),
 }
 
 impl fmt::Display for FleetError {
@@ -176,7 +102,6 @@ impl fmt::Display for FleetError {
                 "two different grid points share the key {key:?}; keys must be unique"
             ),
             FleetError::ZeroWorkers => write!(f, "--jobs must be at least 1"),
-            FleetError::Store(msg) => write!(f, "sweep store: {msg}"),
         }
     }
 }
@@ -195,10 +120,6 @@ pub struct FleetConfig {
     pub keep_going: bool,
     /// Progress-line cadence on stderr (`None` = silent).
     pub heartbeat: Option<Duration>,
-    /// Stop dispatching new runs after this many completions *in this
-    /// invocation* (testing/ops aid: simulates a partial sweep that a
-    /// later `--resume` finishes).
-    pub stop_after: Option<usize>,
 }
 
 impl Default for FleetConfig {
@@ -210,7 +131,6 @@ impl Default for FleetConfig {
             run_timeout: None,
             keep_going: true,
             heartbeat: None,
-            stop_after: None,
         }
     }
 }
@@ -223,24 +143,26 @@ impl FleetConfig {
         }
         Ok(())
     }
+
+    /// The worker threads a sweep of `runs` grid points starts: no more
+    /// than there are runs.
+    pub fn workers_for(&self, runs: usize) -> usize {
+        self.workers.min(runs.max(1))
+    }
 }
 
 /// Validate a grid: reject an empty grid and conflicting keys, and drop
-/// exact duplicate grid points (same full fingerprint), returning the
+/// exact duplicate grid points (equal specs), returning the
 /// deduplicated grid plus one warning line per dropped duplicate.
 pub fn validate_grid(specs: Vec<RunSpec>) -> Result<(Vec<RunSpec>, Vec<String>), FleetError> {
     if specs.is_empty() {
         return Err(FleetError::EmptyGrid);
     }
-    let mut seen: Vec<(u64, String)> = Vec::with_capacity(specs.len());
-    let mut out = Vec::with_capacity(specs.len());
+    let mut out: Vec<RunSpec> = Vec::with_capacity(specs.len());
     let mut warnings = Vec::new();
     for spec in specs {
-        let mut h = Fnv1a::new();
-        spec.fingerprint_into(&mut h);
-        let fp = h.finish();
-        if let Some((prev_fp, _)) = seen.iter().find(|(_, key)| *key == spec.key) {
-            if *prev_fp == fp {
+        if let Some(prev) = out.iter().find(|prev| prev.key == spec.key) {
+            if *prev == spec {
                 warnings.push(format!(
                     "duplicate grid point {:?} dropped (identical configuration)",
                     spec.key
@@ -249,24 +171,17 @@ pub fn validate_grid(specs: Vec<RunSpec>) -> Result<(Vec<RunSpec>, Vec<String>),
             }
             return Err(FleetError::DuplicateKey(spec.key));
         }
-        seen.push((fp, spec.key.clone()));
         out.push(spec);
     }
     Ok((out, warnings))
 }
 
-/// What one sweep invocation did.
+/// What one sweep did.
 #[derive(Debug)]
 pub struct FleetReport {
-    /// Per-grid-point records, aligned with the spec slice (`None` =
-    /// never dispatched, e.g. the invocation was stopped early).
-    pub records: Vec<Option<RunRecord>>,
-    /// Successful records reused from a resumed journal instead of
-    /// re-run.
-    pub resumed: usize,
-    /// Runs executed by *this* invocation.
-    pub executed: usize,
-    /// Wall-clock time of this invocation.
+    /// Per-grid-point records, aligned with the spec slice.
+    pub records: Vec<RunRecord>,
+    /// Wall-clock time of the sweep.
     pub wall: Duration,
     /// Worker threads used.
     pub workers: usize,
@@ -277,14 +192,8 @@ impl FleetReport {
     pub fn failed_runs(&self) -> usize {
         self.records
             .iter()
-            .flatten()
             .filter(|r| !r.status.succeeded())
             .count()
-    }
-
-    /// Whether every grid point has a record.
-    pub fn complete(&self) -> bool {
-        self.records.iter().all(Option::is_some)
     }
 }
 
@@ -302,16 +211,10 @@ struct Shared<'a> {
     inflight: Vec<Mutex<Option<Inflight>>>,
     done: AtomicUsize,
     failed: AtomicUsize,
-    executed: AtomicUsize,
-    stop: AtomicBool,
     finished: AtomicBool,
-    store_error: Mutex<Option<String>>,
 }
 
-/// Run a grid under supervision, resuming from `store` when it already
-/// holds records: a successful record is reused, a degraded one
-/// (`timeout`/`failed`) is dispatched again and its new record
-/// supersedes the old in the journal.
+/// Run a grid under supervision: every grid point gets one record.
 ///
 /// Determinism contract: each grid point is executed once, by one
 /// worker, with a deterministic `exec`, and all aggregation happens in
@@ -321,43 +224,23 @@ pub fn run_fleet(
     specs: &[RunSpec],
     cfg: &FleetConfig,
     exec: Exec,
-    store: Option<&SweepStore>,
 ) -> Result<FleetReport, FleetError> {
     cfg.validate()?;
     if specs.is_empty() {
         return Err(FleetError::EmptyGrid);
     }
     let start = Instant::now();
-
-    let mut records: Vec<Option<RunRecord>> = specs
-        .iter()
-        .map(|s| {
-            store
-                .and_then(|st| st.completed().get(&s.key))
-                .filter(|r| r.status.succeeded())
-                .cloned()
-        })
-        .collect();
-    let resumed = records.iter().flatten().count();
-    let pending: VecDeque<usize> = records
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.is_none().then_some(i))
-        .collect();
-    let total_pending = pending.len();
-    let workers = cfg.workers.min(total_pending.max(1));
+    let total = specs.len();
+    let workers = cfg.workers_for(total);
 
     let shared = Shared {
         specs,
-        queue: Mutex::new(pending),
-        results: Mutex::new(Vec::with_capacity(total_pending)),
+        queue: Mutex::new((0..total).collect()),
+        results: Mutex::new(Vec::with_capacity(total)),
         inflight: (0..workers).map(|_| Mutex::new(None)).collect(),
         done: AtomicUsize::new(0),
         failed: AtomicUsize::new(0),
-        executed: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
         finished: AtomicBool::new(false),
-        store_error: Mutex::new(None),
     };
 
     std::thread::scope(|scope| {
@@ -365,12 +248,11 @@ pub fn run_fleet(
         for slot in 0..workers {
             let shared = &shared;
             let exec = exec.clone();
-            handles.push(scope.spawn(move || worker_loop(shared, slot, cfg, exec, store)));
+            handles.push(scope.spawn(move || worker_loop(shared, slot, cfg, exec)));
         }
         if let Some(every) = cfg.heartbeat {
             let shared = &shared;
-            let total = total_pending + resumed;
-            scope.spawn(move || heartbeat_loop(shared, every, total, resumed, start));
+            scope.spawn(move || heartbeat_loop(shared, every, total, start));
         }
         for h in handles {
             h.join().expect("fleet worker panicked outside supervision");
@@ -378,59 +260,27 @@ pub fn run_fleet(
         shared.finished.store(true, Ordering::SeqCst);
     });
 
-    let executed = shared.executed.load(Ordering::SeqCst);
-    for (idx, rec) in shared.results.into_inner().unwrap() {
-        records[idx] = Some(rec);
-    }
-    if let Some(msg) = shared.store_error.into_inner().unwrap() {
-        return Err(FleetError::Store(msg));
-    }
+    let mut results = shared.results.into_inner().unwrap();
+    results.sort_unstable_by_key(|(idx, _)| *idx);
     Ok(FleetReport {
-        records,
-        resumed,
-        executed,
+        records: results.into_iter().map(|(_, rec)| rec).collect(),
         wall: start.elapsed(),
         workers,
     })
 }
 
-fn worker_loop(
-    shared: &Shared<'_>,
-    slot: usize,
-    cfg: &FleetConfig,
-    exec: Exec,
-    store: Option<&SweepStore>,
-) {
+fn worker_loop(shared: &Shared<'_>, slot: usize, cfg: &FleetConfig, exec: Exec) {
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
+        // A `while let` would hold the queue lock through the run.
         let Some(idx) = shared.queue.lock().unwrap().pop_front() else {
             return;
         };
-        let spec = &shared.specs[idx];
-        let rec = supervise(shared, slot, spec, cfg, &exec);
-
+        let rec = supervise(shared, slot, &shared.specs[idx], cfg, &exec);
         if !rec.status.succeeded() {
             shared.failed.fetch_add(1, Ordering::SeqCst);
         }
         shared.done.fetch_add(1, Ordering::SeqCst);
-
-        if let Some(store) = store {
-            if let Err(e) = store.append(&rec) {
-                *shared.store_error.lock().unwrap() =
-                    Some(format!("cannot journal run {:?}: {e}", rec.key));
-                shared.stop.store(true, Ordering::SeqCst);
-            }
-        }
         shared.results.lock().unwrap().push((idx, rec));
-
-        let executed_now = shared.executed.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(limit) = cfg.stop_after {
-            if executed_now >= limit {
-                shared.stop.store(true, Ordering::SeqCst);
-            }
-        }
     }
 }
 
@@ -513,13 +363,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn heartbeat_loop(
-    shared: &Shared<'_>,
-    every: Duration,
-    total: usize,
-    resumed: usize,
-    start: Instant,
-) {
+fn heartbeat_loop(shared: &Shared<'_>, every: Duration, total: usize, start: Instant) {
     let mut last = Instant::now();
     loop {
         if shared.finished.load(Ordering::SeqCst) {
@@ -544,10 +388,8 @@ fn heartbeat_loop(
             .collect();
         let rate = done as f64 / start.elapsed().as_secs_f64().max(1e-9);
         eprintln!(
-            "amjs fleet: {}/{} done ({failed} failed), \
+            "amjs fleet: {done}/{total} done ({failed} failed), \
              {} inflight [{}], {rate:.2} runs/s",
-            resumed + done,
-            total,
             inflight.len(),
             inflight.join(", "),
         );
@@ -557,9 +399,7 @@ fn heartbeat_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::aggregate_csv;
     use amjs_core::{MachineSpec, PolicyParams, PresetName, WorkloadSource};
-    use std::path::{Path, PathBuf};
 
     fn spec(key: &str, seed: u64) -> RunSpec {
         RunSpec::new(
@@ -609,31 +449,6 @@ mod tests {
         (0..n).map(|i| spec(&format!("k{i}"), i)).collect()
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("amjs-fleet-engine-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// Journal a whole sweep of `specs` in `dir` through `first`, then
-    /// resume it from the directory through `second`.
-    fn journal_then_resume(
-        dir: &Path,
-        specs: &[RunSpec],
-        first: Exec,
-        second: Exec,
-    ) -> FleetReport {
-        let store = SweepStore::create(dir, specs).unwrap();
-        assert!(run_fleet(specs, &cfg(2), first, Some(&store))
-            .unwrap()
-            .complete());
-        drop(store);
-        let (resumed_specs, store) = SweepStore::resume(dir).unwrap();
-        assert_eq!(resumed_specs, specs);
-        run_fleet(specs, &cfg(2), second, Some(&store)).unwrap()
-    }
-
     #[test]
     fn config_validation_guards() {
         assert_eq!(cfg(0).validate(), Err(FleetError::ZeroWorkers));
@@ -642,6 +457,8 @@ mod tests {
             ..cfg(1)
         };
         assert_eq!(deadline.validate(), Ok(()));
+        // A grid smaller than the pool starts one worker per run.
+        assert_eq!((cfg(2).workers_for(1), cfg(2).workers_for(5)), (1, 2));
     }
 
     #[test]
@@ -659,18 +476,21 @@ mod tests {
             validate_grid(vec![spec("a", 1), spec("a", 2)]),
             Err(FleetError::DuplicateKey("a".to_string()))
         );
+        // The label is content too.
+        assert_eq!(
+            validate_grid(vec![spec("a", 1), spec("a", 1).labeled("other")]),
+            Err(FleetError::DuplicateKey("a".to_string()))
+        );
     }
 
     #[test]
     fn fleet_runs_every_grid_point_once() {
         let specs = keys(13);
-        let report = run_fleet(&specs, &cfg(4), fake_exec(), None).unwrap();
-        assert!(report.complete());
-        assert_eq!(report.executed, 13);
-        assert_eq!(report.resumed, 0);
+        let report = run_fleet(&specs, &cfg(4), fake_exec()).unwrap();
+        assert_eq!(report.records.len(), 13);
+        assert_eq!(report.workers, 4);
         assert_eq!(report.failed_runs(), 0);
         for (i, rec) in report.records.iter().enumerate() {
-            let rec = rec.as_ref().unwrap();
             assert_eq!(rec.key, format!("k{i}"));
             assert_eq!(rec.status, RunStatus::Ok);
             assert_eq!(rec.digest.as_ref().unwrap().scheduler_passes, i as u64);
@@ -688,11 +508,10 @@ mod tests {
                 inner(s)
             })
         };
-        let report = run_fleet(&specs, &cfg(3), exec, None).unwrap();
-        assert!(report.complete());
+        let report = run_fleet(&specs, &cfg(3), exec).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 6, "each point runs once");
         assert_eq!(report.failed_runs(), 1);
-        let bad = report.records[3].as_ref().unwrap();
+        let bad = &report.records[3];
         assert_eq!(bad.status, RunStatus::Failed);
         assert!(bad.digest.is_none());
         assert_eq!(
@@ -700,7 +519,7 @@ mod tests {
             Some("panicked: injected failure for k3")
         );
         for i in [0, 1, 2, 4, 5] {
-            assert_eq!(report.records[i].as_ref().unwrap().status, RunStatus::Ok);
+            assert_eq!(report.records[i].status, RunStatus::Ok);
         }
     }
 
@@ -719,99 +538,14 @@ mod tests {
             ..cfg(2)
         };
         let started = Instant::now();
-        let report = run_fleet(&specs, &cfg, exec, None).unwrap();
+        let report = run_fleet(&specs, &cfg, exec).unwrap();
         assert!(
             started.elapsed() < Duration::from_secs(4),
             "the sweep must not wait for the hung run"
         );
-        let hung = report.records[0].as_ref().unwrap();
+        let hung = &report.records[0];
         assert_eq!(hung.status, RunStatus::Timeout);
         assert_eq!(hung.error.as_deref(), Some("timed out after 0.1s"));
-        assert_eq!(report.records[1].as_ref().unwrap().status, RunStatus::Ok);
-    }
-
-    #[test]
-    fn stop_after_leaves_the_tail_undispatched() {
-        let specs = keys(8);
-        let cfg = FleetConfig {
-            stop_after: Some(3),
-            ..cfg(1)
-        };
-        let report = run_fleet(&specs, &cfg, fake_exec(), None).unwrap();
-        assert_eq!(report.executed, 3);
-        assert!(!report.complete());
-        assert_eq!(report.records.iter().flatten().count(), 3);
-    }
-
-    #[test]
-    fn resume_runs_a_failed_point_again_and_reuses_only_successes() {
-        let dir = tmp_dir("rerun");
-        let specs = keys(5);
-        let report = journal_then_resume(&dir, &specs, panics_on("k2"), fake_exec());
-        assert_eq!(report.resumed, 4, "only the successes are reused");
-        assert_eq!(report.executed, 1, "the failed point runs again");
-        assert_eq!(report.failed_runs(), 0);
-        let healthy = run_fleet(&specs, &cfg(2), fake_exec(), None).unwrap();
-        assert_eq!(
-            aggregate_csv(&specs, &report.records),
-            aggregate_csv(&specs, &healthy.records)
-        );
-        // The new record superseded the failed one in the journal.
-        let (_, store) = SweepStore::resume(&dir).unwrap();
-        assert_eq!(store.completed()["k2"].status, RunStatus::Ok);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn resuming_a_deterministic_failure_reproduces_the_uninterrupted_csv() {
-        let dir = tmp_dir("repeat");
-        let specs = keys(5);
-        let report = journal_then_resume(&dir, &specs, panics_on("k2"), panics_on("k2"));
-        assert_eq!((report.resumed, report.executed), (4, 1));
-        assert_eq!(
-            report.records[2].as_ref().unwrap().status,
-            RunStatus::Failed
-        );
-        let uninterrupted = run_fleet(&specs, &cfg(2), panics_on("k2"), None).unwrap();
-        assert_eq!(
-            aggregate_csv(&specs, &report.records),
-            aggregate_csv(&specs, &uninterrupted.records)
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn record_round_trips_through_the_codec() {
-        for rec in [
-            RunRecord {
-                key: "k".into(),
-                status: RunStatus::Ok,
-                wall_ms: 1234,
-                digest: Some(crate::digest::tests::sample("BF=1/W=1")),
-                error: None,
-            },
-            RunRecord {
-                key: "dead".into(),
-                status: RunStatus::Timeout,
-                wall_ms: 9000,
-                digest: None,
-                error: Some("timed out after 3.0s".into()),
-            },
-            RunRecord {
-                key: "bad".into(),
-                status: RunStatus::Failed,
-                wall_ms: 7,
-                digest: None,
-                error: Some("panicked: boom".into()),
-            },
-        ] {
-            let mut w = SnapWriter::new();
-            rec.encode(&mut w);
-            let bytes = w.into_bytes();
-            assert_eq!(
-                RunRecord::decode(&mut SnapReader::new(&bytes)).unwrap(),
-                rec
-            );
-        }
+        assert_eq!(report.records[1].status, RunStatus::Ok);
     }
 }

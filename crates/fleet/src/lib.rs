@@ -12,22 +12,19 @@
 //!   supervising worker (the run executes on its own thread, which is
 //!   abandoned when it overruns) and recorded as `timeout`; a shared
 //!   inflight table lets the heartbeat name overdue runs;
-//! * **durable progress** — a sweep manifest (the full encoded grid +
-//!   its fingerprint) and an append-only checksummed result journal
-//!   make `amjs sweep --resume <dir>` skip successful runs exactly,
-//!   run degraded ones again, and re-aggregate byte-identically after
-//!   a crash (see [`store`]);
 //! * **deterministic aggregation** — per-run rows and per-config
 //!   mean ± 95% CI aggregates are emitted in grid order, so the
 //!   aggregated CSV is byte-identical across worker counts and
 //!   work-stealing schedules (see [`aggregate`]).
+//!
+//! A sweep keeps no state on disk: each grid point is a pure function
+//! of its spec, so a sweep that was killed is simply run again.
 
 #![warn(missing_docs)]
 
 pub mod aggregate;
 pub mod digest;
 pub mod engine;
-pub mod store;
 
 pub use aggregate::{aggregate_csv, bench_json, render_table};
 pub use digest::RunDigest;
@@ -35,4 +32,3 @@ pub use engine::{
     default_exec, run_fleet, validate_grid, Exec, FleetConfig, FleetError, FleetReport, RunRecord,
     RunStatus,
 };
-pub use store::SweepStore;
