@@ -28,11 +28,12 @@
 //! capacity only returns at release instants. Each plan therefore builds,
 //! once at construction, a sorted timeline of distinct base release
 //! instants with the cumulative load (node level / busy-unit mask) still
-//! held from each instant on. Queries answer the base part with one
-//! binary search and only scan the *overlay* — the few speculative
-//! commitments added by `commit_at` — linearly. The overlay is shared
-//! copy-free across all permutation candidates of a window search:
-//! commit pushes, rollback pops, and the base profile is never touched.
+//! held from each instant on, and keeps the *overlay* (the speculative
+//! commitments added by `commit_at`) as its own load timeline. `FlatPlan`
+//! walks both forward together; `PartitionPlan` answers the base part
+//! with one binary search and ORs the overlay segments. The overlay is
+//! shared copy-free across all permutation candidates of a window
+//! search: commit pushes, rollback pops, the base is never touched.
 //! [`Plan::set_reference`] switches a plan back to the original
 //! full-scan query path; the differential suite in
 //! `tests/hotpath_identity.rs` proves both paths byte-identical.
@@ -323,9 +324,6 @@ pub struct FlatPlan {
     /// "after the last release". (Base commitments all start at `now`,
     /// so the base load is non-increasing.)
     base_level: Vec<Nodes>,
-    /// Current end instant of every overlay commitment, kept sorted
-    /// ascending (a multiset) so candidate walks need no allocation.
-    overlay_ends: Vec<SimTime>,
     /// Overlay load timeline: `overlay_level[i]` nodes are held by
     /// overlay commitments during `[overlay_times[i], overlay_times[i+1])`
     /// (the last segment extends forever). Kept exact under commit,
@@ -380,7 +378,6 @@ impl FlatPlan {
             commitments,
             base_ends,
             base_level,
-            overlay_ends: Vec::new(),
             overlay_times: vec![now],
             overlay_level: vec![0],
             reference: false,
@@ -408,33 +405,6 @@ impl FlatPlan {
             .filter(|c| c.start <= t && t < c.end)
             .map(|c| c.unit_len)
             .sum()
-    }
-
-    /// Base load at instant `t` (memoized suffix-sum profile).
-    fn base_at(&self, t: SimTime) -> Nodes {
-        if t < self.now {
-            // Base commitments start at `now`; before it they hold
-            // nothing (matches the naive `c.start <= t` filter).
-            0
-        } else {
-            self.base_level[self.base_ends.partition_point(|&e| e <= t)]
-        }
-    }
-
-    /// Overlay load at instant `t` (timeline segment lookup).
-    fn overlay_at(&self, t: SimTime) -> Nodes {
-        let i = self.overlay_times.partition_point(|&x| x <= t);
-        if i == 0 {
-            0
-        } else {
-            self.overlay_level[i - 1]
-        }
-    }
-
-    /// Nodes in use at instant `t`: memoized base level + overlay
-    /// timeline lookup.
-    fn used_at_fast(&self, t: SimTime) -> Nodes {
-        self.base_at(t) + self.overlay_at(t)
     }
 
     fn can_place_at_naive(&self, nodes: Nodes, start: SimTime, duration: SimDuration) -> bool {
@@ -472,7 +442,6 @@ impl FlatPlan {
             start,
             end,
         });
-        overlay_ends_insert(&mut self.overlay_ends, end);
         timeline_apply(
             &mut self.overlay_times,
             &mut self.overlay_level,
@@ -483,32 +452,51 @@ impl FlatPlan {
         PlanToken(self.commitments.len() - 1)
     }
 
-    fn can_place_at_fast(&self, nodes: Nodes, start: SimTime, duration: SimDuration) -> bool {
-        let end = start + duration.max(SimDuration::from_secs(1));
+    /// The first start `>= start` whose window fits `nodes`, found in one
+    /// forward walk over the merged profile: memoized base levels plus
+    /// the overlay timeline, both cursors carried across jumps. A piece
+    /// inside the window `[t, t + d)` that leaves fewer than `nodes` free
+    /// rules out every start before its end, so `t` jumps there. Levels
+    /// only drop where a live commitment ends, so the answer is `start`
+    /// or such an end: the first candidate the reference loop accepts.
+    /// Without `jump`, the walk answers `None` at the first overloaded
+    /// piece instead (the [`Plan::can_place_at`] question).
+    fn first_fit(
+        &self,
+        nodes: Nodes,
+        start: SimTime,
+        duration: SimDuration,
+        jump: bool,
+    ) -> Option<SimTime> {
+        let d = duration.max(SimDuration::from_secs(1));
         let cap = self.in_service();
-        if self.used_at_fast(start) + nodes > cap {
-            return false;
-        }
-        // Base commitments all start at `now`: the only base probe
-        // instant the naive scan would visit is `now` itself.
-        if self.base_len > 0
-            && self.now > start
-            && self.now < end
-            && self.used_at_fast(self.now) + nodes > cap
-        {
-            return false;
-        }
-        // The load sum only rises at overlay breakpoints after `start`
-        // (the base level never rises past `now`), so probing every
-        // timeline breakpoint inside the window covers all maxima.
-        let mut i = self.overlay_times.partition_point(|&x| x <= start);
-        while i < self.overlay_times.len() && self.overlay_times[i] < end {
-            if self.base_at(self.overlay_times[i]) + self.overlay_level[i] + nodes > cap {
-                return false;
+        let mut t = start;
+        // Nothing is held before `now`, where both profiles begin.
+        let mut at = start.max(self.now);
+        let mut bi = self.base_ends.partition_point(|&e| e <= at);
+        let mut oi = self.overlay_times.partition_point(|&x| x <= at) - 1;
+        while at < t + d {
+            let base_end = self.base_ends.get(bi).copied().unwrap_or(SimTime::MAX);
+            let overlay_end = self
+                .overlay_times
+                .get(oi + 1)
+                .copied()
+                .unwrap_or(SimTime::MAX);
+            let after = base_end.min(overlay_end);
+            if self.base_level[bi] + self.overlay_level[oi] + nodes > cap {
+                if !jump {
+                    return None;
+                }
+                t = after;
             }
-            i += 1;
+            if after == SimTime::MAX {
+                break;
+            }
+            at = after;
+            bi += usize::from(base_end == after);
+            oi += usize::from(overlay_end == after);
         }
-        true
+        Some(t)
     }
 }
 
@@ -533,7 +521,7 @@ impl Plan for FlatPlan {
         if self.reference {
             self.can_place_at_naive(nodes, start, duration)
         } else {
-            self.can_place_at_fast(nodes, start, duration)
+            self.first_fit(nodes, start, duration, false).is_some()
         }
     }
 
@@ -543,29 +531,26 @@ impl Plan for FlatPlan {
             return SimTime::MAX;
         }
         let not_before = not_before.max(self.now);
+        if !self.reference {
+            return self
+                .first_fit(nodes, not_before, duration, true)
+                .expect("the walk jumps past every overloaded piece");
+        }
         if self.can_place_at(nodes, not_before, duration) {
             return not_before;
         }
-        if self.reference {
-            let mut candidates: Vec<SimTime> = self
-                .commitments
-                .iter()
-                .map(|c| c.end)
-                .filter(|&e| e > not_before)
-                .collect();
-            candidates.sort_unstable();
-            candidates.dedup();
-            for t in candidates {
-                if self.can_place_at(nodes, t, duration) {
-                    return t;
-                }
+        let mut candidates: Vec<SimTime> = self
+            .commitments
+            .iter()
+            .map(|c| c.end)
+            .filter(|&e| e > not_before)
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        for t in candidates {
+            if self.can_place_at(nodes, t, duration) {
+                return t;
             }
-        } else if let Some(t) =
-            merged_end_candidates(&self.base_ends, &self.overlay_ends, not_before, |t| {
-                self.can_place_at_fast(nodes, t, duration)
-            })
-        {
-            return t;
         }
         unreachable!("a job no larger than the machine fits after all releases")
     }
@@ -608,7 +593,6 @@ impl Plan for FlatPlan {
         );
         assert_eq!(token.0, self.commitments.len() - 1, "rollback must be LIFO");
         let c = self.commitments.pop().expect("LIFO token checked above");
-        overlay_ends_remove(&mut self.overlay_ends, c.end);
         timeline_apply(
             &mut self.overlay_times,
             &mut self.overlay_level,
@@ -631,12 +615,9 @@ impl Plan for FlatPlan {
             let c = &self.commitments[token.0];
             (c.start, c.end, c.unit_len)
         };
+        // Voiding moves the commitment's end to its start (the naive path
+        // still collects that value as a candidate); release its load.
         self.commitments[token.0].void();
-        // Voiding moves the commitment's end to its start; mirror that
-        // in the sorted end list (the naive path still collects the
-        // voided end value as a candidate) and release its load.
-        overlay_ends_remove(&mut self.overlay_ends, old_end);
-        overlay_ends_insert(&mut self.overlay_ends, start);
         timeline_apply(
             &mut self.overlay_times,
             &mut self.overlay_level,

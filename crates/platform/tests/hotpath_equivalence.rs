@@ -7,12 +7,12 @@
 //!
 //! * [`UnitMask`] word-parallel range ops vs the bit-at-a-time naive
 //!   variants (the bitset buddy allocator's primitive layer);
-//! * [`FlatPlan`]/[`PartitionPlan`] fast queries (overlay timelines,
-//!   merged end-candidate walks) vs the reference full-scan path
-//!   selected by [`Plan::set_reference`] — the same differential the
-//!   runner-level `hotpath_identity` suite checks end-to-end, here
-//!   hammered with adversarial op mixes including mid-script
-//!   `mark_down`-style outages.
+//! * [`FlatPlan`]/[`PartitionPlan`] fast queries (the flat forward
+//!   walk, overlay timelines, merged end-candidate walks) vs the
+//!   reference full-scan path selected by [`Plan::set_reference`] — the
+//!   same differential the runner-level `hotpath_identity` suite checks
+//!   end-to-end, here hammered with adversarial op mixes including
+//!   mid-script `mark_down`-style outages.
 
 use amjs_platform::mask::UnitMask;
 use amjs_platform::plan::{FlatPlan, PartitionPlan, Plan, PlanToken};
@@ -21,6 +21,15 @@ use amjs_sim::rng::Xoshiro256;
 use amjs_sim::{SimDuration, SimTime};
 
 const UNITS: u16 = 80; // Intrepid: 80 midplanes
+
+/// Debug builds run the short count; release runs the long one.
+fn cases(debug: u64, release: u64) -> u64 {
+    if cfg!(debug_assertions) {
+        debug
+    } else {
+        release
+    }
+}
 
 /// Word-level mask ops agree with the naive bit loops on 2000 seeded
 /// scripts of mixed range edits and buddy-block queries.
@@ -73,8 +82,15 @@ fn mask_word_ops_match_naive_on_random_scripts() {
 }
 
 /// One random plan op: the same action is applied to the fast and the
-/// reference plan, and every query answer must match.
-fn drive_plans<P: Plan + Clone>(mut fast: P, mut reference: P, seed: u64, ops: usize) {
+/// reference plan, and every query answer must match. `draw` picks each
+/// op's duration and start (or lower bound) from the plan's `now`.
+fn drive_plans<P: Plan + Clone>(
+    mut fast: P,
+    mut reference: P,
+    seed: u64,
+    ops: usize,
+    draw: impl Fn(&mut Xoshiro256, SimTime) -> (SimDuration, SimTime),
+) {
     reference.set_reference(true);
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let now = fast.now();
@@ -85,8 +101,7 @@ fn drive_plans<P: Plan + Clone>(mut fast: P, mut reference: P, seed: u64, ops: u
 
     for _op in 0..ops {
         let nodes = 1 + rng.next_below(total as u64) as Nodes;
-        let dur = SimDuration::from_mins(1 + rng.next_below(600) as i64);
-        let not_before = now + SimDuration::from_mins(rng.next_below(900) as i64);
+        let (dur, not_before) = draw(&mut rng, now);
         match rng.next_below(8) {
             // Queries (most of the mix: they are what must agree).
             0..=2 => {
@@ -147,22 +162,55 @@ fn drive_plans<P: Plan + Clone>(mut fast: P, mut reference: P, seed: u64, ops: u
     }
 }
 
+/// Minute-grained durations and lower bounds, never before `now`.
+fn minute_grained(rng: &mut Xoshiro256, now: SimTime) -> (SimDuration, SimTime) {
+    let dur = SimDuration::from_mins(1 + rng.next_below(600) as i64);
+    (
+        dur,
+        now + SimDuration::from_mins(rng.next_below(900) as i64),
+    )
+}
+
+/// Durations and lower bounds on a 30-minute grid from `now`, so base
+/// ends, overlay starts and ends, and window ends coincide; one lower
+/// bound in seven lies before `now`.
+fn half_hour_grained(rng: &mut Xoshiro256, now: SimTime) -> (SimDuration, SimTime) {
+    let step = SimDuration::from_mins(30);
+    let dur = step * (1 + rng.next_below(20) as i64);
+    (dur, now + step * (rng.next_below(28) as i64 - 4))
+}
+
+/// The forward walk against the full scan, on machines with some nodes
+/// out of service (requests beyond in-service capacity answer
+/// `SimTime::MAX`/`None` on both paths) and on long scripts whose
+/// deactivations leave voided commitments and stale breakpoints.
 #[test]
 fn flat_plan_fast_path_matches_reference() {
     let mut rng = Xoshiro256::seed_from_u64(0xf1a7);
-    for case in 0..150 {
+    let step = SimDuration::from_mins(30);
+    for case in 0..cases(150, 5_000) {
         let now = SimTime::from_secs(rng.next_below(100_000) as i64);
         // A random base load: running jobs with staggered releases.
         let base: Vec<(Nodes, SimTime)> = (0..rng.next_below(6))
             .map(|_| {
                 (
                     1 + rng.next_below(256) as Nodes,
-                    now + SimDuration::from_mins(1 + rng.next_below(300) as i64),
+                    now + step * (1 + rng.next_below(10) as i64),
                 )
             })
             .collect();
-        let plan = FlatPlan::new(now, 1024, &base);
-        drive_plans(plan.clone(), plan, 0xf1a7_0000 + case, 40);
+        let mut plan = FlatPlan::new(now, 1024, &base);
+        if rng.next_bool(0.3) {
+            plan = plan.with_down(1 + rng.next_below(512) as Nodes);
+        }
+        let ops = if case % 5 == 0 { 240 } else { 40 };
+        drive_plans(
+            plan.clone(),
+            plan,
+            0xf1a7_0000 + case,
+            ops,
+            half_hour_grained,
+        );
     }
 }
 
@@ -195,6 +243,6 @@ fn partition_plan_fast_path_matches_reference() {
             let down_len = 1 + rng.next_below(4) as u16;
             plan = plan.with_down(UnitMask::block(down_at, down_len.min(UNITS - down_at)));
         }
-        drive_plans(plan.clone(), plan, 0xb67_0000 + case, 40);
+        drive_plans(plan.clone(), plan, 0xb67_0000 + case, 40, minute_grained);
     }
 }

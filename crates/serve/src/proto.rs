@@ -546,4 +546,70 @@ mod tests {
             },
         }
     }
+
+    /// The first word of every backticked span in `text`, when that word
+    /// is two or more uppercase ASCII letters and nothing else. A span
+    /// opens at a run of backticks and closes at the next run of the same
+    /// length (so fenced blocks are spans too).
+    fn upper_span_heads(text: &str) -> Vec<&str> {
+        let run_len = |s: &str| s.len() - s.trim_start_matches('`').len();
+        let mut heads = Vec::new();
+        let mut rest = text;
+        while let Some(open) = rest.find('`') {
+            let n = run_len(&rest[open..]);
+            let body = &rest[open + n..];
+            let mut from = 0;
+            let close = loop {
+                let Some(at) = body[from..].find('`').map(|at| from + at) else {
+                    return heads;
+                };
+                let run = run_len(&body[at..]);
+                if run == n {
+                    break at;
+                }
+                from = at + run;
+            };
+            let word = body[..close].split_whitespace().next().unwrap_or("");
+            if word.len() >= 2 && word.bytes().all(|b| b.is_ascii_uppercase()) {
+                heads.push(word);
+            }
+            rest = &body[close + n..];
+        }
+        heads
+    }
+
+    /// Reply heads the docs quote beside the request verbs.
+    const REPLY_HEADS: &[&str] = &["OK", "ERR", "BUSY", "HB"];
+
+    /// Uppercase words the docs quote that are neither request verbs nor
+    /// reply heads, each with the reason.
+    const NOT_VERBS: &[(&str, &str)] = &[
+        ("BF", "the balance-factor policy parameter"),
+        ("TAIL", "the `REPL TAIL` sub-verb"),
+    ];
+
+    #[test]
+    fn the_docs_name_only_protocol_verbs_that_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let (mut verbs, mut unknown) = (0, Vec::new());
+        for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+            let text = std::fs::read_to_string(format!("{root}/{doc}")).unwrap();
+            for word in upper_span_heads(&text) {
+                let is_verb =
+                    !matches!(Command::parse(word), Err(e) if e.starts_with("unknown verb"));
+                verbs += usize::from(is_verb);
+                let listed =
+                    REPLY_HEADS.contains(&word) || NOT_VERBS.iter().any(|&(w, _)| w == word);
+                if !is_verb && !listed {
+                    unknown.push(format!("{doc}: `{word}`"));
+                }
+            }
+        }
+        assert!(verbs > 0, "the scan found no request verb at all");
+        assert!(
+            unknown.is_empty(),
+            "neither a request verb `Command::parse` knows nor a reply head:\n{}",
+            unknown.join("\n")
+        );
+    }
 }
