@@ -13,8 +13,8 @@
 //!
 //! Every run executes under the runtime invariant oracle, so a month of
 //! cascading faults doubles as a soak test of the allocator and
-//! scheduler invariants. The grid runs on the fault-tolerant fleet
-//! engine (`amjs-fleet`); `--jobs 1` keeps the old sequential order.
+//! scheduler invariants. The grid runs on `--jobs` worker threads;
+//! `--jobs 1` keeps the old sequential order.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin ablation_cascade
 //!         [--seed N] [--fast] [--jobs N]`
@@ -121,8 +121,7 @@ fn main() {
         "ablation_cascade: {} runs of {n_jobs} jobs, {jobs} workers",
         specs.len()
     );
-    let (digests, report) = harness::run_fleet_sweep(&specs, jobs);
-    harness::write_sweep_bench(&report);
+    let digests = harness::run_sweep(&specs, jobs);
 
     let header = [
         "config",

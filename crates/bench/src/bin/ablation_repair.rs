@@ -13,8 +13,7 @@
 //! shifts to standing capacity loss — availability sags and waiting
 //! times inflate even though no extra work is destroyed.
 //!
-//! The grid runs on the fault-tolerant fleet engine (`amjs-fleet`):
-//! supervised workers, panics caught, digests in spec order. `--jobs 1`
+//! The grid runs on `--jobs` worker threads, digests in spec order. `--jobs 1`
 //! reproduces the old sequential output byte-for-byte.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin ablation_repair
@@ -78,8 +77,7 @@ fn main() {
         "ablation_repair: {} runs of {n_jobs} jobs, {workers} workers",
         specs.len()
     );
-    let (digests, report) = harness::run_fleet_sweep(&specs, workers);
-    harness::write_sweep_bench(&report);
+    let digests = harness::run_sweep(&specs, workers);
 
     let header = [
         "config",

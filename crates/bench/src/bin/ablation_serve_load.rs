@@ -9,8 +9,7 @@
 //!    speculative path (sized to overrun `--whatif-cap`, so BUSY
 //!    shedding is exercised, not just measured as zero). Every client
 //!    keeps its own [`amjs_obs::Histogram`] of queue-inclusive
-//!    latencies; the per-client histograms are merged at the end —
-//!    the same mergeability the fleet layer relies on.
+//!    latencies; the per-client histograms are merged at the end.
 //! 2. **Recorder overhead** — one deterministic command script, run
 //!    unpaced with the flight recorder on (512 events) and off
 //!    (capacity 0), reps interleaved and best-of taken so machine

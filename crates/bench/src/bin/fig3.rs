@@ -10,8 +10,7 @@
 //! * **(c)** loss of capacity vs. W, one series per BF — LoC falls with
 //!   W while BF ≥ 0.5 and the effect disappears toward SJF.
 //!
-//! The 25-point grid runs on the fault-tolerant fleet engine
-//! (`amjs-fleet`): supervised workers, panics caught, digests in grid
+//! The 25-point grid runs on `--jobs` worker threads, digests in grid
 //! order. `--jobs 1` reproduces the old sequential output
 //! byte-for-byte.
 //!
@@ -56,7 +55,7 @@ fn main() {
             })
         })
         .collect();
-    let (digests, _report) = harness::run_fleet_sweep(&specs, workers);
+    let digests = harness::run_sweep(&specs, workers);
     let get = |bf_i: usize, w_i: usize| &digests[bf_i * WINDOWS.len() + w_i].summary;
 
     let mut out = String::new();

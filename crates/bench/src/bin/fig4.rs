@@ -14,9 +14,9 @@
 //! fine), the peak-depth ratios the paper quotes (BF=0.75 peak ≈ 1/4 of
 //! FCFS, BF=0.5 ≈ 1/8), and a CSV of all series.
 //!
-//! The three post-threshold runs go through the fault-tolerant fleet
-//! engine (`amjs-fleet`); the base run stays sequential because the
-//! adaptive threshold is computed from it. `--jobs 1` reproduces the
+//! The three post-threshold runs go through the parallel sweep
+//! runner; the base run stays sequential because the adaptive
+//! threshold is computed from it. `--jobs 1` reproduces the
 //! old sequential output byte-for-byte.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin fig4
@@ -69,7 +69,7 @@ fn main() {
         ),
         adaptive_spec,
     ];
-    let rest = harness::run_fleet_outcomes(&specs, workers);
+    let rest = harness::run_outcomes(&specs, workers);
     let (bf075, bf05, adaptive) = (&rest[0], &rest[1], &rest[2]);
 
     let until = SimTime::from_hours(200);

@@ -12,8 +12,8 @@
 //! window tuning lifts and stabilizes the 24H line during the stable
 //! period (hours ~50–150).
 //!
-//! Both runs go through the fault-tolerant fleet engine (`amjs-fleet`);
-//! `--jobs 1` reproduces the old sequential output byte-for-byte.
+//! Both runs go through the parallel sweep runner; `--jobs 1`
+//! reproduces the old sequential output byte-for-byte.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin fig5
 //!         [--seed N] [--fast] [--jobs N]`
@@ -94,7 +94,7 @@ fn main() {
         ),
         adaptive_spec,
     ];
-    let outcomes = harness::run_fleet_outcomes(&specs, workers);
+    let outcomes = harness::run_outcomes(&specs, workers);
     let until = SimTime::from_hours(200);
 
     let mut out = String::new();

@@ -10,9 +10,9 @@
 //! * **(b)** the 2D run's utilization lines — 10H/24H more stable than
 //!   the static panels of Fig. 5.
 //!
-//! The three post-threshold runs go through the fault-tolerant fleet
-//! engine (`amjs-fleet`); the base run stays sequential because the
-//! adaptive threshold is computed from it. `--jobs 1` reproduces the
+//! The three post-threshold runs go through the parallel sweep
+//! runner; the base run stays sequential because the adaptive
+//! threshold is computed from it. `--jobs 1` reproduces the
 //! old sequential output byte-for-byte.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin fig6
@@ -66,7 +66,7 @@ fn main() {
             AdaptiveKind::TwoD { threshold },
         ),
     ];
-    let rest = harness::run_fleet_outcomes(&specs, workers);
+    let rest = harness::run_outcomes(&specs, workers);
     let (bf05, bf_ad, twod) = (&rest[0], &rest[1], &rest[2]);
 
     let until = SimTime::from_hours(200);

@@ -6,9 +6,8 @@
 //! configurations over N seeds and reports mean ± stddev per cell, plus
 //! how often each qualitative ordering held.
 //!
-//! The grid runs on the fault-tolerant fleet engine (`amjs-fleet`):
-//! two phases, because the adaptive thresholds are calibrated from each
-//! seed's base run. `--jobs 1` reproduces the old sequential sweep;
+//! The grid runs on the parallel sweep runner in two phases, because
+//! the adaptive thresholds are calibrated from each seed's base run. `--jobs 1` reproduces the old sequential sweep;
 //! higher worker counts change only the wall clock, never the numbers.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin seed_sweep
@@ -16,8 +15,9 @@
 
 use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
-use amjs_fleet::RunDigest;
+use amjs_core::{
+    AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunDigest, RunSpec, WorkloadSource,
+};
 
 fn mean_std(xs: &[f64]) -> (f64, f64) {
     let n = xs.len().max(1) as f64;
@@ -100,7 +100,7 @@ fn main() {
             )
         })
         .collect();
-    let (base_digests, _) = harness::run_fleet_sweep(&base_specs, jobs);
+    let base_digests = harness::run_sweep(&base_specs, jobs);
 
     // Phase 2: the remaining five Table II rows per seed.
     let labels = [
@@ -165,8 +165,7 @@ fn main() {
             ));
         }
     }
-    let (rest_digests, report) = harness::run_fleet_sweep(&rest_specs, jobs);
-    harness::write_sweep_bench(&report);
+    let rest_digests = harness::run_sweep(&rest_specs, jobs);
 
     // Regroup: per-seed rows [base, bf1-w4, bf0.5-w1, bf0.5-w4, bf, 2d].
     let mut waits: Vec<Vec<f64>> = vec![Vec::new(); labels.len()];

@@ -19,9 +19,9 @@
 //! based on the whole month's average" — we pre-run the base
 //! configuration and use its mean queue depth.
 //!
-//! The six post-threshold runs go through the fault-tolerant fleet
-//! engine (`amjs-fleet`); the base run stays sequential because the
-//! adaptive threshold is computed from it. `--jobs 1` reproduces the
+//! The six post-threshold runs go through the parallel sweep
+//! runner; the base run stays sequential because the adaptive
+//! threshold is computed from it. `--jobs 1` reproduces the
 //! old sequential output byte-for-byte.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin table2
@@ -89,7 +89,7 @@ fn main() {
         adaptive("2d-adaptive", AdaptiveKind::TwoD { threshold }),
     ];
     let mut outcomes = vec![base];
-    outcomes.extend(harness::run_fleet_outcomes(&specs, workers));
+    outcomes.extend(harness::run_outcomes(&specs, workers));
 
     let header = [
         "configuration",

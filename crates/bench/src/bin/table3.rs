@@ -16,10 +16,8 @@
 //! busy Intrepid machine, captured mid-burst), then time
 //! `Scheduler::schedule_pass` at W = 1..=5 over many iterations.
 //!
-//! The five window sizes run as cells on the fault-tolerant fleet
-//! engine (`amjs-fleet`) with a custom executor that times each one;
-//! measurements come back through a side channel keyed by spec, so the
-//! table is assembled in W order regardless of completion order.
+//! The five window sizes are timed on `--jobs` worker threads
+//! ([`amjs_core::par_map`]), which hands the times back in W order.
 //! `--jobs` defaults to 1 because this is a *timing* experiment —
 //! parallel cells contend for cores and contaminate each other's
 //! wall-clock numbers; raise it only for a structural smoke run.
@@ -27,16 +25,12 @@
 //! Usage: `cargo run -p amjs-bench --release --bin table3
 //!         [--seed N] [--jobs N]`
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use amjs_bench::harness;
 use amjs_bench::{results, table};
 use amjs_core::scheduler::{BackfillMode, QueuedJob, Scheduler};
-use amjs_core::{MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
-use amjs_fleet::RunDigest;
-use amjs_metrics::MetricsSummary;
+use amjs_core::{par_map, PolicyParams};
 use amjs_platform::Platform;
 use amjs_sim::{SimDuration, SimTime};
 use amjs_workload::synth::WorkloadSpec;
@@ -97,92 +91,24 @@ fn main() {
     };
     let base_plan = machine.plan(now, &release_of);
 
-    // One cell per window size. The spec's workload field is nominal —
-    // the executor times `schedule_pass` over the shared congested
-    // snapshot instead of running a simulation — but W rides in the key
-    // so the fleet journal and progress lines stay meaningful.
-    let specs: Vec<RunSpec> = (1..=5usize)
-        .map(|w| {
-            RunSpec::new(
-                format!("w{w}"),
-                MachineSpec::intrepid(),
-                WorkloadSource::Preset {
-                    name: PresetName::Month,
-                    seed,
-                    load_factor: 1.0,
-                },
-                PolicyParams::new(0.5, w),
-            )
-        })
-        .collect();
-
-    let side: Arc<Mutex<BTreeMap<String, f64>>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let shared = Arc::new((queue, base_plan, now));
-    let exec: amjs_fleet::Exec = {
-        let side = side.clone();
-        let shared = shared.clone();
-        Arc::new(move |spec| {
-            let (queue, base_plan, now) = &*shared;
-            let w = spec.policy.window;
-            let mut sched = Scheduler::new(spec.policy, BackfillMode::Easy);
-            sched.easy_protected = Some(harness::EASY_PROTECTED);
-            sched.backfill_depth = Some(harness::BACKFILL_DEPTH);
-            // Match the paper's setting: permutation search active in the
-            // windows that matter (see Scheduler docs).
-            let iterations: u32 = if w <= 2 { 400 } else { 100 };
-            // Warm-up.
-            let mut sink = 0usize;
-            sink += sched.schedule_pass(*now, queue, base_plan).starts.len();
-            let begin = Instant::now();
-            for _ in 0..iterations {
-                sink += sched.schedule_pass(*now, queue, base_plan).starts.len();
-            }
-            let secs = begin.elapsed().as_secs_f64() / iterations as f64;
-            std::hint::black_box(sink);
-            side.lock().unwrap().insert(spec.key.clone(), secs);
-            // Placeholder digest: the measurement is the side-channel
-            // value; no simulation ran, so the summary is empty.
-            RunDigest {
-                summary: MetricsSummary {
-                    label: format!("W={w}"),
-                    jobs_completed: 0,
-                    avg_wait_mins: 0.0,
-                    max_wait_mins: 0.0,
-                    unfair_jobs: 0,
-                    loc_percent: 0.0,
-                    avg_utilization: 0.0,
-                    mean_bounded_slowdown: 0.0,
-                    makespan: SimDuration::from_secs(0),
-                    node_downtime_hours: 0.0,
-                    abandoned_jobs: 0,
-                },
-                queue_depth_mean: 0.0,
-                interrupted_jobs: 0,
-                lost_node_hours: 0.0,
-                min_availability: 1.0,
-                worst_domain: "-".to_string(),
-                scheduler_passes: iterations as u64 + 1,
-                backfilled_starts: 0,
-            }
-        })
-    };
-    let cfg = amjs_fleet::FleetConfig {
-        workers: workers.max(1),
-        heartbeat: Some(std::time::Duration::from_secs(10)),
-        ..amjs_fleet::FleetConfig::default()
-    };
-    let report = amjs_fleet::run_fleet(&specs, &cfg, exec).expect("fleet sweep failed");
-    for rec in &report.records {
-        assert!(
-            rec.digest.is_some(),
-            "cell {} ended {}: {}",
-            rec.key,
-            rec.status.as_str(),
-            rec.error.as_deref().unwrap_or("no error recorded")
-        );
-    }
-    let side = side.lock().unwrap();
-    let (queue, ..) = &*shared;
+    let windows: Vec<usize> = (1..=5).collect();
+    let times = par_map(&windows, workers, |&w| {
+        let mut sched = Scheduler::new(PolicyParams::new(0.5, w), BackfillMode::Easy);
+        sched.easy_protected = Some(harness::EASY_PROTECTED);
+        sched.backfill_depth = Some(harness::BACKFILL_DEPTH);
+        // Match the paper's setting: permutation search active in the
+        // windows that matter (see Scheduler docs).
+        let iterations: u32 = if w <= 2 { 400 } else { 100 };
+        // Warm-up.
+        let mut sink = 0usize;
+        sink += sched.schedule_pass(now, &queue, &base_plan).starts.len();
+        let begin = Instant::now();
+        for _ in 0..iterations {
+            sink += sched.schedule_pass(now, &queue, &base_plan).starts.len();
+        }
+        std::hint::black_box(sink);
+        begin.elapsed().as_secs_f64() / iterations as f64
+    });
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -192,11 +118,10 @@ fn main() {
     let header = ["window size", "time per iteration", "vs W=1", "paper (s)"];
     let paper = [0.021, 0.034, 0.069, 0.117, 0.584];
     let mut rows = Vec::new();
-    let w1_time = side["w1"];
+    let w1_time = times[0];
     let mut csv = String::from("window,secs_per_iteration,paper_secs\n");
 
-    for (wi, w) in (1..=5usize).enumerate() {
-        let secs = side[&format!("w{w}")];
+    for (wi, (&w, &secs)) in windows.iter().zip(&times).enumerate() {
         rows.push(vec![
             format!("W={w}"),
             format!("{:.3} ms", secs * 1e3),

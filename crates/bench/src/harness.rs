@@ -1,4 +1,4 @@
-//! Shared experiment setup and the fleet-backed sweep runners.
+//! Shared experiment setup and the parallel sweep runners.
 //!
 //! All experiment binaries use the same machine (Intrepid's geometry),
 //! the same seeded month-long synthetic trace, and the same run
@@ -8,7 +8,7 @@
 use amjs_core::adaptive::AdaptiveScheme;
 use amjs_core::runner::{SimulationBuilder, SimulationOutcome};
 use amjs_core::scheduler::BackfillMode;
-use amjs_core::PolicyParams;
+use amjs_core::{par_map, PolicyParams, RunDigest, RunSpec};
 use amjs_platform::{BgpCluster, Platform};
 use amjs_workload::{Job, WorkloadSpec};
 
@@ -117,98 +117,23 @@ pub fn run_one<P: Platform>(platform: P, jobs: Vec<Job>, config: &RunConfig) -> 
         .run()
 }
 
-/// Run fully-specified grid points on the fault-tolerant fleet engine
-/// (`amjs-fleet`): supervised workers, each run executed once with its
-/// panic caught. `workers == 1` reproduces the old sequential behaviour
-/// exactly — the digests come back in spec order either way, so the
-/// output is byte-identical across worker counts.
-///
-/// # Panics
-/// Panics when a run ends degraded — an experiment binary has no use
-/// for a partial grid.
-pub fn run_fleet_sweep(
-    specs: &[amjs_core::RunSpec],
-    workers: usize,
-) -> (Vec<amjs_fleet::RunDigest>, amjs_fleet::FleetReport) {
-    let cfg = amjs_fleet::FleetConfig {
-        workers: workers.max(1),
-        heartbeat: Some(std::time::Duration::from_secs(10)),
-        ..amjs_fleet::FleetConfig::default()
-    };
-    let report =
-        amjs_fleet::run_fleet(specs, &cfg, amjs_fleet::default_exec()).expect("fleet sweep failed");
-    let digests = report
-        .records
-        .iter()
-        .map(|rec| {
-            rec.digest.clone().unwrap_or_else(|| {
-                panic!(
-                    "run {} ended {}: {}",
-                    rec.key,
-                    rec.status.as_str(),
-                    rec.error.as_deref().unwrap_or("no error recorded")
-                )
-            })
-        })
-        .collect();
-    (digests, report)
+/// Run fully-specified grid points on `workers` threads
+/// ([`amjs_core::par_map`]) and keep each run's compact digest, in spec
+/// order: the output is byte-identical across worker counts, and
+/// `workers == 1` runs them one after another. A panicking run panics
+/// the caller.
+pub fn run_sweep(specs: &[RunSpec], workers: usize) -> Vec<RunDigest> {
+    par_map(specs, workers, |spec| {
+        RunDigest::from_outcome(&spec.execute())
+    })
 }
 
-/// Like [`run_fleet_sweep`], but keep every run's *full*
+/// Like [`run_sweep`], but keep every run's *full*
 /// [`SimulationOutcome`] (sampled time series included) instead of the
 /// compact digest — for the figure binaries, which chart queue-depth
-/// and utilization series. Outcomes ride back around the digests
-/// through a side channel keyed by spec, so they come back in spec
-/// order regardless of completion order; `workers == 1` reproduces the
-/// old sequential output byte-for-byte.
-///
-/// # Panics
-/// Panics when a run ends degraded.
-pub fn run_fleet_outcomes(specs: &[amjs_core::RunSpec], workers: usize) -> Vec<SimulationOutcome> {
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex};
-
-    let side: Arc<Mutex<BTreeMap<String, SimulationOutcome>>> =
-        Arc::new(Mutex::new(BTreeMap::new()));
-    let exec: amjs_fleet::Exec = {
-        let side = side.clone();
-        Arc::new(move |spec| {
-            let outcome = spec.execute();
-            let digest = amjs_fleet::RunDigest::from_outcome(&outcome);
-            side.lock().unwrap().insert(spec.key.clone(), outcome);
-            digest
-        })
-    };
-    let cfg = amjs_fleet::FleetConfig {
-        workers: workers.max(1),
-        heartbeat: Some(std::time::Duration::from_secs(10)),
-        ..amjs_fleet::FleetConfig::default()
-    };
-    let report = amjs_fleet::run_fleet(specs, &cfg, exec).expect("fleet sweep failed");
-    for rec in &report.records {
-        assert!(
-            rec.digest.is_some(),
-            "run {} ended {}: {}",
-            rec.key,
-            rec.status.as_str(),
-            rec.error.as_deref().unwrap_or("no error recorded")
-        );
-    }
-    let mut side = side.lock().unwrap();
-    specs
-        .iter()
-        .map(|spec| {
-            side.remove(&spec.key)
-                .unwrap_or_else(|| panic!("run {} left no outcome", spec.key))
-        })
-        .collect()
-}
-
-/// Write the fleet throughput benchmark (runs/s, aggregate passes/s,
-/// per-run wall-clock quartiles) to `results/BENCH_sweep.json`.
-pub fn write_sweep_bench(report: &amjs_fleet::FleetReport) {
-    let path = crate::results::write_result("BENCH_sweep.json", &amjs_fleet::bench_json(report));
-    eprintln!("wrote {}", path.display());
+/// and utilization series.
+pub fn run_outcomes(specs: &[RunSpec], workers: usize) -> Vec<SimulationOutcome> {
+    par_map(specs, workers, RunSpec::execute)
 }
 
 /// Parse `--seed N` and `--fast` from command-line arguments (`--jobs`
@@ -279,8 +204,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fleet_outcomes_match_direct_runs_across_worker_counts() {
-        use amjs_core::{MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
+    fn outcomes_match_direct_runs_across_worker_counts() {
+        use amjs_core::{MachineSpec, PresetName, WorkloadSource};
         let specs: Vec<RunSpec> = [(1.0, 1), (0.5, 2), (0.0, 1)]
             .iter()
             .map(|&(bf, w)| {
@@ -296,8 +221,8 @@ mod tests {
                 )
             })
             .collect();
-        let seq = run_fleet_outcomes(&specs, 1);
-        let par = run_fleet_outcomes(&specs, 3);
+        let seq = run_outcomes(&specs, 1);
+        let par = run_outcomes(&specs, 3);
         assert_eq!(seq.len(), 3);
         for ((spec, a), b) in specs.iter().zip(&seq).zip(&par) {
             assert_eq!(a.summary.label, spec.label, "outcomes in spec order");
@@ -308,7 +233,7 @@ mod tests {
                 "worker count changed a sampled series"
             );
         }
-        // The side channel carries the same result a direct execute gives.
+        // The map returns the same result a direct execute gives.
         assert_eq!(seq[1].summary, specs[1].execute().summary);
     }
 

@@ -4,7 +4,7 @@
 //! shared pieces they need:
 //!
 //! * [`harness`] — standard experiment setup (the Intrepid machine, the
-//!   month-long synthetic trace, run configurations) and the fleet-backed
+//!   month-long synthetic trace, run configurations) and the parallel
 //!   sweep runners (each simulation is single-threaded and deterministic,
 //!   so fanning the BF×W grid across cores is free of ordering effects);
 //! * [`chart`] — ASCII line charts so figure binaries can render the

@@ -10,19 +10,41 @@ use crate::args::{parse, render_flags, ArgError, FlagSpec, ParsedArgs};
 use crate::config::{adaptive_kind, load_workload, machine_spec, template_spec};
 use crate::obs::{obs_flag_specs, ObsFlags};
 
+/// Every command and its one-line summary: the source of both the
+/// command list in `amjs --help` and each `amjs <cmd> --help` title.
+const COMMANDS: &[(&str, &str)] = &[
+    ("simulate", "run one policy over a workload"),
+    ("serve", "crash-safe live scheduler daemon"),
+    ("doctor", "postmortem of a daemon state directory"),
+    ("sweep", "parallel grid sweep (scheme x BF x W x seed)"),
+    ("workload", "generate a synthetic trace"),
+    (
+        "trace",
+        "inspect decision traces written by simulate --trace",
+    ),
+];
+
+/// The first line of `amjs <command> --help`.
+pub(crate) fn title(command: &str) -> String {
+    let (_, summary) = COMMANDS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .expect("every command has a summary");
+    format!("amjs {command} — {summary}")
+}
+
 /// Top-level usage text.
 pub fn top_level_help() -> String {
-    "amjs — adaptive metric-aware job scheduling simulator (ICPP 2012 reproduction)\n\n\
-     usage: amjs <command> [flags]\n\n\
-     commands:\n\
-       simulate             run one policy over a workload\n\
-       serve                crash-safe live scheduler daemon (TCP)\n\
-       doctor <dir>         postmortem of a daemon state directory\n\
-       sweep                fault-tolerant parallel grid sweep (resumable)\n\
-       workload             generate a synthetic trace (writes SWF)\n\
-       trace explain        reconstruct a job's decision chain from a trace\n\n\
-     run `amjs <command> --help` for each command's flags"
-        .to_string()
+    let mut out = String::from(
+        "amjs — adaptive metric-aware job scheduling simulator (ICPP 2012 reproduction)\n\n\
+         usage: amjs <command> [flags]\n\n\
+         commands:\n",
+    );
+    for (name, summary) in COMMANDS {
+        out.push_str(&format!("{name:<20} {summary}\n"));
+    }
+    out.push_str("\nrun `amjs <command> --help` for each command's flags");
+    out
 }
 
 pub(crate) fn common_flags() -> Vec<FlagSpec> {
@@ -113,10 +135,7 @@ pub fn simulate(argv: &[String]) -> Result<(), ArgError> {
     let flags = simulate_flags();
     let parsed = parse(argv, &flags)?;
     if parsed.get_bool("help") {
-        println!(
-            "amjs simulate — run one policy over a workload\n\n{}",
-            render_flags(&flags)
-        );
+        println!("{}\n\n{}", title("simulate"), render_flags(&flags));
         return Ok(());
     }
     run_simulate(&parsed)
@@ -265,10 +284,7 @@ pub fn workload(argv: &[String]) -> Result<(), ArgError> {
     let flags = workload_flags();
     let parsed = parse(argv, &flags)?;
     if parsed.get_bool("help") {
-        println!(
-            "amjs workload — generate a synthetic trace\n\n{}",
-            render_flags(&flags)
-        );
+        println!("{}\n\n{}", title("workload"), render_flags(&flags));
         return Ok(());
     }
     let seed: u64 = parsed.get_parsed("seed")?;
@@ -311,10 +327,12 @@ pub fn workload(argv: &[String]) -> Result<(), ArgError> {
 // ---------------------------------------------------------------------------
 
 fn trace_usage() -> String {
-    "amjs trace — inspect decision traces written by simulate --trace\n\n\
-     usage:\n  \
-     amjs trace explain <trace.jsonl> <job-id>    reconstruct one job's decision chain"
-        .to_string()
+    format!(
+        "{}\n\n\
+         usage:\n  \
+         amjs trace explain <trace.jsonl> <job-id>    reconstruct one job's decision chain",
+        title("trace")
+    )
 }
 
 /// `amjs trace explain <trace.jsonl> <job-id>` — reconstruct a job's

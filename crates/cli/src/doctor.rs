@@ -36,7 +36,7 @@ fn flag_specs() -> Vec<FlagSpec> {
 
 fn help() -> String {
     format!(
-        "amjs doctor — postmortem of a daemon state directory\n\n\
+        "{}\n\n\
          usage: amjs doctor <state-dir> [flags]\n\n\
          Reads the command WAL, the snapshot rotation, and the crash\n\
          flight recorder (`flightrec.jsonl`), and prints a correlated\n\
@@ -44,6 +44,7 @@ fn help() -> String {
          tail diagnosis, the recovery plan, epoch transitions, slowest\n\
          ops, BUSY-shed windows, and any recorded panics. Never writes.\n\n\
          flags:\n{}",
+        crate::commands::title("doctor"),
         args::render_flags(&flag_specs())
     )
 }

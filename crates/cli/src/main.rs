@@ -1,17 +1,10 @@
 //! `amjs` — command-line interface to the adaptive metric-aware job
 //! scheduling simulator (ICPP 2012 reproduction).
 //!
-//! ```text
-//! amjs simulate  [flags]            run one policy over a workload
-//! amjs serve     [flags]            crash-safe live scheduler daemon (TCP)
-//! amjs doctor <dir> [flags]         postmortem of a daemon state directory
-//! amjs sweep     [flags]            fault-tolerant parallel grid sweep
-//! amjs workload  [flags]            generate a synthetic trace (SWF out)
-//! amjs trace explain <file> <job>   reconstruct a job's decision chain
-//! ```
-//!
-//! Run `amjs <command> --help` for the flag table of each command.
+//! `amjs --help` lists the commands; `amjs <command> --help` prints
+//! each one's flag table.
 
+mod aggregate;
 mod args;
 mod commands;
 mod config;

@@ -140,20 +140,21 @@ fn flag_specs() -> Vec<FlagSpec> {
 
 fn help() -> String {
     format!(
-        "amjs serve — crash-safe live scheduler daemon\n\n\
+        "{}\n\n\
          usage: amjs serve --serve-dir <dir> [flags]\n\n\
          Speaks a length-prefixed line protocol: frame = `<len>:<payload>\\n`.\n\
          Verbs: SUBMIT NODES=n WALL=s [RUN=s] [USER=u], STATUS <job>,\n\
          CANCEL <job>, WHATIF <job> [BF=f] [W=n] [HORIZON=s], ADVANCE <s>,\n\
          STATS, HASH, ROLE, PING, DRAIN, SHUTDOWN.\n\n\
-         Every accepted mutation is journaled and flushed before it is\n\
-         acknowledged; `--resume` restarts into byte-identical state.\n\
+         Every accepted mutation is written to the OS, not synced, before\n\
+         it is acknowledged; `--resume` restarts into byte-identical state.\n\
          With `--follow <primary>` the daemon runs as a hot standby: it\n\
          bootstraps from the primary's snapshot, mirrors its journal\n\
          (cross-checking every record's state hash), refuses writes, and\n\
          promotes itself into a new fenced epoch if the primary goes\n\
          silent past the lease.\n\n\
          flags:\n{}",
+        crate::commands::title("serve"),
         args::render_flags(&flag_specs())
     )
 }

@@ -1,24 +1,22 @@
-//! `amjs sweep` — fault-tolerant parallel grid sweeps on the
-//! `amjs-fleet` engine.
+//! `amjs sweep` — a parallel grid sweep.
 //!
 //! The command expands scheme × BF × W × seed (under one shared
 //! machine/workload/failure configuration) into a grid of
-//! [`RunSpec`]s, fans it across supervised workers, and aggregates the
-//! per-run digests into one CSV with per-config mean ± 95% CI and a
-//! status column. Each grid point runs once; a panic or an overrun
-//! deadline leaves a degraded row. A sweep keeps nothing on disk but
-//! the artifacts it is asked for: an interrupted sweep, or one with a
-//! degraded point, is run again.
+//! [`RunSpec`]s, maps it across worker threads with
+//! [`amjs_core::par_map`], and aggregates the per-run digests in grid
+//! order into one CSV with per-config mean ± 95% CI. A grid point is a
+//! pure function of its spec, so a panic is a bug, not a result: it
+//! fails the command and names the point. A sweep keeps nothing on disk
+//! but the artifacts it is asked for; an interrupted sweep is run
+//! again.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
-use amjs_core::{AdaptiveKind, PolicyParams, RunSpec, WorkloadSource};
-use amjs_fleet::{
-    aggregate_csv, bench_json, render_table, run_fleet, validate_grid, Exec, FleetConfig, RunDigest,
-};
+use amjs_core::{par_map, AdaptiveKind, PolicyParams, RunDigest, RunSpec, WorkloadSource};
 
+use crate::aggregate::{aggregate_csv, render_table};
 use crate::args::{parse, render_flags, ArgError, FlagSpec, ParsedArgs};
 use crate::config::{machine_spec, template_spec, workload_source};
 
@@ -44,24 +42,7 @@ fn sweep_flags() -> Vec<FlagSpec> {
         ),
         FlagSpec::with_default("estimates", "raw", "planning walltimes: raw|adaptive"),
         FlagSpec::optional("jobs", "all cores", "worker threads (1 = sequential)"),
-        FlagSpec::optional(
-            "run-timeout",
-            "unbounded",
-            "per-run wall-clock deadline in seconds; overrunning runs are abandoned",
-        ),
-        FlagSpec::switch(
-            "keep-going",
-            "exit 0 even when runs end degraded (status column still records them)",
-        ),
         FlagSpec::value("csv", "write the aggregated sweep CSV to this path"),
-        FlagSpec::value(
-            "bench-json",
-            "write sweep throughput stats (runs/s, quartiles) as JSON to this path",
-        ),
-        FlagSpec::value(
-            "heartbeat",
-            "stderr progress line (done/inflight/failed) every N seconds",
-        ),
         FlagSpec::value(
             "profile-dir",
             "write a per-run scheduler span profile JSON into this directory",
@@ -77,100 +58,57 @@ pub fn sweep(argv: &[String]) -> Result<(), ArgError> {
 }
 
 /// `amjs sweep` with the per-run executor built by `exec` — the seam a
-/// test hands its own [`Exec`] through.
-fn run_sweep(
+/// test hands its own executor through.
+fn run_sweep<E: Fn(&RunSpec) -> RunDigest + Sync>(
     argv: &[String],
-    exec: impl FnOnce(&ParsedArgs) -> Result<Exec, ArgError>,
+    exec: impl FnOnce(&ParsedArgs) -> Result<E, ArgError>,
 ) -> Result<(), ArgError> {
     let flags = sweep_flags();
     let parsed = parse(argv, &flags)?;
     if parsed.get_bool("help") {
         println!(
-            "amjs sweep — fault-tolerant parallel grid sweep \
-             (scheme x BF x W x seed)\n\n{}",
+            "{}\n\n{}",
+            crate::commands::title("sweep"),
             render_flags(&flags)
         );
         return Ok(());
     }
 
-    let cfg = fleet_config(&parsed)?;
-    cfg.validate().map_err(|e| ArgError(e.to_string()))?;
-
+    let workers = match parsed.get_opt("jobs")? {
+        Some(0) => return Err(ArgError("--jobs must be at least 1".to_string())),
+        Some(n) => n,
+        None => std::thread::available_parallelism().map_or(4, |n| n.get()),
+    };
     let (specs, warnings) = build_grid(&parsed)?;
     for w in &warnings {
         eprintln!("amjs: warning: {w}");
     }
-    eprintln!(
-        "amjs: sweeping {} runs on {} workers",
-        specs.len(),
-        cfg.workers_for(specs.len())
-    );
+    let workers = workers.min(specs.len());
+    eprintln!("amjs: sweeping {} runs on {workers} workers", specs.len());
     let exec = exec(&parsed)?;
-    let report =
-        run_fleet(&specs, &cfg, exec).map_err(|e| ArgError(format!("sweep failed: {e}")))?;
+    let started = Instant::now();
+    let digests = par_map(&specs, workers, |spec| {
+        catch_unwind(AssertUnwindSafe(|| exec(spec)))
+            .unwrap_or_else(|_| panic!("amjs sweep: grid point {} panicked", spec.key))
+    });
 
     // Artifacts and stdout, all in grid order.
-    let csv = aggregate_csv(&specs, &report.records);
+    let csv = aggregate_csv(&specs, &digests);
     if parsed.get_bool("quiet") {
         print!("{csv}");
     } else {
-        print!("{}", render_table(&specs, &report.records));
+        print!("{}", render_table(&specs, &digests));
     }
     if let Some(path) = parsed.get("csv") {
         std::fs::write(path, &csv).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         eprintln!("amjs: wrote aggregated sweep CSV to {path}");
     }
-    if let Some(path) = parsed.get("bench-json") {
-        std::fs::write(path, bench_json(&report))
-            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        eprintln!("amjs: wrote sweep benchmark to {path}");
-    }
-
-    let failed = report.failed_runs();
     eprintln!(
-        "amjs: sweep complete: {} runs, {failed} degraded, {:.1}s wall",
-        report.records.len(),
-        report.wall.as_secs_f64(),
+        "amjs: sweep complete: {} runs, {:.1}s wall",
+        specs.len(),
+        started.elapsed().as_secs_f64(),
     );
-    if failed > 0 && !cfg.keep_going {
-        let keys: Vec<&str> = report
-            .records
-            .iter()
-            .filter(|r| !r.status.succeeded())
-            .map(|r| r.key.as_str())
-            .collect();
-        return Err(ArgError(format!(
-            "{failed} runs ended degraded ({}); their rows carry status \
-             timeout/failed — pass --keep-going to exit 0 anyway",
-            keys.join(", ")
-        )));
-    }
     Ok(())
-}
-
-/// Parse the fleet execution flags.
-fn fleet_config(parsed: &ParsedArgs) -> Result<FleetConfig, ArgError> {
-    let workers = match parsed.get_opt("jobs")? {
-        Some(n) => n,
-        None => FleetConfig::default().workers,
-    };
-    Ok(FleetConfig {
-        workers,
-        run_timeout: positive_secs(parsed, "run-timeout")?,
-        keep_going: parsed.get_bool("keep-going"),
-        heartbeat: positive_secs(parsed, "heartbeat")?,
-    })
-}
-
-/// An optional duration flag in seconds, which must be positive.
-fn positive_secs(parsed: &ParsedArgs, flag: &str) -> Result<Option<Duration>, ArgError> {
-    let secs = parsed.get_opt_f64(flag)?;
-    if let Some(s) = secs.filter(|s| *s <= 0.0) {
-        return Err(ArgError(format!(
-            "--{flag}: must be positive seconds, got {s}"
-        )));
-    }
-    Ok(secs.map(Duration::from_secs_f64))
 }
 
 /// Expand the grid flags into a validated, deduplicated spec list.
@@ -226,6 +164,11 @@ fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgErr
                 .to_string(),
         ));
     }
+    if fixed_trace {
+        // Every grid point reads the same trace: refuse it here, once,
+        // rather than panic inside each point.
+        template.workload.load().map_err(ArgError)?;
+    }
 
     let mut specs = Vec::new();
     for (scheme, adaptive) in &schemes {
@@ -250,12 +193,42 @@ fn build_grid(parsed: &ParsedArgs) -> Result<(Vec<RunSpec>, Vec<String>), ArgErr
             }
         }
     }
-    validate_grid(specs).map_err(|e| ArgError(e.to_string()))
+    validate_grid(specs)
+}
+
+/// Validate a grid: reject an empty grid and conflicting keys, and drop
+/// exact duplicate grid points (equal specs), returning the
+/// deduplicated grid plus one warning line per dropped duplicate.
+fn validate_grid(specs: Vec<RunSpec>) -> Result<(Vec<RunSpec>, Vec<String>), ArgError> {
+    if specs.is_empty() {
+        return Err(ArgError(
+            "the parameter grid is empty: nothing to sweep".to_string(),
+        ));
+    }
+    let mut out: Vec<RunSpec> = Vec::with_capacity(specs.len());
+    let mut warnings = Vec::new();
+    for spec in specs {
+        if let Some(prev) = out.iter().find(|prev| prev.key == spec.key) {
+            if *prev == spec {
+                warnings.push(format!(
+                    "duplicate grid point {:?} dropped (identical configuration)",
+                    spec.key
+                ));
+                continue;
+            }
+            return Err(ArgError(format!(
+                "two different grid points share the key {:?}; keys must be unique",
+                spec.key
+            )));
+        }
+        out.push(spec);
+    }
+    Ok((out, warnings))
 }
 
 /// Build the per-run executor: the real simulation, with optional
 /// per-run span profiling.
-fn build_exec(parsed: &ParsedArgs) -> Result<Exec, ArgError> {
+fn build_exec(parsed: &ParsedArgs) -> Result<impl Fn(&RunSpec) -> RunDigest + Sync, ArgError> {
     let profile_dir = parsed.get("profile-dir").map(PathBuf::from);
     if let Some(dir) = &profile_dir {
         std::fs::create_dir_all(dir).map_err(|e| {
@@ -265,10 +238,10 @@ fn build_exec(parsed: &ParsedArgs) -> Result<Exec, ArgError> {
             ))
         })?;
     }
-    Ok(Arc::new(move |spec: &RunSpec| match &profile_dir {
+    Ok(move |spec: &RunSpec| match &profile_dir {
         None => RunDigest::from_outcome(&spec.execute()),
         Some(dir) => run_profiled(spec, dir),
-    }))
+    })
 }
 
 /// Execute one run with a span profiler attached, writing the profile
@@ -312,13 +285,9 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_argv_is_the_fleet_default_and_the_full_grid() {
+    fn an_empty_argv_is_the_full_grid() {
         let parsed = parse(&[], &sweep_flags()).unwrap();
-        let (cfg, d) = (fleet_config(&parsed).unwrap(), FleetConfig::default());
-        assert_eq!((cfg.workers, cfg.run_timeout), (d.workers, d.run_timeout));
-        assert_eq!(cfg.heartbeat, d.heartbeat);
-        // `--keep-going` is a switch: off unless asked for.
-        assert!(!cfg.keep_going);
+        assert_eq!(parsed.get_opt::<usize>("jobs").unwrap(), None);
         let (specs, _) = build_grid(&parsed).unwrap();
         assert_eq!(specs.len(), 5 * 3);
         assert!(specs.iter().any(|s| s.key == "none-bf0.25-w4-s42"));
@@ -379,20 +348,7 @@ mod tests {
     fn validation_guards_reject_bad_flags() {
         // --jobs 0
         let err = sweep(&small_argv(&["--bf", "1", "--window", "1", "--jobs", "0"])).unwrap_err();
-        assert!(err.0.contains("--jobs"), "{err}");
-        // a deadline or a heartbeat that is not positive
-        for (flag, bad) in [
-            ("--run-timeout", "0"),
-            ("--heartbeat", "0"),
-            ("--heartbeat", "-1"),
-        ] {
-            let err = sweep(&small_argv(&["--bf", "1", "--window", "1", flag, bad])).unwrap_err();
-            assert_eq!(
-                err.0,
-                format!("{flag}: must be positive seconds, got {bad}"),
-                "{flag} {bad}"
-            );
-        }
+        assert_eq!(err.0, "--jobs must be at least 1");
         // bad grid values
         assert!(sweep(&small_argv(&["--bf", "1.5", "--window", "1"])).is_err());
         assert!(sweep(&small_argv(&["--bf", "1", "--window", "0"])).is_err());
@@ -412,31 +368,53 @@ mod tests {
         assert!(err.0.contains("--seeds"), "{err}");
     }
 
-    /// The real executor, except that a run whose key contains `pat`
-    /// panics.
-    fn panicking(pat: &'static str) -> Exec {
-        Arc::new(move |spec: &RunSpec| {
-            if spec.key.contains(pat) {
-                panic!("injected failure for run {}", spec.key);
-            }
-            RunDigest::from_outcome(&spec.execute())
-        })
-    }
+    #[test]
+    fn grid_validation_rejects_empty_and_conflicting() {
+        let spec = |key: &str, seed| {
+            RunSpec::new(
+                key,
+                amjs_core::MachineSpec::Flat { nodes: 64 },
+                WorkloadSource::Preset {
+                    name: amjs_core::PresetName::Small,
+                    seed,
+                    load_factor: 1.0,
+                },
+                PolicyParams::fcfs(),
+            )
+        };
+        let err = validate_grid(vec![]).unwrap_err();
+        assert_eq!(err.0, "the parameter grid is empty: nothing to sweep");
 
-    /// [`sweep`] over `argv`, every run through `exec`.
-    fn sweep_with(argv: &[String], exec: Exec) -> Result<(), ArgError> {
-        run_sweep(argv, |_| Ok(exec))
+        // Identical duplicates dedup with a warning.
+        let (specs, warnings) = validate_grid(vec![spec("a", 1), spec("a", 1)]).unwrap();
+        assert_eq!(specs.len(), 1);
+        assert_eq!(warnings.len(), 1);
+        assert!(warnings[0].contains("duplicate grid point"));
+
+        // Same key, different content: hard error. The label is content
+        // too.
+        let conflict = "two different grid points share the key \"a\"; keys must be unique";
+        let err = validate_grid(vec![spec("a", 1), spec("a", 2)]).unwrap_err();
+        assert_eq!(err.0, conflict);
+        let err = validate_grid(vec![spec("a", 1), spec("a", 1).labeled("other")]).unwrap_err();
+        assert_eq!(err.0, conflict);
     }
 
     #[test]
-    fn degraded_runs_fail_the_exit_unless_keep_going() {
-        let base = &["--bf", "1,0", "--window", "1"];
-        let err = sweep_with(&small_argv(base), panicking("bf0-")).unwrap_err();
-        assert!(err.0.contains("degraded"), "{err}");
-        assert!(err.0.contains("--keep-going"), "{err}");
-
-        let mut with_keep = base.to_vec();
-        with_keep.push("--keep-going");
-        sweep_with(&small_argv(&with_keep), panicking("bf0-")).unwrap();
+    fn a_panicking_grid_point_fails_the_sweep_and_names_its_key() {
+        let argv = small_argv(&["--bf", "1,0", "--window", "1", "--jobs", "2"]);
+        let exec = |_: &ParsedArgs| {
+            Ok(|spec: &RunSpec| {
+                if spec.key.contains("bf0-") {
+                    panic!("injected failure for run {}", spec.key);
+                }
+                RunDigest::from_outcome(&spec.execute())
+            })
+        };
+        let payload = catch_unwind(|| run_sweep(&argv, exec)).unwrap_err();
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("amjs sweep: grid point none-bf0-w1-s42 panicked")
+        );
     }
 }

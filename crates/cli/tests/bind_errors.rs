@@ -233,7 +233,9 @@ fn removed_flags_are_unknown_flags() {
     // batch run or a sweep is re-run rather than checkpointed or
     // resumed, and slow ops are read from the flight recorder. A batch
     // run is observed through its artefacts; the live endpoint belongs
-    // to the daemon.
+    // to the daemon. A sweep is a plain parallel map: a grid point that
+    // panics fails the command, so it has no deadline, no degraded
+    // exit to forgive, no progress line and no throughput artefact.
     const SIM: &str = "simulate --workload small --machine flat --nodes 64";
     for (command, flag) in [
         ("serve --repl-fault drop=0.1", "--repl-fault"),
@@ -245,6 +247,10 @@ fn removed_flags_are_unknown_flags() {
         ("sweep --sweep-dir d", "--sweep-dir"),
         ("sweep --resume d", "--resume"),
         ("sweep --stop-after 3", "--stop-after"),
+        ("sweep --run-timeout 1", "--run-timeout"),
+        ("sweep --keep-going", "--keep-going"),
+        ("sweep --heartbeat 5", "--heartbeat"),
+        ("sweep --bench-json x", "--bench-json"),
         ("serve --slow-ms 50", "--slow-ms"),
         (&format!("{SIM} --users"), "--users"),
         (

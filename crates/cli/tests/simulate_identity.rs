@@ -8,7 +8,8 @@
 //! same way at the commit before energy, `--users` and job
 //! checkpointing were removed; `sweep-2x2x2` by cutting the `attempts`
 //! column out of that commit's per-run rows when the column was
-//! removed). A change that alters scheduling on purpose re-pins them,
+//! removed, and the `status` column the same way when a panicking grid
+//! point began to fail the sweep instead of leaving a row). A change that alters scheduling on purpose re-pins them,
 //! like `benchmark/expected.txt`.
 
 use std::path::Path;
@@ -98,5 +99,5 @@ const PINNED: &[&str] = &[
     "cascades-bgp f0519ed1a2abd1c7",
     "cascades-bgp-report 0981afc023b8f6ae",
     "replay-swf 14f3d95bc308ecd1",
-    "sweep-2x2x2 0f86d734607c3088",
+    "sweep-2x2x2 b7b4ccd095a38d8e",
 ];

@@ -53,4 +53,6 @@ pub use passcache::{CacheOutcome, PassCache, PassCacheStats};
 pub use policy::{PolicyParams, QueuePolicy};
 pub use runner::{SimulationBuilder, SimulationOutcome};
 pub use scheduler::{BackfillMode, QueuedJob, ScheduleDecision, Scheduler};
-pub use spec::{AdaptiveKind, MachineSpec, PresetName, RunSpec, WorkloadSource};
+pub use spec::{
+    par_map, AdaptiveKind, MachineSpec, PresetName, RunDigest, RunSpec, WorkloadSource,
+};

@@ -2,12 +2,15 @@
 //!
 //! A [`RunSpec`] captures *everything* one simulation needs (machine,
 //! workload source, policy, failure model, oracle switch) as plain
-//! data, so a sweep orchestrator can fan specs across worker threads
-//! (see the `amjs-fleet` crate). [`RunSpec::execute`] is the
-//! per-grid-point runner entry point: it regenerates the workload,
-//! builds the platform, and runs the simulation to a
-//! [`SimulationOutcome`].
+//! data, so a sweep can fan specs across worker threads with
+//! [`par_map`]. [`RunSpec::execute`] is the per-grid-point runner entry
+//! point: it regenerates the workload, builds the platform, and runs
+//! the simulation to a [`SimulationOutcome`]; [`RunDigest`] is the
+//! compact part of that outcome a sweep keeps.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use amjs_metrics::{FaultDomain, MetricsSummary};
 use amjs_obs::Observer;
 use amjs_platform::{BgpCluster, FlatCluster, Platform};
 use amjs_sim::snapshot::Snapshot;
@@ -232,8 +235,8 @@ impl RunSpec {
     /// The jobs this spec runs over.
     ///
     /// # Panics
-    /// Panics when an SWF workload cannot be read or parsed; sweep
-    /// supervisors convert the panic into a structured run failure.
+    /// Panics when an SWF workload cannot be read or parsed; a caller
+    /// that wants an error instead loads [`RunSpec::workload`] itself.
     pub fn jobs(&self) -> Vec<Job> {
         self.workload.load().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -291,6 +294,119 @@ impl RunSpec {
     }
 }
 
+/// Whole-run numbers distilled from one simulation: the Table-II
+/// summary plus the handful of whole-run numbers the experiment
+/// binaries aggregate. A full outcome carries every sampled series and
+/// per-job record, far too heavy to keep for thousands of runs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunDigest {
+    /// The Table-II-style summary.
+    pub summary: MetricsSummary,
+    /// Mean sampled queue depth in minutes (threshold calibration).
+    pub queue_depth_mean: f64,
+    /// Job interruptions caused by injected failures.
+    pub interrupted_jobs: u64,
+    /// Node-hours of progress destroyed by failures.
+    pub lost_node_hours: f64,
+    /// Smallest sampled in-service fraction of the machine (1.0 on a
+    /// reliable machine).
+    pub min_availability: f64,
+    /// Label of the widest failure domain that actually faulted
+    /// (`"-"` without failure injection).
+    pub worst_domain: String,
+    /// Scheduling passes executed (cost accounting, passes/s).
+    pub scheduler_passes: u64,
+    /// Jobs started via backfill.
+    pub backfilled_starts: u64,
+}
+
+impl RunDigest {
+    /// Distill an outcome.
+    pub fn from_outcome(o: &SimulationOutcome) -> Self {
+        let min_availability = o
+            .availability
+            .points()
+            .iter()
+            .map(|&(_, v)| v)
+            .fold(1.0f64, f64::min);
+        let worst_domain = FaultDomain::ALL
+            .iter()
+            .rev()
+            .find(|&&l| o.domain_downtime.level(l).faults > 0)
+            .map(|l| l.label().to_string())
+            .unwrap_or_else(|| "-".to_string());
+        RunDigest {
+            summary: o.summary.clone(),
+            queue_depth_mean: o.queue_depth.mean_value().unwrap_or(0.0),
+            interrupted_jobs: o.interrupted_jobs,
+            lost_node_hours: o.lost_node_hours,
+            min_availability,
+            worst_domain,
+            scheduler_passes: o.scheduler_passes,
+            backfilled_starts: o.backfilled_starts,
+        }
+    }
+}
+
+/// `f` over every item on up to `workers` scoped threads, results in
+/// item order. Each worker takes the next unclaimed index from one
+/// shared cursor, so a slow item never holds up the rest; the results
+/// are independent of the worker count whenever `f` is deterministic.
+///
+/// # Panics
+/// If `f` panics, the other workers stop claiming items, every worker
+/// is joined, and one panic's payload is resumed on the caller.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    // `Relaxed` throughout: the cursor publishes no other data, and the
+    // results come back through `join`.
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        // Moves the cursor past the end if `f` unwinds.
+        struct Stop<'a>(&'a AtomicUsize, usize);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(self.1, Ordering::Relaxed);
+                }
+            }
+        }
+        let _stop = Stop(&cursor, items.len());
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, items.len().max(1)))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        let mut indexed = Vec::with_capacity(items.len());
+        let mut panicked = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => indexed.extend(done),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        indexed
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, r)| r).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,5 +442,54 @@ mod tests {
             PolicyParams::fcfs(),
         )
         .jobs();
+    }
+
+    #[test]
+    fn digest_from_a_real_outcome() {
+        let spec = RunSpec::new(
+            "d",
+            MachineSpec::Flat { nodes: 1024 },
+            WorkloadSource::Preset {
+                name: PresetName::Small,
+                seed: 5,
+                load_factor: 1.0,
+            },
+            PolicyParams::fcfs(),
+        );
+        let out = spec.execute();
+        let d = RunDigest::from_outcome(&out);
+        assert_eq!(d.summary, out.summary);
+        assert_eq!(d.worst_domain, "-");
+        assert_eq!(d.min_availability, 1.0);
+        assert!(d.scheduler_passes > 0);
+    }
+
+    #[test]
+    fn par_map_keeps_item_order_for_any_worker_count() {
+        let items: Vec<u64> = (0..13).collect();
+        let want: Vec<u64> = items.iter().map(|i| i * i).collect();
+        for workers in [1, 3, 64] {
+            assert_eq!(
+                par_map(&items, workers, |i| i * i),
+                want,
+                "{workers} workers"
+            );
+        }
+        assert!(par_map(&[] as &[u64], 4, |i| i * i).is_empty());
+    }
+
+    #[test]
+    fn par_map_resumes_a_panic_on_the_caller() {
+        let items: Vec<u64> = (0..8).collect();
+        let payload = std::panic::catch_unwind(|| {
+            par_map(&items, 3, |&i| {
+                if i == 5 {
+                    panic!("item {i} failed");
+                }
+                i
+            })
+        })
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "item 5 failed");
     }
 }

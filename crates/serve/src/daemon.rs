@@ -55,7 +55,8 @@
 //! ## Durability contract
 //!
 //! Accepted mutations are applied, then appended to the command WAL
-//! ([`crate::wal`]) and flushed, and only then acknowledged. Every
+//! ([`crate::wal`]) — written to the OS, not synced — and only then
+//! acknowledged. Every
 //! `snapshot_every` accepted commands a snapshot rotates: the engine
 //! encodes the bounded *head* of the live state and a *frame* of what
 //! the append-only columns gained since the last snapshot — a few KB
@@ -1327,7 +1328,7 @@ impl<P: Platform + Snapshot + 'static> Engine<P> {
                 match apply_mutation(&mut self.sched, mutating) {
                     Ok(ok) => {
                         // Journal before acknowledgment: the reply is not
-                        // sent until the record is flushed. A WAL that can
+                        // sent until the record is written to the OS. A WAL that can
                         // no longer be written means memory is ahead of
                         // what the log can promise — refuse the ACK and
                         // stop serving, cleanly.

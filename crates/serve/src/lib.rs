@@ -11,8 +11,9 @@
 //!   `STATS`, `HASH`, `DRAIN`, `SHUTDOWN`, `PING`). Hard frame-size
 //!   cap; malformed input is a clean `ERR`, never a panic.
 //! - **[`wal`]** — checksummed append-only command journal. Accepted
-//!   mutations are applied, journaled, flushed, *then* acknowledged,
-//!   so a SIGKILL can never lose an acknowledged submission.
+//!   mutations are applied, journaled — written to the OS, not
+//!   synced — *then* acknowledged, so a SIGKILL can never lose an
+//!   acknowledged submission (a power loss can).
 //! - **[`collog`]** — the column log: the append-only part of the run
 //!   state, written once. A snapshot appends a frame of what the
 //!   columns gained and rotates only a few-KB head.

@@ -1,7 +1,7 @@
 //! The command write-ahead log: the daemon's durability spine.
 //!
-//! Every *accepted* state-mutating command is appended (and flushed to
-//! the OS) before the client sees its `OK` — so an acknowledged
+//! Every *accepted* state-mutating command is appended — written to the
+//! OS, not synced — before the client sees its `OK`, so an acknowledged
 //! submission survives a SIGKILL by construction. Recovery replays the
 //! log through the same apply path the live daemon uses: load the
 //! newest valid snapshot, then for each later record advance the
@@ -29,9 +29,10 @@
 //! `check` is FNV-1a over the record's preceding bytes. A torn tail —
 //! the partial record a crash mid-write leaves behind — fails the
 //! length or checksum test and is dropped; everything before it is
-//! intact because records are append-only and flushed whole. Like the
-//! PR-3 journal this is flush-to-OS durability: it survives process
-//! death (the SIGKILL contract CI proves), not OS/power failure.
+//! intact because records are append-only and written whole. This is
+//! written-to-the-OS durability: nothing calls `sync_data`, so a record
+//! survives process death (the SIGKILL contract CI proves), not an OS
+//! crash or power failure.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -113,8 +114,8 @@ fn record_checksum(
 }
 
 /// Append-only WAL writer. Each [`append`](WalWriter::append) writes
-/// one whole record and flushes before returning — the caller may ACK
-/// as soon as it returns.
+/// one whole record to the OS (unsynced) before returning — the caller
+/// may ACK as soon as it returns.
 pub struct WalWriter {
     file: File,
     next_seq: u64,
@@ -177,8 +178,8 @@ impl WalWriter {
         self.file.seek_end()
     }
 
-    /// Append one record and flush it to the OS. Returns the record's
-    /// sequence number.
+    /// Append one record and write it to the OS, unsynced. Returns the
+    /// record's sequence number.
     pub fn append(
         &mut self,
         epoch: u64,
