@@ -50,37 +50,13 @@ impl UnitMask {
     /// Panics if the range exceeds [`MAX_UNITS`].
     pub fn set_range(&mut self, start: u16, len: u16) {
         let (start, end) = range_bounds(start, len);
-        if start == end {
-            return;
-        }
-        let (first_word, last_word) = (start / 64, (end - 1) / 64);
-        if first_word == last_word {
-            self.words[first_word] |= word_mask(start % 64, end - start);
-            return;
-        }
-        self.words[first_word] |= word_mask(start % 64, 64);
-        for w in &mut self.words[first_word + 1..last_word] {
-            *w = u64::MAX;
-        }
-        self.words[last_word] |= word_mask(0, end - last_word * 64);
+        set_bits(&mut self.words, start, end);
     }
 
     /// Clear `len` bits starting at `start`.
     pub fn clear_range(&mut self, start: u16, len: u16) {
         let (start, end) = range_bounds(start, len);
-        if start == end {
-            return;
-        }
-        let (first_word, last_word) = (start / 64, (end - 1) / 64);
-        if first_word == last_word {
-            self.words[first_word] &= !word_mask(start % 64, end - start);
-            return;
-        }
-        self.words[first_word] &= !word_mask(start % 64, 64);
-        for w in &mut self.words[first_word + 1..last_word] {
-            *w = 0;
-        }
-        self.words[last_word] &= !word_mask(0, end - last_word * 64);
+        clear_bits(&mut self.words, start, end);
     }
 
     /// True iff every bit in the block is clear.
@@ -145,21 +121,7 @@ impl UnitMask {
 
     /// Bitwise OR with another mask, in place.
     pub fn or_with(&mut self, other: &UnitMask) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Bitwise OR restricted to the first `words` 64-bit words — exact
-    /// when both masks only carry bits below `words * 64`, and much
-    /// cheaper than a full-width OR on machines far smaller than
-    /// [`MAX_UNITS`]. Hot-path variant for plan busy-mask accumulation.
-    #[inline]
-    pub fn or_with_words(&mut self, other: &UnitMask, words: usize) {
-        debug_assert!(words <= WORDS);
-        for w in 0..words.min(WORDS) {
-            self.words[w] |= other.words[w];
-        }
+        or_bits(&mut self.words, &other.words);
     }
 
     /// True iff the two masks share any set bit.
@@ -198,55 +160,23 @@ impl UnitMask {
 
     /// Lowest start of a fully-clear block of `k` bits among the first
     /// `units` bits, with buddy alignment (starts at multiples of `k`).
-    /// `k` must be a power of two. Word-parallel: a shift-fold turns
-    /// "k consecutive clear bits" into a single bit test per word, so the
-    /// search is O(words), not O(units/k) probes.
+    /// `k` must be a power of two.
     pub fn first_clear_aligned_block(&self, k: u16, units: u16) -> Option<u16> {
-        debug_assert!(k.is_power_of_two());
         debug_assert!(units as usize <= MAX_UNITS);
-        let k = k as usize;
-        let units = units as usize;
-        if k > units {
-            return None;
-        }
-        if k >= 64 {
-            // Blocks are whole runs of k/64 words.
-            let step_words = k / 64;
-            let mut start = 0;
-            while start + k <= units {
-                let w0 = start / 64;
-                if self.words[w0..w0 + step_words].iter().all(|&w| w == 0) {
-                    return Some(start as u16);
-                }
-                start += k;
-            }
-            return None;
-        }
-        // k < 64: aligned blocks never cross a word boundary. Bits at
-        // multiples of k within a word: 0x…0101 for k=8, etc.
-        let stride_pattern = u64::MAX / ((1u64 << k) - 1);
-        let mut w = 0;
-        while w * 64 < units {
-            let valid = (units - w * 64).min(64);
-            let mut free = !self.words[w];
-            if valid < 64 {
-                free &= (1u64 << valid) - 1;
-            }
-            // After folding shifts 1, 2, …, k/2, bit b survives iff bits
-            // b..b+k are all free.
-            let mut m = free;
-            let mut run = 1;
-            while run < k {
-                m &= m >> run;
-                run <<= 1;
-            }
-            let cand = m & stride_pattern;
-            if cand != 0 {
-                return Some((w * 64 + cand.trailing_zeros() as usize) as u16);
-            }
-            w += 1;
-        }
-        None
+        first_clear_aligned(&self.words, k, units)
+    }
+
+    /// The mask's 64-bit words, unit `u` in bit `u % 64` of word `u / 64`.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The mask whose leading words are `row` (at most `MAX_UNITS / 64`
+    /// of them) and whose remaining words are clear.
+    pub fn from_words(row: &[u64]) -> Self {
+        let mut m = Self::empty();
+        m.words[..row.len()].copy_from_slice(row);
+        m
     }
 
     // -- per-bit reference implementations --------------------------------
@@ -315,6 +245,107 @@ impl amjs_sim::Snapshot for UnitMask {
         }
         Ok(UnitMask { words })
     }
+}
+
+// -- word-slice primitives ---------------------------------------------
+//
+// A *row* is a slice of 64-bit words holding unit `u` in bit `u % 64` of
+// word `u / 64`. A [`UnitMask`] is a row of all [`MAX_UNITS`] / 64
+// words; [`crate::PartitionPlan`] keeps its busy profiles as rows of
+// only the `units.div_ceil(64)` words its machine uses. Each bit
+// operation is implemented once, here, for both.
+
+/// Set bits `start..end` of `row`.
+#[inline]
+pub fn set_bits(row: &mut [u64], start: usize, end: usize) {
+    if start == end {
+        return;
+    }
+    let (first_word, last_word) = (start / 64, (end - 1) / 64);
+    if first_word == last_word {
+        row[first_word] |= word_mask(start % 64, end - start);
+        return;
+    }
+    row[first_word] |= word_mask(start % 64, 64);
+    row[first_word + 1..last_word].fill(u64::MAX);
+    row[last_word] |= word_mask(0, end - last_word * 64);
+}
+
+/// Clear bits `start..end` of `row`.
+#[inline]
+pub fn clear_bits(row: &mut [u64], start: usize, end: usize) {
+    if start == end {
+        return;
+    }
+    let (first_word, last_word) = (start / 64, (end - 1) / 64);
+    if first_word == last_word {
+        row[first_word] &= !word_mask(start % 64, end - start);
+        return;
+    }
+    row[first_word] &= !word_mask(start % 64, 64);
+    row[first_word + 1..last_word].fill(0);
+    row[last_word] &= !word_mask(0, end - last_word * 64);
+}
+
+/// `row |= other`, word by word over the shorter of the two.
+#[inline]
+pub fn or_bits(row: &mut [u64], other: &[u64]) {
+    for (a, b) in row.iter_mut().zip(other) {
+        *a |= b;
+    }
+}
+
+/// Lowest start of a fully-clear block of `k` bits among the first
+/// `units` bits of `row`, with buddy alignment (starts at multiples of
+/// `k`). `k` must be a power of two. Word-parallel: a shift-fold turns
+/// "k consecutive clear bits" into a single bit test per word, so the
+/// search is O(words), not O(units/k) probes.
+#[inline]
+pub fn first_clear_aligned(row: &[u64], k: u16, units: u16) -> Option<u16> {
+    debug_assert!(k.is_power_of_two());
+    let k = k as usize;
+    let units = units as usize;
+    if k > units {
+        return None;
+    }
+    if k >= 64 {
+        // Blocks are whole runs of k/64 words.
+        let step_words = k / 64;
+        let mut start = 0;
+        while start + k <= units {
+            let w0 = start / 64;
+            if row[w0..w0 + step_words].iter().all(|&w| w == 0) {
+                return Some(start as u16);
+            }
+            start += k;
+        }
+        return None;
+    }
+    // k < 64: aligned blocks never cross a word boundary. Bits at
+    // multiples of k within a word: 0x…0101 for k=8, etc.
+    let stride_pattern = u64::MAX / ((1u64 << k) - 1);
+    let mut w = 0;
+    while w * 64 < units {
+        let valid = (units - w * 64).min(64);
+        let mut free = !row[w];
+        if valid < 64 {
+            free &= (1u64 << valid) - 1;
+        }
+        // After folding shifts 1, 2, …, k/2, bit b survives iff bits
+        // b..b+k are all free.
+        let mut m = free;
+        let mut run = 1;
+        while run < k {
+            m &= m >> run;
+            run <<= 1;
+        }
+        let cand = m & stride_pattern;
+        if cand != 0 {
+            return Some((w * 64 + cand.trailing_zeros() as usize) as u16);
+        }
+        w += 1;
+    }
+    None
 }
 
 #[inline]

@@ -29,9 +29,10 @@
 //! once at construction, a sorted timeline of distinct base release
 //! instants with the cumulative load (node level / busy-unit mask) still
 //! held from each instant on, and keeps the *overlay* (the speculative
-//! commitments added by `commit_at`) as its own load timeline. `FlatPlan`
-//! walks both forward together; `PartitionPlan` answers the base part
-//! with one binary search and ORs the overlay segments. The overlay is
+//! commitments added by `commit_at`) as its own load timeline. Both plans
+//! answer `earliest_start` in one forward walk over the two timelines,
+//! carrying a cursor into each; `PartitionPlan` keeps its busy-unit
+//! sets as rows of only the words its machine uses. The overlay is
 //! shared copy-free across all permutation candidates of a window
 //! search: commit pushes, rollback pops, the base is never touched.
 //! [`Plan::set_reference`] switches a plan back to the original
@@ -40,8 +41,11 @@
 
 use amjs_sim::{SimDuration, SimTime};
 
-use crate::mask::UnitMask;
+use crate::mask::{self, UnitMask, MAX_UNITS};
 use crate::Nodes;
+
+/// Words of the widest row: a [`UnitMask`]'s.
+const MAX_WORDS: usize = MAX_UNITS / 64;
 
 /// Proof of a speculative commitment; hand it back to [`Plan::rollback`]
 /// in LIFO order to undo.
@@ -170,67 +174,6 @@ fn place_earliest_two_call<P: Plan>(
         .commit_at(nodes, start, duration)
         .expect("earliest_start returned an infeasible time");
     Some((start, token))
-}
-
-/// Merged, deduplicated ascending walk over the memoized base release
-/// instants and the plan's incrementally sorted overlay ends — exactly
-/// the candidate sequence the naive path builds with an allocation and
-/// a sort per call. `overlay_ends` must be sorted ascending; duplicate
-/// values are skipped during the walk.
-fn merged_end_candidates(
-    base_ends: &[SimTime],
-    overlay_ends: &[SimTime],
-    not_before: SimTime,
-    mut try_candidate: impl FnMut(SimTime) -> bool,
-) -> Option<SimTime> {
-    let mut bi = base_ends.partition_point(|&e| e <= not_before);
-    let mut oi = overlay_ends.partition_point(|&e| e <= not_before);
-    loop {
-        let t = match (base_ends.get(bi), overlay_ends.get(oi)) {
-            (Some(&b), Some(&o)) => {
-                if b <= o {
-                    bi += 1;
-                    b
-                } else {
-                    oi += 1;
-                    o
-                }
-            }
-            (Some(&b), None) => {
-                bi += 1;
-                b
-            }
-            (None, Some(&o)) => {
-                oi += 1;
-                o
-            }
-            (None, None) => return None,
-        };
-        // Skip overlay duplicates of the yielded instant (the naive
-        // path deduplicates its collected candidate list).
-        while overlay_ends.get(oi) == Some(&t) {
-            oi += 1;
-        }
-        if try_candidate(t) {
-            return Some(t);
-        }
-    }
-}
-
-/// Insert `end` into an ascending overlay-end list (duplicates kept —
-/// the list is a sorted multiset, one entry per overlay commitment).
-#[inline]
-fn overlay_ends_insert(ends: &mut Vec<SimTime>, end: SimTime) {
-    let pos = ends.partition_point(|&e| e <= end);
-    ends.insert(pos, end);
-}
-
-/// Remove one instance of `end` from an ascending overlay-end list.
-#[inline]
-fn overlay_ends_remove(ends: &mut Vec<SimTime>, end: SimTime) {
-    let pos = ends.partition_point(|&e| e < end);
-    debug_assert!(ends.get(pos) == Some(&end), "overlay end list out of sync");
-    ends.remove(pos);
 }
 
 /// Ensure the overlay timeline has a breakpoint at `t`; return its
@@ -647,41 +590,39 @@ impl Plan for FlatPlan {
 /// Availability profile of a [`crate::BgpCluster`]: jobs occupy aligned
 /// power-of-two runs of midplane units (or the full machine), so
 /// placement must find a *specific* free block, not just free capacity.
+///
+/// Busy-unit sets are *rows* of `mask_words` words (see
+/// [`crate::mask`]): a machine of 80 midplanes stores and ORs 2 words
+/// per set, not a [`UnitMask`]'s 16.
 #[derive(Clone, Debug)]
 pub struct PartitionPlan {
     now: SimTime,
     units: u16,
     nodes_per_unit: Nodes,
     max_block: u16,
-    /// Out-of-service units; never promised to any placement.
-    down: UnitMask,
+    /// `units.div_ceil(64)`: the words of every row below.
+    mask_words: usize,
     base_len: usize,
     commitments: Vec<Commitment>,
     /// Distinct base release instants, ascending (memoized profile).
     base_ends: Vec<SimTime>,
-    /// `cum_masks[i]` = union of base blocks still held at any instant in
-    /// `[base_ends[i-1], base_ends[i])`; one trailing empty mask for
-    /// "after the last release". (Base blocks all start at `now`, so the
-    /// busy-unit set only shrinks, at release instants.)
-    cum_masks: Vec<UnitMask>,
-    /// Current end instant of every overlay commitment, kept sorted
-    /// ascending (a multiset) so candidate walks need no allocation.
-    overlay_ends: Vec<SimTime>,
-    /// Overlay busy timeline: `mask_pool[overlay_seg[i]]` is the union
-    /// of units held by overlay commitments during `[overlay_times[i],
-    /// overlay_times[i+1])` (the last segment extends forever). Live
-    /// overlay blocks never share units at overlapping instants (each
-    /// commit checks the busy mask first), so clearing a block's range
-    /// removes it exactly — rollback and deactivation stay journal-free.
-    /// Masks live in an append-only pool (one entry per segment) so
-    /// splitting a segment shifts 12-byte entries, not 128-byte masks.
+    /// Row `i` = the units out of service or held by a base block at any
+    /// instant in `[base_ends[i-1], base_ends[i])`; one trailing row for
+    /// "after the last release", which holds the out-of-service units
+    /// alone (never promised to any placement). Base blocks all start at
+    /// `now`, so the set only shrinks, at release instants.
+    cum_masks: Vec<u64>,
+    /// Overlay busy timeline: row `overlay_seg[i]` of `mask_pool` is the
+    /// union of units held by overlay commitments during
+    /// `[overlay_times[i], overlay_times[i+1])` (the last segment extends
+    /// forever). Live overlay blocks never share units at overlapping
+    /// instants (each commit checks the busy row first), so clearing a
+    /// block's range removes it exactly — rollback and deactivation stay
+    /// journal-free. Rows live in an append-only pool (one per segment)
+    /// so splitting a segment shifts a time and an index, not a row.
     overlay_times: Vec<SimTime>,
     overlay_seg: Vec<u32>,
-    mask_pool: Vec<UnitMask>,
-    /// `units.div_ceil(64)`: how many mask words this machine can touch.
-    /// Busy-mask ORs stop there instead of walking all of
-    /// [`crate::mask::MAX_UNITS`].
-    mask_words: usize,
+    mask_pool: Vec<u64>,
     /// Route queries through the naive full-scan path (differential
     /// testing; see [`Plan::set_reference`]).
     reference: bool,
@@ -700,7 +641,7 @@ impl PartitionPlan {
             units >= 1 && (units as usize) <= crate::mask::MAX_UNITS,
             "unit count out of range"
         );
-        let max_block = prev_power_of_two(units);
+        let mw = (units as usize).div_ceil(64);
         let commitments: Vec<Commitment> = running
             .iter()
             .map(|&(unit_start, unit_len, release)| Commitment {
@@ -712,49 +653,45 @@ impl PartitionPlan {
             .collect();
         // Memoize the base mask profile: cumulative union of the blocks
         // still held before each distinct release instant.
-        let mut order: Vec<usize> = (0..commitments.len()).collect();
-        order.sort_unstable_by_key(|&i| commitments[i].end);
-        let mut base_ends: Vec<SimTime> = Vec::new();
-        for &i in &order {
-            if base_ends.last() != Some(&commitments[i].end) {
-                base_ends.push(commitments[i].end);
-            }
-        }
-        let mut cum_masks: Vec<UnitMask> = vec![UnitMask::empty(); base_ends.len() + 1];
-        for &i in order.iter().rev() {
-            let c = &commitments[i];
+        let mut base_ends: Vec<SimTime> = commitments.iter().map(|c| c.end).collect();
+        base_ends.sort_unstable();
+        base_ends.dedup();
+        let mut cum_masks = vec![0u64; (base_ends.len() + 1) * mw];
+        for c in &commitments {
             let slot = base_ends.partition_point(|&e| e < c.end);
-            debug_assert_eq!(base_ends[slot], c.end);
-            cum_masks[slot].set_range(c.unit_start, c.unit_len as u16);
+            let start = c.unit_start as usize;
+            mask::set_bits(
+                &mut cum_masks[slot * mw..][..mw],
+                start,
+                start + c.unit_len as usize,
+            );
         }
-        // Suffix-OR: the mask before instant i holds everything
+        // Suffix-OR: the row before instant i holds everything
         // releasing at i or later.
         for i in (0..base_ends.len()).rev() {
-            let next = cum_masks[i + 1];
-            cum_masks[i].or_with(&next);
+            let (row, next) = cum_masks[i * mw..].split_at_mut(mw);
+            mask::or_bits(row, &next[..mw]);
         }
         PartitionPlan {
             now,
             units,
             nodes_per_unit,
-            max_block,
-            down: UnitMask::empty(),
+            max_block: prev_power_of_two(units),
+            mask_words: mw,
             base_len: commitments.len(),
             commitments,
             base_ends,
             cum_masks,
-            overlay_ends: Vec::new(),
             overlay_times: vec![now],
             overlay_seg: vec![0],
-            mask_pool: vec![UnitMask::empty()],
-            mask_words: (units as usize).div_ceil(64),
+            mask_pool: vec![0; mw],
             reference: false,
         }
     }
 
     /// Ensure the overlay timeline has a breakpoint at `t`; return its
-    /// segment index. New segments get a fresh pool entry (pool indices
-    /// are never shared between segments, so in-place mask edits stay
+    /// segment index. New segments get a fresh pool row (pool rows are
+    /// never shared between segments, so in-place edits stay
     /// per-segment).
     fn tl_split(&mut self, t: SimTime) -> usize {
         let i = self.overlay_times.partition_point(|&x| x < t);
@@ -765,32 +702,42 @@ impl PartitionPlan {
             i > 0,
             "overlay commitments never start before the plan origin"
         );
-        let carried = self.mask_pool[self.overlay_seg[i - 1] as usize];
-        self.mask_pool.push(carried);
+        let mw = self.mask_words;
+        let carried = self.overlay_seg[i - 1] as usize * mw;
+        self.mask_pool.extend_from_within(carried..carried + mw);
         self.overlay_times.insert(i, t);
         self.overlay_seg
-            .insert(i, (self.mask_pool.len() - 1) as u32);
+            .insert(i, (self.mask_pool.len() / mw - 1) as u32);
         i
     }
 
-    /// Apply `f` to the mask of every overlay segment covering
+    /// Apply `f` to the row of every overlay segment covering
     /// `[start, end)`, splitting boundary segments as needed.
-    fn tl_apply(&mut self, start: SimTime, end: SimTime, f: impl Fn(&mut UnitMask)) {
+    fn tl_apply(&mut self, start: SimTime, end: SimTime, f: impl Fn(&mut [u64])) {
         if start >= end {
             return;
         }
         let s = self.tl_split(start);
         let e = self.tl_split(end);
+        let mw = self.mask_words;
         for &idx in &self.overlay_seg[s..e] {
-            f(&mut self.mask_pool[idx as usize]);
+            f(&mut self.mask_pool[idx as usize * mw..][..mw]);
         }
     }
 
     /// Exclude the units in `down` from every placement answer (the
     /// machine's failed midplanes).
     pub fn with_down(mut self, down: UnitMask) -> Self {
-        self.down = down;
+        let down = &down.words()[..self.mask_words];
+        for row in self.cum_masks.chunks_exact_mut(self.mask_words) {
+            mask::or_bits(row, down);
+        }
         self
+    }
+
+    /// The out-of-service units: the base profile's trailing row.
+    fn down(&self) -> &[u64] {
+        &self.cum_masks[self.base_ends.len() * self.mask_words..]
     }
 
     /// Unit length a request rounds to, or `None` if larger than the
@@ -808,71 +755,90 @@ impl PartitionPlan {
         }
     }
 
-    /// Bitmask of units unusable at any point during `[start, end)`:
-    /// busy with a commitment or out of service. (Naive: full commitment
-    /// scan — the reference path.)
-    fn busy_mask_naive(&self, start: SimTime, end: SimTime) -> UnitMask {
-        let mut mask = self.down;
-        for c in &self.commitments {
-            if c.overlaps_time(start, end) {
-                mask.set_range(c.unit_start, c.unit_len as u16);
-            }
-        }
-        mask
+    /// The query cursors of instant `t`: how many base ends and overlay
+    /// breakpoints lie at or before it. Base row `bi` and overlay
+    /// segment `oi - 1` (when `oi > 0`) are the ones holding at `t`.
+    fn cursors(&self, t: SimTime) -> (usize, usize) {
+        (
+            self.base_ends.partition_point(|&e| e <= t),
+            self.overlay_times.partition_point(|&x| x <= t),
+        )
     }
 
-    /// Busy mask over `[start, end)`: memoized cumulative base mask +
-    /// overlay timeline segments covering the window.
-    fn busy_mask_fast(&self, start: SimTime, end: SimTime) -> UnitMask {
-        let mut mask = self.down;
-        // Base blocks all run over [now, release): one overlaps the
-        // query window iff now < end and its release is after `start`.
-        if self.base_len > 0 && self.now < end {
-            let other = self.cum_masks[self.base_ends.partition_point(|&e| e <= start)];
-            mask.or_with_words(&other, self.mask_words);
+    /// Write into `row` the units unusable at any point during
+    /// `[start, end)`, where `(bi, oi)` are `start`'s [`Self::cursors`]:
+    /// base row `bi` (out of service, or held by a base block — those
+    /// all run from `now`) and every overlay segment the window touches.
+    fn busy_row(&self, (bi, oi): (usize, usize), start: SimTime, end: SimTime, row: &mut [u64]) {
+        let mw = self.mask_words;
+        if self.reference || end <= self.now {
+            // The full scan; it finds nothing held before `now`.
+            row.copy_from_slice(self.down());
+            for c in &self.commitments {
+                if c.overlaps_time(start, end) {
+                    let first = c.unit_start as usize;
+                    mask::set_bits(row, first, first + c.unit_len as usize);
+                }
+            }
+            return;
         }
-        let mut i = self.overlay_times.partition_point(|&x| x <= start);
-        if i > 0 {
-            mask.or_with_words(
-                &self.mask_pool[self.overlay_seg[i - 1] as usize],
-                self.mask_words,
-            );
+        // The segment holding at `max(start, now)` comes first; later
+        // ones start inside the window while their breakpoint is before
+        // `end`.
+        let mut i = oi.max(1) - 1;
+        let base = &self.cum_masks[bi * mw..][..mw];
+        let seg = &self.mask_pool[self.overlay_seg[i] as usize * mw..][..mw];
+        for ((r, &b), &s) in row.iter_mut().zip(base).zip(seg) {
+            *r = b | s;
         }
+        i += 1;
         while i < self.overlay_times.len() && self.overlay_times[i] < end {
-            mask.or_with_words(
-                &self.mask_pool[self.overlay_seg[i] as usize],
-                self.mask_words,
-            );
+            let seg = self.overlay_seg[i] as usize;
+            mask::or_bits(row, &self.mask_pool[seg * mw..][..mw]);
             i += 1;
         }
-        mask
     }
 
-    #[inline]
-    fn busy_mask(&self, start: SimTime, end: SimTime) -> UnitMask {
-        if self.reference {
-            self.busy_mask_naive(start, end)
-        } else {
-            self.busy_mask_fast(start, end)
-        }
+    /// The lowest aligned `k`-unit block free over `[start, start + d)`.
+    fn block_at(&self, k: u16, start: SimTime, d: SimDuration) -> Option<u16> {
+        let mut row = [0u64; MAX_WORDS];
+        let row = &mut row[..self.mask_words];
+        self.busy_row(self.cursors(start), start, start + d, row);
+        self.find_free_block(k, row)
     }
 
     /// The earliest start `>= not_before` for a `k`-unit block that is
-    /// in service somewhere, with the block free there (memoized path).
+    /// in service somewhere, with the block free there, found in one
+    /// forward walk (memoized path). Candidates are `not_before`, then
+    /// the base ends merged with the overlay breakpoints after it, and
+    /// the walk carries both cursors from one candidate to the next.
+    /// Busy sets only shrink where a live commitment ends, so the first
+    /// feasible start is `not_before` or such an end — a base end or an
+    /// overlay breakpoint. The extra breakpoints (overlay starts, stale
+    /// or voided ends) that come before it are infeasible like every
+    /// instant before it, so the walk accepts the instant, and the
+    /// block, that the reference scan over commitment ends accepts.
     fn earliest_block(&self, k: u16, duration: SimDuration, not_before: SimTime) -> (SimTime, u16) {
-        let duration = duration.max(SimDuration::from_secs(1));
-        let mut block = None;
-        let mut probe = |t: SimTime| {
-            block = self.find_free_block(k, &self.busy_mask_fast(t, t + duration));
-            block.is_some()
-        };
-        let start = if probe(not_before) {
-            not_before
-        } else {
-            merged_end_candidates(&self.base_ends, &self.overlay_ends, not_before, &mut probe)
-                .expect("a job no larger than the machine fits after all releases")
-        };
-        (start, block.expect("the accepted probe found a block"))
+        let d = duration.max(SimDuration::from_secs(1));
+        let mut row = [0u64; MAX_WORDS];
+        let row = &mut row[..self.mask_words];
+        let (mut bi, mut oi) = self.cursors(not_before);
+        let mut t = not_before;
+        loop {
+            self.busy_row((bi, oi), t, t + d, row);
+            if let Some(block) = self.find_free_block(k, row) {
+                return (t, block);
+            }
+            let base_end = self.base_ends.get(bi).copied().unwrap_or(SimTime::MAX);
+            let overlay_end = self.overlay_times.get(oi).copied().unwrap_or(SimTime::MAX);
+            t = base_end.min(overlay_end);
+            assert!(
+                t < SimTime::MAX,
+                "a job no larger than the machine fits after all releases"
+            );
+            bi += usize::from(base_end == t);
+            oi += usize::from(overlay_end == t);
+        }
     }
 
     /// Record a placement on a block the caller has found free.
@@ -884,28 +850,23 @@ impl PartitionPlan {
             start,
             end,
         });
-        overlay_ends_insert(&mut self.overlay_ends, end);
-        self.tl_apply(start, end, |m| m.set_range(block, k));
+        let first = block as usize;
+        self.tl_apply(start, end, |row| {
+            mask::set_bits(row, first, first + k as usize)
+        });
         PlanToken(self.commitments.len() - 1)
     }
 
     /// Lowest-index aligned free block of `k` units under `busy`, if any.
-    fn find_free_block(&self, k: u16, busy: &UnitMask) -> Option<u16> {
+    fn find_free_block(&self, k: u16, busy: &[u64]) -> Option<u16> {
         if k == self.units {
             // Also covers the non-power-of-two full-machine rounding.
-            return busy.is_empty().then_some(0);
+            return busy.iter().all(|&w| w == 0).then_some(0);
         }
         if self.reference {
-            let mut start = 0u16;
-            while start + k <= self.units {
-                if busy.range_is_clear(start, k) {
-                    return Some(start);
-                }
-                start += k;
-            }
-            None
+            UnitMask::from_words(busy).first_clear_aligned_block_naive(k, self.units)
         } else {
-            busy.first_clear_aligned_block(k, self.units)
+            mask::first_clear_aligned(busy, k, self.units)
         }
     }
 }
@@ -930,9 +891,8 @@ impl Plan for PartitionPlan {
         let Some(k) = self.rounded_units(nodes) else {
             return false;
         };
-        let end = start + duration.max(SimDuration::from_secs(1));
-        let busy = self.busy_mask(start, end);
-        self.find_free_block(k, &busy).is_some()
+        self.block_at(k, start, duration.max(SimDuration::from_secs(1)))
+            .is_some()
     }
 
     fn earliest_start(&self, nodes: Nodes, duration: SimDuration, not_before: SimTime) -> SimTime {
@@ -941,7 +901,7 @@ impl Plan for PartitionPlan {
         };
         // With units out of service the request may not fit even on an
         // otherwise empty machine.
-        if self.find_free_block(k, &self.down).is_none() {
+        if self.find_free_block(k, self.down()).is_none() {
             return SimTime::MAX;
         }
         let not_before = not_before.max(self.now);
@@ -974,10 +934,9 @@ impl Plan for PartitionPlan {
         duration: SimDuration,
     ) -> Option<PlanToken> {
         let k = self.rounded_units(nodes)?;
-        let end = start + duration.max(SimDuration::from_secs(1));
-        let busy = self.busy_mask(start, end);
-        let block = self.find_free_block(k, &busy)?;
-        Some(self.push_commitment(block, k, start, end))
+        let d = duration.max(SimDuration::from_secs(1));
+        let block = self.block_at(k, start, d)?;
+        Some(self.push_commitment(block, k, start, start + d))
     }
 
     fn place_earliest(
@@ -990,7 +949,7 @@ impl Plan for PartitionPlan {
             return place_earliest_two_call(self, nodes, duration, not_before);
         }
         let k = self.rounded_units(nodes)?;
-        self.find_free_block(k, &self.down)?;
+        self.find_free_block(k, self.down())?;
         // One search: commit the very block the scan found free instead
         // of rebuilding the winning instant's busy mask in `commit_at`.
         let (start, block) = self.earliest_block(k, duration, not_before.max(self.now));
@@ -1005,9 +964,9 @@ impl Plan for PartitionPlan {
         );
         assert_eq!(token.0, self.commitments.len() - 1, "rollback must be LIFO");
         let c = self.commitments.pop().expect("LIFO token checked above");
-        overlay_ends_remove(&mut self.overlay_ends, c.end);
-        self.tl_apply(c.start, c.end, |m| {
-            m.clear_range(c.unit_start, c.unit_len as u16)
+        let first = c.unit_start as usize;
+        self.tl_apply(c.start, c.end, |row| {
+            mask::clear_bits(row, first, first + c.unit_len as usize)
         });
     }
 
@@ -1024,17 +983,16 @@ impl Plan for PartitionPlan {
             token.0 >= self.base_len,
             "cannot deactivate a base (running-job) commitment"
         );
-        let (start, old_end, block, k) = {
+        let (start, old_end, first, len) = {
             let c = &self.commitments[token.0];
-            (c.start, c.end, c.unit_start, c.unit_len as u16)
+            (c.start, c.end, c.unit_start as usize, c.unit_len as usize)
         };
+        // Voiding moves the commitment's end to its start (the naive path
+        // still collects that value as a candidate); release its block.
         self.commitments[token.0].void();
-        // Voiding moves the commitment's end to its start; mirror that
-        // in the sorted end list (the naive path still collects the
-        // voided end value as a candidate) and release its block.
-        overlay_ends_remove(&mut self.overlay_ends, old_end);
-        overlay_ends_insert(&mut self.overlay_ends, start);
-        self.tl_apply(start, old_end, |m| m.clear_range(block, k));
+        self.tl_apply(start, old_end, |row| {
+            mask::clear_bits(row, first, first + len)
+        });
     }
 
     fn commitment_count(&self) -> usize {

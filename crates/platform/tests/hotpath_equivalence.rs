@@ -7,14 +7,14 @@
 //!
 //! * [`UnitMask`] word-parallel range ops vs the bit-at-a-time naive
 //!   variants (the bitset buddy allocator's primitive layer);
-//! * [`FlatPlan`]/[`PartitionPlan`] fast queries (the flat forward
-//!   walk, overlay timelines, merged end-candidate walks) vs the
+//! * [`FlatPlan`]/[`PartitionPlan`] fast queries (their forward
+//!   walks over memoized base profiles and overlay timelines) vs the
 //!   reference full-scan path selected by [`Plan::set_reference`] — the
 //!   same differential the runner-level `hotpath_identity` suite checks
 //!   end-to-end, here hammered with adversarial op mixes including
 //!   mid-script `mark_down`-style outages.
 
-use amjs_platform::mask::UnitMask;
+use amjs_platform::mask::{self, UnitMask};
 use amjs_platform::plan::{FlatPlan, PartitionPlan, Plan, PlanToken};
 use amjs_platform::Nodes;
 use amjs_sim::rng::Xoshiro256;
@@ -32,33 +32,46 @@ fn cases(debug: u64, release: u64) -> u64 {
 }
 
 /// Word-level mask ops agree with the naive bit loops on 2000 seeded
-/// scripts of mixed range edits and buddy-block queries.
+/// scripts of mixed range edits and buddy-block queries, both through
+/// [`UnitMask`] and through the word-slice helpers on rows of 1, 2, 10
+/// and 16 words (the `k >= 64` whole-word block path included).
 #[test]
 fn mask_word_ops_match_naive_on_random_scripts() {
     let mut rng = Xoshiro256::seed_from_u64(0x5eed_5a5c);
-    for _case in 0..2000 {
+    for case in 0..2000 {
+        // 40, 80, 640 and 1 024 units: 1, 2, 10 and 16 words.
+        let units: u16 = [40, UNITS, 640, 1024][case % 4];
+        let words = (units as usize).div_ceil(64);
         let mut fast = UnitMask::empty();
+        let mut row = vec![0u64; words];
         let mut naive = UnitMask::empty();
         for _op in 0..24 {
-            let start = rng.next_below(UNITS as u64) as u16;
-            let len = 1 + rng.next_below((UNITS - start) as u64) as u16;
+            let start = rng.next_below(units as u64) as u16;
+            let len = 1 + rng.next_below((units - start) as u64) as u16;
+            let (first, end) = (start as usize, (start + len) as usize);
             match rng.next_below(3) {
                 0 => {
                     fast.set_range(start, len);
+                    mask::set_bits(&mut row, first, end);
                     naive.set_range_naive(start, len);
                 }
                 1 => {
                     fast.clear_range(start, len);
+                    mask::clear_bits(&mut row, first, end);
                     naive.clear_range_naive(start, len);
                 }
                 _ => {
                     let mut other = UnitMask::empty();
-                    other.set_range(start, len);
-                    fast.or_with_words(&other, (UNITS as usize).div_ceil(64));
-                    naive.or_with(&other);
+                    other.set_range_naive(start, len);
+                    fast.or_with(&other);
+                    mask::or_bits(&mut row, &other.words()[..words]);
+                    for u in start..start + len {
+                        naive.set_range_naive(u, 1);
+                    }
                 }
             }
             assert_eq!(fast, naive, "masks diverged after an edit");
+            assert_eq!(row, naive.words()[..words], "rows diverged after an edit");
             assert_eq!(
                 fast.range_is_clear(start, len),
                 naive.range_is_clear_naive(start, len)
@@ -69,11 +82,17 @@ fn mask_word_ops_match_naive_on_random_scripts() {
             );
             // Buddy queries at every power-of-two block size.
             let mut k = 1u16;
-            while k <= 64 {
+            while k <= units {
+                let expected = naive.first_clear_aligned_block_naive(k, units);
                 assert_eq!(
-                    fast.first_clear_aligned_block(k, UNITS),
-                    naive.first_clear_aligned_block_naive(k, UNITS),
+                    fast.first_clear_aligned_block(k, units),
+                    expected,
                     "buddy scan diverged at k={k}"
+                );
+                assert_eq!(
+                    mask::first_clear_aligned(&row, k, units),
+                    expected,
+                    "row buddy scan diverged at k={k}, {units} units"
                 );
                 k *= 2;
             }
@@ -162,15 +181,6 @@ fn drive_plans<P: Plan + Clone>(
     }
 }
 
-/// Minute-grained durations and lower bounds, never before `now`.
-fn minute_grained(rng: &mut Xoshiro256, now: SimTime) -> (SimDuration, SimTime) {
-    let dur = SimDuration::from_mins(1 + rng.next_below(600) as i64);
-    (
-        dur,
-        now + SimDuration::from_mins(rng.next_below(900) as i64),
-    )
-}
-
 /// Durations and lower bounds on a 30-minute grid from `now`, so base
 /// ends, overlay starts and ends, and window ends coincide; one lower
 /// bound in seven lies before `now`.
@@ -214,35 +224,47 @@ fn flat_plan_fast_path_matches_reference() {
     }
 }
 
+/// The partitioned forward walk against the full scan at three machine
+/// widths: 80 midplanes (2 words, not a multiple of 64), Intrepid at
+/// 64-node granularity (640 units, 10 words) and a full 1 024-unit
+/// [`UnitMask`] (16 words). Half-hour-grained draws make ends coincide
+/// and put some lower bounds before `now`.
 #[test]
 fn partition_plan_fast_path_matches_reference() {
     let mut rng = Xoshiro256::seed_from_u64(0xb67);
-    for case in 0..150 {
+    let step = SimDuration::from_mins(30);
+    for case in 0..cases(150, 5_000) {
+        let (units, nodes_per_unit): (u16, Nodes) =
+            [(UNITS, 512), (640, 64), (1024, 40)][case as usize % 3];
         let now = SimTime::from_secs(rng.next_below(100_000) as i64);
-        // Random non-overlapping running blocks on the midplane line.
+        // Random non-overlapping running blocks on the unit line.
+        let max_len = (units / 10) as u64;
         let mut base: Vec<(u16, u16, SimTime)> = Vec::new();
         let mut cursor = 0u16;
-        while cursor < UNITS && base.len() < 5 {
-            let len = 1 + rng.next_below(8) as u16;
-            if cursor + len > UNITS {
+        while cursor < units && base.len() < 5 {
+            let len = 1 + rng.next_below(max_len) as u16;
+            if cursor + len > units {
                 break;
             }
             if rng.next_bool(0.5) {
-                base.push((
-                    cursor,
-                    len,
-                    now + SimDuration::from_mins(1 + rng.next_below(300) as i64),
-                ));
+                base.push((cursor, len, now + step * (1 + rng.next_below(10) as i64)));
             }
             cursor += len;
         }
-        let mut plan = PartitionPlan::new(now, UNITS, 512, &base);
+        let mut plan = PartitionPlan::new(now, units, nodes_per_unit, &base);
         if rng.next_bool(0.3) {
-            // Mid-life outage shape: some midplanes out of service.
-            let down_at = rng.next_below(UNITS as u64) as u16;
-            let down_len = 1 + rng.next_below(4) as u16;
-            plan = plan.with_down(UnitMask::block(down_at, down_len.min(UNITS - down_at)));
+            // Mid-life outage shape: some units out of service.
+            let down_at = rng.next_below(units as u64) as u16;
+            let down_len = 1 + rng.next_below(max_len / 2) as u16;
+            plan = plan.with_down(UnitMask::block(down_at, down_len.min(units - down_at)));
         }
-        drive_plans(plan.clone(), plan, 0xb67_0000 + case, 40, minute_grained);
+        let ops = if case % 5 == 0 { 240 } else { 40 };
+        drive_plans(
+            plan.clone(),
+            plan,
+            0xb67_0000 + case,
+            ops,
+            half_hour_grained,
+        );
     }
 }
