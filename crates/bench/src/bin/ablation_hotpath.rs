@@ -1,13 +1,12 @@
-//! Hot-path perf trajectory (ISSUE 9): how fast is the incremental
-//! scheduler, and is it still byte-identical to the naive one?
+//! Hot-path perf trajectory: how fast is the incremental scheduler,
+//! and is it still byte-identical to the from-scratch one?
 //!
-//! Runs the month-long Intrepid trace on the optimized hot path
-//! (dirty-score cache + memoized availability profiles + word-level
-//! mask walks) and on the reference path
-//! ([`SimulationBuilder::reference_hotpath`]: full score recomputes,
-//! full commitment scans, bit-at-a-time masks), asserting the two
-//! produce the same summary row, then records the trajectory in
-//! `results/BENCH_hotpath.json`:
+//! Runs the month-long Intrepid trace on the optimized hot path and on
+//! the reference path ([`SimulationBuilder::reference_hotpath`]: a full
+//! rescore and resort every pass, no pass memo, and fresh, unpruned
+//! fair-start drains — on the same plans, which have one query path),
+//! asserting the two produce the same summary row, then records the
+//! trajectory in `results/BENCH_hotpath.json`:
 //!
 //! * wall-clock quartiles over best-of-N interleaved reps, passes/s and
 //!   derived events/s for both paths, and their speedup;
@@ -20,8 +19,12 @@
 //! optimized passes/s of the run that last regenerated it, so losing
 //! any one hot-path layer trips it (override with
 //! `AMJS_HOTPATH_FLOOR=<passes/s>` on a slower host; `--fast` skips the
-//! gate and leaves the floor as it found it). The reference path must
-//! also report zero resumed drains and zero memoized passes, and the
+//! gate and leaves the floor as it found it). Without `--fast`, a run
+//! with no floor to gate on (the artefact missing, unparseable or
+//! without one, and no override) stops with an `error:` line before it
+//! starts. The artefact is the repository's, located at build time,
+//! whatever directory the binary runs in. The reference path must also
+//! report zero resumed drains and zero memoized passes, and the
 //! window-search work counters (`window_searches`, `window_placements`,
 //! `window_bound_exits` — exact counts, on this trace and on a W=4 flat
 //! month where the search dominates) must equal the artefact's: losing
@@ -52,8 +55,8 @@ const ARTEFACT: &str = "BENCH_hotpath.json";
 const FLOOR_SHARE: f64 = 0.85;
 
 /// The artefact as the run that last regenerated it left it.
-fn recorded() -> Option<Json> {
-    let text = std::fs::read_to_string(results::results_dir().join(ARTEFACT)).ok()?;
+fn recorded(path: &std::path::Path) -> Option<Json> {
+    let text = std::fs::read_to_string(path).ok()?;
     amjs_obs::json::parse(&text).ok()
 }
 
@@ -111,6 +114,19 @@ fn mops(mut op: impl FnMut(u64)) -> f64 {
 
 fn main() {
     let (seed, fast) = harness::parse_args();
+    let artefact = results::results_dir().join(ARTEFACT);
+    let recorded = recorded(&artefact);
+    let floor = std::env::var("AMJS_HOTPATH_FLOOR")
+        .ok()
+        .and_then(|v| v.parse::<f64>().ok())
+        .or_else(|| recorded.as_ref()?.get("floor_passes_per_s")?.as_f64());
+    if !fast && floor.is_none() {
+        eprintln!(
+            "error: no floor_passes_per_s in {} (missing or unparseable) and no AMJS_HOTPATH_FLOOR set",
+            artefact.display()
+        );
+        std::process::exit(1);
+    }
     let jobs = harness::experiment_jobs(seed, fast);
     let config = RunConfig::fixed(0.5, 2);
     eprintln!(
@@ -131,12 +147,6 @@ fn main() {
     // one event per scheduling pass (the outcome does not expose the
     // raw engine event counter).
     let events = 3 * probe.per_job.len() as u64 + passes;
-
-    let recorded = recorded();
-    let floor = std::env::var("AMJS_HOTPATH_FLOOR")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .or_else(|| recorded.as_ref()?.get("floor_passes_per_s")?.as_f64());
 
     let mut opt_walls = Vec::new();
     let mut ref_walls = Vec::new();
@@ -316,5 +326,7 @@ fn main() {
             }
         }
         eprintln!("count gate: window-search counters match the artefact OK");
+    } else {
+        eprintln!("count gate: skipped, the artefact records another seed or trace");
     }
 }

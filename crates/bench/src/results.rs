@@ -3,16 +3,14 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The results directory (created on demand): `results/` next to the
-/// workspace root when run via `cargo run`, else under the current
-/// directory.
+/// The repository's `results/` directory (created on demand), wherever
+/// the binary runs from: resolved at compile time from this crate's
+/// manifest directory, two levels below the workspace root.
 pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR points at crates/bench; the workspace root is
-    // two levels up. Fall back to CWD outside cargo.
-    let base = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| Path::new(&d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    let dir = base.join("results");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    let dir = root
+        .expect("crates/bench is two levels deep")
+        .join("results");
     fs::create_dir_all(&dir).expect("cannot create results/");
     dir
 }

@@ -73,8 +73,24 @@ pub fn fair_start_time<P: Plan>(
 ) -> SimTime {
     let mut sorted = queue.to_vec();
     ordering.sort(&mut sorted, now);
-    let base = || base_plan.clone();
-    drain_sorted(&mut None, base, &sorted, target, now, gap_depth).0
+    let target_pos = position_of(&sorted, target);
+    let mut plan = base_plan.clone();
+    let mut start = now;
+    for (i, job) in sorted[..=target_pos].iter().enumerate() {
+        let not_before = if i > gap_depth { start } else { now };
+        let (placed, _kept) = plan
+            .place_earliest(job.nodes, job.walltime, not_before)
+            .unwrap_or_else(|| panic!("{} exceeds the machine", job.id));
+        start = placed;
+    }
+    start
+}
+
+fn position_of(sorted: &[QueuedJob], target: JobId) -> usize {
+    sorted
+        .iter()
+        .position(|j| j.id == target)
+        .unwrap_or_else(|| panic!("{target} is not in the queue"))
 }
 
 /// One drained job: what was placed, where, and how to undo it.
@@ -100,9 +116,9 @@ pub(crate) struct Drain<P: Plan> {
 }
 
 /// The drain of [`fair_start_time`] over an already-`sorted` queue,
-/// resuming `kept` when it can. Returns `target`'s start and how many of
-/// `kept`'s placements were reused (0 = drained fresh from `base_plan`,
-/// which is only built then).
+/// pruned by a [`PlacePruner`] and resuming `kept` when it can. Returns
+/// `target`'s start and how many of `kept`'s placements were reused
+/// (0 = drained fresh from `base_plan`, which is only built then).
 ///
 /// Resuming takes the longest common prefix of the kept placements and
 /// `sorted` whose starts are `>= now`, rolls the rest back in LIFO order
@@ -117,10 +133,7 @@ pub(crate) fn drain_sorted<P: Plan>(
     now: SimTime,
     gap_depth: usize,
 ) -> (SimTime, usize) {
-    let target_pos = sorted
-        .iter()
-        .position(|j| j.id == target)
-        .unwrap_or_else(|| panic!("{target} is not in the queue"));
+    let target_pos = position_of(sorted, target);
     let reused = kept.as_ref().map_or(0, |d| {
         let common = d.placed.iter().zip(sorted);
         common
@@ -144,12 +157,8 @@ pub(crate) fn drain_sorted<P: Plan>(
             pruner: PlacePruner::default(),
         }),
     };
-    // A reference plan keeps the whole drain naive — no proven-interval
-    // pruning either — so differential runs compare against the original
-    // one-placement-at-a-time scan. Every drain `not_before` is `now` or
-    // a release instant (induction over placements), which is what the
-    // pruner's skipped ranges rely on.
-    let reference = d.plan.is_reference();
+    // Every drain `not_before` is `now` or a release instant (induction
+    // over placements), which is what the pruner's skipped ranges rely on.
     let resume_at = d.placed.len();
     for (i, job) in sorted[..=target_pos].iter().enumerate().skip(resume_at) {
         // The first `gap_depth` jobs may slot into gaps; deeper ones
@@ -160,18 +169,12 @@ pub(crate) fn drain_sorted<P: Plan>(
             now
         };
         let pruner_mark = d.pruner.mark();
-        let probe_from = if reference {
-            not_before
-        } else {
-            d.pruner.advance(job.nodes, job.walltime, not_before)
-        };
+        let probe_from = d.pruner.advance(job.nodes, job.walltime, not_before);
         let (start, token) = d
             .plan
             .place_earliest(job.nodes, job.walltime, probe_from)
             .unwrap_or_else(|| panic!("{} exceeds the machine", job.id));
-        if !reference {
-            d.pruner.note(job.nodes, job.walltime, probe_from, start);
-        }
+        d.pruner.note(job.nodes, job.walltime, probe_from, start);
         d.placed.push(Placed {
             job: job.clone(),
             start,

@@ -322,11 +322,12 @@ impl<P: Platform> SimulationBuilder<P> {
         self
     }
 
-    /// Run every scheduling pass on the naive reference path: rebuild
-    /// and re-sort the queue from scratch and disable the plans'
-    /// memoized availability profiles. Slower but structurally simpler —
-    /// the differential baseline the incremental hot path must match
-    /// byte-for-byte (see `tests/hotpath_identity.rs`).
+    /// Run every scheduling pass on the reference path: rebuild and
+    /// re-sort the queue from scratch with no pass memo, and drain every
+    /// fair start fresh and unpruned ([`fair_start_time`]). Slower but
+    /// structurally simpler — the differential baseline the incremental
+    /// hot path must match byte-for-byte (see
+    /// `tests/hotpath_identity.rs`).
     pub fn reference_hotpath(mut self, on: bool) -> Self {
         self.reference_hotpath = on;
         self
@@ -581,9 +582,9 @@ pub(crate) struct Runner<P: Platform> {
     /// would decide the same again.
     pass_memo: Option<PassMemo>,
     /// Bypass the incremental caches: rebuild and re-sort the queue from
-    /// scratch every pass, drain and plan from scratch, and force the
-    /// plans' reference query paths. The differential oracle for the hot
-    /// path — outputs must be byte-identical either way.
+    /// scratch every pass, and drain and plan from scratch, unpruned. The
+    /// differential oracle for the hot path — outputs must be
+    /// byte-identical either way.
     reference_hotpath: bool,
 }
 
@@ -931,14 +932,15 @@ impl<P: Platform> Runner<P> {
             #[cfg(debug_assertions)]
             assert_eq!(
                 fair,
-                fair_start_time(
-                    &self.live.base_plan(now),
+                drain_sorted(
+                    &mut None,
+                    || self.live.base_plan(now),
                     cache.sorted(),
                     target,
-                    self.live.scheduler.ordering(),
                     now,
                     gap_depth
-                ),
+                )
+                .0,
                 "resumed drain diverged from a fresh one"
             );
             cache.stats.drains_resumed += 1;
@@ -1033,10 +1035,9 @@ impl<P: Platform> Runner<P> {
         };
         let decision = if self.reference_hotpath {
             // Differential baseline: rebuild + re-sort the queue from
-            // scratch and force the plan's naive query paths.
+            // scratch, with no pass memo.
             let queued = self.live.queued_jobs();
-            let mut base_plan = self.live.base_plan(now);
-            base_plan.set_reference(true);
+            let base_plan = self.live.base_plan(now);
             self.live.scheduler.schedule_pass_traced(
                 now,
                 &queued,
@@ -1560,12 +1561,10 @@ impl<P: Platform> Runner<P> {
                 let fair = if !self.live.platform.could_ever_allocate(job.nodes) {
                     now
                 } else if self.reference_hotpath {
-                    // Differential runs sort and drain from scratch
-                    // on the naive path (see `reference_hotpath`).
-                    let mut base_plan = self.live.base_plan(now);
-                    base_plan.set_reference(true);
+                    // Differential runs sort and drain from scratch,
+                    // unpruned (see `reference_hotpath`).
                     fair_start_time(
-                        &base_plan,
+                        &self.live.base_plan(now),
                         &self.live.queued_jobs(),
                         job_id,
                         self.live.scheduler.ordering(),

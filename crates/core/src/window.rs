@@ -981,7 +981,6 @@ mod tests {
             }
             let down = rng.next_below((total - held) as u64 / 2 + 1) as u32;
             let mut plan = FlatPlan::new(now, total, &running).with_down(down);
-            plan.set_reference(rng.next_bool(0.1));
             preload(&mut rng, &mut plan, (total - down) as u64);
             let w = 2 + rng.next_below(5) as usize;
             let window = random_window(&mut rng, &plan, w, (total - down) as u64);
@@ -1018,7 +1017,6 @@ mod tests {
                 }
             }
             let mut plan = PartitionPlan::new(now, units, 512, &running).with_down(down);
-            plan.set_reference(rng.next_bool(0.1));
             let max_nodes = units as u64 * 512;
             preload(&mut rng, &mut plan, max_nodes);
             let w = 2 + rng.next_below(5) as usize;

@@ -1,12 +1,13 @@
-//! Differential byte-identity suite for the incremental hot path
-//! (ISSUE 9).
+//! Differential byte-identity suite for the incremental hot path.
 //!
-//! The dirty-score cache, the memoized availability profiles, and the
-//! word-level mask walks are *performance* structures: they must be
+//! The dirty-score cache, the pass memo, drain resume and the drain's
+//! proven-interval pruning are *performance* structures: they must be
 //! behaviorally invisible. Every test here runs the same configuration
 //! twice — once on the optimized path and once with
-//! [`SimulationBuilder::reference_hotpath`] forcing the naive
-//! full-recompute path — and requires the complete outcome to match:
+//! [`SimulationBuilder::reference_hotpath`] rescoring, resorting and
+//! draining from scratch at every pass and submission (the plans have one
+//! query path, held to a naive plan by the platform crate's
+//! `hotpath_equivalence`) — and requires the complete outcome to match:
 //! the summary CSV row, every per-job record, and the scheduler's cost
 //! counters. The debug-build invariant oracle rides along on both runs,
 //! so a cache that let the scheduler act on stale state would also trip

@@ -171,14 +171,6 @@ impl UnitMask {
         &self.words
     }
 
-    /// The mask whose leading words are `row` (at most `MAX_UNITS / 64`
-    /// of them) and whose remaining words are clear.
-    pub fn from_words(row: &[u64]) -> Self {
-        let mut m = Self::empty();
-        m.words[..row.len()].copy_from_slice(row);
-        m
-    }
-
     // -- per-bit reference implementations --------------------------------
     //
     // The pre-word-level range ops, kept verbatim so differential tests

@@ -35,9 +35,8 @@
 //! sets as rows of only the words its machine uses. The overlay is
 //! shared copy-free across all permutation candidates of a window
 //! search: commit pushes, rollback pops, the base is never touched.
-//! [`Plan::set_reference`] switches a plan back to the original
-//! full-scan query path; the differential suite in
-//! `tests/hotpath_identity.rs` proves both paths byte-identical.
+//! The differential suite `tests/hotpath_equivalence.rs` checks every
+//! answer against a naive plan that rescans its commitment list.
 
 use amjs_sim::{SimDuration, SimTime};
 
@@ -108,16 +107,15 @@ pub trait Plan: Clone {
         duration: SimDuration,
     ) -> Option<PlanToken>;
 
-    /// Find the earliest feasible start `>= not_before` and commit there.
-    /// Returns `None` only for requests larger than the machine.
+    /// Find the earliest feasible start `>= not_before` and commit there:
+    /// the [`Plan::earliest_start`] answer, committed as [`Plan::commit_at`]
+    /// would. Returns `None` only for requests larger than the machine.
     fn place_earliest(
         &mut self,
         nodes: Nodes,
         duration: SimDuration,
         not_before: SimTime,
-    ) -> Option<(SimTime, PlanToken)> {
-        place_earliest_two_call(self, nodes, duration, not_before)
-    }
+    ) -> Option<(SimTime, PlanToken)>;
 
     /// Undo the most recent outstanding commitment. Must be called in
     /// strict LIFO order; panics otherwise, and panics on attempts to
@@ -139,41 +137,6 @@ pub trait Plan: Clone {
     /// Number of commitments, including the base running jobs. Exposed
     /// for cost accounting in benchmarks.
     fn commitment_count(&self) -> usize;
-
-    /// Switch the plan to its naive (pre-memoization) reference query
-    /// path. Differential-testing hook: answers must be identical either
-    /// way; the reference path simply rescans every commitment per query
-    /// instead of using the memoized base profile. Default: no-op (plans
-    /// without an optimized path have nothing to switch).
-    fn set_reference(&mut self, _on: bool) {}
-
-    /// Whether [`Plan::set_reference`] routed this plan onto the naive
-    /// path. Callers that layer their own shortcut structures over plan
-    /// queries (e.g. the fair-share drain's proven-interval pruning)
-    /// consult this to keep reference runs fully naive.
-    fn is_reference(&self) -> bool {
-        false
-    }
-}
-
-/// [`Plan::place_earliest`] as the [`Plan::earliest_start`] +
-/// [`Plan::commit_at`] pair: the trait default, and the form the
-/// reference path keeps. It evaluates the winning instant twice (once to
-/// find it, once to commit), which the optimized plans fuse away.
-fn place_earliest_two_call<P: Plan>(
-    plan: &mut P,
-    nodes: Nodes,
-    duration: SimDuration,
-    not_before: SimTime,
-) -> Option<(SimTime, PlanToken)> {
-    let start = plan.earliest_start(nodes, duration, not_before);
-    if start == SimTime::MAX {
-        return None;
-    }
-    let token = plan
-        .commit_at(nodes, start, duration)
-        .expect("earliest_start returned an infeasible time");
-    Some((start, token))
 }
 
 /// Ensure the overlay timeline has a breakpoint at `t`; return its
@@ -231,21 +194,6 @@ struct Commitment {
     end: SimTime,
 }
 
-impl Commitment {
-    #[inline]
-    fn overlaps_time(&self, start: SimTime, end: SimTime) -> bool {
-        // The guard matters for voided commitments (empty intervals):
-        // the classic half-open test misfires on them.
-        self.start < self.end && self.start < end && start < self.end
-    }
-
-    /// Void the commitment: an empty interval overlaps nothing.
-    #[inline]
-    fn void(&mut self) {
-        self.end = self.start;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // FlatPlan
 // ---------------------------------------------------------------------------
@@ -274,9 +222,6 @@ pub struct FlatPlan {
     /// touches instead of a scan over all overlay commitments.
     overlay_times: Vec<SimTime>,
     overlay_level: Vec<Nodes>,
-    /// Route queries through the naive full-scan path (differential
-    /// testing; see [`Plan::set_reference`]).
-    reference: bool,
 }
 
 impl FlatPlan {
@@ -323,7 +268,6 @@ impl FlatPlan {
             base_level,
             overlay_times: vec![now],
             overlay_level: vec![0],
-            reference: false,
         }
     }
 
@@ -338,35 +282,6 @@ impl FlatPlan {
     /// In-service capacity.
     fn in_service(&self) -> Nodes {
         self.total - self.down
-    }
-
-    /// Nodes in use at instant `t` according to the plan (naive: full
-    /// commitment scan — the reference path).
-    fn used_at_naive(&self, t: SimTime) -> Nodes {
-        self.commitments
-            .iter()
-            .filter(|c| c.start <= t && t < c.end)
-            .map(|c| c.unit_len)
-            .sum()
-    }
-
-    fn can_place_at_naive(&self, nodes: Nodes, start: SimTime, duration: SimDuration) -> bool {
-        let end = start + duration.max(SimDuration::from_secs(1));
-        // Capacity only decreases at commitment starts, so checking the
-        // window start plus every commitment start inside the window
-        // covers all minima of free capacity.
-        if self.used_at_naive(start) + nodes > self.in_service() {
-            return false;
-        }
-        for c in &self.commitments {
-            if c.start > start
-                && c.start < end
-                && self.used_at_naive(c.start) + nodes > self.in_service()
-            {
-                return false;
-            }
-        }
-        true
     }
 
     /// Record a placement the caller has proven feasible.
@@ -401,7 +316,7 @@ impl FlatPlan {
     /// inside the window `[t, t + d)` that leaves fewer than `nodes` free
     /// rules out every start before its end, so `t` jumps there. Levels
     /// only drop where a live commitment ends, so the answer is `start`
-    /// or such an end: the first candidate the reference loop accepts.
+    /// or such an end, and no earlier start fits.
     /// Without `jump`, the walk answers `None` at the first overloaded
     /// piece instead (the [`Plan::can_place_at`] question).
     fn first_fit(
@@ -461,11 +376,7 @@ impl Plan for FlatPlan {
         if nodes > self.in_service() {
             return false;
         }
-        if self.reference {
-            self.can_place_at_naive(nodes, start, duration)
-        } else {
-            self.first_fit(nodes, start, duration, false).is_some()
-        }
+        self.first_fit(nodes, start, duration, false).is_some()
     }
 
     fn earliest_start(&self, nodes: Nodes, duration: SimDuration, not_before: SimTime) -> SimTime {
@@ -473,29 +384,8 @@ impl Plan for FlatPlan {
         if nodes > self.in_service() {
             return SimTime::MAX;
         }
-        let not_before = not_before.max(self.now);
-        if !self.reference {
-            return self
-                .first_fit(nodes, not_before, duration, true)
-                .expect("the walk jumps past every overloaded piece");
-        }
-        if self.can_place_at(nodes, not_before, duration) {
-            return not_before;
-        }
-        let mut candidates: Vec<SimTime> = self
-            .commitments
-            .iter()
-            .map(|c| c.end)
-            .filter(|&e| e > not_before)
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        for t in candidates {
-            if self.can_place_at(nodes, t, duration) {
-                return t;
-            }
-        }
-        unreachable!("a job no larger than the machine fits after all releases")
+        self.first_fit(nodes, not_before.max(self.now), duration, true)
+            .expect("the walk jumps past every overloaded piece")
     }
 
     fn commit_at(
@@ -516,9 +406,6 @@ impl Plan for FlatPlan {
         duration: SimDuration,
         not_before: SimTime,
     ) -> Option<(SimTime, PlanToken)> {
-        if self.reference {
-            return place_earliest_two_call(self, nodes, duration, not_before);
-        }
         // The scan already proved `start` feasible: commit without
         // walking the window's load levels a second time.
         let start = self.earliest_start(nodes, duration, not_before);
@@ -554,32 +441,20 @@ impl Plan for FlatPlan {
             token.0 >= self.base_len,
             "cannot deactivate a base (running-job) commitment"
         );
-        let (start, old_end, nodes) = {
-            let c = &self.commitments[token.0];
-            (c.start, c.end, c.unit_len)
-        };
-        // Voiding moves the commitment's end to its start (the naive path
-        // still collects that value as a candidate); release its load.
-        self.commitments[token.0].void();
+        // The slot stays, so later tokens keep their indices; only the
+        // load goes.
+        let c = self.commitments[token.0];
         timeline_apply(
             &mut self.overlay_times,
             &mut self.overlay_level,
-            start,
-            old_end,
-            |v| *v -= nodes,
+            c.start,
+            c.end,
+            |v| *v -= c.unit_len,
         );
     }
 
     fn commitment_count(&self) -> usize {
         self.commitments.len()
-    }
-
-    fn set_reference(&mut self, on: bool) {
-        self.reference = on;
-    }
-
-    fn is_reference(&self) -> bool {
-        self.reference
     }
 }
 
@@ -623,9 +498,6 @@ pub struct PartitionPlan {
     overlay_times: Vec<SimTime>,
     overlay_seg: Vec<u32>,
     mask_pool: Vec<u64>,
-    /// Route queries through the naive full-scan path (differential
-    /// testing; see [`Plan::set_reference`]).
-    reference: bool,
 }
 
 impl PartitionPlan {
@@ -685,7 +557,6 @@ impl PartitionPlan {
             overlay_times: vec![now],
             overlay_seg: vec![0],
             mask_pool: vec![0; mw],
-            reference: false,
         }
     }
 
@@ -766,22 +637,16 @@ impl PartitionPlan {
     }
 
     /// Write into `row` the units unusable at any point during
-    /// `[start, end)`, where `(bi, oi)` are `start`'s [`Self::cursors`]:
+    /// `[start, end)`, given `start` as its [`Self::cursors`] `(bi, oi)`:
     /// base row `bi` (out of service, or held by a base block — those
     /// all run from `now`) and every overlay segment the window touches.
-    fn busy_row(&self, (bi, oi): (usize, usize), start: SimTime, end: SimTime, row: &mut [u64]) {
-        let mw = self.mask_words;
-        if self.reference || end <= self.now {
-            // The full scan; it finds nothing held before `now`.
+    fn busy_row(&self, (bi, oi): (usize, usize), end: SimTime, row: &mut [u64]) {
+        if end <= self.now {
+            // Nothing is held before `now`, where every commitment starts.
             row.copy_from_slice(self.down());
-            for c in &self.commitments {
-                if c.overlaps_time(start, end) {
-                    let first = c.unit_start as usize;
-                    mask::set_bits(row, first, first + c.unit_len as usize);
-                }
-            }
             return;
         }
+        let mw = self.mask_words;
         // The segment holding at `max(start, now)` comes first; later
         // ones start inside the window while their breakpoint is before
         // `end`.
@@ -803,7 +668,7 @@ impl PartitionPlan {
     fn block_at(&self, k: u16, start: SimTime, d: SimDuration) -> Option<u16> {
         let mut row = [0u64; MAX_WORDS];
         let row = &mut row[..self.mask_words];
-        self.busy_row(self.cursors(start), start, start + d, row);
+        self.busy_row(self.cursors(start), start + d, row);
         self.find_free_block(k, row)
     }
 
@@ -815,9 +680,9 @@ impl PartitionPlan {
     /// Busy sets only shrink where a live commitment ends, so the first
     /// feasible start is `not_before` or such an end — a base end or an
     /// overlay breakpoint. The extra breakpoints (overlay starts, stale
-    /// or voided ends) that come before it are infeasible like every
-    /// instant before it, so the walk accepts the instant, and the
-    /// block, that the reference scan over commitment ends accepts.
+    /// or deactivated ends) that come before it are infeasible like every
+    /// instant before it, so the walk's first fit is the earliest start,
+    /// with the lowest free block there.
     fn earliest_block(&self, k: u16, duration: SimDuration, not_before: SimTime) -> (SimTime, u16) {
         let d = duration.max(SimDuration::from_secs(1));
         let mut row = [0u64; MAX_WORDS];
@@ -825,7 +690,7 @@ impl PartitionPlan {
         let (mut bi, mut oi) = self.cursors(not_before);
         let mut t = not_before;
         loop {
-            self.busy_row((bi, oi), t, t + d, row);
+            self.busy_row((bi, oi), t + d, row);
             if let Some(block) = self.find_free_block(k, row) {
                 return (t, block);
             }
@@ -863,11 +728,7 @@ impl PartitionPlan {
             // Also covers the non-power-of-two full-machine rounding.
             return busy.iter().all(|&w| w == 0).then_some(0);
         }
-        if self.reference {
-            UnitMask::from_words(busy).first_clear_aligned_block_naive(k, self.units)
-        } else {
-            mask::first_clear_aligned(busy, k, self.units)
-        }
+        mask::first_clear_aligned(busy, k, self.units)
     }
 }
 
@@ -904,27 +765,7 @@ impl Plan for PartitionPlan {
         if self.find_free_block(k, self.down()).is_none() {
             return SimTime::MAX;
         }
-        let not_before = not_before.max(self.now);
-        if !self.reference {
-            return self.earliest_block(k, duration, not_before).0;
-        }
-        if self.can_place_at(nodes, not_before, duration) {
-            return not_before;
-        }
-        let mut candidates: Vec<SimTime> = self
-            .commitments
-            .iter()
-            .map(|c| c.end)
-            .filter(|&e| e > not_before)
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        for t in candidates {
-            if self.can_place_at(nodes, t, duration) {
-                return t;
-            }
-        }
-        unreachable!("a job no larger than the machine fits after all releases")
+        self.earliest_block(k, duration, not_before.max(self.now)).0
     }
 
     fn commit_at(
@@ -945,9 +786,6 @@ impl Plan for PartitionPlan {
         duration: SimDuration,
         not_before: SimTime,
     ) -> Option<(SimTime, PlanToken)> {
-        if self.reference {
-            return place_earliest_two_call(self, nodes, duration, not_before);
-        }
         let k = self.rounded_units(nodes)?;
         self.find_free_block(k, self.down())?;
         // One search: commit the very block the scan found free instead
@@ -983,28 +821,17 @@ impl Plan for PartitionPlan {
             token.0 >= self.base_len,
             "cannot deactivate a base (running-job) commitment"
         );
-        let (start, old_end, first, len) = {
-            let c = &self.commitments[token.0];
-            (c.start, c.end, c.unit_start as usize, c.unit_len as usize)
-        };
-        // Voiding moves the commitment's end to its start (the naive path
-        // still collects that value as a candidate); release its block.
-        self.commitments[token.0].void();
-        self.tl_apply(start, old_end, |row| {
-            mask::clear_bits(row, first, first + len)
+        // The slot stays, so later tokens keep their indices; only the
+        // block goes.
+        let c = self.commitments[token.0];
+        let first = c.unit_start as usize;
+        self.tl_apply(c.start, c.end, |row| {
+            mask::clear_bits(row, first, first + c.unit_len as usize)
         });
     }
 
     fn commitment_count(&self) -> usize {
         self.commitments.len()
-    }
-
-    fn set_reference(&mut self, on: bool) {
-        self.reference = on;
-    }
-
-    fn is_reference(&self) -> bool {
-        self.reference
     }
 }
 

@@ -1,24 +1,25 @@
-//! Property tests for the incremental hot path (ISSUE 9): the
-//! word-level mask walks and the memoized plan profiles must agree with
-//! their naive counterparts on every answer, across thousands of seeded
-//! random scripts.
+//! Property tests for the plan and mask layers: the word-level mask
+//! walks and the memoized plan profiles must agree with naive
+//! counterparts on every answer, across thousands of seeded random
+//! scripts.
 //!
 //! Two layers are exercised:
 //!
 //! * [`UnitMask`] word-parallel range ops vs the bit-at-a-time naive
 //!   variants (the bitset buddy allocator's primitive layer);
-//! * [`FlatPlan`]/[`PartitionPlan`] fast queries (their forward
-//!   walks over memoized base profiles and overlay timelines) vs the
-//!   reference full-scan path selected by [`Plan::set_reference`] — the
-//!   same differential the runner-level `hotpath_identity` suite checks
-//!   end-to-end, here hammered with adversarial op mixes including
-//!   mid-script `mark_down`-style outages.
+//! * [`FlatPlan`]/[`PartitionPlan`] queries (their forward walks over
+//!   memoized base profiles and overlay timelines) vs [`NaivePlan`], a
+//!   test-side plan that rescans one commitment list per query, under
+//!   adversarial op mixes including `mark_down`-style outages.
+
+mod naive_plan;
 
 use amjs_platform::mask::{self, UnitMask};
 use amjs_platform::plan::{FlatPlan, PartitionPlan, Plan, PlanToken};
 use amjs_platform::Nodes;
 use amjs_sim::rng::Xoshiro256;
 use amjs_sim::{SimDuration, SimTime};
+use naive_plan::{NaivePlan, NaiveToken};
 
 const UNITS: u16 = 80; // Intrepid: 80 midplanes
 
@@ -101,22 +102,23 @@ fn mask_word_ops_match_naive_on_random_scripts() {
 }
 
 /// One random plan op: the same action is applied to the fast and the
-/// reference plan, and every query answer must match. `draw` picks each
+/// naive plan, and every query answer must match. `draw` picks each
 /// op's duration and start (or lower bound) from the plan's `now`.
-fn drive_plans<P: Plan + Clone>(
+fn drive_plans<P: Plan>(
     mut fast: P,
-    mut reference: P,
+    mut reference: NaivePlan,
     seed: u64,
     ops: usize,
     draw: impl Fn(&mut Xoshiro256, SimTime) -> (SimDuration, SimTime),
 ) {
-    reference.set_reference(true);
+    assert_eq!(fast.now(), reference.now());
+    assert_eq!(fast.total_nodes(), reference.total_nodes());
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let now = fast.now();
     let total = fast.total_nodes();
     // Token pairs (fast, reference) of live commitments, newest last.
     // Rollback is LIFO-only, deactivation is position-free.
-    let mut live: Vec<(PlanToken, PlanToken)> = Vec::new();
+    let mut live: Vec<(PlanToken, NaiveToken)> = Vec::new();
 
     for _op in 0..ops {
         let nodes = 1 + rng.next_below(total as u64) as Nodes;
@@ -124,6 +126,11 @@ fn drive_plans<P: Plan + Clone>(
         match rng.next_below(8) {
             // Queries (most of the mix: they are what must agree).
             0..=2 => {
+                assert_eq!(
+                    fast.rounded_size(nodes),
+                    reference.rounded_size(nodes),
+                    "rounded_size diverged (seed {seed})"
+                );
                 assert_eq!(
                     fast.can_place_at(nodes, not_before, dur),
                     reference.can_place_at(nodes, not_before, dur),
@@ -190,7 +197,7 @@ fn half_hour_grained(rng: &mut Xoshiro256, now: SimTime) -> (SimDuration, SimTim
     (dur, now + step * (rng.next_below(28) as i64 - 4))
 }
 
-/// The forward walk against the full scan, on machines with some nodes
+/// The forward walk against [`NaivePlan`], on machines with some nodes
 /// out of service (requests beyond in-service capacity answer
 /// `SimTime::MAX`/`None` on both paths) and on long scripts whose
 /// deactivations leave voided commitments and stale breakpoints.
@@ -209,14 +216,15 @@ fn flat_plan_fast_path_matches_reference() {
                 )
             })
             .collect();
-        let mut plan = FlatPlan::new(now, 1024, &base);
-        if rng.next_bool(0.3) {
-            plan = plan.with_down(1 + rng.next_below(512) as Nodes);
-        }
+        let down = if rng.next_bool(0.3) {
+            1 + rng.next_below(512) as Nodes
+        } else {
+            0
+        };
         let ops = if case % 5 == 0 { 240 } else { 40 };
         drive_plans(
-            plan.clone(),
-            plan,
+            FlatPlan::new(now, 1024, &base).with_down(down),
+            NaivePlan::flat(now, 1024, down, &base),
             0xf1a7_0000 + case,
             ops,
             half_hour_grained,
@@ -224,7 +232,7 @@ fn flat_plan_fast_path_matches_reference() {
     }
 }
 
-/// The partitioned forward walk against the full scan at three machine
+/// The partitioned forward walk against [`NaivePlan`] at three machine
 /// widths: 80 midplanes (2 words, not a multiple of 64), Intrepid at
 /// 64-node granularity (640 units, 10 words) and a full 1 024-unit
 /// [`UnitMask`] (16 words). Half-hour-grained draws make ends coincide
@@ -251,17 +259,17 @@ fn partition_plan_fast_path_matches_reference() {
             }
             cursor += len;
         }
-        let mut plan = PartitionPlan::new(now, units, nodes_per_unit, &base);
+        let mut down = UnitMask::empty();
         if rng.next_bool(0.3) {
             // Mid-life outage shape: some units out of service.
             let down_at = rng.next_below(units as u64) as u16;
             let down_len = 1 + rng.next_below(max_len / 2) as u16;
-            plan = plan.with_down(UnitMask::block(down_at, down_len.min(units - down_at)));
+            down = UnitMask::block(down_at, down_len.min(units - down_at));
         }
         let ops = if case % 5 == 0 { 240 } else { 40 };
         drive_plans(
-            plan.clone(),
-            plan,
+            PartitionPlan::new(now, units, nodes_per_unit, &base).with_down(down),
+            NaivePlan::blocks(now, units, nodes_per_unit, down, &base),
             0xb67_0000 + case,
             ops,
             half_hour_grained,

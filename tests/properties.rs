@@ -6,6 +6,18 @@
 use amjs::prelude::*;
 use amjs_sim::rng::Xoshiro256;
 
+/// Debug builds run the short count (half of each release count);
+/// release runs the long one. The short counts leave out
+/// `node_seconds_conserved_under_failures`' twelfth case, which alone
+/// runs ~30 s in release and minutes in debug.
+fn cases(debug: u32, release: u32) -> u32 {
+    if cfg!(debug_assertions) {
+        debug
+    } else {
+        release
+    }
+}
+
 /// Small random workloads: handful of size classes, random load.
 fn random_spec(rng: &mut Xoshiro256) -> (WorkloadSpec, u64) {
     let mut spec = WorkloadSpec::small_test();
@@ -36,8 +48,8 @@ fn random_backfill(rng: &mut Xoshiro256) -> BackfillMode {
 #[test]
 fn simulations_always_complete() {
     let mut rng = Xoshiro256::seed_from_u64(0x51AC);
-    let mut cases = 0;
-    while cases < 24 {
+    let mut done = 0;
+    while done < cases(12, 24) {
         let (spec, seed) = random_spec(&mut rng);
         let policy = random_policy(&mut rng);
         let backfill = random_backfill(&mut rng);
@@ -45,7 +57,7 @@ fn simulations_always_complete() {
         if jobs.is_empty() {
             continue;
         }
-        cases += 1;
+        done += 1;
         let n = jobs.len();
         let out = SimulationBuilder::new(FlatCluster::new(512), jobs)
             .policy(policy)
@@ -65,8 +77,8 @@ fn simulations_always_complete() {
 #[test]
 fn capacity_respected_under_random_policies() {
     let mut rng = Xoshiro256::seed_from_u64(0xCA9A);
-    let mut cases = 0;
-    while cases < 24 {
+    let mut done = 0;
+    while done < cases(12, 24) {
         let (spec, seed) = random_spec(&mut rng);
         let policy = random_policy(&mut rng);
         let total = 320u32;
@@ -74,7 +86,7 @@ fn capacity_respected_under_random_policies() {
         if jobs.is_empty() {
             continue;
         }
-        cases += 1;
+        done += 1;
         let out = SimulationBuilder::new(FlatCluster::new(total), jobs)
             .policy(policy)
             .run();
@@ -96,15 +108,15 @@ fn capacity_respected_under_random_policies() {
 #[test]
 fn determinism_under_random_configs() {
     let mut rng = Xoshiro256::seed_from_u64(0xDE7E);
-    let mut cases = 0;
-    while cases < 24 {
+    let mut done = 0;
+    while done < cases(12, 24) {
         let (spec, seed) = random_spec(&mut rng);
         let policy = random_policy(&mut rng);
         let jobs = spec.generate(seed);
         if jobs.is_empty() {
             continue;
         }
-        cases += 1;
+        done += 1;
         let run = || {
             SimulationBuilder::new(FlatCluster::new(256), jobs.clone())
                 .policy(policy)
@@ -146,8 +158,8 @@ fn random_failures(rng: &mut Xoshiro256) -> amjs::core::failures::FailureSpec {
 fn node_seconds_conserved_under_failures() {
     use amjs::core::failures::RetryPolicy;
     let mut rng = Xoshiro256::seed_from_u64(0xC04E);
-    let mut cases = 0;
-    while cases < 12 {
+    let mut done = 0;
+    while done < cases(6, 12) {
         let (spec, seed) = random_spec(&mut rng);
         let failures = random_failures(&mut rng);
         let retry = RetryPolicy {
@@ -162,7 +174,7 @@ fn node_seconds_conserved_under_failures() {
         if jobs.is_empty() {
             continue;
         }
-        cases += 1;
+        done += 1;
         let out = SimulationBuilder::new(FlatCluster::new(512), jobs)
             .policy(random_policy(&mut rng))
             .failures(Some(failures))
@@ -196,8 +208,8 @@ fn node_seconds_conserved_under_failures() {
 fn lifecycle_determinism_is_byte_identical() {
     use amjs::core::failures::RetryPolicy;
     let mut rng = Xoshiro256::seed_from_u64(0xB17E);
-    let mut cases = 0;
-    while cases < 8 {
+    let mut done = 0;
+    while done < cases(4, 8) {
         let (spec, seed) = random_spec(&mut rng);
         let failures = random_failures(&mut rng);
         let policy = random_policy(&mut rng);
@@ -209,7 +221,7 @@ fn lifecycle_determinism_is_byte_identical() {
         if jobs.is_empty() {
             continue;
         }
-        cases += 1;
+        done += 1;
         let run = || {
             SimulationBuilder::new(FlatCluster::new(384), jobs.clone())
                 .policy(policy)
@@ -259,8 +271,8 @@ fn random_correlation(rng: &mut Xoshiro256) -> amjs::core::failures::Correlation
 fn cascaded_lifecycle_is_byte_identical_and_complete() {
     use amjs::core::failures::RetryPolicy;
     let mut rng = Xoshiro256::seed_from_u64(0xCA5C);
-    let mut cases = 0;
-    while cases < 6 {
+    let mut done = 0;
+    while done < cases(3, 6) {
         let (spec, seed) = random_spec(&mut rng);
         let failures = random_failures(&mut rng);
         let corr = random_correlation(&mut rng);
@@ -273,7 +285,7 @@ fn cascaded_lifecycle_is_byte_identical_and_complete() {
         if jobs.is_empty() {
             continue;
         }
-        cases += 1;
+        done += 1;
         let run = || {
             SimulationBuilder::new(FlatCluster::new(384), jobs.clone())
                 .policy(policy)
@@ -304,14 +316,14 @@ fn cascaded_lifecycle_is_byte_identical_and_complete() {
 #[test]
 fn no_backfill_fcfs_is_seniority_ordered() {
     let mut rng = Xoshiro256::seed_from_u64(0x5E41);
-    let mut cases = 0;
-    while cases < 24 {
+    let mut done = 0;
+    while done < cases(12, 24) {
         let (spec, seed) = random_spec(&mut rng);
         let jobs = spec.generate(seed);
         if jobs.len() <= 2 {
             continue;
         }
-        cases += 1;
+        done += 1;
         let out = SimulationBuilder::new(FlatCluster::new(256), jobs)
             .policy(PolicyParams::fcfs())
             .backfill(BackfillMode::None)
