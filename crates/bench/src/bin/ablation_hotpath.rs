@@ -26,10 +26,11 @@
 //! whatever directory the binary runs in. The reference path must also
 //! report zero resumed drains and zero memoized passes, and the
 //! window-search work counters (`window_searches`, `window_placements`,
-//! `window_bound_exits` — exact counts, on this trace and on a W=4 flat
-//! month where the search dominates) must equal the artefact's: losing
-//! the walk's prefix sharing or either bound moves them, and a count
-//! cannot be noisy. CI runs all three checks in the perf-trajectory job.
+//! `window_bound_exits`, and `windows_unplanned`, the windows the window
+//! stop skipped — exact counts, on this trace and on a W=4 flat month
+//! where the search dominates) must equal the artefact's: losing the
+//! walk's prefix sharing, either bound or the stop moves them, and a
+//! count cannot be noisy. CI runs all three checks in the perf-trajectory job.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin ablation_hotpath [--seed N] [--fast]`
 
@@ -61,11 +62,12 @@ fn recorded(path: &std::path::Path) -> Option<Json> {
 }
 
 /// The window-search counters under the names the artefact gives them.
-fn window_counters(stats: &PassCacheStats) -> [(&'static str, u64); 3] {
+fn window_counters(stats: &PassCacheStats) -> [(&'static str, u64); 4] {
     [
         ("window_searches", stats.window_searches),
         ("window_placements", stats.window_placements),
         ("window_bound_exits", stats.window_bound_exits),
+        ("windows_unplanned", stats.windows_unplanned),
     ]
 }
 

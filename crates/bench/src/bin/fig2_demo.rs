@@ -15,7 +15,7 @@
 
 use amjs_bench::chart::gantt;
 use amjs_bench::results;
-use amjs_core::scheduler::{BackfillMode, QueuedJob, Scheduler};
+use amjs_core::scheduler::{BackfillMode, PassTrace, QueuedJob, Scheduler};
 use amjs_core::PolicyParams;
 use amjs_platform::{FlatCluster, Platform};
 use amjs_sim::{SimDuration, SimTime};
@@ -66,7 +66,10 @@ fn main() {
     for (panel, window) in [("(a) one-by-one, W=1", 1usize), ("(b) grouped, W=3", 3)] {
         let scheduler = Scheduler::new(PolicyParams::new(1.0, window), BackfillMode::Easy);
         let plan = machine.plan(now, &release);
-        let decision = scheduler.schedule_pass(now, &queue, &plan);
+        // The traced pass plans every window, so the chart shows the
+        // whole tentative schedule, advisory reservations included.
+        let mut trace = PassTrace::default();
+        let decision = scheduler.schedule_pass_traced(now, &queue, &plan, Some(&mut trace), None);
 
         // Assemble the tentative schedule: running job + starts +
         // reservations.

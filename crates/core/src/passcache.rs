@@ -86,6 +86,9 @@ pub struct PassCacheStats {
     /// Searches that ended at the root: the identity met both bounds
     /// (the all-start-now fast path included).
     pub window_bound_exits: u64,
+    /// Windows the passes' window stop left unplanned
+    /// ([`crate::window::WindowStats::unplanned`]).
+    pub windows_unplanned: u64,
 }
 
 /// How a [`PassCache::resolve`] call satisfied the pass.

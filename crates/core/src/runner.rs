@@ -1113,6 +1113,7 @@ impl<P: Platform> Runner<P> {
         stats.window_searches += decision.window.searches;
         stats.window_placements += decision.window.placements;
         stats.window_bound_exits += decision.window.bound_exits;
+        stats.windows_unplanned += decision.window.unplanned;
         if let Some(tr) = trace {
             Self::emit_pass_trace(obs, now, &tr);
         }

@@ -94,13 +94,16 @@ pub struct ScheduleDecision {
     /// Jobs to start now, in allocation order.
     pub starts: Vec<JobStart>,
     /// Planned future starts in planning (commit) order, for
-    /// introspection and tests. `(job, planned start)`.
+    /// introspection and tests. `(job, planned start)`. An untraced EASY
+    /// pass lists only the reservations it placed before its window
+    /// phase stopped (DESIGN.md §15): every protected one, and the
+    /// advisory ones of the windows it planned.
     pub reservations: Vec<(JobId, SimTime)>,
     /// The subset of reservations that backfilling is forbidden to
     /// delay (all of them under conservative; the head / first window
     /// under EASY).
     pub protected: Vec<JobId>,
-    /// Work the pass's permutation searches did (exact counts, for
+    /// Work the pass's window phase did (exact counts, for
     /// [`crate::PassCacheStats`]).
     pub window: WindowStats,
 }
@@ -365,7 +368,25 @@ impl Scheduler {
         // valid for dominating requests.
         let mut pruner = PlacePruner::default();
         let mut window_stats = WindowStats::default();
+        // The window stop (DESIGN.md §15): under EASY only the protected
+        // reservations outlive this phase, so once they are fixed and no
+        // remaining planned job can start now, the later windows could
+        // only plan advisory reservations that are voided below. Traced
+        // passes plan every window, so every `WindowChoice` repeats.
+        let may_stop = trace.is_none() && self.backfill == BackfillMode::Easy;
+        // Bit `i`: `sorted[i]` cannot start now. The plan only gains
+        // commitments in this phase, so that never changes back.
+        let mut blocked_now = 0u64;
+        let mut reserved = 0;
         for (w_idx, chunk_start) in (0..depth).step_by(window_size).enumerate() {
+            if may_stop
+                && w_idx > 0
+                && self.easy_protected.is_none_or(|k| reserved >= k)
+                && none_starts_now(&plan, sorted, chunk_start..depth, now, &mut blocked_now)
+            {
+                window_stats.unplanned += (depth - chunk_start).div_ceil(window_size) as u64;
+                break;
+            }
             let chunk_end = (chunk_start + window_size).min(depth);
             let chunk = &sorted[chunk_start..chunk_end];
             let placements: Vec<WindowPlacement> = match self.backfill {
@@ -402,6 +423,7 @@ impl Scheduler {
                 }
                 _ => place_in_order_pruned(&mut plan, chunk, now, false, &mut pruner),
             };
+            reserved += placements.iter().filter(|p| p.start != now).count();
             planned.extend(
                 placements
                     .into_iter()
@@ -560,6 +582,30 @@ impl Scheduler {
     }
 }
 
+/// Whether no job of `sorted[range]` fits at `now` on `plan`. Jobs whose
+/// bit in `blocked` is set are known not to; each new failure sets its
+/// bit (jobs past bit 63 are asked again every time).
+fn none_starts_now<P: Plan>(
+    plan: &P,
+    sorted: &[QueuedJob],
+    range: std::ops::Range<usize>,
+    now: SimTime,
+    blocked: &mut u64,
+) -> bool {
+    for i in range {
+        let bit = 1u64.checked_shl(i as u32).unwrap_or(0);
+        if *blocked & bit != 0 {
+            continue;
+        }
+        let job = &sorted[i];
+        if plan.can_place_at(job.nodes, now, job.walltime) {
+            return false;
+        }
+        *blocked |= bit;
+    }
+    true
+}
+
 impl amjs_sim::Snapshot for BackfillMode {
     fn encode(&self, w: &mut amjs_sim::SnapWriter) {
         w.put_u8(match self {
@@ -703,9 +749,17 @@ mod tests {
         // t=100 the head's 50 + 60 = 110 > 100 → would delay the head.
         let plan = FlatPlan::new(t(0), 100, &[(80, t(100))]);
         let queue = vec![qj(0, 0, 50, 1000), qj(1, 10, 60, 5000)];
-        let d = fcfs_easy().schedule_pass(t(50), &queue, &plan);
+        let s = fcfs_easy();
+        let mut trace = PassTrace::default();
+        let d = s.schedule_pass_traced(t(50), &queue, &plan, Some(&mut trace), None);
         assert!(d.starts.is_empty());
         assert_eq!(d.reservations.len(), 2);
+        // The untraced pass stops after the protected head: job 1 cannot
+        // start now, and its reservation would only be advisory.
+        let plain = s.schedule_pass(t(50), &queue, &plan);
+        assert_eq!(plain.starts, d.starts);
+        assert_eq!(plain.protected, d.protected);
+        assert_eq!(plain.window.unplanned, 1);
     }
 
     #[test]
@@ -832,9 +886,17 @@ mod tests {
     fn reservations_do_not_include_started_jobs() {
         let plan = FlatPlan::new(t(0), 100, &[]);
         let queue = vec![qj(0, 0, 100, 50), qj(1, 0, 100, 50)];
-        let d = fcfs_easy().schedule_pass(t(0), &queue, &plan);
+        let s = fcfs_easy();
+        let mut trace = PassTrace::default();
+        let d = s.schedule_pass_traced(t(0), &queue, &plan, Some(&mut trace), None);
         assert_eq!(start_ids(&d), vec![0]);
         assert_eq!(d.reservations, vec![(JobId(1), t(50))]);
+        // Untraced, the pass stops after window 0 (job 1's reservation
+        // would be advisory) and decides the same.
+        let plain = s.schedule_pass(t(0), &queue, &plan);
+        assert_eq!(plain.starts, d.starts);
+        assert_eq!(plain.protected, d.protected);
+        assert!(plain.reservations.is_empty());
     }
 
     #[test]

@@ -220,6 +220,9 @@ pub struct WindowStats {
     /// Searches that ended at the root: the identity met both bounds
     /// (the all-start-now fast path included).
     pub bound_exits: u64,
+    /// Windows an untraced EASY pass left unplanned: its protected
+    /// reservations were fixed and nothing left could start now.
+    pub unplanned: u64,
 }
 
 /// Place a window choosing the best permutation (paper step 5, guided by

@@ -20,6 +20,16 @@ use amjs_platform::{BgpCluster, FlatCluster, Platform};
 use amjs_sim::SimDuration;
 use amjs_workload::{Job, WorkloadSpec};
 
+/// How many of a test's seeds run: the first `debug` in debug builds
+/// (the workspace's default test run), all `release` of them in release.
+fn cases(debug: usize, release: usize) -> usize {
+    if cfg!(debug_assertions) {
+        debug
+    } else {
+        release
+    }
+}
+
 fn jobs(seed: u64) -> Vec<Job> {
     WorkloadSpec::small_test().generate(seed)
 }
@@ -60,7 +70,7 @@ fn assert_outcomes_match(label: &str, a: &SimulationOutcome, b: &SimulationOutco
 
 #[test]
 fn flat_fcfs_identity_across_seeds() {
-    for seed in [1u64, 7, 42] {
+    for seed in [1u64, 7, 42].into_iter().take(cases(1, 3)) {
         assert_hotpath_identity(&format!("flat/fcfs/seed{seed}"), || {
             SimulationBuilder::new(FlatCluster::new(1024), jobs(seed))
                 .policy(PolicyParams::new(1.0, 1))
@@ -70,7 +80,7 @@ fn flat_fcfs_identity_across_seeds() {
 
 #[test]
 fn flat_balanced_windowed_identity_across_seeds() {
-    for seed in [2u64, 11, 42] {
+    for seed in [2u64, 11, 42].into_iter().take(cases(1, 3)) {
         assert_hotpath_identity(&format!("flat/balanced/seed{seed}"), || {
             SimulationBuilder::new(FlatCluster::new(1024), jobs(seed))
                 .policy(PolicyParams::new(0.5, 2))
@@ -81,7 +91,7 @@ fn flat_balanced_windowed_identity_across_seeds() {
 
 #[test]
 fn bgp_identity_across_seeds() {
-    for seed in [3u64, 42] {
+    for seed in [3u64, 42].into_iter().take(cases(1, 2)) {
         assert_hotpath_identity(&format!("bgp/balanced/seed{seed}"), || {
             SimulationBuilder::new(BgpCluster::new(16, 64), jobs(seed))
                 .policy(PolicyParams::new(0.5, 2))
@@ -114,7 +124,7 @@ fn no_backfill_identity() {
 /// memoized availability profiles on both platform shapes.
 #[test]
 fn failure_injection_identity_flat() {
-    for seed in [21u64, 99] {
+    for seed in [21u64, 99].into_iter().take(cases(1, 2)) {
         assert_hotpath_identity(&format!("flat/failures/seed{seed}"), || {
             SimulationBuilder::new(FlatCluster::new(640), jobs(20))
                 .policy(PolicyParams::new(0.5, 2))
@@ -398,7 +408,7 @@ fn intrepid_day(seed: u64) -> Vec<Job> {
 
 #[test]
 fn window4_identity_flat() {
-    for seed in [4u64, 42] {
+    for seed in [4u64, 42].into_iter().take(cases(1, 2)) {
         assert_hotpath_identity(&format!("flat/w4/seed{seed}"), || {
             SimulationBuilder::new(FlatCluster::new(1024), jobs(seed))
                 .policy(PolicyParams::new(0.5, 4))

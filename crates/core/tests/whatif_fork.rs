@@ -178,12 +178,12 @@ fn differential<P: Platform + Snapshot>(make: fn() -> P, master: u64, n: u64) {
 
 #[test]
 fn fork_is_the_decoded_fork_on_a_flat_machine() {
-    differential(|| FlatCluster::new(96), 0xF0_4B, cases(100, 1_000));
+    differential(|| FlatCluster::new(96), 0xF0_4B, cases(25, 1_000));
 }
 
 #[test]
 fn fork_is_the_decoded_fork_on_a_partitioned_machine() {
-    differential(|| BgpCluster::new(8, 32), 0xB6_F0_4B, cases(100, 1_000));
+    differential(|| BgpCluster::new(8, 32), 0xB6_F0_4B, cases(25, 1_000));
 }
 
 #[test]
