@@ -15,92 +15,61 @@
 //!
 //! This binary quantifies all of it on the standard month trace.
 //!
-//! Usage: `cargo run -p amjs-bench --release --bin ablation_backfill [--seed N] [--fast]`
+//! Usage: `cargo run -p amjs-bench --release --bin ablation_backfill
+//!         [--seed N] [--fast] [--jobs N]`
 
 use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_core::runner::SimulationBuilder;
 use amjs_core::scheduler::{BackfillMode, ProtectionStyle};
-use amjs_core::PolicyParams;
-
-struct Variant {
-    label: &'static str,
-    policy: PolicyParams,
-    backfill: BackfillMode,
-    protection: ProtectionStyle,
-    easy_protected: Option<usize>,
-}
+use amjs_core::{par_map, MachineSpec, PolicyParams, RunSpec};
+use amjs_platform::BgpCluster;
 
 fn main() {
-    let (seed, fast) = harness::parse_args();
-    let jobs = harness::experiment_jobs(seed, fast);
-    eprintln!("ablation_backfill: {} jobs", jobs.len());
+    let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
+    let workload = harness::experiment_workload(seed, fast);
+    let variant = |label: &str,
+                   policy: PolicyParams,
+                   backfill: BackfillMode,
+                   protection: ProtectionStyle,
+                   easy_protected: Option<usize>| {
+        let mut s =
+            RunSpec::new(label, MachineSpec::intrepid(), workload.clone(), policy).labeled(label);
+        s.backfill = backfill;
+        s.easy_protected = easy_protected;
+        (s, protection)
+    };
 
     let fcfs = PolicyParams::fcfs();
     let w4 = PolicyParams::new(1.0, 4);
+    let (easy, pinned) = (BackfillMode::Easy, ProtectionStyle::PinnedBlocks);
     let variants = [
-        Variant {
-            label: "no-backfill",
-            policy: fcfs,
-            backfill: BackfillMode::None,
-            protection: ProtectionStyle::PinnedBlocks,
-            easy_protected: Some(1),
-        },
-        Variant {
-            label: "easy/head/pinned",
-            policy: fcfs,
-            backfill: BackfillMode::Easy,
-            protection: ProtectionStyle::PinnedBlocks,
-            easy_protected: Some(1),
-        },
-        Variant {
-            label: "easy/head/flexible",
-            policy: fcfs,
-            backfill: BackfillMode::Easy,
-            protection: ProtectionStyle::TimeFlexible,
-            easy_protected: Some(1),
-        },
-        Variant {
-            label: "easy/window/pinned W=4",
-            policy: w4,
-            backfill: BackfillMode::Easy,
-            protection: ProtectionStyle::PinnedBlocks,
-            easy_protected: None,
-        },
-        Variant {
-            label: "easy/head/pinned W=4",
-            policy: w4,
-            backfill: BackfillMode::Easy,
-            protection: ProtectionStyle::PinnedBlocks,
-            easy_protected: Some(1),
-        },
-        Variant {
-            label: "conservative",
-            policy: fcfs,
-            backfill: BackfillMode::Conservative,
-            protection: ProtectionStyle::PinnedBlocks,
-            easy_protected: Some(1),
-        },
+        variant("no-backfill", fcfs, BackfillMode::None, pinned, Some(1)),
+        variant("easy/head/pinned", fcfs, easy, pinned, Some(1)),
+        variant(
+            "easy/head/flexible",
+            fcfs,
+            easy,
+            ProtectionStyle::TimeFlexible,
+            Some(1),
+        ),
+        variant("easy/window/pinned W=4", w4, easy, pinned, None),
+        variant("easy/head/pinned W=4", w4, easy, pinned, Some(1)),
+        variant(
+            "conservative",
+            fcfs,
+            BackfillMode::Conservative,
+            pinned,
+            Some(1),
+        ),
     ];
+    let jobs = variants[0].0.jobs();
+    eprintln!("ablation_backfill: {} jobs", jobs.len());
 
-    let outcomes: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = variants
-            .iter()
-            .map(|v| {
-                let jobs = jobs.clone();
-                s.spawn(move || {
-                    let mut b = SimulationBuilder::new(harness::intrepid(), jobs)
-                        .policy(v.policy)
-                        .backfill(v.backfill)
-                        .easy_protected(v.easy_protected)
-                        .backfill_depth(Some(harness::BACKFILL_DEPTH))
-                        .label(v.label);
-                    b = b.protection(v.protection);
-                    b.run()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    // The protection style is the one setting here no spec field names.
+    let outcomes = par_map(&variants, workers, |(spec, protection)| {
+        spec.builder(BgpCluster::intrepid(), jobs.clone())
+            .protection(*protection)
+            .run()
     });
 
     let header = ["variant", "wait(min)", "unfair#", "LoC(%)", "backfills"];

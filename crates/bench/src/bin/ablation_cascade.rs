@@ -22,7 +22,7 @@
 use amjs_bench::harness;
 use amjs_bench::{results, table};
 use amjs_core::failures::{BurstModel, CorrelationSpec, DomainSpec, FailureSpec, RetryPolicy};
-use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
+use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, RunSpec};
 use amjs_sim::SimDuration;
 
 fn main() {
@@ -82,11 +82,7 @@ fn main() {
             AdaptiveKind::TwoD { threshold: 1000.0 },
         ),
     ];
-    let preset = if fast {
-        PresetName::Week
-    } else {
-        PresetName::Month
-    };
+    let workload = &harness::experiment_workload(seed, fast);
 
     let specs: Vec<RunSpec> = cascade_probs
         .iter()
@@ -95,11 +91,7 @@ fn main() {
                 let mut s = RunSpec::new(
                     format!("p{p}-{stem}"),
                     MachineSpec::intrepid(),
-                    WorkloadSource::Preset {
-                        name: preset,
-                        seed,
-                        load_factor: 1.0,
-                    },
+                    workload.clone(),
                     *policy,
                 )
                 .labeled(format!("p={p}/{label}"));

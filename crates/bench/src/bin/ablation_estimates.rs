@@ -11,51 +11,35 @@
 //! is the classic risk the literature flags (and worth measuring, not
 //! assuming).
 //!
-//! Usage: `cargo run -p amjs-bench --release --bin ablation_estimates [--seed N] [--fast]`
+//! Usage: `cargo run -p amjs-bench --release --bin ablation_estimates
+//!         [--seed N] [--fast] [--jobs N]`
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{results, table};
 use amjs_core::estimates::EstimatePolicy;
-use amjs_core::runner::SimulationBuilder;
+use amjs_core::{MachineSpec, PolicyParams, RunSpec};
 
 fn main() {
-    let (seed, fast) = harness::parse_args();
-    let jobs = harness::experiment_jobs(seed, fast);
-    eprintln!("ablation_estimates: {} jobs", jobs.len());
+    let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
+    let workload = harness::experiment_workload(seed, fast);
 
-    let configs = [RunConfig::fixed(1.0, 1), RunConfig::fixed(0.5, 4)];
     let policies = [
         ("raw requests", EstimatePolicy::Requested),
         ("user-adaptive", EstimatePolicy::user_adaptive()),
     ];
-
-    let mut variants = Vec::new();
-    for config in &configs {
+    let mut specs = Vec::new();
+    for policy in [PolicyParams::new(1.0, 1), PolicyParams::new(0.5, 4)] {
         for (tag, est) in &policies {
-            variants.push((format!("{} / {tag}", config.label), config.clone(), *est));
+            let label = format!("{} / {tag}", policy.label());
+            let mut s = RunSpec::new(&label, MachineSpec::intrepid(), workload.clone(), policy)
+                .labeled(label);
+            s.estimates = *est;
+            specs.push(s);
         }
     }
-
-    let outcomes: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = variants
-            .iter()
-            .map(|(label, config, est)| {
-                let jobs = jobs.clone();
-                let label = label.clone();
-                s.spawn(move || {
-                    SimulationBuilder::new(harness::intrepid(), jobs)
-                        .policy(config.policy)
-                        .backfill(config.backfill)
-                        .easy_protected(Some(harness::EASY_PROTECTED))
-                        .backfill_depth(Some(harness::BACKFILL_DEPTH))
-                        .estimate_policy(*est)
-                        .label(label)
-                        .run()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let n_jobs = specs[0].jobs().len();
+    eprintln!("ablation_estimates: {n_jobs} jobs");
+    let outcomes = harness::run_outcomes(&specs, workers);
 
     let header = [
         "config / estimates",
@@ -80,8 +64,7 @@ fn main() {
         .collect();
     let mut out = String::new();
     out.push_str(&format!(
-        "Extension — walltime-estimate adjustment (ref. 20) ({} jobs, seed {seed})\n\n",
-        jobs.len()
+        "Extension — walltime-estimate adjustment (ref. 20) ({n_jobs} jobs, seed {seed})\n\n"
     ));
     out.push_str(&table::render(&header, &rows));
     out.push_str(

@@ -8,17 +8,17 @@
 //! exposure (probability of interruption grows with nodes × residence
 //! time), so short-job-leaning policies might be expected to lose less.
 //!
-//! Usage: `cargo run -p amjs-bench --release --bin ablation_failures [--seed N] [--fast]`
+//! Usage: `cargo run -p amjs-bench --release --bin ablation_failures
+//!         [--seed N] [--fast] [--jobs N]`
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{results, table};
 use amjs_core::failures::FailureSpec;
-use amjs_core::runner::SimulationBuilder;
+use amjs_core::{MachineSpec, PolicyParams, RunSpec};
 
 fn main() {
-    let (seed, fast) = harness::parse_args();
-    let jobs = harness::experiment_jobs(seed, fast);
-    eprintln!("ablation_failures: {} jobs", jobs.len());
+    let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
+    let workload = harness::experiment_workload(seed, fast);
 
     // Production-flavored failure rate: 50-year node MTBF → about one
     // machine-level failure per 10.7 h at Intrepid scale (~65 over the
@@ -28,30 +28,22 @@ fn main() {
     // motivation for checkpointing, not a scheduling-policy question.
     let spec = FailureSpec::bgp_production(seed ^ 0xFA11);
 
-    let variants = [
-        (RunConfig::fixed(1.0, 1), "BF=1/W=1"),
-        (RunConfig::fixed(0.5, 1), "BF=0.5/W=1"),
-        (RunConfig::fixed(0.5, 4), "BF=0.5/W=4"),
-    ];
-    let outcomes: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = variants
-            .iter()
-            .map(|(config, label)| {
-                let jobs = jobs.clone();
-                s.spawn(move || {
-                    SimulationBuilder::new(harness::intrepid(), jobs)
-                        .policy(config.policy)
-                        .backfill(config.backfill)
-                        .easy_protected(Some(harness::EASY_PROTECTED))
-                        .backfill_depth(Some(harness::BACKFILL_DEPTH))
-                        .failures(Some(spec))
-                        .label(*label)
-                        .run()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let specs: Vec<RunSpec> = [(1.0, 1), (0.5, 1), (0.5, 4)]
+        .into_iter()
+        .map(|(bf, w)| {
+            let mut s = RunSpec::new(
+                format!("bf{bf}-w{w}"),
+                MachineSpec::intrepid(),
+                workload.clone(),
+                PolicyParams::new(bf, w),
+            );
+            s.failures = Some(spec);
+            s
+        })
+        .collect();
+    let n_jobs = specs[0].jobs().len();
+    eprintln!("ablation_failures: {n_jobs} jobs");
+    let outcomes = harness::run_outcomes(&specs, workers);
 
     let header = ["config", "wait(min)", "interrupts", "lost node-h"];
     let rows: Vec<Vec<String>> = outcomes
@@ -69,8 +61,7 @@ fn main() {
     let mut out = String::new();
     out.push_str(&format!(
         "Extension — failures (\u{00a7}V future work)\n\
-         ({} jobs, seed {seed}, machine MTBF {:.1} h)\n\n",
-        jobs.len(),
+         ({n_jobs} jobs, seed {seed}, machine MTBF {:.1} h)\n\n",
         spec.machine_mtbf_secs(40_960) / 3600.0,
     ));
     out.push_str(&table::render(&header, &rows));

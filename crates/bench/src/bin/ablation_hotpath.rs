@@ -2,8 +2,9 @@
 //! and is it still byte-identical to the from-scratch one?
 //!
 //! Runs the month-long Intrepid trace on the optimized hot path and on
-//! the reference path ([`SimulationBuilder::reference_hotpath`]: a full
-//! rescore and resort every pass, no pass memo, and fresh, unpruned
+//! the reference path ([`RunSpec::builder`] with
+//! [`reference_hotpath`](amjs_core::runner::SimulationBuilder::reference_hotpath):
+//! a full rescore and resort every pass, no pass memo, and fresh
 //! fair-start drains — on the same plans, which have one query path),
 //! asserting the two produce the same summary row, then records the
 //! trajectory in `results/BENCH_hotpath.json`:
@@ -38,15 +39,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_core::runner::SimulationBuilder;
-use amjs_core::{PassCacheStats, PolicyParams};
+use amjs_core::{MachineSpec, PassCacheStats, PolicyParams, RunSpec, WorkloadSource};
 use amjs_obs::json::Json;
 use amjs_obs::{Observer, Profiler};
 use amjs_platform::mask::UnitMask;
-use amjs_platform::FlatCluster;
-use amjs_workload::WorkloadSpec;
+use amjs_platform::BgpCluster;
 
 /// The artefact this binary regenerates — and reads its own gate from.
 const ARTEFACT: &str = "BENCH_hotpath.json";
@@ -77,18 +76,6 @@ fn json_fields(fields: &[(&str, u64)]) -> String {
         .map(|(k, v)| format!("\"{k}\": {v}"))
         .collect();
     fields.join(", ")
-}
-
-fn builder(
-    jobs: Vec<amjs_workload::Job>,
-    config: &RunConfig,
-) -> SimulationBuilder<impl amjs_platform::Platform + amjs_sim::Snapshot> {
-    SimulationBuilder::new(harness::intrepid(), jobs)
-        .policy(config.policy)
-        .backfill(config.backfill)
-        .easy_protected(Some(harness::EASY_PROTECTED))
-        .backfill_depth(Some(harness::BACKFILL_DEPTH))
-        .label(config.label.clone())
 }
 
 /// Quartiles of a sorted sample, in milliseconds.
@@ -129,12 +116,18 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let jobs = harness::experiment_jobs(seed, fast);
-    let config = RunConfig::fixed(0.5, 2);
+    let spec = RunSpec::new(
+        "bf0.5-w2",
+        MachineSpec::intrepid(),
+        harness::experiment_workload(seed, fast),
+        PolicyParams::new(0.5, 2),
+    );
+    let jobs = spec.jobs();
+    let run = |obs| spec.run(jobs.clone(), obs).0;
     eprintln!(
         "ablation_hotpath: {} jobs, config {}",
         jobs.len(),
-        config.label
+        spec.label
     );
 
     let reps_opt = if fast { 3 } else { 7 };
@@ -142,7 +135,7 @@ fn main() {
 
     // Interleave optimized and reference reps so slow machine drift
     // cannot masquerade as a path difference; take best-of-N walls.
-    let probe = builder(jobs.clone(), &config).run();
+    let probe = run(Observer::disabled());
     let baseline_row = probe.summary.csv_row();
     let passes = probe.scheduler_passes;
     // Derived event count: one submit/start/end per completed job plus
@@ -155,12 +148,15 @@ fn main() {
     let reuse = probe.hotpath;
     for rep in 0..reps_opt {
         let t0 = Instant::now();
-        let out = builder(jobs.clone(), &config).run();
+        let out = run(Observer::disabled());
         opt_walls.push(t0.elapsed().as_secs_f64());
         assert_eq!(out.summary.csv_row(), baseline_row, "optimized run drifted");
         if rep < reps_ref {
             let t0 = Instant::now();
-            let out = builder(jobs.clone(), &config).reference_hotpath(true).run();
+            let out = spec
+                .builder(BgpCluster::intrepid(), jobs.clone())
+                .reference_hotpath(true)
+                .run();
             ref_walls.push(t0.elapsed().as_secs_f64());
             assert_eq!(
                 out.summary.csv_row(),
@@ -182,19 +178,25 @@ fn main() {
     let ref_pps = passes as f64 / ref_best;
 
     // Where the window search dominates: a flat machine of Intrepid's
-    // size at 1.5x load with W=4 (24 permutations a window).
-    let w4_spec = if fast {
-        WorkloadSpec::intrepid_week()
-    } else {
-        WorkloadSpec::intrepid_month()
-    };
-    let w4_jobs = w4_spec.with_load_factor(1.5).generate(seed);
+    // size at 1.5x load with W=4 (24 permutations a window), with every
+    // reservation protected and unlimited backfill depth.
+    let mut workload = harness::experiment_workload(seed, fast);
+    if let WorkloadSource::Preset { load_factor, .. } = &mut workload {
+        *load_factor = 1.5;
+    }
+    let mut w4_spec = RunSpec::new(
+        "w4-flat",
+        MachineSpec::Flat { nodes: 40_960 },
+        workload,
+        PolicyParams::new(0.5, 4),
+    );
+    w4_spec.easy_protected = None;
+    w4_spec.backfill_depth = None;
+    let w4_jobs = w4_spec.jobs();
     let w4_runs: Vec<_> = (0..reps_ref)
         .map(|_| {
             let t0 = Instant::now();
-            let out = SimulationBuilder::new(FlatCluster::new(40_960), w4_jobs.clone())
-                .policy(PolicyParams::new(0.5, 4))
-                .run();
+            let out = w4_spec.run(w4_jobs.clone(), Observer::disabled()).0;
             (t0.elapsed().as_secs_f64(), out)
         })
         .collect();
@@ -203,8 +205,10 @@ fn main() {
 
     // Per-span breakdown of one profiled optimized run.
     let prof = Rc::new(RefCell::new(Profiler::new()));
-    let (out, mut obs) = builder(jobs.clone(), &config)
-        .run_observed(Observer::disabled().with_profiler(prof.clone()));
+    let (out, mut obs) = spec.run(
+        jobs.clone(),
+        Observer::disabled().with_profiler(prof.clone()),
+    );
     obs.finish();
     assert_eq!(out.summary.csv_row(), baseline_row);
     let span_json: Vec<String> = prof

@@ -25,9 +25,9 @@ use std::io::BufWriter;
 use std::rc::Rc;
 use std::time::Instant;
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_core::runner::SimulationBuilder;
+use amjs_core::{MachineSpec, PolicyParams, RunSpec};
 use amjs_obs::{JsonlSink, Observer, Profiler, RingSink};
 
 /// Ring capacity used for the always-on mode; generous enough that the
@@ -39,30 +39,24 @@ type RecordProbe = Box<dyn Fn() -> u64>;
 /// Builds a fresh observer (and its probe) for one timed rep.
 type ModeFactory = Box<dyn Fn() -> (Observer, RecordProbe)>;
 
-fn builder(
-    jobs: Vec<amjs_workload::Job>,
-    config: &RunConfig,
-) -> SimulationBuilder<impl amjs_platform::Platform + amjs_sim::Snapshot> {
-    SimulationBuilder::new(harness::intrepid(), jobs)
-        .policy(config.policy)
-        .backfill(config.backfill)
-        .easy_protected(Some(harness::EASY_PROTECTED))
-        .backfill_depth(Some(harness::BACKFILL_DEPTH))
-        .label(config.label.clone())
-}
-
 fn main() {
     let (seed, fast) = harness::parse_args();
-    let jobs = harness::experiment_jobs(seed, fast);
-    let config = RunConfig::fixed(0.5, 2);
-    eprintln!("ablation_obs: {} jobs, config {}", jobs.len(), config.label);
+    let spec = RunSpec::new(
+        "bf0.5-w2",
+        MachineSpec::intrepid(),
+        harness::experiment_workload(seed, fast),
+        PolicyParams::new(0.5, 2),
+    );
+    let jobs = spec.jobs();
+    let run = |obs| spec.run(jobs.clone(), obs);
+    eprintln!("ablation_obs: {} jobs, config {}", jobs.len(), spec.label);
 
     // Best-of-7, with reps interleaved round-robin across all modes:
     // a run is around half a second, so measuring each mode in its own
     // contiguous block would let slow machine drift (thermal, page
     // cache, a background task) masquerade as per-mode overhead.
     const REPS: usize = 7;
-    let baseline = builder(jobs.clone(), &config).run();
+    let baseline = run(Observer::disabled()).0;
     let baseline_row = baseline.summary.csv_row();
     let events = baseline.scheduler_passes;
 
@@ -134,14 +128,14 @@ fn main() {
     let mut mode_records = vec![0u64; modes.len()];
     for _ in 0..REPS {
         let t0 = Instant::now();
-        let out = builder(jobs.clone(), &config).run();
+        let out = run(Observer::disabled()).0;
         base_secs = base_secs.min(t0.elapsed().as_secs_f64());
         assert_eq!(out.summary.csv_row(), baseline_row);
 
         for (i, (name, make)) in modes.iter().enumerate() {
             let (obs, count) = make();
             let t0 = Instant::now();
-            let (out, mut obs) = builder(jobs.clone(), &config).run_observed(obs);
+            let (out, mut obs) = run(obs);
             mode_secs[i] = mode_secs[i].min(t0.elapsed().as_secs_f64());
             obs.finish();
             mode_records[i] = count();

@@ -8,48 +8,52 @@
 //! Gene/P partition discipline — the phenomenon eq. (4) was designed to
 //! expose.
 //!
-//! Usage: `cargo run -p amjs-bench --release --bin ablation_platform [--seed N] [--fast]`
+//! Usage: `cargo run -p amjs-bench --release --bin ablation_platform
+//!         [--seed N] [--fast] [--jobs N]`
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_platform::{BgpCluster, FlatCluster};
+use amjs_core::{MachineSpec, PolicyParams, RunSpec};
+use amjs_platform::BgpCluster;
 use amjs_workload::synth::SizeClass;
 use amjs_workload::WorkloadSpec;
 
 fn main() {
-    let (seed, fast) = harness::parse_args();
-    let jobs = harness::experiment_jobs(seed, fast);
-    eprintln!("ablation_platform: {} jobs", jobs.len());
+    let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
+    let workload = harness::experiment_workload(seed, fast);
 
-    let configs = [
-        RunConfig::fixed(1.0, 1),
-        RunConfig::fixed(0.5, 1),
-        RunConfig::fixed(0.5, 4),
-    ];
-
-    let mut rows = Vec::new();
-    for config in &configs {
-        let bgp = harness::run_one(harness::intrepid(), jobs.clone(), config);
-        let flat = harness::run_one(FlatCluster::new(40_960), jobs.clone(), config);
-        rows.push(vec![
-            format!("{} bgp", config.label),
-            table::num(bgp.summary.avg_wait_mins, 1),
-            table::num(bgp.summary.loc_percent, 1),
-            table::num(bgp.summary.avg_utilization, 3),
-        ]);
-        rows.push(vec![
-            format!("{} flat", config.label),
-            table::num(flat.summary.avg_wait_mins, 1),
-            table::num(flat.summary.loc_percent, 1),
-            table::num(flat.summary.avg_utilization, 3),
-        ]);
+    let mut specs = Vec::new();
+    for policy in [
+        PolicyParams::new(1.0, 1),
+        PolicyParams::new(0.5, 1),
+        PolicyParams::new(0.5, 4),
+    ] {
+        for (tag, machine) in [
+            ("bgp", MachineSpec::intrepid()),
+            ("flat", MachineSpec::Flat { nodes: 40_960 }),
+        ] {
+            let label = format!("{} {tag}", policy.label());
+            specs.push(RunSpec::new(&label, machine, workload.clone(), policy).labeled(label));
+        }
     }
+    let n_jobs = specs[0].jobs().len();
+    eprintln!("ablation_platform: {n_jobs} jobs");
+    let rows: Vec<Vec<String>> = harness::run_outcomes(&specs, workers)
+        .iter()
+        .map(|o| {
+            vec![
+                o.summary.label.clone(),
+                table::num(o.summary.avg_wait_mins, 1),
+                table::num(o.summary.loc_percent, 1),
+                table::num(o.summary.avg_utilization, 3),
+            ]
+        })
+        .collect();
 
     let header = ["config/machine", "wait(min)", "LoC(%)", "util"];
     let mut out = String::new();
     out.push_str(&format!(
-        "Ablation — partitioned (bgp) vs idealized (flat) machine ({} jobs, seed {seed})\n\n",
-        jobs.len()
+        "Ablation — partitioned (bgp) vs idealized (flat) machine ({n_jobs} jobs, seed {seed})\n\n"
     ));
     out.push_str(&table::render(&header, &rows));
     out.push_str(
@@ -78,9 +82,18 @@ fn main() {
         },
     ]);
     let dev_jobs = spec.generate(seed);
-    let config = RunConfig::fixed(1.0, 1);
-    let coarse = harness::run_one(harness::intrepid(), dev_jobs.clone(), &config);
-    let fine = harness::run_one(BgpCluster::intrepid_fine(), dev_jobs.clone(), &config);
+    // Neither the dev-job trace nor sub-midplane partitions have a spec
+    // field, so both go to the spec's builder directly.
+    let fcfs = RunSpec::new(
+        "bf1-w1",
+        MachineSpec::intrepid(),
+        workload,
+        PolicyParams::new(1.0, 1),
+    );
+    let coarse = fcfs.builder(BgpCluster::intrepid(), dev_jobs.clone()).run();
+    let fine = fcfs
+        .builder(BgpCluster::intrepid_fine(), dev_jobs.clone())
+        .run();
     out.push_str(&format!(
         "\npartition granularity (same trace + dev-job tail, {} jobs, FCFS):\n",
         dev_jobs.len()

@@ -22,7 +22,7 @@
 use amjs_bench::harness;
 use amjs_bench::{results, table};
 use amjs_core::failures::{FailureSpec, RepairSpec, RetryPolicy};
-use amjs_core::{MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
+use amjs_core::{MachineSpec, PolicyParams, RunSpec};
 use amjs_sim::SimDuration;
 
 fn main() {
@@ -38,11 +38,7 @@ fn main() {
         max_attempts: Some(10),
         backoff_base: SimDuration::from_mins(5),
     };
-    let preset = if fast {
-        PresetName::Week
-    } else {
-        PresetName::Month
-    };
+    let workload = &harness::experiment_workload(seed, fast);
 
     let specs: Vec<RunSpec> = mtbf_years
         .iter()
@@ -51,11 +47,7 @@ fn main() {
                 let mut s = RunSpec::new(
                     format!("mtbf{years}y-fix{hours}h"),
                     MachineSpec::intrepid(),
-                    WorkloadSource::Preset {
-                        name: preset,
-                        seed,
-                        load_factor: 1.0,
-                    },
+                    workload.clone(),
                     PolicyParams::new(0.5, 4),
                 )
                 .labeled(format!("mtbf{years}y/fix{hours}h"));

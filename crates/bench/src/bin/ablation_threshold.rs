@@ -8,39 +8,46 @@
 //! regime where tuning degenerates into static FCFS (threshold → ∞) or
 //! static BF=0.5 (threshold → 0).
 //!
-//! Usage: `cargo run -p amjs-bench --release --bin ablation_threshold [--seed N] [--fast]`
+//! Usage: `cargo run -p amjs-bench --release --bin ablation_threshold
+//!         [--seed N] [--fast] [--jobs N]`
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{results, table};
+use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, RunSpec};
 
 fn main() {
-    let (seed, fast) = harness::parse_args();
-    let jobs = harness::experiment_jobs(seed, fast);
-    eprintln!("ablation_threshold: {} jobs", jobs.len());
+    let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
+    let workload = harness::experiment_workload(seed, fast);
+    let spec = |key: &str| {
+        RunSpec::new(
+            key,
+            MachineSpec::intrepid(),
+            workload.clone(),
+            PolicyParams::new(1.0, 1),
+        )
+    };
+    let base = spec("bf1-w1");
+    let n_jobs = base.jobs().len();
+    eprintln!("ablation_threshold: {n_jobs} jobs");
 
-    let base = harness::run_one(harness::intrepid(), jobs.clone(), &RunConfig::fixed(1.0, 1));
+    let base = base.execute();
     let avg_qd = base.queue_depth.mean_value().unwrap_or(1000.0);
 
     let multiples = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, f64::INFINITY];
-    let configs: Vec<RunConfig> = multiples
+    let specs: Vec<RunSpec> = multiples
         .iter()
         .map(|&m| {
-            let th = if m.is_infinite() {
-                f64::MAX
+            let (threshold, label) = if m.is_infinite() {
+                (f64::MAX, "th=inf (≈FCFS)".to_string())
             } else {
-                avg_qd * m
+                (avg_qd * m, format!("th={m}x avg"))
             };
-            RunConfig::bf_adaptive(th).named(if m.is_infinite() {
-                "th=inf (≈FCFS)".to_string()
-            } else {
-                format!("th={m}x avg")
-            })
+            let mut s = spec(&label).labeled(label);
+            s.adaptive = AdaptiveKind::Bf { threshold };
+            s
         })
         .collect();
-    let outcomes: Vec<_> = configs
-        .iter()
-        .map(|c| harness::run_one(harness::intrepid(), jobs.clone(), c))
-        .collect();
+    let outcomes = harness::run_outcomes(&specs, workers);
 
     let header = [
         "threshold",
@@ -72,8 +79,7 @@ fn main() {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "Ablation — BF-tuner threshold sensitivity ({} jobs, seed {seed}, avg QD {avg_qd:.0} min)\n\n",
-        jobs.len()
+        "Ablation — BF-tuner threshold sensitivity ({n_jobs} jobs, seed {seed}, avg QD {avg_qd:.0} min)\n\n"
     ));
     out.push_str(&table::render(&header, &rows));
     out.push_str(&format!(

@@ -9,37 +9,53 @@
 //! trace: dynP (two threshold settings) against the paper's BF-adaptive
 //! and 2D-adaptive schemes.
 //!
-//! Usage: `cargo run -p amjs-bench --release --bin baseline_dynp [--seed N] [--fast]`
+//! Usage: `cargo run -p amjs-bench --release --bin baseline_dynp
+//!         [--seed N] [--fast] [--jobs N]`
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{results, table};
 use amjs_core::adaptive::AdaptiveScheme;
+use amjs_core::{par_map, AdaptiveKind, MachineSpec, PolicyParams, RunSpec};
+use amjs_platform::BgpCluster;
 
 fn main() {
-    let (seed, fast) = harness::parse_args();
-    let jobs = harness::experiment_jobs(seed, fast);
+    let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
+    let workload = harness::experiment_workload(seed, fast);
+    let spec = |key: &str, policy: PolicyParams| {
+        RunSpec::new(key, MachineSpec::intrepid(), workload.clone(), policy)
+    };
+    let base = spec("bf1-w1", PolicyParams::new(1.0, 1));
+    let jobs = base.jobs();
     eprintln!("baseline_dynp: {} jobs", jobs.len());
 
-    let base = harness::run_one(harness::intrepid(), jobs.clone(), &RunConfig::fixed(1.0, 1));
+    let base = base.execute();
     let threshold = base.queue_depth.mean_value().unwrap_or(1000.0);
 
-    let mut dynp_sensitive = RunConfig::bf_adaptive(threshold).named("dynP (10/80)");
-    dynp_sensitive.adaptive = AdaptiveScheme::dynp(10, 80);
-    let mut dynp_tolerant = RunConfig::bf_adaptive(threshold).named("dynP (30/150)");
-    dynp_tolerant.adaptive = AdaptiveScheme::dynp(30, 150);
-
-    let configs = [
-        dynp_sensitive,
-        dynp_tolerant,
-        RunConfig::bf_adaptive(threshold),
-        RunConfig::two_d_adaptive(threshold),
+    let adaptive = |label: &str, kind: AdaptiveKind| {
+        let mut s = spec(label, PolicyParams::fcfs()).labeled(label);
+        s.adaptive = kind;
+        s
+    };
+    // dynP is a tuning scheme `AdaptiveKind` does not name, so its two
+    // rows put it on the spec's builder.
+    let dynp = |low, high| Some(AdaptiveScheme::dynp(low, high));
+    let runs = [
+        (adaptive("dynP (10/80)", AdaptiveKind::None), dynp(10, 80)),
+        (adaptive("dynP (30/150)", AdaptiveKind::None), dynp(30, 150)),
+        (adaptive("BF Adapt.", AdaptiveKind::Bf { threshold }), None),
+        (
+            adaptive("2D Adapt.", AdaptiveKind::TwoD { threshold }),
+            None,
+        ),
     ];
     let mut outcomes = vec![base];
-    outcomes.extend(
-        configs
-            .iter()
-            .map(|c| harness::run_one(harness::intrepid(), jobs.clone(), c)),
-    );
+    outcomes.extend(par_map(&runs, workers, |(spec, scheme)| {
+        let builder = spec.builder(BgpCluster::intrepid(), jobs.clone());
+        match scheme {
+            Some(scheme) => builder.adaptive(scheme.clone()).run(),
+            None => builder.run(),
+        }
+    }));
 
     let header = ["scheme", "wait(min)", "unfair#", "LoC(%)", "peak QD(min)"];
     let rows: Vec<Vec<String>> = outcomes

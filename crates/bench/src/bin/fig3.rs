@@ -19,25 +19,14 @@
 
 use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_core::{MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
+use amjs_core::{MachineSpec, PolicyParams, RunSpec};
 
 const BFS: [f64; 5] = [1.0, 0.75, 0.5, 0.25, 0.0];
 const WINDOWS: [usize; 5] = [1, 2, 3, 4, 5];
 
 fn main() {
     let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
-    let jobs = harness::experiment_jobs(seed, fast);
-    eprintln!(
-        "fig3: {} jobs, {} configurations, {workers} workers",
-        jobs.len(),
-        BFS.len() * WINDOWS.len()
-    );
-
-    let preset = if fast {
-        PresetName::Week
-    } else {
-        PresetName::Month
-    };
+    let workload = &harness::experiment_workload(seed, fast);
     let specs: Vec<RunSpec> = BFS
         .iter()
         .flat_map(|&bf| {
@@ -45,23 +34,23 @@ fn main() {
                 RunSpec::new(
                     format!("bf{bf}-w{w}"),
                     MachineSpec::intrepid(),
-                    WorkloadSource::Preset {
-                        name: preset,
-                        seed,
-                        load_factor: 1.0,
-                    },
+                    workload.clone(),
                     PolicyParams::new(bf, w),
                 )
             })
         })
         .collect();
+    let n_jobs = specs[0].jobs().len();
+    eprintln!(
+        "fig3: {n_jobs} jobs, {} configurations, {workers} workers",
+        specs.len()
+    );
     let digests = harness::run_sweep(&specs, workers);
     let get = |bf_i: usize, w_i: usize| &digests[bf_i * WINDOWS.len() + w_i].summary;
 
     let mut out = String::new();
     out.push_str(&format!(
-        "Figure 3 — metric-aware scheduling sweep ({} jobs, seed {seed})\n\n",
-        jobs.len()
+        "Figure 3 — metric-aware scheduling sweep ({n_jobs} jobs, seed {seed})\n\n"
     ));
 
     // (a) average waiting time: rows = BF, columns = W.

@@ -22,30 +22,30 @@
 //! Usage: `cargo run -p amjs-bench --release --bin fig4
 //!         [--seed N] [--fast] [--jobs N]`
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{chart, results};
-use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
+use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, RunSpec};
 use amjs_sim::SimTime;
 
 fn main() {
     let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
-    let jobs = harness::experiment_jobs(seed, fast);
+    let workload = harness::experiment_workload(seed, fast);
+    let fixed = |key: &str, bf: f64| {
+        RunSpec::new(
+            key,
+            MachineSpec::intrepid(),
+            workload.clone(),
+            PolicyParams::new(bf, 1),
+        )
+    };
+    let base = fixed("bf1-w1", 1.0);
+    let jobs = base.jobs();
     eprintln!("fig4: {} jobs, {workers} workers", jobs.len());
 
     // Threshold from the base run's whole-trace average (paper §IV-C.1).
-    let base = harness::run_one(harness::intrepid(), jobs.clone(), &RunConfig::fixed(1.0, 1));
+    let base = base.execute();
     let threshold = base.queue_depth.mean_value().unwrap_or(1000.0);
 
-    let preset = if fast {
-        PresetName::Week
-    } else {
-        PresetName::Month
-    };
-    let workload = WorkloadSource::Preset {
-        name: preset,
-        seed,
-        load_factor: 1.0,
-    };
     let mut adaptive_spec = RunSpec::new(
         "adaptive",
         MachineSpec::intrepid(),
@@ -55,18 +55,8 @@ fn main() {
     .labeled("adaptive");
     adaptive_spec.adaptive = AdaptiveKind::Bf { threshold };
     let specs = vec![
-        RunSpec::new(
-            "bf0.75-w1",
-            MachineSpec::intrepid(),
-            workload.clone(),
-            PolicyParams::new(0.75, 1),
-        ),
-        RunSpec::new(
-            "bf0.5-w1",
-            MachineSpec::intrepid(),
-            workload,
-            PolicyParams::new(0.5, 1),
-        ),
+        fixed("bf0.75-w1", 0.75),
+        fixed("bf0.5-w1", 0.5),
         adaptive_spec,
     ];
     let rest = harness::run_outcomes(&specs, workers);

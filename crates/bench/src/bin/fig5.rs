@@ -21,7 +21,7 @@
 use amjs_bench::harness;
 use amjs_bench::{chart, results};
 use amjs_core::runner::SimulationOutcome;
-use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
+use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, RunSpec};
 use amjs_sim::SimTime;
 
 fn panel(out: &mut String, title: &str, o: &SimulationOutcome, until: SimTime) {
@@ -64,19 +64,7 @@ fn panel(out: &mut String, title: &str, o: &SimulationOutcome, until: SimTime) {
 
 fn main() {
     let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
-    let jobs = harness::experiment_jobs(seed, fast);
-    eprintln!("fig5: {} jobs, {workers} workers", jobs.len());
-
-    let preset = if fast {
-        PresetName::Week
-    } else {
-        PresetName::Month
-    };
-    let workload = WorkloadSource::Preset {
-        name: preset,
-        seed,
-        load_factor: 1.0,
-    };
+    let workload = harness::experiment_workload(seed, fast);
     let mut adaptive_spec = RunSpec::new(
         "w-adaptive",
         MachineSpec::intrepid(),
@@ -94,13 +82,14 @@ fn main() {
         ),
         adaptive_spec,
     ];
+    let n_jobs = specs[0].jobs().len();
+    eprintln!("fig5: {n_jobs} jobs, {workers} workers");
     let outcomes = harness::run_outcomes(&specs, workers);
     let until = SimTime::from_hours(200);
 
     let mut out = String::new();
     out.push_str(&format!(
-        "Figure 5 — system utilization, first 200 h ({} jobs, seed {seed})\n\n",
-        jobs.len()
+        "Figure 5 — system utilization, first 200 h ({n_jobs} jobs, seed {seed})\n\n"
     ));
     panel(&mut out, "(a) static window, W=1", &outcomes[0], until);
     panel(

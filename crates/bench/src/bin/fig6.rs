@@ -18,47 +18,31 @@
 //! Usage: `cargo run -p amjs-bench --release --bin fig6
 //!         [--seed N] [--fast] [--jobs N]`
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{chart, results};
-use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
+use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, RunSpec};
 use amjs_sim::SimTime;
 
 fn main() {
     let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
-    let jobs = harness::experiment_jobs(seed, fast);
+    let workload = harness::experiment_workload(seed, fast);
+    let spec = |key: &str, policy: PolicyParams| {
+        RunSpec::new(key, MachineSpec::intrepid(), workload.clone(), policy)
+    };
+    let base = spec("bf1-w1", PolicyParams::new(1.0, 1));
+    let jobs = base.jobs();
     eprintln!("fig6: {} jobs, {workers} workers", jobs.len());
 
-    let base = harness::run_one(harness::intrepid(), jobs.clone(), &RunConfig::fixed(1.0, 1));
+    let base = base.execute();
     let threshold = base.queue_depth.mean_value().unwrap_or(1000.0);
 
-    let preset = if fast {
-        PresetName::Week
-    } else {
-        PresetName::Month
-    };
-    let workload = WorkloadSource::Preset {
-        name: preset,
-        seed,
-        load_factor: 1.0,
-    };
     let adaptive = |key: &str, label: &str, kind: AdaptiveKind| {
-        let mut s = RunSpec::new(
-            key,
-            MachineSpec::intrepid(),
-            workload.clone(),
-            PolicyParams::fcfs(),
-        )
-        .labeled(label);
+        let mut s = spec(key, PolicyParams::fcfs()).labeled(label);
         s.adaptive = kind;
         s
     };
     let specs = vec![
-        RunSpec::new(
-            "bf0.5-w1",
-            MachineSpec::intrepid(),
-            workload.clone(),
-            PolicyParams::new(0.5, 1),
-        ),
+        spec("bf0.5-w1", PolicyParams::new(0.5, 1)),
         adaptive("bf-adaptive", "BF adaptive", AdaptiveKind::Bf { threshold }),
         adaptive(
             "2d-adaptive",

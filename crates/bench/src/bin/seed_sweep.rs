@@ -15,9 +15,7 @@
 
 use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_core::{
-    AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunDigest, RunSpec, WorkloadSource,
-};
+use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, RunDigest, RunSpec};
 
 fn mean_std(xs: &[f64]) -> (f64, f64) {
     let n = xs.len().max(1) as f64;
@@ -34,19 +32,10 @@ fn spec(
     policy: PolicyParams,
     adaptive: AdaptiveKind,
 ) -> RunSpec {
-    let name = if fast {
-        PresetName::Week
-    } else {
-        PresetName::Month
-    };
     let mut s = RunSpec::new(
         key,
         MachineSpec::intrepid(),
-        WorkloadSource::Preset {
-            name,
-            seed,
-            load_factor: 1.0,
-        },
+        harness::experiment_workload(seed, fast),
         policy,
     )
     .labeled(label);

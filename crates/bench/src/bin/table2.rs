@@ -27,35 +27,14 @@
 //! Usage: `cargo run -p amjs-bench --release --bin table2
 //!         [--seed N] [--fast] [--jobs N]`
 
-use amjs_bench::harness::{self, RunConfig};
+use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, PresetName, RunSpec, WorkloadSource};
+use amjs_core::{AdaptiveKind, MachineSpec, PolicyParams, RunSpec};
 use amjs_metrics::report::improvement_percent;
 
 fn main() {
     let (seed, fast, workers) = harness::parse_args_with_jobs(harness::default_workers());
-    let jobs = harness::experiment_jobs(seed, fast);
-    eprintln!(
-        "table2: {} jobs over {:.0} h (seed {seed}, {workers} workers)",
-        jobs.len(),
-        jobs.last().map(|j| j.submit.as_hours_f64()).unwrap_or(0.0)
-    );
-
-    // Base pre-run for the adaptive threshold (also Table II row 1).
-    let base = harness::run_one(harness::intrepid(), jobs.clone(), &RunConfig::fixed(1.0, 1));
-    let threshold = base.queue_depth.mean_value().unwrap_or(1000.0);
-    eprintln!("table2: base mean queue depth {threshold:.0} min → adaptive threshold");
-
-    let preset = if fast {
-        PresetName::Week
-    } else {
-        PresetName::Month
-    };
-    let workload = WorkloadSource::Preset {
-        name: preset,
-        seed,
-        load_factor: 1.0,
-    };
+    let workload = harness::experiment_workload(seed, fast);
     let fixed = |bf: f64, w: usize| {
         RunSpec::new(
             format!("bf{bf}-w{w}"),
@@ -64,29 +43,37 @@ fn main() {
             PolicyParams::new(bf, w),
         )
     };
-    let adaptive = |key: &str, kind: AdaptiveKind| {
+    let adaptive = |key: &str, label: &str, kind: AdaptiveKind| {
         let mut s = RunSpec::new(
             key,
             MachineSpec::intrepid(),
             workload.clone(),
             PolicyParams::fcfs(),
-        );
-        s.label = match kind {
-            AdaptiveKind::Bf { .. } => "BF Adapt.".to_string(),
-            AdaptiveKind::Window => "W Adapt.".to_string(),
-            AdaptiveKind::TwoD { .. } => "2D Adapt.".to_string(),
-            AdaptiveKind::None => unreachable!("static rows use `fixed`"),
-        };
+        )
+        .labeled(label);
         s.adaptive = kind;
         s
     };
+    let base = fixed(1.0, 1);
+    let jobs = base.jobs();
+    eprintln!(
+        "table2: {} jobs over {:.0} h (seed {seed}, {workers} workers)",
+        jobs.len(),
+        jobs.last().map(|j| j.submit.as_hours_f64()).unwrap_or(0.0)
+    );
+
+    // Base pre-run for the adaptive threshold (also Table II row 1).
+    let base = base.execute();
+    let threshold = base.queue_depth.mean_value().unwrap_or(1000.0);
+    eprintln!("table2: base mean queue depth {threshold:.0} min → adaptive threshold");
+
     let specs = vec![
         fixed(1.0, 4),
         fixed(0.5, 1),
         fixed(0.5, 4),
-        adaptive("bf-adaptive", AdaptiveKind::Bf { threshold }),
-        adaptive("w-adaptive", AdaptiveKind::Window),
-        adaptive("2d-adaptive", AdaptiveKind::TwoD { threshold }),
+        adaptive("bf-adaptive", "BF Adapt.", AdaptiveKind::Bf { threshold }),
+        adaptive("w-adaptive", "W Adapt.", AdaptiveKind::Window),
+        adaptive("2d-adaptive", "2D Adapt.", AdaptiveKind::TwoD { threshold }),
     ];
     let mut outcomes = vec![base];
     outcomes.extend(harness::run_outcomes(&specs, workers));

@@ -29,9 +29,9 @@ use std::time::Instant;
 
 use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_core::scheduler::{BackfillMode, QueuedJob, Scheduler};
-use amjs_core::{par_map, PolicyParams};
-use amjs_platform::Platform;
+use amjs_core::scheduler::{QueuedJob, Scheduler};
+use amjs_core::{par_map, MachineSpec, PolicyParams, RunSpec};
+use amjs_platform::{BgpCluster, Platform};
 use amjs_sim::{SimDuration, SimTime};
 use amjs_workload::synth::WorkloadSpec;
 
@@ -40,14 +40,14 @@ use amjs_workload::synth::WorkloadSpec;
 pub fn congested_snapshot(
     seed: u64,
 ) -> (
-    amjs_platform::bgp::BgpCluster,
+    BgpCluster,
     Vec<(amjs_platform::AllocationId, SimTime)>,
     Vec<QueuedJob>,
     SimTime,
 ) {
     let jobs = WorkloadSpec::intrepid_month().generate(seed);
     let now = SimTime::from_hours(100); // mid-burst
-    let mut machine = harness::intrepid();
+    let mut machine = BgpCluster::intrepid();
 
     // Fill ~85% of the machine with synthetic running jobs whose
     // releases are spread over the next 12 hours.
@@ -93,9 +93,16 @@ fn main() {
 
     let windows: Vec<usize> = (1..=5).collect();
     let times = par_map(&windows, workers, |&w| {
-        let mut sched = Scheduler::new(PolicyParams::new(0.5, w), BackfillMode::Easy);
-        sched.easy_protected = Some(harness::EASY_PROTECTED);
-        sched.backfill_depth = Some(harness::BACKFILL_DEPTH);
+        // The experiments' scheduler configuration at this window size.
+        let spec = RunSpec::new(
+            format!("w{w}"),
+            MachineSpec::intrepid(),
+            harness::experiment_workload(seed, false),
+            PolicyParams::new(0.5, w),
+        );
+        let mut sched = Scheduler::new(spec.policy, spec.backfill);
+        sched.easy_protected = spec.easy_protected;
+        sched.backfill_depth = spec.backfill_depth;
         // Match the paper's setting: permutation search active in the
         // windows that matter (see Scheduler docs).
         let iterations: u32 = if w <= 2 { 400 } else { 100 };

@@ -1,120 +1,32 @@
 //! Shared experiment setup and the parallel sweep runners.
 //!
-//! All experiment binaries use the same machine (Intrepid's geometry),
-//! the same seeded month-long synthetic trace, and the same run
-//! configurations, so their outputs are directly comparable — exactly
-//! like the paper, which runs every policy over the same trace.
+//! Every experiment run is a [`RunSpec`]: the same machine (Intrepid's
+//! geometry), the same seeded month-long synthetic trace
+//! ([`experiment_workload`]) and [`RunSpec::new`]'s scheduler defaults,
+//! so the binaries' outputs are directly comparable — exactly like the
+//! paper, which runs every policy over the same trace. A run that needs
+//! a setting no spec field names adds it on [`RunSpec::builder`].
 
-use amjs_core::adaptive::AdaptiveScheme;
-use amjs_core::runner::{SimulationBuilder, SimulationOutcome};
-use amjs_core::scheduler::BackfillMode;
-use amjs_core::{par_map, PolicyParams, RunDigest, RunSpec};
-use amjs_platform::{BgpCluster, Platform};
-use amjs_workload::{Job, WorkloadSpec};
+use amjs_core::runner::SimulationOutcome;
+use amjs_core::{par_map, PresetName, RunDigest, RunSpec, WorkloadSource};
 
 /// The master seed every experiment uses unless overridden on the
 /// command line (`--seed N`).
 pub const DEFAULT_SEED: u64 = 42;
 
-/// The production backfill depth used by every experiment (Cobalt-like:
-/// only the first N queued jobs are backfill candidates; see
-/// `amjs_core::Scheduler::backfill_depth` and DESIGN.md §7).
-pub const BACKFILL_DEPTH: usize = 16;
-
-/// The classic-EASY protection used by every experiment: only the
-/// highest-priority reservation is inviolable (see
-/// `amjs_core::Scheduler::easy_protected` and DESIGN.md §4).
-pub const EASY_PROTECTED: usize = 1;
-
-/// The paper's machine: Intrepid, 40,960 nodes as 80 midplanes of 512.
-pub fn intrepid() -> BgpCluster {
-    BgpCluster::intrepid()
-}
-
 /// The paper's workload stand-in: one month of Intrepid-like load with
-/// the hour-100 burst (see `amjs-workload::synth`).
-pub fn intrepid_month_jobs(seed: u64) -> Vec<Job> {
-    WorkloadSpec::intrepid_month().generate(seed)
-}
-
-/// One simulation configuration in a sweep.
-#[derive(Clone, Debug)]
-pub struct RunConfig {
-    /// Row label (defaults to the policy label when built via helpers).
-    pub label: String,
-    /// Static policy (initial policy when adaptive).
-    pub policy: PolicyParams,
-    /// Backfilling mode.
-    pub backfill: BackfillMode,
-    /// Adaptive tuning scheme (empty = static).
-    pub adaptive: AdaptiveScheme,
-}
-
-impl RunConfig {
-    /// A static `(BF, W)` configuration with EASY backfilling.
-    pub fn fixed(bf: f64, window: usize) -> Self {
-        let policy = PolicyParams::new(bf, window);
-        RunConfig {
-            label: policy.label(),
-            policy,
-            backfill: BackfillMode::Easy,
-            adaptive: AdaptiveScheme::none(),
-        }
+/// the hour-100 burst (see `amjs-workload::synth`), or the one-week
+/// preset under `--fast`.
+pub fn experiment_workload(seed: u64, fast: bool) -> WorkloadSource {
+    WorkloadSource::Preset {
+        name: if fast {
+            PresetName::Week
+        } else {
+            PresetName::Month
+        },
+        seed,
+        load_factor: 1.0,
     }
-
-    /// The paper's "BF Adapt." row.
-    pub fn bf_adaptive(threshold_mins: f64) -> Self {
-        RunConfig {
-            label: "BF Adapt.".to_string(),
-            policy: PolicyParams::fcfs(),
-            backfill: BackfillMode::Easy,
-            adaptive: AdaptiveScheme::bf_adaptive(threshold_mins),
-        }
-    }
-
-    /// The paper's "W Adapt." row.
-    pub fn window_adaptive() -> Self {
-        RunConfig {
-            label: "W Adapt.".to_string(),
-            policy: PolicyParams::fcfs(),
-            backfill: BackfillMode::Easy,
-            adaptive: AdaptiveScheme::window_adaptive(),
-        }
-    }
-
-    /// The paper's "2D Adapt." row.
-    pub fn two_d_adaptive(threshold_mins: f64) -> Self {
-        RunConfig {
-            label: "2D Adapt.".to_string(),
-            policy: PolicyParams::fcfs(),
-            backfill: BackfillMode::Easy,
-            adaptive: AdaptiveScheme::two_d(threshold_mins),
-        }
-    }
-
-    /// Rename the row.
-    pub fn named(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
-    /// Change the backfilling mode.
-    pub fn with_backfill(mut self, mode: BackfillMode) -> Self {
-        self.backfill = mode;
-        self
-    }
-}
-
-/// Run one configuration on a fresh `platform` over `jobs`.
-pub fn run_one<P: Platform>(platform: P, jobs: Vec<Job>, config: &RunConfig) -> SimulationOutcome {
-    SimulationBuilder::new(platform, jobs)
-        .policy(config.policy)
-        .backfill(config.backfill)
-        .adaptive(config.adaptive.clone())
-        .easy_protected(Some(EASY_PROTECTED))
-        .backfill_depth(Some(BACKFILL_DEPTH))
-        .label(config.label.clone())
-        .run()
 }
 
 /// Run fully-specified grid points on `workers` threads
@@ -190,22 +102,13 @@ pub fn default_workers() -> usize {
         .unwrap_or(4)
 }
 
-/// The experiment trace honoring `--fast`.
-pub fn experiment_jobs(seed: u64, fast: bool) -> Vec<Job> {
-    if fast {
-        WorkloadSpec::intrepid_week().generate(seed)
-    } else {
-        intrepid_month_jobs(seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn outcomes_match_direct_runs_across_worker_counts() {
-        use amjs_core::{MachineSpec, PresetName, WorkloadSource};
+        use amjs_core::{MachineSpec, PolicyParams};
         let specs: Vec<RunSpec> = [(1.0, 1), (0.5, 2), (0.0, 1)]
             .iter()
             .map(|&(bf, w)| {
@@ -235,13 +138,5 @@ mod tests {
         }
         // The map returns the same result a direct execute gives.
         assert_eq!(seq[1].summary, specs[1].execute().summary);
-    }
-
-    #[test]
-    fn config_helpers_have_paper_labels() {
-        assert_eq!(RunConfig::fixed(0.5, 4).label, "BF=0.5/W=4");
-        assert_eq!(RunConfig::bf_adaptive(1000.0).label, "BF Adapt.");
-        assert_eq!(RunConfig::window_adaptive().label, "W Adapt.");
-        assert_eq!(RunConfig::two_d_adaptive(1000.0).label, "2D Adapt.");
     }
 }

@@ -130,6 +130,17 @@ impl Daemon {
     }
 }
 
+/// A test that panics, or ends with its daemon still up, must not
+/// leave `amjs serve` running: kill and reap a child not yet reaped.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,

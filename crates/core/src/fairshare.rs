@@ -27,7 +27,6 @@ use amjs_workload::JobId;
 
 use crate::policy::QueuePolicy;
 use crate::scheduler::QueuedJob;
-use crate::window::PlacePruner;
 
 /// Compute the fair start time of `target` given the frozen `queue`
 /// (which must contain it) and the machine snapshot `base_plan`.
@@ -99,8 +98,6 @@ struct Placed {
     job: QueuedJob,
     start: SimTime,
     token: PlanToken,
-    /// [`PlacePruner::mark`] taken just before this placement.
-    pruner_mark: usize,
 }
 
 /// A finished drain kept for the next submission: the plan with every
@@ -112,13 +109,12 @@ struct Placed {
 pub(crate) struct Drain<P: Plan> {
     plan: P,
     placed: Vec<Placed>,
-    pruner: PlacePruner,
 }
 
 /// The drain of [`fair_start_time`] over an already-`sorted` queue,
-/// pruned by a [`PlacePruner`] and resuming `kept` when it can. Returns
-/// `target`'s start and how many of `kept`'s placements were reused
-/// (0 = drained fresh from `base_plan`, which is only built then).
+/// resuming `kept` when it can. Returns `target`'s start and how many of
+/// `kept`'s placements were reused (0 = drained fresh from `base_plan`,
+/// which is only built then).
 ///
 /// Resuming takes the longest common prefix of the kept placements and
 /// `sorted` whose starts are `>= now`, rolls the rest back in LIFO order
@@ -147,18 +143,14 @@ pub(crate) fn drain_sorted<P: Plan>(
         Some(d) => {
             for undone in d.placed.drain(reused..).rev() {
                 d.plan.rollback(undone.token);
-                d.pruner.truncate(undone.pruner_mark);
             }
             d
         }
         None => kept.insert(Drain {
             plan: base_plan(),
             placed: Vec::new(),
-            pruner: PlacePruner::default(),
         }),
     };
-    // Every drain `not_before` is `now` or a release instant (induction
-    // over placements), which is what the pruner's skipped ranges rely on.
     let resume_at = d.placed.len();
     for (i, job) in sorted[..=target_pos].iter().enumerate().skip(resume_at) {
         // The first `gap_depth` jobs may slot into gaps; deeper ones
@@ -168,18 +160,14 @@ pub(crate) fn drain_sorted<P: Plan>(
         } else {
             now
         };
-        let pruner_mark = d.pruner.mark();
-        let probe_from = d.pruner.advance(job.nodes, job.walltime, not_before);
         let (start, token) = d
             .plan
-            .place_earliest(job.nodes, job.walltime, probe_from)
+            .place_earliest(job.nodes, job.walltime, not_before)
             .unwrap_or_else(|| panic!("{} exceeds the machine", job.id));
-        d.pruner.note(job.nodes, job.walltime, probe_from, start);
         d.placed.push(Placed {
             job: job.clone(),
             start,
             token,
-            pruner_mark,
         });
     }
     (d.placed[target_pos].start, reused)

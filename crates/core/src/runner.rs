@@ -324,7 +324,7 @@ impl<P: Platform> SimulationBuilder<P> {
 
     /// Run every scheduling pass on the reference path: rebuild and
     /// re-sort the queue from scratch with no pass memo, and drain every
-    /// fair start fresh and unpruned ([`fair_start_time`]). Slower but
+    /// fair start fresh ([`fair_start_time`]). Slower but
     /// structurally simpler — the differential baseline the incremental
     /// hot path must match byte-for-byte (see
     /// `tests/hotpath_identity.rs`).
@@ -582,7 +582,7 @@ pub(crate) struct Runner<P: Platform> {
     /// would decide the same again.
     pass_memo: Option<PassMemo>,
     /// Bypass the incremental caches: rebuild and re-sort the queue from
-    /// scratch every pass, and drain and plan from scratch, unpruned. The
+    /// scratch every pass, and drain and plan from scratch. The
     /// differential oracle for the hot path — outputs must be
     /// byte-identical either way.
     reference_hotpath: bool,
@@ -1562,8 +1562,8 @@ impl<P: Platform> Runner<P> {
                 let fair = if !self.live.platform.could_ever_allocate(job.nodes) {
                     now
                 } else if self.reference_hotpath {
-                    // Differential runs sort and drain from scratch,
-                    // unpruned (see `reference_hotpath`).
+                    // Differential runs sort and drain from scratch
+                    // (see `reference_hotpath`).
                     fair_start_time(
                         &self.live.base_plan(now),
                         &self.live.queued_jobs(),

@@ -45,8 +45,7 @@ use amjs_workload::JobId;
 use crate::policy::{PolicyParams, QueuePolicy};
 use crate::score::{waiting_score, walltime_score, QueueExtremes};
 use crate::window::{
-    place_best_permutation_traced, place_in_order_pruned, PlacePruner, SearchTrace,
-    WindowPlacement, WindowStats,
+    place_best_permutation_traced, place_in_order, SearchTrace, WindowPlacement, WindowStats,
 };
 
 /// The scheduler's view of one waiting job.
@@ -362,11 +361,6 @@ impl Scheduler {
         let mut planned: Vec<(usize, usize, SimTime, PlanToken)> = Vec::with_capacity(depth);
 
         let span = span_enter(prof, "window_search");
-        // Shared across the pass's in-order chunks: the plan only gains
-        // commitments between them (permutation tries roll back to a
-        // net-grown state), so proven-infeasible candidate ranges stay
-        // valid for dominating requests.
-        let mut pruner = PlacePruner::default();
         let mut window_stats = WindowStats::default();
         // The window stop (DESIGN.md §15): under EASY only the protected
         // reservations outlive this phase, so once they are fixed and no
@@ -392,7 +386,7 @@ impl Scheduler {
             let placements: Vec<WindowPlacement> = match self.backfill {
                 // Strict no-backfill: monotone in-order placement, no
                 // reordering.
-                BackfillMode::None => place_in_order_pruned(
+                BackfillMode::None => place_in_order(
                     &mut plan,
                     chunk,
                     planned
@@ -400,7 +394,6 @@ impl Scheduler {
                         .map(|&(_, _, s, _)| s.max(now))
                         .unwrap_or(now),
                     true,
-                    &mut pruner,
                 ),
                 _ if w_idx < self.perm_windows => {
                     let mut search = trace.is_some().then(SearchTrace::default);
@@ -421,7 +414,7 @@ impl Scheduler {
                     }
                     placements
                 }
-                _ => place_in_order_pruned(&mut plan, chunk, now, false, &mut pruner),
+                _ => place_in_order(&mut plan, chunk, now, false),
             };
             reserved += placements.iter().filter(|p| p.start != now).count();
             planned.extend(

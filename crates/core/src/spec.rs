@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use amjs_metrics::{FaultDomain, MetricsSummary};
 use amjs_obs::Observer;
 use amjs_platform::{BgpCluster, FlatCluster, Platform};
-use amjs_sim::snapshot::Snapshot;
 use amjs_workload::{swf, Job, WorkloadSpec};
 
 use crate::adaptive::AdaptiveScheme;
@@ -199,9 +198,12 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A minimal spec: the given machine/workload with everything else
-    /// at the bench-harness defaults (EASY backfill, depth 16,
-    /// protected 1 — see `amjs-bench::harness`).
+    /// A spec at the experiment defaults: the given machine, workload
+    /// and policy, classic EASY backfill protecting the head reservation
+    /// only (`easy_protected = Some(1)`, DESIGN.md §4), a Cobalt-like
+    /// backfill depth of 16 (DESIGN.md §7), requested walltimes, a
+    /// reliable machine and no tuning. Every table and figure of
+    /// `amjs-bench` runs this configuration.
     pub fn new(
         key: impl Into<String>,
         machine: MachineSpec,
@@ -254,26 +256,28 @@ impl RunSpec {
         self.run(self.jobs(), obs)
     }
 
-    /// Run this spec over `jobs` — the one path from a spec to the
-    /// simulator. The caller supplies the jobs so it can load them with
-    /// its own error handling ([`RunSpec::jobs`] panics) or share one
-    /// loaded trace between runs. The flushed observer comes back with
-    /// the outcome.
+    /// Run this spec over `jobs` on the machine it names. The caller
+    /// supplies the jobs so it can load them with its own error
+    /// handling ([`RunSpec::jobs`] panics) or share one loaded trace
+    /// between runs. The flushed observer comes back with the outcome.
     pub fn run(&self, jobs: Vec<Job>, obs: Observer) -> (SimulationOutcome, Observer) {
         match self.machine {
-            MachineSpec::Bgp { nodes } => {
-                self.run_on(BgpCluster::new((nodes / 512) as u16, 512), jobs, obs)
-            }
-            MachineSpec::Flat { nodes } => self.run_on(FlatCluster::new(nodes), jobs, obs),
+            MachineSpec::Bgp { nodes } => self
+                .builder(BgpCluster::new((nodes / 512) as u16, 512), jobs)
+                .run_observed(obs),
+            MachineSpec::Flat { nodes } => self
+                .builder(FlatCluster::new(nodes), jobs)
+                .run_observed(obs),
         }
     }
 
-    fn run_on<P: Platform + Snapshot>(
-        &self,
-        platform: P,
-        jobs: Vec<Job>,
-        obs: Observer,
-    ) -> (SimulationOutcome, Observer) {
+    /// The one path from a spec to the simulator: a builder for `jobs`
+    /// on `platform` carrying every setting this spec describes
+    /// ([`RunSpec::machine`] is the caller's, through `platform`). A run
+    /// that needs a setting no spec field names — a protection style,
+    /// a tuning scheme beyond [`AdaptiveKind`], a platform no
+    /// [`MachineSpec`] builds, the reference hot path — adds it here.
+    pub fn builder<P: Platform>(&self, platform: P, jobs: Vec<Job>) -> SimulationBuilder<P> {
         let mut builder = SimulationBuilder::new(platform, jobs)
             .policy(self.policy)
             .backfill(self.backfill)
@@ -290,7 +294,7 @@ impl RunSpec {
             // alone otherwise.
             builder = builder.oracle(true);
         }
-        builder.run_observed(obs)
+        builder
     }
 }
 

@@ -43,75 +43,11 @@
 //!   W! is the worst case, not the typical pass: most searches end at
 //!   the root bound or prune at depth one.
 
-use amjs_sim::{SimDuration, SimTime};
+use amjs_sim::SimTime;
 
 use amjs_platform::plan::{Plan, PlanToken};
 
 use crate::scheduler::QueuedJob;
-
-/// Infeasibility intervals proven by earlier placements against a plan
-/// that has only *gained* commitments since: `(nodes, walltime, lo, hi)`
-/// records that an earliest-start scan for a `(nodes, walltime)` job
-/// probed every candidate in `[lo, hi)` and found none feasible.
-/// Feasibility is monotone componentwise — a bigger job can never fit
-/// where a smaller one could not (a free aligned 2k-block contains free
-/// k-blocks), and a longer window only accretes busy capacity — so a
-/// later job dominating an entry in both coordinates may skip the
-/// candidates it already disproved. Entries chain only while contiguous
-/// (`lo <= probe_from`): the range an entry *itself* skipped was
-/// justified by entries that may not dominate-apply to the current job.
-/// Sound only while the plan accumulates commitments: a caller that rolls
-/// placements back must [`PlacePruner::truncate`] to the
-/// [`PlacePruner::mark`] it took before the first placement it undoes
-/// (and never deactivate between recording and use).
-#[derive(Debug, Default)]
-pub struct PlacePruner {
-    proven: Vec<(u32, SimDuration, SimTime, SimTime)>,
-}
-
-impl PlacePruner {
-    /// Earliest candidate a `(nodes, walltime)` scan starting at
-    /// `not_before` still has to probe, per the recorded intervals.
-    pub(crate) fn advance(
-        &self,
-        nodes: u32,
-        walltime: SimDuration,
-        not_before: SimTime,
-    ) -> SimTime {
-        let mut probe_from = not_before;
-        loop {
-            let mut advanced = false;
-            for &(n, w, lo, hi) in &self.proven {
-                if n <= nodes && w <= walltime && lo <= probe_from && hi > probe_from {
-                    probe_from = hi;
-                    advanced = true;
-                }
-            }
-            if !advanced {
-                return probe_from;
-            }
-        }
-    }
-
-    /// Record that the scan probed `[lo, hi)` without success.
-    pub(crate) fn note(&mut self, nodes: u32, walltime: SimDuration, lo: SimTime, hi: SimTime) {
-        if hi > lo {
-            self.proven.push((nodes, walltime, lo, hi));
-        }
-    }
-
-    /// Watermark to take before a placement that may later be rolled
-    /// back.
-    pub(crate) fn mark(&self) -> usize {
-        self.proven.len()
-    }
-
-    /// Forget every interval recorded since `mark`: those scans saw
-    /// commitments the plan no longer holds.
-    pub(crate) fn truncate(&mut self, mark: usize) {
-        self.proven.truncate(mark);
-    }
-}
 
 /// One job placed by a window pass: which window slot, when it is
 /// planned to start, and the plan token of its committed placement.
@@ -142,30 +78,12 @@ pub fn place_in_order<P: Plan>(
     floor: SimTime,
     monotone: bool,
 ) -> Vec<WindowPlacement> {
-    place_in_order_pruned(plan, window, floor, monotone, &mut PlacePruner::default())
-}
-
-/// [`place_in_order`] sharing a [`PlacePruner`] across calls, so
-/// successive chunks of one scheduling pass skip candidate ranges that
-/// earlier placements already proved infeasible. Behaviorally identical
-/// to [`place_in_order`]: every skipped candidate was probed (and
-/// rejected) for a dominating request against a subset of the current
-/// commitments.
-pub fn place_in_order_pruned<P: Plan>(
-    plan: &mut P,
-    window: &[QueuedJob],
-    floor: SimTime,
-    monotone: bool,
-    pruner: &mut PlacePruner,
-) -> Vec<WindowPlacement> {
     let mut placements = Vec::with_capacity(window.len());
     let mut not_before = floor;
     for (slot, job) in window.iter().enumerate() {
-        let probe_from = pruner.advance(job.nodes, job.walltime, not_before);
         let (start, token) = plan
-            .place_earliest(job.nodes, job.walltime, probe_from)
+            .place_earliest(job.nodes, job.walltime, not_before)
             .unwrap_or_else(|| panic!("{} exceeds the machine", job.id));
-        pruner.note(job.nodes, job.walltime, probe_from, start);
         if monotone {
             not_before = start;
         }

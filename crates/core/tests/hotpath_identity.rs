@@ -1,8 +1,8 @@
 //! Differential byte-identity suite for the incremental hot path.
 //!
-//! The dirty-score cache, the pass memo, drain resume and the drain's
-//! proven-interval pruning are *performance* structures: they must be
-//! behaviorally invisible. Every test here runs the same configuration
+//! The dirty-score cache, the pass memo and drain resume are
+//! *performance* structures: they must be behaviorally invisible.
+//! Every test here runs the same configuration
 //! twice — once on the optimized path and once with
 //! [`SimulationBuilder::reference_hotpath`] rescoring, resorting and
 //! draining from scratch at every pass and submission (the plans have one

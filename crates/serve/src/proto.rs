@@ -85,31 +85,27 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Read one frame. Reads byte-at-a-time through the header (callers
 /// wrap the stream in a `BufReader`), refuses oversized declarations
 /// before touching the body, and distinguishes a clean EOF between
-/// frames from a truncation inside one.
+/// frames from a truncation inside one. A read interrupted by a signal
+/// (`EINTR`) is retried, as `read_exact` retries the payload's.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     // Header: up to 7 digits, then ':'.
     let mut len: usize = 0;
     let mut digits = 0usize;
     loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                return if digits == 0 {
-                    Err(FrameError::Eof)
-                } else {
-                    Err(FrameError::Malformed("stream ended inside header".into()))
-                };
-            }
-            Ok(_) => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-        match byte[0] {
+        let Some(byte) = read_byte(r).map_err(FrameError::Io)? else {
+            return if digits == 0 {
+                Err(FrameError::Eof)
+            } else {
+                Err(FrameError::Malformed("stream ended inside header".into()))
+            };
+        };
+        match byte {
             b'0'..=b'9' => {
                 digits += 1;
                 if digits > 7 {
                     return Err(FrameError::Malformed("length header too long".into()));
                 }
-                len = len * 10 + (byte[0] - b'0') as usize;
+                len = len * 10 + (byte - b'0') as usize;
             }
             b':' if digits > 0 => break,
             other => {
@@ -130,12 +126,24 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
             FrameError::Io(e)
         });
     }
-    let mut nl = [0u8; 1];
-    match r.read(&mut nl) {
-        Ok(1) if nl[0] == b'\n' => Ok(payload),
-        Ok(1) => Err(FrameError::Malformed("missing frame terminator".into())),
-        Ok(_) => Err(FrameError::Malformed("stream ended at terminator".into())),
-        Err(e) => Err(FrameError::Io(e)),
+    match read_byte(r).map_err(FrameError::Io)? {
+        Some(b'\n') => Ok(payload),
+        Some(_) => Err(FrameError::Malformed("missing frame terminator".into())),
+        None => Err(FrameError::Malformed("stream ended at terminator".into())),
+    }
+}
+
+/// The next byte, or `None` at the end of the stream; an interrupted
+/// read is retried.
+fn read_byte(r: &mut impl Read) -> io::Result<Option<u8>> {
+    let mut byte = [0u8; 1];
+    loop {
+        match r.read(&mut byte) {
+            Ok(0) => return Ok(None),
+            Ok(_) => return Ok(Some(byte[0])),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -430,6 +438,47 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"STATS");
         assert_eq!(read_frame(&mut r).unwrap(), b"STATUS 42");
         assert!(matches!(read_frame(&mut r), Err(FrameError::Eof)));
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        // Yields its bytes one at a time, and fails with `EINTR` once
+        // before the byte at `interrupt_at`.
+        struct Interrupting {
+            bytes: &'static [u8],
+            at: usize,
+            interrupt_at: usize,
+        }
+        impl Read for Interrupting {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if self.at == self.interrupt_at {
+                    self.interrupt_at = usize::MAX;
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                let Some(&byte) = self.bytes.get(self.at) else {
+                    return Ok(0);
+                };
+                buf[0] = byte;
+                self.at += 1;
+                Ok(1)
+            }
+        }
+        let frame = b"10:STATUS 420\n";
+        // Inside the header, at the payload's first byte, and at the
+        // terminator.
+        for interrupt_at in [1, 3, frame.len() - 1] {
+            let mut r = Interrupting {
+                bytes: frame,
+                at: 0,
+                interrupt_at,
+            };
+            assert_eq!(
+                read_frame(&mut r).unwrap(),
+                b"STATUS 420",
+                "EINTR at byte {interrupt_at}"
+            );
+            assert!(matches!(read_frame(&mut r), Err(FrameError::Eof)));
+        }
     }
 
     #[test]
