@@ -31,11 +31,17 @@
 //! stop skipped — exact counts, on this trace and on a W=4 flat month
 //! where the search dominates) must equal the artefact's: losing the
 //! walk's prefix sharing, either bound or the stop moves them, and a
-//! count cannot be noisy. CI runs all three checks in the perf-trajectory job.
+//! count cannot be noisy. The heap allocations of the `reuse` month and
+//! of the W=4 flat month (`heap_allocations`, counted by this binary's
+//! global allocator on the running thread) are gated the same way: the
+//! pass and the drain allocate nothing in steady state, so a buffer that
+//! stops being reused moves the count. CI runs all three checks in the
+//! perf-trajectory job.
 //!
 //! Usage: `cargo run -p amjs-bench --release --bin ablation_hotpath [--seed N] [--fast]`
 
-use std::cell::RefCell;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -46,6 +52,50 @@ use amjs_obs::json::Json;
 use amjs_obs::{Observer, Profiler};
 use amjs_platform::mask::UnitMask;
 use amjs_platform::BgpCluster;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each allocation and reallocation made
+/// on the thread that asks.
+struct Counting;
+
+fn count_one() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the heap allocations it made on this thread.
+fn counting_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
 
 /// The artefact this binary regenerates — and reads its own gate from.
 const ARTEFACT: &str = "BENCH_hotpath.json";
@@ -60,13 +110,15 @@ fn recorded(path: &std::path::Path) -> Option<Json> {
     amjs_obs::json::parse(&text).ok()
 }
 
-/// The window-search counters under the names the artefact gives them.
-fn window_counters(stats: &PassCacheStats) -> [(&'static str, u64); 4] {
+/// The exact counters of a month under the names the artefact gives
+/// them: the window search's work and the run's heap allocations.
+fn exact_counters(stats: &PassCacheStats, allocations: u64) -> [(&'static str, u64); 5] {
     [
         ("window_searches", stats.window_searches),
         ("window_placements", stats.window_placements),
         ("window_bound_exits", stats.window_bound_exits),
         ("windows_unplanned", stats.windows_unplanned),
+        ("heap_allocations", allocations),
     ]
 }
 
@@ -135,7 +187,7 @@ fn main() {
 
     // Interleave optimized and reference reps so slow machine drift
     // cannot masquerade as a path difference; take best-of-N walls.
-    let probe = run(Observer::disabled());
+    let (probe, probe_allocations) = counting_allocations(|| run(Observer::disabled()));
     let baseline_row = probe.summary.csv_row();
     let passes = probe.scheduler_passes;
     // Derived event count: one submit/start/end per completed job plus
@@ -148,9 +200,13 @@ fn main() {
     let reuse = probe.hotpath;
     for rep in 0..reps_opt {
         let t0 = Instant::now();
-        let out = run(Observer::disabled());
+        let (out, allocations) = counting_allocations(|| run(Observer::disabled()));
         opt_walls.push(t0.elapsed().as_secs_f64());
         assert_eq!(out.summary.csv_row(), baseline_row, "optimized run drifted");
+        assert_eq!(
+            allocations, probe_allocations,
+            "optimized run allocated differently"
+        );
         if rep < reps_ref {
             let t0 = Instant::now();
             let out = spec
@@ -196,12 +252,17 @@ fn main() {
     let w4_runs: Vec<_> = (0..reps_ref)
         .map(|_| {
             let t0 = Instant::now();
-            let out = w4_spec.run(w4_jobs.clone(), Observer::disabled()).0;
-            (t0.elapsed().as_secs_f64(), out)
+            let (out, allocations) =
+                counting_allocations(|| w4_spec.run(w4_jobs.clone(), Observer::disabled()).0);
+            (t0.elapsed().as_secs_f64(), out, allocations)
         })
         .collect();
     let w4_best = w4_runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-    let w4 = &w4_runs[0].1;
+    let (_, w4, w4_allocations) = &w4_runs[0];
+    assert!(
+        w4_runs.iter().all(|r| r.2 == *w4_allocations),
+        "W=4 flat runs allocated differently"
+    );
 
     // Per-span breakdown of one profiled optimized run.
     let prof = Rc::new(RefCell::new(Profiler::new()));
@@ -278,11 +339,11 @@ fn main() {
         reuse.drains_resumed,
         reuse.drain_placements_reused,
         reuse.passes_memoized,
-        json_fields(&window_counters(&reuse)),
+        json_fields(&exact_counters(&reuse, probe_allocations)),
         w4_jobs.len(),
         w4.scheduler_passes,
         w4.scheduler_passes as f64 / w4_best,
-        json_fields(&window_counters(&w4.hotpath)),
+        json_fields(&exact_counters(&w4.hotpath, *w4_allocations)),
         reps_opt,
         opt_pps,
         events as f64 / opt_best,
@@ -322,8 +383,11 @@ fn main() {
         at.as_f64()
     };
     if field(&["seed"]) == Some(seed as f64) && field(&["jobs"]) == Some(jobs.len() as f64) {
-        for (block, stats) in [("reuse", &reuse), ("window4_flat", &w4.hotpath)] {
-            for (name, now) in window_counters(stats) {
+        for (block, stats, allocations) in [
+            ("reuse", &reuse, probe_allocations),
+            ("window4_flat", &w4.hotpath, *w4_allocations),
+        ] {
+            for (name, now) in exact_counters(stats, allocations) {
                 assert_eq!(
                     Some(now as f64),
                     field(&[block, name]),
@@ -331,7 +395,7 @@ fn main() {
                 );
             }
         }
-        eprintln!("count gate: window-search counters match the artefact OK");
+        eprintln!("count gate: window-search and allocation counts match the artefact OK");
     } else {
         eprintln!("count gate: skipped, the artefact records another seed or trace");
     }

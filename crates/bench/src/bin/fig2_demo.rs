@@ -15,7 +15,7 @@
 
 use amjs_bench::chart::gantt;
 use amjs_bench::results;
-use amjs_core::scheduler::{BackfillMode, PassTrace, QueuedJob, Scheduler};
+use amjs_core::scheduler::{BackfillMode, PassScratch, PassTrace, QueuedJob, Scheduler};
 use amjs_core::PolicyParams;
 use amjs_platform::{FlatCluster, Platform};
 use amjs_sim::{SimDuration, SimTime};
@@ -69,7 +69,15 @@ fn main() {
         // The traced pass plans every window, so the chart shows the
         // whole tentative schedule, advisory reservations included.
         let mut trace = PassTrace::default();
-        let decision = scheduler.schedule_pass_traced(now, &queue, &plan, Some(&mut trace), None);
+        let mut scratch = PassScratch::default();
+        let decision = scheduler.schedule_pass_traced(
+            now,
+            &queue,
+            &plan,
+            &mut scratch,
+            Some(&mut trace),
+            None,
+        );
 
         // Assemble the tentative schedule: running job + starts +
         // reservations.

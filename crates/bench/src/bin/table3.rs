@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use amjs_bench::harness;
 use amjs_bench::{results, table};
-use amjs_core::scheduler::{QueuedJob, Scheduler};
+use amjs_core::scheduler::{PassScratch, QueuedJob, Scheduler};
 use amjs_core::{par_map, MachineSpec, PolicyParams, RunSpec};
 use amjs_platform::{BgpCluster, Platform};
 use amjs_sim::{SimDuration, SimTime};
@@ -108,10 +108,15 @@ fn main() {
         let iterations: u32 = if w <= 2 { 400 } else { 100 };
         // Warm-up.
         let mut sink = 0usize;
-        sink += sched.schedule_pass(now, &queue, &base_plan).starts.len();
+        let mut scratch = PassScratch::default();
+        sink += (sched.schedule_pass(now, &queue, &base_plan, &mut scratch))
+            .starts
+            .len();
         let begin = Instant::now();
         for _ in 0..iterations {
-            sink += sched.schedule_pass(now, &queue, &base_plan).starts.len();
+            sink += (sched.schedule_pass(now, &queue, &base_plan, &mut scratch))
+                .starts
+                .len();
         }
         std::hint::black_box(sink);
         begin.elapsed().as_secs_f64() / iterations as f64

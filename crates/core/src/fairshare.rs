@@ -104,52 +104,65 @@ struct Placed {
 /// placement up to the previous target still committed, in priority
 /// order. Valid only while the machine is unchanged (the caller keys it
 /// by its epoch) — see DESIGN.md §15 for the time-shift lemma that lets
-/// a later instant resume it.
+/// a later instant resume it. A drain that cannot be resumed still lends
+/// its buffers to the next fresh one.
 #[derive(Debug)]
-pub(crate) struct Drain<P: Plan> {
+pub struct Drain<P: Plan> {
     plan: P,
     placed: Vec<Placed>,
 }
 
 /// The drain of [`fair_start_time`] over an already-`sorted` queue,
-/// resuming `kept` when it can. Returns `target`'s start and how many of
-/// `kept`'s placements were reused (0 = drained fresh from `base_plan`,
-/// which is only built then).
+/// resuming `kept` when `resumable` and it can. Returns `target`'s start
+/// and how many of `kept`'s placements were reused (0 = drained fresh:
+/// `rebuild` turns the stale drain's plan, or `None` when there is none,
+/// into the base plan, and the placements start from an empty list).
 ///
 /// Resuming takes the longest common prefix of the kept placements and
 /// `sorted` whose starts are `>= now`, rolls the rest back in LIFO order
-/// and places only the remainder. The caller guarantees the lemma's other
-/// two preconditions: the machine has not changed since `kept` was
-/// drained, and every running job's expected end is after `now`.
-pub(crate) fn drain_sorted<P: Plan>(
+/// and places only the remainder. `resumable` is the caller's word for
+/// the lemma's other two preconditions: the machine has not changed
+/// since `kept` was drained, and every running job's expected end is
+/// after `now`. Once the buffers have grown, neither kind of drain
+/// allocates.
+///
+/// # Panics
+/// Panics if `target` is not in `sorted`, if a job exceeds the machine,
+/// or if `rebuild` leaves no plan.
+pub fn drain_sorted<P: Plan>(
     kept: &mut Option<Drain<P>>,
-    base_plan: impl FnOnce() -> P,
+    resumable: bool,
+    rebuild: impl FnOnce(&mut Option<P>),
     sorted: &[QueuedJob],
     target: JobId,
     now: SimTime,
     gap_depth: usize,
 ) -> (SimTime, usize) {
     let target_pos = position_of(sorted, target);
-    let reused = kept.as_ref().map_or(0, |d| {
-        let common = d.placed.iter().zip(sorted);
-        common
-            .take_while(|(p, j)| p.job == **j && p.start >= now)
-            .count()
-    });
-    if reused == 0 {
-        *kept = None;
-    }
-    let d = match kept {
-        Some(d) => {
-            for undone in d.placed.drain(reused..).rev() {
-                d.plan.rollback(undone.token);
-            }
-            d
+    let reused = match kept {
+        Some(d) if resumable => {
+            let common = d.placed.iter().zip(sorted);
+            common
+                .take_while(|(p, j)| p.job == **j && p.start >= now)
+                .count()
         }
-        None => kept.insert(Drain {
-            plan: base_plan(),
-            placed: Vec::new(),
-        }),
+        _ => 0,
+    };
+    let d = if reused == 0 {
+        let (mut plan, mut placed) = match kept.take() {
+            Some(Drain { plan, placed }) => (Some(plan), placed),
+            None => (None, Vec::new()),
+        };
+        placed.clear();
+        rebuild(&mut plan);
+        let plan = plan.expect("rebuild leaves a plan");
+        kept.insert(Drain { plan, placed })
+    } else {
+        let d = kept.as_mut().expect("only a kept drain is reused");
+        for undone in d.placed.drain(reused..).rev() {
+            d.plan.rollback(undone.token);
+        }
+        d
     };
     let resume_at = d.placed.len();
     for (i, job) in sorted[..=target_pos].iter().enumerate().skip(resume_at) {

@@ -23,8 +23,6 @@
 //! `LiveState`, `History`, `RunConfig` — and the one listing that
 //! encodes, decodes and hashes it are in `state.rs`.
 
-use std::collections::HashMap;
-
 use amjs_metrics::report::MetricsSummary;
 use amjs_metrics::{DomainDowntime, FaultDomain, TimeSeries, UtilizationTracker};
 use amjs_obs::{
@@ -42,8 +40,10 @@ use crate::estimates::{EstimateAdjuster, EstimatePolicy};
 use crate::failures::{CorrelationSpec, FailureProcess, FailureSpec, RetryPolicy};
 use crate::fairshare::{drain_sorted, fair_start_time, Drain};
 use crate::passcache::{CacheOutcome, PassCache, PassCacheStats};
-use crate::scheduler::{BackfillMode, PassTrace, ProtectionStyle, QueuedJob, Scheduler};
-use crate::state::{History, LiveState, Promise, RunConfig, RunMeta};
+use crate::scheduler::{
+    BackfillMode, PassScratch, PassTrace, ProtectionStyle, QueuedJob, Scheduler,
+};
+use crate::state::{History, JobMap, LiveState, Promise, RunConfig, RunMeta};
 use crate::PolicyParams;
 
 /// Simulation events (the paper's scheduling events plus the check
@@ -404,14 +404,14 @@ impl<P: Platform> SimulationBuilder<P> {
         let live = LiveState {
             scheduler,
             queue: Vec::new(),
-            running: HashMap::new(),
+            running: JobMap::default(),
             promised: Vec::new(),
             last_pass_time: None,
             estimates: EstimateAdjuster::new(self.estimate_policy),
             failure_process,
             util: UtilizationTracker::new(total_nodes, SimTime::ZERO),
             down_track: UtilizationTracker::new(total_nodes, SimTime::ZERO),
-            fair_starts: HashMap::new(),
+            fair_starts: JobMap::default(),
             remaining_submits: jobs.len(),
             pending_resubmits: 0,
             abandoned_jobs: 0,
@@ -420,8 +420,8 @@ impl<P: Platform> SimulationBuilder<P> {
             backfilled_starts: 0,
             interrupted_jobs: 0,
             lost_node_secs: 0.0,
-            generations: HashMap::new(),
-            failure_counts: HashMap::new(),
+            generations: JobMap::default(),
+            failure_counts: JobMap::default(),
             last_end: SimTime::ZERO,
             platform: self.platform,
             jobs,
@@ -580,7 +580,13 @@ pub(crate) struct Runner<P: Platform> {
     drain: Option<(u64, Drain<P::Plan>)>,
     /// The last pass, if it started nothing: a pass with an equal key
     /// would decide the same again.
-    pass_memo: Option<PassMemo>,
+    pass_memo: PassMemo,
+    /// What each pass rebuilds and works in, kept so that a pass
+    /// allocates nothing in steady state: the release list and the base
+    /// plan made from it, and the pass's own buffers.
+    releases: Vec<(AllocationId, SimTime)>,
+    base_plan: Option<P::Plan>,
+    pass_scratch: PassScratch<P::Plan>,
     /// Bypass the incremental caches: rebuild and re-sort the queue from
     /// scratch every pass, and drain and plan from scratch. The
     /// differential oracle for the hot path — outputs must be
@@ -589,10 +595,13 @@ pub(crate) struct Runner<P: Platform> {
 }
 
 /// Everything a scheduling pass that started nothing depended on.
+#[derive(Default)]
 struct PassMemo {
-    epoch: u64,
-    scheduler: Scheduler,
-    /// The sorted queue as far as the pass looks at it.
+    /// The machine epoch and scheduler of that pass; `None` when there
+    /// is no such pass to repeat.
+    key: Option<(u64, Scheduler)>,
+    /// The sorted queue as far as the pass looks at it (its buffer is
+    /// kept while the key is `None`).
     head: Vec<QueuedJob>,
 }
 
@@ -623,16 +632,19 @@ impl<P: Platform> LiveState<P> {
             .collect()
     }
 
-    /// Snapshot the machine's future availability. Jobs running past
-    /// their walltime estimate are treated as releasing "imminently"
-    /// (now + 1 s), the standard simulator convention.
-    fn base_plan(&self, now: SimTime) -> P::Plan {
+    /// Snapshot the machine's future availability into `plan`, in place
+    /// when there is one, with `releases` as the lookup's buffer. Jobs
+    /// running past their walltime estimate are treated as releasing
+    /// "imminently" (now + 1 s), the standard simulator convention.
+    fn base_plan_into(
+        &self,
+        now: SimTime,
+        releases: &mut Vec<(AllocationId, SimTime)>,
+        plan: &mut Option<P::Plan>,
+    ) {
         let soonest = now + SimDuration::from_secs(1);
-        let mut releases: Vec<(AllocationId, SimTime)> = self
-            .running
-            .values()
-            .map(|r| (r.alloc, r.expected_end.max(soonest)))
-            .collect();
+        releases.clear();
+        releases.extend((self.running.values()).map(|r| (r.alloc, r.expected_end.max(soonest))));
         releases.sort_unstable_by_key(|&(alloc, _)| alloc);
         let release = |alloc: AllocationId| -> SimTime {
             let i = releases
@@ -640,7 +652,14 @@ impl<P: Platform> LiveState<P> {
                 .expect("plan asked about an allocation the runner does not know");
             releases[i].1
         };
-        self.platform.plan(now, &release)
+        self.platform.plan_into(now, &release, plan);
+    }
+
+    /// [`LiveState::base_plan_into`] a new plan.
+    fn base_plan(&self, now: SimTime) -> P::Plan {
+        let mut plan = None;
+        self.base_plan_into(now, &mut Vec::new(), &mut plan);
+        plan.expect("a plan was just built")
     }
 
     /// No running job is past its expected end at `now`, so every
@@ -682,9 +701,10 @@ impl<P: Platform> LiveState<P> {
     #[cfg(debug_assertions)]
     fn check_memoized_pass(&self, now: SimTime, sorted: &[QueuedJob]) {
         let base_plan = self.base_plan(now);
-        let real = self
-            .scheduler
-            .schedule_pass_sorted(now, sorted, &base_plan, None, None);
+        let mut scratch = PassScratch::default();
+        let real =
+            self.scheduler
+                .schedule_pass_sorted(now, sorted, &base_plan, &mut scratch, None, None);
         assert!(real.starts.is_empty(), "memoized pass would start a job");
         let protected: Vec<(JobId, SimTime)> = real
             .reservations
@@ -879,7 +899,10 @@ impl<P: Platform> Runner<P> {
             pass_cache: PassCache::default(),
             machine_epoch: 0,
             drain: None,
-            pass_memo: None,
+            pass_memo: PassMemo::default(),
+            releases: Vec::new(),
+            base_plan: None,
+            pass_scratch: PassScratch::default(),
             reference_hotpath: false,
         }
     }
@@ -922,19 +945,28 @@ impl<P: Platform> Runner<P> {
             self.live.queued_jobs()
         });
         let epoch = self.machine_epoch;
-        let mut kept = match self.drain.take() {
-            Some((e, d)) if e == epoch && self.live.releases_are_fixed(now) => Some(d),
-            _ => None,
-        };
-        let base = || self.live.base_plan(now);
-        let (fair, reused) = drain_sorted(&mut kept, base, cache.sorted(), target, now, gap_depth);
+        let resumable = self.drain.as_ref().is_some_and(|&(e, _)| e == epoch)
+            && self.live.releases_are_fixed(now);
+        let mut kept = self.drain.take().map(|(_, d)| d);
+        let (live, releases) = (&self.live, &mut self.releases);
+        let rebuild = |plan: &mut Option<P::Plan>| live.base_plan_into(now, releases, plan);
+        let (fair, reused) = drain_sorted(
+            &mut kept,
+            resumable,
+            rebuild,
+            cache.sorted(),
+            target,
+            now,
+            gap_depth,
+        );
         if reused > 0 {
             #[cfg(debug_assertions)]
             assert_eq!(
                 fair,
                 drain_sorted(
                     &mut None,
-                    || self.live.base_plan(now),
+                    false,
+                    |plan| *plan = Some(self.live.base_plan(now)),
                     cache.sorted(),
                     target,
                     now,
@@ -1024,7 +1056,7 @@ impl<P: Platform> Runner<P> {
         self.live.last_pass_time = Some(now);
         if self.live.queue.is_empty() {
             self.live.promised.clear();
-            self.pass_memo = None;
+            self.pass_memo.key = None;
             return;
         }
         let span = obs.prof_enter("schedule_pass");
@@ -1042,6 +1074,7 @@ impl<P: Platform> Runner<P> {
                 now,
                 &queued,
                 &base_plan,
+                &mut self.pass_scratch,
                 trace.as_mut(),
                 obs.profiler(),
             )
@@ -1071,11 +1104,9 @@ impl<P: Platform> Runner<P> {
             // same (DESIGN.md §15) — `promised` stands as it is. Tracing
             // needs the real pass: it emits every decision's reasons.
             let memoized = trace.is_none()
-                && self.pass_memo.as_ref().is_some_and(|m| {
-                    m.epoch == self.machine_epoch
-                        && m.scheduler == self.live.scheduler
-                        && m.head == head
-                })
+                && (self.pass_memo.key.as_ref())
+                    .is_some_and(|(e, s)| *e == self.machine_epoch && *s == self.live.scheduler)
+                && self.pass_memo.head == head
                 && self.live.releases_are_fixed(now);
             if memoized {
                 #[cfg(debug_assertions)]
@@ -1086,12 +1117,14 @@ impl<P: Platform> Runner<P> {
                 return;
             }
             let plan_span = obs.prof_enter("plan_build");
-            let base_plan = self.live.base_plan(now);
+            self.live
+                .base_plan_into(now, &mut self.releases, &mut self.base_plan);
             obs.prof_exit(plan_span);
             let decision = self.live.scheduler.schedule_pass_sorted(
                 now,
                 cache.sorted(),
-                &base_plan,
+                self.base_plan.as_ref().expect("just rebuilt"),
+                &mut self.pass_scratch,
                 trace.as_mut(),
                 obs.profiler(),
             );
@@ -1100,11 +1133,12 @@ impl<P: Platform> Runner<P> {
             // what is busy, so the lemma does not cover it.)
             let repeatable = decision.starts.is_empty()
                 && self.live.scheduler.protection == ProtectionStyle::PinnedBlocks;
-            self.pass_memo = repeatable.then(|| PassMemo {
-                epoch: self.machine_epoch,
-                scheduler: self.live.scheduler.clone(),
-                head: head.to_vec(),
-            });
+            let memo = &mut self.pass_memo;
+            memo.key = repeatable.then(|| (self.machine_epoch, self.live.scheduler.clone()));
+            if repeatable {
+                memo.head.clear();
+                memo.head.extend_from_slice(head);
+            }
             self.pass_cache = cache;
             decision
         };
@@ -2264,8 +2298,13 @@ mod tests {
         fn active_allocations(&self) -> Vec<AllocationId> {
             self.inner.active_allocations()
         }
-        fn plan(&self, now: SimTime, rel: &dyn Fn(AllocationId) -> SimTime) -> Self::Plan {
-            self.inner.plan(now, rel)
+        fn plan_into(
+            &self,
+            now: SimTime,
+            rel: &dyn Fn(AllocationId) -> SimTime,
+            plan: &mut Option<Self::Plan>,
+        ) {
+            self.inner.plan_into(now, rel, plan)
         }
         fn available_nodes(&self) -> u32 {
             self.inner.available_nodes()

@@ -35,8 +35,6 @@
 //! paper's semantics for every window that can influence a start or a
 //! protected reservation.
 
-use std::collections::HashSet;
-
 use amjs_obs::{BackfillReason, SharedProfiler, SpanToken};
 use amjs_platform::plan::{PlacementHint, Plan, PlanToken};
 use amjs_sim::{SimDuration, SimTime};
@@ -45,7 +43,7 @@ use amjs_workload::JobId;
 use crate::policy::{PolicyParams, QueuePolicy};
 use crate::score::{waiting_score, walltime_score, QueueExtremes};
 use crate::window::{
-    place_best_permutation_traced, place_in_order, SearchTrace, WindowPlacement, WindowStats,
+    place_best_permutation, place_in_order, SearchTrace, WindowScratch, WindowStats,
 };
 
 /// The scheduler's view of one waiting job.
@@ -108,8 +106,96 @@ pub struct ScheduleDecision {
 }
 
 impl ScheduleDecision {
-    fn empty() -> Self {
-        Self::default()
+    /// Empty the lists, keeping their capacity.
+    fn clear(&mut self) {
+        self.starts.clear();
+        self.reservations.clear();
+        self.protected.clear();
+        self.window = WindowStats::default();
+    }
+}
+
+/// The buffers of a scheduling pass, kept by the caller from one pass to
+/// the next: the working plan, the window phase's placements and search
+/// vectors, the reservation and protection lists, and the decision
+/// itself. A pass over a queue and machine no larger than earlier ones
+/// allocates nothing (traced passes still allocate their trace). The
+/// scratch carries no state between passes: whatever an earlier pass
+/// left in it, a pass decides the same.
+pub struct PassScratch<P> {
+    plan: Option<P>,
+    /// `(window index, index into sorted, planned start, token)`, in
+    /// commit order.
+    planned: Vec<(usize, usize, SimTime, PlanToken)>,
+    window: WindowScratch,
+    /// `(index into sorted, window index)` of each reservation, in step
+    /// with `decision.reservations` and with `reserved_tokens`.
+    reserved: Vec<(usize, usize)>,
+    reserved_tokens: Vec<PlanToken>,
+    /// `(nodes, start, walltime)` of each protected reservation.
+    protected_res: Vec<(u32, SimTime, SimDuration)>,
+    /// A `TimeFlexible` admission's trial re-placements.
+    trial_tokens: Vec<PlanToken>,
+    /// Indices into the sorted queue of the jobs started so far and of
+    /// the protected reservations.
+    started: Bits,
+    protected: Bits,
+    decision: ScheduleDecision,
+}
+
+impl<P> Default for PassScratch<P> {
+    fn default() -> Self {
+        PassScratch {
+            plan: None,
+            planned: Vec::new(),
+            window: WindowScratch::default(),
+            reserved: Vec::new(),
+            reserved_tokens: Vec::new(),
+            protected_res: Vec::new(),
+            trial_tokens: Vec::new(),
+            started: Bits::default(),
+            protected: Bits::default(),
+            decision: ScheduleDecision::default(),
+        }
+    }
+}
+
+/// A set of indices into the sorted queue.
+#[derive(Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    /// Empty the set and size it for indices `< len`.
+    fn reset(&mut self, len: usize) {
+        self.0.clear();
+        self.0.resize(len.div_ceil(64), 0);
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Keep only the `k` smallest members.
+    fn keep_first(&mut self, mut k: usize) {
+        for word in &mut self.0 {
+            let ones = word.count_ones() as usize;
+            if ones <= k {
+                k -= ones;
+                continue;
+            }
+            let mut kept = 0;
+            for _ in 0..k {
+                let lowest = *word & word.wrapping_neg();
+                kept |= lowest;
+                *word ^= lowest;
+            }
+            *word = kept;
+            k = 0;
+        }
     }
 }
 
@@ -255,12 +341,13 @@ impl Scheduler {
     }
 
     /// Run one scheduling pass at `now` over the waiting `queue`, with
-    /// `base_plan` describing the running jobs' expected releases.
-    /// Returns the starts (with placement hints consistent with
-    /// `base_plan`'s machine) and the planned reservations.
+    /// `base_plan` describing the running jobs' expected releases, in
+    /// the buffers of `scratch`. Returns the starts (with placement hints
+    /// consistent with `base_plan`'s machine) and the planned
+    /// reservations; the decision lives in `scratch` until its next pass.
     ///
     /// ```
-    /// use amjs_core::scheduler::{BackfillMode, QueuedJob, Scheduler};
+    /// use amjs_core::scheduler::{BackfillMode, PassScratch, QueuedJob, Scheduler};
     /// use amjs_core::PolicyParams;
     /// use amjs_platform::plan::FlatPlan;
     /// use amjs_sim::{SimDuration, SimTime};
@@ -275,16 +362,18 @@ impl Scheduler {
     ///     walltime: SimDuration::from_mins(30),
     /// }];
     /// let scheduler = Scheduler::new(PolicyParams::fcfs(), BackfillMode::Easy);
-    /// let decision = scheduler.schedule_pass(SimTime::from_secs(10), &queue, &plan);
+    /// let mut scratch = PassScratch::default();
+    /// let decision = scheduler.schedule_pass(SimTime::from_secs(10), &queue, &plan, &mut scratch);
     /// assert_eq!(decision.starts.len(), 1); // fits in the 20 idle nodes
     /// ```
-    pub fn schedule_pass<P: Plan>(
+    pub fn schedule_pass<'s, P: Plan>(
         &self,
         now: SimTime,
         queue: &[QueuedJob],
         base_plan: &P,
-    ) -> ScheduleDecision {
-        self.schedule_pass_traced(now, queue, base_plan, None, None)
+        scratch: &'s mut PassScratch<P>,
+    ) -> &'s ScheduleDecision {
+        self.schedule_pass_traced(now, queue, base_plan, scratch, None, None)
     }
 
     /// [`Scheduler::schedule_pass`] with observability hooks: when
@@ -293,23 +382,21 @@ impl Scheduler {
     /// is given, wraps the pass phases in profiling spans. Passing
     /// `None` for both is byte-for-byte the plain pass — the decision
     /// logic never branches on the hooks.
-    pub fn schedule_pass_traced<P: Plan>(
+    pub fn schedule_pass_traced<'s, P: Plan>(
         &self,
         now: SimTime,
         queue: &[QueuedJob],
         base_plan: &P,
+        scratch: &'s mut PassScratch<P>,
         trace: Option<&mut PassTrace>,
         prof: Option<&SharedProfiler>,
-    ) -> ScheduleDecision {
-        if queue.is_empty() {
-            return ScheduleDecision::empty();
-        }
+    ) -> &'s ScheduleDecision {
         // Steps 1–4: sort by balanced priority.
         let span = span_enter(prof, "score_sort");
         let mut sorted = queue.to_vec();
         self.ordering().sort(&mut sorted, now);
         span_exit(prof, span);
-        self.schedule_pass_sorted(now, &sorted, base_plan, trace, prof)
+        self.schedule_pass_sorted(now, &sorted, base_plan, scratch, trace, prof)
     }
 
     /// [`Scheduler::schedule_pass_traced`] for a queue that is *already*
@@ -318,16 +405,30 @@ impl Scheduler {
     /// [`crate::passcache::PassCache`] maintains the sorted queue across
     /// passes instead of re-sorting from scratch. Behaviorally identical
     /// to the sorting entry points given a correctly sorted input.
-    pub fn schedule_pass_sorted<P: Plan>(
+    pub fn schedule_pass_sorted<'s, P: Plan>(
         &self,
         now: SimTime,
         sorted: &[QueuedJob],
         base_plan: &P,
+        scratch: &'s mut PassScratch<P>,
         mut trace: Option<&mut PassTrace>,
         prof: Option<&SharedProfiler>,
-    ) -> ScheduleDecision {
+    ) -> &'s ScheduleDecision {
+        let PassScratch {
+            plan,
+            planned,
+            window,
+            reserved,
+            reserved_tokens,
+            protected_res,
+            trial_tokens,
+            started,
+            protected,
+            decision,
+        } = scratch;
+        decision.clear();
         if sorted.is_empty() {
-            return ScheduleDecision::empty();
+            return decision;
         }
         // Tracing: recompute the score components per job. The sort
         // above computes them internally but keeping the untraced path
@@ -355,10 +456,14 @@ impl Scheduler {
         // placement; advisory ones are voided afterwards.
         let depth = sorted.len().min(self.plan_depth.max(1));
         let window_size = self.policy.window.max(1);
-        let mut plan = base_plan.clone();
-        // (window index, job index into `sorted`, planned start,
-        // commitment token), in commit order.
-        let mut planned: Vec<(usize, usize, SimTime, PlanToken)> = Vec::with_capacity(depth);
+        let plan = match plan {
+            Some(plan) => {
+                plan.clone_from(base_plan);
+                plan
+            }
+            None => plan.insert(base_plan.clone()),
+        };
+        planned.clear();
 
         let span = span_enter(prof, "window_search");
         let mut window_stats = WindowStats::default();
@@ -371,37 +476,34 @@ impl Scheduler {
         // Bit `i`: `sorted[i]` cannot start now. The plan only gains
         // commitments in this phase, so that never changes back.
         let mut blocked_now = 0u64;
-        let mut reserved = 0;
+        let mut reserved_count = 0;
         for (w_idx, chunk_start) in (0..depth).step_by(window_size).enumerate() {
             if may_stop
                 && w_idx > 0
-                && self.easy_protected.is_none_or(|k| reserved >= k)
-                && none_starts_now(&plan, sorted, chunk_start..depth, now, &mut blocked_now)
+                && self.easy_protected.is_none_or(|k| reserved_count >= k)
+                && none_starts_now(plan, sorted, chunk_start..depth, now, &mut blocked_now)
             {
                 window_stats.unplanned += (depth - chunk_start).div_ceil(window_size) as u64;
                 break;
             }
             let chunk_end = (chunk_start + window_size).min(depth);
             let chunk = &sorted[chunk_start..chunk_end];
-            let placements: Vec<WindowPlacement> = match self.backfill {
+            match self.backfill {
                 // Strict no-backfill: monotone in-order placement, no
                 // reordering.
-                BackfillMode::None => place_in_order(
-                    &mut plan,
-                    chunk,
-                    planned
-                        .last()
-                        .map(|&(_, _, s, _)| s.max(now))
-                        .unwrap_or(now),
-                    true,
-                ),
+                BackfillMode::None => {
+                    let floor = planned.last().map_or(now, |&(_, _, s, _)| s.max(now));
+                    window.placed.clear();
+                    place_in_order(plan, chunk, floor, true, &mut window.placed);
+                }
                 _ if w_idx < self.perm_windows => {
                     let mut search = trace.is_some().then(SearchTrace::default);
-                    let placements = place_best_permutation_traced(
-                        &mut plan,
+                    place_best_permutation(
+                        plan,
                         chunk,
                         now,
                         self.max_permutations,
+                        window,
                         search.as_mut(),
                         &mut window_stats,
                     );
@@ -412,15 +514,15 @@ impl Scheduler {
                             search,
                         });
                     }
-                    placements
                 }
-                _ => place_in_order(&mut plan, chunk, now, false),
-            };
-            reserved += placements.iter().filter(|p| p.start != now).count();
+                _ => {
+                    window.placed.clear();
+                    place_in_order(plan, chunk, now, false, &mut window.placed);
+                }
+            }
+            reserved_count += window.placed.iter().filter(|p| p.start != now).count();
             planned.extend(
-                placements
-                    .into_iter()
-                    .map(|p| (w_idx, chunk_start + p.slot, p.start, p.token)),
+                (window.placed.drain(..)).map(|p| (w_idx, chunk_start + p.slot, p.start, p.token)),
             );
         }
         span_exit(prof, span);
@@ -437,15 +539,11 @@ impl Scheduler {
         // head of the queue — not whichever reservation the permutation
         // search happened to commit first). Starts never consume
         // protection slots.
-        let mut decision = ScheduleDecision {
-            window: window_stats,
-            ..ScheduleDecision::empty()
-        };
-        let mut started: HashSet<JobId> = HashSet::new();
-        // (priority index into `sorted`, window index, token).
-        let mut reservations: Vec<(usize, usize, PlanToken)> = Vec::new();
-
-        for (w_idx, ji, start, token) in planned.into_iter() {
+        decision.window = window_stats;
+        started.reset(sorted.len());
+        reserved.clear();
+        reserved_tokens.clear();
+        for (w_idx, ji, start, token) in planned.drain(..) {
             let job = &sorted[ji];
             if start == now {
                 decision.starts.push(JobStart {
@@ -454,50 +552,38 @@ impl Scheduler {
                     hint: plan.hint_of(&token),
                     backfilled: false,
                 });
-                started.insert(job.id);
+                started.insert(ji);
             } else {
                 decision.reservations.push((job.id, start));
-                reservations.push((ji, w_idx, token));
+                reserved.push((ji, w_idx));
+                reserved_tokens.push(token);
             }
         }
 
-        let protected_set: HashSet<usize> = match self.backfill {
-            BackfillMode::Conservative => reservations.iter().map(|&(ji, ..)| ji).collect(),
-            BackfillMode::Easy | BackfillMode::None => match self.easy_protected {
-                Some(k) => {
-                    let mut by_priority: Vec<usize> =
-                        reservations.iter().map(|&(ji, ..)| ji).collect();
-                    by_priority.sort_unstable();
-                    by_priority.into_iter().take(k).collect()
-                }
-                None => reservations
-                    .iter()
-                    .filter(|&&(_, w_idx, _)| w_idx == 0)
-                    .map(|&(ji, ..)| ji)
-                    .collect(),
-            },
-        };
+        protected.reset(sorted.len());
+        let all = self.backfill == BackfillMode::Conservative || self.easy_protected.is_some();
+        for &(ji, w_idx) in reserved.iter() {
+            if all || w_idx == 0 {
+                protected.insert(ji);
+            }
+        }
+        if let (false, Some(k)) = (
+            self.backfill == BackfillMode::Conservative,
+            self.easy_protected,
+        ) {
+            protected.keep_first(k);
+        }
 
-        let mut protected_res: Vec<(u32, SimTime, SimDuration)> = Vec::new();
-        let mut protected_jobs: HashSet<JobId> = HashSet::new();
-        for &(ji, _, ref token) in &reservations {
-            let job = &sorted[ji];
-            if protected_set.contains(&ji) {
-                let start = decision
-                    .reservations
-                    .iter()
-                    .find(|&&(id, _)| id == job.id)
-                    .expect("reservation recorded above")
-                    .1;
+        protected_res.clear();
+        for (&(ji, _), &(id, start)) in reserved.iter().zip(&decision.reservations) {
+            if protected.contains(ji) {
+                let job = &sorted[ji];
                 protected_res.push((job.nodes, start, job.walltime));
-                protected_jobs.insert(job.id);
-                decision.protected.push(job.id);
+                decision.protected.push(id);
             }
-            let _ = token; // deactivation below consumes the tokens
         }
-        for (ji, _, token) in reservations {
-            let protected = protected_set.contains(&ji);
-            if !protected || self.protection == ProtectionStyle::TimeFlexible {
+        for (&(ji, _), token) in reserved.iter().zip(reserved_tokens.drain(..)) {
+            if !protected.contains(ji) || self.protection == ProtectionStyle::TimeFlexible {
                 plan.deactivate(token);
             }
         }
@@ -511,8 +597,8 @@ impl Scheduler {
                 .backfill_depth
                 .unwrap_or(sorted.len())
                 .min(sorted.len());
-            for job in &sorted[..candidates] {
-                if started.contains(&job.id) || protected_jobs.contains(&job.id) {
+            for (i, job) in sorted[..candidates].iter().enumerate() {
+                if started.contains(i) || protected.contains(i) {
                     continue;
                 }
                 let Some(cand_token) = plan.commit_at(job.nodes, now, job.walltime) else {
@@ -527,18 +613,17 @@ impl Scheduler {
                     // plan; the successful commit is the whole check.
                     ProtectionStyle::PinnedBlocks => true,
                     ProtectionStyle::TimeFlexible => {
-                        let mut res_tokens = Vec::with_capacity(protected_res.len());
                         let mut ok = true;
-                        for &(nodes, start, walltime) in &protected_res {
+                        for &(nodes, start, walltime) in protected_res.iter() {
                             match plan.commit_at(nodes, start, walltime) {
-                                Some(t) => res_tokens.push(t),
+                                Some(t) => trial_tokens.push(t),
                                 None => {
                                     ok = false;
                                     break;
                                 }
                             }
                         }
-                        for t in res_tokens.into_iter().rev() {
+                        while let Some(t) = trial_tokens.pop() {
                             plan.rollback(t);
                         }
                         ok
@@ -554,7 +639,7 @@ impl Scheduler {
                         hint: plan.hint_of(&cand_token),
                         backfilled: true,
                     });
-                    started.insert(job.id);
+                    started.insert(i);
                 } else {
                     if let Some(tr) = trace.as_deref_mut() {
                         tr.backfill
@@ -568,9 +653,11 @@ impl Scheduler {
 
         // Drop reservations for jobs that ended up starting via backfill
         // (advisory entries from later windows).
-        decision
-            .reservations
-            .retain(|(id, _)| !started.contains(id));
+        let mut reserved_jobs = reserved.iter();
+        decision.reservations.retain(|_| {
+            let &(ji, _) = reserved_jobs.next().expect("one entry per reservation");
+            !started.contains(ji)
+        });
         decision
     }
 }
@@ -698,6 +785,36 @@ mod tests {
         Scheduler::new(PolicyParams::fcfs(), BackfillMode::Easy)
     }
 
+    /// A pass on a fresh scratch, its decision copied out.
+    trait PassOnce {
+        fn pass(&self, now: SimTime, queue: &[QueuedJob], plan: &FlatPlan) -> ScheduleDecision;
+        fn pass_traced(
+            &self,
+            now: SimTime,
+            queue: &[QueuedJob],
+            plan: &FlatPlan,
+            trace: &mut PassTrace,
+        ) -> ScheduleDecision;
+    }
+
+    impl PassOnce for Scheduler {
+        fn pass(&self, now: SimTime, queue: &[QueuedJob], plan: &FlatPlan) -> ScheduleDecision {
+            let mut scratch = PassScratch::default();
+            self.schedule_pass(now, queue, plan, &mut scratch).clone()
+        }
+
+        fn pass_traced(
+            &self,
+            now: SimTime,
+            queue: &[QueuedJob],
+            plan: &FlatPlan,
+            trace: &mut PassTrace,
+        ) -> ScheduleDecision {
+            let mut scratch = PassScratch::default();
+            (self.schedule_pass_traced(now, queue, plan, &mut scratch, Some(trace), None)).clone()
+        }
+    }
+
     fn start_ids(d: &ScheduleDecision) -> Vec<u64> {
         d.starts.iter().map(|s| s.id.0).collect()
     }
@@ -705,7 +822,7 @@ mod tests {
     #[test]
     fn empty_queue_decides_nothing() {
         let plan = FlatPlan::new(t(0), 100, &[]);
-        let d = fcfs_easy().schedule_pass(t(0), &[], &plan);
+        let d = fcfs_easy().pass(t(0), &[], &plan);
         assert!(d.starts.is_empty());
         assert!(d.reservations.is_empty());
     }
@@ -714,7 +831,7 @@ mod tests {
     fn everything_fits_everything_starts() {
         let plan = FlatPlan::new(t(0), 100, &[]);
         let queue = vec![qj(0, 0, 30, 100), qj(1, 0, 30, 100), qj(2, 0, 40, 100)];
-        let d = fcfs_easy().schedule_pass(t(0), &queue, &plan);
+        let d = fcfs_easy().pass(t(0), &queue, &plan);
         assert_eq!(start_ids(&d), vec![0, 1, 2]);
         assert!(d.reservations.is_empty());
     }
@@ -731,7 +848,7 @@ mod tests {
             qj(1, 10, 20, 50),   // ends at 100, before the reservation
             qj(2, 20, 20, 5000), // runs alongside the reserved head
         ];
-        let d = fcfs_easy().schedule_pass(t(50), &queue, &plan);
+        let d = fcfs_easy().pass(t(50), &queue, &plan);
         assert_eq!(start_ids(&d), vec![1, 2]);
         assert_eq!(d.reservations, vec![(JobId(0), t(100))]);
     }
@@ -744,12 +861,12 @@ mod tests {
         let queue = vec![qj(0, 0, 50, 1000), qj(1, 10, 60, 5000)];
         let s = fcfs_easy();
         let mut trace = PassTrace::default();
-        let d = s.schedule_pass_traced(t(50), &queue, &plan, Some(&mut trace), None);
+        let d = s.pass_traced(t(50), &queue, &plan, &mut trace);
         assert!(d.starts.is_empty());
         assert_eq!(d.reservations.len(), 2);
         // The untraced pass stops after the protected head: job 1 cannot
         // start now, and its reservation would only be advisory.
-        let plain = s.schedule_pass(t(50), &queue, &plan);
+        let plain = s.pass(t(50), &queue, &plan);
         assert_eq!(plain.starts, d.starts);
         assert_eq!(plain.protected, d.protected);
         assert_eq!(plain.window.unplanned, 1);
@@ -788,10 +905,10 @@ mod tests {
             qj(1, 10, 70, 60),  // r1 → [200, 260)
             qj(2, 20, 40, 250), // candidate
         ];
-        let easy = fcfs_easy().schedule_pass(t(0), &queue, &plan);
+        let easy = fcfs_easy().pass(t(0), &queue, &plan);
         assert_eq!(start_ids(&easy), vec![2]);
 
-        let cons = Scheduler::new(PolicyParams::fcfs(), BackfillMode::Conservative).schedule_pass(
+        let cons = Scheduler::new(PolicyParams::fcfs(), BackfillMode::Conservative).pass(
             t(0),
             &queue,
             &plan,
@@ -808,11 +925,7 @@ mod tests {
         // Head can't start; followers that fit must NOT start.
         let plan = FlatPlan::new(t(0), 100, &[(80, t(100))]);
         let queue = vec![qj(0, 0, 50, 100), qj(1, 10, 10, 10)];
-        let d = Scheduler::new(PolicyParams::fcfs(), BackfillMode::None).schedule_pass(
-            t(50),
-            &queue,
-            &plan,
-        );
+        let d = Scheduler::new(PolicyParams::fcfs(), BackfillMode::None).pass(t(50), &queue, &plan);
         assert!(d.starts.is_empty());
     }
 
@@ -822,11 +935,7 @@ mod tests {
         // walltimes. Under BF=0 the shortest must start.
         let plan = FlatPlan::new(t(0), 100, &[(50, t(1000))]);
         let queue = vec![qj(0, 0, 50, 5000), qj(1, 10, 50, 100), qj(2, 20, 50, 900)];
-        let d = Scheduler::new(PolicyParams::sjf(), BackfillMode::Easy).schedule_pass(
-            t(30),
-            &queue,
-            &plan,
-        );
+        let d = Scheduler::new(PolicyParams::sjf(), BackfillMode::Easy).pass(t(30), &queue, &plan);
         assert_eq!(start_ids(&d), vec![1]);
     }
 
@@ -841,20 +950,14 @@ mod tests {
 
         // W=1 (EASY): A reserved at [20,50); B backfill at now? B [0,25)
         // overlaps A's reservation (5+10>10 during [20,25)) → rejected.
-        let w1 = Scheduler::new(PolicyParams::new(1.0, 1), BackfillMode::Easy).schedule_pass(
-            t(0),
-            &queue,
-            &plan,
-        );
+        let w1 =
+            Scheduler::new(PolicyParams::new(1.0, 1), BackfillMode::Easy).pass(t(0), &queue, &plan);
         assert!(w1.starts.is_empty());
 
         // W=2: B-first permutation starts B now and reserves A at
         // [25,55) — shorter makespan, and B actually runs.
-        let w2 = Scheduler::new(PolicyParams::new(1.0, 2), BackfillMode::Easy).schedule_pass(
-            t(0),
-            &queue,
-            &plan,
-        );
+        let w2 =
+            Scheduler::new(PolicyParams::new(1.0, 2), BackfillMode::Easy).pass(t(0), &queue, &plan);
         assert_eq!(start_ids(&w2), vec![1]);
         assert_eq!(w2.reservations, vec![(JobId(0), t(25))]);
     }
@@ -870,7 +973,7 @@ mod tests {
             qj(0, 0, 50, 1000), // head; reserved at 100
             qj(1, 10, 20, 50),  // deep job; fits now, ends before 100
         ];
-        let d = s.schedule_pass(t(50), &queue, &plan);
+        let d = s.pass(t(50), &queue, &plan);
         assert_eq!(start_ids(&d), vec![1]);
         assert!(d.starts[0].backfilled);
     }
@@ -881,12 +984,12 @@ mod tests {
         let queue = vec![qj(0, 0, 100, 50), qj(1, 0, 100, 50)];
         let s = fcfs_easy();
         let mut trace = PassTrace::default();
-        let d = s.schedule_pass_traced(t(0), &queue, &plan, Some(&mut trace), None);
+        let d = s.pass_traced(t(0), &queue, &plan, &mut trace);
         assert_eq!(start_ids(&d), vec![0]);
         assert_eq!(d.reservations, vec![(JobId(1), t(50))]);
         // Untraced, the pass stops after window 0 (job 1's reservation
         // would be advisory) and decides the same.
-        let plain = s.schedule_pass(t(0), &queue, &plan);
+        let plain = s.pass(t(0), &queue, &plan);
         assert_eq!(plain.starts, d.starts);
         assert_eq!(plain.protected, d.protected);
         assert!(plain.reservations.is_empty());
@@ -901,8 +1004,8 @@ mod tests {
 
         let s = fcfs_easy();
         let mut trace = PassTrace::default();
-        let traced = s.schedule_pass_traced(t(0), &queue, &plan, Some(&mut trace), None);
-        let plain = s.schedule_pass(t(0), &queue, &plan);
+        let traced = s.pass_traced(t(0), &queue, &plan, &mut trace);
+        let plain = s.pass(t(0), &queue, &plan);
         assert_eq!(traced.starts, plain.starts);
         assert_eq!(traced.reservations, plain.reservations);
         assert_eq!(traced.protected, plain.protected);
@@ -944,8 +1047,8 @@ mod tests {
         let mut s = fcfs_easy();
         s.protection = ProtectionStyle::TimeFlexible;
         let mut trace = PassTrace::default();
-        let d = s.schedule_pass_traced(t(50), &queue, &plan, Some(&mut trace), None);
-        let plain = s.schedule_pass(t(50), &queue, &plan);
+        let d = s.pass_traced(t(50), &queue, &plan, &mut trace);
+        let plain = s.pass(t(50), &queue, &plan);
         assert_eq!(d.starts, plain.starts);
         assert!(d.starts.is_empty());
         assert_eq!(
@@ -968,9 +1071,13 @@ mod tests {
             })
             .collect();
         let s = Scheduler::new(PolicyParams::new(0.5, 3), BackfillMode::Easy);
-        let a = s.schedule_pass(t(100), &queue, &plan);
-        let b = s.schedule_pass(t(100), &queue, &plan);
+        let a = s.pass(t(100), &queue, &plan);
+        // A scratch that an earlier pass left dirty decides the same.
+        let mut scratch = PassScratch::default();
+        s.schedule_pass(t(50), &queue[..7], &plan, &mut scratch);
+        let b = s.schedule_pass(t(100), &queue, &plan, &mut scratch);
         assert_eq!(a.starts, b.starts);
         assert_eq!(a.reservations, b.reservations);
+        assert_eq!(a.protected, b.protected);
     }
 }

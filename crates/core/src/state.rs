@@ -8,7 +8,9 @@
 //! `state_hash`; the loop that moves them is [`crate::runner`].
 //! DESIGN.md §10 has the field-by-field table.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use amjs_metrics::{
     DomainDowntime, FairnessTracker, LossOfCapacity, TimeSeries, UtilizationTracker, WaitStats,
@@ -22,6 +24,12 @@ use crate::estimates::EstimateAdjuster;
 use crate::failures::{FailureProcess, RetryPolicy};
 use crate::runner::{Ev, JobOutcome, Runner, Running};
 use crate::scheduler::Scheduler;
+
+/// A map keyed by job, hashed with fixed keys: the same run probes and
+/// grows it the same way every time, so its heap allocations repeat
+/// exactly (`ablation_hotpath` gates their count). Its iteration order
+/// is never observed: the codec and the hash sort its entries.
+pub(crate) type JobMap<V> = HashMap<JobId, V, BuildHasherDefault<DefaultHasher>>;
 
 /// Run-level facts that live outside the event loop but are needed to
 /// finish — or resume — a run identically: the summary label, the
@@ -74,7 +82,7 @@ pub(crate) struct LiveState<P: Platform> {
     pub(crate) scheduler: Scheduler,
     /// Waiting jobs as trace indices, in submission order.
     pub(crate) queue: Vec<usize>,
-    pub(crate) running: HashMap<JobId, Running>,
+    pub(crate) running: JobMap<Running>,
     /// EASY reservations promised by the most recent scheduling pass,
     /// for the oracle's backfill-protection check.
     pub(crate) promised: Vec<Promise>,
@@ -93,7 +101,7 @@ pub(crate) struct LiveState<P: Platform> {
     pub(crate) down_track: UtilizationTracker,
     /// Fair start of every job submitted and not yet started, taken out
     /// at its first start: bounded by the queue, in a fork too.
-    pub(crate) fair_starts: HashMap<JobId, SimTime>,
+    pub(crate) fair_starts: JobMap<SimTime>,
     pub(crate) remaining_submits: usize,
     /// Backoff re-submissions scheduled but not yet delivered (keeps
     /// the failure/tick processes alive while jobs are off-queue).
@@ -108,9 +116,9 @@ pub(crate) struct LiveState<P: Platform> {
     pub(crate) interrupted_jobs: u64,
     pub(crate) lost_node_secs: f64,
     /// Next attempt number per interrupted job.
-    pub(crate) generations: HashMap<JobId, u32>,
+    pub(crate) generations: JobMap<u32>,
     /// Failures suffered so far, per job (drives the retry policy).
-    pub(crate) failure_counts: HashMap<JobId, u32>,
+    pub(crate) failure_counts: JobMap<u32>,
     pub(crate) last_end: SimTime,
 }
 
@@ -284,7 +292,7 @@ impl amjs_sim::Snapshot for JobOutcome {
 /// Encode a map as the `Vec<(K, V)>` of its entries in sorted-key
 /// order — the same bytes — sorting references rather than cloning the
 /// values.
-fn encode_sorted<K, V>(map: &HashMap<K, V>, w: &mut amjs_sim::SnapWriter)
+fn encode_sorted<K, V, S>(map: &HashMap<K, V, S>, w: &mut amjs_sim::SnapWriter)
 where
     K: Ord + Copy + amjs_sim::Snapshot,
     V: amjs_sim::Snapshot,

@@ -65,9 +65,9 @@ pub struct WindowPlacement {
 }
 
 /// Place `window` jobs in the given order (no search), committing each at
-/// its earliest feasible start `>= floor`. With `monotone` set, each
-/// placement additionally may not start before the previous one — strict
-/// in-order (no-backfill) semantics.
+/// its earliest feasible start `>= floor`, and append the placements to
+/// `out`. With `monotone` set, each placement additionally may not start
+/// before the previous one — strict in-order (no-backfill) semantics.
 ///
 /// # Panics
 /// Panics if a job is larger than the machine (callers filter oversized
@@ -77,8 +77,8 @@ pub fn place_in_order<P: Plan>(
     window: &[QueuedJob],
     floor: SimTime,
     monotone: bool,
-) -> Vec<WindowPlacement> {
-    let mut placements = Vec::with_capacity(window.len());
+    out: &mut Vec<WindowPlacement>,
+) {
     let mut not_before = floor;
     for (slot, job) in window.iter().enumerate() {
         let (start, token) = plan
@@ -87,9 +87,8 @@ pub fn place_in_order<P: Plan>(
         if monotone {
             not_before = start;
         }
-        placements.push(WindowPlacement { slot, start, token });
+        out.push(WindowPlacement { slot, start, token });
     }
-    placements
 }
 
 /// A permutation the search considered and did not choose.
@@ -143,11 +142,29 @@ pub struct WindowStats {
     pub unplanned: u64,
 }
 
+/// The buffers of a window placement, kept by the caller from one window
+/// to the next so that a search in steady state allocates nothing.
+#[derive(Debug, Default)]
+pub struct WindowScratch {
+    /// The placements of the last [`place_best_permutation`], in commit
+    /// order. The caller may drain it or reuse it for
+    /// [`place_in_order`].
+    pub placed: Vec<WindowPlacement>,
+    floor: Vec<SimTime>,
+    perm: Vec<usize>,
+    starts: Vec<SimTime>,
+    best_perm: Vec<usize>,
+    best_starts: Vec<SimTime>,
+}
+
 /// Place a window choosing the best permutation (paper step 5, guided by
 /// its Fig. 2): the winning schedule **starts the most jobs now** and,
 /// among those, has the **least makespan** ("highest utilization rate").
-/// Commits the winning permutation into `plan` and returns its
-/// placements in commit order.
+/// Commits the winning permutation into `plan` and leaves its placements
+/// in `scratch.placed`, in commit order. Adds the search's work to
+/// `stats`; with `capture` given, also records what it tried — the
+/// decision is the same either way (the capture arms are never entered
+/// without it).
 ///
 /// A pure least-makespan objective would systematically start long jobs
 /// ahead of short ones (the longest job dominates the window's makespan,
@@ -162,28 +179,17 @@ pub fn place_best_permutation<P: Plan>(
     window: &[QueuedJob],
     now: SimTime,
     max_permutations: usize,
-) -> Vec<WindowPlacement> {
-    let mut stats = WindowStats::default();
-    place_best_permutation_traced(plan, window, now, max_permutations, None, &mut stats)
-}
-
-/// [`place_best_permutation`] with an optional search capture, adding
-/// the search's work to `stats`. With `capture: None` this is the exact
-/// same computation (the capture arms are never entered), preserving the
-/// zero-cost guarantee.
-pub fn place_best_permutation_traced<P: Plan>(
-    plan: &mut P,
-    window: &[QueuedJob],
-    now: SimTime,
-    max_permutations: usize,
+    scratch: &mut WindowScratch,
     capture: Option<&mut SearchTrace>,
     stats: &mut WindowStats,
-) -> Vec<WindowPlacement> {
+) {
     debug_assert!(max_permutations >= 1);
     let n = window.len();
+    scratch.placed.clear();
     if n <= 1 {
-        let placements = place_in_order(plan, window, now, false);
+        place_in_order(plan, window, now, false, &mut scratch.placed);
         if let Some(cap) = capture {
+            let placements = &scratch.placed;
             cap.chosen = index_vec(n);
             cap.starts_now = placements.iter().filter(|p| p.start == now).count();
             cap.makespan = placements
@@ -193,19 +199,31 @@ pub fn place_best_permutation_traced<P: Plan>(
                 .unwrap_or(now);
             cap.fast_path = true;
         }
-        return placements;
+        return;
     }
 
     stats.searches += 1;
     stats.placements += n as u64;
-    let floor = window
-        .iter()
-        .map(|job| {
-            let floor = plan.earliest_start(job.nodes, job.walltime, now);
-            assert!(floor != SimTime::MAX, "{} exceeds the machine", job.id);
-            floor
-        })
-        .collect();
+    let WindowScratch {
+        placed,
+        floor,
+        perm,
+        starts,
+        best_perm,
+        best_starts,
+    } = scratch;
+    floor.clear();
+    floor.extend(window.iter().map(|job| {
+        let floor = plan.earliest_start(job.nodes, job.walltime, now);
+        assert!(floor != SimTime::MAX, "{} exceeds the machine", job.id);
+        floor
+    }));
+    perm.clear();
+    perm.extend(0..n);
+    starts.clear();
+    starts.resize(n, now);
+    best_perm.clear();
+    best_starts.clear();
     let mut search = Search {
         plan,
         window,
@@ -213,12 +231,12 @@ pub fn place_best_permutation_traced<P: Plan>(
         floor,
         cap: max_permutations.max(1),
         tried: 0,
-        perm: index_vec(n),
-        starts: vec![now; n],
+        perm,
+        starts,
         // Any complete permutation beats this: the identity always lands.
         best: Best {
-            perm: Vec::new(),
-            starts: Vec::new(),
+            perm: best_perm,
+            starts: best_starts,
             starts_now: 0,
             makespan: SimTime::MAX,
         },
@@ -244,21 +262,21 @@ pub fn place_best_permutation_traced<P: Plan>(
     }
     // Re-commit the winner for real: the plan is back in exactly the
     // state its speculative run saw, so each recorded start must hold.
-    (best.perm.iter().zip(&best.starts))
-        .map(|(&slot, &start)| {
+    placed.extend(
+        (best.perm.iter().zip(best.starts.iter())).map(|(&slot, &start)| {
             let job = &window[slot];
             let token = plan
                 .commit_at(job.nodes, start, job.walltime)
                 .unwrap_or_else(|| panic!("replay of {} at {} failed", job.id, start));
             WindowPlacement { slot, start, token }
-        })
-        .collect()
+        }),
+    );
 }
 
 /// The best complete permutation so far: `perm[d]` starts at `starts[d]`.
-struct Best {
-    perm: Vec<usize>,
-    starts: Vec<SimTime>,
+struct Best<'a> {
+    perm: &'a mut Vec<usize>,
+    starts: &'a mut Vec<SimTime>,
     starts_now: usize,
     makespan: SimTime,
 }
@@ -269,17 +287,17 @@ struct Search<'a, P: Plan> {
     window: &'a [QueuedJob],
     now: SimTime,
     /// `floor[slot]`: the job's earliest start on the window-entry plan.
-    floor: Vec<SimTime>,
+    floor: &'a [SimTime],
     /// Permutations the search may consider, and how many it has —
     /// evaluated or pruned, in lexicographic order.
     cap: usize,
     tried: usize,
     /// `perm[..depth]` is the committed prefix in commit order;
     /// `perm[depth..]` holds the unplaced slots, ascending.
-    perm: Vec<usize>,
+    perm: &'a mut [usize],
     /// `starts[d]`: where `perm[d]` was placed, for `d < depth`.
-    starts: Vec<SimTime>,
-    best: Best,
+    starts: &'a mut [SimTime],
+    best: Best<'a>,
     capture: Option<&'a mut SearchTrace>,
     stats: &'a mut WindowStats,
 }
@@ -306,8 +324,10 @@ impl<P: Plan> Search<'_, P> {
                     });
                 }
             }
-            self.best.perm.clone_from(&self.perm);
-            self.best.starts.clone_from(&self.starts);
+            self.best.perm.clear();
+            self.best.perm.extend_from_slice(self.perm);
+            self.best.starts.clear();
+            self.best.starts.extend_from_slice(self.starts);
             self.best.starts_now = starts_now;
             self.best.makespan = makespan;
             if starts_now == n && self.tried == 1 {
@@ -388,7 +408,7 @@ impl<P: Plan> Search<'_, P> {
             .min(self.cap - self.tried);
         self.tried += leaves;
         if let Some(cap) = self.capture.as_deref_mut() {
-            let mut order = self.perm.clone();
+            let mut order = self.perm.to_vec();
             order[depth..=first].rotate_right(1);
             for _ in 0..leaves {
                 cap.losers.push(LoserTrace {
@@ -452,6 +472,40 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn in_order<P: Plan>(
+        plan: &mut P,
+        window: &[QueuedJob],
+        floor: SimTime,
+        monotone: bool,
+    ) -> Vec<WindowPlacement> {
+        let mut out = Vec::new();
+        place_in_order(plan, window, floor, monotone, &mut out);
+        out
+    }
+
+    /// The search on a fresh scratch; returns its placements.
+    fn best_traced<P: Plan>(
+        plan: &mut P,
+        window: &[QueuedJob],
+        now: SimTime,
+        cap: usize,
+        capture: Option<&mut SearchTrace>,
+    ) -> Vec<WindowPlacement> {
+        let mut scratch = WindowScratch::default();
+        let mut stats = WindowStats::default();
+        place_best_permutation(plan, window, now, cap, &mut scratch, capture, &mut stats);
+        scratch.placed
+    }
+
+    fn best<P: Plan>(
+        plan: &mut P,
+        window: &[QueuedJob],
+        now: SimTime,
+        cap: usize,
+    ) -> Vec<WindowPlacement> {
+        best_traced(plan, window, now, cap, None)
+    }
+
     #[test]
     fn next_permutation_enumerates_all() {
         let mut p = vec![0, 1, 2];
@@ -482,7 +536,7 @@ mod tests {
         // 100-node machine, 80 busy until t=100.
         let mut plan = FlatPlan::new(t(0), 100, &[(80, t(100))]);
         let window = [qj(0, 50, 60), qj(1, 20, 30)];
-        let placed = place_in_order(&mut plan, &window, t(0), false);
+        let placed = in_order(&mut plan, &window, t(0), false);
         // Job 0 must wait for the release; job 1 backfills immediately.
         assert_eq!((placed[0].slot, placed[0].start), (0, t(100)));
         assert_eq!((placed[1].slot, placed[1].start), (1, t(0)));
@@ -492,7 +546,7 @@ mod tests {
     fn monotone_placement_never_reorders_starts() {
         let mut plan = FlatPlan::new(t(0), 100, &[(80, t(100))]);
         let window = [qj(0, 50, 60), qj(1, 20, 30)];
-        let placed = place_in_order(&mut plan, &window, t(0), true);
+        let placed = in_order(&mut plan, &window, t(0), true);
         assert_eq!(placed[0].start, t(100));
         // Strict FCFS: job 1 may not start before job 0 even though it
         // fits now.
@@ -537,13 +591,13 @@ mod tests {
 
         // Identity order (A first) for reference:
         let mut plan = FlatPlan::new(t(0), 10, &[(5, t(20))]);
-        let in_order = place_in_order(&mut plan, &window, t(0), false);
+        let in_order = in_order(&mut plan, &window, t(0), false);
         assert_eq!(in_order[0].start, t(20));
         assert_eq!(in_order[1].start, t(50));
 
         // Permutation search must find the B-first schedule.
         let mut plan = FlatPlan::new(t(0), 10, &[(5, t(20))]);
-        let best = place_best_permutation(&mut plan, &window, t(0), 120);
+        let best = best(&mut plan, &window, t(0), 120);
         let starts: Vec<(usize, i64)> = best.iter().map(|p| (p.slot, p.start.as_secs())).collect();
         assert_eq!(starts, vec![(1, 0), (0, 25)]);
     }
@@ -552,7 +606,7 @@ mod tests {
     fn all_start_now_skips_search() {
         let mut plan = FlatPlan::new(t(0), 100, &[]);
         let window = [qj(0, 30, 100), qj(1, 30, 50), qj(2, 30, 10)];
-        let placed = place_best_permutation(&mut plan, &window, t(0), 120);
+        let placed = best(&mut plan, &window, t(0), 120);
         assert!(placed.iter().all(|p| p.start == t(0)));
         // Identity commit order preserved.
         let slots: Vec<usize> = placed.iter().map(|p| p.slot).collect();
@@ -565,7 +619,7 @@ mod tests {
         // the same makespan; the identity (priority order) must win.
         let mut plan = FlatPlan::new(t(0), 10, &[(5, t(30))]);
         let window = [qj(7, 10, 10), qj(8, 10, 10)];
-        let placed = place_best_permutation(&mut plan, &window, t(0), 120);
+        let placed = best(&mut plan, &window, t(0), 120);
         assert_eq!(placed[0].slot, 0);
         assert_eq!(placed[1].slot, 1);
         assert_eq!(placed[0].start, t(30));
@@ -578,7 +632,7 @@ mod tests {
         let mut plan = FlatPlan::new(t(0), 10, &[(5, t(20))]);
         let base_count = plan.commitment_count();
         let window = [qj(0, 10, 30), qj(1, 5, 25)];
-        let placed = place_best_permutation(&mut plan, &window, t(0), 120);
+        let placed = best(&mut plan, &window, t(0), 120);
         assert_eq!(plan.commitment_count(), base_count + placed.len());
     }
 
@@ -588,7 +642,7 @@ mod tests {
         let mut plan = PartitionPlan::new(t(0), 8, 512, &[(0, 4, t(60))]);
         // A: full machine 30 s; B: 2 units 25 s.
         let window = [qj(0, 4096, 30), qj(1, 1024, 25)];
-        let placed = place_best_permutation(&mut plan, &window, t(0), 120);
+        let placed = best(&mut plan, &window, t(0), 120);
         // B-first: B [0,25) on the free half; A [60,90) (needs unit 0..4
         // release — B is done by then). Makespan 90.
         // A-first: A [60,90); B [0,25)? B placed after A reservation:
@@ -610,14 +664,7 @@ mod tests {
         let mut plan = FlatPlan::new(t(0), 10, &[(5, t(20))]);
         let window = [qj(0, 10, 30), qj(1, 5, 25)];
         let mut trace = SearchTrace::default();
-        let placed = place_best_permutation_traced(
-            &mut plan,
-            &window,
-            t(0),
-            120,
-            Some(&mut trace),
-            &mut WindowStats::default(),
-        );
+        let placed = best_traced(&mut plan, &window, t(0), 120, Some(&mut trace));
         assert_eq!(trace.chosen, vec![1, 0]);
         assert_eq!(trace.starts_now, 1);
         assert_eq!(trace.makespan, t(55));
@@ -628,7 +675,7 @@ mod tests {
         assert_eq!(trace.losers[0].makespan, Some(t(75)));
         // The traced call commits the same schedule as the untraced one.
         let mut plan2 = FlatPlan::new(t(0), 10, &[(5, t(20))]);
-        let untraced = place_best_permutation(&mut plan2, &window, t(0), 120);
+        let untraced = best(&mut plan2, &window, t(0), 120);
         let a: Vec<(usize, SimTime)> = placed.iter().map(|p| (p.slot, p.start)).collect();
         let b: Vec<(usize, SimTime)> = untraced.iter().map(|p| (p.slot, p.start)).collect();
         assert_eq!(a, b);
@@ -639,14 +686,7 @@ mod tests {
         let mut plan = FlatPlan::new(t(0), 100, &[]);
         let window = [qj(0, 30, 100), qj(1, 30, 50)];
         let mut trace = SearchTrace::default();
-        place_best_permutation_traced(
-            &mut plan,
-            &window,
-            t(0),
-            120,
-            Some(&mut trace),
-            &mut WindowStats::default(),
-        );
+        best_traced(&mut plan, &window, t(0), 120, Some(&mut trace));
         assert!(trace.fast_path);
         assert_eq!(trace.chosen, vec![0, 1]);
         assert_eq!(trace.starts_now, 2);
@@ -655,14 +695,7 @@ mod tests {
         let mut plan = FlatPlan::new(t(0), 100, &[(80, t(40))]);
         let single = [qj(2, 50, 60)];
         let mut trace = SearchTrace::default();
-        place_best_permutation_traced(
-            &mut plan,
-            &single,
-            t(0),
-            120,
-            Some(&mut trace),
-            &mut WindowStats::default(),
-        );
+        best_traced(&mut plan, &single, t(0), 120, Some(&mut trace));
         assert!(trace.fast_path);
         assert_eq!(trace.chosen, vec![0]);
         assert_eq!(trace.starts_now, 0); // waits for the release
@@ -787,7 +820,8 @@ mod tests {
         (placed, plan.commitment_count())
     }
 
-    /// Run the walk (capture on and off) and the oracle on clones of
+    /// Run the walk (capture on and off, both in `scratch`, which may
+    /// hold an earlier search's buffers) and the oracle on clones of
     /// `plan`; assert they agree on placements, hints and the whole
     /// trace. Returns the walk's trace and stats.
     fn assert_matches_oracle<P: Plan>(
@@ -795,6 +829,7 @@ mod tests {
         window: &[QueuedJob],
         now: SimTime,
         cap: usize,
+        scratch: &mut WindowScratch,
         label: &str,
     ) -> (SearchTrace, WindowStats) {
         let (mut expected_plan, mut expected_trace) = (plan.clone(), SearchTrace::default());
@@ -809,28 +844,32 @@ mod tests {
 
         let (mut traced_plan, mut trace) = (plan.clone(), SearchTrace::default());
         let mut stats = WindowStats::default();
-        let traced = place_best_permutation_traced(
+        place_best_permutation(
             &mut traced_plan,
             window,
             now,
             cap,
+            scratch,
             Some(&mut trace),
             &mut stats,
         );
-        assert_eq!(observed(&traced_plan, &traced), expected, "{label}: traced");
+        let traced = observed(&traced_plan, &scratch.placed);
+        assert_eq!(traced, expected, "{label}: traced");
         assert_eq!(trace, expected_trace, "{label}: trace");
 
         let mut plain_plan = plan.clone();
         let mut plain_stats = WindowStats::default();
-        let plain = place_best_permutation_traced(
+        place_best_permutation(
             &mut plain_plan,
             window,
             now,
             cap,
+            scratch,
             None,
             &mut plain_stats,
         );
-        assert_eq!(observed(&plain_plan, &plain), expected, "{label}: untraced");
+        let plain = observed(&plain_plan, &scratch.placed);
+        assert_eq!(plain, expected, "{label}: untraced");
         assert_eq!(plain_stats, stats, "{label}: capture changed the work done");
         (trace, stats)
     }
@@ -883,6 +922,8 @@ mod tests {
 
     #[test]
     fn walk_matches_flat_enumeration_on_flat_plans() {
+        // One scratch throughout: each search starts on the last one's buffers.
+        let mut scratch = WindowScratch::default();
         let mut rng = Xoshiro256::seed_from_u64(0x57A7_F1A7);
         for case in 0..differential_cases() {
             let now = t(rng.next_range_inclusive(0, 50));
@@ -906,12 +947,15 @@ mod tests {
             let w = 2 + rng.next_below(5) as usize;
             let window = random_window(&mut rng, &plan, w, (total - down) as u64);
             let cap = random_cap(&mut rng);
-            assert_matches_oracle(&plan, &window, now, cap, &format!("flat case {case}"));
+            let label = format!("flat case {case}");
+            assert_matches_oracle(&plan, &window, now, cap, &mut scratch, &label);
         }
     }
 
     #[test]
     fn walk_matches_flat_enumeration_on_partition_plans() {
+        // One scratch throughout: each search starts on the last one's buffers.
+        let mut scratch = WindowScratch::default();
         let mut rng = Xoshiro256::seed_from_u64(0xB6_9A27);
         for case in 0..differential_cases() {
             let now = t(rng.next_range_inclusive(0, 50));
@@ -943,12 +987,15 @@ mod tests {
             let w = 2 + rng.next_below(5) as usize;
             let window = random_window(&mut rng, &plan, w, max_nodes);
             let cap = random_cap(&mut rng);
-            assert_matches_oracle(&plan, &window, now, cap, &format!("partition case {case}"));
+            let label = format!("partition case {case}");
+            assert_matches_oracle(&plan, &window, now, cap, &mut scratch, &label);
         }
     }
 
     #[test]
     fn pruned_subtrees_count_every_leaf_up_to_the_cap() {
+        // One scratch throughout: each search starts on the last one's buffers.
+        let mut scratch = WindowScratch::default();
         // W=7 (5040 > 720) and W=24 (24! overflows usize). Nothing fits
         // before t=20 and everything fits together then: the identity
         // meets both bounds, so the root rejects every other order —
@@ -956,7 +1003,8 @@ mod tests {
         for w in [7usize, 24] {
             let plan = FlatPlan::new(t(0), 100, &[(99, t(20))]);
             let window: Vec<QueuedJob> = (0..w as u64).map(|i| qj(i, 2, 10 + i as i64)).collect();
-            let (trace, stats) = assert_matches_oracle(&plan, &window, t(0), 720, "root bound");
+            let (trace, stats) =
+                assert_matches_oracle(&plan, &window, t(0), 720, &mut scratch, "root bound");
             assert_eq!((trace.searched, trace.losers.len()), (720, 719));
             assert_eq!(trace.chosen, index_vec(w));
             // Floor queries and the identity's path, nothing else.
@@ -967,7 +1015,8 @@ mod tests {
         let plan = FlatPlan::new(t(0), 10, &[(5, t(20))]);
         let window = [qj(0, 10, 30), qj(1, 5, 25), qj(2, 4, 40), qj(3, 6, 5)];
         for cap in [1, 2, 23, 24, 25] {
-            let (trace, _) = assert_matches_oracle(&plan, &window, t(0), cap, "capped W=4");
+            let (trace, _) =
+                assert_matches_oracle(&plan, &window, t(0), cap, &mut scratch, "capped W=4");
             assert_eq!(trace.searched, cap.min(24));
             assert_eq!(trace.losers.len(), trace.searched - 1);
         }
@@ -975,6 +1024,8 @@ mod tests {
 
     #[test]
     fn worst_case_window_evaluates_every_permutation() {
+        // One scratch throughout: each search starts on the last one's buffers.
+        let mut scratch = WindowScratch::default();
         // Every job fits now alone (all floors are `now`) but each needs
         // the whole machine: one starts now whatever the order and the
         // makespan is always the sum, so no prefix can be ruled out and
@@ -985,7 +1036,8 @@ mod tests {
         ] {
             let plan = FlatPlan::new(t(0), 10, &[]);
             let window: Vec<QueuedJob> = (0..w).map(|i| qj(i, 10, 10 + i as i64)).collect();
-            let (trace, stats) = assert_matches_oracle(&plan, &window, t(0), 720, "worst case");
+            let (trace, stats) =
+                assert_matches_oracle(&plan, &window, t(0), 720, &mut scratch, "worst case");
             assert_eq!(trace.searched, factorial);
             assert_eq!(stats.placements, w + tree_nodes);
             assert_eq!(stats.bound_exits, 0);
@@ -997,7 +1049,7 @@ mod tests {
         // With the cap at 1 only the identity is evaluated.
         let mut plan = FlatPlan::new(t(0), 10, &[(5, t(20))]);
         let window = [qj(0, 10, 30), qj(1, 5, 25)];
-        let placed = place_best_permutation(&mut plan, &window, t(0), 1);
+        let placed = best(&mut plan, &window, t(0), 1);
         assert_eq!(placed[0].slot, 0);
         assert_eq!(placed[0].start, t(20));
     }

@@ -4,7 +4,7 @@
 
 use amjs_core::adaptive::AdaptiveScheme;
 use amjs_core::runner::SimulationBuilder;
-use amjs_core::scheduler::{BackfillMode, ProtectionStyle, QueuedJob, Scheduler};
+use amjs_core::scheduler::{BackfillMode, PassScratch, ProtectionStyle, QueuedJob, Scheduler};
 use amjs_core::{PolicyParams, QueuePolicy};
 use amjs_platform::plan::FlatPlan;
 use amjs_platform::{BgpCluster, FlatCluster};
@@ -30,6 +30,7 @@ fn t(s: i64) -> SimTime {
 /// rejected by pinning and admitted by flexible protection.
 #[test]
 fn protection_styles_differ_on_partitioned_machines() {
+    let mut scratch = PassScratch::default();
     // 4 midplanes of 512. Units 0,1 busy until t=100 (two singles).
     let mut machine = BgpCluster::new(4, 512);
     let a = machine.allocate(512).unwrap(); // unit 0
@@ -54,7 +55,7 @@ fn protection_styles_differ_on_partitioned_machines() {
         let mut sched = Scheduler::new(PolicyParams::fcfs(), BackfillMode::Easy);
         sched.protection = style;
         sched.easy_protected = Some(1);
-        let d = sched.schedule_pass(t(0), &queue, &base_plan);
+        let d = sched.schedule_pass(t(0), &queue, &base_plan, &mut scratch);
         // The head either starts or is the protected reservation.
         let head_started = d.starts.iter().any(|s| s.id == JobId(0));
         assert!(
@@ -69,6 +70,7 @@ fn protection_styles_differ_on_partitioned_machines() {
 /// start it.
 #[test]
 fn backfill_depth_strands_deep_jobs() {
+    let mut scratch = PassScratch::default();
     // 100 nodes, 90 busy until t=1000. Queue: 30 big jobs that cannot
     // start, then one 10-node job that fits now.
     let plan = FlatPlan::new(t(0), 100, &[(90, t(1000))]);
@@ -77,11 +79,11 @@ fn backfill_depth_strands_deep_jobs() {
 
     let mut bounded = Scheduler::new(PolicyParams::fcfs(), BackfillMode::Easy);
     bounded.backfill_depth = Some(16);
-    let d = bounded.schedule_pass(t(50), &queue, &plan);
+    let d = bounded.schedule_pass(t(50), &queue, &plan, &mut scratch);
     assert!(d.starts.is_empty(), "deep job must be stranded: {d:?}");
 
     let unbounded = Scheduler::new(PolicyParams::fcfs(), BackfillMode::Easy);
-    let d = unbounded.schedule_pass(t(50), &queue, &plan);
+    let d = unbounded.schedule_pass(t(50), &queue, &plan, &mut scratch);
     assert_eq!(d.starts.len(), 1);
     assert_eq!(d.starts[0].id, JobId(99));
     assert!(d.starts[0].backfilled);
@@ -91,6 +93,7 @@ fn backfill_depth_strands_deep_jobs() {
 /// pass.
 #[test]
 fn ordering_overrides_change_who_starts() {
+    let mut scratch = PassScratch::default();
     // One free 50-node slot; jobs differ only in walltime.
     let plan = FlatPlan::new(t(0), 100, &[(50, t(10_000))]);
     let queue = vec![
@@ -101,17 +104,17 @@ fn ordering_overrides_change_who_starts() {
     let mut sched = Scheduler::new(PolicyParams::fcfs(), BackfillMode::Easy);
 
     sched.ordering_override = Some(QueuePolicy::LargestFirst);
-    let d = sched.schedule_pass(t(5), &queue, &plan);
+    let d = sched.schedule_pass(t(5), &queue, &plan, &mut scratch);
     assert_eq!(d.starts[0].id, JobId(1), "LJF must start the longest");
 
     sched.ordering_override = Some(QueuePolicy::Balanced {
         balance_factor: 0.0,
     });
-    let d = sched.schedule_pass(t(5), &queue, &plan);
+    let d = sched.schedule_pass(t(5), &queue, &plan, &mut scratch);
     assert_eq!(d.starts[0].id, JobId(0), "SJF must start the shortest");
 
     sched.ordering_override = Some(QueuePolicy::ExpansionFactor);
-    let d = sched.schedule_pass(t(5), &queue, &plan);
+    let d = sched.schedule_pass(t(5), &queue, &plan, &mut scratch);
     // All submitted at 0 with equal waits: xfactor = (wait+wall)/wall is
     // maximized by the *shortest* job.
     assert_eq!(d.starts[0].id, JobId(0));
@@ -156,6 +159,7 @@ fn dynp_scheme_runs_end_to_end() {
 /// reservation (protected == all reservations).
 #[test]
 fn conservative_protects_everything_with_windows() {
+    let mut scratch = PassScratch::default();
     let plan = FlatPlan::new(t(0), 100, &[(60, t(100))]);
     let queue = vec![
         qj(0, 0, 60, 100),
@@ -164,7 +168,7 @@ fn conservative_protects_everything_with_windows() {
         qj(3, 3, 30, 50),
     ];
     let sched = Scheduler::new(PolicyParams::new(1.0, 2), BackfillMode::Conservative);
-    let d = sched.schedule_pass(t(0), &queue, &plan);
+    let d = sched.schedule_pass(t(0), &queue, &plan, &mut scratch);
     // Every reservation is protected under conservative.
     let reserved: std::collections::HashSet<_> = d.reservations.iter().map(|&(id, _)| id).collect();
     let protected: std::collections::HashSet<_> = d.protected.iter().copied().collect();
@@ -174,11 +178,12 @@ fn conservative_protects_everything_with_windows() {
 /// Zero-length queues and single-job queues take the fast paths.
 #[test]
 fn degenerate_queues() {
+    let mut scratch = PassScratch::default();
     let plan = FlatPlan::new(t(0), 100, &[]);
     let sched = Scheduler::new(PolicyParams::new(0.5, 4), BackfillMode::Easy);
-    let d = sched.schedule_pass(t(0), &[], &plan);
+    let d = sched.schedule_pass(t(0), &[], &plan, &mut scratch);
     assert!(d.starts.is_empty() && d.reservations.is_empty());
 
-    let d = sched.schedule_pass(t(0), &[qj(0, 0, 10, 100)], &plan);
+    let d = sched.schedule_pass(t(0), &[qj(0, 0, 10, 100)], &plan, &mut scratch);
     assert_eq!(d.starts.len(), 1);
 }

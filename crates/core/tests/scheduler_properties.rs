@@ -3,7 +3,7 @@
 //! must produce internally consistent decisions. Driven by a seeded
 //! in-repo PRNG so every case is reproducible.
 
-use amjs_core::scheduler::{BackfillMode, ProtectionStyle, QueuedJob, Scheduler};
+use amjs_core::scheduler::{BackfillMode, PassScratch, ProtectionStyle, QueuedJob, Scheduler};
 use amjs_core::PolicyParams;
 use amjs_platform::plan::Plan;
 use amjs_platform::{AllocationId, BgpCluster, Platform};
@@ -71,6 +71,8 @@ fn occupy(
 #[test]
 fn decisions_are_internally_consistent() {
     let mut rng = Xoshiro256::seed_from_u64(0xDEC1);
+    // One scratch for every case, as the runner keeps one.
+    let mut scratch = PassScratch::default();
     for _ in 0..64 {
         let queue = random_queue(&mut rng);
         let running = random_running(&mut rng);
@@ -91,7 +93,7 @@ fn decisions_are_internally_consistent() {
 
         let mut sched = Scheduler::new(PolicyParams::new(bf, window), backfill);
         sched.protection = protection;
-        let decision = sched.schedule_pass(now, &queue, &base_plan);
+        let decision = sched.schedule_pass(now, &queue, &base_plan, &mut scratch);
 
         // Starts are unique and come from the queue.
         let mut seen = std::collections::HashSet::new();
@@ -125,6 +127,8 @@ fn decisions_are_internally_consistent() {
 #[test]
 fn easy_head_reservation_is_honored() {
     let mut rng = Xoshiro256::seed_from_u64(0xEA51);
+    // One scratch for every case, as the runner keeps one.
+    let mut scratch = PassScratch::default();
     for _ in 0..64 {
         let queue = random_queue(&mut rng);
         let running = random_running(&mut rng);
@@ -139,7 +143,7 @@ fn easy_head_reservation_is_honored() {
 
         let mut sched = Scheduler::new(PolicyParams::new(bf, window), BackfillMode::Easy);
         sched.easy_protected = Some(1);
-        let decision = sched.schedule_pass(now, &queue, &base_plan);
+        let decision = sched.schedule_pass(now, &queue, &base_plan, &mut scratch);
 
         let Some(&head_id) = decision.protected.first() else {
             continue; // nothing protected, nothing to check
@@ -186,6 +190,8 @@ fn easy_head_reservation_is_honored() {
 #[test]
 fn no_backfill_reservations_are_monotone() {
     let mut rng = Xoshiro256::seed_from_u64(0x4070);
+    // One scratch for every case, as the runner keeps one.
+    let mut scratch = PassScratch::default();
     for _ in 0..64 {
         let queue = random_queue(&mut rng);
         let running = random_running(&mut rng);
@@ -197,7 +203,7 @@ fn no_backfill_reservations_are_monotone() {
         let base_plan = machine.plan(now, &rel_of);
 
         let sched = Scheduler::new(PolicyParams::fcfs(), BackfillMode::None);
-        let decision = sched.schedule_pass(now, &queue, &base_plan);
+        let decision = sched.schedule_pass(now, &queue, &base_plan, &mut scratch);
         // Reservation list is in planning (priority) order; under
         // monotone placement the times must be non-decreasing.
         for pair in decision.reservations.windows(2) {
@@ -210,6 +216,8 @@ fn no_backfill_reservations_are_monotone() {
 #[test]
 fn pass_is_pure() {
     let mut rng = Xoshiro256::seed_from_u64(0x9u64);
+    // One scratch for every case, as the runner keeps one.
+    let mut scratch = PassScratch::default();
     for _ in 0..64 {
         let queue = random_queue(&mut rng);
         let window = 1 + rng.next_below(4) as usize;
@@ -218,9 +226,11 @@ fn pass_is_pure() {
         let machine = BgpCluster::new(16, 512);
         let base_plan = machine.plan(now, &|_| now);
         let sched = Scheduler::new(PolicyParams::new(0.5, window), BackfillMode::Easy);
-        let a = sched.schedule_pass(now, &queue, &base_plan);
-        let b = sched.schedule_pass(now, &queue, &base_plan);
+        let a = (sched.schedule_pass(now, &queue, &base_plan, &mut PassScratch::default())).clone();
+        // The shared scratch holds the previous case's pass.
+        let b = sched.schedule_pass(now, &queue, &base_plan, &mut scratch);
         assert_eq!(a.starts, b.starts);
         assert_eq!(a.reservations, b.reservations);
+        assert_eq!(a.protected, b.protected);
     }
 }

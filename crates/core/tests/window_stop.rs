@@ -11,7 +11,7 @@
 //! both protection styles.
 
 use amjs_core::scheduler::{
-    BackfillMode, PassTrace, ProtectionStyle, QueuedJob, ScheduleDecision, Scheduler,
+    BackfillMode, PassScratch, PassTrace, ProtectionStyle, QueuedJob, ScheduleDecision, Scheduler,
 };
 use amjs_core::PolicyParams;
 use amjs_platform::plan::{FlatPlan, PartitionPlan, Plan};
@@ -39,21 +39,24 @@ fn protected(d: &ScheduleDecision) -> Vec<(JobId, SimTime)> {
         .collect()
 }
 
-/// Run `sched` on `plan` untraced and traced and require one decision.
-/// Returns how many windows the untraced pass left unplanned.
+/// Run `sched` on `plan` untraced and traced, in the two `scratches`
+/// (which may hold earlier passes), and require one decision. Returns
+/// how many windows the untraced pass left unplanned.
 fn assert_stop_is_exact<P: Plan>(
     label: &str,
     sched: &Scheduler,
     now: SimTime,
     queue: &[QueuedJob],
     plan: &P,
+    scratches: &mut [PassScratch<P>; 2],
 ) -> u64 {
-    let plain = sched.schedule_pass(now, queue, plan);
+    let [plain, full] = scratches;
+    let plain = sched.schedule_pass(now, queue, plan, plain);
     let mut trace = PassTrace::default();
-    let full = sched.schedule_pass_traced(now, queue, plan, Some(&mut trace), None);
+    let full = sched.schedule_pass_traced(now, queue, plan, full, Some(&mut trace), None);
     assert_eq!(plain.starts, full.starts, "{label}: starts");
     assert_eq!(plain.protected, full.protected, "{label}: protected jobs");
-    assert_eq!(protected(&plain), protected(&full), "{label}: promises");
+    assert_eq!(protected(plain), protected(full), "{label}: promises");
     assert!(
         full.reservations.starts_with(&plain.reservations),
         "{label}: the stopped pass's reservations are not the full pass's prefix"
@@ -142,6 +145,7 @@ fn differential<P: Plan>(
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let schedulers = schedulers();
     let (mut passes, mut stopped) = (0, 0);
+    let mut scratches = [PassScratch::default(), PassScratch::default()];
     for case in 0..cases {
         let now = SimTime::from_secs(86_400 + rng.next_below(86_400) as i64);
         let busy = [0.3, 0.6, 0.9][case as usize % 3];
@@ -151,7 +155,9 @@ fn differential<P: Plan>(
         for (label, sched) in &schedulers {
             let label = format!("seed {seed:#x} case {case} {label}");
             passes += 1;
-            stopped += u64::from(assert_stop_is_exact(&label, sched, now, &queue, &plan) > 0);
+            stopped += u64::from(
+                assert_stop_is_exact(&label, sched, now, &queue, &plan, &mut scratches) > 0,
+            );
         }
     }
     assert!(
@@ -213,8 +219,9 @@ fn protection_is_fixed_by_reservations_not_windows() {
         let mut s = Scheduler::new(PolicyParams::new(1.0, 2), BackfillMode::Easy);
         s.easy_protected = Some(k);
         let label = format!("Some({k})");
-        let unplanned = assert_stop_is_exact(&label, &s, t(10), &queue, &plan);
-        let d = s.schedule_pass(t(10), &queue, &plan);
+        let mut scratches = [PassScratch::default(), PassScratch::default()];
+        let unplanned = assert_stop_is_exact(&label, &s, t(10), &queue, &plan, &mut scratches);
+        let d = s.schedule_pass(t(10), &queue, &plan, &mut scratches[0]);
         let started: Vec<u64> = d.starts.iter().map(|s| s.id.0).collect();
         assert_eq!(started, [0, 1], "{label}");
         assert!(d.starts.iter().all(|s| !s.backfilled), "{label}");

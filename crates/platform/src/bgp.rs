@@ -276,13 +276,16 @@ impl Platform for BgpCluster {
         self.live.keys().copied().collect()
     }
 
-    fn plan(&self, now: SimTime, release_time: &dyn Fn(AllocationId) -> SimTime) -> PartitionPlan {
-        let running: Vec<(u16, u16, SimTime)> = self
-            .live
-            .iter()
-            .map(|(&id, b)| (b.unit_start, b.unit_len, release_time(id)))
-            .collect();
-        PartitionPlan::new(now, self.units, self.nodes_per_unit, &running).with_down(self.down)
+    fn plan_into(
+        &self,
+        now: SimTime,
+        release_time: &dyn Fn(AllocationId) -> SimTime,
+        plan: &mut Option<PartitionPlan>,
+    ) {
+        let running =
+            (self.live.iter()).map(|(&id, b)| (b.unit_start, b.unit_len, release_time(id)));
+        plan.get_or_insert_with(|| PartitionPlan::new(now, self.units, self.nodes_per_unit, &[]))
+            .rebuild(now, self.units, self.nodes_per_unit, &self.down, running);
     }
 
     fn available_nodes(&self) -> Nodes {

@@ -112,13 +112,18 @@ impl Platform for FlatCluster {
         self.live.keys().copied().collect()
     }
 
-    fn plan(&self, now: SimTime, release_time: &dyn Fn(AllocationId) -> SimTime) -> FlatPlan {
-        let running: Vec<(Nodes, SimTime)> = self
+    fn plan_into(
+        &self,
+        now: SimTime,
+        release_time: &dyn Fn(AllocationId) -> SimTime,
+        plan: &mut Option<FlatPlan>,
+    ) {
+        let running = self
             .live
             .iter()
-            .map(|(&id, &nodes)| (nodes, release_time(id)))
-            .collect();
-        FlatPlan::new(now, self.total, &running).with_down(self.down)
+            .map(|(&id, &nodes)| (nodes, release_time(id)));
+        plan.get_or_insert_with(|| FlatPlan::new(now, self.total, &[]))
+            .rebuild(now, self.total, self.down, running);
     }
 
     fn available_nodes(&self) -> Nodes {

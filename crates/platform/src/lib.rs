@@ -125,7 +125,21 @@ pub trait Platform: Clone + Send {
     /// allocation; the scheduler derives it from job start + requested
     /// walltime, clamped to `now` for jobs running past their estimate.
     /// The plan never promises capacity that is out of service.
-    fn plan(&self, now: SimTime, release_time: &dyn Fn(AllocationId) -> SimTime) -> Self::Plan;
+    fn plan(&self, now: SimTime, release_time: &dyn Fn(AllocationId) -> SimTime) -> Self::Plan {
+        let mut plan = None;
+        self.plan_into(now, release_time, &mut plan);
+        plan.expect("plan_into leaves a plan")
+    }
+
+    /// [`Platform::plan`] into `plan`: rebuilt in place, reusing its
+    /// buffers, or made new when there is none. The scheduler keeps one
+    /// base plan and rebuilds it at every event without allocating.
+    fn plan_into(
+        &self,
+        now: SimTime,
+        release_time: &dyn Fn(AllocationId) -> SimTime,
+        plan: &mut Option<Self::Plan>,
+    );
 
     // ----- node lifecycle (failure → drain → repair) -----
 

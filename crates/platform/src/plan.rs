@@ -165,7 +165,7 @@ fn timeline_split<V: Copy>(times: &mut Vec<SimTime>, vals: &mut Vec<V>, t: SimTi
 /// inverse update applied over the same interval removes a commitment
 /// exactly — rollback and deactivation need no undo journal. Stale
 /// breakpoints left behind by removals are harmless (adjacent equal
-/// segments) and die with the plan clone at the end of the pass.
+/// segments) and go when the plan is next rebuilt or copied over.
 fn timeline_apply<V: Copy>(
     times: &mut Vec<SimTime>,
     vals: &mut Vec<V>,
@@ -200,7 +200,7 @@ struct Commitment {
 
 /// Availability profile of a [`crate::FlatCluster`]: only aggregate free
 /// capacity matters.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FlatPlan {
     now: SimTime,
     total: Nodes,
@@ -228,47 +228,71 @@ impl FlatPlan {
     /// New plan with the given busy base load: `(nodes, release_time)`
     /// per running job.
     pub fn new(now: SimTime, total: Nodes, running: &[(Nodes, SimTime)]) -> Self {
-        let commitments: Vec<Commitment> = running
-            .iter()
-            .map(|&(nodes, release)| Commitment {
+        let mut plan = FlatPlan {
+            now,
+            total,
+            down: 0,
+            base_len: 0,
+            commitments: Vec::new(),
+            base_ends: Vec::new(),
+            base_level: Vec::new(),
+            overlay_times: Vec::new(),
+            overlay_level: Vec::new(),
+        };
+        plan.rebuild(now, total, 0, running.iter().copied());
+        plan
+    }
+
+    /// Rebuild in place into what [`FlatPlan::new`] and
+    /// [`FlatPlan::with_down`] would make, keeping every buffer's
+    /// capacity: a plan rebuilt at each event allocates nothing once its
+    /// buffers have grown to the machine's busiest instant.
+    pub fn rebuild(
+        &mut self,
+        now: SimTime,
+        total: Nodes,
+        down: Nodes,
+        running: impl IntoIterator<Item = (Nodes, SimTime)>,
+    ) {
+        assert!(down <= total);
+        let soonest = now + SimDuration::from_secs(1);
+        self.now = now;
+        self.total = total;
+        self.down = down;
+        self.commitments.clear();
+        self.commitments
+            .extend(running.into_iter().map(|(nodes, release)| Commitment {
                 unit_start: 0,
                 unit_len: nodes,
                 start: now,
-                end: release.max(now + SimDuration::from_secs(1)),
-            })
-            .collect();
+                end: release.max(soonest),
+            }));
+        self.base_len = self.commitments.len();
         // Memoize the base step profile: per distinct release instant,
-        // the load still held from the *previous* instant up to it.
-        let mut by_end: Vec<(SimTime, Nodes)> =
-            commitments.iter().map(|c| (c.end, c.unit_len)).collect();
-        by_end.sort_unstable_by_key(|&(e, _)| e);
-        let mut base_ends: Vec<SimTime> = Vec::with_capacity(by_end.len());
-        let mut releasing: Vec<Nodes> = Vec::new();
-        for (e, n) in by_end {
-            if base_ends.last() == Some(&e) {
-                *releasing.last_mut().expect("paired with base_ends") += n;
+        // the load still held from the *previous* instant up to it. No
+        // token names a base commitment, so sorting them in place is
+        // unobservable.
+        self.commitments.sort_unstable_by_key(|c| c.end);
+        self.base_ends.clear();
+        self.base_level.clear();
+        for c in &self.commitments {
+            if self.base_ends.last() == Some(&c.end) {
+                *self.base_level.last_mut().expect("paired with base_ends") += c.unit_len;
             } else {
-                base_ends.push(e);
-                releasing.push(n);
+                self.base_ends.push(c.end);
+                self.base_level.push(c.unit_len);
             }
         }
         // Suffix-sum the per-instant releases into levels: the level
         // before instant i is everything releasing at i or later.
-        let mut base_level: Vec<Nodes> = vec![0; base_ends.len() + 1];
-        for i in (0..base_ends.len()).rev() {
-            base_level[i] = base_level[i + 1] + releasing[i];
+        self.base_level.push(0);
+        for i in (0..self.base_ends.len()).rev() {
+            self.base_level[i] += self.base_level[i + 1];
         }
-        FlatPlan {
-            now,
-            total,
-            down: 0,
-            base_len: commitments.len(),
-            commitments,
-            base_ends,
-            base_level,
-            overlay_times: vec![now],
-            overlay_level: vec![0],
-        }
+        self.overlay_times.clear();
+        self.overlay_times.push(now);
+        self.overlay_level.clear();
+        self.overlay_level.push(0);
     }
 
     /// Exclude `down` out-of-service nodes from every placement answer
@@ -355,6 +379,40 @@ impl FlatPlan {
             oi += usize::from(overlay_end == after);
         }
         Some(t)
+    }
+}
+
+/// `clone_from` keeps the target's buffers: a pass copies the base plan
+/// into the plan it worked in last time without allocating.
+impl Clone for FlatPlan {
+    fn clone(&self) -> Self {
+        let mut plan = FlatPlan::new(self.now, self.total, &[]);
+        plan.clone_from(self);
+        plan
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured so that a field added later cannot be missed.
+        let FlatPlan {
+            now,
+            total,
+            down,
+            base_len,
+            commitments,
+            base_ends,
+            base_level,
+            overlay_times,
+            overlay_level,
+        } = source;
+        self.now = *now;
+        self.total = *total;
+        self.down = *down;
+        self.base_len = *base_len;
+        self.commitments.clone_from(commitments);
+        self.base_ends.clone_from(base_ends);
+        self.base_level.clone_from(base_level);
+        self.overlay_times.clone_from(overlay_times);
+        self.overlay_level.clone_from(overlay_level);
     }
 }
 
@@ -469,7 +527,7 @@ impl Plan for FlatPlan {
 /// Busy-unit sets are *rows* of `mask_words` words (see
 /// [`crate::mask`]): a machine of 80 midplanes stores and ORs 2 words
 /// per set, not a [`UnitMask`]'s 16.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PartitionPlan {
     now: SimTime,
     units: u16,
@@ -509,55 +567,106 @@ impl PartitionPlan {
         nodes_per_unit: Nodes,
         running: &[(u16, u16, SimTime)],
     ) -> Self {
+        let mut plan = PartitionPlan {
+            now,
+            units,
+            nodes_per_unit,
+            max_block: 1,
+            mask_words: 0,
+            base_len: 0,
+            commitments: Vec::new(),
+            base_ends: Vec::new(),
+            cum_masks: Vec::new(),
+            overlay_times: Vec::new(),
+            overlay_seg: Vec::new(),
+            mask_pool: Vec::new(),
+        };
+        plan.rebuild(
+            now,
+            units,
+            nodes_per_unit,
+            &UnitMask::empty(),
+            running.iter().copied(),
+        );
+        plan
+    }
+
+    /// Rebuild in place into what [`PartitionPlan::new`] and
+    /// [`PartitionPlan::with_down`] would make, keeping every buffer's
+    /// capacity (see [`FlatPlan::rebuild`]).
+    pub fn rebuild(
+        &mut self,
+        now: SimTime,
+        units: u16,
+        nodes_per_unit: Nodes,
+        down: &UnitMask,
+        running: impl IntoIterator<Item = (u16, u16, SimTime)>,
+    ) {
         assert!(
             units >= 1 && (units as usize) <= crate::mask::MAX_UNITS,
             "unit count out of range"
         );
         let mw = (units as usize).div_ceil(64);
-        let commitments: Vec<Commitment> = running
-            .iter()
-            .map(|&(unit_start, unit_len, release)| Commitment {
-                unit_start,
-                unit_len: unit_len as u32,
-                start: now,
-                end: release.max(now + SimDuration::from_secs(1)),
-            })
-            .collect();
+        let soonest = now + SimDuration::from_secs(1);
+        self.now = now;
+        self.units = units;
+        self.nodes_per_unit = nodes_per_unit;
+        self.max_block = prev_power_of_two(units);
+        self.mask_words = mw;
+        self.commitments.clear();
+        self.commitments
+            .extend(
+                running
+                    .into_iter()
+                    .map(|(unit_start, unit_len, release)| Commitment {
+                        unit_start,
+                        unit_len: unit_len as u32,
+                        start: now,
+                        end: release.max(soonest),
+                    }),
+            );
+        self.base_len = self.commitments.len();
         // Memoize the base mask profile: cumulative union of the blocks
-        // still held before each distinct release instant.
-        let mut base_ends: Vec<SimTime> = commitments.iter().map(|c| c.end).collect();
-        base_ends.sort_unstable();
-        base_ends.dedup();
-        let mut cum_masks = vec![0u64; (base_ends.len() + 1) * mw];
-        for c in &commitments {
-            let slot = base_ends.partition_point(|&e| e < c.end);
+        // still held before each distinct release instant. No token
+        // names a base commitment, so sorting them in place is
+        // unobservable, and it puts each block's row in step with it.
+        self.commitments.sort_unstable_by_key(|c| c.end);
+        self.base_ends.clear();
+        for c in &self.commitments {
+            if self.base_ends.last() != Some(&c.end) {
+                self.base_ends.push(c.end);
+            }
+        }
+        self.cum_masks.clear();
+        self.cum_masks.resize((self.base_ends.len() + 1) * mw, 0);
+        let mut slot = 0;
+        for c in &self.commitments {
+            while self.base_ends[slot] < c.end {
+                slot += 1;
+            }
             let start = c.unit_start as usize;
             mask::set_bits(
-                &mut cum_masks[slot * mw..][..mw],
+                &mut self.cum_masks[slot * mw..][..mw],
                 start,
                 start + c.unit_len as usize,
             );
         }
         // Suffix-OR: the row before instant i holds everything
         // releasing at i or later.
-        for i in (0..base_ends.len()).rev() {
-            let (row, next) = cum_masks[i * mw..].split_at_mut(mw);
+        for i in (0..self.base_ends.len()).rev() {
+            let (row, next) = self.cum_masks[i * mw..].split_at_mut(mw);
             mask::or_bits(row, &next[..mw]);
         }
-        PartitionPlan {
-            now,
-            units,
-            nodes_per_unit,
-            max_block: prev_power_of_two(units),
-            mask_words: mw,
-            base_len: commitments.len(),
-            commitments,
-            base_ends,
-            cum_masks,
-            overlay_times: vec![now],
-            overlay_seg: vec![0],
-            mask_pool: vec![0; mw],
+        let down = &down.words()[..mw];
+        for row in self.cum_masks.chunks_exact_mut(mw) {
+            mask::or_bits(row, down);
         }
+        self.overlay_times.clear();
+        self.overlay_times.push(now);
+        self.overlay_seg.clear();
+        self.overlay_seg.push(0);
+        self.mask_pool.clear();
+        self.mask_pool.resize(mw, 0);
     }
 
     /// Ensure the overlay timeline has a breakpoint at `t`; return its
@@ -729,6 +838,45 @@ impl PartitionPlan {
             return busy.iter().all(|&w| w == 0).then_some(0);
         }
         mask::first_clear_aligned(busy, k, self.units)
+    }
+}
+
+/// `clone_from` keeps the target's buffers (see [`FlatPlan`]'s).
+impl Clone for PartitionPlan {
+    fn clone(&self) -> Self {
+        let mut plan = PartitionPlan::new(self.now, self.units, self.nodes_per_unit, &[]);
+        plan.clone_from(self);
+        plan
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured so that a field added later cannot be missed.
+        let PartitionPlan {
+            now,
+            units,
+            nodes_per_unit,
+            max_block,
+            mask_words,
+            base_len,
+            commitments,
+            base_ends,
+            cum_masks,
+            overlay_times,
+            overlay_seg,
+            mask_pool,
+        } = source;
+        self.now = *now;
+        self.units = *units;
+        self.nodes_per_unit = *nodes_per_unit;
+        self.max_block = *max_block;
+        self.mask_words = *mask_words;
+        self.base_len = *base_len;
+        self.commitments.clone_from(commitments);
+        self.base_ends.clone_from(base_ends);
+        self.cum_masks.clone_from(cum_masks);
+        self.overlay_times.clone_from(overlay_times);
+        self.overlay_seg.clone_from(overlay_seg);
+        self.mask_pool.clone_from(mask_pool);
     }
 }
 

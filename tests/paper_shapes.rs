@@ -157,7 +157,7 @@ fn two_d_balances_wait_and_fairness() {
 /// deep queue stays far under Cobalt's 10-second cadence even at W=5.
 #[test]
 fn scheduling_pass_is_fast_enough_at_w5() {
-    use amjs::core::scheduler::{QueuedJob, Scheduler};
+    use amjs::core::scheduler::{PassScratch, QueuedJob, Scheduler};
     use amjs::platform::Platform;
 
     let (mut machine, jobs) = scenario(7);
@@ -184,7 +184,8 @@ fn scheduling_pass_is_fast_enough_at_w5() {
 
     let sched = Scheduler::new(PolicyParams::new(0.5, 5), BackfillMode::Easy);
     let begin = std::time::Instant::now();
-    let decision = sched.schedule_pass(now, &queue, &plan);
+    let mut scratch = PassScratch::default();
+    let decision = sched.schedule_pass(now, &queue, &plan, &mut scratch);
     let elapsed = begin.elapsed();
     assert!(
         elapsed.as_secs_f64() < 1.0,
